@@ -26,16 +26,16 @@
 // namespaces (excess gets 429 + Retry-After), -client-budget/
 // -client-budget-window meter upstream queries per X-Client-ID, and
 // SIGTERM/SIGINT triggers a graceful drain — admission stops (healthz flips
-// to 503), in-flight requests finish within -drain-timeout, and with -state
-// set the default namespace's knowledge is snapshotted so the next start is
-// warm. See docs/operations.md and docs/api.md.
+// to 503), in-flight requests finish within -drain-timeout, and with
+// -data-dir set a final checkpoint commits everything learned so the next
+// start is warm. See docs/operations.md and docs/api.md.
 //
-// Crash safety: -data-dir enables segment/journal persistence — every
-// namespace checkpoints incrementally into its own data-dir/<name>/ store
-// every -checkpoint-interval while serving, so even a kill -9 restarts warm
-// up to the last committed checkpoint. The -state snapshot remains as a
-// portable export/import of the default namespace on top; see
-// docs/persistence.md.
+// Persistence: -data-dir enables the segment/journal store, the only way
+// knowledge reaches disk — every namespace checkpoints incrementally into
+// its own data-dir/<name>/ store every -checkpoint-interval while serving,
+// so even a kill -9 restarts warm up to the last committed checkpoint. A
+// portable export of a namespace is a copy of its subdirectory taken after
+// a drain; see docs/persistence.md.
 package main
 
 import (
@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/segment"
 	"repro/internal/service"
 )
 
@@ -100,11 +99,9 @@ func main() {
 		seed         = flag.Int64("seed", 160205100, "generator seed for the in-process dataset")
 		sizeHint     = flag.Int("size-hint", 0, "upstream size estimate for dense-index thresholds (0 = n)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		state        = flag.String("state", "", "snapshot file for the default namespace: loaded at startup, saved after the SIGINT/SIGTERM drain")
-		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store (crash-safe, unlike -state)")
+		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store (crash-safe)")
 		ckptInterval = flag.Duration("checkpoint-interval", 15*time.Second, "background checkpoint period for -data-dir (0 = checkpoint only at drain)")
 		cache        = flag.Int("probe-cache", 0, "probe-result LRU entries per namespace (0 = default 1024, negative disables the cache)")
-		noCoal       = flag.Bool("no-coalesce", false, "disable probe coalescing (for upstreams whose corpus changes mid-run)")
 		width        = flag.Int("search-parallelism", 1, "speculative probe width W of the MD search: up to W frontier probes in flight per request (1 = sequential; raise against high-latency upstreams)")
 		maxSessions  = flag.Int("max-sessions", 0, "max in-flight sessions across all namespaces before requests are shed with 429 (0 = unlimited; a batch of N counts N)")
 		clientBudget = flag.Int64("client-budget", 0, "upstream queries each client (X-Client-ID header) may cost per budget window (0 = unmetered)")
@@ -134,7 +131,6 @@ func main() {
 		Core: core.Options{
 			N:                     hint,
 			ProbeCacheSize:        *cache,
-			DisableCoalescing:     *noCoal,
 			SearchParallelism:     *width,
 			MaxConcurrentSessions: *maxSessions,
 		},
@@ -211,10 +207,6 @@ func main() {
 	if *hedgeAfter > 0 {
 		log.Printf("rerankd: hedged remote probes after %s", *hedgeAfter)
 	}
-	// Persistence boot order: replay each namespace's committed knowledge
-	// first, then import the -state snapshot on top. A snapshot loaded after
-	// AttachPersistence flows through the recording hooks, so its contents
-	// are committed to the data dir by the next checkpoint.
 	if *dataDir != "" {
 		if err := srv.OpenDataDir(*dataDir, service.PersistConfig{
 			CheckpointInterval: *ckptInterval,
@@ -231,20 +223,6 @@ func main() {
 			log.Printf("rerankd: data dir %s opened cold (checkpoint interval %s)", *dataDir, *ckptInterval)
 		}
 	}
-	if *state != "" {
-		warm, err := srv.LoadStateFile(*state, func(format string, args ...any) {
-			log.Printf("rerankd: "+format, args...)
-		})
-		if err != nil {
-			log.Fatalf("rerankd: load state: %v", err)
-		}
-		if warm {
-			st := srv.Stats()
-			log.Printf("rerankd: warm start from %s (%d history tuples, %d cached probe answers, %d MD dense regions)",
-				*state, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions)
-		}
-	}
-
 	httpSrv := &http.Server{
 		Addr:    *addr,
 		Handler: srv.Handler(),
@@ -259,8 +237,8 @@ func main() {
 	}
 
 	// Graceful drain: on SIGTERM/SIGINT stop admitting (healthz goes 503 so
-	// load balancers deregister), let in-flight requests finish, then
-	// snapshot the engine's knowledge so the restart is warm.
+	// load balancers deregister), let in-flight requests finish, then take
+	// the final checkpoint so the restart is warm.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
@@ -291,28 +269,9 @@ func main() {
 		if err := srv.ClosePersistence(); err != nil {
 			log.Printf("rerankd: final checkpoint: %v", err)
 		} else {
-			ps, _ := srv.PersistStats()
-			log.Printf("rerankd: data dir %s finalized (%d checkpoints this run, journal seq %d)",
-				*dataDir, ps.Store.Checkpoints, ps.Store.Seq)
+			log.Printf("rerankd: data dir %s finalized", *dataDir)
 		}
-	}
-	if *state != "" {
-		if err := saveState(srv, *state); err != nil {
-			log.Fatalf("rerankd: save state: %v", err)
-		}
-		st := srv.Stats()
-		log.Printf("rerankd: state saved to %s (%d history tuples, %d cached probe answers, %d MD dense regions in %d grid buckets)",
-			*state, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions, st.DenseMDBuckets)
 	}
 	log.Printf("rerankd: drained %d single / %d batch / %d stream requests served; bye",
 		srv.Stats().Requests, srv.Stats().BatchRequests, srv.Stats().StreamRequests)
-}
-
-// saveState writes the snapshot atomically AND durably: temp file + fsync +
-// rename + parent-dir fsync, so a crash mid-save never clobbers the previous
-// good snapshot and a crash right after the save never loses the new one.
-func saveState(srv *service.Server, path string) error {
-	return segment.WriteFileAtomic(path, func(f *os.File) error {
-		return srv.SaveState(f)
-	})
 }

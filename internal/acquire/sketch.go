@@ -235,8 +235,8 @@ func (s *Sketch) Candidates(max int) []Candidate {
 	return out
 }
 
-// HeatExport is the JSON-serializable form of a sketch, embedded in engine
-// snapshots and persistence deltas so acquisition heat survives restarts.
+// HeatExport is the JSON-serializable form of a sketch, embedded in
+// persistence deltas so acquisition heat survives restarts.
 type HeatExport struct {
 	HalfLifeSec float64    `json:"halfLifeSec,omitempty"`
 	Attrs       []AttrHeat `json:"attrs,omitempty"`

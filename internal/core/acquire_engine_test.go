@@ -1,13 +1,11 @@
 // Engine-level tests for background acquisition primitives: low-priority
 // admission with a user reserve, the user-pressure signal, WarmWindow's
-// ledger separation and zero-upstream replay guarantee (live, across
-// snapshot restarts, and across segment-store restarts), and heat-sketch
-// persistence through both the snapshot and checkpoint paths.
+// ledger separation and zero-upstream replay guarantee (live and across
+// segment-store restarts), and heat-sketch persistence through checkpoints.
 
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -17,7 +15,6 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/ranking"
-	"repro/internal/segment"
 	"repro/internal/types"
 )
 
@@ -184,7 +181,7 @@ func warmedEngine(t *testing.T, depth int) (*Engine, *hiddenDBHandle) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(83))
 	db, _ := newTestDB(t, rng, 2, 500, 10, false, nil)
-	e := NewEngine(db, Options{N: 500})
+	e := persistedEngine(t, db, Options{N: 500})
 	acq := e.NewSession()
 	if err := acq.WarmWindow(0, acquireWindow(), depth); err != nil {
 		t.Fatal(err)
@@ -206,21 +203,6 @@ type hiddenDBHandle struct {
 		QueryCount() int64
 	}
 	acquired int64
-}
-
-// reloadViaSnapshot snapshots e into memory and loads it into a fresh engine
-// over the same upstream.
-func reloadViaSnapshot(t *testing.T, e *Engine) *Engine {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := e.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine(e.db, e.opts)
-	if err := e2.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	return e2
 }
 
 // assertUserFree drives a user 1D cursor over the warmed window in dir to
@@ -261,53 +243,16 @@ func TestWarmWindowLedgerSeparation(t *testing.T) {
 	assertUserFree(t, e, h, ranking.Asc, depth/2)
 }
 
-// TestWarmWindowSurvivesSnapshotRestart: the acquired knowledge — dense
-// coverage, history, and the cached probe stream — survives a snapshot
-// round-trip, so the warmed window still answers users for zero upstream
-// after a restart.
-func TestWarmWindowSurvivesSnapshotRestart(t *testing.T) {
+// TestWarmWindowSurvivesRestart: the acquired knowledge — dense coverage,
+// history, and the cached probe stream — survives a checkpointed restart,
+// so the warmed window still answers users for zero upstream afterwards.
+func TestWarmWindowSurvivesRestart(t *testing.T) {
 	const depth = 12
 	e1, h := warmedEngine(t, depth)
-	e2 := reloadViaSnapshot(t, e1)
+	e2 := reopenViaStore(t, e1)
 	if !e2.WindowWarm(0, acquireWindow()) {
-		t.Fatal("warm marker lost across snapshot restart")
+		t.Fatal("warm marker lost across restart")
 	}
-	assertUserFree(t, e2, h, ranking.Asc, depth)
-	assertUserFree(t, e2, h, ranking.Desc, depth)
-}
-
-// TestWarmWindowSurvivesCheckpointRestart: same guarantee through the
-// incremental segment-store path.
-func TestWarmWindowSurvivesCheckpointRestart(t *testing.T) {
-	const depth = 12
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(83))
-	db, _ := newTestDB(t, rng, 2, 500, 10, false, nil)
-	e1 := NewEngine(db, Options{N: 500})
-	st1 := openStore(t, e1, dir, segment.Options{})
-	p1, err := e1.AttachPersistence(st1, PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acq := e1.NewSession()
-	if err := acq.WarmWindow(0, acquireWindow(), depth); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := NewEngine(db, Options{N: 500})
-	st2 := openStore(t, e2, dir, segment.Options{})
-	p2, err := e2.AttachPersistence(st2, PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if !e2.WindowWarm(0, acquireWindow()) {
-		t.Fatal("warm marker lost across checkpoint restart")
-	}
-	h := &hiddenDBHandle{db: db}
 	assertUserFree(t, e2, h, ranking.Asc, depth)
 	assertUserFree(t, e2, h, ranking.Desc, depth)
 }
@@ -340,13 +285,13 @@ func TestWarmWindowAbort(t *testing.T) {
 	}
 }
 
-// TestHeatSnapshotRoundTrip: the request-heat sketch rides the snapshot and
-// restores candidate-for-candidate, so acquisition resumes where it left
+// TestHeatRestartRoundTrip: the request-heat sketch rides the checkpoint
+// and restores candidate-for-candidate, so acquisition resumes where it left
 // off after a drain/restart.
-func TestHeatSnapshotRoundTrip(t *testing.T) {
+func TestHeatRestartRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	db, _ := newTestDB(t, rng, 2, 200, 10, false, nil)
-	e1 := NewEngine(db, Options{N: 200})
+	e1 := persistedEngine(t, db, Options{N: 200})
 	hot := query.New().WithRange(0, types.ClosedInterval(10, 20))
 	warm := query.New().WithRange(1, types.ClosedInterval(50, 60))
 	for i := 0; i < 5; i++ {
@@ -358,7 +303,7 @@ func TestHeatSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("precondition: candidates = %+v", want)
 	}
 
-	e2 := reloadViaSnapshot(t, e1)
+	e2 := reopenViaStore(t, e1)
 	got := e2.Heat().Candidates(4)
 	if len(got) != len(want) {
 		t.Fatalf("restored %d heat candidates, want %d", len(got), len(want))
@@ -377,15 +322,10 @@ func TestHeatSnapshotRoundTrip(t *testing.T) {
 // committed when observations advanced, skipped when nothing changed, and
 // replays into a restarted engine.
 func TestHeatCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(87))
 	db, _ := newTestDB(t, rng, 2, 200, 10, false, nil)
-	e1 := NewEngine(db, Options{N: 200})
-	st1 := openStore(t, e1, dir, segment.Options{})
-	p1, err := e1.AttachPersistence(st1, PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := persistedEngine(t, db, Options{N: 200})
+	p1 := e1.Persister()
 	hot := query.New().WithRange(0, types.ClosedInterval(10, 20))
 	for i := 0; i < 5; i++ {
 		e1.RecordHeat(hot)
@@ -393,7 +333,7 @@ func TestHeatCheckpointRoundTrip(t *testing.T) {
 	if err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	records := st1.Stats().JournalRecords
+	records := p1.Stats().Store.JournalRecords
 	if records == 0 {
 		t.Fatal("heat-only change produced no checkpoint record")
 	}
@@ -401,21 +341,11 @@ func TestHeatCheckpointRoundTrip(t *testing.T) {
 	if err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st1.Stats().JournalRecords; got != records {
+	if got := p1.Stats().Store.JournalRecords; got != records {
 		t.Fatalf("idle checkpoint appended a record (%d -> %d)", records, got)
 	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	e2 := NewEngine(db, Options{N: 200})
-	st2 := openStore(t, e2, dir, segment.Options{})
-	p2, err := e2.AttachPersistence(st2, PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	got := e2.Heat().Candidates(4)
+	got := reopenViaStore(t, e1).Heat().Candidates(4)
 	if len(got) != 1 || got[0].Window.Attr != 0 || got[0].Window.Lo != 10 || got[0].Window.Hi != 20 {
 		t.Fatalf("restored heat candidates = %+v, want the hot window on attr 0", got)
 	}

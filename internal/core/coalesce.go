@@ -56,6 +56,9 @@ type flight struct {
 	done chan struct{}
 	res  hidden.Result
 	err  error
+	// followers counts callers committed to this flight's result (guarded
+	// by flightGroup.mu). Tests wait on it instead of sleeping.
+	followers int
 }
 
 // flightGroup is a minimal singleflight: Do runs fn once per key among
@@ -84,6 +87,7 @@ func (g *flightGroup) Do(key string, fn func() (hidden.Result, error)) (res hidd
 	for {
 		g.mu.Lock()
 		if f, ok := g.inflight[key]; ok {
+			f.followers++
 			g.mu.Unlock()
 			<-f.done
 			if f.err != nil {
@@ -207,24 +211,6 @@ func (p *probeCache) remove(key string) {
 	}
 }
 
-// export returns the cached entries ordered least-recently-used first, so
-// replaying them through put reproduces the eviction order. Results are
-// shared, not copied: callers must treat them as immutable (they already
-// are engine-wide).
-func (p *probeCache) export() []probeEntry {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]probeEntry, 0, p.order.Len())
-	for el := p.order.Back(); el != nil; el = el.Prev() {
-		ce := el.Value.(*cacheEntry)
-		out = append(out, probeEntry{Key: ce.key, Res: ce.rowForm(), Epoch: ce.epoch})
-	}
-	return out
-}
-
 // size returns the number of cached complete answers.
 func (p *probeCache) size() int {
 	if p == nil {
@@ -272,16 +258,6 @@ func (p *probeCache) put(key string, res hidden.Result, epoch int64) {
 		p.order.Remove(oldest)
 		delete(p.byKey, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// probeEntry is one exported probe-LRU entry: a canonical query key, its
-// complete (valid/underflow) answer, and the knowledge epoch the answer was
-// learned under. Snapshots persist these so a restarted service stays warm
-// at the probe level, not just the tuple level.
-type probeEntry struct {
-	Key   string
-	Res   hidden.Result
-	Epoch int64
 }
 
 // coalescer wraps the engine's primary database with singleflight dedup and
@@ -336,31 +312,10 @@ func (c *coalescer) revalStats() (promoted, evicted int64) {
 	return c.revalPromoted.Load(), c.revalEvicted.Load()
 }
 
-// export dumps the complete-answer LRU, least recently used first. Empty
-// when coalescing is disabled or the cache is turned off.
-func (c *coalescer) export() []probeEntry {
-	if c.disabled {
-		return nil
-	}
-	return c.cache.export()
-}
-
-// restore seeds one complete answer into the LRU (snapshot warm-restart)
-// at the epoch it was learned under, recording it for persistence like a
-// freshly cached answer: a snapshot imported with -state must survive the
-// next restart through the segment store, not just this process's lifetime.
-// A no-op when coalescing is disabled, the cache is off, or the result is
-// not complete.
-func (c *coalescer) restore(key string, res hidden.Result, epoch int64) {
-	if c.disabled {
-		return
-	}
-	c.cache.put(key, res, epoch)
-	c.recordPut(key, res, epoch)
-}
-
-// seed is restore without the persistence record — the segment-replay path,
-// where the answer being inserted is already committed on disk.
+// seed inserts one complete answer into the LRU at the epoch it was learned
+// under, without a persistence record — the segment-replay path, where the
+// answer is already committed on disk. A no-op when coalescing is disabled,
+// the cache is off, or the result is not complete.
 func (c *coalescer) seed(key string, res hidden.Result, epoch int64) {
 	if c.disabled {
 		return

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -204,7 +203,7 @@ func TestProbeCacheAmortizesRepeats(t *testing.T) {
 }
 
 // TestFlightGroupCoalesces exercises the in-flight dedup directly: a burst
-// of identical slow probes must collapse to far fewer upstream executions.
+// of identical slow probes must collapse to ONE upstream execution.
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()
 	var execs, leaders int64
@@ -233,26 +232,20 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Let the burst pile onto the in-flight call, then release it. The
-	// sleep-free guarantee is one leader per execution; the burst timing
-	// makes full coalescing overwhelmingly likely.
-	for {
+	// Release the leader only once every other caller has committed to its
+	// flight, so full coalescing is guaranteed, not merely likely.
+	for followers := 0; followers < callers-1; runtime.Gosched() {
 		g.mu.Lock()
-		_, inflight := g.inflight["k"]
-		g.mu.Unlock()
-		if inflight {
-			break
+		if f, ok := g.inflight["k"]; ok {
+			followers = f.followers
 		}
+		g.mu.Unlock()
 	}
 	close(release)
 	wg.Wait()
-	if execs != leaders {
-		t.Fatalf("%d executions but %d leaders", execs, leaders)
+	if execs != 1 || leaders != 1 {
+		t.Fatalf("%d callers cost %d executions under %d leaders, want 1 and 1", callers, execs, leaders)
 	}
-	if execs >= callers {
-		t.Fatalf("no coalescing at all: %d executions for %d callers", execs, callers)
-	}
-	t.Logf("%d callers collapsed to %d upstream executions", callers, execs)
 }
 
 // TestFlightGroupLeaderPanic pins the panic contract: a caller that
@@ -376,14 +369,14 @@ func TestProbeCacheColumnar(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotUnderLoad saves a snapshot while sessions are mutating the
-// knowledge layer and restores it into a fresh engine: the restore must
-// never reject the snapshot (dense regions reference only serialized
-// tuples), and the warm engine must still answer exactly.
-func TestLiveSnapshotUnderLoad(t *testing.T) {
+// TestLiveCheckpointUnderLoad checkpoints while sessions are mutating the
+// knowledge layer and restarts from the store: replay must never reject a
+// committed delta (recorded regions and probes reference only tuples the
+// store holds), and the warm engine must still answer exactly.
+func TestLiveCheckpointUnderLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db, all := newTestDB(t, rng, 2, 600, 5, true, systemRankers(2)[1])
-	e := NewEngine(db, Options{N: 600})
+	e := persistedEngine(t, db, Options{N: 600})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -411,32 +404,24 @@ func TestLiveSnapshotUnderLoad(t *testing.T) {
 		}(g)
 	}
 
-	var snaps []string
 	for i := 0; i < 5; i++ {
-		var buf bytes.Buffer
-		if err := e.SaveSnapshot(&buf); err != nil {
-			t.Fatalf("live snapshot %d: %v", i, err)
+		if err := e.Persister().Checkpoint(); err != nil {
+			t.Fatalf("live checkpoint %d: %v", i, err)
 		}
-		snaps = append(snaps, buf.String())
 	}
 	close(stop)
 	wg.Wait()
 
-	for i, snap := range snaps {
-		warm := NewEngine(db, Options{N: 600})
-		if err := warm.LoadSnapshot(strings.NewReader(snap)); err != nil {
-			t.Fatalf("snapshot %d does not restore: %v", i, err)
-		}
-		r := ranking.MustLinear("u", []int{0, 1}, []float64{1, 1})
-		cur, err := warm.NewCursor(query.New(), r, Rerank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := TopH(cur, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := oracleTopH(all, query.New(), r, 10)
-		assertSameRanking(t, r, got, want, oracleTopH(all, query.New(), r, 1<<30))
+	warm := reopenViaStore(t, e)
+	r := ranking.MustLinear("u", []int{0, 1}, []float64{1, 1})
+	cur, err := warm.NewCursor(query.New(), r, Rerank)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := TopH(cur, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleTopH(all, query.New(), r, 10)
+	assertSameRanking(t, r, got, want, oracleTopH(all, query.New(), r, 1<<30))
 }

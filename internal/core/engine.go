@@ -12,7 +12,7 @@
 //     across user queries — the cross-query answer history (§3.1.1
 //     "Leveraging History"), the on-the-fly dense-region indexes (§3.2.2,
 //     §4.4) and the upstream-query counter. It is guarded internally and
-//     safe for concurrent use, including live snapshotting.
+//     safe for concurrent use, including live checkpointing.
 //   - A Session (see session.go) holds the per-request state: the
 //     upstream-cost ledger for one unit of work. Cursors — per-(query,
 //     ranking function) Get-Next iterators — are created from sessions and

@@ -6,8 +6,8 @@
 // guarded internally (the history store shards its sorted indexes per
 // attribute with incremental run+buffer maintenance, the dense indexes carry
 // their own RWMutexes, the counter is atomic), so arbitrarily many Sessions
-// on arbitrarily many goroutines read and grow the same knowledge while it
-// stays snapshottable live.
+// on arbitrarily many goroutines read and grow the same knowledge while
+// checkpoints capture it live.
 
 package core
 
@@ -32,7 +32,7 @@ type Knowledge struct {
 	dense1 *index.Dense1D
 
 	mdMu    sync.Mutex
-	denseMD map[string]*mdEntry // keyed by ranked-attribute signature
+	denseMD map[string]*index.DenseMD // keyed by ranked-attribute signature
 
 	queries atomic.Int64 // upstream queries issued through the engine
 
@@ -56,7 +56,7 @@ type Knowledge struct {
 	// heat is the request-window heat sketch feeding the background
 	// acquirer: which exact windows users queried recently, with
 	// exponential decay. Fed by RecordHeat on the request path; persisted
-	// in snapshots and checkpoints so acquisition resumes after restarts.
+	// in checkpoints so acquisition resumes after restarts.
 	heat *acquire.Sketch
 
 	// persist, when attached, records dense-region inserts so incremental
@@ -65,20 +65,12 @@ type Knowledge struct {
 	persist atomic.Pointer[Persister]
 }
 
-// mdEntry is one MD dense index together with the canonical (sorted
-// ascending) attribute subset it covers — kept alongside so snapshots can
-// serialize the subset without re-parsing the map key.
-type mdEntry struct {
-	attrs []int
-	idx   *index.DenseMD
-}
-
 // newKnowledge builds an empty knowledge layer over the given schema.
 func newKnowledge(schema *types.Schema) *Knowledge {
 	k := &Knowledge{
 		hist:    history.NewStore(schema),
 		dense1:  index.NewDense1D(),
-		denseMD: make(map[string]*mdEntry),
+		denseMD: make(map[string]*index.DenseMD),
 		heat:    acquire.NewSketch(schema),
 	}
 	k.epoch.Store(index.FirstEpoch)
@@ -103,7 +95,7 @@ func (k *Knowledge) BumpEpoch() int64 {
 	return e
 }
 
-// restoreEpoch moves the epoch forward to e (snapshot/journal replay).
+// restoreEpoch moves the epoch forward to e (journal replay).
 // Epochs never move backward; an older restore is a no-op.
 func (k *Knowledge) restoreEpoch(e int64) {
 	for {
@@ -123,14 +115,8 @@ func (k *Knowledge) StaleHistoryRows() int64 { return k.histStaleRows.Load() }
 func (k *Knowledge) StaleRegions() int {
 	cur := k.Epoch()
 	n := k.dense1.StaleCount(cur)
-	k.mdMu.Lock()
-	entries := make([]*mdEntry, 0, len(k.denseMD))
-	for _, e := range k.denseMD {
-		entries = append(entries, e)
-	}
-	k.mdMu.Unlock()
-	for _, e := range entries {
-		n += e.idx.StaleCount(cur)
+	for _, e := range k.mdIndexes() {
+		n += e.StaleCount(cur)
 	}
 	return n
 }
@@ -156,27 +142,32 @@ func (k *Knowledge) mdIndexFor(attrs []int) *index.DenseMD {
 	key := attrsKey(sorted)
 	k.mdMu.Lock()
 	defer k.mdMu.Unlock()
-	e, ok := k.denseMD[key]
+	idx, ok := k.denseMD[key]
 	if !ok {
-		e = &mdEntry{attrs: sorted, idx: index.NewDenseMD()}
-		k.denseMD[key] = e
+		idx = index.NewDenseMD()
+		k.denseMD[key] = idx
 	}
-	return e.idx
+	return idx
+}
+
+// mdIndexes returns the MD dense indexes of every attribute subset, copied
+// out from under mdMu so callers can take each index's own lock.
+func (k *Knowledge) mdIndexes() []*index.DenseMD {
+	k.mdMu.Lock()
+	defer k.mdMu.Unlock()
+	out := make([]*index.DenseMD, 0, len(k.denseMD))
+	for _, idx := range k.denseMD {
+		out = append(out, idx)
+	}
+	return out
 }
 
 // InsertDense1 inserts a fully-crawled 1D dense region into the shared index
-// and records the insert for incremental persistence. All region inserts —
-// live crawls and snapshot restores alike — must go through this wrapper
-// rather than the index directly, so no committed knowledge is invisible to
-// the next checkpoint.
+// at the current epoch and records the insert for incremental persistence.
+// Live region inserts must go through this wrapper rather than the index
+// directly, so no acquired knowledge is invisible to the next checkpoint.
 func (k *Knowledge) InsertDense1(attr int, iv types.Interval, tuples []types.Tuple) {
-	k.insertDense1Epoch(attr, iv, tuples, k.Epoch())
-}
-
-// insertDense1Epoch is InsertDense1 at an explicit epoch (snapshot restore
-// inserts regions at the epoch they were persisted under, not the current
-// one).
-func (k *Knowledge) insertDense1Epoch(attr int, iv types.Interval, tuples []types.Tuple, epoch int64) {
+	epoch := k.Epoch()
 	k.dense1.InsertEpoch(attr, iv, tuples, epoch)
 	if p := k.persist.Load(); p != nil {
 		p.recordDense1(attr, iv, tuples, epoch)
@@ -184,51 +175,17 @@ func (k *Knowledge) insertDense1Epoch(attr int, iv types.Interval, tuples []type
 }
 
 // InsertDenseMD inserts a fully-crawled MD dense region for the given
-// attribute subset (sorted canonically here) and records the insert for
-// incremental persistence. See InsertDense1 for why inserts must route
-// through this wrapper.
+// attribute subset (sorted canonically here) at the current epoch and
+// records the insert for incremental persistence. See InsertDense1 for why
+// inserts must route through this wrapper.
 func (k *Knowledge) InsertDenseMD(attrs []int, box query.Box, tuples []types.Tuple) {
-	k.insertDenseMDEpoch(attrs, box, tuples, k.Epoch())
-}
-
-// insertDenseMDEpoch is InsertDenseMD at an explicit epoch (snapshot
-// restore).
-func (k *Knowledge) insertDenseMDEpoch(attrs []int, box query.Box, tuples []types.Tuple, epoch int64) {
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
+	epoch := k.Epoch()
 	k.mdIndexFor(sorted).InsertEpoch(box, tuples, epoch)
 	if p := k.persist.Load(); p != nil {
 		p.recordDenseMD(sorted, box, tuples, epoch)
 	}
-}
-
-// mdExport is one attribute subset's crawled regions, as captured for a
-// snapshot.
-type mdExport struct {
-	attrs   []int
-	regions []index.Region
-}
-
-// exportMD captures every MD dense index's crawled regions. Region tuple
-// slices are shared and immutable, and each index's region list is copied
-// under its lock, so the export is a consistent per-index snapshot even
-// while crawls run. (Region *coverage* is monotone, but the region count is
-// not: Insert absorbs regions contained in a newly crawled box.)
-func (k *Knowledge) exportMD() []mdExport {
-	k.mdMu.Lock()
-	entries := make([]*mdEntry, 0, len(k.denseMD))
-	for _, e := range k.denseMD {
-		entries = append(entries, e)
-	}
-	k.mdMu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return attrsKey(entries[i].attrs) < attrsKey(entries[j].attrs) })
-	out := make([]mdExport, 0, len(entries))
-	for _, e := range entries {
-		if regs := e.idx.Export(); len(regs) > 0 {
-			out = append(out, mdExport{attrs: e.attrs, regions: regs})
-		}
-	}
-	return out
 }
 
 // MDBucketStats aggregates every MD dense index's centroid-grid statistics:
@@ -236,15 +193,9 @@ func (k *Knowledge) exportMD() []mdExport {
 // (ungridded) regions — the observability handle for the sub-linear lookup
 // claim (§4.4 oracle cost stays flat as knowledge grows).
 func (k *Knowledge) MDBucketStats() index.GridStats {
-	k.mdMu.Lock()
-	entries := make([]*mdEntry, 0, len(k.denseMD))
-	for _, e := range k.denseMD {
-		entries = append(entries, e)
-	}
-	k.mdMu.Unlock()
 	var st index.GridStats
-	for _, e := range entries {
-		s := e.idx.Stats()
+	for _, e := range k.mdIndexes() {
+		s := e.Stats()
 		st.Regions += s.Regions
 		st.Buckets += s.Buckets
 		st.Loose += s.Loose
@@ -258,15 +209,9 @@ func (k *Knowledge) MDBucketStats() index.GridStats {
 // MDRegions returns the total number of crawled MD dense regions across all
 // attribute subsets — the regions a restarted engine can answer locally.
 func (k *Knowledge) MDRegions() int {
-	k.mdMu.Lock()
-	entries := make([]*mdEntry, 0, len(k.denseMD))
-	for _, e := range k.denseMD {
-		entries = append(entries, e)
-	}
-	k.mdMu.Unlock()
 	n := 0
-	for _, e := range entries {
-		n += e.idx.Len()
+	for _, e := range k.mdIndexes() {
+		n += e.Len()
 	}
 	return n
 }

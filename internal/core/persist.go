@@ -3,10 +3,11 @@
 // A Persister turns the engine's accumulated knowledge into a stream of
 // checkpoint deltas (segment.Delta) committed through a segment.Store, and
 // replays a store's committed deltas back into a fresh engine at startup.
-// Unlike SaveSnapshot — which rewrites ALL knowledge at drain time — a
-// checkpoint commits only what changed since the previous one, so it runs
-// concurrently with serving and a crash loses at most one checkpoint
-// interval of knowledge.
+// This is the only path by which knowledge reaches or leaves disk:
+// buildDelta is the one encoder and applyDelta the one decoder. A checkpoint
+// commits only what changed since the previous one, so it runs concurrently
+// with serving and a crash loses at most one checkpoint interval of
+// knowledge.
 //
 // # What a delta contains, and how it stays cheap
 //
@@ -17,7 +18,7 @@
 // operations (attribute/box/key plus tuple IDs) by thin wrappers on the live
 // insert paths; replay pushes them back through those same live paths, so a
 // rebuilt engine's index structures are bit-identical to the saved engine's
-// — the same property the snapshot loader asserts.
+// (asserted by TestReopenRebuildsDenseStructures).
 //
 // Operations reference tuples by ID. A referenced tuple is normally covered
 // by the committed history prefix (sessions add probe pages to history
@@ -99,22 +100,24 @@ type pendingOp struct {
 }
 
 // PersistFingerprint identifies this engine's upstream deployment for the
-// segment store — the same identity the snapshot format guards probe and
-// dense-region restores with.
+// segment store: cached probe answers replay one specific upstream's
+// responses verbatim, and a crawled region's authority ("these are ALL the
+// corpus tuples in this range") assumes the same corpus, so a store written
+// under a different schema, k or system ranker is quarantined, never served.
+// The ranker name is known only for an in-process hidden.DB; remote
+// upstreams leave it empty.
 func (e *Engine) PersistFingerprint() segment.Fingerprint {
-	return segment.Fingerprint{
-		Schema:         e.db.Schema().Names(),
-		UpstreamK:      e.db.K(),
-		UpstreamRanker: upstreamRankerName(e.db),
+	fp := segment.Fingerprint{Schema: e.db.Schema().Names(), UpstreamK: e.db.K()}
+	if hdb, ok := e.db.(*hidden.DB); ok {
+		fp.UpstreamRanker = hdb.RankerName()
 	}
+	return fp
 }
 
 // AttachPersistence replays the store's committed knowledge into the engine,
 // then installs the recording hooks and (when opts.Interval > 0) starts the
-// background checkpoint loop. Attach before loading any -state snapshot:
-// replay must see the engine exactly as the recorded operations left it, and
-// a snapshot loaded afterwards flows through the recording hooks so its
-// knowledge is persisted too.
+// background checkpoint loop. Attach to a fresh engine, before serving:
+// only knowledge acquired after the hooks are installed is recorded.
 //
 // The returned Persister owns the store: Close checkpoints once more and
 // closes it. At most one Persister may be attached to an engine.
@@ -212,8 +215,8 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 	// a committed prefix (or the same delta twice after a retry) converges.
 	e.know.heat.Import(d.Heat)
 	// d.Queries is informational (lifetime counter at capture time) and not
-	// restored, matching LoadSnapshot: a restarted engine's counter measures
-	// cost paid by THIS process.
+	// restored: a restarted engine's counter measures cost paid by THIS
+	// process.
 	return nil
 }
 

@@ -1,7 +1,9 @@
 // Engine-level tests for incremental segment/journal persistence: warm
 // restart with zero upstream re-spend, crash mid-checkpoint recovering to
 // the last committed journal entry, inline payloads under DisableHistory,
-// and checkpointing running concurrently with serving.
+// and checkpointing running concurrently with serving. The helpers here
+// (persistedEngine, reopenViaStore) are how every warm-restart test in the
+// package round-trips knowledge through the on-disk format.
 
 package core
 
@@ -19,15 +21,15 @@ import (
 	"repro/internal/types"
 )
 
-// persistTestWorld builds a deterministic corpus and engine for persistence
-// tests: 400 tuples, k=10, no system ranker.
-func persistTestWorld(t *testing.T, seed int64) (*hidden.DB, []types.Tuple, *Engine) {
+// persistTestWorld builds a deterministic corpus for persistence tests: 400
+// tuples, k=10, no system ranker.
+func persistTestWorld(t *testing.T, seed int64) (*hidden.DB, []types.Tuple) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	schema := testSchema(2)
 	tuples := genTuples(rng, schema, 400, false)
 	db := hidden.MustDB(schema, tuples, hidden.Options{K: 10})
-	return db, tuples, NewEngine(db, Options{N: 400})
+	return db, tuples
 }
 
 // openStore opens a segment store for e's upstream in dir.
@@ -39,6 +41,46 @@ func openStore(t *testing.T, e *Engine, dir string, opts segment.Options) *segme
 		t.Fatal(err)
 	}
 	return st
+}
+
+// attachStore replays dir's store into e, starts recording, and closes the
+// persister with the test. No background loop: tests checkpoint explicitly.
+func attachStore(t *testing.T, e *Engine, dir string, opts segment.Options) *Persister {
+	t.Helper()
+	p, err := e.AttachPersistence(openStore(t, e, dir, opts), PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+// persistedEngine builds an engine over db that records into a store in a
+// fresh temp dir from its first probe on.
+func persistedEngine(t *testing.T, db hidden.Database, opts Options) *Engine {
+	t.Helper()
+	e := NewEngine(db, opts)
+	attachStore(t, e, t.TempDir(), segment.Options{})
+	return e
+}
+
+// reopenViaStore is a clean restart on the production format: e (built by
+// persistedEngine) takes its final checkpoint and closes, and a fresh engine
+// over the same upstream and options replays the store.
+func reopenViaStore(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	p := e.Persister()
+	if p == nil {
+		t.Fatal("reopenViaStore: engine has no open persister")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := NewEngine(e.db, e.opts)
+	if st := attachStore(t, e2, p.store.Dir(), segment.Options{}).Stats().Store; st.DroppedRecords != 0 {
+		t.Fatalf("clean restart rejected %d committed records: a checkpoint wrote what replay cannot apply", st.DroppedRecords)
+	}
+	return e2
 }
 
 // persistProbes is a fixed set of narrow queries with complete answers —
@@ -53,10 +95,11 @@ func persistProbes() []query.Query {
 
 // runPersistWorkload warms e: issues the probe set (filling history and the
 // probe LRU) and inserts 1D and MD dense regions through the recording
-// wrappers, exactly as live crawls do.
-func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) {
+// wrappers, exactly as live crawls do. It returns the probe answers.
+func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.Result {
 	t.Helper()
 	sess := e.NewSession()
+	var answers []hidden.Result
 	for i, q := range persistProbes() {
 		res, err := sess.issue(q)
 		if err != nil {
@@ -65,6 +108,7 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) {
 		if res.Overflow {
 			t.Fatalf("precondition: probe %d (%s) overflowed; pick a narrower query", i, q)
 		}
+		answers = append(answers, res)
 	}
 	inside1 := func(lo, hi float64) []types.Tuple {
 		var out []types.Tuple
@@ -92,6 +136,7 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) {
 		}
 		e.know.InsertDenseMD([]int{0, 1}, b, in)
 	}
+	return answers
 }
 
 // assertSameKnowledge checks that got's rebuilt knowledge equals want's:
@@ -136,38 +181,31 @@ func assertSameKnowledge(t *testing.T, got, want *Engine) {
 // engine's, and the replay itself plus every committed probe costs zero
 // upstream queries.
 func TestPersistWarmRestartZeroRespend(t *testing.T) {
-	dir := t.TempDir()
-	db, tuples, e1 := persistTestWorld(t, 71)
-	p1, err := e1.AttachPersistence(openStore(t, e1, dir, segment.Options{}), PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPersistWorkload(t, e1, tuples)
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	db, tuples := persistTestWorld(t, 71)
+	e1 := persistedEngine(t, db, Options{N: 400})
+	want := runPersistWorkload(t, e1, tuples)
+	p1 := e1.Persister()
+
+	db.ResetCounter()
+	e2 := reopenViaStore(t, e1)
 	if st := p1.Stats(); st.Store.Checkpoints == 0 {
 		t.Fatalf("no checkpoint committed: %+v", st)
 	}
-
-	db.ResetCounter()
-	e2 := NewEngine(db, Options{N: 400})
-	p2, err := e2.AttachPersistence(openStore(t, e2, dir, segment.Options{}), PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
 	if n := db.QueryCount(); n != 0 {
 		t.Fatalf("segment replay spent %d upstream queries, want 0", n)
 	}
 	assertSameKnowledge(t, e2, e1)
 	sess := e2.NewSession()
-	for _, q := range persistProbes() {
-		if _, err := sess.issue(q); err != nil {
+	for i, q := range persistProbes() {
+		res, err := sess.issue(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !resultsEqual(res, want[i]) {
+			t.Fatalf("probe %d: warm answer differs from the saved one (rank order must survive)", i)
+		}
 	}
-	if n := sess.Queries(); n != 0 {
+	if n := sess.Queries() + db.QueryCount(); n != 0 {
 		t.Fatalf("committed probes re-spent %d upstream queries after restart, want 0", n)
 	}
 	if _, ok := e2.know.dense1.Lookup(0, types.Interval{Lo: 3.5, Hi: 4.5}); !ok {
@@ -183,7 +221,8 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 	for _, stage := range []string{"journal-write", "journal-sync"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
-			db, tuples, e1 := persistTestWorld(t, 73)
+			db, tuples := persistTestWorld(t, 73)
+			e1 := NewEngine(db, Options{N: 400})
 			var failing atomic.Bool
 			st1 := openStore(t, e1, dir, segment.Options{
 				Failpoint: func(s string) error {
@@ -222,11 +261,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 
 			db.ResetCounter()
 			e2 := NewEngine(db, Options{N: 400})
-			p2, err := e2.AttachPersistence(openStore(t, e2, dir, segment.Options{}), PersistOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p2.Close()
+			p2 := attachStore(t, e2, dir, segment.Options{})
 			if st := p2.Stats(); st.Store.ReplayedDeltas != 1 || st.Store.DroppedRecords != 0 {
 				t.Fatalf("recovery replayed %+v, want exactly the 1 committed delta", st.Store)
 			}
@@ -263,14 +298,9 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 // answers reference tuples that never enter the history arena. Their
 // payloads must travel inline in the delta, keeping the store self-contained.
 func TestPersistInlinesUncommittedTuples(t *testing.T) {
-	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(77))
 	db, _ := newTestDB(t, rng, 2, 400, 10, false, nil)
-	e1 := NewEngine(db, Options{N: 400, DisableHistory: true})
-	p1, err := e1.AttachPersistence(openStore(t, e1, dir, segment.Options{}), PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := persistedEngine(t, db, Options{N: 400, DisableHistory: true})
 	q := query.New().WithRange(0, types.ClosedInterval(10, 12)).WithCat("cat", "x")
 	sess := e1.NewSession()
 	res, err := sess.issue(q)
@@ -283,16 +313,8 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 	if e1.History().Size() != 0 {
 		t.Fatal("precondition: DisableHistory engine stored history")
 	}
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	e2 := NewEngine(db, Options{N: 400, DisableHistory: true})
-	p2, err := e2.AttachPersistence(openStore(t, e2, dir, segment.Options{}), PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
+	e2 := reopenViaStore(t, e1)
 	db.ResetCounter()
 	sess2 := e2.NewSession()
 	res2, err := sess2.issue(q)
@@ -302,13 +324,8 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 	if sess2.Queries() != 0 {
 		t.Fatalf("inlined probe re-spent %d upstream queries, want 0", sess2.Queries())
 	}
-	if len(res2.Tuples) != len(res.Tuples) {
-		t.Fatalf("restored answer has %d tuples, want %d", len(res2.Tuples), len(res.Tuples))
-	}
-	for i := range res.Tuples {
-		if res2.Tuples[i].ID != res.Tuples[i].ID {
-			t.Fatalf("restored answer tuple %d: ID %d, want %d", i, res2.Tuples[i].ID, res.Tuples[i].ID)
-		}
+	if !resultsEqual(res2, res) {
+		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
 	}
 }
 
@@ -320,7 +337,8 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 // proves the recording hooks and capture are race-clean.
 func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 	dir := t.TempDir()
-	db, tuples, e1 := persistTestWorld(t, 79)
+	db, tuples := persistTestWorld(t, 79)
+	e1 := NewEngine(db, Options{N: 400})
 	slow := make(chan struct{})  // closed when the slow checkpoint enters its sync
 	var inCheckpoint atomic.Bool // true while the stretched commit is in flight
 	var slowOnce, armed atomic.Bool
@@ -375,15 +393,38 @@ func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The knowledge recorded mid-commit lands in the next checkpoint.
-	if err := p1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	assertSameKnowledge(t, reopenViaStore(t, e1), e1)
+}
 
-	e2 := NewEngine(db, Options{N: 400})
-	p2, err := e2.AttachPersistence(openStore(t, e2, dir, segment.Options{}), PersistOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestApplyDeltaRejectsBrokenReferences: the one decoder of persisted
+// knowledge refuses a delta whose operations reference tuples the store
+// never committed, or whose MD region is malformed — Replay then recovers to
+// the last good record instead of installing a region with missing tuples.
+func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
+	db, _ := persistTestWorld(t, 62)
+	unit := segment.Dim{Lo: 0, Hi: 1}
+	for name, d := range map[string]*segment.Delta{
+		"dangling 1D reference":    {Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}}},
+		"dangling MD reference":    {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit, unit}, IDs: []int{4242}}}},
+		"dangling probe reference": {Probes: []segment.ProbeOp{{Key: "TRUE", IDs: []int{4242}}}},
+		"MD dims/attrs arity":      {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit}}}},
+		"MD region without attrs":  {DenseMD: []segment.MDOp{{}}},
+	} {
+		e := NewEngine(db, Options{N: 400})
+		if err := e.applyDelta(d); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if e.MDDenseRegions() != 0 || e.DenseIndex1D().Regions(0) != 0 || e.ProbeCacheEntries() != 0 {
+			t.Errorf("%s installed knowledge despite the error", name)
+		}
 	}
-	defer p2.Close()
-	assertSameKnowledge(t, e2, e1)
+	// A reference resolves from the delta's own inline payloads.
+	e := NewEngine(db, Options{N: 400})
+	ok := &segment.Delta{
+		Tuples: []segment.Tuple{{ID: 4242, Ord: []float64{0.5, 0.5, 0}}},
+		Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}},
+	}
+	if err := e.applyDelta(ok); err != nil || e.DenseIndex1D().Regions(0) != 1 {
+		t.Fatalf("self-contained delta: err=%v regions=%d, want nil/1", err, e.DenseIndex1D().Regions(0))
+	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -79,16 +78,16 @@ func TestSerialEqualityAndLedgers(t *testing.T) {
 	}
 }
 
-// TestConcurrentStoreReadsWritesLiveSnapshot stress-mixes, under -race,
-// everything the sharded store and snapshotter must survive at once:
+// TestConcurrentStoreReadsWritesLiveCheckpoint stress-mixes, under -race,
+// everything the sharded store and checkpointer must survive at once:
 // sessions streaming tuples into history (concurrent Add), direct indexed
-// reads across all attributes, whole-store scans, and live SaveSnapshot.
-// The final snapshot must reload into a fresh engine with history intact
-// and the probe cache warm (see also the dedicated warmness round-trip).
-func TestConcurrentStoreReadsWritesLiveSnapshot(t *testing.T) {
+// reads across all attributes, whole-store scans, and live checkpoints.
+// A restart from the store must come back with history intact and the probe
+// cache warm (see also the dedicated warmness round-trip).
+func TestConcurrentStoreReadsWritesLiveCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(172))
 	db, _ := newTestDB(t, rng, 2, 600, 5, true, systemRankers(2)[0])
-	e := NewEngine(db, Options{N: 600})
+	e := persistedEngine(t, db, Options{N: 600})
 	items := concurrentWorkload(rng)
 
 	var wg sync.WaitGroup
@@ -138,18 +137,15 @@ func TestConcurrentStoreReadsWritesLiveSnapshot(t *testing.T) {
 			}
 		}(r)
 	}
-	// Live snapshotter: serialize continuously while everything runs.
-	var lastSnap []byte
+	// Live checkpointer: commit continuously while everything runs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
-			var buf bytes.Buffer
-			if err := e.SaveSnapshot(&buf); err != nil {
-				errs <- fmt.Errorf("live snapshot: %w", err)
+			if err := e.Persister().Checkpoint(); err != nil {
+				errs <- fmt.Errorf("live checkpoint: %w", err)
 				return
 			}
-			lastSnap = buf.Bytes()
 		}
 	}()
 	wg.Wait()
@@ -158,25 +154,13 @@ func TestConcurrentStoreReadsWritesLiveSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A final snapshot (after load has quiesced) must restore cleanly.
-	var buf bytes.Buffer
-	if err := e.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewEngine(db, Options{N: 600})
-	if err := warm.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	// A restart (after load has quiesced) must replay every mid-load
+	// checkpoint plus the final one cleanly.
+	warm := reopenViaStore(t, e)
 	if warm.History().Size() != e.History().Size() {
 		t.Fatalf("restored history size %d, want %d", warm.History().Size(), e.History().Size())
 	}
 	if warm.ProbeCacheEntries() != e.ProbeCacheEntries() {
 		t.Fatalf("restored %d cached probes, want %d", warm.ProbeCacheEntries(), e.ProbeCacheEntries())
-	}
-	// Snapshots taken mid-load must also be loadable (state may be older,
-	// never corrupt).
-	mid := NewEngine(db, Options{N: 600})
-	if err := mid.LoadSnapshot(bytes.NewReader(lastSnap)); err != nil {
-		t.Fatalf("mid-load snapshot does not restore: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§6, Figures 6–17). Each runner returns a Figure — named series of
 // (x, average query cost) points — that cmd/rerankbench renders as a text
-// table and EXPERIMENTS.md compares against the published shapes.
+// table.
 package experiments
 
 import (

@@ -53,7 +53,7 @@ func (f Figure) WriteCSV(w io.Writer) error {
 }
 
 // WriteMarkdown writes the figure as a GitHub-flavored Markdown table with
-// a heading, suitable for pasting into EXPERIMENTS.md.
+// a heading.
 func (f Figure) WriteMarkdown(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "### %s — %s\n\n", f.ID, f.Title); err != nil {
 		return err

@@ -207,6 +207,10 @@ func (g *Guard) attempt(q query.Query) (Result, error) {
 	if g.opts.HedgeAfter <= 0 {
 		return g.db.TopK(q)
 	}
+	// The losing leg outlives this call and keeps reading its query, while
+	// callers (core's MD resolver) refill theirs in place for the next
+	// probe: the legs share a private copy, never the caller's maps.
+	q = q.Clone()
 	type outcome struct {
 		res   Result
 		err   error

@@ -214,6 +214,36 @@ func TestGuardHedging(t *testing.T) {
 	}
 }
 
+// TestGuardHedgeLoserKeepsOwnQuery: the losing hedge leg is still running
+// when TopK returns, and callers reuse their query as a scratch buffer. The
+// slow leg here reads its query only after the caller has overwritten it; it
+// must still see the probe it was launched for.
+func TestGuardHedgeLoserKeepsOwnQuery(t *testing.T) {
+	probe := query.New().WithRange(0, types.ClosedInterval(1, 2))
+	inner := &funcDB{schema: schema1(), k: 5}
+	release := make(chan struct{})
+	seen := make(chan string, 1)
+	inner.fn = func(call int64, q query.Query) (Result, error) {
+		if call == 1 {
+			<-release
+			seen <- q.String()
+		}
+		return okResult(), nil
+	}
+	now := time.Unix(1000, 0)
+	g := NewGuard(inner, guardTestOpts(GuardOptions{HedgeAfter: time.Millisecond}, &now, nil))
+
+	q := probe.Clone()
+	if _, err := g.TopK(q); err != nil {
+		t.Fatalf("hedged probe failed: %v", err)
+	}
+	q.CopyFrom(query.New().WithRange(0, types.ClosedInterval(8, 9)).WithCat("c", "x"))
+	close(release)
+	if got := <-seen; got != probe.String() {
+		t.Fatalf("losing hedge leg read %q after the caller reused its query, want %q", got, probe.String())
+	}
+}
+
 func TestGuardRateLimitPassThrough(t *testing.T) {
 	inner := &funcDB{schema: schema1(), k: 5}
 	inner.fn = func(int64, query.Query) (Result, error) {

@@ -122,7 +122,7 @@ func (q Query) NumPredicates() int { return len(q.Ranges) + len(q.Cats) }
 
 // String renders the query as a WHERE-clause-like description. It is also
 // the canonical probe-cache and singleflight key, built on every upstream
-// probe and persisted inside snapshots — so it is assembled with strconv
+// probe and persisted inside checkpoints — so it is assembled with strconv
 // into one buffer (no fmt, no intermediate part strings) and its byte-level
 // format must never change.
 func (q Query) String() string {

@@ -158,7 +158,7 @@ func TestBoxClampTo(t *testing.T) {
 
 // TestQueryStringFormatStable pins the strconv-based String against the
 // original fmt-based rendering byte for byte across randomized queries.
-// Query strings are the probe-cache keys persisted inside snapshots, so any
+// Query strings are the probe-cache keys persisted inside checkpoints, so any
 // format drift would silently invalidate warm-restart probe replay.
 func TestQueryStringFormatStable(t *testing.T) {
 	reference := func(q Query) string {

@@ -3,15 +3,19 @@
 // append-only commit journal, in the style of a data lake's object store
 // (immutable data objects + commit log + compaction).
 //
-// # Why not a monolithic snapshot
+// It is the only persistence format: everything an engine knows reaches
+// disk as a Delta appended here (core.Persister) and comes back through
+// Replay. A portable export of a store is a copy of its directory.
+//
+// # Why incremental
 //
 // The engine's whole value is knowledge accumulated from a rate-limited
-// upstream. A snapshot written only at graceful shutdown loses everything
-// since the last clean drain on a crash, and rewriting all knowledge on
-// every save is a stop-the-world cost that grows with the knowledge itself.
-// This package persists knowledge *incrementally*: each checkpoint commits
-// only the delta since the previous one, serving traffic never blocks on a
-// full rewrite, and recovery replays the committed prefix exactly.
+// upstream. Writing it only at graceful shutdown would lose everything
+// since the last clean drain on a crash, and rewriting all of it on every
+// save is a stop-the-world cost that grows with the knowledge itself. Each
+// checkpoint therefore commits only the delta since the previous one,
+// serving traffic never blocks on a full rewrite, and recovery replays the
+// committed prefix exactly.
 //
 // # On-disk layout
 //

@@ -262,7 +262,7 @@ var errDraining = fmt.Errorf("server is draining for shutdown")
 // acquirers are stopped FIRST — speculative acquisition must not race the
 // final checkpoints or prolong shutdown — and BeginDrain returns only once
 // any in-flight acquisition has yielded. Callers typically pair it with
-// http.Server.Shutdown and a final SaveState — see cmd/rerankd. Draining is
+// http.Server.Shutdown and a final ClosePersistence — see cmd/rerankd. Draining is
 // not reversible.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)

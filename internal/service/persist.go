@@ -1,6 +1,5 @@
-// Service-level persistence wiring: the segment/journal data directory as
-// the primary persistence path (incremental, crash-safe), with the legacy
-// -state snapshot kept as a portable export/import format on top.
+// Service-level persistence wiring: the segment/journal data directory is
+// the only persistence path (incremental, crash-safe).
 //
 // Federation layout: every namespace persists into its OWN segment store
 // under data-dir/<namespace>/, guarded by its own fingerprint — cross-tenant
@@ -8,18 +7,13 @@
 // data dir is open gets its store immediately. (Pre-federation data dirs
 // wrote the journal at the data-dir root; those are simply ignored — move
 // the journal/segments into a "default/" subdirectory to migrate. See
-// docs/persistence.md.)
-//
-// Boot order matters: OpenDataDir replays committed knowledge BEFORE any
-// snapshot import, so each engine rebuilds exactly the state the recorded
-// operations describe; a snapshot loaded afterwards flows through the
-// recording hooks and is itself persisted by the next checkpoint.
+// docs/persistence.md.) A portable export of a namespace is a copy of its
+// subdirectory taken after a drain.
 
 package service
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -45,11 +39,11 @@ type PersistConfig struct {
 // files quarantined, and a store fingerprinted for a different upstream is
 // quarantined wholesale — in every case the service boots with whatever
 // knowledge was committed and intact, never refusing to start over bad
-// state. Call before LoadState and before serving. An error leaves already-
-// attached namespaces persisting; treat it as fatal and discard the server.
+// state. Call before serving. An error leaves already-attached namespaces
+// persisting; treat it as fatal and discard the server.
 func (s *Server) OpenDataDir(dir string, cfg PersistConfig) error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	if s.dataDir != "" {
 		return fmt.Errorf("service: data dir already open")
 	}
@@ -64,7 +58,7 @@ func (s *Server) OpenDataDir(dir string, cfg PersistConfig) error {
 
 // attachTenant opens one namespace's segment store under
 // dataDir/<namespace>/ and attaches its engine's persister. No-op when the
-// engine already persists. Caller holds stateMu.
+// engine already persists. Caller holds persistMu.
 func (s *Server) attachTenant(t *tenant) error {
 	eng := t.engine()
 	if eng.Persister() != nil {
@@ -154,36 +148,4 @@ func (s *Server) PersistStats() (core.PersistStats, bool) {
 		}
 	}
 	return agg, any
-}
-
-// LoadStateFile restores a -state snapshot (into the default namespace)
-// with corrupt-file fallback: a missing file is a normal cold start, and an
-// unreadable or corrupt snapshot is quarantined (renamed to path +
-// ".corrupt") with a logged warning so the service boots cold instead of
-// crash-looping on a bad file. warm reports whether the snapshot actually
-// loaded; the returned error is reserved for real I/O failures (e.g.
-// permissions), which should abort startup.
-func (s *Server) LoadStateFile(path string, logf func(format string, args ...any)) (warm bool, err error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	loadErr := s.LoadState(f)
-	f.Close()
-	if loadErr == nil {
-		return true, nil
-	}
-	quarantine := path + ".corrupt"
-	if rerr := os.Rename(path, quarantine); rerr != nil {
-		logf("state file %s unreadable (%v); quarantine failed too (%v), starting cold", path, loadErr, rerr)
-		return false, nil
-	}
-	logf("state file %s unreadable (%v); quarantined to %s, starting cold", path, loadErr, quarantine)
-	return false, nil
 }

@@ -1,20 +1,45 @@
 // Service-level persistence tests: the data-dir lifecycle through the
-// Server API (open → serve → checkpoint → close → reopen warm), the
-// corrupt-snapshot quarantine fallback at boot, and the persist gauges on
-// /v1/stats and /metrics.
+// Server API (open → serve → checkpoint → close → reopen warm) and the
+// persist gauges on /v1/stats and /metrics.
 
 package service
 
 import (
-	"bytes"
+	"math/rand"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/segment"
+	"repro/internal/hidden"
+	"repro/internal/types"
 )
+
+// clusteredDB builds an upstream with a tight tuple cluster inside
+// [50, 50.3]² on the first two ordinal attributes — a dense region under the
+// default thresholds at n=1200, k=10.
+func clusteredDB(t *testing.T) *hidden.DB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(91))
+	schema := types.MustSchema([]types.Attribute{
+		{Name: "A0", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
+		{Name: "A1", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
+	})
+	n := 1200
+	tuples := make([]types.Tuple, n)
+	for i := range tuples {
+		ord := make([]float64, 2)
+		if i < 60 {
+			ord[0] = 50 + float64(i)*0.005
+			ord[1] = 50 + float64((i*37)%60)*0.005
+		} else {
+			ord[0] = rng.Float64() * 100
+			ord[1] = rng.Float64() * 100
+		}
+		tuples[i] = types.Tuple{ID: i, Ord: ord}
+	}
+	return hidden.MustDB(schema, tuples, hidden.Options{K: 10})
+}
 
 func denseMDRequest() RerankRequest {
 	lo, hi := 50.0, 50.3
@@ -28,12 +53,12 @@ func denseMDRequest() RerankRequest {
 	}
 }
 
-// TestServiceDataDirWarmRestart is the service-level crash-safety
-// acceptance path: knowledge committed to the data dir (here by the final
-// checkpoint ClosePersistence takes, the drain path) makes the next process
-// answer the same request for zero upstream queries — no -state snapshot
-// involved.
-func TestServiceDataDirWarmRestart(t *testing.T) {
+// TestServiceMDWarmRestart is the service-level warm-restart acceptance
+// path: knowledge committed to the data dir (here by the final checkpoint
+// ClosePersistence takes, the drain path) makes the next process answer an
+// MD-RERANK request over a previously-crawled dense region for zero upstream
+// queries — the restart economics rerankd -data-dir provides.
+func TestServiceMDWarmRestart(t *testing.T) {
 	db := clusteredDB(t)
 	dir := t.TempDir()
 	req := denseMDRequest()
@@ -96,116 +121,6 @@ func TestServiceDataDirWarmRestart(t *testing.T) {
 		if resp2.Tuples[i].ID != resp1.Tuples[i].ID {
 			t.Fatalf("rank %d: warm ID %d, cold ID %d", i, resp2.Tuples[i].ID, resp1.Tuples[i].ID)
 		}
-	}
-}
-
-// TestSnapshotLoadedAfterDataDirIsPersisted pins the boot-order contract:
-// a -state snapshot imported AFTER OpenDataDir flows through the recording
-// hooks, so a later restart from the data dir ALONE carries the snapshot's
-// knowledge.
-func TestSnapshotLoadedAfterDataDirIsPersisted(t *testing.T) {
-	db := clusteredDB(t)
-	req := denseMDRequest()
-
-	// Source of the snapshot: a plain server, no data dir.
-	srv0 := NewServerWith(db, core.Options{N: 1200})
-	if _, _, err := srv0.Rerank(req); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := srv0.SaveState(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	srv1 := NewServerWith(db, core.Options{N: 1200})
-	if err := srv1.OpenDataDir(dir, PersistConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv1.ClosePersistence(); err != nil {
-		t.Fatal(err)
-	}
-
-	db.ResetCounter()
-	srv2 := NewServerWith(db, core.Options{N: 1200})
-	if err := srv2.OpenDataDir(dir, PersistConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.ClosePersistence()
-	resp, _, err := srv2.Rerank(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.QueriesIssued != 0 || db.QueryCount() != 0 {
-		t.Errorf("snapshot knowledge did not survive via the data dir: %d request queries, %d upstream calls",
-			resp.QueriesIssued, db.QueryCount())
-	}
-}
-
-// TestLoadStateFileQuarantinesCorrupt covers the satellite-3 boot behavior:
-// missing file = cold start, valid file = warm start, corrupt or truncated
-// file = quarantine + cold start instead of a fatal boot error.
-func TestLoadStateFileQuarantinesCorrupt(t *testing.T) {
-	db := clusteredDB(t)
-	dir := t.TempDir()
-	path := dir + "/state.json"
-
-	srv := NewServerWith(db, core.Options{N: 1200})
-	if warm, err := srv.LoadStateFile(path, t.Logf); err != nil || warm {
-		t.Fatalf("missing file: warm=%v err=%v, want cold start", warm, err)
-	}
-
-	// A valid snapshot loads warm.
-	src := NewServerWith(db, core.Options{N: 1200})
-	if _, _, err := src.Rerank(denseMDRequest()); err != nil {
-		t.Fatal(err)
-	}
-	if err := segment.WriteFileAtomic(path, func(f *os.File) error { return src.SaveState(f) }); err != nil {
-		t.Fatal(err)
-	}
-	if warm, err := srv.LoadStateFile(path, t.Logf); err != nil || !warm {
-		t.Fatalf("valid file: warm=%v err=%v, want warm start", warm, err)
-	}
-
-	for name, corrupt := range map[string]func([]byte) []byte{
-		"garbage":   func([]byte) []byte { return []byte("{not json") },
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-	} {
-		t.Run(name, func(t *testing.T) {
-			good, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer os.WriteFile(path, good, 0o644) // restore for the next subtest
-			if err := os.WriteFile(path, corrupt(good), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fresh := NewServerWith(db, core.Options{N: 1200})
-			warned := false
-			warm, err := fresh.LoadStateFile(path, func(format string, args ...any) {
-				warned = true
-				t.Logf(format, args...)
-			})
-			if err != nil || warm {
-				t.Fatalf("corrupt file: warm=%v err=%v, want quarantined cold start", warm, err)
-			}
-			if !warned {
-				t.Error("no warning logged for a quarantined state file")
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Errorf("corrupt file still at %s; not quarantined", path)
-			}
-			if _, err := os.Stat(path + ".corrupt"); err != nil {
-				t.Errorf("quarantined copy missing: %v", err)
-			}
-			os.Remove(path + ".corrupt")
-		})
 	}
 }
 

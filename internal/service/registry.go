@@ -139,8 +139,8 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 	s.tenants[cfg.Name] = t
 	s.tmu.Unlock()
 
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	if s.dataDir != "" {
 		if err := s.attachTenant(t); err != nil {
 			// Roll the registration back: a namespace that cannot open its

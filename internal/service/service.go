@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -197,11 +196,11 @@ type Stats struct {
 	HistoryTuples int   `json:"historyTuples"`
 	// ProbeCacheEntries is the number of complete probe answers the
 	// coalescing LRUs currently hold — the probes the service can answer
-	// for zero upstream cost (persisted across restarts by snapshots).
+	// for zero upstream cost (persisted across restarts by the data dir).
 	ProbeCacheEntries int `json:"probeCacheEntries"`
 	// MDDenseRegions is the number of crawled MD dense regions across all
 	// ranked-attribute subsets — the boxes MD-RERANK answers locally for
-	// zero upstream cost (persisted across restarts since snapshot v3).
+	// zero upstream cost (persisted across restarts by the data dir).
 	MDDenseRegions int `json:"mdDenseRegions"`
 	// DenseMDBuckets / DenseMDMaxBucket describe the MD dense indexes'
 	// centroid-grid shape: occupied grid cells and the largest cell
@@ -318,9 +317,9 @@ func (t *tenant) engine() *core.Engine { return t.ns.Engine() }
 // Server is the reranking service: a registry of upstream namespaces behind
 // one HTTP surface. Requests are handled concurrently; each namespace's
 // shared knowledge is internally synchronized and each request runs in its
-// own engine session. The only server-level lock serializes snapshot
-// save/load and persistence lifecycle against each other; snapshots are
-// safe to take while requests are in flight.
+// own engine session. The only server-level lock serializes the persistence
+// lifecycle (OpenDataDir against registrations); checkpoints are safe to
+// take while requests are in flight.
 type Server struct {
 	registry *core.Registry
 	opts     Options
@@ -337,9 +336,11 @@ type Server struct {
 	rejectedDraining atomic.Int64
 	budgets          *budgetLedger // nil when ClientBudget is unset
 
-	stateMu sync.Mutex // serializes SaveState/LoadState/OpenDataDir
-	// dataDir, once set by OpenDataDir, makes every namespace (including
-	// later registrations) persist under dataDir/<ns>/.
+	// persistMu guards dataDir/persistCfg and serializes OpenDataDir with a
+	// concurrent registration's attach. dataDir, once set by OpenDataDir,
+	// makes every namespace (including later registrations) persist under
+	// dataDir/<ns>/.
+	persistMu  sync.Mutex
 	dataDir    string
 	persistCfg PersistConfig
 }
@@ -464,33 +465,6 @@ func unknownUpstreamErr(name string) error {
 		return errors.New("no upstreams registered")
 	}
 	return fmt.Errorf("unknown upstream %q", name)
-}
-
-// SaveState serializes the default namespace's accumulated knowledge
-// (answer history and dense indexes) so a restarted service stays warm.
-// Safe to call while requests are being served. Snapshots are per-namespace:
-// in a federated deployment prefer a data dir, which persists every
-// namespace under its own subdirectory.
-func (s *Server) SaveState(w io.Writer) error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	t, ok := s.tenantFor("")
-	if !ok {
-		return errors.New("service: no upstreams registered")
-	}
-	return t.engine().SaveSnapshot(w)
-}
-
-// LoadState restores knowledge saved by SaveState into the default
-// namespace. Call before serving.
-func (s *Server) LoadState(r io.Reader) error {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	t, ok := s.tenantFor("")
-	if !ok {
-		return errors.New("service: no upstreams registered")
-	}
-	return t.engine().LoadSnapshot(r)
 }
 
 // Handler returns the HTTP handler for the service API.

@@ -302,7 +302,7 @@ func (iv Interval) Unbounded() bool {
 // String renders the interval using standard open/closed bracket notation.
 // The rendering is byte-identical to the previous fmt-based version
 // (strconv's 'g' formatting matches %g exactly, including ±Inf and NaN):
-// interval strings feed the canonical query keys that snapshots persist, so
+// interval strings feed the canonical query keys that checkpoints persist, so
 // the format is load-bearing, not cosmetic.
 func (iv Interval) String() string {
 	b := make([]byte, 0, 24)

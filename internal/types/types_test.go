@@ -169,7 +169,7 @@ func TestIntervalIntersectEndpoints(t *testing.T) {
 
 // TestStringFormatStable pins the strconv-based Tuple.String and
 // Interval.String against the original fmt-based renderings byte for byte
-// (interval strings feed the canonical query keys snapshots persist).
+// (interval strings feed the canonical query keys checkpoints persist).
 func TestStringFormatStable(t *testing.T) {
 	ivs := []Interval{
 		{Lo: 0, Hi: 1},

@@ -36,12 +36,14 @@ package qrank
 
 import (
 	"io"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hidden"
 	"repro/internal/history"
 	"repro/internal/query"
 	"repro/internal/ranking"
+	"repro/internal/segment"
 	"repro/internal/types"
 )
 
@@ -181,13 +183,25 @@ func (r *Reranker) NewSession() *Session { return r.engine.NewSession() }
 // by the coalescing layer count once.
 func (r *Reranker) QueriesIssued() int64 { return r.engine.Queries() }
 
-// SaveSnapshot serializes the accumulated answer history and dense indexes
-// so a future Reranker over the same upstream can start warm.
-func (r *Reranker) SaveSnapshot(w io.Writer) error { return r.engine.SaveSnapshot(w) }
-
-// LoadSnapshot restores knowledge saved by SaveSnapshot. The upstream
-// schema must match.
-func (r *Reranker) LoadSnapshot(rd io.Reader) error { return r.engine.LoadSnapshot(rd) }
+// OpenDataDir makes the Reranker's knowledge durable: it replays whatever a
+// previous Reranker over the same upstream committed under dir, so this one
+// starts warm, then checkpoints newly acquired knowledge there every
+// checkpointEvery (0 = only at Close) in a crash-safe journal. Call it on a
+// fresh Reranker, before the first Query; Close takes a final checkpoint. A
+// store written for a different upstream (schema, k or system ranking) is
+// quarantined under dir and the Reranker starts cold.
+func (r *Reranker) OpenDataDir(dir string, checkpointEvery time.Duration) (io.Closer, error) {
+	st, err := segment.Open(dir, segment.Options{Fingerprint: r.engine.PersistFingerprint()})
+	if err != nil {
+		return nil, err
+	}
+	p, err := r.engine.AttachPersistence(st, core.PersistOptions{Interval: checkpointEvery})
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	return p, nil
+}
 
 // HistorySize reports how many distinct upstream tuples have been observed.
 func (r *Reranker) HistorySize() int { return r.engine.History().Size() }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/qrank"
@@ -159,5 +160,96 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if ledgers != rr.QueriesIssued() {
 		t.Errorf("session ledgers sum to %d, reranker counted %d", ledgers, rr.QueriesIssued())
+	}
+}
+
+// countingDB counts the searches that actually reach the upstream.
+type countingDB struct {
+	qrank.Database
+	calls atomic.Int64
+}
+
+func (c *countingDB) TopK(q qrank.Query) (qrank.Result, error) {
+	c.calls.Add(1)
+	return c.Database.TopK(q)
+}
+
+// TestOpenDataDirWarmRestart: knowledge a Reranker acquired with a data dir
+// open is durable — after Close, a new Reranker over the same upstream that
+// opens the same directory answers the same query identically for zero
+// upstream searches. The query covers a tight cluster ([50, 50.3]² holds 60
+// of 1200 tuples), which the cold run crawls into a dense region: the one
+// kind of knowledge whose replay is exactly free rather than merely cheaper.
+func TestOpenDataDirWarmRestart(t *testing.T) {
+	schema := qrank.MustSchema([]qrank.Attribute{
+		{Name: "x", Kind: qrank.Ordinal, Domain: qrank.Domain{Min: 0, Max: 100}},
+		{Name: "y", Kind: qrank.Ordinal, Domain: qrank.Domain{Min: 0, Max: 100}},
+	})
+	rng := rand.New(rand.NewSource(91))
+	tuples := make([]qrank.Tuple, 1200)
+	for i := range tuples {
+		ord := []float64{rng.Float64() * 100, rng.Float64() * 100}
+		if i < 60 {
+			ord = []float64{50 + float64(i)*0.005, 50 + float64((i*37)%60)*0.005}
+		}
+		tuples[i] = qrank.Tuple{ID: i, Ord: ord}
+	}
+	inner, err := qrank.NewMemoryDatabase(schema, tuples, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &countingDB{Database: inner}
+	dir := t.TempDir()
+	rank := qrank.MustLinear("x+y", []int{0, 1}, []float64{1, 1})
+	q := qrank.NewQuery().
+		WithRange(0, qrank.ClosedInterval(50, 50.3)).
+		WithRange(1, qrank.ClosedInterval(50, 50.3))
+	top5 := func(rr *qrank.Reranker) []qrank.Tuple {
+		t.Helper()
+		cur, err := rr.Query(q, rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := qrank.TopH(cur, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	rr1 := qrank.New(db, qrank.Options{N: len(tuples)})
+	store1, err := rr1.OpenDataDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := top5(rr1)
+	if db.calls.Load() == 0 || len(want) != 5 {
+		t.Fatalf("precondition: cold query cost %d upstream searches for %d tuples", db.calls.Load(), len(want))
+	}
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db.calls.Store(0)
+	rr2 := qrank.New(db, qrank.Options{N: len(tuples)})
+	store2, err := rr2.OpenDataDir(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	got := top5(rr2)
+	if n := db.calls.Load(); n != 0 || rr2.QueriesIssued() != 0 {
+		t.Errorf("warm repeat reached the upstream %d times and was charged %d, want 0 and 0", n, rr2.QueriesIssued())
+	}
+	if rr2.HistorySize() != rr1.HistorySize() {
+		t.Errorf("restored history size %d, want %d", rr2.HistorySize(), rr1.HistorySize())
+	}
+	if len(got) != len(want) {
+		t.Fatalf("warm repeat returned %d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Fatalf("rank %d: warm ID %d, cold ID %d", i, got[i].ID, want[i].ID)
+		}
 	}
 }
