@@ -65,6 +65,11 @@ type block struct {
 	ids []int32
 	ord [][]float64 // one column per schema position
 	cat [][]uint32  // one symbol column per categorical attribute
+
+	// memo holds the block's shared row forms (see View.Shared). Both the
+	// table and its slots fill lazily, so a block no consumer ever asked a
+	// shared row of costs one nil pointer.
+	memo atomic.Pointer[[BlockSize]atomic.Pointer[types.Tuple]]
 }
 
 func newBlock(l *Layout) *block {
@@ -280,6 +285,67 @@ func (v View) Tuple(row int) types.Tuple {
 	var t types.Tuple
 	v.MaterializeInto(row, &t)
 	return t
+}
+
+// Shared returns the row as a tuple materialized at most once per row and
+// shared by every caller: rows are immutable, so one row form serves all
+// consumers that only read it (probe answers assembled from row references).
+// Callers must not modify the tuple's Ord slice or Cat map; use Tuple for a
+// private copy.
+func (v View) Shared(row int) types.Tuple {
+	b := v.blocks[row>>blockShift]
+	memo := b.memo.Load()
+	if memo == nil {
+		b.memo.CompareAndSwap(nil, new([BlockSize]atomic.Pointer[types.Tuple]))
+		memo = b.memo.Load()
+	}
+	slot := &memo[row&blockMask]
+	t := slot.Load()
+	if t == nil {
+		fresh := v.Tuple(row)
+		slot.CompareAndSwap(nil, &fresh)
+		t = slot.Load()
+	}
+	return *t
+}
+
+// Equal reports whether the row stores exactly t: same ID, ordinal values
+// and categorical values (types.Tuple.Equal on the materialized row).
+// Regular rows compare straight from the columns.
+func (v View) Equal(row int, t types.Tuple) bool {
+	l := v.a.layout
+	if _, irregular := v.overflow(row); irregular || len(t.Ord) != l.schema.Len() {
+		return v.Tuple(row).Equal(t)
+	}
+	b := v.blocks[row>>blockShift]
+	off := row & blockMask
+	if int(b.ids[off]) != t.ID {
+		return false
+	}
+	for p, x := range t.Ord {
+		if y := b.ord[p][off]; x != y && (x == x || y == y) {
+			return false
+		}
+	}
+	stored := 0
+	for _, col := range b.cat {
+		if col[off] != 0 {
+			stored++
+		}
+	}
+	if stored != len(t.Cat) {
+		return false
+	}
+	for name, val := range t.Cat {
+		c, ok := l.colOf[name]
+		if !ok {
+			return false
+		}
+		if sym, ok := v.a.dict.Lookup(val); !ok || b.cat[c][off] != sym {
+			return false
+		}
+	}
+	return true
 }
 
 // TupleRange materializes rows [lo, hi) into fresh tuples, clamping the

@@ -300,38 +300,72 @@ func TestRunInsertAndMerge(t *testing.T) {
 	}
 }
 
-func TestAnswerRoundTrip(t *testing.T) {
-	l, d := NewLayout(testSchema()), NewDict()
+// TestSharedRowIsMaterializedOnce pins the row memo: every Shared call for a
+// row returns the same materialization (one Ord slice, one Cat map, however
+// many answers cite the row), equal to a private Tuple copy — regular and
+// overflow rows alike — and a block nobody asked a shared row of carries no
+// memo table.
+func TestSharedRowIsMaterializedOnce(t *testing.T) {
+	a := newTestArena()
 	in := []types.Tuple{
 		{ID: 1, Ord: []float64{1, 2, 0}, Cat: map[string]string{"c": "x"}},
-		{ID: 2, Ord: []float64{3, 4, 0}},
+		{ID: math.MaxInt32 + 1, Ord: []float64{3}, Cat: map[string]string{"zz": "w"}},
 	}
-	ans, ok := EncodeAnswer(l, d, in)
-	if !ok || ans.Len() != 2 {
-		t.Fatalf("EncodeAnswer failed: ok=%v", ok)
+	for _, tp := range in {
+		a.Append(tp)
 	}
-	out := ans.Decode()
-	if len(out) != 2 || out[0].ID != 1 || out[0].Cat["c"] != "x" || out[1].Cat != nil {
-		t.Fatalf("Decode = %+v", out)
+	v := a.View()
+	if v.blocks[0].memo.Load() != nil {
+		t.Fatal("memo table allocated before any Shared call")
 	}
-	if !reflect.DeepEqual(out[0].Ord, in[0].Ord) || !reflect.DeepEqual(out[1].Ord, in[1].Ord) {
-		t.Fatalf("Decode Ord mismatch: %+v", out)
-	}
-	if ans.Bytes() <= 0 {
-		t.Fatal("Bytes not positive")
+	for row, want := range in {
+		first, again := v.Shared(row), a.View().Shared(row)
+		if !first.Equal(want) || !first.Equal(v.Tuple(row)) {
+			t.Fatalf("row %d: Shared = %+v, want %+v", row, first, want)
+		}
+		if &first.Ord[0] != &again.Ord[0] {
+			t.Fatalf("row %d: second Shared call re-materialized the row", row)
+		}
+		if priv := v.Tuple(row); &priv.Ord[0] == &first.Ord[0] {
+			t.Fatalf("row %d: Tuple handed out the shared row form", row)
+		}
 	}
 }
 
-func TestAnswerEncodeRejectsIrregular(t *testing.T) {
-	l, d := NewLayout(testSchema()), NewDict()
-	cases := []types.Tuple{
-		{ID: math.MaxInt32 + 1, Ord: []float64{1, 2, 0}},
-		{ID: 1, Ord: []float64{1, 2}},
-		{ID: 1, Ord: []float64{1, 2, 0}, Cat: map[string]string{"zz": "w"}},
+// TestEqualMatchesTupleEqual checks View.Equal's column fast path against
+// types.Tuple.Equal on the materialized row, over regular and overflow rows
+// and every kind of single-field difference.
+func TestEqualMatchesTupleEqual(t *testing.T) {
+	a := newTestArena()
+	stored := []types.Tuple{
+		{ID: 1, Ord: []float64{1, 2, 0}, Cat: map[string]string{"c": "x"}},
+		{ID: 2, Ord: []float64{3, math.NaN(), 0}},
+		{ID: 3, Ord: []float64{5, 6, 0}, Cat: map[string]string{"c": ""}},
+		{ID: 4, Ord: []float64{7, 8}, Cat: map[string]string{"zz": "w"}},
 	}
-	for i, tp := range cases {
-		if _, ok := EncodeAnswer(l, d, []types.Tuple{tp}); ok {
-			t.Fatalf("case %d: EncodeAnswer accepted irregular tuple %+v", i, tp)
+	for _, tp := range stored {
+		a.Append(tp)
+	}
+	v := a.View()
+	probes := append([]types.Tuple(nil), stored...)
+	for _, tp := range stored {
+		id, ord, cat, nocat, newcat, short := tp.Clone(), tp.Clone(), tp.Clone(), tp.Clone(), tp.Clone(), tp.Clone()
+		id.ID += 100
+		ord.Ord[0] += 0.5
+		cat.Cat = map[string]string{"c": "never-interned"}
+		nocat.Cat = nil
+		newcat.Cat = map[string]string{"c": "x", "zz": "w"}
+		short.Ord = short.Ord[:1]
+		probes = append(probes, id, ord, cat, nocat, newcat, short)
+	}
+	for row := range stored {
+		for _, p := range probes {
+			if got, want := v.Equal(row, p), v.Tuple(row).Equal(p); got != want {
+				t.Fatalf("row %d vs %+v: Equal = %v, Tuple.Equal = %v", row, p, got, want)
+			}
+		}
+		if !v.Equal(row, stored[row]) {
+			t.Fatalf("row %d does not equal the tuple it stores", row)
 		}
 	}
 }

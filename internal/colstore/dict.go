@@ -1,11 +1,12 @@
 // Package colstore provides append-only, immutable columnar tuple storage:
 // fixed-size blocks of contiguous column slices plus a shared string
-// dictionary for categorical values. It backs internal/history's sorted runs
-// and the probe-LRU answer cache, replacing per-row types.Tuple structs
-// (one Ord slice + one Cat map each) with a handful of large flat arrays.
+// dictionary for categorical values. It backs internal/history's arena and
+// sorted runs, replacing per-row types.Tuple structs (one Ord slice + one
+// Cat map each) with a handful of large flat arrays.
 //
 // The row-struct types.Tuple stays the boundary type: views materialize rows
-// back into tuples only at the edges (API returns, JSON encode, snapshots).
+// back into tuples only at the edges (API returns, JSON encode, checkpoints),
+// privately (View.Tuple) or once per row for every reader (View.Shared).
 package colstore
 
 import "sync"

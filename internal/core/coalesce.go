@@ -1,55 +1,57 @@
 // Probe coalescing: the issue-path layer that keeps concurrent users from
 // multiplying upstream cost — the paper's sole cost measure.
 //
-// Two mechanisms, both keyed by the query's canonical string form:
+// Two mechanisms:
 //
-//   - Singleflight: identical upstream TopK probes in flight at the same
-//     moment are issued once; followers block on the leader's result. This
-//     matters exactly when many users ask overlapping queries concurrently.
-//   - A small bounded LRU of recent *complete* probe answers (valid or
-//     underflow results, §2.1). A complete answer is authoritative — the
-//     upstream returned every matching tuple — so replaying it is exact.
-//     Overflow pages are partial and are never cached.
+//   - Singleflight, keyed by the query's canonical string form: identical
+//     upstream TopK probes in flight at the same moment are issued once;
+//     followers block on the leader's result. This matters exactly when many
+//     users ask overlapping queries concurrently.
+//   - The fact index (facts.go): a bounded LRU of *complete* probe answers
+//     (valid or underflow results, §2.1) held as coverage facts over the
+//     history arena. A complete answer is authoritative for its whole box —
+//     the upstream returned every matching tuple — so it replays exactly,
+//     both for the identical probe and for every probe its box contains.
+//     Overflow pages are partial and never become facts.
+//
+// The issuing leader adds the returned page to the history arena INSIDE its
+// flight, before the fact is admitted and before followers wake: a fact can
+// only cite published rows, and whoever sees a probe's answer — follower,
+// later hit, checkpoint — finds its tuples already in the arena.
 //
 // Deduplicated probes count once: only the call that actually reaches the
 // upstream charges the engine-wide and session query counters. Results are
 // shared across goroutines and must be treated as immutable (the reranking
-// algorithms only read them; the history store clones on insert).
+// algorithms only read them; hits are assembled from the arena's shared row
+// forms).
 //
-// Correctness against *living* upstreams comes from knowledge epochs:
-// every cached answer carries the epoch it was learned under, and an entry
-// whose epoch trails the engine's current epoch (a sentinel detected
-// upstream drift) is not replayed blindly. Its first touch issues exactly
-// one confirming probe through the flight group: an unchanged answer
-// promotes the entry to the current epoch, a changed one replaces (or, on
-// overflow, evicts) just that entry. Options.DisableCoalescing opts out
+// Correctness against *living* upstreams comes from knowledge epochs: every
+// fact carries the epoch it was learned under, and a fact whose epoch trails
+// the engine's current epoch (a sentinel detected upstream drift) is not
+// replayed blindly and never answers by containment. Its first exact touch
+// issues exactly one confirming probe through the flight group: an unchanged
+// answer promotes the fact to the current epoch, a changed one replaces (or,
+// on overflow, evicts) just that fact. Options.DisableCoalescing opts out
 // entirely for upstreams too volatile even for that.
 //
 // The parallel speculative MD search (md.go) leans on this layer twice
 // over: its concurrent probe rounds dedup against other sessions' in-flight
 // probes exactly like sequential ones, and the complete answers of wasted
-// speculative probes land in the LRU, so a mis-speculation's upstream cost
-// is never paid a second time.
+// speculative probes become facts, so a mis-speculation's upstream cost is
+// never paid a second time.
 
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/colstore"
 	"repro/internal/hidden"
+	"repro/internal/history"
 	"repro/internal/index"
 	"repro/internal/query"
-	"repro/internal/types"
 )
-
-// defaultProbeCacheSize bounds the probe LRU when Options.ProbeCacheSize is
-// zero. Entries are whole top-k pages, so the worst-case footprint is
-// defaultProbeCacheSize·k tuples.
-const defaultProbeCacheSize = 1024
 
 // flight is one in-flight upstream call shared by its followers.
 type flight struct {
@@ -120,182 +122,43 @@ func (g *flightGroup) Do(key string, fn func() (hidden.Result, error)) (res hidd
 // upstream call panicked before producing a result.
 var errFlightPanicked = fmt.Errorf("core: coalesced upstream probe aborted by panic")
 
-// probeCache is a bounded LRU of complete (valid/underflow) probe results.
-//
-// Entries are stored in columnar form (colstore.Answer: flat ID/value/symbol
-// lanes interned into the history's shared dictionary) rather than as row
-// structs, so a full cache of top-k pages costs a few slices per entry
-// instead of cap·k tuples each with its own Ord slice and Cat map. The row
-// form is materialized lazily on first hit and memoized — repeated hits on a
-// hot probe return the same shared immutable tuples with zero allocation.
-// Answers that cannot be encoded exactly (irregular tuples) fall back to
-// plain row storage.
-type probeCache struct {
-	mu     sync.Mutex
-	cap    int
-	order  *list.List // front = most recent; values are *cacheEntry
-	byKey  map[string]*list.Element
-	layout *colstore.Layout
-	dict   *colstore.Dict
-}
-
-type cacheEntry struct {
-	key   string
-	ans   *colstore.Answer // columnar form; nil when not exactly representable
-	res   hidden.Result    // row form: direct storage, or memoized from ans
-	memo  bool             // res has been materialized from ans
-	epoch int64            // knowledge epoch the answer was learned under
-}
-
-func newProbeCache(capacity int, layout *colstore.Layout, dict *colstore.Dict) *probeCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &probeCache{
-		cap:    capacity,
-		order:  list.New(),
-		byKey:  make(map[string]*list.Element, capacity),
-		layout: layout,
-		dict:   dict,
-	}
-}
-
-// fill stores res into ce, compacting to columnar form when possible.
-func (p *probeCache) fill(ce *cacheEntry, res hidden.Result) {
-	ce.ans, ce.res, ce.memo = nil, res, false
-	if p.layout == nil || len(res.Tuples) == 0 {
-		return
-	}
-	if ans, ok := colstore.EncodeAnswer(p.layout, p.dict, res.Tuples); ok {
-		ce.ans = ans
-		ce.res = hidden.Result{Overflow: res.Overflow}
-	}
-}
-
-// rowForm returns ce's answer as shared immutable tuples, materializing and
-// memoizing the columnar form on first use. Callers hold p.mu.
-func (ce *cacheEntry) rowForm() hidden.Result {
-	if ce.ans != nil && !ce.memo {
-		ce.res.Tuples = ce.ans.Decode()
-		ce.memo = true
-	}
-	return ce.res
-}
-
-func (p *probeCache) get(key string) (hidden.Result, int64, bool) {
-	if p == nil {
-		return hidden.Result{}, 0, false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.byKey[key]
-	if !ok {
-		return hidden.Result{}, 0, false
-	}
-	p.order.MoveToFront(el)
-	ce := el.Value.(*cacheEntry)
-	return ce.rowForm(), ce.epoch, true
-}
-
-// remove evicts one entry (its cached answer no longer matches the
-// upstream and the fresh answer is not cacheable).
-func (p *probeCache) remove(key string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.order.Remove(el)
-		delete(p.byKey, key)
-	}
-}
-
-// size returns the number of cached complete answers.
-func (p *probeCache) size() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.order.Len()
-}
-
-// approxBytes estimates the resident bytes of the columnar-encoded entries.
-func (p *probeCache) approxBytes() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var b int64
-	for el := p.order.Front(); el != nil; el = el.Next() {
-		if ce := el.Value.(*cacheEntry); ce.ans != nil {
-			b += ce.ans.Bytes()
-		}
-	}
-	return b
-}
-
-func (p *probeCache) put(key string, res hidden.Result, epoch int64) {
-	if p == nil || res.Overflow {
-		return // only complete answers are authoritative
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		p.order.MoveToFront(el)
-		ce := el.Value.(*cacheEntry)
-		p.fill(ce, res)
-		ce.epoch = epoch
-		return
-	}
-	ce := &cacheEntry{key: key, epoch: epoch}
-	p.fill(ce, res)
-	p.byKey[key] = p.order.PushFront(ce)
-	for p.order.Len() > p.cap {
-		oldest := p.order.Back()
-		p.order.Remove(oldest)
-		delete(p.byKey, oldest.Value.(*cacheEntry).key)
-	}
-}
-
 // coalescer wraps the engine's primary database with singleflight dedup and
-// the complete-answer LRU. It is safe for concurrent use.
+// the fact index. It is safe for concurrent use.
 type coalescer struct {
 	db       hidden.Database
+	hist     *history.Store // the one tuple store: every issued page lands here
 	flights  *flightGroup
-	cache    *probeCache
-	disabled bool // pass every probe straight through
+	facts    *factIndex // nil when the cache is off (in-flight dedup only)
+	disabled bool       // pass every probe straight through
 
-	// epochFn reports the engine's current knowledge epoch; cache entries
-	// learned under an older epoch are re-validated before replay.
+	// epochFn reports the engine's current knowledge epoch; facts learned
+	// under an older epoch are re-validated before replay.
 	epochFn func() int64
 
+	// containedHits counts probes answered from a fact whose box contains
+	// them (exact hits are not counted here).
+	containedHits atomic.Int64
 	// Lazy re-validation outcome counters (see TopK).
 	revalPromoted atomic.Int64
 	revalEvicted  atomic.Int64
 
-	// persist, when attached, records every complete answer admitted to the
-	// cache so incremental checkpoints persist probe-level warmth.
+	// persist, when attached, records every fact admitted or confirmed so
+	// incremental checkpoints persist probe-level warmth.
 	persist atomic.Pointer[Persister]
 }
 
-// newCoalescer builds the coalescing layer. layout and dict come from the
-// engine's history store, so cached answers intern their categorical values
-// into the same dictionary as the tuple history. epochFn supplies the
-// current knowledge epoch (nil pins every entry to index.FirstEpoch).
-func newCoalescer(db hidden.Database, cacheSize int, disabled bool, layout *colstore.Layout, dict *colstore.Dict, epochFn func() int64) *coalescer {
+// newCoalescer builds the coalescing layer over the engine's history store.
+// epochFn supplies the current knowledge epoch (nil pins every fact to
+// index.FirstEpoch).
+func newCoalescer(db hidden.Database, cacheSize int, disabled bool, hist *history.Store, epochFn func() int64) *coalescer {
 	if cacheSize == 0 {
 		cacheSize = defaultProbeCacheSize
 	}
-	return &coalescer{
-		db:       db,
-		flights:  newFlightGroup(),
-		cache:    newProbeCache(cacheSize, layout, dict),
-		disabled: disabled,
-		epochFn:  epochFn,
+	c := &coalescer{db: db, hist: hist, flights: newFlightGroup(), disabled: disabled, epochFn: epochFn}
+	if !disabled {
+		c.facts = newFactIndex(cacheSize)
 	}
+	return c
 }
 
 // curEpoch returns the engine's current knowledge epoch.
@@ -306,138 +169,126 @@ func (c *coalescer) curEpoch() int64 {
 	return c.epochFn()
 }
 
-// revalStats returns how many stale cache entries were promoted (confirmed
+// revalStats returns how many stale facts were promoted (confirmed
 // unchanged) vs replaced/evicted (drifted) by lazy re-validation.
 func (c *coalescer) revalStats() (promoted, evicted int64) {
 	return c.revalPromoted.Load(), c.revalEvicted.Load()
 }
 
-// seed inserts one complete answer into the LRU at the epoch it was learned
-// under, without a persistence record — the segment-replay path, where the
-// answer is already committed on disk. A no-op when coalescing is disabled,
-// the cache is off, or the result is not complete.
-func (c *coalescer) seed(key string, res hidden.Result, epoch int64) {
-	if c.disabled {
-		return
-	}
-	c.cache.put(key, res, epoch)
+// seed admits one committed fact at the epoch it was learned under, without
+// a persistence record — the segment-replay path. A no-op when coalescing is
+// disabled or the cache is off.
+func (c *coalescer) seed(q query.Query, rows []uint32, epoch int64) {
+	c.facts.learn(q.String(), q, rows, false, epoch)
 }
 
-// recordPut forwards a complete, cacheable answer to the attached persister.
-// Mirrors put's own admission rules (no cache, or overflow ⇒ not cached ⇒
-// not recorded) so the journal never carries entries replay would drop.
-func (c *coalescer) recordPut(key string, res hidden.Result, epoch int64) {
-	if c.cache == nil || res.Overflow {
-		return
-	}
-	if p := c.persist.Load(); p != nil {
-		p.recordProbe(key, res, epoch)
-	}
-}
-
-// cacheSize returns the number of complete answers currently cached.
+// cacheSize returns the number of facts currently held.
 func (c *coalescer) cacheSize() int {
-	if c.disabled {
+	if c.facts == nil {
 		return 0
 	}
-	return c.cache.size()
+	return int(c.facts.entries.Load())
 }
 
-// cacheBytes approximates the resident bytes of columnar-encoded cached
-// answers.
+// cacheBytes approximates the resident bytes of the held facts.
 func (c *coalescer) cacheBytes() int64 {
-	if c.disabled {
+	if c.facts == nil {
 		return 0
 	}
-	return c.cache.approxBytes()
+	return c.facts.bytes.Load()
 }
 
-// TopK answers q, deduplicating in-flight identical probes and serving
-// recent complete answers from the LRU. issued reports whether this call
-// actually reached the upstream (cache hits and coalesced followers are
-// free and must not be charged).
-//
-// A cache hit whose epoch trails the current knowledge epoch is *stale*:
-// instead of replaying it, the flight group issues exactly one confirming
-// upstream probe. An identical fresh answer promotes the entry to the
-// current epoch (the knowledge survived the drift); a different one
-// replaces the entry — or evicts it, when the fresh answer overflowed and
-// is no longer cacheable. Either way the stale entry costs one probe on
-// first touch, never a wholesale cache flush.
+// serve answers q from the fact index at epoch cur — by its own key, and
+// when contained is set also by containment — assembling the result from the
+// arena's shared row forms.
+func (c *coalescer) serve(key []byte, q query.Query, cur int64, contained bool) (hidden.Result, bool) {
+	switch rows, kind := c.facts.lookup(key, q, cur, contained); kind {
+	case hitExact:
+		return hidden.Result{Tuples: c.hist.RowTuples(rows)}, true
+	case hitContained:
+		c.containedHits.Add(1)
+		return hidden.Result{Tuples: c.hist.RowTuplesMatching(q, rows)}, true
+	}
+	return hidden.Result{}, false
+}
+
+// lookup answers q from what the fact index already knows — the identical
+// complete answer, or the part of a containing complete answer that matches
+// q — without ever touching the upstream.
+func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
+	if c.facts == nil {
+		return hidden.Result{}, false
+	}
+	key := keyBufs.Get().(*[]byte)
+	*key = q.AppendString((*key)[:0])
+	res, ok := c.serve(*key, q, c.curEpoch(), true)
+	keyBufs.Put(key)
+	return res, ok
+}
+
+// keyBufs pools canonical-key byte buffers: a hit looks its key up from
+// bytes and never allocates the string.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// TopK answers q: from the fact index when it can (lookup), else from the
+// upstream (fetch). issued reports whether this call actually reached the
+// upstream (hits and coalesced followers are free and must not be charged).
 func (c *coalescer) TopK(q query.Query) (res hidden.Result, issued bool, err error) {
+	if res, ok := c.lookup(q); ok {
+		return res, false, nil
+	}
+	return c.fetch(q)
+}
+
+// fetch asks the upstream for q, deduplicating identical probes in flight.
+// It consults the fact index for q's own key only (under the flight, where
+// another leader may just have filled it) and never for containment: callers
+// that dispatch several probes at once look each up first, on their own
+// goroutine, so which probes of a round are free never depends on which
+// finished first.
+//
+// An issued probe's page is added to the history arena before anything else
+// can observe the answer. A fact under q's own key whose epoch trails the
+// current knowledge epoch is *stale*: instead of replaying it, the flight
+// group issues exactly one confirming upstream probe. An answer citing the
+// same arena rows — the arena gives a tuple whose values changed a new row —
+// promotes the fact to the current epoch (the knowledge survived the drift);
+// a different one replaces the fact — or evicts it, when the fresh answer
+// overflowed and proves nothing about the box any more. Either way the
+// stale fact costs one probe on first touch, never a wholesale flush.
+func (c *coalescer) fetch(q query.Query) (res hidden.Result, issued bool, err error) {
 	if c.disabled {
-		res, err = c.db.TopK(q)
+		if res, err = c.db.TopK(q); err == nil {
+			c.hist.Add(res.Tuples...)
+		}
 		return res, true, err
 	}
 	key := q.String()
 	cur := c.curEpoch()
-	stale, staleEpoch, inCache := c.cache.get(key)
-	if inCache && staleEpoch >= cur {
-		return stale, false, nil
-	}
 	res, _, err = c.flights.Do(key, func() (hidden.Result, error) {
-		// Re-check under the flight: another leader may have filled or
-		// re-validated the entry while this caller contended for the key.
-		if r2, e2, ok2 := c.cache.get(key); ok2 && e2 >= cur {
-			return r2, nil
+		if r, ok := c.serve([]byte(key), q, cur, false); ok {
+			return r, nil
 		}
 		issued = true
 		fres, ferr := c.db.TopK(q)
 		if ferr != nil {
 			return fres, ferr
 		}
-		switch {
-		case inCache && resultsEqual(fres, stale):
+		// Arena first, fact second, all while the flight is still
+		// registered: the fact cites published rows only, and a caller
+		// arriving between flight completion and the index write cannot
+		// slip through both and re-issue the probe upstream.
+		out := c.facts.learn(key, q, c.hist.AddRows(fres.Tuples), fres.Overflow, cur)
+		if out.promoted {
 			c.revalPromoted.Add(1)
-		case inCache:
-			c.revalEvicted.Add(1)
-			if fres.Overflow {
-				// The drifted answer is partial now; the stale complete
-				// answer must not survive to mislead anyone.
-				c.cache.remove(key)
-			}
 		}
-		// Populate the cache while the flight is still registered, so a
-		// caller arriving between flight completion and cache write cannot
-		// slip through both and re-issue the probe upstream. put is also
-		// the promote path: same answer, current epoch.
-		c.cache.put(key, fres, cur)
-		c.recordPut(key, fres, cur)
-		return fres, ferr
+		if out.evicted {
+			c.revalEvicted.Add(1)
+		}
+		if p := c.persist.Load(); p != nil && out.fact != nil {
+			p.recordProbe(out.fact, cur)
+		}
+		return fres, nil
 	})
 	return res, issued, err
-}
-
-// resultsEqual reports whether two complete probe answers are identical:
-// same overflow flag and the same tuples (ID, ordinal values, categorical
-// values) in the same order. Used to decide promote-vs-evict during lazy
-// re-validation.
-func resultsEqual(a, b hidden.Result) bool {
-	if a.Overflow != b.Overflow || len(a.Tuples) != len(b.Tuples) {
-		return false
-	}
-	for i := range a.Tuples {
-		if !sameTuple(a.Tuples[i], b.Tuples[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameTuple compares ID and attribute values (not slice identity).
-func sameTuple(a, b types.Tuple) bool {
-	if a.ID != b.ID || len(a.Ord) != len(b.Ord) || len(a.Cat) != len(b.Cat) {
-		return false
-	}
-	for i := range a.Ord {
-		if a.Ord[i] != b.Ord[i] {
-			return false
-		}
-	}
-	for k, v := range a.Cat {
-		if b.Cat[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/colstore"
 	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/ranking"
@@ -302,70 +301,6 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 		return hidden.Result{}, nil
 	}); !leader || err != nil {
 		t.Fatalf("group wedged after panic: leader=%v err=%v", leader, err)
-	}
-}
-
-// TestProbeCacheLRU pins the cache's bounded-LRU behavior: complete answers
-// are served back, overflow pages are never stored, and the oldest entry is
-// evicted first. Run without a column layout, the cache stores row results
-// directly (the fallback path).
-func TestProbeCacheLRU(t *testing.T) {
-	p := newProbeCache(2, nil, nil)
-	mk := func(id int) hidden.Result {
-		return hidden.Result{Tuples: []types.Tuple{{ID: id}}}
-	}
-	p.put("a", mk(1), 1)
-	p.put("b", mk(2), 1)
-	if _, _, ok := p.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	p.put("c", mk(3), 1) // evicts b (a was just touched)
-	if _, _, ok := p.get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, _, ok := p.get("a"); !ok {
-		t.Fatal("a should have survived")
-	}
-	p.put("d", hidden.Result{Overflow: true, Tuples: []types.Tuple{{ID: 4}}}, 1)
-	if _, _, ok := p.get("d"); ok {
-		t.Fatal("overflow pages must not be cached")
-	}
-	if res, _, ok := p.get("c"); !ok || res.Tuples[0].ID != 3 {
-		t.Fatalf("c = %v, %v", res, ok)
-	}
-}
-
-// TestProbeCacheColumnar pins the columnar storage path: regular answers are
-// compacted through colstore and materialized lazily (repeat hits share one
-// memoized decode), while irregular tuples fall back to row storage intact.
-func TestProbeCacheColumnar(t *testing.T) {
-	schema := types.MustSchema([]types.Attribute{
-		{Name: "a", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 10}},
-		{Name: "c", Kind: types.Categorical, Values: []string{"x", "y"}},
-	})
-	p := newProbeCache(4, colstore.NewLayout(schema), colstore.NewDict())
-	reg := hidden.Result{Tuples: []types.Tuple{
-		{ID: 1, Ord: []float64{1, 0}, Cat: map[string]string{"c": "x"}},
-		{ID: 2, Ord: []float64{2, 0}},
-	}}
-	p.put("reg", reg, 1)
-	got1, _, ok := p.get("reg")
-	if !ok || len(got1.Tuples) != 2 || got1.Tuples[0].Cat["c"] != "x" || got1.Tuples[1].Ord[1] != 0 {
-		t.Fatalf("columnar round-trip broken: %v %v", got1, ok)
-	}
-	got2, _, _ := p.get("reg")
-	if &got1.Tuples[0] != &got2.Tuples[0] {
-		t.Fatal("repeat hit re-materialized instead of sharing the memoized decode")
-	}
-	if p.approxBytes() <= 0 {
-		t.Fatal("approxBytes not positive with a columnar entry")
-	}
-	// Irregular tuple (short Ord): must fall back to row storage, unchanged.
-	irr := hidden.Result{Tuples: []types.Tuple{{ID: 3, Ord: []float64{5}}}}
-	p.put("irr", irr, 1)
-	got, _, ok := p.get("irr")
-	if !ok || len(got.Tuples) != 1 || len(got.Tuples[0].Ord) != 1 {
-		t.Fatalf("irregular fallback broken: %v %v", got, ok)
 	}
 }
 

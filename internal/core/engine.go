@@ -22,9 +22,9 @@
 // 1D-RERANK / MD-RERANK / TA concurrently against the same engine; each
 // individual cursor is a sequential object (drive it from one goroutine at
 // a time). A probe coalescing layer (see coalesce.go) deduplicates
-// identical in-flight upstream probes and replays recent complete answers,
-// so concurrent users with overlapping queries do not multiply upstream
-// cost.
+// identical in-flight upstream probes and answers from complete answers it
+// already holds, so concurrent users with overlapping queries do not
+// multiply upstream cost.
 package core
 
 import (
@@ -93,7 +93,9 @@ type Options struct {
 	// AssumeGeneralPositioning skips the §5 tie-handling point queries.
 	// Only safe when every ranked attribute's values are unique.
 	AssumeGeneralPositioning bool
-	// DisableHistory turns off cross-query answer reuse (ablation).
+	// DisableHistory turns off cross-query answer reuse (ablation): cursors
+	// stop consulting the history. Probed tuples are stored regardless —
+	// the arena is the only tuple store, and probe facts cite its rows.
 	DisableHistory bool
 	// DisableIndex turns off dense-region indexing (ablation).
 	DisableIndex bool
@@ -109,13 +111,14 @@ type Options struct {
 	// regardless of cache state.
 	MaxQueriesPerOp int64
 	// DisableCoalescing turns off the probe coalescing layer (in-flight
-	// dedup and the complete-answer LRU). Use it when the upstream corpus
+	// dedup and the fact index). Use it when the upstream corpus
 	// can change during the engine's lifetime, or for paper-faithful
 	// per-probe cost accounting in experiments.
 	DisableCoalescing bool
-	// ProbeCacheSize bounds the complete-answer LRU: 0 means the default
-	// (1024 probe results), negative disables the cache while keeping
-	// in-flight dedup.
+	// ProbeCacheSize bounds the fact index — complete probe answers kept as
+	// row references, least recently used evicted first: 0 means the
+	// default (16384 facts), negative disables it while keeping in-flight
+	// dedup.
 	ProbeCacheSize int
 	// MaxConcurrentSessions bounds the total weight of sessions admitted
 	// through Engine.TryAdmit at any instant (0 = unlimited). It is the
@@ -165,15 +168,14 @@ type Engine struct {
 
 // NewEngine builds an engine over db.
 func NewEngine(db hidden.Database, opts Options) *Engine {
-	// The knowledge layer is built first so the probe cache can compact
-	// its answers into the history store's column layout and shared
-	// string dictionary.
+	// The knowledge layer is built first: the probe layer's facts cite rows
+	// of its history arena.
 	know := newKnowledge(db.Schema())
 	return &Engine{
 		db:     db,
 		opts:   opts,
 		know:   know,
-		probes: newCoalescer(db, opts.ProbeCacheSize, opts.DisableCoalescing, know.hist.Layout(), know.hist.Dict(), know.Epoch),
+		probes: newCoalescer(db, opts.ProbeCacheSize, opts.DisableCoalescing, know.hist, know.Epoch),
 		crawls: newFlightGroup(),
 		adm:    newAdmissionGate(opts.MaxConcurrentSessions),
 	}
@@ -197,14 +199,19 @@ func (e *Engine) History() *history.Store { return e.know.hist }
 func (e *Engine) DenseIndex1D() *index.Dense1D { return e.know.dense1 }
 
 // ProbeCacheEntries returns the number of complete probe answers currently
-// held by the coalescing layer's LRU (0 when coalescing or the cache is
-// disabled). Snapshots persist these entries, so after a warm restart this
-// reports how many probes the engine can answer for zero upstream cost.
+// held as facts by the coalescing layer (0 when coalescing or the cache is
+// disabled). Checkpoints persist them, so after a warm restart this is a
+// lower bound on the probes the engine answers for zero upstream cost: each
+// fact also answers every probe its box contains.
 func (e *Engine) ProbeCacheEntries() int { return e.probes.cacheSize() }
 
-// ProbeCacheBytes approximates the resident bytes of columnar-encoded probe
-// answers in the coalescing LRU.
+// ProbeCacheBytes approximates the resident bytes of those facts (queries,
+// row references and index slots; the tuples live in the history arena).
 func (e *Engine) ProbeCacheBytes() int64 { return e.probes.cacheBytes() }
+
+// ProbeContainedHits returns how many probes were answered, for zero
+// upstream queries, by filtering a fact whose box contains them.
+func (e *Engine) ProbeContainedHits() int64 { return e.probes.containedHits.Load() }
 
 // StorageStats returns the history store's columnar storage counters.
 func (e *Engine) StorageStats() history.StorageStats { return e.know.hist.StorageStats() }
@@ -281,7 +288,7 @@ func (e *Engine) SearchParallelism() int { return e.searchWidth() }
 // probes issued (round slots beyond the first) and the subset wasted (their
 // overflow result was invalidated by a threshold improvement from an earlier
 // slot of the same round, so the box had to be re-probed tightened). Wasted
-// probes' pages still land in the shared history and probe LRU, so their
+// probes' pages still land in the shared history and the fact index, so their
 // upstream cost is never paid twice.
 func (e *Engine) SpeculationStats() (issued, wasted int64) {
 	return e.specIssued.Load(), e.specWasted.Load()

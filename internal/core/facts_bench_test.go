@@ -1,0 +1,120 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/hidden"
+	"repro/internal/query"
+	"repro/internal/types"
+)
+
+// benchFacts builds an engine holding n facts shaped like a serving
+// workload's leftovers: each is a short run (1–10 tuples, so complete at
+// k=10) of a 20 000-tuple corpus ordered by A0, starting anywhere — nested
+// and overlapping like 1D-RERANK's narrowing intervals — a quarter of them
+// also bounded on A1 (MD boxes), a quarter under a categorical predicate.
+// Facts cite the history rows of exactly the tuples their query matches. It
+// returns the corpus in A0 order and the facts' own queries.
+func benchFacts(b *testing.B, n int) (*Engine, []types.Tuple, []query.Query) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	db, tuples := newTestDB(b, rng, 2, 20000, 10, false, nil)
+	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Ord[0] < tuples[j].Ord[0] })
+	e := NewEngine(db, Options{N: len(tuples), ProbeCacheSize: n})
+	rows := e.History().AddRows(tuples)
+	qs := make([]query.Query, 0, n)
+	for len(qs) < n {
+		at := rng.Intn(len(tuples) - 10)
+		run := 1 + rng.Intn(10)
+		q := query.New().WithRange(0, types.ClosedInterval(tuples[at].Ord[0], tuples[at+run-1].Ord[0]))
+		switch len(qs) % 4 {
+		case 1:
+			q.Ranges[1] = types.ClosedInterval(0, 100)
+		case 2:
+			q.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
+		}
+		var cited []uint32
+		for i := at; i < at+run; i++ {
+			if q.Matches(tuples[i]) {
+				cited = append(cited, rows[i])
+			}
+		}
+		e.probes.seed(q, cited, e.Epoch())
+		if e.ProbeCacheEntries() > len(qs) { // a duplicate key replaces its fact
+			qs = append(qs, q)
+		}
+	}
+	return e, tuples, qs
+}
+
+// BenchmarkProbeFacts prices the fact index's three lookup outcomes — the
+// whole of what a probe costs when the upstream is not needed, canonical key
+// included — at the default capacity and at a sixteenth of it:
+//
+//   - exact-hit: the probe is a held fact's own query; one allocation, the
+//     result slice over shared row forms;
+//   - contained-hit: the probe is the inner part of a held fact's range plus
+//     a categorical predicate, so the fact's rows are filtered;
+//   - miss: no fact contains the probe — half of them span 12 tuples, wider
+//     than any fact (the running maximum stops the walk at once), half span
+//     8 and merely fall between the facts around them (the walk visits the
+//     overlapping candidates).
+func BenchmarkProbeFacts(b *testing.B) {
+	var sink hidden.Result
+	for _, n := range []int{1024, 16384} {
+		e, tuples, facts := benchFacts(b, n)
+		rng := rand.New(rand.NewSource(7))
+		span := func(width int) query.Query {
+			at := rng.Intn(len(tuples) - width)
+			return query.New().WithRange(0, types.ClosedInterval(tuples[at].Ord[0], tuples[at+width-1].Ord[0]))
+		}
+		var exact, contained, miss []query.Query
+		for len(exact) < 512 {
+			exact = append(exact, facts[rng.Intn(len(facts))])
+		}
+		for len(contained) < 512 {
+			outer := facts[rng.Intn(len(facts))]
+			iv := outer.Ranges[0]
+			in := outer.WithRange(0, types.ClosedInterval(iv.Lo, iv.Lo+(iv.Hi-iv.Lo)*0.75))
+			if _, ok := in.Cats["cat"]; !ok {
+				in.Cats["cat"] = "x"
+			}
+			if _, held := e.probes.facts.byKey[in.String()]; !held {
+				contained = append(contained, in)
+			}
+		}
+		for len(miss) < 512 {
+			q := span(12 - 4*(len(miss)%2))
+			if _, ok := e.probes.lookup(q); !ok {
+				miss = append(miss, q)
+			}
+		}
+		for _, c := range []struct {
+			name string
+			qs   []query.Query
+			hit  bool
+		}{{"exact-hit", exact, true}, {"contained-hit", contained, true}, {"miss", miss, false}} {
+			b.Run(fmt.Sprintf("%s/facts=%d", c.name, n), func(b *testing.B) {
+				for _, q := range c.qs {
+					if _, ok := e.probes.lookup(q); ok != c.hit {
+						b.Fatalf("%s: lookup hit=%v, want %v", q, ok, c.hit)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink, _ = e.probes.lookup(c.qs[i%len(c.qs)])
+				}
+			})
+		}
+		// The target that is a count, checked rather than hoped for: an exact
+		// hit allocates its result slice, nothing per tuple and no key.
+		if got := testing.AllocsPerRun(200, func() { sink, _ = e.probes.lookup(exact[0]) }); got > 1 {
+			b.Fatalf("exact hit at %d facts: %.0f allocs/op, want ≤ 1", n, got)
+		}
+	}
+	_ = sink
+}

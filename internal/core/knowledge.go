@@ -37,7 +37,7 @@ type Knowledge struct {
 	queries atomic.Int64 // upstream queries issued through the engine
 
 	// epoch is the namespace's current knowledge epoch. Every dense region,
-	// probe-LRU entry, and history watermark records the epoch it was
+	// probe fact, and history watermark records the epoch it was
 	// learned under; a sentinel-detected upstream drift bumps this counter,
 	// turning everything learned earlier stale. Stale knowledge is
 	// re-validated lazily on first touch (one confirming probe), never

@@ -47,7 +47,7 @@
 //   - Within one region's top-1 search, unexplored boxes live in a
 //     best-first frontier heap. Each round pops the best W frontier boxes,
 //     tightens them against the current threshold, and issues the probes
-//     concurrently through the engine's singleflight+LRU coalescer. Probes
+//     concurrently through the engine's coalescing layer. Probes
 //     beyond the first assume the earlier probes of the round will not
 //     improve the threshold; when one does, a later overflow result is
 //     invalidated — sequential execution would have probed a smaller,
@@ -57,20 +57,24 @@
 // Determinism. Every decision point runs in a fixed order on the cursor
 // goroutine: region rounds are composed and their results applied in heap
 // order, frontier rounds are composed and processed in pop order, and
-// history is read for seeding only between rounds. Concurrent resolutions
-// touch disjoint boxes, so their probes cannot serve one another through the
-// coalescing layer. The emitted tuple sequence is therefore identical for
+// history is read for seeding only between rounds. Which probes the fact
+// index answers is decided there too: a round's probes can be nested, and a
+// complete answer also answers the probes its box contains, so every probe
+// of a round is looked up before any of the round's upstream calls is
+// dispatched (Session.issueAll; the tie probe in collectTiesPipelined).
+// Concurrent resolutions touch disjoint boxes, so their probes cannot
+// contain one another. The emitted tuple sequence is therefore identical for
 // every W (each top-1 is an exact minimum regardless of exploration order),
 // and the session ledger is exactly reproducible for a fixed W — speculation
 // changes how much is charged, never making the charge nondeterministic.
-// (The one caveat: ledger reproducibility assumes the engine-wide probe LRU
+// (The one caveat: ledger reproducibility assumes the engine-wide fact index
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
 //
 // Cost accounting is charge-at-issue: the per-op budget (MaxQueriesPerOp) is
 // charged in round order before a round is dispatched, the session ledger is
 // charged for exactly the probes that reach the upstream, and wasted probes'
-// pages still land in the shared history and probe LRU so their cost is
+// pages still land in the shared history and the fact index so their cost is
 // never paid twice.
 package core
 
@@ -452,12 +456,31 @@ func (c *MDCursor) collectTiesPipelined(t types.Tuple) error {
 		return c.collectTies(t)
 	}
 	seeds := c.seedRound(prefetch, 1)
+	// The tie point lies inside the right split child, so a complete page a
+	// prefetch probe brings back may contain it. Settle the tie probe against
+	// the fact index now, before the prefetch probes fly; inside the
+	// concurrent section it only fetches, or whether it was free would depend
+	// on which probe finished first.
+	r0 := c.resolvers[0]
+	point := c.tiePoint(t)
+	r0.axis.BoxToQueryInto(c.q, point, &r0.probeQs[0])
+	c.chargeOp() // never refuses: a per-op budget forces width 1
+	res, known := c.s.e.probes.lookup(r0.probeQs[0])
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var tieErr error
 	go func() {
 		defer wg.Done()
-		tieErr = c.collectTies(t)
+		if !known {
+			var issued bool
+			if res, issued, tieErr = c.s.fetchCounted(r0.probeQs[0]); tieErr != nil {
+				return
+			}
+			if issued {
+				r0.charged++
+			}
+		}
+		tieErr = c.gatherTies(t, point, res)
 	}()
 	_ = c.runRound(prefetch, seeds, 1)
 	wg.Wait()
@@ -590,15 +613,29 @@ func (c *MDCursor) collectTies(t types.Tuple) error {
 		c.pending = []types.Tuple{t}
 		return nil
 	}
+	point := c.tiePoint(t)
+	res, err := c.resolvers[0].issue(point)
+	if err != nil {
+		return err
+	}
+	return c.gatherTies(t, point, res)
+}
+
+// tiePoint returns the degenerate box holding exactly t's values on the
+// ranked attributes.
+func (c *MDCursor) tiePoint(t types.Tuple) query.Box {
 	z := c.axis().ToAxis(t)
 	point := query.Box{Dims: make([]types.Interval, len(z))}
 	for j, v := range z {
 		point.Dims[j] = types.ClosedInterval(v, v)
 	}
-	res, err := c.resolvers[0].issue(point)
-	if err != nil {
-		return err
-	}
+	return point
+}
+
+// gatherTies fills the pending buffer from res, the answer to the tie point
+// probe for t, crawling the point when that answer overflowed.
+func (c *MDCursor) gatherTies(t types.Tuple, point query.Box, res hidden.Result) error {
+	var err error
 	var ties []types.Tuple
 	if !res.Overflow {
 		ties = res.Tuples

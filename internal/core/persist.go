@@ -14,18 +14,22 @@
 // History needs no per-insert hook: the store's append-only columnar arena
 // gives every tuple a monotone row number, so "what is new since the last
 // checkpoint" is simply the contiguous row range [histLo, Rows()). Dense
-// region inserts and probe-cache admissions are recorded as logical
-// operations (attribute/box/key plus tuple IDs) by thin wrappers on the live
-// insert paths; replay pushes them back through those same live paths, so a
-// rebuilt engine's index structures are bit-identical to the saved engine's
-// (asserted by TestReopenRebuildsDenseStructures).
+// region inserts and probe-fact admissions are recorded as logical
+// operations by thin wrappers on the live insert paths; replay pushes them
+// back through those same live paths, so a rebuilt engine's index structures
+// are bit-identical to the saved engine's (asserted by
+// TestReopenRebuildsDenseStructures).
 //
-// Operations reference tuples by ID. A referenced tuple is normally covered
-// by the committed history prefix (sessions add probe pages to history
-// before inserting regions built from them); when it is not — DisableHistory,
-// or a probe recorded in the window before its leader's history insert — the
-// payload is inlined into the delta's Tuples section, so every committed
-// delta is self-contained given its committed predecessors.
+// A probe fact is recorded as its structured query plus the arena ROWS it
+// cites. Its page entered the arena before the fact existed, so the rows lie
+// below the watermark of the checkpoint that captures the op, and replaying
+// the committed row ranges in order reproduces the same row numbers. Dense
+// regions reference tuples by ID; one is normally covered by the committed
+// history prefix (crawls probe through the coalescing layer, which stores
+// every page), and when it is not — a region inserted through the Knowledge
+// API with tuples no probe brought in — its payload is inlined into the
+// delta's Tuples section, so every committed delta is self-contained given
+// its committed predecessors.
 //
 // # Failure handling
 //
@@ -94,9 +98,9 @@ type pendingOp struct {
 	iv     types.Interval // opDense1
 	attrs  []int          // opDenseMD, canonical sorted order
 	box    query.Box      // opDenseMD
-	key    string         // opProbe
-	tuples []types.Tuple
-	epoch  int64 // acquisition epoch (opDense1/opDenseMD/opProbe), or the new epoch (opEpoch)
+	fact   *fact          // opProbe; immutable apart from its epoch, which epoch below pins
+	tuples []types.Tuple  // opDense1, opDenseMD
+	epoch  int64          // acquisition epoch (opDense1/opDenseMD/opProbe), or the new epoch (opEpoch)
 }
 
 // PersistFingerprint identifies this engine's upstream deployment for the
@@ -149,26 +153,36 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 func (e *Engine) Persister() *Persister { return e.know.persist.Load() }
 
 // applyDelta replays one committed delta through the engine's live insert
-// paths. Tuple IDs resolve from the delta itself (its Hist range and inline
-// Tuples) or from history committed by earlier deltas; an unresolvable ID
-// means the store's invariants are broken and the error makes Replay
-// quarantine from this record on.
+// paths. Dense-region tuple IDs resolve from the delta itself (its Hist
+// range and inline Tuples) or from history committed by earlier deltas;
+// probe facts cite arena rows, which the delta's own Hist range and its
+// predecessors' must have laid down. An unresolvable reference means the
+// store's invariants are broken and the error makes Replay quarantine from
+// this record on.
 func (e *Engine) applyDelta(d *segment.Delta) error {
-	byID := make(map[int]types.Tuple, len(d.Hist)+len(d.Tuples))
-	for _, st := range append(append([]segment.Tuple(nil), d.Hist...), d.Tuples...) {
-		byID[st.ID] = types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
-	}
 	if len(d.Hist) > 0 {
+		// Probe facts cite arena rows, so the replayed arena must be the
+		// recorded one row for row: same start, and no tuple deduplicated
+		// away (a row is only ever exported because Add appended it).
+		if rows := e.know.hist.Rows(); rows != d.HistLo {
+			return fmt.Errorf("core: delta carries history rows from %d, arena holds %d", d.HistLo, rows)
+		}
 		batch := make([]types.Tuple, 0, len(d.Hist))
 		for _, st := range d.Hist {
-			batch = append(batch, byID[st.ID])
+			batch = append(batch, types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat})
 		}
-		e.know.hist.Add(batch...)
+		if n := e.know.hist.Add(batch...); n != len(batch) {
+			return fmt.Errorf("core: delta history rows [%d,%d) replayed as %d rows", d.HistLo, d.HistHi, n)
+		}
+	}
+	inline := make(map[int]types.Tuple, len(d.Tuples))
+	for _, st := range d.Tuples {
+		inline[st.ID] = types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
 	}
 	resolve := func(ids []int) ([]types.Tuple, error) {
 		tuples := make([]types.Tuple, 0, len(ids))
 		for _, id := range ids {
-			t, ok := byID[id]
+			t, ok := inline[id]
 			if !ok {
 				if t, ok = e.know.hist.Get(id); !ok {
 					return nil, fmt.Errorf("core: delta references unknown tuple %d", id)
@@ -204,12 +218,21 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		}
 		e.know.mdIndexFor(op.Attrs).InsertEpoch(box, tuples, epochOrFirst(op.Epoch))
 	}
+	rows := uint32(e.know.hist.Rows())
 	for _, op := range d.Probes {
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
+		q := query.New()
+		for _, r := range op.Ranges {
+			q.Ranges[r.Attr] = types.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi), LoOpen: r.LoOpen, HiOpen: r.HiOpen}
 		}
-		e.probes.seed(op.Key, hidden.Result{Tuples: tuples}, epochOrFirst(op.Epoch))
+		for name, value := range op.Cats {
+			q.Cats[name] = value
+		}
+		for _, row := range op.Rows {
+			if row >= rows {
+				return fmt.Errorf("core: delta probe fact cites arena row %d of %d", row, rows)
+			}
+		}
+		e.probes.seed(q, op.Rows, epochOrFirst(op.Epoch))
 	}
 	// Heat is last-wins across deltas and Import is idempotent, so replaying
 	// a committed prefix (or the same delta twice after a retry) converges.
@@ -236,10 +259,11 @@ func (p *Persister) recordDenseMD(attrs []int, box query.Box, tuples []types.Tup
 	p.mu.Unlock()
 }
 
-// recordProbe queues a cached complete probe answer for the next checkpoint.
-func (p *Persister) recordProbe(key string, res hidden.Result, epoch int64) {
+// recordProbe queues a probe fact, as admitted or confirmed at epoch, for
+// the next checkpoint.
+func (p *Persister) recordProbe(f *fact, epoch int64) {
 	p.mu.Lock()
-	p.ops = append(p.ops, pendingOp{kind: opProbe, key: key, tuples: res.Tuples, epoch: epoch})
+	p.ops = append(p.ops, pendingOp{kind: opProbe, fact: f, epoch: epoch})
 	p.mu.Unlock()
 }
 
@@ -300,8 +324,8 @@ func (p *Persister) Checkpoint() error {
 }
 
 // buildDelta assembles one checkpoint delta: the new history row range plus
-// the captured operations, inlining payloads for any referenced tuple not
-// covered by the committed history prefix.
+// the captured operations, inlining payloads for any tuple a dense region
+// references that the committed history prefix does not cover.
 func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Delta {
 	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: p.e.know.queries.Load()}
 	hist := p.e.know.hist
@@ -334,7 +358,18 @@ func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Del
 			}
 			d.DenseMD = append(d.DenseMD, md)
 		case opProbe:
-			d.Probes = append(d.Probes, segment.ProbeOp{Key: op.key, IDs: resolve(op.tuples), Epoch: op.epoch})
+			po := segment.ProbeOp{Rows: op.fact.rows, Epoch: op.epoch}
+			for _, r := range op.fact.ranges {
+				po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.attr,
+					Lo: segment.Bound(r.iv.Lo), Hi: segment.Bound(r.iv.Hi), LoOpen: r.iv.LoOpen, HiOpen: r.iv.HiOpen})
+			}
+			for _, c := range op.fact.cats {
+				if po.Cats == nil {
+					po.Cats = make(map[string]string, len(op.fact.cats))
+				}
+				po.Cats[c.name] = c.value
+			}
+			d.Probes = append(d.Probes, po)
 		case opEpoch:
 			if op.epoch > d.Epoch {
 				d.Epoch = op.epoch

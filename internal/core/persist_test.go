@@ -1,6 +1,7 @@
 // Engine-level tests for incremental segment/journal persistence: warm
 // restart with zero upstream re-spend, crash mid-checkpoint recovering to
-// the last committed journal entry, inline payloads under DisableHistory,
+// the last committed journal entry, inline payloads for region tuples the
+// arena never saw,
 // and checkpointing running concurrently with serving. The helpers here
 // (persistedEngine, reopenViaStore) are how every warm-restart test in the
 // package round-trips knowledge through the on-disk format.
@@ -10,6 +11,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,6 +83,13 @@ func reopenViaStore(t *testing.T, e *Engine) *Engine {
 		t.Fatalf("clean restart rejected %d committed records: a checkpoint wrote what replay cannot apply", st.DroppedRecords)
 	}
 	return e2
+}
+
+// resultsEqual reports whether two probe answers are identical: same
+// overflow flag and the same tuples (ID, ordinal values, categorical values)
+// in the same order.
+func resultsEqual(a, b hidden.Result) bool {
+	return a.Overflow == b.Overflow && slices.EqualFunc(a.Tuples, b.Tuples, types.Tuple.Equal)
 }
 
 // persistProbes is a fixed set of narrow queries with complete answers —
@@ -294,12 +303,15 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 	}
 }
 
-// TestPersistInlinesUncommittedTuples: under DisableHistory, recorded probe
-// answers reference tuples that never enter the history arena. Their
-// payloads must travel inline in the delta, keeping the store self-contained.
+// TestPersistInlinesUncommittedTuples: a dense region inserted through the
+// Knowledge API may hold tuples no probe ever brought into the history arena.
+// Their payloads must travel inline in the delta, keeping the store
+// self-contained — while a probe fact never needs that, even under
+// DisableHistory: its page is in the arena before the fact exists, and the
+// fact commits as row references.
 func TestPersistInlinesUncommittedTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	db, _ := newTestDB(t, rng, 2, 400, 10, false, nil)
+	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
 	e1 := persistedEngine(t, db, Options{N: 400, DisableHistory: true})
 	q := query.New().WithRange(0, types.ClosedInterval(10, 12)).WithCat("cat", "x")
 	sess := e1.NewSession()
@@ -310,8 +322,25 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 	if res.Overflow || len(res.Tuples) == 0 {
 		t.Fatalf("precondition: want a non-empty complete answer, got %d tuples overflow=%v", len(res.Tuples), res.Overflow)
 	}
-	if e1.History().Size() != 0 {
-		t.Fatal("precondition: DisableHistory engine stored history")
+	iv := types.ClosedInterval(50, 52)
+	var region []types.Tuple
+	for _, tt := range tuples {
+		if iv.Contains(tt.Ord[0]) {
+			region = append(region, tt)
+		}
+	}
+	if len(region) == 0 || e1.History().Has(region[0].ID) {
+		t.Fatalf("precondition: want a non-empty region the arena has not seen (%d tuples)", len(region))
+	}
+	e1.know.InsertDense1(0, iv, region)
+
+	p1 := e1.Persister()
+	p1.mu.Lock()
+	ops := p1.ops
+	p1.mu.Unlock()
+	d := p1.buildDelta(0, e1.History().Rows(), ops)
+	if len(d.Tuples) != len(region) {
+		t.Fatalf("delta inlines %d tuples, want exactly the region's %d (the probe fact cites committed rows)", len(d.Tuples), len(region))
 	}
 
 	e2 := reopenViaStore(t, e1)
@@ -322,10 +351,14 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sess2.Queries() != 0 {
-		t.Fatalf("inlined probe re-spent %d upstream queries, want 0", sess2.Queries())
+		t.Fatalf("committed probe fact re-spent %d upstream queries, want 0", sess2.Queries())
 	}
 	if !resultsEqual(res2, res) {
 		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
+	}
+	reg, ok := e2.know.dense1.Lookup(0, iv)
+	if !ok || len(reg.Tuples) != len(region) {
+		t.Fatalf("inlined region after restart: ok=%v with %d tuples, want %d", ok, len(reg.Tuples), len(region))
 	}
 }
 
@@ -404,11 +437,12 @@ func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
 	db, _ := persistTestWorld(t, 62)
 	unit := segment.Dim{Lo: 0, Hi: 1}
 	for name, d := range map[string]*segment.Delta{
-		"dangling 1D reference":    {Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}}},
-		"dangling MD reference":    {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit, unit}, IDs: []int{4242}}}},
-		"dangling probe reference": {Probes: []segment.ProbeOp{{Key: "TRUE", IDs: []int{4242}}}},
-		"MD dims/attrs arity":      {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit}}}},
-		"MD region without attrs":  {DenseMD: []segment.MDOp{{}}},
+		"dangling 1D reference":     {Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}}},
+		"dangling MD reference":     {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit, unit}, IDs: []int{4242}}}},
+		"dangling probe reference":  {Probes: []segment.ProbeOp{{Rows: []uint32{4242}}}},
+		"history rows out of place": {HistLo: 7, HistHi: 8, Hist: []segment.Tuple{{ID: 1, Ord: []float64{1, 1, 0}}}},
+		"MD dims/attrs arity":       {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit}}}},
+		"MD region without attrs":   {DenseMD: []segment.MDOp{{}}},
 	} {
 		e := NewEngine(db, Options{N: 400})
 		if err := e.applyDelta(d); err == nil {

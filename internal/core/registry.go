@@ -7,7 +7,7 @@
 // dense regions and cached probe answers are all statements about one
 // specific corpus. A Namespace is therefore a hard isolation unit: its own
 // Knowledge (history arena, 1D/MD dense indexes, query counter), its own
-// probe-coalescing layer and LRU, and its own persistence fingerprint.
+// probe-coalescing layer and fact index, and its own persistence fingerprint.
 // Namespaces share exactly one thing, deliberately: the process-wide
 // admission gate, because in-flight sessions compete for the same
 // goroutines and memory no matter which upstream they probe. Per-namespace

@@ -73,6 +73,7 @@ type probeResult struct {
 	res    hidden.Result
 	issued bool
 	err    error
+	known  bool // issueAll scratch: the fact index answered the probe
 }
 
 // issueAll issues qs concurrently through the coalescing layer, bounded by
@@ -80,6 +81,13 @@ type probeResult struct {
 // probe exactly as in issue: only calls that reach the upstream are charged,
 // atomically, so the ledger total is order-independent and reproducible.
 // Callers own qs and out again once issueAll returns.
+//
+// Every probe is looked up in the fact index here, on the caller's
+// goroutine, before any of the round's upstream calls is in flight, and the
+// misses then only fetch: a round's probes may be nested (the MD search's
+// tightening ladder), and were they free to answer one another by
+// containment, which of them got charged would depend on which finished
+// first.
 func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 	if len(qs) == 1 || s.workers == nil {
 		for i := range qs {
@@ -87,14 +95,21 @@ func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 		}
 		return
 	}
+	for i := range qs {
+		res, known := s.e.probes.lookup(qs[i])
+		out[i] = probeResult{res: res, known: known}
+	}
 	var wg sync.WaitGroup
 	for i := range qs {
+		if out[i].known {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			s.workers <- struct{}{}
 			defer func() { <-s.workers }()
-			out[i].res, out[i].issued, out[i].err = s.issueCounted(qs[i])
+			out[i].res, out[i].issued, out[i].err = s.fetchCounted(qs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -109,25 +124,20 @@ func (s *Session) Engine() *Engine { return s.e }
 func (s *Session) Queries() int64 { return s.queries.Load() }
 
 // coalescedProbe sends one query to the primary database through the
-// coalescing layer. The issuing leader records the returned page in the
-// shared history: cache hits and coalesced followers replay tuples the
-// leader already added, and skipping the redundant Add keeps free probes off
-// the history store's write lock. Charging (engine counter, session ledger)
-// is the caller's responsibility — Session.issue charges per probe, while
+// coalescing layer, which adds an issued page to the shared history before
+// anyone sees the answer (see coalescer.fetch); hits and coalesced followers
+// replay tuples already there. Charging (engine counter, session ledger) is
+// the caller's responsibility — Session.issue charges per probe, while
 // crawls charge their crawler's Issued total once at the end.
 func (s *Session) coalescedProbe(q query.Query) (res hidden.Result, issued bool, err error) {
-	if s.abort != nil && s.abort() {
+	if s.aborted() {
 		return hidden.Result{}, false, ErrAcquireAborted
 	}
-	res, issued, err = s.e.probes.TopK(q)
-	if err != nil {
-		return res, issued, err
-	}
-	if issued && !s.e.opts.DisableHistory {
-		s.e.know.hist.Add(res.Tuples...)
-	}
-	return res, issued, nil
+	return s.e.probes.TopK(q)
 }
+
+// aborted polls the session's abort hook.
+func (s *Session) aborted() bool { return s.abort != nil && s.abort() }
 
 // issue sends one query to the primary database through the coalescing
 // layer, recording every returned tuple in the shared history.
@@ -140,15 +150,27 @@ func (s *Session) issue(q query.Query) (hidden.Result, error) {
 // the upstream (and was charged) — the hook the MD search's speculation
 // accounting needs.
 func (s *Session) issueCounted(q query.Query) (hidden.Result, bool, error) {
-	res, issued, err := s.coalescedProbe(q)
-	if err != nil {
-		return res, issued, err
+	return s.charge(s.coalescedProbe(q))
+}
+
+// fetchCounted is issueCounted for a probe the caller has already looked up
+// in the fact index and missed (see issueAll): it goes to the upstream
+// without consulting containment again.
+func (s *Session) fetchCounted(q query.Query) (hidden.Result, bool, error) {
+	if s.aborted() {
+		return hidden.Result{}, false, ErrAcquireAborted
 	}
-	if issued {
+	return s.charge(s.e.probes.fetch(q))
+}
+
+// charge books one probe outcome: a probe that reached the upstream costs
+// the engine counter and this session's ledger one query.
+func (s *Session) charge(res hidden.Result, issued bool, err error) (hidden.Result, bool, error) {
+	if err == nil && issued {
 		s.e.know.queries.Add(1)
 		s.queries.Add(1)
 	}
-	return res, issued, nil
+	return res, issued, err
 }
 
 // issueOn sends one query directly to an alternate database view (e.g. an
@@ -161,9 +183,7 @@ func (s *Session) issueOn(db hidden.Database, q query.Query) (hidden.Result, err
 	}
 	s.e.know.queries.Add(1)
 	s.queries.Add(1)
-	if !s.e.opts.DisableHistory {
-		s.e.know.hist.Add(res.Tuples...)
-	}
+	s.e.know.hist.Add(res.Tuples...)
 	return res, nil
 }
 
@@ -279,7 +299,7 @@ func confirmsRegion(stored []types.Tuple, res hidden.Result) bool {
 	}
 	for _, t := range res.Tuples {
 		st, ok := byID[t.ID]
-		if !ok || !sameTuple(st, t) {
+		if !ok || !st.Equal(t) {
 			return false
 		}
 	}

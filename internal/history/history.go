@@ -13,6 +13,13 @@
 // ScanMatching exposes the raw view for consumers that can score rows
 // without materializing at all.
 //
+// The arena is the engine's only tuple store. Probe answers kept by the
+// coalescing layer are lists of arena rows (AddRows names them, RowTuples
+// reads them back as shared row forms materialized at most once per row and
+// never for rows nobody cites), and a tuple the upstream changed in place
+// becomes a new row version rather than an overwrite, so rows stay immutable
+// and an answer keeps citing exactly what the upstream said.
+//
 // # Sharded incremental indexes
 //
 // The store is write-heavy by nature — sustained discovery traffic keeps
@@ -61,9 +68,15 @@ type shard struct {
 // insert adds freshly appended rows to the shard. Small batches binary-insert
 // into the buffer; once the buffer would exceed maxBufferLen the batch is
 // sorted wholesale and buffer+batch are merged into the sealed run.
-func (sh *shard) insert(v colstore.View, news []uint32) {
+//
+// The view that orders the rows is taken under the shard lock: every row
+// already in the shard was published before its own insert, hence before
+// this one got the lock, so the view covers them all — a view taken earlier
+// can predate a row (and its block) that a concurrent Add slipped in first.
+func (sh *shard) insert(a *colstore.Arena, news []uint32) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	v := a.View()
 	if sh.buf.Len()+len(news) >= maxBufferLen {
 		batch := colstore.NewRun(v, sh.attr, news)
 		sh.run = colstore.MergeRuns(v, sh.run, colstore.MergeRuns(v, sh.buf, batch))
@@ -148,12 +161,6 @@ func NewStore(schema *types.Schema) *Store {
 // Schema returns the schema the store indexes.
 func (s *Store) Schema() *types.Schema { return s.schema }
 
-// Layout returns the store's column layout (shared with probe caches).
-func (s *Store) Layout() *colstore.Layout { return s.arena.Layout() }
-
-// Dict returns the store's shared string dictionary.
-func (s *Store) Dict() *colstore.Dict { return s.arena.Dict() }
-
 // View snapshots the store's current rows for index-based scanning.
 func (s *Store) View() colstore.View { return s.arena.View() }
 
@@ -161,29 +168,90 @@ func (s *Store) View() colstore.View { return s.arena.View() }
 // nothing for predicate compilation.
 var matcherPool = sync.Pool{New: func() any { return new(colstore.Matcher) }}
 
-// Add inserts tuples not already present (by ID) and returns how many were
-// new. The tuples' values are copied into columns; callers may reuse their
-// slices. Add returns only after every shard reflects the new tuples.
+// Add inserts tuples not already present (by ID) and returns how many rows
+// were appended. The tuples' values are copied into columns; callers may
+// reuse their slices. Add returns only after every shard reflects the new
+// tuples.
+//
+// A tuple whose ID is stored with DIFFERENT values — the upstream edited the
+// listing in place — is appended as a new row version and becomes the row
+// its ID resolves to. Rows never change, so whatever cites the old version
+// keeps reading what the upstream said at the time; the old version also
+// stays in the sorted shards, where it is one more unconfirmed hint.
 func (s *Store) Add(tuples ...types.Tuple) int {
+	return s.add(tuples, nil)
+}
+
+// AddRows is Add that also returns the arena row now holding each tuple, in
+// argument order: the existing row for an unchanged tuple, a fresh one for a
+// new or changed tuple. Two calls therefore return the same rows exactly
+// when the upstream said the same thing both times.
+func (s *Store) AddRows(tuples []types.Tuple) []uint32 {
+	rows := make([]uint32, len(tuples))
+	s.add(tuples, rows)
+	return rows
+}
+
+func (s *Store) add(tuples []types.Tuple, rows []uint32) int {
 	var news []uint32
 	s.mu.Lock()
-	for _, t := range tuples {
-		if _, seen := s.byID[t.ID]; seen {
-			continue
+	for i, t := range tuples {
+		row, seen := s.byID[t.ID]
+		// The view is taken per comparison: it must cover rows this very
+		// call appended, and costs two atomic loads.
+		if !seen || !s.arena.View().Equal(int(row), t) {
+			row = s.arena.Append(t)
+			s.byID[t.ID] = row
+			news = append(news, row)
 		}
-		row := s.arena.Append(t)
-		s.byID[t.ID] = row
-		news = append(news, row)
+		if rows != nil {
+			rows[i] = row
+		}
 	}
 	s.mu.Unlock()
 	if len(news) == 0 {
 		return 0
 	}
-	v := s.arena.View()
 	for _, sh := range s.shards {
-		sh.insert(v, news)
+		sh.insert(s.arena, news)
 	}
 	return len(news)
+}
+
+// RowTuples returns the tuples stored in rows, in order, as shared row
+// forms: each row is materialized at most once, however many answers cite
+// it, and rows nobody asks for are never materialized. The result slice is
+// the caller's; the tuples' Ord slices and Cat maps are shared and must not
+// be modified.
+func (s *Store) RowTuples(rows []uint32) []types.Tuple {
+	if len(rows) == 0 {
+		return nil
+	}
+	v := s.arena.View()
+	out := make([]types.Tuple, len(rows))
+	for i, row := range rows {
+		out[i] = v.Shared(int(row))
+	}
+	return out
+}
+
+// RowTuplesMatching is RowTuples restricted to the rows matching q, order
+// kept.
+func (s *Store) RowTuplesMatching(q query.Query, rows []uint32) []types.Tuple {
+	v := s.arena.View()
+	m := matcherPool.Get().(*colstore.Matcher)
+	m.Reset(v, q)
+	var out []types.Tuple
+	for _, row := range rows {
+		if m.Match(int(row)) {
+			if out == nil {
+				out = make([]types.Tuple, 0, len(rows))
+			}
+			out = append(out, v.Shared(int(row)))
+		}
+	}
+	matcherPool.Put(m)
+	return out
 }
 
 // Rows returns the arena row watermark: rows [0, Rows()) are stored and,

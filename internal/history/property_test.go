@@ -11,7 +11,9 @@ import (
 
 // referenceStore is the brute-force oracle for the sharded store: a plain
 // linear-scan implementation with no indexes and the same tie-break rules
-// (min: smallest ID, max: largest ID, best: smallest ID).
+// (min: smallest ID, max: largest ID, best: smallest ID). Like the store it
+// keeps every VERSION of a tuple: all holds one entry per distinct value set
+// an ID was added with, in insertion order, and byID the latest.
 type referenceStore struct {
 	byID map[int]types.Tuple
 	all  []types.Tuple
@@ -24,7 +26,7 @@ func newReferenceStore() *referenceStore {
 func (r *referenceStore) Add(tuples ...types.Tuple) int {
 	added := 0
 	for _, t := range tuples {
-		if _, seen := r.byID[t.ID]; seen {
+		if cur, seen := r.byID[t.ID]; seen && cur.Equal(t) {
 			continue
 		}
 		c := t.Clone()
@@ -91,14 +93,14 @@ func (r *referenceStore) CountMatching(q query.Query) int {
 	return n
 }
 
-func (r *referenceStore) MatchingIDs(q query.Query) map[int]bool {
-	ids := make(map[int]bool)
+func (r *referenceStore) Matching(q query.Query) []types.Tuple {
+	var out []types.Tuple
 	for _, t := range r.all {
 		if q.Matches(t) {
-			ids[t.ID] = true
+			out = append(out, t)
 		}
 	}
-	return ids
+	return out
 }
 
 // gridValue draws attribute values from a coarse grid so that duplicates and
@@ -158,7 +160,8 @@ func randomTuple(rng *rand.Rand, id int) types.Tuple {
 // asserting identical results throughout (including categorical predicates
 // and open/closed interval endpoints, via randomQuery/randomInterval). The
 // flush threshold is shrunk so buffer merges happen constantly, and tuple
-// IDs are drawn from a small range so duplicate Adds are exercised too.
+// IDs are drawn from a small range so duplicate Adds — which store a new row
+// version, the values being redrawn — are exercised too.
 func TestShardedStoreMatchesReference(t *testing.T) {
 	defer func(old int) { maxBufferLen = old }(maxBufferLen)
 	maxBufferLen = 8
@@ -208,36 +211,19 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				if got, want := s.CountMatching(q), ref.CountMatching(q); got != want {
 					t.Fatalf("seed %d op %d: CountMatching(%s) = %d, reference %d", seed, op, q, got, want)
 				}
-			case 6: // ForEachMatching visits exactly the matching set, fully materialized
+			case 6: // ForEachMatching visits exactly the matching versions, in insertion order, fully materialized
 				q := randomQuery(rng)
-				want := ref.MatchingIDs(q)
-				got := make(map[int]bool)
+				want := ref.Matching(q)
+				n := 0
 				s.ForEachMatching(q, func(tp types.Tuple) bool {
-					if got[tp.ID] {
-						t.Fatalf("seed %d op %d: ForEachMatching(%s) visited t#%d twice", seed, op, q, tp.ID)
+					if n >= len(want) || !tp.Equal(want[n]) {
+						t.Fatalf("seed %d op %d: ForEachMatching(%s) visit %d = %v, reference %v", seed, op, q, n, tp, want[n:])
 					}
-					got[tp.ID] = true
-					refT := ref.byID[tp.ID]
-					if len(tp.Ord) != len(refT.Ord) {
-						t.Fatalf("seed %d op %d: t#%d Ord len %d, reference %d", seed, op, tp.ID, len(tp.Ord), len(refT.Ord))
-					}
-					for i := range tp.Ord {
-						if tp.Ord[i] != refT.Ord[i] {
-							t.Fatalf("seed %d op %d: t#%d Ord[%d]=%g, reference %g", seed, op, tp.ID, i, tp.Ord[i], refT.Ord[i])
-						}
-					}
-					if tp.Cat["c"] != refT.Cat["c"] {
-						t.Fatalf("seed %d op %d: t#%d Cat=%q, reference %q", seed, op, tp.ID, tp.Cat["c"], refT.Cat["c"])
-					}
+					n++
 					return true
 				})
-				if len(got) != len(want) {
-					t.Fatalf("seed %d op %d: ForEachMatching(%s) visited %d, reference %d", seed, op, q, len(got), len(want))
-				}
-				for id := range want {
-					if !got[id] {
-						t.Fatalf("seed %d op %d: ForEachMatching(%s) missed t#%d", seed, op, q, id)
-					}
+				if n != len(want) {
+					t.Fatalf("seed %d op %d: ForEachMatching(%s) visited %d, reference %d", seed, op, q, n, len(want))
 				}
 			case 7: // Get / Has round-trip through the columnar arena
 				id := rng.Intn(200)
@@ -251,8 +237,8 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if s.Size() != len(ref.all) {
-			t.Fatalf("seed %d: Size = %d, reference %d", seed, s.Size(), len(ref.all))
+		if s.Size() != len(ref.byID) || s.Rows() != len(ref.all) {
+			t.Fatalf("seed %d: Size = %d Rows = %d, reference %d IDs in %d versions", seed, s.Size(), s.Rows(), len(ref.byID), len(ref.all))
 		}
 	}
 }

@@ -48,6 +48,35 @@ func TestForEachMatchingReentrant(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddAcrossBlockBoundaries: writers racing over many arena
+// block boundaries. A shard merge orders rows through a view, and a view
+// taken before the shard lock can predate a row — and the block holding it —
+// that a faster writer already slipped into the shard (index out of range in
+// the merge, about one run in eight of BenchmarkHistoryWriteMix/write-heavy).
+// The view is now taken under the shard lock, so it covers whatever the
+// shard holds.
+func TestConcurrentAddAcrossBlockBoundaries(t *testing.T) {
+	defer func(old int) { maxBufferLen = old }(maxBufferLen)
+	maxBufferLen = 64
+
+	s := NewStore(schema())
+	const writers, perW = 8, 4096 + 512
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				s.Add(types.Tuple{ID: w*perW + i, Ord: []float64{float64(i % 97), float64(w), 0}})
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s.Rows() != writers*perW || s.CountMatching(query.New()) != writers*perW {
+		t.Fatalf("stored %d rows, counted %d, want %d", s.Rows(), s.CountMatching(query.New()), writers*perW)
+	}
+}
+
 // TestConcurrentAddReadStress hammers one store from many goroutines under
 // -race: writers stream batches in (crossing the flush threshold many times
 // on every shard), while readers run indexed lookups across all attributes

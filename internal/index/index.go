@@ -91,22 +91,11 @@ func (d *Dense1D) Lookup(attr int, iv types.Interval) (Interval1D, bool) {
 	// satisfy Hi >= iv.Lo at that point — scan until Lo passes iv.Lo.
 	i := sort.Search(len(regs), func(i int) bool { return regs[i].Range.Hi >= iv.Lo })
 	for ; i < len(regs) && regs[i].Range.Lo <= iv.Lo; i++ {
-		if covers1D(regs[i].Range, iv) {
+		if regs[i].Range.Covers(iv) {
 			return regs[i], true
 		}
 	}
 	return Interval1D{}, false
-}
-
-// covers1D reports whether outer fully contains inner.
-func covers1D(outer, inner types.Interval) bool {
-	if inner.Lo < outer.Lo || (inner.Lo == outer.Lo && outer.LoOpen && !inner.LoOpen) {
-		return false
-	}
-	if inner.Hi > outer.Hi || (inner.Hi == outer.Hi && outer.HiOpen && !inner.HiOpen) {
-		return false
-	}
-	return true
 }
 
 // Insert records a fully-crawled interval at FirstEpoch; see InsertEpoch.

@@ -121,16 +121,31 @@ func (q Query) Empty() bool {
 func (q Query) NumPredicates() int { return len(q.Ranges) + len(q.Cats) }
 
 // String renders the query as a WHERE-clause-like description. It is also
-// the canonical probe-cache and singleflight key, built on every upstream
-// probe and persisted inside checkpoints — so it is assembled with strconv
-// into one buffer (no fmt, no intermediate part strings) and its byte-level
-// format must never change.
+// the canonical probe-fact and singleflight key, built on every upstream
+// probe — so it is assembled with strconv into one buffer (no fmt, no
+// intermediate part strings) and its byte-level format must never change.
 func (q Query) String() string {
-	if len(q.Ranges) == 0 && len(q.Cats) == 0 {
-		return "TRUE"
-	}
 	sc := keyScratch.Get().(*queryScratch)
-	b := sc.buf[:0]
+	sc.buf = q.appendString(sc.buf[:0], sc)
+	out := string(sc.buf)
+	keyScratch.Put(sc)
+	return out
+}
+
+// AppendString appends the canonical form String returns to dst — for
+// callers that only look the key up and can do so from bytes they own,
+// without allocating the string.
+func (q Query) AppendString(dst []byte) []byte {
+	sc := keyScratch.Get().(*queryScratch)
+	dst = q.appendString(dst, sc)
+	keyScratch.Put(sc)
+	return dst
+}
+
+func (q Query) appendString(b []byte, sc *queryScratch) []byte {
+	if len(q.Ranges) == 0 && len(q.Cats) == 0 {
+		return append(b, "TRUE"...)
+	}
 	attrs := sc.attrs[:0]
 	for a := range q.Ranges {
 		attrs = append(attrs, a)
@@ -171,11 +186,9 @@ func (q Query) String() string {
 		b = append(b, " = "...)
 		b = strconv.AppendQuote(b, q.Cats[n])
 	}
-	out := string(b)
 	clear(names) // drop borrowed name strings before pooling
-	sc.buf, sc.attrs, sc.names = b[:0], attrs[:0], names[:0]
-	keyScratch.Put(sc)
-	return out
+	sc.attrs, sc.names = attrs[:0], names[:0]
+	return b
 }
 
 // queryScratch pools the buffers String needs, so building a probe key
@@ -242,11 +255,7 @@ func (b Box) Intersect(o Box) Box {
 // ContainsBox reports whether o is entirely inside b.
 func (b Box) ContainsBox(o Box) bool {
 	for i, iv := range b.Dims {
-		olo, ohi := o.Dims[i].Lo, o.Dims[i].Hi
-		if olo < iv.Lo || (olo == iv.Lo && iv.LoOpen && !o.Dims[i].LoOpen) {
-			return false
-		}
-		if ohi > iv.Hi || (ohi == iv.Hi && iv.HiOpen && !o.Dims[i].HiOpen) {
+		if !iv.Covers(o.Dims[i]) {
 			return false
 		}
 	}

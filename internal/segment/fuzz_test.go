@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"testing"
 )
 
@@ -14,7 +15,11 @@ var fuzzDelta = &Delta{
 	Tuples:  []Tuple{{ID: 9, Ord: []float64{5, 6}}},
 	Dense1:  []Dense1Op{{Attr: 1, Dim: Dim{Lo: 0, Hi: 9, HiOpen: true}, IDs: []int{1, 2}, Epoch: 1}},
 	DenseMD: []MDOp{{Attrs: []int{0, 1}, Dims: []Dim{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3, LoOpen: true}}, IDs: []int{9}}},
-	Probes:  []ProbeOp{{Key: "TRUE", IDs: []int{2, 1}, Epoch: 2}},
+	Probes: []ProbeOp{{
+		Ranges: []ProbeRange{{Attr: 0, Lo: 1.5, Hi: Bound(math.Inf(1)), LoOpen: true, HiOpen: true}},
+		Cats:   map[string]string{"c": "x"},
+		Rows:   []uint32{4, 3}, Epoch: 2,
+	}},
 }
 
 // FuzzDecodeLine feeds the journal-line decoder arbitrary bytes, both raw
@@ -69,7 +74,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	f.Add([]byte(`{"format":1,"fingerprint":{"schema":["price"]},"deltas":[null]}`))
+	f.Add([]byte(`{"format":2,"fingerprint":{"schema":["price"]},"deltas":[null]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := decodeSegment(data, testFP)
 		if err != nil {

@@ -2,6 +2,8 @@ package segment
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,6 +31,40 @@ func TestJournalLineRoundTrip(t *testing.T) {
 		len(got.Delta.Hist) != 2 || got.Delta.Hist[1].Cat["c"] != "x" ||
 		len(got.Delta.Dense1) != 1 || !got.Delta.Dense1[0].Dim.HiOpen {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+}
+
+// TestProbeOpBoundsRoundTrip: a probe's range may be half-unbounded, which a
+// JSON number cannot say; every bound value survives the journal exactly,
+// and a string that is not a non-finite float is refused.
+func TestProbeOpBoundsRoundTrip(t *testing.T) {
+	in := ProbeOp{
+		Ranges: []ProbeRange{
+			{Attr: 0, Lo: Bound(math.Inf(-1)), Hi: 12.5, LoOpen: true},
+			{Attr: 3, Lo: -0.1, Hi: Bound(math.Inf(1)), HiOpen: true},
+			{Attr: 4, Lo: Bound(math.NaN()), Hi: 1e300},
+		},
+		Cats: map[string]string{"c": "x"},
+		Rows: []uint32{7, 0, math.MaxUint32},
+	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out ProbeOp
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("%s: %v", data, err)
+	}
+	again, _ := json.Marshal(out)
+	if !bytes.Equal(again, data) || !math.IsInf(float64(out.Ranges[0].Lo), -1) || out.Ranges[0].Hi != 12.5 ||
+		!math.IsInf(float64(out.Ranges[1].Hi), 1) || !math.IsNaN(float64(out.Ranges[2].Lo)) || out.Rows[2] != math.MaxUint32 {
+		t.Fatalf("round trip: %s became %+v (%s)", data, out, again)
+	}
+	for _, bad := range []string{`"12.5"`, `"huge"`, `""`, `"+Inf`, `true`} {
+		var b Bound
+		if err := json.Unmarshal([]byte(bad), &b); err == nil {
+			t.Errorf("bound %s accepted as %v", bad, b)
+		}
 	}
 }
 

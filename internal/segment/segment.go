@@ -59,13 +59,18 @@ package segment
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/acquire"
 )
 
-// Format is the segment/journal format version this package reads and
-// writes.
-const Format = 1
+// Format is the segment/journal format generation this package reads and
+// writes. A store written under any other generation is quarantined whole at
+// open and the namespace starts cold. Generation 2 changed what a probe
+// record carries: the structured query and arena rows (ProbeOp) instead of
+// the canonical key string and tuple IDs.
+const Format = 2
 
 // Fingerprint identifies the upstream deployment a store's knowledge came
 // from. Cached probe answers replay one specific upstream's responses
@@ -141,20 +146,65 @@ type MDOp struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
-// ProbeOp is one recorded complete probe answer entering the coalescing
-// LRU: the canonical query key and the answered tuple IDs in upstream rank
-// order. Only complete (valid/underflow) answers are ever recorded.
+// Bound is one endpoint of a probe query's range predicate. Region bounds
+// (Dim) are always finite, but a probe may be half-unbounded — "everything
+// after the cursor" — and JSON numbers cannot carry an infinity, so
+// non-finite values travel as the strings "+Inf", "-Inf" and "NaN".
+type Bound float64
+
+// MarshalJSON implements json.Marshaler.
+func (b Bound) MarshalJSON() ([]byte, error) {
+	f := float64(b)
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 64)), nil
+	}
+	return json.Marshal(f)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (b *Bound) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '"' {
+		str, err := strconv.Unquote(string(data))
+		if err != nil {
+			return fmt.Errorf("segment: bound %s: %w", data, err)
+		}
+		f, err := strconv.ParseFloat(str, 64)
+		if err != nil || !(math.IsInf(f, 0) || math.IsNaN(f)) {
+			return fmt.Errorf("segment: bound %s is not a non-finite float", data)
+		}
+		*b = Bound(f)
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(b))
+}
+
+// ProbeRange is one range predicate of a recorded probe query.
+type ProbeRange struct {
+	Attr   int   `json:"attr"`
+	Lo     Bound `json:"lo"`
+	Hi     Bound `json:"hi"`
+	LoOpen bool  `json:"loOpen,omitempty"`
+	HiOpen bool  `json:"hiOpen,omitempty"`
+}
+
+// ProbeOp is one recorded coverage fact: a probe query the upstream answered
+// completely, and the history arena rows holding the answered tuples in
+// upstream rank order. The query is carried in structured form (ranges in
+// ascending attribute order) so replay can index the fact by what its box
+// contains, not only by exact match. Rows always lie below the HistHi of the
+// delta that carries the op: a probe's page enters the arena before its fact
+// is recorded. Only complete (valid/underflow) answers are ever recorded.
 type ProbeOp struct {
-	Key string `json:"key"`
-	IDs []int  `json:"ids"`
-	// Epoch is the knowledge epoch the answer was learned under; 0 (older
-	// formats) replays as the first epoch.
+	Ranges []ProbeRange      `json:"ranges,omitempty"`
+	Cats   map[string]string `json:"cats,omitempty"`
+	Rows   []uint32          `json:"rows"`
+	// Epoch is the knowledge epoch the answer was learned under.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // Delta is one checkpoint's knowledge increment: the history arena rows
-// appended since the previous checkpoint, the dense-region and probe-cache
-// operations recorded since then, and payloads for every tuple an operation
+// appended since the previous checkpoint, the dense-region and probe-fact
+// operations recorded since then, and payloads for every tuple a region
 // references that is not covered by the committed history prefix. Replaying
 // all committed deltas in order through the engine's live insert paths
 // reconstructs the knowledge exactly.
@@ -165,8 +215,9 @@ type Delta struct {
 	HistLo int     `json:"histLo"`
 	HistHi int     `json:"histHi"`
 	Hist   []Tuple `json:"hist,omitempty"`
-	// Tuples resolves operation tuple IDs that are not in the committed
-	// history (rows < HistHi), e.g. under DisableHistory.
+	// Tuples resolves dense-region tuple IDs that are not in the committed
+	// history (rows < HistHi): regions inserted through the Knowledge API
+	// with tuples no probe brought in. Probe ops never need it.
 	Tuples  []Tuple    `json:"tuples,omitempty"`
 	Dense1  []Dense1Op `json:"dense1,omitempty"`
 	DenseMD []MDOp     `json:"denseMD,omitempty"`

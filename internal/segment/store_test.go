@@ -3,7 +3,7 @@ package segment
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,7 +18,7 @@ func testDelta(i, pad int) *Delta {
 		HistLo:  i * 2,
 		HistHi:  i*2 + 2,
 		Hist:    []Tuple{{ID: i * 2, Ord: []float64{float64(i), 1}}, {ID: i*2 + 1, Ord: []float64{float64(i), 2}}},
-		Probes:  []ProbeOp{{Key: fmt.Sprintf("probe-%d", i), IDs: []int{i * 2}}},
+		Probes:  []ProbeOp{{Ranges: []ProbeRange{{Attr: 0, Lo: Bound(i), Hi: Bound(math.Inf(1))}}, Rows: []uint32{uint32(i * 2)}}},
 		Queries: int64(i + 1),
 	}
 	for j := 0; j < pad; j++ {
@@ -217,6 +217,38 @@ func TestStoreQuarantinesForeignFingerprint(t *testing.T) {
 	}
 	// The fresh store works.
 	if err := s2.Append(testDelta(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreQuarantinesOtherFormatGeneration: a store written under an
+// earlier format generation (same upstream, same fingerprint) is moved aside
+// whole and the namespace starts cold — its records mean something else.
+func TestStoreQuarantinesOtherFormatGeneration(t *testing.T) {
+	dir := t.TempDir()
+	header, err := encodeRecord(&journalRecord{Kind: "header", Format: Format - 1, Fingerprint: &testFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := encodeRecord(&journalRecord{Kind: "delta", Seq: 1, Delta: testDelta(0, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal"), append(header, old...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{Fingerprint: testFP, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := replayAll(t, s); len(got) != 0 {
+		t.Fatalf("format-%d store replayed %d deltas under format %d, want 0", Format-1, len(got), Format)
+	}
+	if qnames, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*")); len(qnames) == 0 {
+		t.Fatal("old-format journal not quarantined")
+	}
+	if err := s.Append(testDelta(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

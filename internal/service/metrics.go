@@ -49,7 +49,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	counter("rerank_engine_queries_total", "Lifetime upstream queries issued by the engine.", st.EngineQueries)
 	gauge("rerank_history_tuples", "Tuples in the cross-query answer history.", int64(st.HistoryTuples))
-	gauge("rerank_probe_cache_entries", "Complete probe answers in the coalescing LRU.", int64(st.ProbeCacheEntries))
+	gauge("rerank_probe_cache_entries", "Complete probe answers held as facts over the history arena.", int64(st.ProbeCacheEntries))
+	gauge("rerank_probe_fact_bytes", "Approximate resident bytes of the held probe facts (queries and row references).", st.ProbeFactBytes)
+	counter("rerank_probe_contained_total", "Probes answered free from a held complete answer whose box contains them.", st.ProbeContainedHits)
 	gauge("rerank_md_dense_regions", "Crawled MD dense regions across attribute subsets.", int64(st.MDDenseRegions))
 	gauge("rerank_dense_md_buckets", "Occupied MD centroid-grid cells.", int64(st.DenseMDBuckets))
 	gauge("rerank_dense_md_max_bucket", "Largest MD centroid-grid cell population.", int64(st.DenseMDMaxBucket))
@@ -73,7 +75,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("rerank_storage_blocks", "Sealed column blocks in the history arena.", int64(st.StorageBlocks))
 	gauge("rerank_storage_dict_entries", "Interned categorical symbols in the shared dictionary.", int64(st.StorageDictEntries))
 	gauge("rerank_storage_resident_tuples", "Rows resident in the columnar arena.", int64(st.StorageResidentTuples))
-	gauge("rerank_storage_approx_bytes", "Approximate resident bytes of columnar storage plus cached probe answers.", st.StorageApproxBytes)
+	gauge("rerank_storage_approx_bytes", "Approximate resident bytes of columnar storage plus probe facts.", st.StorageApproxBytes)
 
 	acqEnabled := int64(0)
 	if st.AcquireEnabled {
@@ -140,8 +142,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(u UpstreamStats) int64 { return u.EngineQueries })
 		labeled("rerank_upstream_history_tuples", "Tuples in the cross-query answer history, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.HistoryTuples) })
-		labeled("rerank_upstream_probe_cache_entries", "Complete probe answers in the coalescing LRU, per upstream namespace.", "gauge",
+		labeled("rerank_upstream_probe_cache_entries", "Complete probe answers held as facts, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.ProbeCacheEntries) })
+		labeled("rerank_upstream_probe_contained_total", "Probes answered free by containment, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.ProbeContainedHits })
 		labeled("rerank_upstream_md_dense_regions", "Crawled MD dense regions, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) })
 		labeled("rerank_upstream_admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge",

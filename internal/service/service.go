@@ -150,6 +150,12 @@ type UpstreamStats struct {
 	StorageDictEntries    int   `json:"storageDictEntries"`
 	StorageResidentTuples int   `json:"storageResidentTuples"`
 	StorageApproxBytes    int64 `json:"storageApproxBytes"`
+	// ProbeContainedHits counts probes answered free by filtering a held
+	// complete answer whose box contains them (exact hits are not counted);
+	// ProbeFactBytes approximates what the ProbeCacheEntries held answers
+	// occupy — queries and row references; their tuples are history rows.
+	ProbeContainedHits int64 `json:"probeContainedHits"`
+	ProbeFactBytes     int64 `json:"probeFactBytes"`
 
 	// Living-upstream state: the knowledge epoch, sentinel drift detection,
 	// lazy re-validation and probe-guard counters (see docs/epochs.md).
@@ -195,9 +201,14 @@ type Stats struct {
 	EngineQueries int64 `json:"engineQueries"`
 	HistoryTuples int   `json:"historyTuples"`
 	// ProbeCacheEntries is the number of complete probe answers the
-	// coalescing LRUs currently hold — the probes the service can answer
-	// for zero upstream cost (persisted across restarts by the data dir).
-	ProbeCacheEntries int `json:"probeCacheEntries"`
+	// coalescing layers currently hold as facts over the history arena
+	// (persisted across restarts by the data dir). Each answers its own
+	// probe and every probe its box contains for zero upstream cost;
+	// ProbeContainedHits counts the latter kind of hit, ProbeFactBytes
+	// approximates the facts' footprint.
+	ProbeCacheEntries  int   `json:"probeCacheEntries"`
+	ProbeContainedHits int64 `json:"probeContainedHits"`
+	ProbeFactBytes     int64 `json:"probeFactBytes"`
 	// MDDenseRegions is the number of crawled MD dense regions across all
 	// ranked-attribute subsets — the boxes MD-RERANK answers locally for
 	// zero upstream cost (persisted across restarts by the data dir).
@@ -584,7 +595,9 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	us.StorageBlocks = ss.Blocks
 	us.StorageDictEntries = ss.DictEntries
 	us.StorageResidentTuples = ss.Tuples
-	us.StorageApproxBytes = ss.ApproxBytes + eng.ProbeCacheBytes()
+	us.ProbeContainedHits = eng.ProbeContainedHits()
+	us.ProbeFactBytes = eng.ProbeCacheBytes()
+	us.StorageApproxBytes = ss.ApproxBytes + us.ProbeFactBytes
 	if hdb, ok := t.db.(*hidden.DB); ok {
 		us.UpstreamRanker = hdb.RankerName()
 	}
@@ -632,6 +645,8 @@ func (s *Server) Stats() Stats {
 		st.EngineQueries += us.EngineQueries
 		st.HistoryTuples += us.HistoryTuples
 		st.ProbeCacheEntries += us.ProbeCacheEntries
+		st.ProbeContainedHits += us.ProbeContainedHits
+		st.ProbeFactBytes += us.ProbeFactBytes
 		st.MDDenseRegions += us.MDDenseRegions
 		st.DenseMDBuckets += us.DenseMDBuckets
 		if us.DenseMDMaxBucket > st.DenseMDMaxBucket {

@@ -183,7 +183,7 @@ func TestClientBudgetWindow(t *testing.T) {
 	db := bnDB(t, 600)
 	srv, _, client := servingPipeline(t, db, Options{
 		Core:               core.Options{N: 600},
-		ClientBudget:       3, // any real request costs more than this
+		ClientBudget:       3, // a cold request over a window this wide costs more
 		ClientBudgetWindow: time.Hour,
 	})
 	now := time.Unix(1_700_000_000, 0)
@@ -199,7 +199,7 @@ func TestClientBudgetWindow(t *testing.T) {
 	}
 
 	client.ClientID = "alice"
-	resp, err := client.Rerank(mdRequest(55, 62, 3))
+	resp, err := client.Rerank(mdRequest(20, 90, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestClientBudgetWindow(t *testing.T) {
 		t.Fatalf("precondition: request cost %d ≤ budget", resp.QueriesIssued)
 	}
 	// Alice is now over budget: shed with Retry-After ≈ window remaining.
-	_, err = client.Rerank(mdRequest(55, 62, 3))
+	_, err = client.Rerank(mdRequest(20, 90, 3))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-budget request: got %v, want 429", err)
@@ -220,7 +220,7 @@ func TestClientBudgetWindow(t *testing.T) {
 	}
 	// A different client key has its own window.
 	client.ClientID = "bob"
-	if _, err := client.Rerank(mdRequest(55, 62, 3)); err != nil {
+	if _, err := client.Rerank(mdRequest(20, 90, 3)); err != nil {
 		t.Fatalf("other client rejected: %v", err)
 	}
 	// Window expiry readmits alice.
@@ -228,7 +228,7 @@ func TestClientBudgetWindow(t *testing.T) {
 	clock.t = now.Add(time.Hour + time.Second)
 	clock.mu.Unlock()
 	client.ClientID = "alice"
-	if _, err := client.Rerank(mdRequest(55, 62, 3)); err != nil {
+	if _, err := client.Rerank(mdRequest(20, 90, 3)); err != nil {
 		t.Fatalf("post-window request rejected: %v", err)
 	}
 }
@@ -636,6 +636,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rerank_rejected_total{cause=\"budget\"} 0",
 		"rerank_draining 0",
 		fmt.Sprintf("rerank_history_tuples %d", st.HistoryTuples),
+		// An exact hit and a contained one are told apart, flat and per
+		// namespace, and the facts' footprint is a gauge of its own.
+		fmt.Sprintf("rerank_probe_cache_entries %d", st.ProbeCacheEntries),
+		fmt.Sprintf("rerank_probe_contained_total %d", st.ProbeContainedHits),
+		fmt.Sprintf("rerank_upstream_probe_contained_total{upstream=\"default\"} %d", st.Upstreams["default"].ProbeContainedHits),
+		fmt.Sprintf("rerank_probe_fact_bytes %d", st.ProbeFactBytes),
+	}
+	if st.ProbeContainedHits == 0 || st.ProbeContainedHits != st.Upstreams["default"].ProbeContainedHits ||
+		st.ProbeFactBytes <= 0 || st.ProbeCacheEntries == 0 {
+		t.Errorf("probe fact stats: %d facts, %d B, %d contained hits (default namespace %d)",
+			st.ProbeCacheEntries, st.ProbeFactBytes, st.ProbeContainedHits, st.Upstreams["default"].ProbeContainedHits)
 	}
 	for _, line := range want {
 		if !strings.Contains(text, line) {

@@ -187,6 +187,26 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
+// Equal reports whether two tuples carry the same ID and the same attribute
+// values (slice and map identity do not matter). Two NaN values count as
+// equal, so a tuple always equals its own copy.
+func (t Tuple) Equal(o Tuple) bool {
+	if t.ID != o.ID || len(t.Ord) != len(o.Ord) || len(t.Cat) != len(o.Cat) {
+		return false
+	}
+	for i, x := range t.Ord {
+		if y := o.Ord[i]; x != y && (x == x || y == y) {
+			return false
+		}
+	}
+	for k, v := range t.Cat {
+		if ov, ok := o.Cat[k]; !ok || ov != v {
+			return false
+		}
+	}
+	return true
+}
+
 // stringScratch pools the builder and categorical-key slice used by
 // Tuple.String, which shows up in stream-encode profiles: rendering a tuple
 // allocates only the returned string once the pool is warm.
@@ -292,6 +312,18 @@ func (iv Interval) Intersect(o Interval) Interval {
 		r.Hi, r.HiOpen = o.Hi, o.HiOpen
 	}
 	return r
+}
+
+// Covers reports whether o lies entirely inside iv, comparing bounds only:
+// an empty o whose bounds stick out is reported as not covered.
+func (iv Interval) Covers(o Interval) bool {
+	if o.Lo < iv.Lo || (o.Lo == iv.Lo && iv.LoOpen && !o.LoOpen) {
+		return false
+	}
+	if o.Hi > iv.Hi || (o.Hi == iv.Hi && iv.HiOpen && !o.HiOpen) {
+		return false
+	}
+	return true
 }
 
 // Unbounded reports whether either side is infinite.
