@@ -7,12 +7,18 @@
 //     upstream TopK probes in flight at the same moment are issued once;
 //     followers block on the leader's result. This matters exactly when many
 //     users ask overlapping queries concurrently.
-//   - The fact index (facts.go): a bounded LRU of *complete* probe answers
-//     (valid or underflow results, §2.1) held as coverage facts over the
-//     history arena. A complete answer is authoritative for its whole box —
-//     the upstream returned every matching tuple — so it replays exactly,
-//     both for the identical probe and for every probe its box contains.
-//     Overflow pages are partial and never become facts.
+//   - The fact index (facts.go): a bounded LRU of probe answers held as
+//     coverage facts over the history arena. A *complete* answer (a valid or
+//     underflow result, §2.1) is authoritative for its whole box — the
+//     upstream returned every matching tuple — so it replays exactly, both
+//     for the identical probe and for every probe its box contains. An
+//     overflow page is the exact answer to its own probe and nothing more:
+//     it is kept as a partial fact that replays, still flagged as
+//     overflowing, for the identical probe only.
+//
+// A probe whose query is trivially empty (query.Query.Empty: some range holds
+// no value) is answered here as an underflow — no upstream call, no charge,
+// no fact.
 //
 // The issuing leader adds the returned page to the history arena INSIDE its
 // flight, before the fact is admitted and before followers wake: a fact can
@@ -30,15 +36,16 @@
 // the engine's current epoch (a sentinel detected upstream drift) is not
 // replayed blindly and never answers by containment. Its first exact touch
 // issues exactly one confirming probe through the flight group: an unchanged
-// answer promotes the fact to the current epoch, a changed one replaces (or,
-// on overflow, evicts) just that fact. Options.DisableCoalescing opts out
-// entirely for upstreams too volatile even for that.
+// answer promotes the fact to the current epoch, a changed one replaces just
+// that fact. Options.DisableCoalescing opts out entirely for upstreams too
+// volatile even for that.
 //
 // The parallel speculative MD search (md.go) leans on this layer twice
 // over: its concurrent probe rounds dedup against other sessions' in-flight
 // probes exactly like sequential ones, and the complete answers of wasted
-// speculative probes become facts, so a mis-speculation's upstream cost is
-// never paid a second time.
+// speculative probes become facts (as do their overflow pages, for the
+// identical probe), so a mis-speculation's upstream cost is never paid a
+// second time.
 
 package core
 
@@ -136,8 +143,10 @@ type coalescer struct {
 	epochFn func() int64
 
 	// containedHits counts probes answered from a fact whose box contains
-	// them (exact hits are not counted here).
+	// them, partialHits probes answered by replaying their own overflow page
+	// (exact hits on complete facts are counted by neither).
 	containedHits atomic.Int64
+	partialHits   atomic.Int64
 	// Lazy re-validation outcome counters (see TopK).
 	revalPromoted atomic.Int64
 	revalEvicted  atomic.Int64
@@ -178,8 +187,8 @@ func (c *coalescer) revalStats() (promoted, evicted int64) {
 // seed admits one committed fact at the epoch it was learned under, without
 // a persistence record — the segment-replay path. A no-op when coalescing is
 // disabled or the cache is off.
-func (c *coalescer) seed(q query.Query, rows []uint32, epoch int64) {
-	c.facts.learn(q.String(), q, rows, false, epoch)
+func (c *coalescer) seed(q query.Query, rows []uint32, overflow bool, epoch int64) {
+	c.facts.learn(q.String(), q, rows, overflow, epoch)
 }
 
 // cacheSize returns the number of facts currently held.
@@ -205,6 +214,9 @@ func (c *coalescer) serve(key []byte, q query.Query, cur int64, contained bool) 
 	switch rows, kind := c.facts.lookup(key, q, cur, contained); kind {
 	case hitExact:
 		return hidden.Result{Tuples: c.hist.RowTuples(rows)}, true
+	case hitPartial:
+		c.partialHits.Add(1)
+		return hidden.Result{Tuples: c.hist.RowTuples(rows), Overflow: true}, true
 	case hitContained:
 		c.containedHits.Add(1)
 		return hidden.Result{Tuples: c.hist.RowTuplesMatching(q, rows)}, true
@@ -212,10 +224,13 @@ func (c *coalescer) serve(key []byte, q query.Query, cur int64, contained bool) 
 	return hidden.Result{}, false
 }
 
-// lookup answers q from what the fact index already knows — the identical
-// complete answer, or the part of a containing complete answer that matches
-// q — without ever touching the upstream.
+// lookup answers q from what is already known — nothing can match an empty
+// query; otherwise the identical answer, or the part of a containing complete
+// answer that matches q — without ever touching the upstream.
 func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
+	if q.Empty() {
+		return hidden.Result{}, true
+	}
 	if c.facts == nil {
 		return hidden.Result{}, false
 	}
@@ -253,10 +268,13 @@ func (c *coalescer) TopK(q query.Query) (res hidden.Result, issued bool, err err
 // group issues exactly one confirming upstream probe. An answer citing the
 // same arena rows — the arena gives a tuple whose values changed a new row —
 // promotes the fact to the current epoch (the knowledge survived the drift);
-// a different one replaces the fact — or evicts it, when the fresh answer
-// overflowed and proves nothing about the box any more. Either way the
-// stale fact costs one probe on first touch, never a wholesale flush.
+// a different one replaces the fact, complete or partial as the fresh answer
+// is. Either way the stale fact costs one probe on first touch, never a
+// wholesale flush.
 func (c *coalescer) fetch(q query.Query) (res hidden.Result, issued bool, err error) {
+	if q.Empty() {
+		return hidden.Result{}, false, nil
+	}
 	if c.disabled {
 		if res, err = c.db.TopK(q); err == nil {
 			c.hist.Add(res.Tuples...)

@@ -37,6 +37,77 @@ func TestEmptyResultSets(t *testing.T) {
 	}
 }
 
+// TestEmptyProbesStayLocal: a probe with a trivially empty range — a search
+// step intersected with a user window it lies outside of, say — is an
+// underflow the coalescing layer answers itself, on every issue path and with
+// the layer switched off: no upstream call, no charge, no fact.
+func TestEmptyProbesStayLocal(t *testing.T) {
+	empty := []query.Query{
+		query.New().WithRange(0, types.Interval{Lo: 12.3, Hi: 1.96, LoOpen: true}),
+		query.New().WithRange(1, types.Interval{Lo: 5, Hi: 5, HiOpen: true}).WithCat("cat", "x"),
+	}
+	for name, opts := range map[string]Options{
+		"coalesced":    {N: 100, SearchParallelism: 4},
+		"cache off":    {N: 100, SearchParallelism: 4, ProbeCacheSize: -1},
+		"pass-through": {N: 100, SearchParallelism: 4, DisableCoalescing: true},
+	} {
+		rng := rand.New(rand.NewSource(72))
+		db, _ := newTestDB(t, rng, 2, 100, 5, false, nil)
+		e := NewEngine(db, opts)
+		s := e.NewSession()
+		out := make([]probeResult, len(empty))
+		s.issueAll(empty, out) // the round's pre-lookup
+		for i, q := range empty {
+			for path, issue := range map[string]func(query.Query) (hidden.Result, bool, error){
+				"TopK": s.issueCounted, "fetch": s.fetchCounted,
+				"issueAll": func(query.Query) (hidden.Result, bool, error) { return out[i].res, out[i].issued, out[i].err },
+			} {
+				res, issued, err := issue(q)
+				if err != nil || issued || res.Overflow || len(res.Tuples) != 0 {
+					t.Fatalf("%s/%s: %s answered %v (overflow %v, issued %v, err %v), want a free underflow",
+						name, path, q, res.Tuples, res.Overflow, issued, err)
+				}
+			}
+		}
+		if s.Queries() != 0 || e.Queries() != 0 || db.QueryCount() != 0 || e.ProbeCacheEntries() != 0 {
+			t.Fatalf("%s: session charged %d, engine %d, upstream saw %d, %d facts held; want all 0",
+				name, s.Queries(), e.Queries(), db.QueryCount(), e.ProbeCacheEntries())
+		}
+	}
+}
+
+// TestSearchFloorHonoursUserRange: halving for the first tuple starts at the
+// tighter of V(Ai)'s bound and the user's own bound on the ranked attribute,
+// open or closed as that bound is, in either direction — not at the far end
+// of a domain the user has already excluded.
+func TestSearchFloorHonoursUserRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	db, _ := newTestDB(t, rng, 2, 100, 5, false, nil) // every domain is [0, 100]
+	e := NewEngine(db, Options{N: 100})
+	for _, tc := range []struct {
+		name  string
+		q     query.Query
+		dir   ranking.Direction
+		floor float64
+		open  bool
+	}{
+		{"no range, asc", query.New(), ranking.Asc, 0, false},
+		{"no range, desc", query.New(), ranking.Desc, -100, false},
+		{"range on another attribute", query.New().WithRange(1, types.ClosedInterval(20, 30)), ranking.Asc, 0, false},
+		{"closed window, asc", query.New().WithRange(0, types.ClosedInterval(20, 30)), ranking.Asc, 20, false},
+		{"closed window, desc", query.New().WithRange(0, types.ClosedInterval(20, 30)), ranking.Desc, -30, false},
+		{"open window, asc", query.New().WithRange(0, types.OpenInterval(20, 30)), ranking.Asc, 20, true},
+		{"half-open window, desc", query.New().WithRange(0, types.Interval{Lo: 20, Hi: 30, HiOpen: true}), ranking.Desc, -30, true},
+		{"window wider than the domain", query.New().WithRange(0, types.ClosedInterval(-5, 200)), ranking.Desc, -100, false},
+		{"open at the domain's own bound", query.New().WithRange(0, types.OpenInterval(0, 50)), ranking.Asc, 0, true},
+	} {
+		floor, open := e.NewOneDCursor(tc.q, 0, tc.dir, Binary).searchFloor()
+		if floor != tc.floor || open != tc.open {
+			t.Errorf("%s: search floor %g (open %v), want %g (open %v)", tc.name, floor, open, tc.floor, tc.open)
+		}
+	}
+}
+
 // TestSingleTupleDB: the smallest database must round-trip through every
 // algorithm.
 func TestSingleTupleDB(t *testing.T) {

@@ -115,8 +115,8 @@ type Options struct {
 	// can change during the engine's lifetime, or for paper-faithful
 	// per-probe cost accounting in experiments.
 	DisableCoalescing bool
-	// ProbeCacheSize bounds the fact index — complete probe answers kept as
-	// row references, least recently used evicted first: 0 means the
+	// ProbeCacheSize bounds the fact index — probe answers kept as row
+	// references, least recently used evicted first: 0 means the
 	// default (16384 facts), negative disables it while keeping in-flight
 	// dedup.
 	ProbeCacheSize int
@@ -156,6 +156,11 @@ type Engine struct {
 	// improvement before their result could be used.
 	specIssued atomic.Int64
 	specWasted atomic.Int64
+
+	// 1D-RERANK certification probes (oned.go) by outcome: a complete page
+	// settled the Get-Next outright, an overflowing one left halving to do.
+	certComplete atomic.Int64
+	certOverflow atomic.Int64
 
 	// Sentinel drift detection (see sentinel.go): digests of the fixed
 	// sentinel probe set from the previous pass, compared each pass.
@@ -198,11 +203,12 @@ func (e *Engine) History() *history.Store { return e.know.hist }
 // DenseIndex1D exposes the 1D dense index for inspection by experiments.
 func (e *Engine) DenseIndex1D() *index.Dense1D { return e.know.dense1 }
 
-// ProbeCacheEntries returns the number of complete probe answers currently
-// held as facts by the coalescing layer (0 when coalescing or the cache is
-// disabled). Checkpoints persist them, so after a warm restart this is a
-// lower bound on the probes the engine answers for zero upstream cost: each
-// fact also answers every probe its box contains.
+// ProbeCacheEntries returns the number of probe answers — complete ones and
+// overflow pages — currently held as facts by the coalescing layer (0 when
+// coalescing or the cache is disabled). Checkpoints persist them, so after a
+// warm restart this is a lower bound on the probes the engine answers for
+// zero upstream cost: a complete fact also answers every probe its box
+// contains.
 func (e *Engine) ProbeCacheEntries() int { return e.probes.cacheSize() }
 
 // ProbeCacheBytes approximates the resident bytes of those facts (queries,
@@ -212,6 +218,18 @@ func (e *Engine) ProbeCacheBytes() int64 { return e.probes.cacheBytes() }
 // ProbeContainedHits returns how many probes were answered, for zero
 // upstream queries, by filtering a fact whose box contains them.
 func (e *Engine) ProbeContainedHits() int64 { return e.probes.containedHits.Load() }
+
+// ProbePartialHits returns how many probes were answered, for zero upstream
+// queries, by replaying the overflow page the identical probe got before.
+func (e *Engine) ProbePartialHits() int64 { return e.probes.partialHits.Load() }
+
+// CertificationStats returns the engine-lifetime outcomes of 1D-RERANK's
+// certification probes — at most one per Get-Next, issued over (last, cand]
+// when history supplied the candidate: complete pages, which answered the
+// Get-Next outright, and overflowing ones, after which the search bisected.
+func (e *Engine) CertificationStats() (complete, overflow int64) {
+	return e.certComplete.Load(), e.certOverflow.Load()
+}
 
 // StorageStats returns the history store's columnar storage counters.
 func (e *Engine) StorageStats() history.StorageStats { return e.know.hist.StorageStats() }

@@ -1,40 +1,47 @@
 // The probe layer's memory: coverage facts over the history arena.
 //
-// A complete (valid or underflow, §2.1) probe answer is authoritative for
-// its whole box: the upstream returned EVERY tuple matching the query, in
-// its own rank order. The fact index remembers such answers as facts
+// Every probe answer is remembered as a fact
 //
 //	{query box + categorical predicates, epoch, arena rows in rank order}
 //
-// and stores no tuple payload of its own — the history arena already holds
-// every tuple any probe ever returned, and a fact only cites rows of it. A
-// fact answers two kinds of probe for zero upstream queries:
+// which stores no tuple payload of its own — the history arena already holds
+// every tuple any probe ever returned, and a fact only cites rows of it.
+// There are two kinds, told apart by what the upstream said (§2.1):
 //
-//   - the identical probe (exact canonical-key match), at any epoch — a
-//     stale one after one confirming probe (see coalescer.fetch);
-//   - every probe its box CONTAINS (outer ranges ⊇ inner ranges, outer
-//     categorical predicates ⊆ inner ones), at the current epoch only: the
-//     answer is the fact's rows filtered by the inner query, order kept,
-//     which is exactly what the upstream would say, because the upstream's
-//     ranking is one static order and a complete answer lists all of the
-//     box in that order.
+//   - A COMPLETE answer (valid or underflow) is authoritative for its whole
+//     box: the upstream returned EVERY tuple matching the query, in its own
+//     rank order. Such a fact answers the identical probe (exact
+//     canonical-key match) and, at the current epoch only, every probe its
+//     box CONTAINS (outer ranges ⊇ inner ranges, outer categorical
+//     predicates ⊆ inner ones): the answer is the fact's rows filtered by
+//     the inner query, order kept, which is exactly what the upstream would
+//     say, because the upstream's ranking is one static order and a complete
+//     answer lists all of the box in that order.
+//   - An OVERFLOW page is the exact top-k of its box and proves nothing
+//     about the rest of it. It is kept as a PARTIAL fact, filed under its
+//     exact key only and never in the containment index: it replays, flagged
+//     as overflowing, for the identical probe and contains nothing.
+//
+// Either kind answers its own probe at any epoch — a stale one after one
+// confirming probe (see coalescer.fetch).
 //
 // # Finding a containing fact without scanning every fact
 //
-// A fact can only contain a probe that constrains at least the attributes
-// the fact constrains, with the same categorical values. Facts are therefore
-// grouped by the exact set of range-constrained attributes (few distinct
-// sets exist; a bit mask rejects most groups in one AND) and, inside a
-// group, bucketed by a hash of their categorical predicates; a probe with c
-// categorical predicates visits the 2^c sub-signatures it can be contained
-// under (or every bucket of the group, when that is fewer). A bucket keeps
-// its facts ordered by the lower bound on the group's first attribute, with
-// a running maximum of the upper bounds beside it — the same binary search
-// plus short scan index.Dense1D.Lookup does, generalised to overlapping
-// intervals: candidates are the facts that start at or before the probe,
-// walked nearest first, and the walk stops as soon as nothing further left
-// reaches the probe's upper bound. Every candidate is verified in full, so
-// hash collisions cost time, never correctness.
+// A complete fact can only contain a probe that constrains at least the
+// attributes the fact constrains, with the same categorical values. Complete
+// facts are therefore grouped by the exact set of range-constrained
+// attributes (few distinct sets exist; a bit mask rejects most groups in one
+// AND) and, inside a group, bucketed by a hash of their categorical
+// predicates; a probe with c categorical predicates visits the 2^c
+// sub-signatures it can be contained under (or every bucket of the group,
+// when that is fewer). A bucket keeps its facts ordered by the lower bound on
+// the group's first attribute, with a running maximum of the upper bounds
+// beside it — the same binary search plus short scan index.Dense1D.Lookup
+// does, generalised to overlapping intervals: candidates are the facts that
+// start at or before the probe, walked nearest first, and the walk stops as
+// soon as nothing further left reaches the probe's upper bound. Every
+// candidate is verified in full, so hash collisions cost time, never
+// correctness.
 
 package core
 
@@ -63,18 +70,20 @@ type factRange struct {
 
 type factCat struct{ name, value string }
 
-// fact is one complete probe answer. Everything but epoch and the LRU links
-// is immutable once the fact is admitted, so rows may be read after the
-// index lock is released; a changed answer is a new fact.
+// fact is one probe answer. Everything but epoch and the LRU links is
+// immutable once the fact is admitted, so rows may be read after the index
+// lock is released; a changed answer is a new fact.
 type fact struct {
-	key    string      // canonical query string: the exact-match key
-	ranges []factRange // ascending attr
-	cats   []factCat   // ascending name
-	rows   []uint32    // history arena rows, upstream rank order
-	epoch  int64       // knowledge epoch the answer was learned or last confirmed under
+	key     string      // canonical query string: the exact-match key
+	ranges  []factRange // ascending attr
+	cats    []factCat   // ascending name
+	rows    []uint32    // history arena rows, upstream rank order
+	epoch   int64       // knowledge epoch the answer was learned or last confirmed under
+	partial bool        // an overflow page: answers its own key only
 
-	// group is where the index filed the fact; lo, hi its extent on the
-	// group's first attribute — what its bucket is ordered on (never NaN).
+	// group is where the containment index filed a complete fact (nil for a
+	// partial one); lo, hi its extent on the group's first attribute — what
+	// its bucket is ordered on (never NaN).
 	group  *factGroup
 	lo, hi float64
 
@@ -85,8 +94,8 @@ type fact struct {
 // line stay in the fact (the canonical key must round-trip through the
 // journal) but constrain nothing, so attrs — the fact's group signature —
 // leaves them out.
-func newFact(key string, q query.Query, rows []uint32, epoch int64) (f *fact, attrs []int) {
-	f = &fact{key: key, rows: rows, epoch: epoch, lo: math.Inf(-1), hi: math.Inf(1)}
+func newFact(key string, q query.Query, rows []uint32, partial bool, epoch int64) (f *fact, attrs []int) {
+	f = &fact{key: key, rows: rows, partial: partial, epoch: epoch, lo: math.Inf(-1), hi: math.Inf(1)}
 	if len(q.Ranges) > 0 {
 		f.ranges = make([]factRange, 0, len(q.Ranges))
 		for attr, iv := range q.Ranges {
@@ -301,20 +310,23 @@ func (x *factIndex) groupOf(attrs []int) *factGroup {
 
 // admit indexes f (whose group signature is attrs), replacing any fact
 // under the same key and evicting the least recently used beyond capacity.
+// A partial fact is filed under its key only: it contains nothing.
 func (x *factIndex) admit(f *fact, attrs []int) {
 	if old := x.byKey[f.key]; old != nil {
 		x.drop(old)
 	}
 	x.byKey[f.key] = f
 	x.pushFront(f)
-	f.group = x.groupOf(attrs)
-	h := x.catsHash(f)
-	b := f.group.buckets[h]
-	if b == nil {
-		b = &factBucket{}
-		f.group.buckets[h] = b
+	if !f.partial {
+		f.group = x.groupOf(attrs)
+		h := x.catsHash(f)
+		b := f.group.buckets[h]
+		if b == nil {
+			b = &factBucket{}
+			f.group.buckets[h] = b
+		}
+		b.insert(f)
 	}
-	b.insert(f)
 	x.entries.Add(1)
 	x.bytes.Add(f.size())
 	for len(x.byKey) > x.cap {
@@ -326,13 +338,15 @@ func (x *factIndex) admit(f *fact, attrs []int) {
 func (x *factIndex) drop(f *fact) {
 	delete(x.byKey, f.key)
 	x.unlink(f)
-	g, h := f.group, x.catsHash(f)
-	b := g.buckets[h]
-	b.remove(f)
-	if len(b.facts) == 0 {
-		delete(g.buckets, h)
-		if len(g.buckets) == 0 {
-			x.groups = slices.DeleteFunc(x.groups, func(o *factGroup) bool { return o == g })
+	if g := f.group; g != nil {
+		h := x.catsHash(f)
+		b := g.buckets[h]
+		b.remove(f)
+		if len(b.facts) == 0 {
+			delete(g.buckets, h)
+			if len(g.buckets) == 0 {
+				x.groups = slices.DeleteFunc(x.groups, func(o *factGroup) bool { return o == g })
+			}
 		}
 	}
 	x.entries.Add(-1)
@@ -344,15 +358,16 @@ type hitKind int
 
 const (
 	hitNone      hitKind = iota // no usable fact (an exact but stale one included)
-	hitExact                    // the fact answers q itself
+	hitExact                    // a complete fact answers q itself
+	hitPartial                  // a partial fact answers q itself: the rows are an overflow page
 	hitContained                // the fact's box contains q: filter its rows by q
 )
 
 // lookup returns the rows of a fact of epoch ≥ cur that answers q — the one
-// stored under q's own key (the canonical string, as bytes), else (when contained is set) one whose box
-// contains q. A stale fact under q's own key makes the lookup a miss without
-// consulting containment: its owner re-validates it with one confirming
-// probe.
+// stored under q's own key (the canonical string, as bytes), else (when
+// contained is set) a complete one whose box contains q. A stale fact under
+// q's own key makes the lookup a miss without consulting containment: its
+// owner re-validates it with one confirming probe.
 func (x *factIndex) lookup(key []byte, q query.Query, cur int64, contained bool) ([]uint32, hitKind) {
 	if x == nil {
 		return nil, hitNone
@@ -364,6 +379,9 @@ func (x *factIndex) lookup(key []byte, q query.Query, cur int64, contained bool)
 			return nil, hitNone
 		}
 		x.touch(f)
+		if f.partial {
+			return f.rows, hitPartial
+		}
 		return f.rows, hitExact
 	}
 	if !contained {
@@ -426,17 +444,18 @@ func (x *factIndex) containing(q query.Query, cur int64) *fact {
 
 // learnOutcome says what learn did with a fresh upstream answer.
 type learnOutcome struct {
-	fact *fact // the fact now holding the answer at epoch cur; nil when the answer overflowed
+	fact *fact // the fact now holding the answer at epoch cur
 	// A fact older than cur sat under the key: promoted when the fresh answer
-	// cites the same rows, evicted when it does not (replaced by the fresh
-	// fact, or dropped when the fresh answer overflowed).
+	// is the same (same rows, still complete or still overflowing), evicted
+	// when it is not and the fresh fact replaced it.
 	promoted, evicted bool
 }
 
-// learn records the upstream's fresh answer to q — rows, or an overflow —
-// as of epoch cur. An unchanged answer keeps its fact and moves it to cur;
-// a changed one becomes a new fact; an overflow page is partial, proves
-// nothing about its box, and removes whatever fact the key held.
+// learn records the upstream's fresh answer to q — rows, complete or an
+// overflow page — as of epoch cur. An unchanged answer keeps its fact and
+// moves it to cur; a changed one becomes a new fact of its own kind, so a box
+// that starts or stops overflowing swaps a complete fact for a partial one
+// or back.
 func (x *factIndex) learn(key string, q query.Query, rows []uint32, overflow bool, cur int64) (out learnOutcome) {
 	if x == nil {
 		return out
@@ -445,22 +464,16 @@ func (x *factIndex) learn(key string, q query.Query, rows []uint32, overflow boo
 	defer x.mu.Unlock()
 	old := x.byKey[key]
 	stale := old != nil && old.epoch < cur
-	switch {
-	case overflow:
-		if old != nil {
-			x.drop(old)
-		}
-		out.evicted = stale
-	case old != nil && slices.Equal(old.rows, rows):
+	if old != nil && old.partial == overflow && slices.Equal(old.rows, rows) {
 		if stale {
 			old.epoch = cur
 		}
 		x.touch(old)
 		out.fact, out.promoted = old, stale
-	default:
-		f, attrs := newFact(key, q, rows, cur)
-		x.admit(f, attrs)
-		out.fact, out.evicted = f, stale
+		return out
 	}
+	f, attrs := newFact(key, q, rows, overflow, cur)
+	x.admit(f, attrs)
+	out.fact, out.evicted = f, stale
 	return out
 }

@@ -12,50 +12,63 @@ import (
 )
 
 // benchFacts builds an engine holding n facts shaped like a serving
-// workload's leftovers: each is a short run (1–10 tuples, so complete at
-// k=10) of a 20 000-tuple corpus ordered by A0, starting anywhere — nested
-// and overlapping like 1D-RERANK's narrowing intervals — a quarter of them
-// also bounded on A1 (MD boxes), a quarter under a categorical predicate.
-// Facts cite the history rows of exactly the tuples their query matches. It
-// returns the corpus in A0 order and the facts' own queries.
-func benchFacts(b *testing.B, n int) (*Engine, []types.Tuple, []query.Query) {
+// workload's leftovers. Three quarters are complete: each a short run (1–10
+// tuples, so complete at k=10) of a 20 000-tuple corpus ordered by A0,
+// starting anywhere — nested and overlapping like 1D-RERANK's narrowing
+// intervals — a third of them also bounded on A1 (MD boxes), a third under a
+// categorical predicate; they cite the history rows of exactly the tuples
+// their query matches. The last quarter are partial: runs of 11–40 tuples
+// citing k of their rows, the overflow pages the wider steps of the same
+// searches leave behind. It returns the corpus in A0 order and the queries of
+// the complete and of the partial facts.
+func benchFacts(b *testing.B, n int) (e *Engine, tuples []types.Tuple, complete, partial []query.Query) {
 	b.Helper()
+	const k = 10
 	rng := rand.New(rand.NewSource(int64(n)))
-	db, tuples := newTestDB(b, rng, 2, 20000, 10, false, nil)
+	db, tuples := newTestDB(b, rng, 2, 20000, k, false, nil)
 	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Ord[0] < tuples[j].Ord[0] })
-	e := NewEngine(db, Options{N: len(tuples), ProbeCacheSize: n})
+	e = NewEngine(db, Options{N: len(tuples), ProbeCacheSize: n})
 	rows := e.History().AddRows(tuples)
-	qs := make([]query.Query, 0, n)
-	for len(qs) < n {
-		at := rng.Intn(len(tuples) - 10)
-		run := 1 + rng.Intn(10)
+	for held := 0; held < n; held = e.ProbeCacheEntries() { // a duplicate key replaces its fact
+		overflow := held%4 == 3
+		run := 1 + rng.Intn(k)
+		if overflow {
+			run = k + 1 + rng.Intn(3*k)
+		}
+		at := rng.Intn(len(tuples) - run)
 		q := query.New().WithRange(0, types.ClosedInterval(tuples[at].Ord[0], tuples[at+run-1].Ord[0]))
-		switch len(qs) % 4 {
+		switch held % 4 {
 		case 1:
 			q.Ranges[1] = types.ClosedInterval(0, 100)
 		case 2:
 			q.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
 		}
 		var cited []uint32
-		for i := at; i < at+run; i++ {
+		for i := at; i < at+run && len(cited) < k; i++ {
 			if q.Matches(tuples[i]) {
 				cited = append(cited, rows[i])
 			}
 		}
-		e.probes.seed(q, cited, e.Epoch())
-		if e.ProbeCacheEntries() > len(qs) { // a duplicate key replaces its fact
-			qs = append(qs, q)
+		e.probes.seed(q, cited, overflow, e.Epoch())
+		switch {
+		case e.ProbeCacheEntries() == held:
+		case overflow:
+			partial = append(partial, q)
+		default:
+			complete = append(complete, q)
 		}
 	}
-	return e, tuples, qs
+	return e, tuples, complete, partial
 }
 
-// BenchmarkProbeFacts prices the fact index's three lookup outcomes — the
+// BenchmarkProbeFacts prices the fact index's four lookup outcomes — the
 // whole of what a probe costs when the upstream is not needed, canonical key
 // included — at the default capacity and at a sixteenth of it:
 //
-//   - exact-hit: the probe is a held fact's own query; one allocation, the
-//     result slice over shared row forms;
+//   - exact-hit: the probe is a held complete fact's own query; one
+//     allocation, the result slice over shared row forms;
+//   - partial-hit: the probe is a held overflow page's own query; the same
+//     one allocation, k rows;
 //   - contained-hit: the probe is the inner part of a held fact's range plus
 //     a categorical predicate, so the fact's rows are filtered;
 //   - miss: no fact contains the probe — half of them span 12 tuples, wider
@@ -65,7 +78,7 @@ func benchFacts(b *testing.B, n int) (*Engine, []types.Tuple, []query.Query) {
 func BenchmarkProbeFacts(b *testing.B) {
 	var sink hidden.Result
 	for _, n := range []int{1024, 16384} {
-		e, tuples, facts := benchFacts(b, n)
+		e, tuples, facts, partial := benchFacts(b, n)
 		rng := rand.New(rand.NewSource(7))
 		span := func(width int) query.Query {
 			at := rng.Intn(len(tuples) - width)
@@ -96,7 +109,7 @@ func BenchmarkProbeFacts(b *testing.B) {
 			name string
 			qs   []query.Query
 			hit  bool
-		}{{"exact-hit", exact, true}, {"contained-hit", contained, true}, {"miss", miss, false}} {
+		}{{"exact-hit", exact, true}, {"partial-hit", partial, true}, {"contained-hit", contained, true}, {"miss", miss, false}} {
 			b.Run(fmt.Sprintf("%s/facts=%d", c.name, n), func(b *testing.B) {
 				for _, q := range c.qs {
 					if _, ok := e.probes.lookup(q); ok != c.hit {
@@ -110,10 +123,13 @@ func BenchmarkProbeFacts(b *testing.B) {
 				}
 			})
 		}
-		// The target that is a count, checked rather than hoped for: an exact
-		// hit allocates its result slice, nothing per tuple and no key.
-		if got := testing.AllocsPerRun(200, func() { sink, _ = e.probes.lookup(exact[0]) }); got > 1 {
-			b.Fatalf("exact hit at %d facts: %.0f allocs/op, want ≤ 1", n, got)
+		// The target that is a count, checked rather than hoped for: a hit on
+		// the probe's own key allocates its result slice, nothing per tuple
+		// and no key.
+		for name, q := range map[string]query.Query{"exact": exact[0], "partial": partial[0]} {
+			if got := testing.AllocsPerRun(200, func() { sink, _ = e.probes.lookup(q) }); got > 1 {
+				b.Fatalf("%s hit at %d facts: %.0f allocs/op, want ≤ 1", name, n, got)
+			}
 		}
 	}
 	_ = sink

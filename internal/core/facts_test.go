@@ -15,12 +15,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/hidden"
 	"repro/internal/query"
+	"repro/internal/ranking"
 	"repro/internal/segment"
 	"repro/internal/types"
 )
@@ -172,9 +174,10 @@ func costOf(t *testing.T, e *Engine, q query.Query) int64 {
 
 // TestStaleFactsAndContainment: a fact learned under an earlier epoch never
 // answers by containment, and its own probe costs exactly one confirming
-// query whatever the outcome — promoted (unchanged), replaced (a tuple
-// changed), evicted (the box overflows now). Only a promoted or replaced
-// fact contains again.
+// query whatever the outcome — promoted (unchanged), replaced by a fact of
+// the same kind (a tuple changed) or of the other kind (the box started or
+// stopped overflowing). A complete fact contains again once promoted or
+// replaced; a partial one answers its own probe and never a contained one.
 func TestStaleFactsAndContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
@@ -233,12 +236,12 @@ func TestStaleFactsAndContainment(t *testing.T) {
 		t.Fatalf("history resolves tuple %d to the old row version (%g)", victim.ID, got.Ord[1])
 	}
 
-	// Evict: the box holds more than k tuples now.
-	moved := 0
+	// Complete → partial: the box holds more than k tuples now.
+	var moved []types.Tuple
 	for _, tt := range tuples {
-		if moved <= 10-len(inside) && !iv.Contains(tt.Ord[0]) {
+		if len(moved) <= 10-len(inside) && !iv.Contains(tt.Ord[0]) {
 			db.SetOrd(tt.ID, 0, iv.Lo+(iv.Hi-iv.Lo)/2)
-			moved++
+			moved = append(moved, tt)
 		}
 	}
 	e.know.BumpEpoch()
@@ -247,10 +250,49 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	if p, ev := e.probes.revalStats(); p != 1 || ev != 2 {
 		t.Fatalf("after an overflowing confirmation: promoted %d evicted %d, want 1/2", p, ev)
 	}
-	if e.ProbeCacheEntries() >= before {
-		t.Fatalf("overflowed fact still held (%d facts, %d before)", e.ProbeCacheEntries(), before)
+	if e.ProbeCacheEntries() != before {
+		t.Fatalf("%d facts held, %d before: the overflow page must replace the complete fact under its key", e.ProbeCacheEntries(), before)
 	}
-	expect("outer again, no fact left", outer, 1)
+	s = e.NewSession()
+	res, err = s.issue(outer)
+	want, _ := db.TopK(outer)
+	if err != nil || s.Queries() != 0 || !res.Overflow || !resultsEqual(res, want) {
+		t.Fatalf("outer again: cost %d err %v overflow %v, want the upstream's overflow page for 0", s.Queries(), err, res.Overflow)
+	}
+	if e.ProbePartialHits() != 1 {
+		t.Fatalf("partial hits %d, want 1", e.ProbePartialHits())
+	}
+	expect("contained in the partial fact", inner(), 1)
+
+	// Partial, promoted: nothing changed, the page still overflows.
+	e.know.BumpEpoch()
+	expect("stale partial outer, unchanged upstream", outer, 1)
+	if p, ev := e.probes.revalStats(); p != 2 || ev != 2 {
+		t.Fatalf("after an unchanged overflowing confirmation: promoted %d evicted %d, want 2/2", p, ev)
+	}
+	expect("promoted partial outer", outer, 0)
+
+	// Partial → partial: the page's first tuple changed in place.
+	if !db.SetOrd(want.Tuples[0].ID, 1, want.Tuples[0].Ord[1]+1) {
+		t.Fatal("SetOrd refused")
+	}
+	e.know.BumpEpoch()
+	expect("stale partial outer, tuple changed", outer, 1)
+	if p, ev := e.probes.revalStats(); p != 2 || ev != 3 {
+		t.Fatalf("after a changed overflowing confirmation: promoted %d evicted %d, want 2/3", p, ev)
+	}
+	expect("replaced partial outer", outer, 0)
+
+	// Partial → complete: the box fits a page again.
+	for _, tt := range moved {
+		db.SetOrd(tt.ID, 0, tt.Ord[0])
+	}
+	e.know.BumpEpoch()
+	expect("stale partial outer, box complete again", outer, 1)
+	if p, ev := e.probes.revalStats(); p != 2 || ev != 4 {
+		t.Fatalf("after a completing confirmation: promoted %d evicted %d, want 2/4", p, ev)
+	}
+	expect("contained in the complete fact that replaced the partial one", inner(), 0)
 }
 
 // TestReplayedFactsAnswerContainedProbes: facts committed to the store land
@@ -294,9 +336,9 @@ func TestReplayedFactsAnswerContainedProbes(t *testing.T) {
 	}
 }
 
-// TestReopenOldFormatStartsCold: a store whose journal was written under an
-// earlier format generation (probe records meant key + tuple IDs then) is
-// quarantined whole and the engine boots cold.
+// TestReopenOldFormatStartsCold: a store whose journal was written under the
+// previous format generation (whose probe records were all complete answers:
+// it knew no overflow flag) is quarantined whole and the engine boots cold.
 func TestReopenOldFormatStartsCold(t *testing.T) {
 	db, tuples := persistTestWorld(t, 68)
 	e1 := persistedEngine(t, db, Options{N: 400})
@@ -333,11 +375,113 @@ func TestReopenOldFormatStartsCold(t *testing.T) {
 	}
 }
 
+// TestPartialFactsReplayOverflowPages: whoever re-asks a probe that
+// overflowed — a crawl splitting its region, the MD search partitioning a
+// box — gets the same page back, still flagged as overflowing, for nothing.
+// History reads are off, so a cursor plans from scratch and a repeated
+// request asks exactly the probes of the first.
+func TestPartialFactsReplayOverflowPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	db, tuples := newTestDB(t, rng, 2, 500, 10, false, systemRankers(2)[1])
+	e := NewEngine(db, Options{N: 500, DisableHistory: true})
+	wide := query.New().WithRange(0, types.ClosedInterval(20, 40)).WithCat("cat", "x")
+	r := ranking.MustLinear("mix", []int{0, 1}, []float64{1, 0.5})
+	for name, run := range map[string]func(s *Session) ([]types.Tuple, error){
+		"crawl": func(s *Session) ([]types.Tuple, error) { return s.CrawlAll(wide) },
+		"md": func(s *Session) ([]types.Tuple, error) {
+			cur, err := s.NewCursor(wide, r, Rerank)
+			if err != nil {
+				return nil, err
+			}
+			return TopH(cur, 8)
+		},
+		"1d": func(s *Session) ([]types.Tuple, error) {
+			return TopH(s.NewOneDCursor(wide, 1, ranking.Desc, Rerank), 8)
+		},
+	} {
+		s1 := e.NewSession()
+		first, err := run(s1)
+		if err != nil || s1.Queries() == 0 {
+			t.Fatalf("%s: cold run cost %d, err %v", name, s1.Queries(), err)
+		}
+		replays := e.ProbePartialHits()
+		s2, upstream := e.NewSession(), db.QueryCount()
+		again, err := run(s2)
+		if err != nil || s2.Queries() != 0 || db.QueryCount() != upstream {
+			t.Fatalf("%s: repeat charged %d, upstream saw %d more, err %v; want 0", name, s2.Queries(), db.QueryCount()-upstream, err)
+		}
+		if !slices.EqualFunc(first, again, types.Tuple.Equal) {
+			t.Fatalf("%s: repeat answered %v, first %v", name, again, first)
+		}
+		if e.ProbePartialHits() == replays {
+			t.Fatalf("%s: the repeat replayed no overflow page; the test exercised nothing", name)
+		}
+	}
+	want := 0
+	for _, tt := range tuples {
+		if wide.Matches(tt) {
+			want++
+		}
+	}
+	if got, _ := e.NewSession().CrawlAll(wide); len(got) != want {
+		t.Fatalf("crawl over replayed pages found %d tuples, the corpus holds %d", len(got), want)
+	}
+}
+
+// TestReopenReplaysPartialFacts: overflow pages ride the journal. After a
+// restart the identical probe replays — same tuples, still overflowing — for
+// nothing, a stale page costs its one confirming probe, and a probe inside a
+// replayed page's box goes upstream: it was never in the containment index.
+func TestReopenReplaysPartialFacts(t *testing.T) {
+	db, _ := persistTestWorld(t, 76)
+	e1 := persistedEngine(t, db, Options{N: 400})
+	wide := query.New().WithRange(0, types.ClosedInterval(10, 60))
+	stale := query.New().WithRange(1, types.ClosedInterval(20, 70)).WithCat("cat", "y")
+	s1 := e1.NewSession()
+	var pages []hidden.Result
+	for _, q := range []query.Query{wide, stale} {
+		res, err := s1.issue(q)
+		if err != nil || !res.Overflow {
+			t.Fatalf("precondition: %s: err %v overflow %v", q, err, res.Overflow)
+		}
+		pages = append(pages, res)
+	}
+	e1.know.BumpEpoch()
+	if _, err := s1.issue(wide); err != nil { // re-confirmed under the new epoch; stale is not
+		t.Fatal(err)
+	}
+
+	e2 := reopenViaStore(t, e1)
+	db.ResetCounter()
+	for i, step := range []struct {
+		name string
+		q    query.Query
+		cost int64
+	}{
+		{"replayed page", wide, 0},
+		{"replayed stale page", stale, 1},
+		{"stale page, promoted", stale, 0},
+		{"probe inside the replayed page's box", wide.WithRange(0, types.ClosedInterval(10, 30)), 1},
+	} {
+		s := e2.NewSession()
+		got, err := s.issue(step.q)
+		if err != nil || s.Queries() != step.cost {
+			t.Fatalf("%s: cost %d err %v, want %d", step.name, s.Queries(), err, step.cost)
+		}
+		if i < len(pages) && !resultsEqual(got, pages[i]) {
+			t.Fatalf("%s: answered %v (overflow %v), the upstream said %v", step.name, got.Tuples, got.Overflow, pages[i].Tuples)
+		}
+	}
+	if p, ev := e2.probes.revalStats(); p != 1 || ev != 0 || db.QueryCount() != 2 {
+		t.Fatalf("promoted %d evicted %d, upstream saw %d; want 1/0/2", p, ev, db.QueryCount())
+	}
+}
+
 // TestProbeCacheLRU pins the fact index's bounded-LRU behaviour through the
-// engine: complete answers are facts, overflow pages never are, a hit —
-// exact or contained — refreshes its fact, the least recently used fact is
-// evicted first, and once a containing fact is gone the probe it contained
-// costs a query again.
+// engine: complete answers and overflow pages are facts under one capacity,
+// a hit — exact, partial or contained — refreshes its fact, the least
+// recently used fact is evicted first, and once a containing fact is gone
+// the probe it contained costs a query again.
 func TestProbeCacheLRU(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
@@ -359,9 +503,11 @@ func TestProbeCacheLRU(t *testing.T) {
 		{"c cold, evicts b", c, 1, 2},
 		{"a survived", a, 0, 2},
 		{"b was evicted, evicts c", b, 1, 2},
-		{"overflow page is no fact", query.New(), 1, 2},
-		{"c cold again, evicts a", c, 1, 2},
-		{"probe inside a costs again", inA, 1, 2},
+		{"overflow page is a fact too, evicts a", query.New(), 1, 2},
+		{"overflow page replays (refreshes it)", query.New(), 0, 2},
+		{"probe inside a costs again, evicts b", inA, 1, 2},
+		{"overflow page survived", query.New(), 0, 2},
+		{"b was evicted", b, 1, 2},
 	} {
 		if got := costOf(t, e, step.q); got != step.cost {
 			t.Fatalf("%s: cost %d, want %d", step.name, got, step.cost)
@@ -374,8 +520,9 @@ func TestProbeCacheLRU(t *testing.T) {
 
 // TestFactCountersTrackAdmitsAndEvictions: the entry and byte gauges every
 // stats scrape reads are running counters — after any mix of admissions,
-// replacements and evictions they equal a walk over the index, which the
-// scrape therefore never has to take.
+// replacements (by a fact of either kind) and evictions they equal a walk
+// over the index, which the scrape therefore never has to take; and the
+// containment buckets hold exactly the complete facts.
 func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	x := newFactIndex(64)
@@ -395,9 +542,13 @@ func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 			continue
 		}
 		var entries, bytes int64
+		complete := 0
 		for f := x.head; f != nil; f = f.older {
 			entries++
 			bytes += f.size()
+			if !f.partial {
+				complete++
+			}
 		}
 		indexed := 0
 		for _, g := range x.groups {
@@ -405,9 +556,9 @@ func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 				indexed += len(b.facts)
 			}
 		}
-		if x.entries.Load() != entries || x.bytes.Load() != bytes || len(x.byKey) != int(entries) || indexed != int(entries) || entries > 64 {
-			t.Fatalf("after %d learns: counters say %d facts / %d B; the index holds %d (by key %d, in buckets %d) / %d B",
-				i+1, x.entries.Load(), x.bytes.Load(), entries, len(x.byKey), indexed, bytes)
+		if x.entries.Load() != entries || x.bytes.Load() != bytes || len(x.byKey) != int(entries) || indexed != complete || complete == int(entries) || entries > 64 {
+			t.Fatalf("after %d learns: counters say %d facts / %d B; the index holds %d (by key %d; %d complete, %d in buckets) / %d B",
+				i+1, x.entries.Load(), x.bytes.Load(), entries, len(x.byKey), complete, indexed, bytes)
 		}
 	}
 	if x.entries.Load() != 64 {
@@ -578,10 +729,12 @@ func fuzzQuery(data []byte) (query.Query, []byte) {
 	return q, data
 }
 
-// FuzzFactContainment: for a random fact set (with replacements, evictions
-// and mixed epochs) and a random probe, the index finds a containing
-// current-epoch fact exactly when brute force over every held fact does,
-// and what it returns does contain the probe.
+// FuzzFactContainment: for a random fact set (complete and partial, with
+// replacements of either kind by either kind, evictions and mixed epochs) and
+// a random probe, the index finds a containing current-epoch fact exactly
+// when brute force over every held COMPLETE fact does, and what it returns is
+// complete and does contain the probe — a partial fact never answers a
+// probe its box merely contains.
 func FuzzFactContainment(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 0, 1, 0, 1, 2, 1, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 0, 5, 1, 0, 5, 0, 3, 1, 3, 1, 1, 1, 1, 1, 0, 3, 0, 3, 1, 2, 1, 2, 0, 3, 1})
@@ -597,14 +750,14 @@ func FuzzFactContainment(f *testing.F) {
 		for len(data) > 0 {
 			var q query.Query
 			epoch := int64(1 + data[0]%2)
-			overflow := data[0]&4 != 0 && data[0]&8 != 0
+			overflow := data[0]&4 != 0
 			q, data = fuzzQuery(data[1:])
 			x.learn(q.String(), q, []uint32{uint32(len(data))}, overflow, epoch)
 		}
 		const cur = 2
 		want := false
 		for f := x.head; f != nil; f = f.older {
-			if f.epoch >= cur && f.covers(probe) {
+			if !f.partial && f.epoch >= cur && f.covers(probe) {
 				want = true
 			}
 		}
@@ -612,8 +765,21 @@ func FuzzFactContainment(f *testing.F) {
 		if (got != nil) != want {
 			t.Fatalf("index verdict %v, brute force %v, for probe %s over %d facts", got != nil, want, probe, len(x.byKey))
 		}
-		if got != nil && (got.epoch < cur || !got.covers(probe) || x.byKey[got.key] != got) {
-			t.Fatalf("index returned fact %s (epoch %d) for probe %s", got.key, got.epoch, probe)
+		if got != nil && (got.partial || got.epoch < cur || !got.covers(probe) || x.byKey[got.key] != got) {
+			t.Fatalf("index returned fact %s (epoch %d, partial %v) for probe %s", got.key, got.epoch, got.partial, probe)
+		}
+		// Through lookup, a partial fact answers its own key and nothing else.
+		for f := x.head; f != nil; f = f.older {
+			if !f.partial || f.epoch < cur {
+				continue
+			}
+			if _, kind := x.lookup([]byte(f.key), probe, cur, true); kind != hitPartial {
+				t.Fatalf("partial fact %s answered its own key as kind %d", f.key, kind)
+			}
+			break
+		}
+		if rows, kind := x.lookup(probe.AppendString(nil), probe, cur, true); kind == hitContained && !want || kind == hitNone && rows != nil {
+			t.Fatalf("lookup of %s: kind %d with no complete current fact containing it", probe, kind)
 		}
 	})
 }

@@ -11,6 +11,14 @@
 // point region if even that overflows), and the tie group is emitted from a
 // buffer. All search ranges are therefore strictly open at the cursor
 // position.
+//
+// 1D-RERANK spends a probe only on what it does not know yet. When history
+// already holds a candidate for the next tuple, one probe over (last, cand] —
+// closed at the candidate — certifies it: a complete page IS the answer (its
+// minimum, with the whole §5 tie group), and the cursor keeps the page as a
+// certified cover, so every later Get-Next and tie collection that falls
+// inside it costs nothing. Only an overflowing page, which merely improves
+// the candidate as Algorithm 1's step does, leaves halving to do.
 
 package core
 
@@ -41,6 +49,10 @@ type OneDCursor struct {
 	pending   []types.Tuple // small tie group awaiting emission
 	exhausted bool
 	opQueries int64 // queries spent in the current Next call
+	certified bool  // the current Next call has spent its certification probe
+
+	// cover is the last complete certification page (1D-RERANK only).
+	cover certCover
 
 	// Plateau state (§5): when more than k tuples share one attribute
 	// value, they are enumerated lazily — "one at a time" — through a
@@ -74,14 +86,33 @@ func (c *OneDCursor) axisOf(t types.Tuple) float64 {
 	return float64(c.dir) * t.Ord[c.attr]
 }
 
-// axisDomainLo returns the smallest axis coordinate inside the attribute's
-// domain.
-func (c *OneDCursor) axisDomainLo() float64 {
+// certCover is a complete answer the cursor holds for its own query over the
+// axis interval (lo, hi]: every matching tuple in it, in cursor order. It is
+// the 1D twin of mdResolver.covered, kept for the cursor's lifetime: what the
+// upstream said about the interval stays the cursor's truth whatever the
+// fact index forgets or an epoch bump marks stale. The zero value covers
+// nothing.
+type certCover struct {
+	lo, hi float64
+	tuples []types.Tuple
+}
+
+// searchFloor returns where the search for the first tuple starts: the
+// tighter of the attribute's domain bound (binary search runs over V(Ai),
+// §3.2.1) and the user query's own bound on the ranked attribute, in axis
+// space. open reports whether the floor itself is excluded.
+func (c *OneDCursor) searchFloor() (floor float64, open bool) {
 	d := c.s.e.db.Schema().Domain(c.attr)
-	if c.dir == ranking.Asc {
-		return d.Min
+	floor = d.Min
+	if c.dir == ranking.Desc {
+		floor = -d.Max
 	}
-	return -d.Max
+	if iv, ok := c.q.Ranges[c.attr]; ok {
+		if ax := c.realRange(iv); ax.Lo > floor || (ax.Lo == floor && ax.LoOpen) {
+			return ax.Lo, ax.LoOpen
+		}
+	}
+	return floor, false
 }
 
 // realRange converts an axis interval to the real-value interval for the
@@ -119,13 +150,13 @@ func (c *OneDCursor) minAxis(ts []types.Tuple) (types.Tuple, bool) {
 	return best, found
 }
 
-// histNext returns the best known (from history) tuple strictly after the
-// cursor position.
-func (c *OneDCursor) histNext() (types.Tuple, bool) {
+// histNext returns the best known (from history) tuple strictly after axis
+// position lo.
+func (c *OneDCursor) histNext(lo float64) (types.Tuple, bool) {
 	if c.s.e.opts.DisableHistory {
 		return types.Tuple{}, false
 	}
-	iv := types.Interval{Lo: c.lastAxis, LoOpen: true, Hi: math.Inf(1), HiOpen: true}
+	iv := types.Interval{Lo: lo, LoOpen: true, Hi: math.Inf(1), HiOpen: true}
 	real := c.realRange(iv)
 	if c.dir == ranking.Asc {
 		return c.s.e.know.hist.MinMatching(c.q, c.attr, real)
@@ -155,56 +186,71 @@ func (c *OneDCursor) Next() (types.Tuple, bool, error) {
 	if c.exhausted {
 		return types.Tuple{}, false, nil
 	}
-	c.opQueries = 0
-	var (
-		t   types.Tuple
-		ok  bool
-		err error
-	)
-	switch c.variant {
-	case Baseline:
-		t, ok, err = c.nextBaseline()
-	case Binary:
-		t, ok, err = c.nextBinary(false)
-	default:
-		t, ok, err = c.nextBinary(true)
-	}
-	if err != nil {
-		return types.Tuple{}, false, err
-	}
-	if !ok {
-		c.exhausted = true
-		return types.Tuple{}, false, nil
-	}
-	if err := c.collectTies(t); err != nil {
-		return types.Tuple{}, false, err
-	}
-	if c.sub != nil {
-		// Large plateau: emissions stream from the sub-cursor; the
-		// first pull must yield a tuple (t itself is in the plateau).
-		tt, ok, err := c.sub.Next()
+	c.opQueries, c.certified = 0, false
+	for {
+		var (
+			t   types.Tuple
+			ok  bool
+			err error
+		)
+		switch c.variant {
+		case Baseline:
+			t, ok, err = c.nextBaseline()
+		case Binary:
+			t, ok, err = c.nextBinary(false)
+		default:
+			t, ok, err = c.nextBinary(true)
+		}
 		if err != nil {
 			return types.Tuple{}, false, err
 		}
-		if ok {
-			return tt, true, nil
+		if !ok {
+			c.exhausted = true
+			return types.Tuple{}, false, nil
 		}
-		c.sub = nil
-		c.lastAxis = c.plateauAxis
-		return t, true, nil
+		if err := c.collectTies(t); err != nil {
+			return types.Tuple{}, false, err
+		}
+		if c.sub != nil {
+			// Large plateau: emissions stream from the sub-cursor; the
+			// first pull must yield a tuple (t itself is in the plateau).
+			tt, ok, err := c.sub.Next()
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			if ok {
+				return tt, true, nil
+			}
+			c.sub = nil
+			c.lastAxis = c.plateauAxis
+			return t, true, nil
+		}
+		c.lastAxis = c.axisOf(t)
+		if len(c.pending) == 0 {
+			// The search fell back on a history candidate the upstream no
+			// longer holds at that value (drift): nothing lies up to and
+			// including it, so search on from there.
+			continue
+		}
+		out := c.pending[0]
+		c.pending = c.pending[1:]
+		return out, true, nil
 	}
-	c.lastAxis = c.axisOf(t)
-	out := c.pending[0]
-	c.pending = c.pending[1:]
-	return out, true, nil
 }
 
 // collectTies fills the pending buffer with every tuple matching q that
-// shares t's attribute value (§5 general-positioning removal). Under
-// Options.AssumeGeneralPositioning the point query is skipped.
+// shares t's attribute value (§5 general-positioning removal): from the
+// certified cover when it spans the value, else by a point query, whose
+// answer is authoritative — t itself is left out when the upstream no longer
+// lists it there. Under Options.AssumeGeneralPositioning the point query is
+// skipped.
 func (c *OneDCursor) collectTies(t types.Tuple) error {
 	if c.s.e.opts.AssumeGeneralPositioning {
 		c.pending = []types.Tuple{t}
+		return nil
+	}
+	if ties, ok := c.cover.at(c, c.axisOf(t)); ok {
+		c.pending = append(c.pending[:0], ties...)
 		return nil
 	}
 	v := t.Ord[c.attr]
@@ -241,9 +287,6 @@ func (c *OneDCursor) collectTies(t types.Tuple) error {
 			c.pending = append(c.pending, tt)
 		}
 	}
-	if !seen[t.ID] {
-		c.pending = append(c.pending, t)
-	}
 	sort.Slice(c.pending, func(i, j int) bool { return c.pending[i].ID < c.pending[j].ID })
 	return nil
 }
@@ -269,7 +312,7 @@ func (c *OneDCursor) plateauCursor(v float64) (*OneDCursor, bool) {
 // nextBaseline is Algorithm 1: repeatedly narrow (last, cand) until the
 // query stops overflowing.
 func (c *OneDCursor) nextBaseline() (types.Tuple, bool, error) {
-	cand, have := c.histNext()
+	cand, have := c.histNext(c.lastAxis)
 	for {
 		hi := math.Inf(1)
 		if have {
@@ -303,74 +346,148 @@ func (c *OneDCursor) better(a, b types.Tuple) bool {
 
 // nextBinary is Algorithm 2 (dense=false) and Algorithm 3 (dense=true):
 // halve the search interval; with dense indexing, hand narrow intervals to
-// the oracle.
+// the oracle, and certify a history candidate before bisecting towards it.
 func (c *OneDCursor) nextBinary(dense bool) (types.Tuple, bool, error) {
-	cand, have := c.histNext()
-	if !have {
-		// No known upper bound: one unbounded probe (as in Algorithm
-		// 1's first step) to obtain a candidate or prove exhaustion.
-		res, err := c.issue(types.Interval{Lo: c.lastAxis, LoOpen: true, Hi: math.Inf(1), HiOpen: true})
-		if err != nil {
-			return types.Tuple{}, false, err
+	// lo is the position the search starts from (exclusive): the cursor's,
+	// or further on once a complete page has shown nothing lies in between.
+	lo := c.lastAxis
+	if c.cover.lo <= lo && lo < c.cover.hi {
+		if t, ok := c.cover.after(c, lo); ok {
+			return t, true, nil
 		}
-		m, found := c.minAxis(res.Tuples)
-		if !found {
-			return types.Tuple{}, false, nil
-		}
-		if !res.Overflow {
-			return m, true, nil
-		}
-		cand = m
-	}
-	// Invariant: the next tuple's axis value lies in (searchLo,
-	// cand.axis], where cand is a known, not-yet-emitted tuple. Before
-	// the first emission the search floor is the attribute's domain
-	// minimum (binary search runs over V(Ai), §3.2.1).
-	searchLo, searchLoOpen := c.lastAxis, true
-	if math.IsInf(searchLo, -1) {
-		searchLo, searchLoOpen = c.axisDomainLo(), false
+		lo = c.cover.hi
 	}
 	threshold := 0.0
 	if dense {
 		threshold = c.s.e.denseWidth1D(c.attr)
 	}
 	for {
-		width := c.axisOf(cand) - searchLo
-		if dense && threshold > 0 && width < threshold && !math.IsInf(searchLo, -1) {
-			return c.oracle(searchLo, searchLoOpen, cand)
-		}
-		mid := searchLo + width/2
-		if !(mid > searchLo) || !(mid < c.axisOf(cand)) || math.IsInf(searchLo, -1) {
-			// Interval no longer splittable (or unbounded below):
-			// finish with baseline narrowing.
-			return c.finishNarrow(searchLo, searchLoOpen, cand)
-		}
-		res, err := c.issue(types.Interval{Lo: searchLo, LoOpen: searchLoOpen, Hi: mid, HiOpen: true})
-		if err != nil {
-			return types.Tuple{}, false, err
-		}
-		if m, found := c.minAxis(res.Tuples); found {
+		cand, have := c.histNext(lo)
+		// Only a candidate history supplied is worth certifying (the
+		// upstream's own needs none), and only once per Get-Next.
+		certify := dense && have && !c.certified
+		if !have {
+			// No known upper bound: one unbounded probe (as in Algorithm
+			// 1's first step) to obtain a candidate or prove exhaustion.
+			res, err := c.issue(types.Interval{Lo: lo, LoOpen: true, Hi: math.Inf(1), HiOpen: true})
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			m, found := c.minAxis(res.Tuples)
+			if !found {
+				return types.Tuple{}, false, nil
+			}
 			if !res.Overflow {
 				return m, true, nil
 			}
 			cand = m
-			continue
 		}
-		// Lower half empty: probe the upper half [mid, cand.axis).
-		res2, err := c.issue(types.Interval{Lo: mid, LoOpen: false, Hi: c.axisOf(cand), HiOpen: true})
-		if err != nil {
-			return types.Tuple{}, false, err
+		// Invariant: the next tuple's axis value lies in (searchLo,
+		// cand.axis], where cand is a known, not-yet-emitted tuple. Before
+		// the first emission the search floor is the tighter of the
+		// attribute's domain minimum and the user's own bound.
+		searchLo, searchLoOpen := lo, true
+		if math.IsInf(searchLo, -1) {
+			searchLo, searchLoOpen = c.searchFloor()
 		}
-		m2, found2 := c.minAxis(res2.Tuples)
-		if !found2 {
-			return cand, true, nil
+		narrow := func() bool {
+			return threshold > 0 && c.axisOf(cand)-searchLo < threshold && !math.IsInf(searchLo, -1)
 		}
-		if !res2.Overflow {
-			return m2, true, nil
+		// A sub-threshold interval goes to the oracle uncertified: a
+		// selection-bearing probe serves one user, a crawled region all.
+		if certify && !narrow() {
+			c.certified = true
+			res, err := c.issue(types.Interval{Lo: lo, LoOpen: true, Hi: c.axisOf(cand)})
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			m, found := c.minAxis(res.Tuples)
+			if !res.Overflow {
+				// Authoritative, whatever history believed: the next tuple
+				// is the page's minimum.
+				c.s.e.certComplete.Add(1)
+				c.cover = newCertCover(c, lo, c.axisOf(cand), res.Tuples)
+				if found {
+					return m, true, nil
+				}
+				// The candidate is gone upstream and nothing precedes it:
+				// search on from where it was.
+				lo = c.axisOf(cand)
+				continue
+			}
+			// Algorithm 1's step: a full page inside (lo, cand] holds a
+			// candidate at least as good; halving takes over from it.
+			c.s.e.certOverflow.Add(1)
+			cand = m
 		}
-		cand = m2
-		searchLo, searchLoOpen = mid, false
+		for {
+			if narrow() {
+				return c.oracle(searchLo, searchLoOpen, cand)
+			}
+			mid := searchLo + (c.axisOf(cand)-searchLo)/2
+			if !(mid > searchLo) || !(mid < c.axisOf(cand)) || math.IsInf(searchLo, -1) {
+				// Interval no longer splittable (or unbounded below):
+				// finish with baseline narrowing.
+				return c.finishNarrow(searchLo, searchLoOpen, cand)
+			}
+			res, err := c.issue(types.Interval{Lo: searchLo, LoOpen: searchLoOpen, Hi: mid, HiOpen: true})
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			if m, found := c.minAxis(res.Tuples); found {
+				if !res.Overflow {
+					return m, true, nil
+				}
+				cand = m
+				continue
+			}
+			// Lower half empty: probe the upper half [mid, cand.axis).
+			res2, err := c.issue(types.Interval{Lo: mid, LoOpen: false, Hi: c.axisOf(cand), HiOpen: true})
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			m2, found2 := c.minAxis(res2.Tuples)
+			if !found2 {
+				return cand, true, nil
+			}
+			if !res2.Overflow {
+				return m2, true, nil
+			}
+			cand = m2
+			searchLo, searchLoOpen = mid, false
+		}
 	}
+}
+
+// newCertCover keeps a complete page over the axis interval (lo, hi] in
+// cursor order.
+func newCertCover(c *OneDCursor, lo, hi float64, page []types.Tuple) certCover {
+	tuples := append([]types.Tuple(nil), page...)
+	sort.Slice(tuples, func(i, j int) bool { return c.better(tuples[i], tuples[j]) })
+	return certCover{lo: lo, hi: hi, tuples: tuples}
+}
+
+// after returns the cover's first tuple strictly beyond axis position lo.
+func (cv *certCover) after(c *OneDCursor, lo float64) (types.Tuple, bool) {
+	i := sort.Search(len(cv.tuples), func(i int) bool { return c.axisOf(cv.tuples[i]) > lo })
+	if i == len(cv.tuples) {
+		return types.Tuple{}, false
+	}
+	return cv.tuples[i], true
+}
+
+// at returns every tuple of the cover at axis position x, and whether the
+// cover spans x at all.
+func (cv *certCover) at(c *OneDCursor, x float64) ([]types.Tuple, bool) {
+	if !(cv.lo < x && x <= cv.hi) {
+		return nil, false
+	}
+	i := sort.Search(len(cv.tuples), func(i int) bool { return c.axisOf(cv.tuples[i]) >= x })
+	j := i
+	for j < len(cv.tuples) && c.axisOf(cv.tuples[j]) == x {
+		j++
+	}
+	return cv.tuples[i:j], true
 }
 
 // finishNarrow completes the search with baseline narrowing inside
@@ -395,7 +512,9 @@ func (c *OneDCursor) finishNarrow(searchLo float64, searchLoOpen bool, cand type
 // oracle is Algorithm 4: answer the narrow interval (searchLo, cand.axis]
 // from the dense index, crawling it on a miss. The crawl deliberately drops
 // the user query's selection condition so the indexed region serves every
-// future user query.
+// future user query — which is why nextBinary sends a sub-threshold interval
+// here before it would certify: a certification probe carries the selection
+// condition and serves this user only.
 func (c *OneDCursor) oracle(searchLo float64, searchLoOpen bool, cand types.Tuple) (types.Tuple, bool, error) {
 	// The region is open at cand: on plateau-heavy (discrete) data a
 	// closed end would drag cand's entire tie plateau into the crawl,

@@ -232,7 +232,7 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 				return fmt.Errorf("core: delta probe fact cites arena row %d of %d", row, rows)
 			}
 		}
-		e.probes.seed(q, op.Rows, epochOrFirst(op.Epoch))
+		e.probes.seed(q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
 	}
 	// Heat is last-wins across deltas and Import is idempotent, so replaying
 	// a committed prefix (or the same delta twice after a retry) converges.
@@ -358,7 +358,7 @@ func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Del
 			}
 			d.DenseMD = append(d.DenseMD, md)
 		case opProbe:
-			po := segment.ProbeOp{Rows: op.fact.rows, Epoch: op.epoch}
+			po := segment.ProbeOp{Rows: op.fact.rows, Overflow: op.fact.partial, Epoch: op.epoch}
 			for _, r := range op.fact.ranges {
 				po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.attr,
 					Lo: segment.Bound(r.iv.Lo), Hi: segment.Bound(r.iv.Hi), LoOpen: r.iv.LoOpen, HiOpen: r.iv.HiOpen})

@@ -19,7 +19,7 @@ var fuzzDelta = &Delta{
 		Ranges: []ProbeRange{{Attr: 0, Lo: 1.5, Hi: Bound(math.Inf(1)), LoOpen: true, HiOpen: true}},
 		Cats:   map[string]string{"c": "x"},
 		Rows:   []uint32{4, 3}, Epoch: 2,
-	}},
+	}, {Rows: []uint32{3}, Overflow: true}},
 }
 
 // FuzzDecodeLine feeds the journal-line decoder arbitrary bytes, both raw
@@ -74,7 +74,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	}
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	f.Add([]byte(`{"format":2,"fingerprint":{"schema":["price"]},"deltas":[null]}`))
+	f.Add(fmt.Appendf(nil, `{"format":%d,"fingerprint":{"schema":["price"]},"deltas":[null]}`, Format))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := decodeSegment(data, testFP)
 		if err != nil {

@@ -35,8 +35,8 @@ func TestJournalLineRoundTrip(t *testing.T) {
 }
 
 // TestProbeOpBoundsRoundTrip: a probe's range may be half-unbounded, which a
-// JSON number cannot say; every bound value survives the journal exactly,
-// and a string that is not a non-finite float is refused.
+// JSON number cannot say; every bound value and the overflow flag survive the
+// journal exactly, and a string that is not a non-finite float is refused.
 func TestProbeOpBoundsRoundTrip(t *testing.T) {
 	in := ProbeOp{
 		Ranges: []ProbeRange{
@@ -44,8 +44,9 @@ func TestProbeOpBoundsRoundTrip(t *testing.T) {
 			{Attr: 3, Lo: -0.1, Hi: Bound(math.Inf(1)), HiOpen: true},
 			{Attr: 4, Lo: Bound(math.NaN()), Hi: 1e300},
 		},
-		Cats: map[string]string{"c": "x"},
-		Rows: []uint32{7, 0, math.MaxUint32},
+		Cats:     map[string]string{"c": "x"},
+		Rows:     []uint32{7, 0, math.MaxUint32},
+		Overflow: true,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -57,7 +58,7 @@ func TestProbeOpBoundsRoundTrip(t *testing.T) {
 	}
 	again, _ := json.Marshal(out)
 	if !bytes.Equal(again, data) || !math.IsInf(float64(out.Ranges[0].Lo), -1) || out.Ranges[0].Hi != 12.5 ||
-		!math.IsInf(float64(out.Ranges[1].Hi), 1) || !math.IsNaN(float64(out.Ranges[2].Lo)) || out.Rows[2] != math.MaxUint32 {
+		!math.IsInf(float64(out.Ranges[1].Hi), 1) || !math.IsNaN(float64(out.Ranges[2].Lo)) || out.Rows[2] != math.MaxUint32 || !out.Overflow {
 		t.Fatalf("round trip: %s became %+v (%s)", data, out, again)
 	}
 	for _, bad := range []string{`"12.5"`, `"huge"`, `""`, `"+Inf`, `true`} {

@@ -69,8 +69,10 @@ import (
 // writes. A store written under any other generation is quarantined whole at
 // open and the namespace starts cold. Generation 2 changed what a probe
 // record carries: the structured query and arena rows (ProbeOp) instead of
-// the canonical key string and tuple IDs.
-const Format = 2
+// the canonical key string and tuple IDs. Generation 3 added overflow pages
+// to the probe records (ProbeOp.Overflow), which a generation-2 reader would
+// replay as complete answers.
+const Format = 3
 
 // Fingerprint identifies the upstream deployment a store's knowledge came
 // from. Cached probe answers replay one specific upstream's responses
@@ -187,17 +189,20 @@ type ProbeRange struct {
 	HiOpen bool  `json:"hiOpen,omitempty"`
 }
 
-// ProbeOp is one recorded coverage fact: a probe query the upstream answered
-// completely, and the history arena rows holding the answered tuples in
-// upstream rank order. The query is carried in structured form (ranges in
-// ascending attribute order) so replay can index the fact by what its box
+// ProbeOp is one recorded coverage fact: a probe query the upstream answered,
+// and the history arena rows holding the answered tuples in upstream rank
+// order. The query is carried in structured form (ranges in ascending
+// attribute order) so replay can index a complete fact by what its box
 // contains, not only by exact match. Rows always lie below the HistHi of the
 // delta that carries the op: a probe's page enters the arena before its fact
-// is recorded. Only complete (valid/underflow) answers are ever recorded.
+// is recorded.
 type ProbeOp struct {
 	Ranges []ProbeRange      `json:"ranges,omitempty"`
 	Cats   map[string]string `json:"cats,omitempty"`
 	Rows   []uint32          `json:"rows"`
+	// Overflow marks an overflow page: the rows are the top-k of the box, not
+	// all of it, so the fact replays for the identical probe only.
+	Overflow bool `json:"overflow,omitempty"`
 	// Epoch is the knowledge epoch the answer was learned under.
 	Epoch int64 `json:"epoch,omitempty"`
 }

@@ -49,9 +49,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	counter("rerank_engine_queries_total", "Lifetime upstream queries issued by the engine.", st.EngineQueries)
 	gauge("rerank_history_tuples", "Tuples in the cross-query answer history.", int64(st.HistoryTuples))
-	gauge("rerank_probe_cache_entries", "Complete probe answers held as facts over the history arena.", int64(st.ProbeCacheEntries))
+	gauge("rerank_probe_cache_entries", "Probe answers (complete ones and overflow pages) held as facts over the history arena.", int64(st.ProbeCacheEntries))
 	gauge("rerank_probe_fact_bytes", "Approximate resident bytes of the held probe facts (queries and row references).", st.ProbeFactBytes)
 	counter("rerank_probe_contained_total", "Probes answered free from a held complete answer whose box contains them.", st.ProbeContainedHits)
+	counter("rerank_probe_partial_total", "Probes answered free by replaying the overflow page the identical probe got before.", st.ProbePartialHits)
+	counter("rerank_certified_complete_total", "1D-RERANK certification probes that came back complete and answered their Get-Next outright.", st.CertifiedComplete)
+	counter("rerank_certified_overflow_total", "1D-RERANK certification probes that overflowed and left the search to bisect.", st.CertifiedOverflow)
 	gauge("rerank_md_dense_regions", "Crawled MD dense regions across attribute subsets.", int64(st.MDDenseRegions))
 	gauge("rerank_dense_md_buckets", "Occupied MD centroid-grid cells.", int64(st.DenseMDBuckets))
 	gauge("rerank_dense_md_max_bucket", "Largest MD centroid-grid cell population.", int64(st.DenseMDMaxBucket))
@@ -142,10 +145,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(u UpstreamStats) int64 { return u.EngineQueries })
 		labeled("rerank_upstream_history_tuples", "Tuples in the cross-query answer history, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.HistoryTuples) })
-		labeled("rerank_upstream_probe_cache_entries", "Complete probe answers held as facts, per upstream namespace.", "gauge",
+		labeled("rerank_upstream_probe_cache_entries", "Probe answers held as facts, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.ProbeCacheEntries) })
 		labeled("rerank_upstream_probe_contained_total", "Probes answered free by containment, per upstream namespace.", "counter",
 			func(u UpstreamStats) int64 { return u.ProbeContainedHits })
+		labeled("rerank_upstream_probe_partial_total", "Probes answered free by replaying their own overflow page, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.ProbePartialHits })
+		labeled("rerank_upstream_certified_complete_total", "1D-RERANK certification probes that came back complete, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.CertifiedComplete })
+		labeled("rerank_upstream_certified_overflow_total", "1D-RERANK certification probes that overflowed, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.CertifiedOverflow })
 		labeled("rerank_upstream_md_dense_regions", "Crawled MD dense regions, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) })
 		labeled("rerank_upstream_admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge",

@@ -151,11 +151,20 @@ type UpstreamStats struct {
 	StorageResidentTuples int   `json:"storageResidentTuples"`
 	StorageApproxBytes    int64 `json:"storageApproxBytes"`
 	// ProbeContainedHits counts probes answered free by filtering a held
-	// complete answer whose box contains them (exact hits are not counted);
+	// complete answer whose box contains them, ProbePartialHits probes
+	// answered free by replaying the overflow page the identical probe got
+	// before (exact hits on complete answers are counted by neither);
 	// ProbeFactBytes approximates what the ProbeCacheEntries held answers
 	// occupy — queries and row references; their tuples are history rows.
 	ProbeContainedHits int64 `json:"probeContainedHits"`
+	ProbePartialHits   int64 `json:"probePartialHits"`
 	ProbeFactBytes     int64 `json:"probeFactBytes"`
+	// CertifiedComplete / CertifiedOverflow count 1D-RERANK's certification
+	// probes (at most one per Get-Next, over (last, candidate]) by outcome:
+	// a complete page answered the Get-Next outright, an overflowing one
+	// only improved the candidate. Their ratio is the certification hit rate.
+	CertifiedComplete int64 `json:"certifiedComplete"`
+	CertifiedOverflow int64 `json:"certifiedOverflow"`
 
 	// Living-upstream state: the knowledge epoch, sentinel drift detection,
 	// lazy re-validation and probe-guard counters (see docs/epochs.md).
@@ -200,15 +209,21 @@ type UpstreamStats struct {
 type Stats struct {
 	EngineQueries int64 `json:"engineQueries"`
 	HistoryTuples int   `json:"historyTuples"`
-	// ProbeCacheEntries is the number of complete probe answers the
-	// coalescing layers currently hold as facts over the history arena
-	// (persisted across restarts by the data dir). Each answers its own
-	// probe and every probe its box contains for zero upstream cost;
-	// ProbeContainedHits counts the latter kind of hit, ProbeFactBytes
+	// ProbeCacheEntries is the number of probe answers the coalescing
+	// layers currently hold as facts over the history arena (persisted
+	// across restarts by the data dir). Each answers its own probe for zero
+	// upstream cost, and a complete one every probe its box contains;
+	// ProbeContainedHits counts the latter kind of hit, ProbePartialHits
+	// replays of an overflow page for the identical probe, ProbeFactBytes
 	// approximates the facts' footprint.
 	ProbeCacheEntries  int   `json:"probeCacheEntries"`
 	ProbeContainedHits int64 `json:"probeContainedHits"`
+	ProbePartialHits   int64 `json:"probePartialHits"`
 	ProbeFactBytes     int64 `json:"probeFactBytes"`
+	// CertifiedComplete / CertifiedOverflow sum 1D-RERANK's certification
+	// probes by outcome across namespaces (see UpstreamStats).
+	CertifiedComplete int64 `json:"certifiedComplete"`
+	CertifiedOverflow int64 `json:"certifiedOverflow"`
 	// MDDenseRegions is the number of crawled MD dense regions across all
 	// ranked-attribute subsets — the boxes MD-RERANK answers locally for
 	// zero upstream cost (persisted across restarts by the data dir).
@@ -596,6 +611,8 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	us.StorageDictEntries = ss.DictEntries
 	us.StorageResidentTuples = ss.Tuples
 	us.ProbeContainedHits = eng.ProbeContainedHits()
+	us.ProbePartialHits = eng.ProbePartialHits()
+	us.CertifiedComplete, us.CertifiedOverflow = eng.CertificationStats()
 	us.ProbeFactBytes = eng.ProbeCacheBytes()
 	us.StorageApproxBytes = ss.ApproxBytes + us.ProbeFactBytes
 	if hdb, ok := t.db.(*hidden.DB); ok {
@@ -646,6 +663,9 @@ func (s *Server) Stats() Stats {
 		st.HistoryTuples += us.HistoryTuples
 		st.ProbeCacheEntries += us.ProbeCacheEntries
 		st.ProbeContainedHits += us.ProbeContainedHits
+		st.ProbePartialHits += us.ProbePartialHits
+		st.CertifiedComplete += us.CertifiedComplete
+		st.CertifiedOverflow += us.CertifiedOverflow
 		st.ProbeFactBytes += us.ProbeFactBytes
 		st.MDDenseRegions += us.MDDenseRegions
 		st.DenseMDBuckets += us.DenseMDBuckets

@@ -608,6 +608,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := client.RerankStream(mdRequest(65, 70, 2), nil); err != nil {
 		t.Fatal(err)
 	}
+	// A 1D request, twice — the repeat searches from the history the first
+	// left (certification) — and an MD request whose partitioning meets
+	// boxes that overflow, twice — the repeat re-asks them (partial hits).
+	oneD := RerankRequest{Ranking: RankingSpec{Kind: "single", Attrs: []string{"Price"}, Desc: true}, H: 6}
+	ratio := RerankRequest{Ranking: RankingSpec{Kind: "ratio", Attrs: []string{"Price", "Carat"}},
+		Filters: map[string]string{"Shape": "Round"}, H: 5}
+	for _, req := range []RerankRequest{oneD, oneD, ratio, ratio} {
+		if _, err := client.Rerank(req); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	resp, err := api.Client().Get(api.URL + "/metrics")
 	if err != nil {
@@ -642,6 +653,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf("rerank_probe_contained_total %d", st.ProbeContainedHits),
 		fmt.Sprintf("rerank_upstream_probe_contained_total{upstream=\"default\"} %d", st.Upstreams["default"].ProbeContainedHits),
 		fmt.Sprintf("rerank_probe_fact_bytes %d", st.ProbeFactBytes),
+		// So is the replay of an overflow page, and 1D certification reports
+		// its outcomes.
+		fmt.Sprintf("rerank_probe_partial_total %d", st.ProbePartialHits),
+		fmt.Sprintf("rerank_upstream_probe_partial_total{upstream=\"default\"} %d", st.Upstreams["default"].ProbePartialHits),
+		fmt.Sprintf("rerank_certified_complete_total %d", st.CertifiedComplete),
+		fmt.Sprintf("rerank_certified_overflow_total %d", st.CertifiedOverflow),
+		fmt.Sprintf("rerank_upstream_certified_complete_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedComplete),
+		fmt.Sprintf("rerank_upstream_certified_overflow_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedOverflow),
+	}
+	if def := st.Upstreams["default"]; st.ProbePartialHits == 0 || st.ProbePartialHits != def.ProbePartialHits ||
+		st.CertifiedComplete == 0 || st.CertifiedComplete != def.CertifiedComplete || st.CertifiedOverflow != def.CertifiedOverflow {
+		t.Errorf("partial hits %d (default namespace %d), certifications %d complete / %d overflowing (default namespace %d / %d)",
+			st.ProbePartialHits, def.ProbePartialHits, st.CertifiedComplete, st.CertifiedOverflow, def.CertifiedComplete, def.CertifiedOverflow)
 	}
 	if st.ProbeContainedHits == 0 || st.ProbeContainedHits != st.Upstreams["default"].ProbeContainedHits ||
 		st.ProbeFactBytes <= 0 || st.ProbeCacheEntries == 0 {
