@@ -41,10 +41,22 @@ func goldenText(f Figure) string {
 // the upstream shows up here as a golden diff, which the change must commit
 // (go test ./internal/experiments -run TestFigureGoldens1D -update).
 func TestFigureGoldens1D(t *testing.T) {
+	checkGoldens(t, "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12")
+}
+
+// TestFigureGoldensMD does the same for the MD figures (13–17): MD-BASELINE,
+// MD-BINARY, MD-RERANK and TA over 1D-RERANK at W = 1.
+func TestFigureGoldensMD(t *testing.T) {
+	checkGoldens(t, "fig13", "fig14", "fig15", "fig16", "fig17")
+}
+
+// checkGoldens runs each figure at Default() scale against its file under
+// testdata/, or rewrites the file under -update.
+func checkGoldens(t *testing.T, ids ...string) {
 	if testing.Short() {
-		t.Skip("runs seven figures at Default() scale")
+		t.Skip("runs the figures at Default() scale")
 	}
-	for _, id := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			run, _ := ByID(id)
