@@ -241,6 +241,23 @@ func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
 	return res, ok
 }
 
+// knows reports whether lookup would answer q, without assembling the answer
+// or counting a hit: the question MD-RERANK asks before it spends a probe on
+// a deeper contour than the one q describes.
+func (c *coalescer) knows(q query.Query) bool {
+	if q.Empty() {
+		return true
+	}
+	if c.facts == nil {
+		return false
+	}
+	key := keyBufs.Get().(*[]byte)
+	*key = q.AppendString((*key)[:0])
+	_, kind := c.facts.lookup(*key, q, c.curEpoch(), true)
+	keyBufs.Put(key)
+	return kind != hitNone
+}
+
 // keyBufs pools canonical-key byte buffers: a hit looks its key up from
 // bytes and never allocates the string.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/hidden"
@@ -210,4 +214,112 @@ func TestHZeroAndNegative(t *testing.T) {
 	if db.QueryCount() != 0 {
 		t.Fatalf("TopH(0) issued %d queries", db.QueryCount())
 	}
+}
+
+// tieFailDB fails, once, the first tie probe it is asked: the first query
+// that pins every ranked attribute to a point.
+type tieFailDB struct {
+	*hidden.DB
+	attrs  []int
+	failed atomic.Bool
+}
+
+var errTieProbe = errors.New("tie probe failed")
+
+func (d *tieFailDB) TopK(q query.Query) (hidden.Result, error) {
+	point := true
+	for _, a := range d.attrs {
+		iv, ok := q.Ranges[a]
+		point = point && ok && iv.Lo == iv.Hi
+	}
+	if point && d.failed.CompareAndSwap(false, true) {
+		return hidden.Result{}, errTieProbe
+	}
+	return d.DB.TopK(q)
+}
+
+// TestMDUnsplitOnTieProbeFailure: Next splits the winner's region before it
+// collects the winner's ties, and at W > 1 prefetches the children while the
+// tie probe is in flight. When that probe fails the split is rolled back:
+// the retry sees every region exactly once — no child left behind by the
+// prefetch round that had already resolved and re-pushed it — keeps the
+// covers the other regions hold, and emits what an unfailed run emits.
+func TestMDUnsplitOnTieProbeFailure(t *testing.T) {
+	schema := testSchema(3)
+	tuples := genTuples(rand.New(rand.NewSource(74)), schema, 1200, true)
+	sys := hidden.RankerAdapter{R: ranking.NewSingle("sys", 0, ranking.Desc)}
+	r := ranking.MustLinear("grid", []int{0, 1}, []float64{1, 2})
+	q := query.New().WithCat("cat", "x")
+	const h = 60
+	for _, width := range []int{1, 4} {
+		run := func(failAt int) []int {
+			db := &tieFailDB{DB: hidden.MustDB(schema, tuples, hidden.Options{K: 8, Ranker: sys}), attrs: r.Attrs()}
+			db.failed.Store(true)
+			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, DisableCoalescing: true})
+			if _, err := TopH(e.NewMDCursor(q, r, Rerank), 20); err != nil { // history to certify from
+				t.Fatal(err)
+			}
+			cur := e.NewMDCursor(q, r, Rerank)
+			var ids []int
+			failures := 0
+			for len(ids) < h {
+				if len(ids) == failAt && failures == 0 {
+					db.failed.Store(false) // arm: the next tie probe fails
+				}
+				before := regionsByBox(t, cur)
+				tp, ok, err := cur.Next()
+				if err != nil {
+					if !errors.Is(err, errTieProbe) {
+						t.Fatal(err)
+					}
+					failures++
+					// Resolving may have dropped regions that turned out
+					// empty and re-certified others; nothing else about the
+					// partition may differ.
+					for box, reg := range regionsByBox(t, cur) {
+						was, ok := before[box]
+						if !ok && len(before) > 0 {
+							t.Fatalf("W=%d: the failed Get-Next left region %s behind", width, box)
+						}
+						if ok && was.resolved == reg.resolved && was.cover != reg.cover {
+							t.Fatalf("W=%d: region %s changed cover in the failed Get-Next without being resolved", width, box)
+						}
+					}
+					continue
+				}
+				if !ok {
+					break
+				}
+				ids = append(ids, tp.ID)
+			}
+			if failAt >= 0 && failures != 1 {
+				t.Fatalf("W=%d: %d tie probes failed, want exactly 1", width, failures)
+			}
+			return ids
+		}
+		want := run(-1)
+		// Fail the first tie probe at or after several positions: early, where
+		// the cursor has one region, and late, where it holds many covers.
+		// (Under a page of eight about one Get-Next in ten is resolved by
+		// search rather than from a cover, and only those probe for ties.)
+		for _, failAt := range []int{0, 10, 30} {
+			if got := run(failAt); !slices.Equal(got, want) {
+				t.Fatalf("W=%d, failing at %d: emitted %v, an unfailed run emits %v", width, failAt, got, want)
+			}
+		}
+	}
+}
+
+// regionsByBox snapshots the cursor's regions by their box, failing the test
+// when two regions share one.
+func regionsByBox(t *testing.T, c *MDCursor) map[string]mdRegion {
+	out := make(map[string]mdRegion, len(c.regions))
+	for _, reg := range c.regions {
+		box := fmt.Sprint(reg.box)
+		if _, dup := out[box]; dup {
+			t.Fatalf("two regions over %s", box)
+		}
+		out[box] = *reg
+	}
+	return out
 }

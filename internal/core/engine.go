@@ -161,6 +161,11 @@ type Engine struct {
 	// settled the Get-Next outright, an overflowing one left halving to do.
 	certComplete atomic.Int64
 	certOverflow atomic.Int64
+	// MD-RERANK's deep certification probes (md.go) by the same outcomes,
+	// and the Get-Nexts either cursor answered from a certified cover.
+	mdCertComplete atomic.Int64
+	mdCertOverflow atomic.Int64
+	coverHits      atomic.Int64
 
 	// Sentinel drift detection (see sentinel.go): digests of the fixed
 	// sentinel probe set from the previous pass, compared each pass.
@@ -230,6 +235,19 @@ func (e *Engine) ProbePartialHits() int64 { return e.probes.partialHits.Load() }
 func (e *Engine) CertificationStats() (complete, overflow int64) {
 	return e.certComplete.Load(), e.certOverflow.Load()
 }
+
+// MDCertificationStats is CertificationStats for MD-RERANK's deep
+// certification probes — at most one per region resolution, over the contour
+// of the D-th best known tuple: complete pages, which the cursor keeps as the
+// region's cover, and overflowing ones, after which the search went on from
+// the candidate's own contour.
+func (e *Engine) MDCertificationStats() (complete, overflow int64) {
+	return e.mdCertComplete.Load(), e.mdCertOverflow.Load()
+}
+
+// CoverHits returns how many Get-Nexts, 1D and MD, were answered from a
+// cursor's certified cover: next tuple and tie group, no probe.
+func (e *Engine) CoverHits() int64 { return e.coverHits.Load() }
 
 // StorageStats returns the history store's columnar storage counters.
 func (e *Engine) StorageStats() history.StorageStats { return e.know.hist.StorageStats() }

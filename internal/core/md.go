@@ -71,6 +71,28 @@
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
 //
+// # Certified covers
+//
+// MD-RERANK spends a probe only on what it does not know yet. A complete page
+// over a region's box tightened against a contour Θ certifies every tuple of
+// the region scoring ≤ Θ, and the region keeps it (mdCover): the next answers
+// down to Θ, their §5 tie groups, and the standing of the parts the region is
+// split into all come off the page, with no probe, no history scan and no
+// round — also with DisableCoalescing and across an epoch bump. When history
+// supplies a resolution's candidate and the fact index does not already hold
+// the candidate's own contour, the resolution's first probe asks for the
+// contour of the D-th best known tuple instead (D a function of system-k
+// only), so one complete page certifies up to D answers; an overflowing page
+// only improves the candidate, and the search goes on from the candidate's
+// own contour as it would have started: one extra probe at most.
+//
+// Whether a region stands on its cover is decided on the cursor goroutine
+// (settle), between rounds. A resolver reads the fact index and builds its
+// cover on its own goroutine, from its own region's probes only; the cursor
+// attaches the cover when it applies the round's results in slot order. A
+// speculative region slot certifies exactly as the first slot does — its
+// cover, like its result, is work done early.
+//
 // Cost accounting is charge-at-issue: the per-op budget (MaxQueriesPerOp) is
 // charged in round order before a round is dispatched, the session ledger is
 // charged for exactly the probes that reach the upstream, and wasted probes'
@@ -109,6 +131,12 @@ type MDCursor struct {
 	exhausted bool
 	opQueries atomic.Int64 // shared by concurrent resolvers (charge-at-issue)
 
+	// depth is MD-RERANK's certification depth D (1 for the other variants):
+	// a resolution whose candidate came from history probes the contour of
+	// the D-th best known tuple instead of the candidate's own. A function of
+	// system-k only, so probe streams never depend on a request's h.
+	depth int
+
 	denseVol float64
 	denseDim []float64      // per-dimension dense-region width thresholds
 	sorted   []int          // ranked attrs sorted ascending (dense-index canonical order)
@@ -139,10 +167,12 @@ type mdResolver struct {
 
 	frontier boxHeap
 	boxSeq   int64
-	charged  int64       // upstream probes this resolution charged the ledger
-	spec     bool        // a speculative region-round slot: all its probes count as speculative
-	chain    int         // consecutive single-box improvement rounds (ladder trigger)
-	covered  []query.Box // boxes answered completely during this top-1 search
+	charged  int64     // upstream probes this resolution charged the ledger
+	spec     bool      // a speculative region-round slot: all its probes count as speculative
+	chain    int       // consecutive single-box improvement rounds (ladder trigger)
+	covers   []mdCover // complete pages of this top-1 search
+	cover    *mdCover  // MD-RERANK: the widest of them over the whole region, for the cursor to keep
+	deepened bool      // this top-1 search has spent its deep certification probe
 	batch    []batchItem
 	results  []probeResult
 	probeQs  []query.Query
@@ -158,6 +188,7 @@ type mdRegion struct {
 	resolved bool
 	key      float64 // lower-bound score (unresolved) or exact score (resolved)
 	seq      int64
+	cover    *mdCover // certified page over the region (MD-RERANK), nil when none
 }
 
 // regionHeap orders regions by (key, unresolved-first, best.ID/seq). When the
@@ -193,10 +224,13 @@ func (h *regionHeap) Pop() any {
 }
 
 // frontierBox is one unexplored box in a top-1 search's best-first frontier.
+// root marks the region's own box, at most tightened: a complete page over it
+// is a cover of the whole region.
 type frontierBox struct {
-	box query.Box
-	lb  float64 // admissible lower bound: score of the box's best corner
-	seq int64
+	box  query.Box
+	lb   float64 // admissible lower bound: score of the box's best corner
+	seq  int64
+	root bool
 }
 
 // boxHeap is a min-heap of frontier boxes by (lb, seq); seq makes pop order
@@ -224,12 +258,79 @@ func (h *boxHeap) Pop() any {
 // batchItem is one box of a speculative probe round, with the threshold it
 // was tightened against at issue time. ladder marks a speculative tightening
 // rung: a copy of the round's best box tightened against an optimistically
-// improved threshold, processed improve-only (see padLadder).
+// improved threshold, processed improve-only (see padLadder). deep marks the
+// resolution's certification probe: the root box tightened against the contour
+// of the D-th best known tuple rather than the candidate's own, processed
+// improve-only as well when it overflows.
 type batchItem struct {
 	box      query.Box
 	thrScore float64
 	thrHave  bool
 	ladder   bool
+	root     bool
+	deep     bool
+}
+
+// mdCover is a certified page: every tuple matching the cursor's query inside
+// box that scores ≤ theta is in page, in (score, ID) order. A complete answer
+// to Tighten(box, theta) certifies exactly that, and what the upstream said
+// stays the cursor's truth whatever the fact index forgets or an epoch bump
+// marks stale — the MD twin of certCover. Inside a top-1 search a cover skips
+// the frontier boxes it contains; kept by the region it spans, it supplies the
+// region's next answers and their tie groups for no probe at all.
+type mdCover struct {
+	box   query.Box
+	theta float64       // +Inf: the page holds everything inside box
+	page  []scoredTuple // a region's cover only: nil for one that just skips frontier boxes
+	fill  int           // with page: tuples the upstream's page held, emitted and beyond theta included
+}
+
+type scoredTuple struct {
+	t     types.Tuple
+	score float64
+}
+
+// contains reports whether the cover has seen every tuple of b that scores
+// below thr.
+func (cv *mdCover) contains(b query.Box, thr float64) bool {
+	return thr <= cv.theta && cv.box.ContainsBox(b)
+}
+
+// tiesOf returns the page's tuples sharing t's values on the ranked attributes
+// — t's whole §5 tie group, since equal points score alike — or ok=false when
+// the page does not list t itself.
+func (cv *mdCover) tiesOf(t types.Tuple, ax *ranking.Axis) (ties []types.Tuple, ok bool) {
+	if cv == nil {
+		return nil, false
+	}
+	for _, st := range cv.page {
+		same := true
+		for _, a := range ax.Attrs() {
+			same = same && st.t.Ord[a] == t.Ord[a]
+		}
+		if same {
+			ties = append(ties, st.t)
+			ok = ok || st.t.ID == t.ID
+		}
+	}
+	return ties, ok
+}
+
+// roomy reports whether a page of k could take depth more tuples on top of
+// what this one held and stay under two fifths full. A region emitting from
+// such a cover is not split: when the cover runs out, one probe over the whole
+// region extends it for every part the split would have made, and that probe's
+// box holds this page's tuples again. Past two fifths the parts' smaller boxes
+// are what keeps pages complete (§4.2.2).
+func (cv *mdCover) roomy(depth, k int) bool {
+	return 5*(cv.fill+depth) <= 2*k
+}
+
+// certDepth is the certification depth D for system-k: a tenth of a page, so
+// that the tuples a deeper contour's box holds beyond the D known ones still
+// leave the page complete far more often than not.
+func certDepth(k int) int {
+	return (k + 9) / 10
 }
 
 // NewMDCursor builds an MD cursor for ranker r in a fresh single-cursor
@@ -247,8 +348,10 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 		s: s, q: q.Clone(), variant: v,
 		emitted: make(map[int]bool),
 		width:   e.searchWidth(),
+		depth:   1,
 	}
 	if v == Rerank {
+		c.depth = certDepth(e.db.K())
 		c.denseVol = e.denseVolumeMD(ax.Attrs())
 		// Per-dimension dense widths: the volume test alone would
 		// classify thin full-width slabs (which tightening produces
@@ -326,16 +429,15 @@ func (r *mdResolver) issue(b query.Box) (hidden.Result, error) {
 	return res, err
 }
 
-// pushRegion adds an unresolved region for box to the region heap and
+// pushRegion adds a region for box to the region heap — unless the box is
+// empty or cover, the certified page it lies under, shows it spent — and
 // returns it (so Next can roll a split back on error).
-func (c *MDCursor) pushRegion(box query.Box) *mdRegion {
+func (c *MDCursor) pushRegion(box query.Box, cover *mdCover) *mdRegion {
 	c.regionSeq++
-	reg := &mdRegion{
-		box: box,
-		key: c.axis().LowerBound(box),
-		seq: c.regionSeq,
+	reg := &mdRegion{box: box, seq: c.regionSeq, cover: cover}
+	if !box.Empty() && c.settle(reg) {
+		heap.Push(&c.regions, reg)
 	}
-	heap.Push(&c.regions, reg)
 	return reg
 }
 
@@ -352,7 +454,7 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	c.opQueries.Store(0)
 	if !c.started {
 		c.started = true
-		c.pushRegion(c.axis().QueryToBox(c.q))
+		c.pushRegion(c.axis().QueryToBox(c.q), nil)
 	}
 	// Lazily resolve regions best-first until the heap minimum is resolved:
 	// at that point every unresolved region's lower bound is strictly worse
@@ -378,21 +480,39 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	// concurrent section instead of costing two serial round-trips.
 	reg := heap.Pop(&c.regions).(*mdRegion)
 	t := reg.best
+	ties, covered := reg.cover.tiesOf(t, c.axis())
 	// Split the region on the first ranked attribute at t's value. The
 	// right part keeps the boundary (closed) so tuples sharing the split
 	// coordinate remain reachable; the emitted set excludes the tie
-	// group itself.
-	z0 := c.axis().ToAxis(t)[0]
-	b1 := reg.box.Clone()
-	b1.Dims[0] = b1.Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
-	b2 := reg.box.Clone()
-	b2.Dims[0] = b2.Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
-	var children []*mdRegion
-	if !b1.Empty() {
-		children = append(children, c.pushRegion(b1))
+	// group itself. A region emitting from a roomy cover stays whole.
+	parts := []query.Box{reg.box}
+	if !covered || !reg.cover.roomy(c.depth, c.s.e.db.K()) {
+		z0 := c.axis().ToAxis(t)[0]
+		parts = []query.Box{reg.box.Clone(), reg.box.Clone()}
+		parts[0].Dims[0] = parts[0].Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
+		parts[1].Dims[0] = parts[1].Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
 	}
-	if !b2.Empty() {
-		children = append(children, c.pushRegion(b2))
+	if covered {
+		// The region's cover lists t, so it lists t's whole tie group and
+		// what each part holds next: no tie probe, nothing to prefetch.
+		c.s.e.coverHits.Add(1)
+		c.pending = c.pending[:0]
+		for _, tt := range ties {
+			if !c.emitted[tt.ID] {
+				c.emitted[tt.ID] = true
+				c.pending = append(c.pending, tt)
+			}
+		}
+		for _, b := range parts {
+			c.pushRegion(b, reg.cover)
+		}
+		out := c.pending[0]
+		c.pending = c.pending[1:]
+		return out, true, nil
+	}
+	children := make([]*mdRegion, len(parts))
+	for i, b := range parts {
+		children[i] = c.pushRegion(b, nil)
 	}
 	c.excludeID, c.excludeOK = t.ID, true
 	err := c.collectTiesPipelined(t)
@@ -407,8 +527,8 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	}
 	// A prefetched region resolved concurrently with the tie probe may
 	// have picked a tuple that just became emitted (a tie of t living in
-	// the right split child): its resolution is stale — demote it back to
-	// unresolved so it is re-searched with the updated emitted set.
+	// the right split child): its resolution is stale — settle it again
+	// under the updated emitted set.
 	c.invalidateEmitted()
 	out := c.pending[0]
 	c.pending = c.pending[1:]
@@ -487,22 +607,48 @@ func (c *MDCursor) collectTiesPipelined(t types.Tuple) error {
 	return tieErr
 }
 
-// invalidateEmitted demotes resolved regions whose best tuple has been
-// emitted back to unresolved (lower-bound key), rebuilding the heap when
-// any demotion happened.
+// invalidateEmitted settles again every resolved region whose best tuple has
+// been emitted — the next tuple of its cover, or back to unresolved —
+// rebuilding the heap when any region changed.
 func (c *MDCursor) invalidateEmitted() {
-	changed := false
+	kept, changed := c.regions[:0], false
 	for _, reg := range c.regions {
 		if reg.resolved && c.emitted[reg.best.ID] {
-			reg.resolved, reg.have = false, false
-			reg.best = types.Tuple{}
-			reg.key = c.axis().LowerBound(reg.box)
 			changed = true
+			if !c.settle(reg) {
+				continue
+			}
 		}
+		kept = append(kept, reg)
 	}
 	if changed {
+		clear(c.regions[len(kept):])
+		c.regions = kept
 		heap.Init(&c.regions)
 	}
+}
+
+// settle sets reg's standing from its cover, reporting false when the region
+// is spent. The first page tuple not yet emitted is the region's exact top-1.
+// With none left, every tuple of the region scoring ≤ Θ has been emitted, so
+// the region goes back to unresolved with its lower bound raised just past Θ
+// — or, under a page that held the whole region, has nothing more to give.
+// Without a cover the region is unresolved at its corner bound.
+func (c *MDCursor) settle(reg *mdRegion) bool {
+	reg.best, reg.have, reg.resolved = types.Tuple{}, false, false
+	reg.key = c.axis().LowerBound(reg.box)
+	if reg.cover == nil {
+		return true
+	}
+	r0 := c.resolvers[0] // its scratch is the cursor's between rounds
+	for _, st := range reg.cover.page {
+		if !c.emitted[st.t.ID] && reg.box.Contains(r0.axis.ToAxisInto(st.t, r0.zbuf)) {
+			reg.best, reg.have, reg.resolved, reg.key = st.t, true, true, st.score
+			return true
+		}
+	}
+	reg.key = math.Max(reg.key, math.Nextafter(reg.cover.theta, math.Inf(1)))
+	return !math.IsInf(reg.cover.theta, 1)
 }
 
 // popRound pops up to limit of the best unresolved regions off the heap, in
@@ -536,6 +682,12 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	cands := make([]candidate, len(regs))
 	if c.s.e.opts.DisableHistory {
 		return cands
+	}
+	if c.depth > 1 {
+		deep := make([]float64, c.depth*len(regs))
+		for i := range cands {
+			cands[i].deep = deep[i*c.depth : i*c.depth : (i+1)*c.depth]
+		}
 	}
 	// One pass over the matching history seeds every slot: all callbacks
 	// run on the cursor goroutine, so sharing the scan preserves the
@@ -600,6 +752,7 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error 
 		if outs[i].have {
 			reg.best, reg.have, reg.resolved = outs[i].best, true, true
 			reg.key = c.resolvers[i+off].axis.ScoreTuple(outs[i].best)
+			reg.cover = c.resolvers[i+off].cover
 			heap.Push(&c.regions, reg)
 		}
 	}
@@ -661,10 +814,30 @@ func (c *MDCursor) gatherTies(t types.Tuple, point query.Box, res hidden.Result)
 }
 
 // candidate tracks the best non-emitted tuple found during one top-1 search.
+// deep, when seedRound gave it capacity, collects the scores of the best
+// cap(deep) history tuples in ascending order: its last entry is the contour
+// the resolution certifies at.
 type candidate struct {
 	t     types.Tuple
 	score float64
 	have  bool
+	deep  []float64
+}
+
+// noteDeep files score s among the best cap(deep) seen.
+func (cand *candidate) noteDeep(s float64) {
+	d := cand.deep
+	if len(d) == cap(d) {
+		if len(d) == 0 || s >= d[len(d)-1] {
+			return
+		}
+		d = d[:len(d)-1]
+	}
+	i := sort.SearchFloat64s(d, s)
+	d = append(d, 0)
+	copy(d[i+1:], d[i:])
+	d[i] = s
+	cand.deep = d
 }
 
 func (r *mdResolver) improve(cand *candidate, ts []types.Tuple, box query.Box) {
@@ -703,15 +876,16 @@ func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box q
 		return
 	}
 	s := r.axis.ScoreView(v, row)
+	cand.noteDeep(s)
 	if !cand.have || s < cand.score || (s == cand.score && id < cand.t.ID) {
 		cand.t, cand.score, cand.have = v.Tuple(row), s, true
 	}
 }
 
 // pushBox adds a box to the top-1 frontier with its lower-bound key.
-func (r *mdResolver) pushBox(b query.Box) {
+func (r *mdResolver) pushBox(b query.Box, root bool) {
 	r.boxSeq++
-	heap.Push(&r.frontier, frontierBox{box: b, lb: r.axis.LowerBound(b), seq: r.boxSeq})
+	heap.Push(&r.frontier, frontierBox{box: b, lb: r.axis.LowerBound(b), seq: r.boxSeq, root: root})
 }
 
 // top1 finds the best non-emitted tuple matching q inside box, starting from
@@ -728,8 +902,9 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 	r.boxSeq = 0
 	r.charged = 0
 	r.chain = 0
-	r.covered = r.covered[:0]
-	r.pushBox(box)
+	r.covers = r.covers[:0]
+	r.cover, r.deepened = nil, false
+	r.pushBox(box, true)
 	for r.frontier.Len() > 0 {
 		// Compose one speculative round: the W best frontier boxes that
 		// survive tightening and the dense-index fast path.
@@ -751,7 +926,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 			// known: improve has seen every tuple in it, so probing it
 			// again (typically the confirm probe after a ladder rung
 			// collapsed the improvement chain) buys nothing.
-			if r.coveredBy(b) {
+			if r.covered(b, cand) {
 				continue
 			}
 			// MD-RERANK fast path: a box already covered by a crawled
@@ -769,7 +944,20 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 					continue
 				}
 			}
-			r.batch = append(r.batch, batchItem{box: b, thrScore: cand.score, thrHave: cand.have})
+			it := batchItem{box: b, thrScore: cand.score, thrHave: cand.have, root: fb.root}
+			if n := len(cand.deep); fb.root && !r.deepened && n > 1 && cand.deep[n-1] > cand.score {
+				// The candidate is history's and history knows deeper ones.
+				// Unless the candidate's own contour is already a fact, ask
+				// for the deepest known contour instead: complete, the page
+				// certifies every answer down to it, not this one alone.
+				r.deepened = true
+				if !r.known(b) {
+					if db, ok := r.axis.Tighten(fb.box, cand.deep[n-1]); ok {
+						it.box, it.thrScore, it.deep = db, cand.deep[n-1], true
+					}
+				}
+			}
+			r.batch = append(r.batch, it)
 		}
 		if len(r.batch) == 0 {
 			continue
@@ -796,12 +984,12 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 		}
 		if issuable == 0 {
 			for i := range r.batch {
-				r.pushBox(r.batch[i].box)
+				r.pushBox(r.batch[i].box, r.batch[i].root)
 			}
 			return types.Tuple{}, false, ErrBudget
 		}
 		for i := issuable; i < len(r.batch); i++ {
-			r.pushBox(r.batch[i].box)
+			r.pushBox(r.batch[i].box, r.batch[i].root)
 		}
 		r.batch = r.batch[:issuable]
 		// Issue the round concurrently; slots beyond the first are
@@ -843,7 +1031,17 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				// box whatever the threshold did since issue: everything
 				// in it has been seen. Never waste; remember the cover
 				// so later frontier boxes inside it are skipped.
-				r.covered = append(r.covered, it.box)
+				r.learnCover(box, it, res.Tuples)
+				continue
+			}
+			if it.deep {
+				// The deeper contour's box held more than a page: the
+				// candidate's own contour is the next probe, as it would
+				// have been the first.
+				c.s.e.mdCertOverflow.Add(1)
+				if tb, ok := r.axis.Tighten(box, cand.score); ok {
+					r.pushBox(tb, true)
+				}
 				continue
 			}
 			if it.ladder {
@@ -892,12 +1090,12 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				}
 				if c.variant == Rerank {
 					if tb, ok := r.axis.Tighten(it.box, cand.score); ok {
-						r.pushBox(tb)
+						r.pushBox(tb, it.root)
 					}
 				} else {
 					r.frontier = r.frontier[:0]
 					if tb, ok := r.axis.Tighten(box, cand.score); ok {
-						r.pushBox(tb)
+						r.pushBox(tb, true)
 					}
 					restarted = true
 				}
@@ -922,7 +1120,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 					}
 				}
 				if tb, ok := r.axis.Tighten(it.box, cand.score); ok {
-					r.pushBox(tb)
+					r.pushBox(tb, it.root)
 				}
 				continue
 			}
@@ -931,7 +1129,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				return types.Tuple{}, false, err
 			}
 			for _, k := range kids {
-				r.pushBox(k)
+				r.pushBox(k, false)
 			}
 		}
 		if singleImproved {
@@ -981,15 +1179,57 @@ func (r *mdResolver) padLadder(cand *candidate) {
 	}
 }
 
-// coveredBy reports whether b lies entirely inside a box this top-1 search
-// has already received a complete answer for.
-func (r *mdResolver) coveredBy(b query.Box) bool {
-	for i := range r.covered {
-		if r.covered[i].ContainsBox(b) {
+// covered reports whether a complete page of this top-1 search has already
+// shown every tuple of b that could beat the candidate.
+func (r *mdResolver) covered(b query.Box, cand *candidate) bool {
+	thr := math.Inf(1)
+	if cand.have {
+		thr = cand.score
+	}
+	for i := range r.covers {
+		if r.covers[i].contains(b, thr) {
 			return true
 		}
 	}
 	return false
+}
+
+// known reports whether the fact index already answers the probe over b.
+func (r *mdResolver) known(b query.Box) bool {
+	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
+	return r.c.s.e.probes.knows(r.probeQs[0])
+}
+
+// learnCover files the complete page of probe it. Any page covers the box it
+// asked about; the page of a root probe also covers the whole region, root,
+// down to the contour it was tightened against, and MD-RERANK hands the
+// deepest such cover to the cursor with its tuples in emission order.
+func (r *mdResolver) learnCover(root query.Box, it *batchItem, page []types.Tuple) {
+	if it.deep {
+		r.c.s.e.mdCertComplete.Add(1)
+	}
+	cv := mdCover{box: it.box, theta: math.Inf(1)}
+	if it.root {
+		cv.box = root
+		if it.thrHave {
+			cv.theta = it.thrScore
+		}
+		if r.c.variant == Rerank && (r.cover == nil || cv.theta > r.cover.theta) {
+			kept := cv
+			kept.fill = len(page)
+			for _, t := range page {
+				if s := r.axis.ScoreTuple(t); s <= cv.theta && !r.c.emitted[t.ID] {
+					kept.page = append(kept.page, scoredTuple{t, s})
+				}
+			}
+			sort.Slice(kept.page, func(i, j int) bool {
+				a, b := kept.page[i], kept.page[j]
+				return a.score < b.score || (a.score == b.score && a.t.ID < b.t.ID)
+			})
+			r.cover = &kept
+		}
+	}
+	r.covers = append(r.covers, cv)
 }
 
 // dupInBatch reports whether box equals any box already in the round —

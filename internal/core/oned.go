@@ -88,7 +88,7 @@ func (c *OneDCursor) axisOf(t types.Tuple) float64 {
 
 // certCover is a complete answer the cursor holds for its own query over the
 // axis interval (lo, hi]: every matching tuple in it, in cursor order. It is
-// the 1D twin of mdResolver.covered, kept for the cursor's lifetime: what the
+// the 1D twin of mdCover, kept for the cursor's lifetime: what the
 // upstream said about the interval stays the cursor's truth whatever the
 // fact index forgets or an epoch bump marks stale. The zero value covers
 // nothing.
@@ -353,6 +353,7 @@ func (c *OneDCursor) nextBinary(dense bool) (types.Tuple, bool, error) {
 	lo := c.lastAxis
 	if c.cover.lo <= lo && lo < c.cover.hi {
 		if t, ok := c.cover.after(c, lo); ok {
+			c.s.e.coverHits.Add(1)
 			return t, true, nil
 		}
 		lo = c.cover.hi

@@ -55,6 +55,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("rerank_probe_partial_total", "Probes answered free by replaying the overflow page the identical probe got before.", st.ProbePartialHits)
 	counter("rerank_certified_complete_total", "1D-RERANK certification probes that came back complete and answered their Get-Next outright.", st.CertifiedComplete)
 	counter("rerank_certified_overflow_total", "1D-RERANK certification probes that overflowed and left the search to bisect.", st.CertifiedOverflow)
+	counter("rerank_md_certified_complete_total", "MD-RERANK deep certification probes that came back complete and became their region's cover.", st.MDCertifiedComplete)
+	counter("rerank_md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed and left the search to the candidate's own contour.", st.MDCertifiedOverflow)
+	counter("rerank_cover_hits_total", "Get-Nexts, 1D and MD, answered from a cursor's certified cover: next tuple and tie group, no probe.", st.CoverHits)
 	gauge("rerank_md_dense_regions", "Crawled MD dense regions across attribute subsets.", int64(st.MDDenseRegions))
 	gauge("rerank_dense_md_buckets", "Occupied MD centroid-grid cells.", int64(st.DenseMDBuckets))
 	gauge("rerank_dense_md_max_bucket", "Largest MD centroid-grid cell population.", int64(st.DenseMDMaxBucket))
@@ -155,6 +158,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(u UpstreamStats) int64 { return u.CertifiedComplete })
 		labeled("rerank_upstream_certified_overflow_total", "1D-RERANK certification probes that overflowed, per upstream namespace.", "counter",
 			func(u UpstreamStats) int64 { return u.CertifiedOverflow })
+		labeled("rerank_upstream_md_certified_complete_total", "MD-RERANK deep certification probes that came back complete, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.MDCertifiedComplete })
+		labeled("rerank_upstream_md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.MDCertifiedOverflow })
+		labeled("rerank_upstream_cover_hits_total", "Get-Nexts answered from a cursor's certified cover, per upstream namespace.", "counter",
+			func(u UpstreamStats) int64 { return u.CoverHits })
 		labeled("rerank_upstream_md_dense_regions", "Crawled MD dense regions, per upstream namespace.", "gauge",
 			func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) })
 		labeled("rerank_upstream_admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge",

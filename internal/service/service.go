@@ -165,6 +165,14 @@ type UpstreamStats struct {
 	// only improved the candidate. Their ratio is the certification hit rate.
 	CertifiedComplete int64 `json:"certifiedComplete"`
 	CertifiedOverflow int64 `json:"certifiedOverflow"`
+	// MDCertifiedComplete / MDCertifiedOverflow count MD-RERANK's deep
+	// certification probes (at most one per region resolution, over the
+	// contour of the D-th best known tuple) by the same outcomes. CoverHits
+	// counts the Get-Nexts, 1D and MD, answered from a certified cover a
+	// cursor kept: next tuple and tie group for no probe at all.
+	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
+	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
+	CoverHits           int64 `json:"coverHits"`
 
 	// Living-upstream state: the knowledge epoch, sentinel drift detection,
 	// lazy re-validation and probe-guard counters (see docs/epochs.md).
@@ -221,9 +229,14 @@ type Stats struct {
 	ProbePartialHits   int64 `json:"probePartialHits"`
 	ProbeFactBytes     int64 `json:"probeFactBytes"`
 	// CertifiedComplete / CertifiedOverflow sum 1D-RERANK's certification
-	// probes by outcome across namespaces (see UpstreamStats).
-	CertifiedComplete int64 `json:"certifiedComplete"`
-	CertifiedOverflow int64 `json:"certifiedOverflow"`
+	// probes by outcome across namespaces, MDCertified* MD-RERANK's, and
+	// CoverHits the Get-Nexts answered from a cursor's certified cover (see
+	// UpstreamStats).
+	CertifiedComplete   int64 `json:"certifiedComplete"`
+	CertifiedOverflow   int64 `json:"certifiedOverflow"`
+	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
+	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
+	CoverHits           int64 `json:"coverHits"`
 	// MDDenseRegions is the number of crawled MD dense regions across all
 	// ranked-attribute subsets — the boxes MD-RERANK answers locally for
 	// zero upstream cost (persisted across restarts by the data dir).
@@ -613,6 +626,8 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	us.ProbeContainedHits = eng.ProbeContainedHits()
 	us.ProbePartialHits = eng.ProbePartialHits()
 	us.CertifiedComplete, us.CertifiedOverflow = eng.CertificationStats()
+	us.MDCertifiedComplete, us.MDCertifiedOverflow = eng.MDCertificationStats()
+	us.CoverHits = eng.CoverHits()
 	us.ProbeFactBytes = eng.ProbeCacheBytes()
 	us.StorageApproxBytes = ss.ApproxBytes + us.ProbeFactBytes
 	if hdb, ok := t.db.(*hidden.DB); ok {
@@ -666,6 +681,9 @@ func (s *Server) Stats() Stats {
 		st.ProbePartialHits += us.ProbePartialHits
 		st.CertifiedComplete += us.CertifiedComplete
 		st.CertifiedOverflow += us.CertifiedOverflow
+		st.MDCertifiedComplete += us.MDCertifiedComplete
+		st.MDCertifiedOverflow += us.MDCertifiedOverflow
+		st.CoverHits += us.CoverHits
 		st.ProbeFactBytes += us.ProbeFactBytes
 		st.MDDenseRegions += us.MDDenseRegions
 		st.DenseMDBuckets += us.DenseMDBuckets

@@ -457,7 +457,8 @@ func TestStreamInBandErrorStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, client := servingPipeline(t, db, Options{Core: core.Options{N: 600}})
-	_, err = client.RerankStream(mdRequest(50, 70, 10), nil)
+	// A window wide enough that no three pages hold its hundred best.
+	_, err = client.RerankStream(mdRequest(5, 500, 100), nil)
 	if err == nil {
 		t.Fatal("stream against an exhausted upstream budget succeeded")
 	}
@@ -610,11 +611,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// A 1D request, twice — the repeat searches from the history the first
 	// left (certification) — and an MD request whose partitioning meets
-	// boxes that overflow, twice — the repeat re-asks them (partial hits).
+	// boxes that overflow, twice — the repeat re-asks them (partial hits) —
+	// and a linear MD request under a second set of weights, so the repeat's
+	// candidate is history's but its contour no fact's (deep certification).
 	oneD := RerankRequest{Ranking: RankingSpec{Kind: "single", Attrs: []string{"Price"}, Desc: true}, H: 6}
 	ratio := RerankRequest{Ranking: RankingSpec{Kind: "ratio", Attrs: []string{"Price", "Carat"}},
 		Filters: map[string]string{"Shape": "Round"}, H: 5}
-	for _, req := range []RerankRequest{oneD, oneD, ratio, ratio} {
+	linear := mdRequest(30, 90, 4)
+	reweighted := linear
+	reweighted.Ranking.Weights = []float64{1, 500}
+	for _, req := range []RerankRequest{oneD, oneD, ratio, ratio, linear, reweighted} {
 		if _, err := client.Rerank(req); err != nil {
 			t.Fatal(err)
 		}
@@ -661,6 +667,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf("rerank_certified_overflow_total %d", st.CertifiedOverflow),
 		fmt.Sprintf("rerank_upstream_certified_complete_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedComplete),
 		fmt.Sprintf("rerank_upstream_certified_overflow_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedOverflow),
+		// MD certification does too, and the covers both cursors keep count
+		// the Get-Nexts they answered.
+		fmt.Sprintf("rerank_md_certified_complete_total %d", st.MDCertifiedComplete),
+		fmt.Sprintf("rerank_md_certified_overflow_total %d", st.MDCertifiedOverflow),
+		fmt.Sprintf("rerank_upstream_md_certified_complete_total{upstream=\"default\"} %d", st.Upstreams["default"].MDCertifiedComplete),
+		fmt.Sprintf("rerank_upstream_md_certified_overflow_total{upstream=\"default\"} %d", st.Upstreams["default"].MDCertifiedOverflow),
+		fmt.Sprintf("rerank_cover_hits_total %d", st.CoverHits),
+		fmt.Sprintf("rerank_upstream_cover_hits_total{upstream=\"default\"} %d", st.Upstreams["default"].CoverHits),
+	}
+	if def := st.Upstreams["default"]; st.MDCertifiedComplete == 0 || st.MDCertifiedComplete != def.MDCertifiedComplete ||
+		st.MDCertifiedOverflow != def.MDCertifiedOverflow || st.CoverHits == 0 || st.CoverHits != def.CoverHits {
+		t.Errorf("MD certifications %d complete / %d overflowing (default namespace %d / %d), cover hits %d (default namespace %d)",
+			st.MDCertifiedComplete, st.MDCertifiedOverflow, def.MDCertifiedComplete, def.MDCertifiedOverflow, st.CoverHits, def.CoverHits)
 	}
 	if def := st.Upstreams["default"]; st.ProbePartialHits == 0 || st.ProbePartialHits != def.ProbePartialHits ||
 		st.CertifiedComplete == 0 || st.CertifiedComplete != def.CertifiedComplete || st.CertifiedOverflow != def.CertifiedOverflow {
