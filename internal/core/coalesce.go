@@ -242,8 +242,10 @@ func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
 }
 
 // knows reports whether lookup would answer q, without assembling the answer
-// or counting a hit: the question MD-RERANK asks before it spends a probe on
-// a deeper contour than the one q describes.
+// or counting a hit: the question MD-RERANK asks, on the cursor goroutine,
+// before it spends a probe on a deeper contour than the one q describes. The
+// fact that answers is marked used as lookup would mark it — the probe over q
+// that follows reads it.
 func (c *coalescer) knows(q query.Query) bool {
 	if q.Empty() {
 		return true

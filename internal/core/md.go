@@ -86,12 +86,13 @@
 // only improves the candidate, and the search goes on from the candidate's
 // own contour as it would have started: one extra probe at most.
 //
-// Whether a region stands on its cover is decided on the cursor goroutine
-// (settle), between rounds. A resolver reads the fact index and builds its
-// cover on its own goroutine, from its own region's probes only; the cursor
-// attaches the cover when it applies the round's results in slot order. A
-// speculative region slot certifies exactly as the first slot does — its
-// cover, like its result, is work done early.
+// Whether a region stands on its cover (settle) and whether a resolution goes
+// deep (seedRound, which is where the fact index is asked) are decided on the
+// cursor goroutine, between rounds. A resolver builds its cover on its own
+// goroutine, from its own region's probes only; the cursor attaches the cover
+// when it applies the round's results in slot order. A speculative region slot
+// certifies exactly as the first slot does — its cover, like its result, is
+// work done early.
 //
 // Cost accounting is charge-at-issue: the per-op budget (MaxQueriesPerOp) is
 // charged in round order before a round is dispatched, the session ledger is
@@ -167,12 +168,11 @@ type mdResolver struct {
 
 	frontier boxHeap
 	boxSeq   int64
-	charged  int64     // upstream probes this resolution charged the ledger
-	spec     bool      // a speculative region-round slot: all its probes count as speculative
-	chain    int       // consecutive single-box improvement rounds (ladder trigger)
-	covers   []mdCover // complete pages of this top-1 search
-	cover    *mdCover  // MD-RERANK: the widest of them over the whole region, for the cursor to keep
-	deepened bool      // this top-1 search has spent its deep certification probe
+	charged  int64       // upstream probes this resolution charged the ledger
+	spec     bool        // a speculative region-round slot: all its probes count as speculative
+	chain    int         // consecutive single-box improvement rounds (ladder trigger)
+	covered  []query.Box // boxes answered completely during this top-1 search
+	cover    *mdCover    // MD-RERANK: the complete page over the whole region, for the cursor to keep
 	batch    []batchItem
 	results  []probeResult
 	probeQs  []query.Query
@@ -272,28 +272,21 @@ type batchItem struct {
 }
 
 // mdCover is a certified page: every tuple matching the cursor's query inside
-// box that scores ≤ theta is in page, in (score, ID) order. A complete answer
-// to Tighten(box, theta) certifies exactly that, and what the upstream said
-// stays the cursor's truth whatever the fact index forgets or an epoch bump
-// marks stale — the MD twin of certCover. Inside a top-1 search a cover skips
-// the frontier boxes it contains; kept by the region it spans, it supplies the
-// region's next answers and their tie groups for no probe at all.
+// the box of the region holding it that scores ≤ theta, less those emitted
+// before the page came back, is in page, in (score, ID) order. A complete
+// answer to Tighten(box, theta) certifies exactly that, and what the upstream
+// said stays the cursor's truth whatever the fact index forgets or an epoch
+// bump marks stale — the MD twin of certCover. The region it was asked over
+// keeps it, and so does every part that region is split into: it supplies
+// their next answers and those answers' tie groups for no probe at all.
 type mdCover struct {
-	box   query.Box
-	theta float64       // +Inf: the page holds everything inside box
-	page  []scoredTuple // a region's cover only: nil for one that just skips frontier boxes
-	fill  int           // with page: tuples the upstream's page held, emitted and beyond theta included
+	theta float64 // +Inf: the page holds everything inside the box
+	page  []scoredTuple
 }
 
 type scoredTuple struct {
 	t     types.Tuple
 	score float64
-}
-
-// contains reports whether the cover has seen every tuple of b that scores
-// below thr.
-func (cv *mdCover) contains(b query.Box, thr float64) bool {
-	return thr <= cv.theta && cv.box.ContainsBox(b)
 }
 
 // tiesOf returns the page's tuples sharing t's values on the ranked attributes
@@ -314,16 +307,6 @@ func (cv *mdCover) tiesOf(t types.Tuple, ax *ranking.Axis) (ties []types.Tuple, 
 		}
 	}
 	return ties, ok
-}
-
-// roomy reports whether a page of k could take depth more tuples on top of
-// what this one held and stay under two fifths full. A region emitting from
-// such a cover is not split: when the cover runs out, one probe over the whole
-// region extends it for every part the split would have made, and that probe's
-// box holds this page's tuples again. Past two fifths the parts' smaller boxes
-// are what keeps pages complete (§4.2.2).
-func (cv *mdCover) roomy(depth, k int) bool {
-	return 5*(cv.fill+depth) <= 2*k
 }
 
 // certDepth is the certification depth D for system-k: a tenth of a page, so
@@ -484,14 +467,12 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	// Split the region on the first ranked attribute at t's value. The
 	// right part keeps the boundary (closed) so tuples sharing the split
 	// coordinate remain reachable; the emitted set excludes the tie
-	// group itself. A region emitting from a roomy cover stays whole.
-	parts := []query.Box{reg.box}
-	if !covered || !reg.cover.roomy(c.depth, c.s.e.db.K()) {
-		z0 := c.axis().ToAxis(t)[0]
-		parts = []query.Box{reg.box.Clone(), reg.box.Clone()}
-		parts[0].Dims[0] = parts[0].Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
-		parts[1].Dims[0] = parts[1].Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
-	}
+	// group itself.
+	z0 := c.axis().ToAxis(t)[0]
+	b1 := reg.box.Clone()
+	b1.Dims[0] = b1.Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
+	b2 := reg.box.Clone()
+	b2.Dims[0] = b2.Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
 	if covered {
 		// The region's cover lists t, so it lists t's whole tie group and
 		// what each part holds next: no tie probe, nothing to prefetch.
@@ -503,17 +484,13 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 				c.pending = append(c.pending, tt)
 			}
 		}
-		for _, b := range parts {
-			c.pushRegion(b, reg.cover)
-		}
+		c.pushRegion(b1, reg.cover)
+		c.pushRegion(b2, reg.cover)
 		out := c.pending[0]
 		c.pending = c.pending[1:]
 		return out, true, nil
 	}
-	children := make([]*mdRegion, len(parts))
-	for i, b := range parts {
-		children[i] = c.pushRegion(b, nil)
-	}
+	children := []*mdRegion{c.pushRegion(b1, nil), c.pushRegion(b2, nil)}
 	c.excludeID, c.excludeOK = t.ID, true
 	err := c.collectTiesPipelined(t)
 	c.excludeOK = false
@@ -685,21 +662,47 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	}
 	if c.depth > 1 {
 		deep := make([]float64, c.depth*len(regs))
+		for i := range deep {
+			deep[i] = math.Inf(1)
+		}
 		for i := range cands {
-			cands[i].deep = deep[i*c.depth : i*c.depth : (i+1)*c.depth]
+			cands[i].deep = deep[i*c.depth : (i+1)*c.depth]
 		}
 	}
 	// One pass over the matching history seeds every slot: all callbacks
 	// run on the cursor goroutine, so sharing the scan preserves the
 	// deterministic seeding order while keeping the cost independent of W.
-	// The scan reads the columnar view directly — a candidate tuple is
-	// materialized only when a slot actually adopts it.
+	// The scan reads the columnar view directly — a slot's candidate is
+	// materialized once, from the row it ended the scan on.
+	var view colstore.View
 	c.s.e.know.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
+		view = v
 		for i, reg := range regs {
 			c.resolvers[i+off].improveRow(&cands[i], v, row, reg.box)
 		}
 		return true
 	})
+	for i := range cands {
+		if cands[i].have {
+			cands[i].t = view.Tuple(cands[i].row)
+		}
+	}
+	// History knows deeper tuples than the candidate: unless the candidate's
+	// own contour is already a fact, the resolution asks for the deepest known
+	// contour instead, and a complete page certifies every answer down to it.
+	for i, reg := range regs {
+		cand, r := &cands[i], c.resolvers[i+off]
+		n := len(cand.deep)
+		for n > 0 && math.IsInf(cand.deep[n-1], 1) {
+			n--
+		}
+		cand.deep = cand.deep[:n]
+		if n > 1 && cand.deep[n-1] > cand.score {
+			if own, ok := r.axis.Tighten(reg.box, cand.score); ok && !r.known(own) {
+				cand.certify = true
+			}
+		}
+	}
 	return cands
 }
 
@@ -814,30 +817,32 @@ func (c *MDCursor) gatherTies(t types.Tuple, point query.Box, res hidden.Result)
 }
 
 // candidate tracks the best non-emitted tuple found during one top-1 search.
-// deep, when seedRound gave it capacity, collects the scores of the best
-// cap(deep) history tuples in ascending order: its last entry is the contour
-// the resolution certifies at.
+// deep, when seedRound gave it room, collects the scores of the best
+// len(deep) history tuples in ascending order; certify, when seedRound set it,
+// has the resolution's first probe ask for the contour of the last of them in
+// place of the candidate's own.
 type candidate struct {
-	t     types.Tuple
-	score float64
-	have  bool
-	deep  []float64
+	t       types.Tuple
+	score   float64
+	have    bool
+	row     int // during seedRound's scan: the history row t.ID names
+	deep    []float64
+	certify bool
 }
 
-// noteDeep files score s among the best cap(deep) seen.
+// noteDeep files score s among the best len(deep) seen. Nearly every row of a
+// scan is turned away by the test, which is the part that inlines.
 func (cand *candidate) noteDeep(s float64) {
-	d := cand.deep
-	if len(d) == cap(d) {
-		if len(d) == 0 || s >= d[len(d)-1] {
-			return
-		}
-		d = d[:len(d)-1]
+	if d := cand.deep; len(d) > 0 && s < d[len(d)-1] {
+		cand.fileDeep(s)
 	}
+}
+
+func (cand *candidate) fileDeep(s float64) {
+	d := cand.deep
 	i := sort.SearchFloat64s(d, s)
-	d = append(d, 0)
 	copy(d[i+1:], d[i:])
 	d[i] = s
-	cand.deep = d
 }
 
 func (r *mdResolver) improve(cand *candidate, ts []types.Tuple, box query.Box) {
@@ -864,8 +869,8 @@ func (r *mdResolver) improveOne(cand *candidate, t types.Tuple, box query.Box) {
 
 // improveRow is improveOne reading straight from a columnar history row. The
 // scan that feeds it has already filtered by the cursor's query, so only the
-// emitted/excluded checks remain, and the tuple is materialized only when
-// the candidate actually adopts it.
+// emitted/excluded checks remain. An adopted row leaves its ID and row number;
+// seedRound materializes the tuple when the scan is over.
 func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box query.Box) {
 	id := v.ID(row)
 	if r.c.emitted[id] || (r.c.excludeOK && id == r.c.excludeID) {
@@ -875,10 +880,10 @@ func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box q
 	if !box.Contains(z) {
 		return
 	}
-	s := r.axis.ScoreView(v, row)
+	s := r.axis.ScoreAxis(z) // the row's own score to the bit: z holds its values times ±1
 	cand.noteDeep(s)
 	if !cand.have || s < cand.score || (s == cand.score && id < cand.t.ID) {
-		cand.t, cand.score, cand.have = v.Tuple(row), s, true
+		cand.t.ID, cand.row, cand.score, cand.have = id, row, s, true
 	}
 }
 
@@ -902,8 +907,8 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 	r.boxSeq = 0
 	r.charged = 0
 	r.chain = 0
-	r.covers = r.covers[:0]
-	r.cover, r.deepened = nil, false
+	r.covered = r.covered[:0]
+	r.cover = nil
 	r.pushBox(box, true)
 	for r.frontier.Len() > 0 {
 		// Compose one speculative round: the W best frontier boxes that
@@ -926,7 +931,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 			// known: improve has seen every tuple in it, so probing it
 			// again (typically the confirm probe after a ladder rung
 			// collapsed the improvement chain) buys nothing.
-			if r.covered(b, cand) {
+			if r.coveredBy(b) {
 				continue
 			}
 			// MD-RERANK fast path: a box already covered by a crawled
@@ -945,16 +950,14 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				}
 			}
 			it := batchItem{box: b, thrScore: cand.score, thrHave: cand.have, root: fb.root}
-			if n := len(cand.deep); fb.root && !r.deepened && n > 1 && cand.deep[n-1] > cand.score {
-				// The candidate is history's and history knows deeper ones.
-				// Unless the candidate's own contour is already a fact, ask
-				// for the deepest known contour instead: complete, the page
-				// certifies every answer down to it, not this one alone.
-				r.deepened = true
-				if !r.known(b) {
-					if db, ok := r.axis.Tighten(fb.box, cand.deep[n-1]); ok {
-						it.box, it.thrScore, it.deep = db, cand.deep[n-1], true
-					}
+			if cand.certify {
+				// The search's first probe, over the whole region: only here
+				// may the box be wider than the candidate's own contour makes
+				// it, so certify is spent whatever comes back.
+				cand.certify = false
+				theta := cand.deep[len(cand.deep)-1]
+				if db, ok := r.axis.Tighten(box, theta); ok {
+					it.box, it.thrScore, it.deep = db, theta, true
 				}
 			}
 			r.batch = append(r.batch, it)
@@ -1031,7 +1034,13 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				// box whatever the threshold did since issue: everything
 				// in it has been seen. Never waste; remember the cover
 				// so later frontier boxes inside it are skipped.
-				r.learnCover(box, it, res.Tuples)
+				r.covered = append(r.covered, it.box)
+				if it.deep {
+					c.s.e.mdCertComplete.Add(1)
+				}
+				if it.root && c.variant == Rerank {
+					r.keepCover(it, res.Tuples)
+				}
 				continue
 			}
 			if it.deep {
@@ -1179,57 +1188,42 @@ func (r *mdResolver) padLadder(cand *candidate) {
 	}
 }
 
-// covered reports whether a complete page of this top-1 search has already
-// shown every tuple of b that could beat the candidate.
-func (r *mdResolver) covered(b query.Box, cand *candidate) bool {
-	thr := math.Inf(1)
-	if cand.have {
-		thr = cand.score
-	}
-	for i := range r.covers {
-		if r.covers[i].contains(b, thr) {
+// coveredBy reports whether b lies entirely inside a box this top-1 search
+// has already received a complete answer for.
+func (r *mdResolver) coveredBy(b query.Box) bool {
+	for i := range r.covered {
+		if r.covered[i].ContainsBox(b) {
 			return true
 		}
 	}
 	return false
 }
 
-// known reports whether the fact index already answers the probe over b.
+// known reports whether the fact index already answers the probe over b. It
+// borrows the resolver's probe scratch: cursor goroutine, between rounds.
 func (r *mdResolver) known(b query.Box) bool {
 	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
 	return r.c.s.e.probes.knows(r.probeQs[0])
 }
 
-// learnCover files the complete page of probe it. Any page covers the box it
-// asked about; the page of a root probe also covers the whole region, root,
-// down to the contour it was tightened against, and MD-RERANK hands the
-// deepest such cover to the cursor with its tuples in emission order.
-func (r *mdResolver) learnCover(root query.Box, it *batchItem, page []types.Tuple) {
-	if it.deep {
-		r.c.s.e.mdCertComplete.Add(1)
+// keepCover makes the complete page of root probe it the region's cover, its
+// tuples in emission order. The probe's box was the whole region's tightened
+// against it.thrScore, so the page certifies the region down to that contour.
+func (r *mdResolver) keepCover(it *batchItem, page []types.Tuple) {
+	cv := &mdCover{theta: math.Inf(1)}
+	if it.thrHave {
+		cv.theta = it.thrScore
 	}
-	cv := mdCover{box: it.box, theta: math.Inf(1)}
-	if it.root {
-		cv.box = root
-		if it.thrHave {
-			cv.theta = it.thrScore
-		}
-		if r.c.variant == Rerank && (r.cover == nil || cv.theta > r.cover.theta) {
-			kept := cv
-			kept.fill = len(page)
-			for _, t := range page {
-				if s := r.axis.ScoreTuple(t); s <= cv.theta && !r.c.emitted[t.ID] {
-					kept.page = append(kept.page, scoredTuple{t, s})
-				}
-			}
-			sort.Slice(kept.page, func(i, j int) bool {
-				a, b := kept.page[i], kept.page[j]
-				return a.score < b.score || (a.score == b.score && a.t.ID < b.t.ID)
-			})
-			r.cover = &kept
+	for _, t := range page {
+		if s := r.axis.ScoreTuple(t); s <= cv.theta && !r.c.emitted[t.ID] {
+			cv.page = append(cv.page, scoredTuple{t, s})
 		}
 	}
-	r.covers = append(r.covers, cv)
+	sort.Slice(cv.page, func(i, j int) bool {
+		a, b := cv.page[i], cv.page[j]
+		return a.score < b.score || (a.score == b.score && a.t.ID < b.t.ID)
+	})
+	r.cover = cv
 }
 
 // dupInBatch reports whether box equals any box already in the round —

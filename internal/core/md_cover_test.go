@@ -99,6 +99,7 @@ func TestMDCoverAcrossTieGroups(t *testing.T) {
 			}
 			seen[tp.ID] = true
 			got = append(got, tp)
+			assertCoversHold(t, cur, tuples, r)
 			for _, reg := range cur.regions {
 				if reg.resolved && cur.emitted[reg.best.ID] {
 					t.Fatalf("W=%d: a region stands resolved on emitted tuple %d", width, reg.best.ID)
@@ -113,6 +114,77 @@ func TestMDCoverAcrossTieGroups(t *testing.T) {
 		assertSameRanking(t, r, got, full[:min(150, len(full))], full)
 		if !heldEmitted {
 			t.Fatalf("W=%d: no held cover page ever listed an emitted tuple; the test exercised nothing", width)
+		}
+	}
+}
+
+// assertCoversHold checks every held cover against the corpus: a region's page
+// lists each tuple of the region's box that matches q, scores at most Θ and
+// has not been emitted.
+func assertCoversHold(t *testing.T, cur *MDCursor, all []types.Tuple, r ranking.Ranker) {
+	t.Helper()
+	for _, reg := range cur.regions {
+		if reg.cover == nil {
+			continue
+		}
+		listed := map[int]bool{}
+		for _, st := range reg.cover.page {
+			listed[st.t.ID] = true
+		}
+		for _, tp := range all {
+			if cur.q.Matches(tp) && !cur.emitted[tp.ID] && !listed[tp.ID] &&
+				reg.box.Contains(cur.axis().ToAxis(tp)) && ranking.ScoreTuple(r, tp) <= reg.cover.theta {
+				t.Fatalf("region %v holds a cover down to %v that does not list %v (score %v)",
+					reg.box, reg.cover.theta, tp, ranking.ScoreTuple(r, tp))
+			}
+		}
+	}
+}
+
+// TestMDCoverAfterTiedHistory: the D best tuples history knows share one
+// score, so the first probe asks the candidate's own contour; it overflows and
+// its page improves the candidate past several score levels. The probe that
+// follows covers the region down to the improved candidate only, and the cover
+// filed for it must not claim the deeper contour of the tied pair.
+func TestMDCoverAfterTiedHistory(t *testing.T) {
+	schema := testSchema(2)
+	at := func(a0, a1 float64) types.Tuple {
+		return types.Tuple{Ord: []float64{a0, a1, 0}, Cat: map[string]string{"cat": "x"}}
+	}
+	// Scores under A0 + A1: 10, 17 and 12 — the last outside [0, 10]², where the
+	// contour of the first puts its box — then the pair tied at 60.
+	tuples := []types.Tuple{at(0, 10), at(8, 9), at(12, 0), at(25, 35), at(35, 25)}
+	for i := 1; i <= 30; i++ {
+		tuples = append(tuples, at(float64(i), 40))
+	}
+	for i := range tuples {
+		tuples[i].ID = i
+	}
+	sys := hidden.RankerAdapter{R: ranking.NewSingle("sys", 0, ranking.Asc)}
+	r := ranking.MustLinear("sum", []int{0, 1}, []float64{1, 1})
+	pair := query.New().WithRange(0, types.ClosedInterval(25, 35)).WithRange(1, types.ClosedInterval(25, 35))
+	full := oracleTopH(tuples, query.New(), r, len(tuples))
+	for _, width := range []int{1, 4} {
+		for _, coalesce := range []bool{true, false} {
+			db := hidden.MustDB(schema, tuples, hidden.Options{K: 20, Ranker: sys})
+			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, DisableCoalescing: !coalesce})
+			if got, err := TopH(e.NewMDCursor(pair, r, Rerank), 2); err != nil || len(got) != 2 {
+				t.Fatalf("warm-up: %v, %v", got, err)
+			}
+			cur := e.NewMDCursor(query.New(), r, Rerank)
+			var got []types.Tuple
+			for {
+				tp, ok, err := cur.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got = append(got, tp)
+				assertCoversHold(t, cur, tuples, r)
+			}
+			assertSameRanking(t, r, got, full, full)
 		}
 	}
 }

@@ -148,18 +148,6 @@ func (a *Axis) ToAxisViewInto(v colstore.View, row int, dst []float64) []float64
 	return dst
 }
 
-// ScoreView evaluates the ranking score of a columnar view row without
-// materializing the tuple.
-func (a *Axis) ScoreView(v colstore.View, row int) float64 {
-	if a.scoreBuf == nil {
-		a.scoreBuf = make([]float64, len(a.attrs))
-	}
-	for j, attr := range a.attrs {
-		a.scoreBuf[j] = v.Ord(row, attr)
-	}
-	return a.R.Score(a.scoreBuf)
-}
-
 // DomainBox returns the closed axis-space box spanning the attribute domains.
 func (a *Axis) DomainBox() query.Box {
 	b := query.Box{Dims: make([]types.Interval, len(a.attrs))}

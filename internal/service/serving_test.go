@@ -457,7 +457,8 @@ func TestStreamInBandErrorStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, client := servingPipeline(t, db, Options{Core: core.Options{N: 600}})
-	// A window wide enough that no three pages hold its hundred best.
+	// Three pages of system-k = 30 cannot hold a hundred answers, however
+	// cheap the search gets: the budget runs out mid-stream at any cost.
 	_, err = client.RerankStream(mdRequest(5, 500, 100), nil)
 	if err == nil {
 		t.Fatal("stream against an exhausted upstream budget succeeded")
