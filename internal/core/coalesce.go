@@ -241,23 +241,24 @@ func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
 	return res, ok
 }
 
-// knows reports whether lookup would answer q, without assembling the answer
-// or counting a hit: the question MD-RERANK asks, on the cursor goroutine,
-// before it spends a probe on a deeper contour than the one q describes. The
-// fact that answers is marked used as lookup would mark it — the probe over q
-// that follows reads it.
-func (c *coalescer) knows(q query.Query) bool {
+// knows reports whether lookup would answer q, and whether with a complete
+// page rather than a replayed overflow, without assembling the answer or
+// counting a hit: the questions MD-RERANK asks, on the cursor goroutine, before
+// it spends a probe on a deeper contour than its candidate's own. The fact that
+// answers is marked used as lookup would mark it — the probe that follows
+// reads it.
+func (c *coalescer) knows(q query.Query) (known, complete bool) {
 	if q.Empty() {
-		return true
+		return true, true
 	}
 	if c.facts == nil {
-		return false
+		return false, false
 	}
 	key := keyBufs.Get().(*[]byte)
 	*key = q.AppendString((*key)[:0])
 	_, kind := c.facts.lookup(*key, q, c.curEpoch(), true)
 	keyBufs.Put(key)
-	return kind != hitNone
+	return kind != hitNone, kind == hitExact || kind == hitContained
 }
 
 // keyBufs pools canonical-key byte buffers: a hit looks its key up from

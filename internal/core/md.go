@@ -84,7 +84,10 @@
 // contour of the D-th best known tuple instead (D a function of system-k
 // only), so one complete page certifies up to D answers; an overflowing page
 // only improves the candidate, and the search goes on from the candidate's
-// own contour as it would have started: one extra probe at most.
+// own contour as it would have started: one extra probe at most. It asks for
+// the deeper contour too when the fact index holds that page complete — the
+// probe is free, and a repeated request then stands on the covers its first
+// run stood on instead of scanning history once per Get-Next.
 //
 // Whether a region stands on its cover (settle) and whether a resolution goes
 // deep (seedRound, which is where the fact index is asked) are decided on the
@@ -687,9 +690,11 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 			cands[i].t = view.Tuple(cands[i].row)
 		}
 	}
-	// History knows deeper tuples than the candidate: unless the candidate's
-	// own contour is already a fact, the resolution asks for the deepest known
-	// contour instead, and a complete page certifies every answer down to it.
+	// History knows deeper tuples than the candidate: the resolution asks for
+	// the deepest known contour instead of the candidate's own, and a complete
+	// page certifies every answer down to it — when that page is already a
+	// fact, so that a repeated request runs as its first run did, or when the
+	// candidate's own contour is not, so that the probe is spent either way.
 	for i, reg := range regs {
 		cand, r := &cands[i], c.resolvers[i+off]
 		n := len(cand.deep)
@@ -698,7 +703,9 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 		}
 		cand.deep = cand.deep[:n]
 		if n > 1 && cand.deep[n-1] > cand.score {
-			if own, ok := r.axis.Tighten(reg.box, cand.score); ok && !r.known(own) {
+			if _, held := r.known(reg.box, cand.deep[n-1]); held {
+				cand.certify = true
+			} else if own, _ := r.known(reg.box, cand.score); !own {
 				cand.certify = true
 			}
 		}
@@ -1199,9 +1206,16 @@ func (r *mdResolver) coveredBy(b query.Box) bool {
 	return false
 }
 
-// known reports whether the fact index already answers the probe over b. It
-// borrows the resolver's probe scratch: cursor goroutine, between rounds.
-func (r *mdResolver) known(b query.Box) bool {
+// known reports whether the fact index already answers the probe over box
+// tightened against contour theta, and whether with a complete page. A
+// contour the box's best corner already reaches leaves nothing to ask: known,
+// and no page. It borrows the resolver's probe scratch: cursor goroutine,
+// between rounds.
+func (r *mdResolver) known(box query.Box, theta float64) (known, complete bool) {
+	b, ok := r.axis.Tighten(box, theta)
+	if !ok {
+		return true, false
+	}
 	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
 	return r.c.s.e.probes.knows(r.probeQs[0])
 }

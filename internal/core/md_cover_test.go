@@ -62,6 +62,44 @@ func TestMDProbeStreamIndependentOfH(t *testing.T) {
 	}
 }
 
+// TestMDRepeatCertifiesFromFacts: a request the engine has answered before
+// finds its deep pages in the fact index and keeps them as covers again, so the
+// repeat resolves as few regions as its first run did — as many deep pages,
+// no more upstream queries — instead of asking the fact index for one
+// candidate's contour per Get-Next, each behind a history scan.
+func TestMDRepeatCertifiesFromFacts(t *testing.T) {
+	schema := testSchema(2)
+	tuples := genTuples(rand.New(rand.NewSource(93)), schema, 2000, false)
+	sys := hidden.RankerAdapter{R: ranking.NewSingle("sys", 1, ranking.Desc)}
+	r := ranking.MustLinear("u", []int{0, 1}, []float64{1, 2})
+	warm := ranking.MustLinear("w", []int{0, 1}, []float64{3, 1})
+	q := query.New().WithCat("cat", "x")
+	db := hidden.MustDB(schema, tuples, hidden.Options{K: 30, Ranker: sys})
+	e := NewEngine(db, Options{N: len(tuples)})
+	if _, err := TopH(e.NewMDCursor(q, warm, Rerank), 6); err != nil {
+		t.Fatal(err)
+	}
+	full := oracleTopH(tuples, q, r, len(tuples))
+	var deep, asked [2]int64
+	for run := range deep {
+		d0, _ := e.MDCertificationStats()
+		q0 := db.QueryCount()
+		got, err := TopH(e.NewMDCursor(q, r, Rerank), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRanking(t, r, got, full[:8], full)
+		d1, _ := e.MDCertificationStats()
+		deep[run], asked[run] = d1-d0, db.QueryCount()-q0
+	}
+	if deep[0] == 0 {
+		t.Fatal("the first run kept no deep page; the test exercised nothing")
+	}
+	if deep[1] < deep[0] || asked[1] > asked[0] {
+		t.Fatalf("first run: %d deep pages for %d queries; its repeat: %d for %d", deep[0], asked[0], deep[1], asked[1])
+	}
+}
+
 // TestMDCoverAcrossTieGroups drains a corpus of ten-tuple tie groups under a
 // page of twenty, where every cover page cuts through tie groups that are
 // emitted while it is held — by its own region, or, at W > 1, by the Get-Next
