@@ -16,7 +16,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -265,90 +264,6 @@ func BenchmarkCrawlCoalesced(b *testing.B) {
 	})
 }
 
-// histStore is the surface BenchmarkHistoryWriteMix drives: the history
-// store's hot-path operations shared by the sharded implementation and the
-// pre-sharding rebuild-on-read baseline below.
-type histStore interface {
-	Add(...types.Tuple) int
-	MinMatching(query.Query, int, types.Interval) (types.Tuple, bool)
-	MaxMatching(query.Query, int, types.Interval) (types.Tuple, bool)
-}
-
-// rebuildStore replicates the pre-PR-2 history store design — one global
-// RWMutex, per-attribute sorted indexes thrown away on every insert and
-// rebuilt (full O(n log n) sort) by the next reader under the write lock —
-// kept here as the benchmark baseline the sharded store is measured against.
-type rebuildStore struct {
-	mu     sync.RWMutex
-	byID   map[int]types.Tuple
-	sorted map[int][]types.Tuple
-	dirty  map[int]bool
-}
-
-func newRebuildStore() *rebuildStore {
-	return &rebuildStore{
-		byID:   make(map[int]types.Tuple),
-		sorted: make(map[int][]types.Tuple),
-		dirty:  make(map[int]bool),
-	}
-}
-
-func (s *rebuildStore) Add(tuples ...types.Tuple) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	added := 0
-	for _, t := range tuples {
-		if _, seen := s.byID[t.ID]; seen {
-			continue
-		}
-		s.byID[t.ID] = t.Clone()
-		added++
-	}
-	if added > 0 {
-		for a := range s.sorted {
-			s.dirty[a] = true
-		}
-	}
-	return added
-}
-
-func (s *rebuildStore) index(attr int) []types.Tuple {
-	s.mu.RLock()
-	lst, ok := s.sorted[attr]
-	fresh := ok && !s.dirty[attr] && len(lst) == len(s.byID)
-	s.mu.RUnlock()
-	if fresh {
-		return lst
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lst, ok = s.sorted[attr]
-	if ok && !s.dirty[attr] && len(lst) == len(s.byID) {
-		return lst
-	}
-	lst = make([]types.Tuple, 0, len(s.byID))
-	for _, t := range s.byID {
-		lst = append(lst, t)
-	}
-	sort.Slice(lst, func(i, j int) bool {
-		if lst[i].Ord[attr] != lst[j].Ord[attr] {
-			return lst[i].Ord[attr] < lst[j].Ord[attr]
-		}
-		return lst[i].ID < lst[j].ID
-	})
-	s.sorted[attr] = lst
-	s.dirty[attr] = false
-	return lst
-}
-
-func (s *rebuildStore) MinMatching(q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	return index.ScanMinMatching(s.index(attr), q, attr, iv)
-}
-
-func (s *rebuildStore) MaxMatching(q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	return index.ScanMaxMatching(s.index(attr), q, attr, iv)
-}
-
 // benchHistSchema is the two-ordinal-attribute schema the history write-mix
 // benchmark runs over.
 func benchHistSchema() *types.Schema {
@@ -359,8 +274,7 @@ func benchHistSchema() *types.Schema {
 }
 
 // benchHistTuple fabricates a fresh observed tuple; IDs come from an atomic
-// counter so every Add inserts (dup Adds would let the rebuild baseline skip
-// its index invalidation and understate the contrast).
+// counter so every Add inserts.
 func benchHistTuple(rng *rand.Rand, id int64) types.Tuple {
 	return types.Tuple{
 		ID:  int(id),
@@ -370,12 +284,10 @@ func benchHistTuple(rng *rand.Rand, id int64) types.Tuple {
 
 // BenchmarkHistoryWriteMix drives the history store's hot path — Add vs
 // indexed MinMatching/MaxMatching — at three read/write ratios and several
-// GOMAXPROCS settings, once against the sharded incremental store and once
-// against the pre-sharding rebuild-on-read baseline. The interesting number
-// is the sharded/rebuild ns/op ratio at mix=mixed with procs ≥ 4: the write
-// mix keeps the baseline permanently dirty, so every read pays a full
-// O(n log n) rebuild under the write lock, while the sharded store merges
-// incrementally per attribute.
+// GOMAXPROCS settings. Reads never pay for writes: the store merges
+// incrementally per attribute, so ns/op stays flat as the write share grows.
+// (The names keep the store=sharded suffix the committed baseline is keyed
+// by.)
 func BenchmarkHistoryWriteMix(b *testing.B) {
 	mixes := []struct {
 		name    string
@@ -385,48 +297,39 @@ func BenchmarkHistoryWriteMix(b *testing.B) {
 		{"mixed", 50},
 		{"write-heavy", 5},
 	}
-	stores := []struct {
-		name string
-		make func() histStore
-	}{
-		{"sharded", func() histStore { return history.NewStore(benchHistSchema()) }},
-		{"rebuild", func() histStore { return newRebuildStore() }},
-	}
 	for _, mix := range mixes {
 		for _, procs := range []int{1, 4, 8} {
-			for _, st := range stores {
-				name := fmt.Sprintf("mix=%s/procs=%d/store=%s", mix.name, procs, st.name)
-				b.Run(name, func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					s := st.make()
-					var nextID, nextSeed atomic.Int64
-					// Pre-populate so reads have something to scan from
-					// the first iteration.
-					seedRNG := rand.New(rand.NewSource(1))
-					for i := 0; i < 5000; i++ {
-						s.Add(benchHistTuple(seedRNG, nextID.Add(1)))
-					}
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						rng := rand.New(rand.NewSource(nextSeed.Add(1)))
-						for pb.Next() {
-							if rng.Intn(100) < mix.readPct {
-								attr := rng.Intn(2)
-								lo := rng.Float64() * 90
-								iv := types.ClosedInterval(lo, lo+10)
-								q := query.New().WithRange(1-attr, types.ClosedInterval(0, 75))
-								if rng.Intn(2) == 0 {
-									s.MinMatching(q, attr, iv)
-								} else {
-									s.MaxMatching(q, attr, iv)
-								}
+			name := fmt.Sprintf("mix=%s/procs=%d/store=sharded", mix.name, procs)
+			b.Run(name, func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				s := history.NewStore(benchHistSchema())
+				var nextID, nextSeed atomic.Int64
+				// Pre-populate so reads have something to scan from
+				// the first iteration.
+				seedRNG := rand.New(rand.NewSource(1))
+				for i := 0; i < 5000; i++ {
+					s.Add(benchHistTuple(seedRNG, nextID.Add(1)))
+				}
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					rng := rand.New(rand.NewSource(nextSeed.Add(1)))
+					for pb.Next() {
+						if rng.Intn(100) < mix.readPct {
+							attr := rng.Intn(2)
+							lo := rng.Float64() * 90
+							iv := types.ClosedInterval(lo, lo+10)
+							q := query.New().WithRange(1-attr, types.ClosedInterval(0, 75))
+							if rng.Intn(2) == 0 {
+								s.MinMatching(q, attr, iv)
 							} else {
-								s.Add(benchHistTuple(rng, nextID.Add(1)))
+								s.MaxMatching(q, attr, iv)
 							}
+						} else {
+							s.Add(benchHistTuple(rng, nextID.Add(1)))
 						}
-					})
+					}
 				})
-			}
+			})
 		}
 	}
 }
@@ -535,7 +438,7 @@ func benchDenseIndex(n int) *index.DenseMD {
 		w := 0.2 + rng.Float64()*0.6
 		d.Insert(query.Box{Dims: []types.Interval{
 			{Lo: lo0, Hi: lo0 + w}, {Lo: lo1, Hi: lo1 + w},
-		}}, nil)
+		}}, nil, index.FirstEpoch)
 	}
 	benchDenseIndexes[n] = d
 	return d

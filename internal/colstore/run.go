@@ -18,8 +18,8 @@ type Run struct {
 // Len returns the number of entries.
 func (r Run) Len() int { return len(r.Vals) }
 
-// runLess orders run entries by (value, ID) — the same total order the
-// row-struct shards used, so tie-breaking is unchanged.
+// runLess orders run entries by (value, ID), the canonical order of every
+// sorted run in the system.
 func runLess(v View, aVal float64, aRow uint32, bVal float64, bRow uint32) bool {
 	if aVal != bVal {
 		return aVal < bVal
@@ -95,10 +95,9 @@ func MergeRuns(v View, a, b Run) Run {
 	return out
 }
 
-// ScanMin returns the first entry with value inside iv whose row matches m —
-// the columnar mirror of index.ScanMinMatching: binary-search to the first
-// value >= iv.Lo, then walk forward skipping excluded endpoints until the
-// value exceeds iv.Hi.
+// ScanMin returns the first entry with value inside iv whose row matches m:
+// binary-search to the first value >= iv.Lo, then walk forward skipping
+// excluded endpoints until the value exceeds iv.Hi.
 func (r Run) ScanMin(m *Matcher, iv types.Interval) (row uint32, val float64, ok bool) {
 	i := sort.Search(len(r.Vals), func(i int) bool { return r.Vals[i] >= iv.Lo })
 	for ; i < len(r.Vals); i++ {

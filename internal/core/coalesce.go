@@ -324,7 +324,9 @@ func (c *coalescer) fetch(q query.Query) (res hidden.Result, issued bool, err er
 			c.revalEvicted.Add(1)
 		}
 		if p := c.persist.Load(); p != nil && out.fact != nil {
-			p.recordProbe(out.fact, cur)
+			// The fact is immutable apart from its epoch, which cur pins.
+			f := out.fact
+			p.record(pendingOp{ranges: f.ranges, cats: f.cats, rows: f.rows, overflow: f.partial, epoch: cur})
 		}
 		return fres, nil
 	})

@@ -80,10 +80,14 @@ func TestFlightGroupFollowerRetriesAfterLeaderFailure(t *testing.T) {
 func TestCoalescedTransientFailuresDoNotFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, _ := newTestDB(t, rng, 2, 400, 10, false, systemRankers(2)[0])
-	fdb := &hidden.FlakyDB{DB: &slowDB{inner: db, delay: 200 * time.Microsecond}, FailEvery: 3}
+	fdb := &hidden.FlakyDB{DB: db, FailEvery: 3}
+	// The gate sits in front of the failure injection: the first round's four
+	// leaders park on it until each has a follower, so the failure among
+	// them is a failed flight somebody coalesced onto by construction.
+	gate := &slowDB{inner: fdb, gate: make(chan struct{})}
 	// No probe cache: every probe must go through a flight, so injected
 	// failures keep hitting coalesced groups for the whole test.
-	e := NewEngine(fdb, Options{N: 400, ProbeCacheSize: -1})
+	e := NewEngine(gate, Options{N: 400, ProbeCacheSize: -1})
 
 	queries := []query.Query{
 		query.New(),
@@ -114,6 +118,10 @@ func TestCoalescedTransientFailuresDoNotFanOut(t *testing.T) {
 			}
 		}(w)
 	}
+	for _, q := range queries {
+		awaitFollowers(e, q, workers/len(queries)-1)
+	}
+	close(gate.gate)
 	wg.Wait()
 	callerErrs.Range(func(k, _ any) bool {
 		t.Errorf("caller observed a non-injected error: %v", k)

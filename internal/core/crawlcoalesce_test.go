@@ -2,28 +2,44 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/types"
 )
 
-// slowDB delays every TopK so concurrent identical probes genuinely overlap
-// in flight, and counts the calls that reach it.
+// slowDB counts the TopK calls that reach it and, when it has a gate, parks
+// each of them until the test closes the gate — so concurrent identical
+// probes overlap in flight on the test's say-so, not on a timer.
 type slowDB struct {
 	inner hidden.Database
-	delay time.Duration
+	gate  chan struct{} // nil: calls pass straight through
 	calls atomic.Int64
 }
 
 func (s *slowDB) TopK(q query.Query) (hidden.Result, error) {
 	s.calls.Add(1)
-	time.Sleep(s.delay)
+	if s.gate != nil {
+		<-s.gate
+	}
 	return s.inner.TopK(q)
+}
+
+// awaitFollowers returns once e's in-flight upstream probe for q has n
+// callers parked on its result.
+func awaitFollowers(e *Engine, q query.Query, n int) {
+	g := e.probes.flights
+	for followers := 0; followers < n; runtime.Gosched() {
+		g.mu.Lock()
+		if f, ok := g.inflight[q.String()]; ok {
+			followers = f.followers
+		}
+		g.mu.Unlock()
+	}
 }
 
 func (s *slowDB) K() int                { return s.inner.K() }
@@ -91,7 +107,7 @@ func TestCrawlWarmRepeat(t *testing.T) {
 func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	inner, all := newTestDB(t, rng, 2, 600, 5, false, nil)
-	db := &slowDB{inner: inner, delay: 2 * time.Millisecond}
+	db := &slowDB{inner: inner}
 
 	// Reference cost: one crawl of the shared query, alone, cold.
 	ref := NewEngine(db, Options{N: 600})
@@ -112,6 +128,7 @@ func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 	}
 
 	db.calls.Store(0)
+	db.gate = make(chan struct{})
 	e := NewEngine(db, Options{N: 600})
 	const g = 8
 	sessions := make([]*Session, g)
@@ -132,6 +149,11 @@ func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 			}
 		}(sessions[i])
 	}
+	// Every crawl starts with the same probe: hold its leader upstream until
+	// the other crawls have joined its flight, so at least that probe is
+	// shared by construction.
+	awaitFollowers(e, q, g-1)
+	close(db.gate)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -160,7 +182,7 @@ func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 func TestConcurrentDistinctCrawls(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	inner, all := newTestDB(t, rng, 2, 600, 5, true, systemRankers(2)[1])
-	db := &slowDB{inner: inner, delay: time.Millisecond}
+	db := &slowDB{inner: inner, gate: make(chan struct{})}
 	e := NewEngine(db, Options{N: 600})
 
 	queries := []query.Query{
@@ -193,6 +215,12 @@ func TestConcurrentDistinctCrawls(t *testing.T) {
 			}
 		}(sessions[i], qq)
 	}
+	// Let nothing through until every crawl has a probe upstream: the four
+	// crawls then run side by side rather than one after another.
+	for db.calls.Load() < int64(len(queries)) {
+		runtime.Gosched()
+	}
+	close(db.gate)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

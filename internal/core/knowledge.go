@@ -2,7 +2,9 @@
 //
 // Everything the paper amortizes across user queries lives here — the
 // cross-query answer history (§3.1.1), the 1D and MD dense-region indexes
-// (§3.2.2, §4.4), and the lifetime upstream-query counter. All of it is
+// (§3.2.2, §4.4), and the lifetime upstream-query counter. The history arena
+// is the only tuple store: a crawled region, like a probe fact, is a box, an
+// epoch and the arena rows inside the box. All of it is
 // guarded internally (the history store shards its sorted indexes per
 // attribute with incremental run+buffer maintenance, the dense indexes carry
 // their own RWMutexes, the counter is atomic), so arbitrarily many Sessions
@@ -67,9 +69,10 @@ type Knowledge struct {
 
 // newKnowledge builds an empty knowledge layer over the given schema.
 func newKnowledge(schema *types.Schema) *Knowledge {
+	hist := history.NewStore(schema)
 	k := &Knowledge{
-		hist:    history.NewStore(schema),
-		dense1:  index.NewDense1D(),
+		hist:    hist,
+		dense1:  index.NewDense1D(hist),
 		denseMD: make(map[string]*index.DenseMD),
 		heat:    acquire.NewSketch(schema),
 	}
@@ -90,7 +93,9 @@ func (k *Knowledge) BumpEpoch() int64 {
 	e := k.epoch.Add(1)
 	k.histStaleRows.Store(int64(k.hist.Rows()))
 	if p := k.persist.Load(); p != nil {
-		p.recordEpoch(e)
+		// A bump is durable knowledge in its own right: losing it would
+		// resurrect stale regions as current after a restart.
+		p.record(pendingOp{bump: true, epoch: e})
 	}
 	return e
 }
@@ -164,27 +169,31 @@ func (k *Knowledge) mdIndexes() []*index.DenseMD {
 
 // InsertDense1 inserts a fully-crawled 1D dense region into the shared index
 // at the current epoch and records the insert for incremental persistence.
-// Live region inserts must go through this wrapper rather than the index
-// directly, so no acquired knowledge is invisible to the next checkpoint.
+// The tuples are named by their arena rows (added first when no probe brought
+// them in), so a region's rows always precede its journal record. Live region
+// inserts must go through this wrapper rather than the index directly, so no
+// acquired knowledge is invisible to the next checkpoint.
 func (k *Knowledge) InsertDense1(attr int, iv types.Interval, tuples []types.Tuple) {
-	epoch := k.Epoch()
-	k.dense1.InsertEpoch(attr, iv, tuples, epoch)
+	rows, epoch := k.hist.AddRows(tuples), k.Epoch()
+	k.dense1.Insert(attr, iv, rows, epoch)
 	if p := k.persist.Load(); p != nil {
-		p.recordDense1(attr, iv, tuples, epoch)
+		p.record(pendingOp{ranges: []factRange{{attr, iv}}, rows: rows, crawled: true, epoch: epoch})
 	}
 }
 
-// InsertDenseMD inserts a fully-crawled MD dense region for the given
-// attribute subset (sorted canonically here) at the current epoch and
-// records the insert for incremental persistence. See InsertDense1 for why
-// inserts must route through this wrapper.
+// InsertDenseMD inserts a fully-crawled MD dense region — box dimensions in
+// the order of attrs, which must ascend — at the current epoch and records
+// the insert for incremental persistence. See InsertDense1 for how tuples are
+// named and why inserts must route through this wrapper.
 func (k *Knowledge) InsertDenseMD(attrs []int, box query.Box, tuples []types.Tuple) {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	epoch := k.Epoch()
-	k.mdIndexFor(sorted).InsertEpoch(box, tuples, epoch)
+	rows, epoch := k.hist.AddRows(tuples), k.Epoch()
+	k.mdIndexFor(attrs).Insert(box, rows, epoch)
 	if p := k.persist.Load(); p != nil {
-		p.recordDenseMD(sorted, box, tuples, epoch)
+		ranges := make([]factRange, len(attrs))
+		for i, attr := range attrs {
+			ranges[i] = factRange{attr, box.Dims[i]}
+		}
+		p.record(pendingOp{ranges: ranges, rows: rows, crawled: true, epoch: epoch})
 	}
 }
 

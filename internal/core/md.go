@@ -952,7 +952,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 					return types.Tuple{}, false, err
 				}
 				if ok {
-					r.improve(cand, reg.Tuples, b)
+					r.improve(cand, c.s.e.know.hist.RowTuples(reg.Rows), b)
 					continue
 				}
 			}
@@ -1435,7 +1435,7 @@ func (r *mdResolver) denseAnswer(b query.Box, cand *candidate) error {
 			return fmt.Errorf("core: dense region %v missing after crawl", realBox)
 		}
 	}
-	r.improve(cand, reg.Tuples, b)
+	r.improve(cand, r.c.s.e.know.hist.RowTuples(reg.Rows), b)
 	return nil
 }
 

@@ -546,13 +546,7 @@ func (c *OneDCursor) oracle(searchLo float64, searchLoOpen bool, cand types.Tupl
 			return types.Tuple{}, false, fmt.Errorf("core: dense interval %s missing after crawl", realIv)
 		}
 	}
-	var t types.Tuple
-	var found bool
-	if c.dir == ranking.Asc {
-		t, found = reg.MinMatching(c.q, c.attr, realIv)
-	} else {
-		t, found = reg.MaxMatching(c.q, c.attr, realIv)
-	}
+	t, found := c.s.e.know.hist.ScanRun(c.q, reg.Run, realIv, c.dir == ranking.Desc)
 	if found && c.axisOf(t) > c.lastAxis && c.better(t, cand) {
 		return t, true, nil
 	}

@@ -20,16 +20,14 @@
 // are bit-identical to the saved engine's (asserted by
 // TestReopenRebuildsDenseStructures).
 //
-// A probe fact is recorded as its structured query plus the arena ROWS it
-// cites. Its page entered the arena before the fact existed, so the rows lie
-// below the watermark of the checkpoint that captures the op, and replaying
-// the committed row ranges in order reproduces the same row numbers. Dense
-// regions reference tuples by ID; one is normally covered by the committed
-// history prefix (crawls probe through the coalescing layer, which stores
-// every page), and when it is not — a region inserted through the Knowledge
-// API with tuples no probe brought in — its payload is inlined into the
-// delta's Tuples section, so every committed delta is self-contained given
-// its committed predecessors.
+// Both are one kind of record: a box (the probe's structured query, the
+// region's ranges) plus the arena ROWS it cites. A probe's page and a
+// region's tuples enter the arena before the record is queued, so the rows
+// lie below the watermark of the checkpoint that captures the op, replaying
+// the committed row ranges in order reproduces the same row numbers, and
+// every committed delta is self-contained given its committed predecessors.
+// Rows never change, so a replayed fact or region holds exactly what the
+// upstream said when it was learned, whatever the tuples became since.
 //
 // # Failure handling
 //
@@ -42,6 +40,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -73,7 +72,7 @@ type Persister struct {
 	mu      sync.Mutex
 	histLo  int         // next history arena row not yet committed
 	heatObs int64       // heat-sketch observation count at last committed capture
-	ops     []pendingOp // dense/probe mutations since the last capture
+	ops     []pendingOp // facts and epoch bumps since the last capture
 	lastErr error
 
 	stop chan struct{} // closes to stop the background loop (nil when none)
@@ -81,26 +80,18 @@ type Persister struct {
 	once sync.Once
 }
 
-type opKind int
-
-const (
-	opDense1 opKind = iota
-	opDenseMD
-	opProbe
-	opEpoch
-)
-
-// pendingOp is one recorded knowledge mutation awaiting checkpoint. The
-// tuple slice is shared with the engine (engine-wide immutable), not copied.
+// pendingOp is one recorded knowledge mutation awaiting checkpoint: a
+// coverage fact — a probe answer, or with crawled set a dense region — or,
+// with bump set and nothing but epoch beside it, an epoch bump. The slices
+// are shared with the engine (engine-wide immutable), not copied.
 type pendingOp struct {
-	kind   opKind
-	attr   int            // opDense1
-	iv     types.Interval // opDense1
-	attrs  []int          // opDenseMD, canonical sorted order
-	box    query.Box      // opDenseMD
-	fact   *fact          // opProbe; immutable apart from its epoch, which epoch below pins
-	tuples []types.Tuple  // opDense1, opDenseMD
-	epoch  int64          // acquisition epoch (opDense1/opDenseMD/opProbe), or the new epoch (opEpoch)
+	ranges   []factRange // ascending attr
+	cats     []factCat
+	rows     []uint32
+	overflow bool  // an overflow page
+	crawled  bool  // every tuple of the box: a dense region
+	bump     bool  // an epoch bump
+	epoch    int64 // the epoch the fact was learned or confirmed under, or the new epoch of a bump
 }
 
 // PersistFingerprint identifies this engine's upstream deployment for the
@@ -153,15 +144,13 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 func (e *Engine) Persister() *Persister { return e.know.persist.Load() }
 
 // applyDelta replays one committed delta through the engine's live insert
-// paths. Dense-region tuple IDs resolve from the delta itself (its Hist
-// range and inline Tuples) or from history committed by earlier deltas;
-// probe facts cite arena rows, which the delta's own Hist range and its
-// predecessors' must have laid down. An unresolvable reference means the
-// store's invariants are broken and the error makes Replay quarantine from
-// this record on.
+// paths. Facts and regions cite arena rows, which the delta's own Hist range
+// and its predecessors' must have laid down. A dangling row or a malformed
+// region means the store's invariants are broken and the error makes Replay
+// quarantine from this record on.
 func (e *Engine) applyDelta(d *segment.Delta) error {
 	if len(d.Hist) > 0 {
-		// Probe facts cite arena rows, so the replayed arena must be the
+		// Facts cite arena rows, so the replayed arena must be the
 		// recorded one row for row: same start, and no tuple deduplicated
 		// away (a row is only ever exported because Add appended it).
 		if rows := e.know.hist.Rows(); rows != d.HistLo {
@@ -175,62 +164,30 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 			return fmt.Errorf("core: delta history rows [%d,%d) replayed as %d rows", d.HistLo, d.HistHi, n)
 		}
 	}
-	inline := make(map[int]types.Tuple, len(d.Tuples))
-	for _, st := range d.Tuples {
-		inline[st.ID] = types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
-	}
-	resolve := func(ids []int) ([]types.Tuple, error) {
-		tuples := make([]types.Tuple, 0, len(ids))
-		for _, id := range ids {
-			t, ok := inline[id]
-			if !ok {
-				if t, ok = e.know.hist.Get(id); !ok {
-					return nil, fmt.Errorf("core: delta references unknown tuple %d", id)
-				}
-			}
-			tuples = append(tuples, t)
-		}
-		return tuples, nil
-	}
 	// Restore the epoch before region inserts so that any region this delta
 	// carries at the (now current) epoch reads as fresh, not stale.
 	if d.Epoch > 0 {
 		e.know.restoreEpoch(d.Epoch)
 	}
-	for _, op := range d.Dense1 {
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
-		}
-		e.know.dense1.InsertEpoch(op.Attr, coreInterval(op.Dim), tuples, epochOrFirst(op.Epoch))
-	}
-	for _, op := range d.DenseMD {
-		if len(op.Attrs) == 0 || len(op.Dims) != len(op.Attrs) {
-			return fmt.Errorf("core: delta MD region has %d dims for %d attributes", len(op.Dims), len(op.Attrs))
-		}
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
-		}
-		box := query.Box{Dims: make([]types.Interval, len(op.Dims))}
-		for i, dim := range op.Dims {
-			box.Dims[i] = coreInterval(dim)
-		}
-		e.know.mdIndexFor(op.Attrs).InsertEpoch(box, tuples, epochOrFirst(op.Epoch))
-	}
 	rows := uint32(e.know.hist.Rows())
 	for _, op := range d.Probes {
+		for _, row := range op.Rows {
+			if row >= rows {
+				return fmt.Errorf("core: delta fact cites arena row %d of %d", row, rows)
+			}
+		}
+		if op.Crawled {
+			if err := e.applyCrawled(op); err != nil {
+				return err
+			}
+			continue
+		}
 		q := query.New()
 		for _, r := range op.Ranges {
 			q.Ranges[r.Attr] = types.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi), LoOpen: r.LoOpen, HiOpen: r.HiOpen}
 		}
 		for name, value := range op.Cats {
 			q.Cats[name] = value
-		}
-		for _, row := range op.Rows {
-			if row >= rows {
-				return fmt.Errorf("core: delta probe fact cites arena row %d of %d", row, rows)
-			}
 		}
 		e.probes.seed(q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
 	}
@@ -243,36 +200,40 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 	return nil
 }
 
-// recordDense1 queues a 1D dense-region insert for the next checkpoint.
-func (p *Persister) recordDense1(attr int, iv types.Interval, tuples []types.Tuple, epoch int64) {
-	p.mu.Lock()
-	p.ops = append(p.ops, pendingOp{kind: opDense1, attr: attr, iv: iv, tuples: tuples, epoch: epoch})
-	p.mu.Unlock()
+// applyCrawled replays one crawled-region record: a single range is a 1D
+// dense region, several are a box of the MD index over their attributes.
+func (e *Engine) applyCrawled(op segment.ProbeOp) error {
+	if op.Overflow || len(op.Cats) > 0 || len(op.Ranges) == 0 {
+		return fmt.Errorf("core: delta crawled region with %d ranges, %d categorical predicates, overflow=%v",
+			len(op.Ranges), len(op.Cats), op.Overflow)
+	}
+	schema := e.db.Schema()
+	attrs := make([]int, len(op.Ranges))
+	box := query.Box{Dims: make([]types.Interval, len(op.Ranges))}
+	for i, r := range op.Ranges {
+		if r.Attr < 0 || r.Attr >= schema.Len() || schema.Attr(r.Attr).Kind != types.Ordinal ||
+			(i > 0 && r.Attr <= attrs[i-1]) {
+			return fmt.Errorf("core: delta crawled region ranges attribute %d out of order or not ordinal", r.Attr)
+		}
+		lo, hi := float64(r.Lo), float64(r.Hi)
+		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return fmt.Errorf("core: delta crawled region bound [%v, %v] on attribute %d is not finite", lo, hi, r.Attr)
+		}
+		attrs[i] = r.Attr
+		box.Dims[i] = types.Interval{Lo: lo, Hi: hi, LoOpen: r.LoOpen, HiOpen: r.HiOpen}
+	}
+	if len(attrs) == 1 {
+		e.know.dense1.Insert(attrs[0], box.Dims[0], op.Rows, epochOrFirst(op.Epoch))
+	} else {
+		e.know.mdIndexFor(attrs).Insert(box, op.Rows, epochOrFirst(op.Epoch))
+	}
+	return nil
 }
 
-// recordDenseMD queues an MD dense-region insert for the next checkpoint.
-// attrs must already be in canonical sorted order (Knowledge.InsertDenseMD
-// guarantees this).
-func (p *Persister) recordDenseMD(attrs []int, box query.Box, tuples []types.Tuple, epoch int64) {
+// record queues one knowledge mutation for the next checkpoint.
+func (p *Persister) record(op pendingOp) {
 	p.mu.Lock()
-	p.ops = append(p.ops, pendingOp{kind: opDenseMD, attrs: attrs, box: box, tuples: tuples, epoch: epoch})
-	p.mu.Unlock()
-}
-
-// recordProbe queues a probe fact, as admitted or confirmed at epoch, for
-// the next checkpoint.
-func (p *Persister) recordProbe(f *fact, epoch int64) {
-	p.mu.Lock()
-	p.ops = append(p.ops, pendingOp{kind: opProbe, fact: f, epoch: epoch})
-	p.mu.Unlock()
-}
-
-// recordEpoch queues a knowledge-epoch bump for the next checkpoint. A bump
-// is durable knowledge in its own right: losing it would resurrect stale
-// regions as current after a restart.
-func (p *Persister) recordEpoch(epoch int64) {
-	p.mu.Lock()
-	p.ops = append(p.ops, pendingOp{kind: opEpoch, epoch: epoch})
+	p.ops = append(p.ops, op)
 	p.mu.Unlock()
 }
 
@@ -324,57 +285,29 @@ func (p *Persister) Checkpoint() error {
 }
 
 // buildDelta assembles one checkpoint delta: the new history row range plus
-// the captured operations, inlining payloads for any tuple a dense region
-// references that the committed history prefix does not cover.
+// the captured operations.
 func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Delta {
 	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: p.e.know.queries.Load()}
-	hist := p.e.know.hist
-	for _, t := range hist.ExportRows(histLo, histHi) {
-		d.Hist = append(d.Hist, segTuple(t))
-	}
-	inlined := make(map[int]bool)
-	resolve := func(tuples []types.Tuple) []int {
-		ids := make([]int, 0, len(tuples))
-		for _, t := range tuples {
-			ids = append(ids, t.ID)
-			if row, ok := hist.RowOf(t.ID); ok && row < histHi {
-				continue // committed by this delta's Hist range or earlier
-			}
-			if !inlined[t.ID] {
-				inlined[t.ID] = true
-				d.Tuples = append(d.Tuples, segTuple(t))
-			}
-		}
-		return ids
+	for _, t := range p.e.know.hist.ExportRows(histLo, histHi) {
+		d.Hist = append(d.Hist, segment.Tuple{ID: t.ID, Ord: t.Ord, Cat: t.Cat})
 	}
 	for _, op := range ops {
-		switch op.kind {
-		case opDense1:
-			d.Dense1 = append(d.Dense1, segment.Dense1Op{Attr: op.attr, Dim: segDim(op.iv), IDs: resolve(op.tuples), Epoch: op.epoch})
-		case opDenseMD:
-			md := segment.MDOp{Attrs: op.attrs, Dims: make([]segment.Dim, len(op.box.Dims)), IDs: resolve(op.tuples), Epoch: op.epoch}
-			for i, iv := range op.box.Dims {
-				md.Dims[i] = segDim(iv)
-			}
-			d.DenseMD = append(d.DenseMD, md)
-		case opProbe:
-			po := segment.ProbeOp{Rows: op.fact.rows, Overflow: op.fact.partial, Epoch: op.epoch}
-			for _, r := range op.fact.ranges {
-				po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.attr,
-					Lo: segment.Bound(r.iv.Lo), Hi: segment.Bound(r.iv.Hi), LoOpen: r.iv.LoOpen, HiOpen: r.iv.HiOpen})
-			}
-			for _, c := range op.fact.cats {
-				if po.Cats == nil {
-					po.Cats = make(map[string]string, len(op.fact.cats))
-				}
-				po.Cats[c.name] = c.value
-			}
-			d.Probes = append(d.Probes, po)
-		case opEpoch:
-			if op.epoch > d.Epoch {
-				d.Epoch = op.epoch
-			}
+		if op.bump {
+			d.Epoch = max(d.Epoch, op.epoch)
+			continue
 		}
+		po := segment.ProbeOp{Rows: op.rows, Overflow: op.overflow, Crawled: op.crawled, Epoch: op.epoch}
+		for _, r := range op.ranges {
+			po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.attr,
+				Lo: segment.Bound(r.iv.Lo), Hi: segment.Bound(r.iv.Hi), LoOpen: r.iv.LoOpen, HiOpen: r.iv.HiOpen})
+		}
+		for _, c := range op.cats {
+			if po.Cats == nil {
+				po.Cats = make(map[string]string, len(op.cats))
+			}
+			po.Cats[c.name] = c.value
+		}
+		d.Probes = append(d.Probes, po)
 	}
 	return d
 }
@@ -437,18 +370,6 @@ func (p *Persister) Stats() PersistStats {
 	p.mu.Unlock()
 	st.Store = p.store.Stats()
 	return st
-}
-
-func segTuple(t types.Tuple) segment.Tuple {
-	return segment.Tuple{ID: t.ID, Ord: t.Ord, Cat: t.Cat}
-}
-
-func segDim(iv types.Interval) segment.Dim {
-	return segment.Dim{Lo: iv.Lo, Hi: iv.Hi, LoOpen: iv.LoOpen, HiOpen: iv.HiOpen}
-}
-
-func coreInterval(d segment.Dim) types.Interval {
-	return types.Interval{Lo: d.Lo, Hi: d.Hi, LoOpen: d.LoOpen, HiOpen: d.HiOpen}
 }
 
 // epochOrFirst maps a persisted epoch to its replay value: 0 (older

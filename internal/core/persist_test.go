@@ -1,8 +1,7 @@
 // Engine-level tests for incremental segment/journal persistence: warm
 // restart with zero upstream re-spend, crash mid-checkpoint recovering to
-// the last committed journal entry, inline payloads for region tuples the
-// arena never saw,
-// and checkpointing running concurrently with serving. The helpers here
+// the last committed journal entry, regions citing arena rows that precede
+// their records, and checkpointing running concurrently with serving. The helpers here
 // (persistedEngine, reopenViaStore) are how every warm-restart test in the
 // package round-trips knowledge through the on-disk format.
 
@@ -148,38 +147,51 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 	return answers
 }
 
-// assertSameKnowledge checks that got's rebuilt knowledge equals want's:
-// history size, 1D region array, MD region set (boxes + IDs + grid shape),
-// and probe-cache entry count.
-func assertSameKnowledge(t *testing.T, got, want *Engine) {
+// assertSameRegions checks that got's dense regions equal want's row for
+// row: the 1D region array of attribute 0 (ranges, epochs, sorted runs) and
+// the MD region array over attrs (boxes, epochs, rows, grid shape).
+func assertSameRegions(t *testing.T, got, want *Engine, attrs []int) {
 	t.Helper()
-	if got.History().Size() != want.History().Size() {
-		t.Fatalf("history size %d, want %d", got.History().Size(), want.History().Size())
-	}
 	r1, r2 := want.know.dense1.Export(0), got.know.dense1.Export(0)
 	if len(r2) != len(r1) {
 		t.Fatalf("restored %d 1D regions, want %d", len(r2), len(r1))
 	}
 	for i := range r1 {
-		if r2[i].Range != r1[i].Range || len(r2[i].Tuples) != len(r1[i].Tuples) {
-			t.Fatalf("1D region %d: %v (%d tuples), want %v (%d tuples)",
-				i, r2[i].Range, len(r2[i].Tuples), r1[i].Range, len(r1[i].Tuples))
+		if r2[i].Range != r1[i].Range || r2[i].Epoch != r1[i].Epoch || !slices.Equal(r2[i].Run.Rows, r1[i].Run.Rows) {
+			t.Fatalf("1D region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
+				i, r2[i].Range, r2[i].Epoch, r2[i].Run.Rows, r1[i].Range, r1[i].Epoch, r1[i].Run.Rows)
+		}
+		if tuples := got.History().RowTuples(r2[i].Run.Rows); !slices.EqualFunc(tuples, want.History().RowTuples(r1[i].Run.Rows), types.Tuple.Equal) {
+			t.Fatalf("1D region %d %v: restored rows hold %v", i, r2[i].Range, tuples)
 		}
 	}
-	m1, m2 := want.know.mdIndexFor([]int{0, 1}), got.know.mdIndexFor([]int{0, 1})
+	m1, m2 := want.know.mdIndexFor(attrs), got.know.mdIndexFor(attrs)
 	e1, e2 := m1.Export(), m2.Export()
 	if len(e2) != len(e1) {
 		t.Fatalf("restored %d MD regions, want %d", len(e2), len(e1))
 	}
 	for i := range e1 {
-		if e2[i].Box.String() != e1[i].Box.String() || len(e2[i].Tuples) != len(e1[i].Tuples) {
-			t.Fatalf("MD region %d: %v (%d tuples), want %v (%d tuples)",
-				i, e2[i].Box, len(e2[i].Tuples), e1[i].Box, len(e1[i].Tuples))
+		if e2[i].Box.String() != e1[i].Box.String() || e2[i].Epoch != e1[i].Epoch || !slices.Equal(e2[i].Rows, e1[i].Rows) {
+			t.Fatalf("MD region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
+				i, e2[i].Box, e2[i].Epoch, e2[i].Rows, e1[i].Box, e1[i].Epoch, e1[i].Rows)
+		}
+		if tuples := got.History().RowTuples(e2[i].Rows); !slices.EqualFunc(tuples, want.History().RowTuples(e1[i].Rows), types.Tuple.Equal) {
+			t.Fatalf("MD region %d %v: restored rows hold %v", i, e2[i].Box, tuples)
 		}
 	}
 	if s1, s2 := m1.Stats(), m2.Stats(); s2 != s1 {
 		t.Fatalf("MD grid stats after restore %+v, want %+v", s2, s1)
 	}
+}
+
+// assertSameKnowledge checks that got's rebuilt knowledge equals want's:
+// history size, dense regions, and probe-cache entry count.
+func assertSameKnowledge(t *testing.T, got, want *Engine) {
+	t.Helper()
+	if got.History().Size() != want.History().Size() {
+		t.Fatalf("history size %d, want %d", got.History().Size(), want.History().Size())
+	}
+	assertSameRegions(t, got, want, []int{0, 1})
 	if got.ProbeCacheEntries() != want.ProbeCacheEntries() {
 		t.Fatalf("probe cache holds %d entries, want %d", got.ProbeCacheEntries(), want.ProbeCacheEntries())
 	}
@@ -303,13 +315,13 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 	}
 }
 
-// TestPersistInlinesUncommittedTuples: a dense region inserted through the
-// Knowledge API may hold tuples no probe ever brought into the history arena.
-// Their payloads must travel inline in the delta, keeping the store
-// self-contained — while a probe fact never needs that, even under
-// DisableHistory: its page is in the arena before the fact exists, and the
-// fact commits as row references.
-func TestPersistInlinesUncommittedTuples(t *testing.T) {
+// TestPersistRegionRowsPrecedeRecord: a dense region inserted through the
+// Knowledge API may hold tuples no probe ever brought in. They enter the
+// history arena before the region's record is queued, so the delta that
+// carries the record also carries the rows it cites (all below HistHi) and
+// every committed delta stays self-contained — as a probe fact's always is,
+// even under DisableHistory: its page is in the arena before the fact exists.
+func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
 	e1 := persistedEngine(t, db, Options{N: 400, DisableHistory: true})
@@ -333,14 +345,26 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 		t.Fatalf("precondition: want a non-empty region the arena has not seen (%d tuples)", len(region))
 	}
 	e1.know.InsertDense1(0, iv, region)
+	for _, tt := range region {
+		if !e1.History().Has(tt.ID) {
+			t.Fatalf("region tuple %d is not in the arena after the insert", tt.ID)
+		}
+	}
 
 	p1 := e1.Persister()
 	p1.mu.Lock()
 	ops := p1.ops
 	p1.mu.Unlock()
 	d := p1.buildDelta(0, e1.History().Rows(), ops)
-	if len(d.Tuples) != len(region) {
-		t.Fatalf("delta inlines %d tuples, want exactly the region's %d (the probe fact cites committed rows)", len(d.Tuples), len(region))
+	if len(d.Probes) != 2 || d.Probes[0].Crawled || !d.Probes[1].Crawled || len(d.Probes[1].Rows) != len(region) {
+		t.Fatalf("delta records %+v, want the probe fact then the region over %d rows", d.Probes, len(region))
+	}
+	for _, op := range d.Probes {
+		for _, row := range op.Rows {
+			if int(row) >= d.HistHi || d.HistHi != d.HistLo+len(d.Hist) {
+				t.Fatalf("record cites row %d, delta carries rows [%d,%d) in %d payloads", row, d.HistLo, d.HistHi, len(d.Hist))
+			}
+		}
 	}
 
 	e2 := reopenViaStore(t, e1)
@@ -357,29 +381,75 @@ func TestPersistInlinesUncommittedTuples(t *testing.T) {
 		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
 	}
 	reg, ok := e2.know.dense1.Lookup(0, iv)
-	if !ok || len(reg.Tuples) != len(region) {
-		t.Fatalf("inlined region after restart: ok=%v with %d tuples, want %d", ok, len(reg.Tuples), len(region))
+	got := e2.History().RowTuples(reg.Run.Rows)
+	byID := func(a, b types.Tuple) int { return a.ID - b.ID }
+	slices.SortFunc(got, byID)
+	slices.SortFunc(region, byID)
+	if !ok || !slices.EqualFunc(got, region, types.Tuple.Equal) {
+		t.Fatalf("region after restart: ok=%v holding %v, want the %d inserted tuples", ok, got, len(region))
 	}
 }
 
-// TestPersistCheckpointDoesNotBlockServing stretches a checkpoint's commit
-// window with a slow injected fsync and issues live probes through it: the
-// probes must complete while the checkpoint is still in flight (capture is a
-// queue swap, the write happens off-lock), and knowledge recorded during the
-// window commits in the next checkpoint. Run under -race in CI, this also
-// proves the recording hooks and capture are race-clean.
+// TestReopenReplaysRegionRowsNotLatestVersions: a region is what its crawl
+// saw. A member tuple the upstream edits in place before the checkpoint — to
+// a value outside the box — becomes a new arena row; the journal names the
+// region's rows, not tuple IDs, so the replayed 1D and MD regions equal the
+// live ones row for row instead of holding the ID's latest version (a region
+// [50,52] holding a tuple at 90).
+func TestReopenReplaysRegionRowsNotLatestVersions(t *testing.T) {
+	db, tuples := persistTestWorld(t, 81)
+	e1 := persistedEngine(t, db, Options{N: 400})
+	iv := types.ClosedInterval(50, 52)
+	box := query.Box{Dims: []types.Interval{iv, types.ClosedInterval(0, 100)}}
+	var region []types.Tuple
+	for _, tt := range tuples {
+		if iv.Contains(tt.Ord[0]) {
+			region = append(region, tt)
+		}
+	}
+	if len(region) < 2 {
+		t.Fatalf("precondition: want a region of several tuples, got %d", len(region))
+	}
+	e1.know.InsertDense1(0, iv, region)
+	e1.know.InsertDenseMD([]int{0, 1}, box, region)
+	edited := region[0].Clone()
+	edited.Ord[0] = 90
+	e1.History().Add(edited)
+
+	e2 := reopenViaStore(t, e1)
+	assertSameRegions(t, e2, e1, []int{0, 1})
+	reg, ok := e2.know.dense1.Lookup(0, iv)
+	if !ok {
+		t.Fatal("region not replayed")
+	}
+	for _, tt := range e2.History().RowTuples(reg.Run.Rows) {
+		if !iv.Contains(tt.Ord[0]) {
+			t.Fatalf("replayed region %v holds tuple %d at %v", iv, tt.ID, tt.Ord[0])
+		}
+	}
+	if got, _ := e2.History().Get(edited.ID); got.Ord[0] != 90 {
+		t.Fatalf("tuple %d resolves to %v after replay, want its latest version", edited.ID, got)
+	}
+}
+
+// TestPersistCheckpointDoesNotBlockServing parks a checkpoint inside its
+// commit (an injected fsync that waits for the test) and issues live probes
+// through it: the probes must complete while the checkpoint is still in
+// flight (capture is a queue swap, the write happens off-lock), and knowledge
+// recorded during the window commits in the next checkpoint. Run under -race
+// in CI, this also proves the recording hooks and capture are race-clean.
 func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 	dir := t.TempDir()
 	db, tuples := persistTestWorld(t, 79)
 	e1 := NewEngine(db, Options{N: 400})
-	slow := make(chan struct{})  // closed when the slow checkpoint enters its sync
-	var inCheckpoint atomic.Bool // true while the stretched commit is in flight
-	var slowOnce, armed atomic.Bool
+	parked := make(chan struct{}) // closed when the checkpoint enters its sync
+	served := make(chan struct{}) // closed once the live probes have returned
+	var parkOnce, armed atomic.Bool
 	st1 := openStore(t, e1, dir, segment.Options{
 		Failpoint: func(s string) error {
-			if s == "journal-sync" && armed.Load() && slowOnce.CompareAndSwap(false, true) {
-				close(slow)
-				time.Sleep(300 * time.Millisecond)
+			if s == "journal-sync" && armed.Load() && parkOnce.CompareAndSwap(false, true) {
+				close(parked)
+				<-served
 			}
 			return nil
 		},
@@ -391,18 +461,12 @@ func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 	runPersistWorkload(t, e1, tuples)
 
 	armed.Store(true)
-	inCheckpoint.Store(true)
 	ckptDone := make(chan error, 1)
-	go func() {
-		err := p1.Checkpoint()
-		inCheckpoint.Store(false)
-		ckptDone <- err
-	}()
-	<-slow // the checkpoint is inside its stretched fsync now
+	go func() { ckptDone <- p1.Checkpoint() }()
+	<-parked // the checkpoint is inside its fsync now, and stays there
 
 	// Serve during the commit: distinct new probes, issued concurrently.
 	var wg sync.WaitGroup
-	servedDuring := int64(0)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -411,17 +475,18 @@ func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 			q := query.New().WithRange(1, types.ClosedInterval(float64(20+w), float64(20+w)+0.5))
 			if _, err := sess.issue(q); err != nil {
 				t.Error(err)
-				return
-			}
-			if inCheckpoint.Load() {
-				atomic.AddInt64(&servedDuring, 1)
 			}
 		}(w)
 	}
-	wg.Wait()
-	if servedDuring == 0 {
+	probesDone := make(chan struct{})
+	go func() { wg.Wait(); close(probesDone) }()
+	select {
+	case <-probesDone:
+	case <-time.After(30 * time.Second):
+		close(served)
 		t.Fatal("no request completed while the checkpoint was in flight: serving blocked on persistence")
 	}
+	close(served)
 	if err := <-ckptDone; err != nil {
 		t.Fatal(err)
 	}
@@ -430,19 +495,24 @@ func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 }
 
 // TestApplyDeltaRejectsBrokenReferences: the one decoder of persisted
-// knowledge refuses a delta whose operations reference tuples the store
-// never committed, or whose MD region is malformed — Replay then recovers to
+// knowledge refuses a delta whose records cite rows the store never
+// committed, or whose crawled region is malformed — Replay then recovers to
 // the last good record instead of installing a region with missing tuples.
 func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
 	db, _ := persistTestWorld(t, 62)
-	unit := segment.Dim{Lo: 0, Hi: 1}
+	unit := func(attr int) segment.ProbeRange { return segment.ProbeRange{Attr: attr, Lo: 0, Hi: 1} }
+	crawled := func(op segment.ProbeOp) *segment.Delta {
+		op.Crawled = true
+		return &segment.Delta{Probes: []segment.ProbeOp{op}}
+	}
 	for name, d := range map[string]*segment.Delta{
-		"dangling 1D reference":     {Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}}},
-		"dangling MD reference":     {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit, unit}, IDs: []int{4242}}}},
+		"dangling 1D reference":     crawled(segment.ProbeOp{Ranges: []segment.ProbeRange{unit(0)}, Rows: []uint32{4242}}),
+		"dangling MD reference":     crawled(segment.ProbeOp{Ranges: []segment.ProbeRange{unit(0), unit(1)}, Rows: []uint32{4242}}),
 		"dangling probe reference":  {Probes: []segment.ProbeOp{{Rows: []uint32{4242}}}},
 		"history rows out of place": {HistLo: 7, HistHi: 8, Hist: []segment.Tuple{{ID: 1, Ord: []float64{1, 1, 0}}}},
-		"MD dims/attrs arity":       {DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit}}}},
-		"MD region without attrs":   {DenseMD: []segment.MDOp{{}}},
+		"region without ranges":     crawled(segment.ProbeOp{}),
+		"region attrs out of order": crawled(segment.ProbeOp{Ranges: []segment.ProbeRange{unit(1), unit(0)}}),
+		"region on a categorical":   crawled(segment.ProbeOp{Ranges: []segment.ProbeRange{unit(2)}}),
 	} {
 		e := NewEngine(db, Options{N: 400})
 		if err := e.applyDelta(d); err == nil {
@@ -452,11 +522,11 @@ func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
 			t.Errorf("%s installed knowledge despite the error", name)
 		}
 	}
-	// A reference resolves from the delta's own inline payloads.
+	// A reference resolves from the delta's own history rows.
 	e := NewEngine(db, Options{N: 400})
 	ok := &segment.Delta{
-		Tuples: []segment.Tuple{{ID: 4242, Ord: []float64{0.5, 0.5, 0}}},
-		Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{4242}}},
+		HistHi: 1, Hist: []segment.Tuple{{ID: 4242, Ord: []float64{0.5, 0.5, 0}}},
+		Probes: []segment.ProbeOp{{Ranges: []segment.ProbeRange{unit(0)}, Rows: []uint32{0}, Crawled: true}},
 	}
 	if err := e.applyDelta(ok); err != nil || e.DenseIndex1D().Regions(0) != 1 {
 		t.Fatalf("self-contained delta: err=%v regions=%d, want nil/1", err, e.DenseIndex1D().Regions(0))

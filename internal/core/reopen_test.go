@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -301,13 +302,8 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 		if got[i].Box.String() != want[i].Box.String() {
 			t.Fatalf("region %d box %v, want %v", i, got[i].Box, want[i].Box)
 		}
-		if len(got[i].Tuples) != len(want[i].Tuples) {
-			t.Fatalf("region %d has %d tuples, want %d", i, len(got[i].Tuples), len(want[i].Tuples))
-		}
-		for j := range want[i].Tuples {
-			if got[i].Tuples[j].ID != want[i].Tuples[j].ID {
-				t.Fatalf("region %d tuple %d: ID %d, want %d", i, j, got[i].Tuples[j].ID, want[i].Tuples[j].ID)
-			}
+		if !slices.Equal(got[i].Rows, want[i].Rows) {
+			t.Fatalf("region %d cites rows %v, want %v", i, got[i].Rows, want[i].Rows)
 		}
 	}
 	// The centroid grid is rebuilt to an equivalent shape and answers
@@ -322,8 +318,8 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 		if ok1 != ok2 {
 			t.Fatalf("lookup %v: original found=%v, restored found=%v", b, ok1, ok2)
 		}
-		if ok1 && (len(r1.Tuples) != len(r2.Tuples)) {
-			t.Fatalf("lookup %v: original region has %d tuples, restored %d", b, len(r1.Tuples), len(r2.Tuples))
+		if ok1 && (len(r1.Rows) != len(r2.Rows)) {
+			t.Fatalf("lookup %v: original region has %d tuples, restored %d", b, len(r1.Rows), len(r2.Rows))
 		}
 	}
 	// 1D regions: the splice discipline kept the both-open touch at 5

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -237,7 +238,7 @@ func (s *Session) denseLookup1(attr int, iv types.Interval) (index.Interval1D, b
 		if err != nil {
 			return index.Interval1D{}, false, err
 		}
-		if confirmsRegion(reg.Tuples, confirm) {
+		if s.confirmsRegion(reg.Run.Rows, confirm) {
 			s.e.know.dense1.Promote(attr, reg.Range, cur)
 			s.e.know.denseRevalPromoted.Add(1)
 			reg.Epoch = cur
@@ -269,7 +270,7 @@ func (s *Session) denseLookupMD(idx *index.DenseMD, sorted []int, realBox query.
 		if err != nil {
 			return index.Region{}, false, err
 		}
-		if confirmsRegion(reg.Tuples, confirm) {
+		if s.confirmsRegion(reg.Rows, confirm) {
 			idx.Promote(reg.Box, cur)
 			s.e.know.denseRevalPromoted.Add(1)
 			reg.Epoch = cur
@@ -281,25 +282,21 @@ func (s *Session) denseLookupMD(idx *index.DenseMD, sorted []int, realBox query.
 }
 
 // confirmsRegion decides whether a confirming probe's answer is consistent
-// with a stored dense region's tuples. A complete answer must match the
-// region exactly (same tuple set, same values — the region claims every
-// corpus tuple in range). An overflowing answer is partial; every returned
-// tuple must then match the stored tuple with the same ID, which is the
-// strongest check one probe can buy.
-func confirmsRegion(stored []types.Tuple, res hidden.Result) bool {
-	if !res.Overflow && len(res.Tuples) != len(stored) {
+// with a stored dense region — the rule a stale fact is re-validated by (same
+// rows: the knowledge survived the drift), for rows that are a set rather
+// than a page. The arena gives a tuple whose values changed a new row, so
+// citing the same rows is saying the same thing. A complete answer must cite
+// exactly the region's rows (the region claims every corpus tuple in range).
+// An overflowing answer is partial; every row it cites must then be one of
+// the region's, which is the strongest check one probe can buy.
+func (s *Session) confirmsRegion(stored []uint32, res hidden.Result) bool {
+	if len(res.Tuples) > len(stored) || (!res.Overflow && len(res.Tuples) != len(stored)) {
 		return false
 	}
-	if len(res.Tuples) > len(stored) {
-		return false
-	}
-	byID := make(map[int]types.Tuple, len(stored))
-	for _, t := range stored {
-		byID[t.ID] = t
-	}
-	for _, t := range res.Tuples {
-		st, ok := byID[t.ID]
-		if !ok || !st.Equal(t) {
+	sorted := slices.Clone(stored)
+	slices.Sort(sorted)
+	for _, row := range s.e.know.hist.AddRows(res.Tuples) {
+		if _, ok := slices.BinarySearch(sorted, row); !ok {
 			return false
 		}
 	}

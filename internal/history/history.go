@@ -14,11 +14,13 @@
 // without materializing at all.
 //
 // The arena is the engine's only tuple store. Probe answers kept by the
-// coalescing layer are lists of arena rows (AddRows names them, RowTuples
-// reads them back as shared row forms materialized at most once per row and
-// never for rows nobody cites), and a tuple the upstream changed in place
-// becomes a new row version rather than an overwrite, so rows stay immutable
-// and an answer keeps citing exactly what the upstream said.
+// coalescing layer and the crawled regions of the dense indexes are lists of
+// arena rows (AddRows names them, RowTuples reads them back as shared row
+// forms materialized at most once per row and never for rows nobody cites,
+// ScanRun searches a region's sorted run the way MinMatching searches a
+// shard), and a tuple the upstream changed in place becomes a new row version
+// rather than an overwrite, so rows stay immutable and an answer or a region
+// keeps citing exactly what the upstream said.
 //
 // # Sharded incremental indexes
 //
@@ -259,14 +261,6 @@ func (s *Store) RowTuplesMatching(q query.Query, rows []uint32) []types.Tuple {
 // uses contiguous row ranges below this watermark as its incremental unit.
 func (s *Store) Rows() int { return s.arena.Len() }
 
-// RowOf returns the arena row number of the tuple with the given ID.
-func (s *Store) RowOf(id int) (int, bool) {
-	s.mu.RLock()
-	row, ok := s.byID[id]
-	s.mu.RUnlock()
-	return int(row), ok
-}
-
 // ExportRows materializes the tuples in arena rows [lo, hi), clamped to the
 // currently published rows. Row order is insertion order, so replaying
 // exported ranges through Add reproduces identical row numbers.
@@ -333,6 +327,28 @@ func (s *Store) MaxMatching(q query.Query, attr int, iv types.Interval) (types.T
 		return types.Tuple{}, false
 	}
 	return v.Tuple(row), true
+}
+
+// ScanRun is MinMatching (MaxMatching when desc) over run — a sorted run of
+// this store's rows that the caller holds, such as a crawled region's — in
+// place of an attribute shard: the tuple matching q with the smallest
+// (largest) run value inside iv, ties broken as the shards break them.
+func (s *Store) ScanRun(q query.Query, run colstore.Run, iv types.Interval, desc bool) (types.Tuple, bool) {
+	v := s.arena.View()
+	m := matcherPool.Get().(*colstore.Matcher)
+	m.Reset(v, q)
+	var row uint32
+	var found bool
+	if desc {
+		row, _, found = run.ScanMax(m, iv)
+	} else {
+		row, _, found = run.ScanMin(m, iv)
+	}
+	matcherPool.Put(m)
+	if !found {
+		return types.Tuple{}, false
+	}
+	return v.Tuple(int(row)), true
 }
 
 // BestMatching returns the stored tuple matching q with the smallest score

@@ -2,9 +2,11 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -16,7 +18,7 @@ type linearMD struct {
 	regions []Region
 }
 
-func (l *linearMD) Insert(box query.Box, tuples []types.Tuple) {
+func (l *linearMD) Insert(box query.Box, rows []uint32) {
 	kept := l.regions[:0]
 	for _, r := range l.regions {
 		if box.ContainsBox(r.Box) {
@@ -24,7 +26,7 @@ func (l *linearMD) Insert(box query.Box, tuples []types.Tuple) {
 		}
 		kept = append(kept, r)
 	}
-	l.regions = append(kept, Region{Box: box, Tuples: append([]types.Tuple(nil), tuples...)})
+	l.regions = append(kept, Region{Box: box, Rows: rows})
 }
 
 func (l *linearMD) Lookup(box query.Box) (Region, bool) {
@@ -99,9 +101,9 @@ func TestDenseMDGridCrossCheck(t *testing.T) {
 			var inserted []query.Box
 			for step := 0; step < 120; step++ {
 				box := randBox(rng, m)
-				tup := []types.Tuple{{ID: step, Ord: make([]float64, m)}}
-				d.Insert(box, tup)
-				ref.Insert(box, tup)
+				rows := []uint32{uint32(step)}
+				d.Insert(box, rows, FirstEpoch)
+				ref.Insert(box, rows)
 				inserted = append(inserted, box)
 
 				check := func(q query.Box, what string) {
@@ -160,7 +162,7 @@ func TestDenseMDCellBoundaryLookup(t *testing.T) {
 			c := k*w + (rng.Float64()-0.5)*1e-12
 			b.Dims[j] = types.Interval{Lo: c - w/2, Hi: c + w/2}
 		}
-		d.Insert(b, nil)
+		d.Insert(b, nil, FirstEpoch)
 		boxes = append(boxes, b)
 	}
 	for i, b := range boxes {
@@ -183,8 +185,8 @@ func TestDenseMDNonFiniteRegions(t *testing.T) {
 	d := NewDenseMD()
 	inf := types.FullInterval()
 	open := query.Box{Dims: []types.Interval{inf, {Lo: 0, Hi: 1}}}
-	d.Insert(open, nil)
-	d.Insert(query.Box{Dims: []types.Interval{{Lo: 5, Hi: 6}, {Lo: 5, Hi: 6}}}, nil)
+	d.Insert(open, nil, FirstEpoch)
+	d.Insert(query.Box{Dims: []types.Interval{{Lo: 5, Hi: 6}, {Lo: 5, Hi: 6}}}, nil, FirstEpoch)
 	if _, ok := d.Lookup(query.Box{Dims: []types.Interval{{Lo: -1e9, Hi: 1e9}, {Lo: 0.2, Hi: 0.8}}}); !ok {
 		t.Fatal("unbounded region not found for covered lookup")
 	}
@@ -199,13 +201,18 @@ func TestDenseMDNonFiniteRegions(t *testing.T) {
 // sortedRef is the pre-splice Dense1D reference Insert: merge by full scan
 // and re-sort, as the index did before the sorted-run rewrite.
 type sortedRef struct {
-	regions map[int][]Interval1D
+	regions []refRegion
 }
 
-func (s *sortedRef) Insert(attr int, rng types.Interval, tuples []types.Tuple) {
-	merged := Interval1D{Range: rng, Tuples: append([]types.Tuple(nil), tuples...)}
-	var keep []Interval1D
-	for _, r := range s.regions[attr] {
+type refRegion struct {
+	Range types.Interval
+	Rows  []uint32
+}
+
+func (s *sortedRef) Insert(v colstore.View, rng types.Interval, rows []uint32) {
+	merged := refRegion{Range: rng, Rows: append([]uint32(nil), rows...)}
+	var keep []refRegion
+	for _, r := range s.regions {
 		if r.Range.Hi < rng.Lo || r.Range.Lo > rng.Hi ||
 			(r.Range.Hi == rng.Lo && r.Range.HiOpen && rng.LoOpen) ||
 			(r.Range.Lo == rng.Hi && r.Range.LoOpen && rng.HiOpen) {
@@ -218,30 +225,27 @@ func (s *sortedRef) Insert(attr int, rng types.Interval, tuples []types.Tuple) {
 		if r.Range.Hi > merged.Range.Hi || (r.Range.Hi == merged.Range.Hi && !r.Range.HiOpen) {
 			merged.Range.Hi, merged.Range.HiOpen = r.Range.Hi, r.Range.HiOpen
 		}
-		merged.Tuples = append(merged.Tuples, r.Tuples...)
+		merged.Rows = append(merged.Rows, r.Rows...)
 	}
-	sort.Slice(merged.Tuples, func(i, j int) bool {
-		if merged.Tuples[i].Ord[attr] != merged.Tuples[j].Ord[attr] {
-			return merged.Tuples[i].Ord[attr] < merged.Tuples[j].Ord[attr]
+	sort.Slice(merged.Rows, func(i, j int) bool {
+		a, b := int(merged.Rows[i]), int(merged.Rows[j])
+		if v.Ord(a, 0) != v.Ord(b, 0) {
+			return v.Ord(a, 0) < v.Ord(b, 0)
 		}
-		return merged.Tuples[i].ID < merged.Tuples[j].ID
+		return v.ID(a) < v.ID(b)
 	})
-	dedup := merged.Tuples[:0]
+	dedup := merged.Rows[:0]
 	seen := map[int]bool{}
-	for _, t := range merged.Tuples {
-		if seen[t.ID] {
-			continue
+	for _, row := range merged.Rows {
+		if id := v.ID(int(row)); !seen[id] {
+			seen[id] = true
+			dedup = append(dedup, row)
 		}
-		seen[t.ID] = true
-		dedup = append(dedup, t)
 	}
-	merged.Tuples = dedup
+	merged.Rows = dedup
 	keep = append(keep, merged)
 	sort.Slice(keep, func(i, j int) bool { return keep[i].Range.Lo < keep[j].Range.Lo })
-	if s.regions == nil {
-		s.regions = map[int][]Interval1D{}
-	}
-	s.regions[attr] = keep
+	s.regions = keep
 }
 
 // TestDense1DSpliceCrossCheck drives the splice-and-merge Insert against the
@@ -251,7 +255,7 @@ func (s *sortedRef) Insert(attr int, rng types.Interval, tuples []types.Tuple) {
 func TestDense1DSpliceCrossCheck(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
-		d := NewDense1D()
+		d := newStore1()
 		ref := &sortedRef{}
 		// A fixed corpus: an ID always carries the same value, as in the
 		// real system (crawls observe one corpus). Crawling an interval
@@ -276,10 +280,10 @@ func TestDense1DSpliceCrossCheck(t *testing.T) {
 					tuples = append(tuples, ct)
 				}
 			}
-			d.Insert(0, iv, tuples)
-			ref.Insert(0, iv, tuples)
+			d.insert(iv, tuples)
+			ref.Insert(d.hist.View(), iv, d.hist.AddRows(tuples))
 
-			got, want := d.Export(0), ref.regions[0]
+			got, want := d.Export(0), ref.regions
 			if len(got) != len(want) {
 				t.Fatalf("seed=%d step=%d: %d regions, want %d\n got: %v\nwant: %v",
 					seed, step, len(got), len(want), got, want)
@@ -288,14 +292,8 @@ func TestDense1DSpliceCrossCheck(t *testing.T) {
 				if got[i].Range != want[i].Range {
 					t.Fatalf("seed=%d step=%d region %d: range %v, want %v", seed, step, i, got[i].Range, want[i].Range)
 				}
-				if len(got[i].Tuples) != len(want[i].Tuples) {
-					t.Fatalf("seed=%d step=%d region %d: %d tuples, want %d", seed, step, i, len(got[i].Tuples), len(want[i].Tuples))
-				}
-				for j := range got[i].Tuples {
-					if got[i].Tuples[j].ID != want[i].Tuples[j].ID {
-						t.Fatalf("seed=%d step=%d region %d tuple %d: ID %d, want %d",
-							seed, step, i, j, got[i].Tuples[j].ID, want[i].Tuples[j].ID)
-					}
+				if !slices.Equal(got[i].Run.Rows, want[i].Rows) {
+					t.Fatalf("seed=%d step=%d region %d: rows %v, want %v", seed, step, i, got[i].Run.Rows, want[i].Rows)
 				}
 			}
 		}

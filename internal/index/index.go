@@ -11,16 +11,22 @@
 // selection condition (Algorithm 4's design note) so the work amortizes
 // across all future user queries.
 //
+// A region holds no tuple of its own. Every tuple a crawl returns is already
+// a row of the history arena (the engine's only tuple store), so a region is
+// what a probe fact is: a box, an epoch and the arena rows inside the box.
+// Rows never change — a tuple the upstream edits in place becomes a new row —
+// so a region keeps citing exactly what its crawl saw.
+//
 // Both index types are safe for concurrent use: lookups take a read lock,
 // inserts a write lock, and crawl-cost ledgers are atomic. Region coverage
 // is monotone — once an interval or box is covered it stays covered — and
-// the tuple slices inside recorded regions are immutable once inserted, so
+// the row lists inside recorded regions are immutable once inserted, so
 // returned regions may be read without further synchronization.
 //
 // Both lookups are sub-linear in the number of recorded regions. Dense1D
 // keeps its per-attribute regions as a sorted array probed by binary search,
 // and Insert splices the merged region into place with a linear merge of the
-// affected sorted tuple runs (the history store's sorted-run discipline) —
+// affected sorted runs (colstore.Run, the history shards' own run type) —
 // never a full re-sort. DenseMD buckets regions by the grid cell of their
 // box centroid: because every region recorded so far is at most maxW wide
 // per dimension, any region containing a lookup box has its centroid within
@@ -37,6 +43,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/colstore"
+	"repro/internal/history"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -49,18 +57,19 @@ import (
 const FirstEpoch int64 = 1
 
 // Interval1D is one fully-crawled value interval on a single attribute,
-// together with every tuple of the *entire database* whose attribute value
-// lies inside it.
+// together with the arena row of every tuple of the *entire database* whose
+// attribute value lies inside it.
 type Interval1D struct {
-	Range  types.Interval
-	Tuples []types.Tuple // sorted ascending by the attribute; immutable
-	Epoch  int64         // knowledge epoch the interval was crawled under
+	Range types.Interval
+	Run   colstore.Run // ascending by (attribute value, tuple ID); immutable
+	Epoch int64        // knowledge epoch the interval was crawled under
 }
 
 // Dense1D is the per-attribute dense index: a set of disjoint fully-crawled
 // intervals per ordinal attribute.
 type Dense1D struct {
-	mu sync.RWMutex
+	hist *history.Store // the store whose rows the regions cite
+	mu   sync.RWMutex
 	// regions[attr] is sorted by Range.Lo and pairwise disjoint.
 	regions map[int][]Interval1D
 	// crawlCost counts database queries spent building the index,
@@ -68,9 +77,9 @@ type Dense1D struct {
 	crawlCost atomic.Int64
 }
 
-// NewDense1D returns an empty 1D dense index.
-func NewDense1D() *Dense1D {
-	return &Dense1D{regions: make(map[int][]Interval1D)}
+// NewDense1D returns an empty 1D dense index over rows of hist.
+func NewDense1D(hist *history.Store) *Dense1D {
+	return &Dense1D{hist: hist, regions: make(map[int][]Interval1D)}
 }
 
 // AddCrawlCost accumulates queries spent crawling into the index's ledger.
@@ -98,28 +107,26 @@ func (d *Dense1D) Lookup(attr int, iv types.Interval) (Interval1D, bool) {
 	return Interval1D{}, false
 }
 
-// Insert records a fully-crawled interval at FirstEpoch; see InsertEpoch.
-func (d *Dense1D) Insert(attr int, rng types.Interval, tuples []types.Tuple) {
-	d.InsertEpoch(attr, rng, tuples, FirstEpoch)
-}
-
-// InsertEpoch records a fully-crawled interval with its tuples (which must
-// be every database tuple whose attr value falls inside rng) under the given
-// knowledge epoch. Overlapping or adjacent existing regions are merged;
-// tuples are deduplicated by ID. A merge takes the *minimum* epoch of its
-// constituents: the merged region's old tuples were not re-verified by the
-// new crawl, so the combined region is only as fresh as its oldest part.
+// Insert records a fully-crawled interval under the given knowledge epoch.
+// rows are the arena rows of every database tuple whose attr value falls
+// inside rng. Overlapping or adjacent existing regions
+// are merged, keeping one row per tuple ID. A merge takes the *minimum* epoch
+// of its constituents: the merged region's old rows were not re-verified by
+// the new crawl, so the combined region is only as fresh as its oldest part.
 //
 // The region array stays sorted by Range.Lo without ever being re-sorted:
 // overlapping regions are contiguous in the sorted array, so Insert binary
-// searches for the overlap window, merges the window's (already sorted)
-// tuple runs with the freshly sorted incoming run via linear merges, and
-// splices the merged region into place.
-func (d *Dense1D) InsertEpoch(attr int, rng types.Interval, tuples []types.Tuple, epoch int64) {
+// searches for the overlap window, merges the window's (already sorted) runs
+// with the freshly sorted incoming run via linear merges, and splices the
+// merged region into place.
+func (d *Dense1D) Insert(attr int, rng types.Interval, rows []uint32, epoch int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// The view that orders the rows is taken under the lock, so it covers
+	// every row a region inserted before this one cites.
+	v := d.hist.View()
 	regs := d.regions[attr]
-	merged := Interval1D{Range: rng, Tuples: sortRun(append([]types.Tuple(nil), tuples...), attr), Epoch: epoch}
+	merged := Interval1D{Range: rng, Run: dedupRun(v, colstore.NewRun(v, attr, rows)), Epoch: epoch}
 	// Overlap window: regions are sorted by Lo and interior-disjoint, so
 	// every region mergeable with rng lies in one contiguous span. Regions
 	// touching rng at an endpoint excluded by BOTH sides — (a,b) then
@@ -145,7 +152,7 @@ func (d *Dense1D) InsertEpoch(attr int, rng types.Interval, tuples []types.Tuple
 		if r.Epoch < merged.Epoch {
 			merged.Epoch = r.Epoch
 		}
-		merged.Tuples = mergeTupleRuns(merged.Tuples, r.Tuples, attr)
+		merged.Run = dedupRun(v, colstore.MergeRuns(v, merged.Run, r.Run))
 	}
 	// Splice: prefix, kept touch-neighbors below, merged, kept above, suffix.
 	out := make([]Interval1D, 0, lo+len(keepInWindow)+1+len(regs)-hi)
@@ -225,139 +232,38 @@ func (d *Dense1D) Regions(attr int) int {
 	return len(d.regions[attr])
 }
 
-// Export returns a copy of the recorded regions for attr (for persistence
-// and inspection). Region tuple slices are shared and must not be modified.
+// Export returns a copy of the recorded regions for attr (for inspection).
+// Region runs are shared and must not be modified.
 func (d *Dense1D) Export(attr int) []Interval1D {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return append([]Interval1D(nil), d.regions[attr]...)
 }
 
-// TotalTuples returns the number of tuples stored across all regions of
-// attr.
-func (d *Dense1D) TotalTuples(attr int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for _, r := range d.regions[attr] {
-		n += len(r.Tuples)
-	}
-	return n
-}
-
-// sortRun sorts ts ascending by (Ord[attr], ID) and deduplicates by ID —
-// the canonical order of every sorted tuple run in the system (row-struct
-// runs here, row-number runs in colstore.Run). Only fresh crawl results pay
-// this sort; region-to-region combination goes through mergeTupleRuns.
-func sortRun(ts []types.Tuple, attr int) []types.Tuple {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Ord[attr] != ts[j].Ord[attr] {
-			return ts[i].Ord[attr] < ts[j].Ord[attr]
-		}
-		return ts[i].ID < ts[j].ID
-	})
-	out := ts[:0]
-	for _, t := range ts {
-		if len(out) > 0 && t.ID == out[len(out)-1].ID {
+// dedupRun drops every entry whose (value, tuple ID) repeats the entry before
+// it: overlapping crawls both list the tuples of the overlap, and the earlier
+// entry — MergeRuns puts its first argument's first — is kept. r is written
+// only from the first repeat on, so a run without repeats may be shared.
+func dedupRun(v colstore.View, r colstore.Run) colstore.Run {
+	w := 0
+	for i, row := range r.Rows {
+		if w > 0 && r.Vals[i] == r.Vals[w-1] && v.ID(int(row)) == v.ID(int(r.Rows[w-1])) {
 			continue
 		}
-		out = append(out, t)
-	}
-	return out
-}
-
-// mergeTupleRuns linearly merges two runs sorted by (Ord[attr], ID) into a
-// fresh run, deduplicating by ID. A tuple present in both runs carries the
-// same attribute value, so duplicates always meet at equal sort keys.
-func mergeTupleRuns(a, b []types.Tuple, attr int) []types.Tuple {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]types.Tuple, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Ord[attr] < b[j].Ord[attr] ||
-			(a[i].Ord[attr] == b[j].Ord[attr] && a[i].ID < b[j].ID):
-			out = append(out, a[i])
-			i++
-		case a[i].Ord[attr] == b[j].Ord[attr] && a[i].ID == b[j].ID:
-			out = append(out, a[i])
-			i++
-			j++
-		default:
-			out = append(out, b[j])
-			j++
+		if w != i {
+			r.Vals[w], r.Rows[w] = r.Vals[i], row
 		}
+		w++
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return colstore.Run{Vals: r.Vals[:w], Rows: r.Rows[:w]}
 }
 
-// MinMatching returns the tuple with the smallest attr value inside iv that
-// matches q, searching the recorded region reg. ok is false when no stored
-// tuple qualifies (authoritative: the region was fully crawled).
-func (r Interval1D) MinMatching(q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	return ScanMinMatching(r.Tuples, q, attr, iv)
-}
-
-// MaxMatching mirrors MinMatching for descending scans.
-func (r Interval1D) MaxMatching(q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	return ScanMaxMatching(r.Tuples, q, attr, iv)
-}
-
-// ScanMinMatching returns the first tuple of lst — which must be sorted
-// ascending by (Ord[attr], ID) — that lies inside iv and matches q. It is the
-// ascending-scan primitive for row-struct sorted runs (dense-region
-// payloads); the history store's per-attribute runs live in the columnar
-// arena and are scanned by colstore.Run.ScanMin, which mirrors these
-// semantics exactly.
-func ScanMinMatching(lst []types.Tuple, q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].Ord[attr] >= iv.Lo })
-	for ; i < len(lst); i++ {
-		v := lst[i].Ord[attr]
-		if !iv.Contains(v) {
-			if v > iv.Hi {
-				break
-			}
-			continue
-		}
-		if q.Matches(lst[i]) {
-			return lst[i], true
-		}
-	}
-	return types.Tuple{}, false
-}
-
-// ScanMaxMatching mirrors ScanMinMatching for descending scans: the last
-// tuple of the sorted run inside iv matching q.
-func ScanMaxMatching(lst []types.Tuple, q query.Query, attr int, iv types.Interval) (types.Tuple, bool) {
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].Ord[attr] > iv.Hi })
-	for i--; i >= 0; i-- {
-		v := lst[i].Ord[attr]
-		if !iv.Contains(v) {
-			if v < iv.Lo {
-				break
-			}
-			continue
-		}
-		if q.Matches(lst[i]) {
-			return lst[i], true
-		}
-	}
-	return types.Tuple{}, false
-}
-
-// Region is one fully-crawled axis-space box with every database tuple
+// Region is one fully-crawled box with the arena row of every database tuple
 // inside it, used by the MD dense index (Algorithm 6).
 type Region struct {
-	Box    query.Box
-	Tuples []types.Tuple // immutable once inserted
-	Epoch  int64         // knowledge epoch the box was crawled under
+	Box   query.Box
+	Rows  []uint32 // immutable once inserted
+	Epoch int64    // knowledge epoch the box was crawled under
 }
 
 // DenseMD records fully-crawled boxes in the axis space of one ranker.
@@ -546,19 +452,14 @@ func (d *DenseMD) walkCells(box query.Box, base, coords []int64, j int, found *R
 	return false
 }
 
-// Insert records a fully-crawled box at FirstEpoch; see InsertEpoch.
-func (d *DenseMD) Insert(box query.Box, tuples []types.Tuple) {
-	d.InsertEpoch(box, tuples, FirstEpoch)
-}
-
-// InsertEpoch records a fully-crawled box under the given knowledge epoch.
+// Insert records a fully-crawled box, with the arena rows of every database
+// tuple inside it, under the given knowledge epoch; the index keeps rows.
 // Regions contained in the new box are absorbed (their tuples are a subset
 // of the fresh crawl, so the absorbing region carries the *new* epoch — the
 // crawl just re-verified everything inside it).
-func (d *DenseMD) InsertEpoch(box query.Box, tuples []types.Tuple, epoch int64) {
+func (d *DenseMD) Insert(box query.Box, rows []uint32, epoch int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	merged := append([]types.Tuple(nil), tuples...)
 	kept := make([]Region, 0, len(d.regions)+1)
 	for _, r := range d.regions {
 		if box.ContainsBox(r.Box) {
@@ -567,7 +468,7 @@ func (d *DenseMD) InsertEpoch(box query.Box, tuples []types.Tuple, epoch int64) 
 		kept = append(kept, r)
 	}
 	absorbed := len(kept) != len(d.regions)
-	d.regions = append(kept, Region{Box: box, Tuples: merged, Epoch: epoch})
+	d.regions = append(kept, Region{Box: box, Rows: rows, Epoch: epoch})
 	switch {
 	case !d.grid.built, absorbed, d.widerThanCells(box):
 		// Stored bucket indices shifted (absorb) or the cell-width
@@ -682,8 +583,8 @@ func (d *DenseMD) Stats() GridStats {
 	return st
 }
 
-// Export returns a copy of the recorded regions (for persistence and
-// inspection). Region tuple slices are shared and must not be modified.
+// Export returns a copy of the recorded regions (for inspection). Region row
+// lists are shared and must not be modified.
 func (d *DenseMD) Export() []Region {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

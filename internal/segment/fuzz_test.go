@@ -11,15 +11,18 @@ import (
 // fuzzDelta exercises every section of the delta schema.
 var fuzzDelta = &Delta{
 	HistLo: 3, HistHi: 5, Queries: 42, Epoch: 2,
-	Hist:    []Tuple{{ID: 1, Ord: []float64{1, 2}}, {ID: 2, Ord: []float64{3, 4}, Cat: map[string]string{"c": "x"}}},
-	Tuples:  []Tuple{{ID: 9, Ord: []float64{5, 6}}},
-	Dense1:  []Dense1Op{{Attr: 1, Dim: Dim{Lo: 0, Hi: 9, HiOpen: true}, IDs: []int{1, 2}, Epoch: 1}},
-	DenseMD: []MDOp{{Attrs: []int{0, 1}, Dims: []Dim{{Lo: 0, Hi: 1}, {Lo: 2, Hi: 3, LoOpen: true}}, IDs: []int{9}}},
+	Hist: []Tuple{{ID: 1, Ord: []float64{1, 2}}, {ID: 2, Ord: []float64{3, 4}, Cat: map[string]string{"c": "x"}}},
 	Probes: []ProbeOp{{
 		Ranges: []ProbeRange{{Attr: 0, Lo: 1.5, Hi: Bound(math.Inf(1)), LoOpen: true, HiOpen: true}},
 		Cats:   map[string]string{"c": "x"},
 		Rows:   []uint32{4, 3}, Epoch: 2,
-	}, {Rows: []uint32{3}, Overflow: true}},
+	}, {Rows: []uint32{3}, Overflow: true}, {
+		Ranges: []ProbeRange{{Attr: 1, Lo: 0, Hi: 9, HiOpen: true}},
+		Rows:   []uint32{3, 4}, Crawled: true, Epoch: 1,
+	}, {
+		Ranges: []ProbeRange{{Attr: 0, Lo: 0, Hi: 1}, {Attr: 1, Lo: 2, Hi: 3, LoOpen: true}},
+		Rows:   []uint32{4}, Crawled: true,
+	}},
 }
 
 // FuzzDecodeLine feeds the journal-line decoder arbitrary bytes, both raw
@@ -39,7 +42,7 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		f.Add(bytes.TrimSuffix(line, []byte("\n"))[9:])
 	}
-	f.Add([]byte(`{"kind":"delta","delta":{"dense1":[{"ids":null}]}}`))
+	f.Add([]byte(`{"kind":"delta","delta":{"probes":[{"rows":null,"crawled":true}]}}`))
 	f.Add([]byte("not json"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if _, err := decodeLine(body); err == nil && len(body) < 10 {

@@ -13,7 +13,7 @@ func TestJournalLineRoundTrip(t *testing.T) {
 	rec := &journalRecord{Kind: "delta", Seq: 7, Delta: &Delta{
 		HistLo: 3, HistHi: 5,
 		Hist:    []Tuple{{ID: 1, Ord: []float64{1, 2}}, {ID: 2, Ord: []float64{3, 4}, Cat: map[string]string{"c": "x"}}},
-		Dense1:  []Dense1Op{{Attr: 1, Dim: Dim{Lo: 0, Hi: 9, HiOpen: true}, IDs: []int{1, 2}}},
+		Probes:  []ProbeOp{{Ranges: []ProbeRange{{Attr: 1, Lo: 0, Hi: 9, HiOpen: true}}, Rows: []uint32{3, 4}, Crawled: true}},
 		Queries: 42,
 	}}
 	line, err := encodeRecord(rec)
@@ -29,7 +29,7 @@ func TestJournalLineRoundTrip(t *testing.T) {
 	}
 	if got.Kind != "delta" || got.Seq != 7 || got.Delta == nil || got.Delta.Queries != 42 ||
 		len(got.Delta.Hist) != 2 || got.Delta.Hist[1].Cat["c"] != "x" ||
-		len(got.Delta.Dense1) != 1 || !got.Delta.Dense1[0].Dim.HiOpen {
+		len(got.Delta.Probes) != 1 || !got.Delta.Probes[0].Crawled || !got.Delta.Probes[0].Ranges[0].HiOpen {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }

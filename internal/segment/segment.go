@@ -71,8 +71,10 @@ import (
 // record carries: the structured query and arena rows (ProbeOp) instead of
 // the canonical key string and tuple IDs. Generation 3 added overflow pages
 // to the probe records (ProbeOp.Overflow), which a generation-2 reader would
-// replay as complete answers.
-const Format = 3
+// replay as complete answers. Generation 4 records a crawled region as a
+// probe record too (ProbeOp.Crawled, citing arena rows) instead of two
+// region record kinds that named tuples by ID.
+const Format = 4
 
 // Fingerprint identifies the upstream deployment a store's knowledge came
 // from. Cached probe answers replay one specific upstream's responses
@@ -117,41 +119,10 @@ type Tuple struct {
 	Cat map[string]string `json:"cat,omitempty"`
 }
 
-// Dim is one closed/open interval bound of a region.
-type Dim struct {
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-	LoOpen bool    `json:"loOpen,omitempty"`
-	HiOpen bool    `json:"hiOpen,omitempty"`
-}
-
-// Dense1Op is one recorded 1D dense-region insert: replaying the recorded
-// ops in order through the live Insert path rebuilds the index exactly as
-// the original engine built it.
-type Dense1Op struct {
-	Attr int   `json:"attr"`
-	Dim  Dim   `json:"dim"`
-	IDs  []int `json:"ids"`
-	// Epoch is the knowledge epoch the region was acquired under; 0 (older
-	// formats) replays as the first epoch.
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
-// MDOp is one recorded MD dense-region insert over a canonical (sorted
-// ascending) attribute subset.
-type MDOp struct {
-	Attrs []int `json:"attrs"`
-	Dims  []Dim `json:"dims"`
-	IDs   []int `json:"ids"`
-	// Epoch is the knowledge epoch the region was acquired under; 0 (older
-	// formats) replays as the first epoch.
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
-// Bound is one endpoint of a probe query's range predicate. Region bounds
-// (Dim) are always finite, but a probe may be half-unbounded — "everything
-// after the cursor" — and JSON numbers cannot carry an infinity, so
-// non-finite values travel as the strings "+Inf", "-Inf" and "NaN".
+// Bound is one endpoint of a range predicate. A crawled region's bounds are
+// always finite, but a probe may be half-unbounded — "everything after the
+// cursor" — and JSON numbers cannot carry an infinity, so non-finite values
+// travel as the strings "+Inf", "-Inf" and "NaN".
 type Bound float64
 
 // MarshalJSON implements json.Marshaler.
@@ -189,13 +160,17 @@ type ProbeRange struct {
 	HiOpen bool  `json:"hiOpen,omitempty"`
 }
 
-// ProbeOp is one recorded coverage fact: a probe query the upstream answered,
-// and the history arena rows holding the answered tuples in upstream rank
-// order. The query is carried in structured form (ranges in ascending
-// attribute order) so replay can index a complete fact by what its box
-// contains, not only by exact match. Rows always lie below the HistHi of the
-// delta that carries the op: a probe's page enters the arena before its fact
-// is recorded.
+// ProbeOp is one recorded coverage fact — the one knowledge record a delta
+// carries: a query box and the history arena rows the upstream returned for
+// it. For a probe the rows are its page in upstream rank order; for a crawled
+// region (Crawled) they are every tuple of the box, and the ranges — always
+// finite, with no categorical predicate beside them — are the region's
+// attributes and dimensions: one range is a 1D dense region, more are a box
+// of the MD index over that attribute set. The query is carried in structured
+// form (ranges in ascending attribute order) so replay can index a complete
+// fact by what its box contains, not only by exact match. Rows always lie
+// below the HistHi of the delta that carries the op: a probe's page and a
+// region's tuples enter the arena before their record is queued.
 type ProbeOp struct {
 	Ranges []ProbeRange      `json:"ranges,omitempty"`
 	Cats   map[string]string `json:"cats,omitempty"`
@@ -203,30 +178,27 @@ type ProbeOp struct {
 	// Overflow marks an overflow page: the rows are the top-k of the box, not
 	// all of it, so the fact replays for the identical probe only.
 	Overflow bool `json:"overflow,omitempty"`
+	// Crawled marks a fully crawled dense region: the rows are all of the box
+	// in no particular order, and replay inserts them into the dense index
+	// through the live insert path. Never set together with Overflow.
+	Crawled bool `json:"crawled,omitempty"`
 	// Epoch is the knowledge epoch the answer was learned under.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // Delta is one checkpoint's knowledge increment: the history arena rows
-// appended since the previous checkpoint, the dense-region and probe-fact
-// operations recorded since then, and payloads for every tuple a region
-// references that is not covered by the committed history prefix. Replaying
-// all committed deltas in order through the engine's live insert paths
-// reconstructs the knowledge exactly.
+// appended since the previous checkpoint and the coverage facts (probe
+// answers and crawled regions) recorded since then, in the order they were
+// learned. Replaying all committed deltas in order through the engine's live
+// insert paths reconstructs the knowledge exactly.
 type Delta struct {
 	// HistLo/HistHi bound the history arena rows this delta carries:
 	// Hist[i] is arena row HistLo+i, and HistHi == HistLo + len(Hist).
 	// Deltas commit contiguous, non-overlapping row ranges.
-	HistLo int     `json:"histLo"`
-	HistHi int     `json:"histHi"`
-	Hist   []Tuple `json:"hist,omitempty"`
-	// Tuples resolves dense-region tuple IDs that are not in the committed
-	// history (rows < HistHi): regions inserted through the Knowledge API
-	// with tuples no probe brought in. Probe ops never need it.
-	Tuples  []Tuple    `json:"tuples,omitempty"`
-	Dense1  []Dense1Op `json:"dense1,omitempty"`
-	DenseMD []MDOp     `json:"denseMD,omitempty"`
-	Probes  []ProbeOp  `json:"probes,omitempty"`
+	HistLo int       `json:"histLo"`
+	HistHi int       `json:"histHi"`
+	Hist   []Tuple   `json:"hist,omitempty"`
+	Probes []ProbeOp `json:"probes,omitempty"`
 	// Heat, when present, is the engine's request-window heat sketch at
 	// capture time (acquire.HeatExport). Replay is last-wins across
 	// deltas, so only the newest capture matters; older formats without
@@ -246,9 +218,7 @@ type Delta struct {
 // are knowledge worth committing on their own (an un-persisted bump would
 // resurrect stale knowledge as current after a restart).
 func (d *Delta) Empty() bool {
-	return len(d.Hist) == 0 && len(d.Tuples) == 0 &&
-		len(d.Dense1) == 0 && len(d.DenseMD) == 0 && len(d.Probes) == 0 &&
-		d.Heat == nil && d.Epoch == 0
+	return len(d.Hist) == 0 && len(d.Probes) == 0 && d.Heat == nil && d.Epoch == 0
 }
 
 // segmentFile is the serialized form of one immutable segment: a batch of

@@ -149,7 +149,7 @@ func (s *Store) recover() error {
 	}
 	if len(recs) == 0 || recs[0].Kind != "header" || recs[0].Format != Format ||
 		recs[0].Fingerprint == nil || !recs[0].Fingerprint.Matches(s.opts.Fingerprint) {
-		s.opts.Logf("segment: store at %s has no valid header or a foreign fingerprint; quarantining and starting cold", s.dir)
+		s.opts.Logf("segment: store at %s has no valid header, another format generation or a foreign fingerprint; quarantining and starting cold", s.dir)
 		s.dropped += len(recs)
 		if err := s.quarantineAll(); err != nil {
 			return err

@@ -85,13 +85,6 @@ func NewClientWith(baseURL string, opts ...ClientOption) *Client {
 	return c
 }
 
-// NewClient builds a client for the service at baseURL.
-//
-// Deprecated: use NewClientWith with WithHTTPClient / WithTimeout options.
-func NewClient(baseURL string, hc *http.Client) *Client {
-	return NewClientWith(baseURL, WithHTTPClient(hc))
-}
-
 // Upstream returns the namespace the client is pinned to ("" = default via
 // the legacy routes).
 func (c *Client) Upstream() string { return c.upstream }
@@ -311,17 +304,6 @@ func (c *Client) Schema() (*SchemaResponse, error) {
 func (c *Client) Upstreams() (*UpstreamsResponse, error) {
 	var out UpstreamsResponse
 	if err := c.getJSON("/v1/upstreams", "upstreams", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// UpstreamNames lists only the registered namespace names (the
-// ?format=names shape — cheaper than Upstreams when the descriptors are
-// not needed).
-func (c *Client) UpstreamNames() (*UpstreamNamesResponse, error) {
-	var out UpstreamNamesResponse
-	if err := c.getJSON("/v1/upstreams?format=names", "upstreams", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

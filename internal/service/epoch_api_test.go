@@ -88,15 +88,6 @@ func TestUpstreamsAPIRichShape(t *testing.T) {
 	if info.Name != "gems" || info.Epoch != index.FirstEpoch || info.Health != "healthy" {
 		t.Fatalf("detail descriptor = %+v", info)
 	}
-
-	// ?format=names keeps the pre-redesign shape for scripts.
-	names, err := client.UpstreamNames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names.Default != "gems" || len(names.Upstreams) != 1 || names.Upstreams[0] != "gems" {
-		t.Fatalf("names shape = %+v", names)
-	}
 }
 
 func TestRevalidateEndpoint(t *testing.T) {

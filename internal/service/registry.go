@@ -1,8 +1,7 @@
 // The upstream registry API: programmatic registration of upstream
 // namespaces and the /v1/upstreams HTTP surface.
 //
-//	GET    /v1/upstreams                   list registered upstreams (rich objects;
-//	                                       ?format=names for the name-only shape)
+//	GET    /v1/upstreams                   list registered upstreams (rich objects)
 //	POST   /v1/upstreams                   dial {url} and register it as namespace {name}
 //	GET    /v1/upstreams/{ns}              one upstream's descriptor
 //	POST   /v1/upstreams/{ns}/revalidate   immediate sentinel pass (drift check now)
@@ -88,13 +87,6 @@ type UpstreamsResponse struct {
 	// Default names the namespace un-namespaced requests resolve to.
 	Default   string         `json:"default,omitempty"`
 	Upstreams []UpstreamInfo `json:"upstreams"`
-}
-
-// UpstreamNamesResponse is the GET /v1/upstreams?format=names body — the
-// pre-redesign list shape, kept for scripts that only want the names.
-type UpstreamNamesResponse struct {
-	Default   string   `json:"default,omitempty"`
-	Upstreams []string `json:"upstreams"`
 }
 
 // RevalidateResponse is the POST /v1/upstreams/{ns}/revalidate body: the
@@ -267,18 +259,6 @@ func (s *Server) upstreamInfo(t *tenant) UpstreamInfo {
 }
 
 func (s *Server) handleListUpstreams(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "names" {
-		resp := UpstreamNamesResponse{Upstreams: []string{}}
-		if def := s.registry.Default(); def != nil {
-			resp.Default = def.Name()
-		}
-		for _, t := range s.tenantList() {
-			resp.Upstreams = append(resp.Upstreams, t.ns.Name())
-		}
-		sort.Strings(resp.Upstreams)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 	resp := UpstreamsResponse{Upstreams: []UpstreamInfo{}}
 	if def := s.registry.Default(); def != nil {
 		resp.Default = def.Name()
