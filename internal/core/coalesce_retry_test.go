@@ -84,7 +84,7 @@ func TestCoalescedTransientFailuresDoNotFanOut(t *testing.T) {
 	// The gate sits in front of the failure injection: the first round's four
 	// leaders park on it until each has a follower, so the failure among
 	// them is a failed flight somebody coalesced onto by construction.
-	gate := &slowDB{inner: fdb, gate: make(chan struct{})}
+	gate := &gateDB{inner: fdb, gate: make(chan struct{})}
 	// No probe cache: every probe must go through a flight, so injected
 	// failures keep hitting coalesced groups for the whole test.
 	e := NewEngine(gate, Options{N: 400, ProbeCacheSize: -1})

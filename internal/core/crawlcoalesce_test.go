@@ -12,16 +12,16 @@ import (
 	"repro/internal/types"
 )
 
-// slowDB counts the TopK calls that reach it and, when it has a gate, parks
+// gateDB counts the TopK calls that reach it and, when it has a gate, parks
 // each of them until the test closes the gate — so concurrent identical
 // probes overlap in flight on the test's say-so, not on a timer.
-type slowDB struct {
+type gateDB struct {
 	inner hidden.Database
 	gate  chan struct{} // nil: calls pass straight through
 	calls atomic.Int64
 }
 
-func (s *slowDB) TopK(q query.Query) (hidden.Result, error) {
+func (s *gateDB) TopK(q query.Query) (hidden.Result, error) {
 	s.calls.Add(1)
 	if s.gate != nil {
 		<-s.gate
@@ -42,8 +42,8 @@ func awaitFollowers(e *Engine, q query.Query, n int) {
 	}
 }
 
-func (s *slowDB) K() int                { return s.inner.K() }
-func (s *slowDB) Schema() *types.Schema { return s.inner.Schema() }
+func (s *gateDB) K() int                { return s.inner.K() }
+func (s *gateDB) Schema() *types.Schema { return s.inner.Schema() }
 
 // TestCrawlWarmRepeat: crawl probes route through the engine's coalescer, so
 // a repeat crawl of the same region replays every cached complete sub-answer
@@ -107,7 +107,7 @@ func TestCrawlWarmRepeat(t *testing.T) {
 func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	inner, all := newTestDB(t, rng, 2, 600, 5, false, nil)
-	db := &slowDB{inner: inner}
+	db := &gateDB{inner: inner}
 
 	// Reference cost: one crawl of the shared query, alone, cold.
 	ref := NewEngine(db, Options{N: 600})
@@ -182,7 +182,7 @@ func TestConcurrentOverlappingCrawlsDedup(t *testing.T) {
 func TestConcurrentDistinctCrawls(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	inner, all := newTestDB(t, rng, 2, 600, 5, true, systemRankers(2)[1])
-	db := &slowDB{inner: inner, gate: make(chan struct{})}
+	db := &gateDB{inner: inner, gate: make(chan struct{})}
 	e := NewEngine(db, Options{N: 600})
 
 	queries := []query.Query{

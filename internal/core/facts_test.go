@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -566,18 +565,6 @@ func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 	}
 }
 
-// gatedDB parks every TopK until release is closed, so a test can hold a
-// leader inside its flight.
-type gatedDB struct {
-	*hidden.DB
-	release chan struct{}
-}
-
-func (g *gatedDB) TopK(q query.Query) (hidden.Result, error) {
-	<-g.release
-	return g.DB.TopK(q)
-}
-
 // TestFollowersSeeLeadersTuplesInHistory: the leader adds its page to the
 // history inside the flight, so a coalesced follower — released only when
 // the flight completes — finds every answered tuple already there, with or
@@ -592,7 +579,7 @@ func TestFollowersSeeLeadersTuplesInHistory(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(37))
 			inner, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
-			db := &gatedDB{DB: inner, release: make(chan struct{})}
+			db := &gateDB{inner: inner, gate: make(chan struct{})}
 			e := NewEngine(db, opts)
 			iv, _ := narrowWindow(t, tuples, 10)
 			q := query.New().WithRange(0, iv)
@@ -616,16 +603,9 @@ func TestFollowersSeeLeadersTuplesInHistory(t *testing.T) {
 			}
 			if !opts.DisableCoalescing {
 				// Release the leader only once everyone else is parked on it.
-				g := e.probes.flights
-				for followers := 0; followers < callers-1; runtime.Gosched() {
-					g.mu.Lock()
-					if f, ok := g.inflight[q.String()]; ok {
-						followers = f.followers
-					}
-					g.mu.Unlock()
-				}
+				awaitFollowers(e, q, callers-1)
 			}
-			close(db.release)
+			close(db.gate)
 			wg.Wait()
 			if !opts.DisableCoalescing && inner.QueryCount() != 1 {
 				t.Fatalf("%d callers cost %d upstream queries, want 1", callers, inner.QueryCount())

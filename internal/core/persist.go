@@ -184,7 +184,7 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		}
 		q := query.New()
 		for _, r := range op.Ranges {
-			q.Ranges[r.Attr] = types.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi), LoOpen: r.LoOpen, HiOpen: r.HiOpen}
+			q.Ranges[r.Attr] = rangeInterval(r)
 		}
 		for name, value := range op.Cats {
 			q.Cats[name] = value
@@ -215,12 +215,11 @@ func (e *Engine) applyCrawled(op segment.ProbeOp) error {
 			(i > 0 && r.Attr <= attrs[i-1]) {
 			return fmt.Errorf("core: delta crawled region ranges attribute %d out of order or not ordinal", r.Attr)
 		}
-		lo, hi := float64(r.Lo), float64(r.Hi)
-		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			return fmt.Errorf("core: delta crawled region bound [%v, %v] on attribute %d is not finite", lo, hi, r.Attr)
+		iv := rangeInterval(r)
+		if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) || math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
+			return fmt.Errorf("core: delta crawled region bound %s on attribute %d is not finite", iv, r.Attr)
 		}
-		attrs[i] = r.Attr
-		box.Dims[i] = types.Interval{Lo: lo, Hi: hi, LoOpen: r.LoOpen, HiOpen: r.HiOpen}
+		attrs[i], box.Dims[i] = r.Attr, iv
 	}
 	if len(attrs) == 1 {
 		e.know.dense1.Insert(attrs[0], box.Dims[0], op.Rows, epochOrFirst(op.Epoch))
@@ -251,9 +250,9 @@ func (p *Persister) Checkpoint() error {
 	heatObs := p.heatObs
 	p.mu.Unlock()
 
-	// The watermark is read AFTER the queue swap: any tuple a captured op
-	// references that reached history before the op was recorded is below
-	// this histHi, so it commits by reference in this very delta.
+	// The watermark is read AFTER the queue swap: every row a captured op
+	// cites reached the arena before the op was recorded, hence is below this
+	// histHi and commits in this very delta or an earlier one.
 	histHi := p.e.know.hist.Rows()
 	d := p.buildDelta(histLo, histHi, ops)
 	// Heat rides the delta only when observations advanced since the last
@@ -370,6 +369,10 @@ func (p *Persister) Stats() PersistStats {
 	p.mu.Unlock()
 	st.Store = p.store.Stats()
 	return st
+}
+
+func rangeInterval(r segment.ProbeRange) types.Interval {
+	return types.Interval{Lo: float64(r.Lo), Hi: float64(r.Hi), LoOpen: r.LoOpen, HiOpen: r.HiOpen}
 }
 
 // epochOrFirst maps a persisted epoch to its replay value: 0 (older

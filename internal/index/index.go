@@ -109,10 +109,10 @@ func (d *Dense1D) Lookup(attr int, iv types.Interval) (Interval1D, bool) {
 
 // Insert records a fully-crawled interval under the given knowledge epoch.
 // rows are the arena rows of every database tuple whose attr value falls
-// inside rng. Overlapping or adjacent existing regions
-// are merged, keeping one row per tuple ID. A merge takes the *minimum* epoch
-// of its constituents: the merged region's old rows were not re-verified by
-// the new crawl, so the combined region is only as fresh as its oldest part.
+// inside rng. Overlapping or adjacent existing regions are merged, keeping
+// one row per tuple ID. A merge takes the *minimum* epoch of its
+// constituents: the merged region's old rows were not re-verified by the new
+// crawl, so the combined region is only as fresh as its oldest part.
 //
 // The region array stays sorted by Range.Lo without ever being re-sorted:
 // overlapping regions are contiguous in the sorted array, so Insert binary
@@ -453,8 +453,8 @@ func (d *DenseMD) walkCells(box query.Box, base, coords []int64, j int, found *R
 }
 
 // Insert records a fully-crawled box, with the arena rows of every database
-// tuple inside it, under the given knowledge epoch; the index keeps rows.
-// Regions contained in the new box are absorbed (their tuples are a subset
+// tuple inside it, under the given knowledge epoch; the index keeps the
+// slice. Regions contained in the new box are absorbed (their tuples are a subset
 // of the fresh crawl, so the absorbing region carries the *new* epoch — the
 // crawl just re-verified everything inside it).
 func (d *DenseMD) Insert(box query.Box, rows []uint32, epoch int64) {
