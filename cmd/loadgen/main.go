@@ -7,8 +7,9 @@
 // request stream is a function of -seed alone, never of worker count),
 // issue it, and record the outcome. Operations are drawn from the weighted
 // -mix (1d = single-attribute rerank, md = two-attribute linear rerank,
-// batch = one POST /v1/rerank/batch of -batch-size sub-requests, stream =
-// POST /v1/rerank/stream drained to the final event). Requests shed by
+// batch = one batch request of -batch-size sub-requests, stream = one
+// stream request drained to the final event), all against the -upstream
+// namespace's routes. Requests shed by
 // admission control (429/503) count as "shed", not errors — backpressure is
 // correct behavior under overload, and the shed rate is part of the report.
 //
@@ -262,7 +263,7 @@ type sample struct {
 func main() {
 	var (
 		url         = flag.String("url", "http://localhost:8080", "rerankd base URL")
-		upstream    = flag.String("upstream", "", "upstream namespace to target ('' = the server's default namespace via the legacy routes)")
+		upstream    = flag.String("upstream", service.DefaultUpstream, "upstream namespace to target")
 		clients     = flag.Int("clients", 8, "concurrent closed-loop workers")
 		duration    = flag.Duration("duration", 10*time.Second, "run length")
 		mixSpec     = flag.String("mix", "1d=4,md=3,batch=2,stream=1", "weighted operation mix (kind=weight,...)")

@@ -11,10 +11,9 @@
 //	        -upstream autos=http://localhost:8082 -addr :8080
 //	rerankd -dataset bluenile -n 20000 -addr :8080
 //
-// The first -upstream becomes the default namespace, served by the legacy
-// un-namespaced routes; every namespace is also served at
-// /v1/upstreams/{name}/..., and more can be registered at runtime via
-// POST /v1/upstreams. Then:
+// The first -upstream becomes the default namespace; every namespace is
+// served at /v1/upstreams/{name}/..., and more can be registered at runtime
+// via POST /v1/upstreams. Then:
 //
 //	curl -s localhost:8080/v1/upstreams
 //	curl -s localhost:8080/v1/upstreams/diamonds/rerank -d '{
@@ -217,8 +216,9 @@ func main() {
 		ps, _ := srv.PersistStats()
 		if ps.Store.ReplayedDeltas > 0 {
 			st := srv.Stats()
-			log.Printf("rerankd: warm start from data dir %s (%d committed deltas replayed: %d history tuples, %d cached probe answers, %d MD dense regions; checkpoint interval %s)",
-				*dataDir, ps.Store.ReplayedDeltas, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions, *ckptInterval)
+			us := st.Upstreams[st.DefaultUpstream]
+			log.Printf("rerankd: warm start from data dir %s (%d committed deltas replayed; default namespace: %d history tuples, %d cached probe answers, %d MD dense regions; checkpoint interval %s)",
+				*dataDir, ps.Store.ReplayedDeltas, us.HistoryTuples, us.ProbeCacheEntries, us.MDDenseRegions, *ckptInterval)
 		} else {
 			log.Printf("rerankd: data dir %s opened cold (checkpoint interval %s)", *dataDir, *ckptInterval)
 		}
@@ -228,7 +228,7 @@ func main() {
 		Handler: srv.Handler(),
 		// Slowloris protection: a client gets 5s to finish its headers
 		// and idle keep-alive connections are reaped. WriteTimeout stays
-		// 0 because /v1/rerank/stream responses legitimately run as long
+		// 0 because stream responses legitimately run as long
 		// as the search does; per-request work is bounded by admission
 		// control instead.
 		ReadHeaderTimeout: 5 * time.Second,
@@ -272,6 +272,9 @@ func main() {
 			log.Printf("rerankd: data dir %s finalized", *dataDir)
 		}
 	}
-	log.Printf("rerankd: drained %d single / %d batch / %d stream requests served; bye",
-		srv.Stats().Requests, srv.Stats().BatchRequests, srv.Stats().StreamRequests)
+	var single, batch, stream int64
+	for _, us := range srv.Stats().Upstreams {
+		single, batch, stream = single+us.Requests, batch+us.BatchRequests, stream+us.StreamRequests
+	}
+	log.Printf("rerankd: drained %d single / %d batch / %d stream requests served; bye", single, batch, stream)
 }

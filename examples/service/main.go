@@ -75,8 +75,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	us := st.Upstreams[st.DefaultUpstream]
 	fmt.Printf("service stats: %d requests, %d lifetime upstream queries, %d cached tuples\n\n",
-		st.Requests, st.EngineQueries, st.HistoryTuples)
+		us.Requests, us.EngineQueries, us.HistoryTuples)
 
 	// 5. Federation: a second web database joins the SAME service as its own
 	//    namespace — isolated ledger, history and caches — via the registry

@@ -293,9 +293,9 @@ func (e *Engine) RevalidationStats() (promoted, evicted int64) {
 }
 
 // MDDenseRegions returns the total number of crawled MD dense regions across
-// all ranked-attribute subsets. Snapshots (v3+) persist these regions, so
-// after a warm restart this reports how many boxes MD-RERANK can answer
-// locally for zero upstream cost.
+// all ranked-attribute subsets. A data dir persists these regions, so after
+// a warm restart this reports how many boxes MD-RERANK can answer locally for
+// zero upstream cost.
 func (e *Engine) MDDenseRegions() int { return e.know.MDRegions() }
 
 // MDBucketStats aggregates the MD dense indexes' centroid-grid shape across

@@ -61,7 +61,7 @@
 // index answers is decided there too: a round's probes can be nested, and a
 // complete answer also answers the probes its box contains, so every probe
 // of a round is looked up before any of the round's upstream calls is
-// dispatched (Session.issueAll; the tie probe in collectTiesPipelined).
+// dispatched (Session.issueAll; the tie probe in tiesPipelined).
 // Concurrent resolutions touch disjoint boxes, so their probes cannot
 // contain one another. The emitted tuple sequence is therefore identical for
 // every W (each top-1 is an exact minimum regardless of exploration order),
@@ -71,31 +71,37 @@
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
 //
-// # Certified covers
+// # Certified pages
 //
 // MD-RERANK spends a probe only on what it does not know yet. A complete page
 // over a region's box tightened against a contour Θ certifies every tuple of
-// the region scoring ≤ Θ, and the region keeps it (mdCover): the next answers
-// down to Θ, their §5 tie groups, and the standing of the parts the region is
-// split into all come off the page, with no probe, no history scan and no
-// round — also with DisableCoalescing and across an epoch bump. When history
-// supplies a resolution's candidate and the fact index does not already hold
-// the candidate's own contour, the resolution's first probe asks for the
-// contour of the D-th best known tuple instead (D a function of system-k
-// only), so one complete page certifies up to D answers; an overflowing page
-// only improves the candidate, and the search goes on from the candidate's
-// own contour as it would have started: one extra probe at most. It asks for
-// the deeper contour too when the fact index holds that page complete — the
-// probe is free, and a repeated request then stands on the covers its first
-// run stood on instead of scanning history once per Get-Next.
+// the region scoring ≤ Θ, and the region keeps it as its certified page
+// (certPage, shared with 1D-RERANK): the next answers down to Θ, their §5 tie
+// groups, and the standing of the parts the region is split into all come off
+// the page, with no probe, no history scan and no round — also with
+// DisableCoalescing and across an epoch bump. When history supplies a
+// resolution's candidate and the fact index does not already hold the
+// candidate's own contour, the resolution's first probe asks for the contour
+// of the D-th best known tuple instead (D a function of system-k only), so one
+// complete page certifies up to D answers; an overflowing page only improves
+// the candidate, and the search goes on from the candidate's own contour as it
+// would have started: one extra probe at most. It asks for the deeper contour
+// too when the fact index holds that page complete — the probe is free, and a
+// repeated request then stands on the pages its first run stood on instead of
+// scanning history once per Get-Next.
 //
-// Whether a region stands on its cover (settle) and whether a resolution goes
+// Whether a region stands on its page (settle) and whether a resolution goes
 // deep (seedRound, which is where the fact index is asked) are decided on the
-// cursor goroutine, between rounds. A resolver builds its cover on its own
-// goroutine, from its own region's probes only; the cursor attaches the cover
+// cursor goroutine, between rounds. A resolver builds its page on its own
+// goroutine, from its own region's probes only; the cursor attaches the page
 // when it applies the round's results in slot order. A speculative region slot
-// certifies exactly as the first slot does — its cover, like its result, is
+// certifies exactly as the first slot does — its page, like its result, is
 // work done early.
+//
+// A history candidate is only a hint. When the answer over its point no
+// longer lists it (collectTies), the candidate is a stale version of a tuple
+// the upstream has since changed: it is not emitted, the cursor never picks
+// that version again (MDCursor.skip), and the search goes on.
 //
 // Cost accounting is charge-at-issue: the per-op budget (MaxQueriesPerOp) is
 // charged in round order before a round is dispatched, the session ledger is
@@ -150,13 +156,14 @@ type MDCursor struct {
 	width     int           // speculative width W (regions per round, probes per frontier round)
 	resolvers []*mdResolver // [0] drives sequential ops; [1..] speculative round slots
 
-	// excludeID/excludeOK name the tuple being emitted while the prefetch
-	// round runs: it is certain to be marked emitted the moment tie
-	// collection returns, so prefetched resolutions must not pick it (they
-	// would be invalidated immediately). Written on the cursor goroutine
-	// before the round launches, cleared after it joins.
-	excludeID int
-	excludeOK bool
+	// skip lists the tuple versions no resolution may pick: the one being
+	// emitted while its tie probe and a prefetch round run (it is certain to
+	// be emitted the moment the probe confirms it, so a prefetched resolution
+	// picking it would be invalidated at once), and every version a tie probe
+	// found stale (a newer version of the same tuple may still be picked).
+	// Written on the cursor goroutine between rounds. Empty but across drift,
+	// so the history scan pays one length test per row for it.
+	skip []types.Tuple
 }
 
 // mdResolver is the per-resolution mutable state of one top-1 search: its
@@ -175,7 +182,7 @@ type mdResolver struct {
 	spec     bool        // a speculative region-round slot: all its probes count as speculative
 	chain    int         // consecutive single-box improvement rounds (ladder trigger)
 	covered  []query.Box // boxes answered completely during this top-1 search
-	cover    *mdCover    // MD-RERANK: the complete page over the whole region, for the cursor to keep
+	cover    *certPage   // MD-RERANK: the complete page over the whole region, for the cursor to keep
 	batch    []batchItem
 	results  []probeResult
 	probeQs  []query.Query
@@ -191,7 +198,7 @@ type mdRegion struct {
 	resolved bool
 	key      float64 // lower-bound score (unresolved) or exact score (resolved)
 	seq      int64
-	cover    *mdCover // certified page over the region (MD-RERANK), nil when none
+	cover    *certPage // certified page over the region (MD-RERANK), nil when none
 }
 
 // regionHeap orders regions by (key, unresolved-first, best.ID/seq). When the
@@ -228,7 +235,7 @@ func (h *regionHeap) Pop() any {
 
 // frontierBox is one unexplored box in a top-1 search's best-first frontier.
 // root marks the region's own box, at most tightened: a complete page over it
-// is a cover of the whole region.
+// is a certified page of the whole region.
 type frontierBox struct {
 	box  query.Box
 	lb   float64 // admissible lower bound: score of the box's best corner
@@ -272,44 +279,6 @@ type batchItem struct {
 	ladder   bool
 	root     bool
 	deep     bool
-}
-
-// mdCover is a certified page: every tuple matching the cursor's query inside
-// the box of the region holding it that scores ≤ theta, less those emitted
-// before the page came back, is in page, in (score, ID) order. A complete
-// answer to Tighten(box, theta) certifies exactly that, and what the upstream
-// said stays the cursor's truth whatever the fact index forgets or an epoch
-// bump marks stale — the MD twin of certCover. The region it was asked over
-// keeps it, and so does every part that region is split into: it supplies
-// their next answers and those answers' tie groups for no probe at all.
-type mdCover struct {
-	theta float64 // +Inf: the page holds everything inside the box
-	page  []scoredTuple
-}
-
-type scoredTuple struct {
-	t     types.Tuple
-	score float64
-}
-
-// tiesOf returns the page's tuples sharing t's values on the ranked attributes
-// — t's whole §5 tie group, since equal points score alike — or ok=false when
-// the page does not list t itself.
-func (cv *mdCover) tiesOf(t types.Tuple, ax *ranking.Axis) (ties []types.Tuple, ok bool) {
-	if cv == nil {
-		return nil, false
-	}
-	for _, st := range cv.page {
-		same := true
-		for _, a := range ax.Attrs() {
-			same = same && st.t.Ord[a] == t.Ord[a]
-		}
-		if same {
-			ties = append(ties, st.t)
-			ok = ok || st.t.ID == t.ID
-		}
-	}
-	return ties, ok
 }
 
 // certDepth is the certification depth D for system-k: a tenth of a page, so
@@ -418,7 +387,7 @@ func (r *mdResolver) issue(b query.Box) (hidden.Result, error) {
 // pushRegion adds a region for box to the region heap — unless the box is
 // empty or cover, the certified page it lies under, shows it spent — and
 // returns it (so Next can roll a split back on error).
-func (c *MDCursor) pushRegion(box query.Box, cover *mdCover) *mdRegion {
+func (c *MDCursor) pushRegion(box query.Box, cover *certPage) *mdRegion {
 	c.regionSeq++
 	reg := &mdRegion{box: box, seq: c.regionSeq, cover: cover}
 	if !box.Empty() && c.settle(reg) {
@@ -442,23 +411,40 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 		c.started = true
 		c.pushRegion(c.axis().QueryToBox(c.q), nil)
 	}
-	// Lazily resolve regions best-first until the heap minimum is resolved:
-	// at that point every unresolved region's lower bound is strictly worse
-	// than the resolved top-1, so no other region can supply the answer.
-	// Each round resolves up to W of the best unresolved regions
-	// concurrently; slots beyond the first are speculative (their results
-	// persist in the heap, so early work is never thrown away).
-	for c.regions.Len() > 0 && !c.regions[0].resolved {
-		regs := c.popRound(c.width, true)
-		seeds := c.seedRound(regs, 0)
-		if err := c.runRound(regs, seeds, 0); err != nil {
+	for len(c.pending) == 0 {
+		// Lazily resolve regions best-first until the heap minimum is
+		// resolved: at that point every unresolved region's lower bound is
+		// strictly worse than the resolved top-1, so no other region can
+		// supply the answer. Each round resolves up to W of the best
+		// unresolved regions concurrently; slots beyond the first are
+		// speculative (their results persist in the heap, so early work is
+		// never thrown away).
+		for c.regions.Len() > 0 && !c.regions[0].resolved {
+			regs := c.popRound(c.width, true)
+			seeds := c.seedRound(regs, 0)
+			if err := c.runRound(regs, seeds, 0); err != nil {
+				return types.Tuple{}, false, err
+			}
+		}
+		if c.regions.Len() == 0 {
+			c.exhausted = true
+			return types.Tuple{}, false, nil
+		}
+		if err := c.emit(); err != nil {
 			return types.Tuple{}, false, err
 		}
 	}
-	if c.regions.Len() == 0 {
-		c.exhausted = true
-		return types.Tuple{}, false, nil
-	}
+	out := c.pending[0]
+	c.pending = c.pending[1:]
+	return out, true, nil
+}
+
+// emit pops the winning region, splits it at its tuple t and fills the
+// pending buffer with t's tie group. The buffer stays empty when the answer
+// over t's point proves t a stale version with nothing else there; Next then
+// searches on, and the split stands, since its two parts still partition the
+// region's box.
+func (c *MDCursor) emit() error {
 	// The winner is now certain. Split its region first (the split needs
 	// only the winning tuple), so the winner's tie point probe and a
 	// prefetch round resolving the freshly split children — the regions
@@ -466,7 +452,6 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	// concurrent section instead of costing two serial round-trips.
 	reg := heap.Pop(&c.regions).(*mdRegion)
 	t := reg.best
-	ties, covered := reg.cover.tiesOf(t, c.axis())
 	// Split the region on the first ranked attribute at t's value. The
 	// right part keeps the boundary (closed) so tuples sharing the split
 	// coordinate remain reachable; the emitted set excludes the tie
@@ -476,47 +461,42 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	b1.Dims[0] = b1.Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
 	b2 := reg.box.Clone()
 	b2.Dims[0] = b2.Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
-	if covered {
-		// The region's cover lists t, so it lists t's whole tie group and
+	if ties, ok := reg.cover.ties(t, reg.key); ok {
+		// The region's page lists t, so it lists t's whole tie group and
 		// what each part holds next: no tie probe, nothing to prefetch.
 		c.s.e.coverHits.Add(1)
-		c.pending = c.pending[:0]
-		for _, tt := range ties {
-			if !c.emitted[tt.ID] {
-				c.emitted[tt.ID] = true
-				c.pending = append(c.pending, tt)
-			}
-		}
+		c.pending, _ = collectTies(c.pending, t, c.axis().Attrs(), ties, c.isEmitted)
+		c.markPending()
 		c.pushRegion(b1, reg.cover)
 		c.pushRegion(b2, reg.cover)
-		out := c.pending[0]
-		c.pending = c.pending[1:]
-		return out, true, nil
+		return nil
 	}
 	children := []*mdRegion{c.pushRegion(b1, nil), c.pushRegion(b2, nil)}
-	c.excludeID, c.excludeOK = t.ID, true
-	err := c.collectTiesPipelined(t)
-	c.excludeOK = false
-	if err != nil {
+	if err := c.tieGroup(t); err != nil {
 		// Roll the split back so a retry sees the region exactly once.
 		c.unsplit(reg, children)
-		return types.Tuple{}, false, err
+		return err
 	}
-	for _, tt := range c.pending {
-		c.emitted[tt.ID] = true
-	}
+	c.markPending()
 	// A prefetched region resolved concurrently with the tie probe may
 	// have picked a tuple that just became emitted (a tie of t living in
 	// the right split child): its resolution is stale — settle it again
 	// under the updated emitted set.
 	c.invalidateEmitted()
-	out := c.pending[0]
-	c.pending = c.pending[1:]
-	return out, true, nil
+	return nil
+}
+
+func (c *MDCursor) isEmitted(id int) bool { return c.emitted[id] }
+
+// markPending marks the pending tie group emitted.
+func (c *MDCursor) markPending() {
+	for _, tt := range c.pending {
+		c.emitted[tt.ID] = true
+	}
 }
 
 // unsplit removes the exact child regions pushed for reg's split and
-// re-pushes reg — the error-path rollback of the early split in Next. The
+// re-pushes reg — the error-path rollback of the early split in emit. The
 // identity filter compacts the heap array out of order, so the heap
 // invariant is re-established before pushing.
 func (c *MDCursor) unsplit(reg *mdRegion, children []*mdRegion) {
@@ -538,23 +518,50 @@ func (c *MDCursor) unsplit(reg *mdRegion, children []*mdRegion) {
 	heap.Push(&c.regions, reg)
 }
 
-// collectTiesPipelined runs the §5 tie collection for t while a prefetch
-// round resolves the best unresolved regions in the background: the tie
-// point probe and the prefetch probes share one concurrent section, so the
-// per-emit tie round-trip stops serializing the search. The prefetch uses
-// resolver slots 1.., leaving slot 0 (whose axis scratch the tie path uses)
-// to collectTies; its seeding happens before the tie goroutine launches so
-// every probe stream stays deterministic. Prefetch errors are swallowed —
-// the affected regions are re-pushed unresolved and the next call retries
-// them against a fresh per-op budget.
-func (c *MDCursor) collectTiesPipelined(t types.Tuple) error {
-	if c.s.e.opts.AssumeGeneralPositioning || c.width <= 1 {
-		return c.collectTies(t)
+// tieGroup fills the pending buffer with t's §5 tie group — every tuple
+// matching q that shares t's values on all ranked attributes — through
+// collectTies, from the answer to a tie point probe (a crawl of the point
+// when that overflows). When the answer does not list t, t's version joins
+// skip for good.
+func (c *MDCursor) tieGroup(t types.Tuple) error {
+	if c.s.e.opts.AssumeGeneralPositioning {
+		c.pending = append(c.pending[:0], t)
+		return nil
 	}
-	prefetch := c.popRound(c.width-1, false)
-	if len(prefetch) == 0 {
-		return c.collectTies(t)
+	point := c.tiePoint(t)
+	c.skip = append(c.skip, t)
+	var ans []types.Tuple
+	var err error
+	if prefetch := c.popRound(c.width-1, false); len(prefetch) > 0 {
+		ans, err = c.tiesPipelined(point, prefetch)
+	} else {
+		var res hidden.Result
+		if res, err = c.resolvers[0].issue(point); err == nil {
+			ans, err = c.tieAnswer(point, res)
+		}
 	}
+	c.skip = c.skip[:len(c.skip)-1]
+	if err != nil {
+		return err
+	}
+	var listed bool
+	c.pending, listed = collectTies(c.pending, t, c.axis().Attrs(), ans, c.isEmitted)
+	if !listed {
+		c.skip = append(c.skip, t)
+	}
+	return nil
+}
+
+// tiesPipelined runs the tie point probe while a prefetch round resolves the
+// regions of prefetch, the best unresolved ones, in the background: the tie
+// probe and the prefetch probes share one concurrent section, so the per-emit
+// tie round-trip stops serializing the search. The prefetch uses resolver
+// slots 1.., leaving slot 0 (whose axis scratch the tie path uses) to the tie
+// probe; its seeding happens before the tie goroutine launches so every probe
+// stream stays deterministic. Prefetch errors are swallowed — the affected
+// regions are re-pushed unresolved and the next call retries them against a
+// fresh per-op budget.
+func (c *MDCursor) tiesPipelined(point query.Box, prefetch []*mdRegion) ([]types.Tuple, error) {
 	seeds := c.seedRound(prefetch, 1)
 	// The tie point lies inside the right split child, so a complete page a
 	// prefetch probe brings back may contain it. Settle the tie probe against
@@ -562,33 +569,33 @@ func (c *MDCursor) collectTiesPipelined(t types.Tuple) error {
 	// concurrent section it only fetches, or whether it was free would depend
 	// on which probe finished first.
 	r0 := c.resolvers[0]
-	point := c.tiePoint(t)
 	r0.axis.BoxToQueryInto(c.q, point, &r0.probeQs[0])
 	c.chargeOp() // never refuses: a per-op budget forces width 1
 	res, known := c.s.e.probes.lookup(r0.probeQs[0])
+	var ans []types.Tuple
+	var err error
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var tieErr error
 	go func() {
 		defer wg.Done()
 		if !known {
 			var issued bool
-			if res, issued, tieErr = c.s.fetchCounted(r0.probeQs[0]); tieErr != nil {
+			if res, issued, err = c.s.fetchCounted(r0.probeQs[0]); err != nil {
 				return
 			}
 			if issued {
 				r0.charged++
 			}
 		}
-		tieErr = c.gatherTies(t, point, res)
+		ans, err = c.tieAnswer(point, res)
 	}()
 	_ = c.runRound(prefetch, seeds, 1)
 	wg.Wait()
-	return tieErr
+	return ans, err
 }
 
 // invalidateEmitted settles again every resolved region whose best tuple has
-// been emitted — the next tuple of its cover, or back to unresolved —
+// been emitted — the next tuple of its page, or back to unresolved —
 // rebuilding the heap when any region changed.
 func (c *MDCursor) invalidateEmitted() {
 	kept, changed := c.regions[:0], false
@@ -608,12 +615,12 @@ func (c *MDCursor) invalidateEmitted() {
 	}
 }
 
-// settle sets reg's standing from its cover, reporting false when the region
+// settle sets reg's standing from its page, reporting false when the region
 // is spent. The first page tuple not yet emitted is the region's exact top-1.
 // With none left, every tuple of the region scoring ≤ Θ has been emitted, so
 // the region goes back to unresolved with its lower bound raised just past Θ
 // — or, under a page that held the whole region, has nothing more to give.
-// Without a cover the region is unresolved at its corner bound.
+// Without a page the region is unresolved at its corner bound.
 func (c *MDCursor) settle(reg *mdRegion) bool {
 	reg.best, reg.have, reg.resolved = types.Tuple{}, false, false
 	reg.key = c.axis().LowerBound(reg.box)
@@ -621,9 +628,9 @@ func (c *MDCursor) settle(reg *mdRegion) bool {
 		return true
 	}
 	r0 := c.resolvers[0] // its scratch is the cursor's between rounds
-	for _, st := range reg.cover.page {
-		if !c.emitted[st.t.ID] && reg.box.Contains(r0.axis.ToAxisInto(st.t, r0.zbuf)) {
-			reg.best, reg.have, reg.resolved, reg.key = st.t, true, true, st.score
+	for _, e := range reg.cover.entries {
+		if !c.emitted[e.t.ID] && reg.box.Contains(r0.axis.ToAxisInto(e.t, r0.zbuf)) {
+			reg.best, reg.have, reg.resolved, reg.key = e.t, true, true, e.score
 			return true
 		}
 	}
@@ -769,21 +776,6 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error 
 	return firstErr
 }
 
-// collectTies fills the pending buffer with every tuple matching q that
-// shares t's values on all ranked attributes (§5).
-func (c *MDCursor) collectTies(t types.Tuple) error {
-	if c.s.e.opts.AssumeGeneralPositioning {
-		c.pending = []types.Tuple{t}
-		return nil
-	}
-	point := c.tiePoint(t)
-	res, err := c.resolvers[0].issue(point)
-	if err != nil {
-		return err
-	}
-	return c.gatherTies(t, point, res)
-}
-
 // tiePoint returns the degenerate box holding exactly t's values on the
 // ranked attributes.
 func (c *MDCursor) tiePoint(t types.Tuple) query.Box {
@@ -795,32 +787,34 @@ func (c *MDCursor) tiePoint(t types.Tuple) query.Box {
 	return point
 }
 
-// gatherTies fills the pending buffer from res, the answer to the tie point
-// probe for t, crawling the point when that answer overflowed.
-func (c *MDCursor) gatherTies(t types.Tuple, point query.Box, res hidden.Result) error {
-	var err error
-	var ties []types.Tuple
+// tieAnswer is the answer over the tie point res gives: its page, or a crawl
+// of the point when it overflowed.
+func (c *MDCursor) tieAnswer(point query.Box, res hidden.Result) ([]types.Tuple, error) {
 	if !res.Overflow {
-		ties = res.Tuples
-	} else {
-		ties, err = c.s.crawlRegion(c.axis().BoxToQuery(c.q, point), nil)
-		if err != nil {
-			return err
+		return res.Tuples, nil
+	}
+	return c.s.crawlRegion(c.axis().BoxToQuery(c.q, point), nil)
+}
+
+// skipped reports whether t is a version no resolution may pick (skip).
+func (c *MDCursor) skipped(t types.Tuple) bool {
+	for _, s := range c.skip {
+		if s.Equal(t) {
+			return true
 		}
 	}
-	seen := map[int]bool{}
-	c.pending = c.pending[:0]
-	for _, tt := range ties {
-		if !seen[tt.ID] && !c.emitted[tt.ID] {
-			seen[tt.ID] = true
-			c.pending = append(c.pending, tt)
+	return false
+}
+
+// skippedRow is skipped for a history row, materialized only when a skipped
+// version carries its ID.
+func (c *MDCursor) skippedRow(v colstore.View, row, id int) bool {
+	for _, s := range c.skip {
+		if s.ID == id {
+			return c.skipped(v.Tuple(row))
 		}
 	}
-	if !seen[t.ID] && !c.emitted[t.ID] {
-		c.pending = append(c.pending, t)
-	}
-	sort.Slice(c.pending, func(i, j int) bool { return c.pending[i].ID < c.pending[j].ID })
-	return nil
+	return false
 }
 
 // candidate tracks the best non-emitted tuple found during one top-1 search.
@@ -861,7 +855,7 @@ func (r *mdResolver) improve(cand *candidate, ts []types.Tuple, box query.Box) {
 // improveOne considers a single tuple for the candidate, reusing the
 // resolver's axis-point scratch.
 func (r *mdResolver) improveOne(cand *candidate, t types.Tuple, box query.Box) {
-	if r.c.emitted[t.ID] || (r.c.excludeOK && t.ID == r.c.excludeID) || !r.c.q.Matches(t) {
+	if r.c.emitted[t.ID] || (len(r.c.skip) > 0 && r.c.skipped(t)) || !r.c.q.Matches(t) {
 		return
 	}
 	z := r.axis.ToAxisInto(t, r.zbuf)
@@ -876,11 +870,11 @@ func (r *mdResolver) improveOne(cand *candidate, t types.Tuple, box query.Box) {
 
 // improveRow is improveOne reading straight from a columnar history row. The
 // scan that feeds it has already filtered by the cursor's query, so only the
-// emitted/excluded checks remain. An adopted row leaves its ID and row number;
+// emitted/skipped checks remain. An adopted row leaves its ID and row number;
 // seedRound materializes the tuple when the scan is over.
 func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box query.Box) {
 	id := v.ID(row)
-	if r.c.emitted[id] || (r.c.excludeOK && id == r.c.excludeID) {
+	if r.c.emitted[id] || (len(r.c.skip) > 0 && r.c.skippedRow(v, row, id)) {
 		return
 	}
 	z := r.axis.ToAxisViewInto(v, row, r.zbuf)
@@ -1039,8 +1033,8 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 			if !res.Overflow {
 				// A complete answer authoritatively resolves the probed
 				// box whatever the threshold did since issue: everything
-				// in it has been seen. Never waste; remember the cover
-				// so later frontier boxes inside it are skipped.
+				// in it has been seen. Never waste; remember it so later
+				// frontier boxes inside it are skipped.
 				r.covered = append(r.covered, it.box)
 				if it.deep {
 					c.s.e.mdCertComplete.Add(1)
@@ -1220,24 +1214,17 @@ func (r *mdResolver) known(box query.Box, theta float64) (known, complete bool) 
 	return r.c.s.e.probes.knows(r.probeQs[0])
 }
 
-// keepCover makes the complete page of root probe it the region's cover, its
-// tuples in emission order. The probe's box was the whole region's tightened
-// against it.thrScore, so the page certifies the region down to that contour.
+// keepCover makes the complete page of root probe it the region's certified
+// page. The probe's box was the whole region's tightened against it.thrScore,
+// so the page certifies the region down to that contour.
 func (r *mdResolver) keepCover(it *batchItem, page []types.Tuple) {
-	cv := &mdCover{theta: math.Inf(1)}
+	theta := math.Inf(1)
 	if it.thrHave {
-		cv.theta = it.thrScore
+		theta = it.thrScore
 	}
-	for _, t := range page {
-		if s := r.axis.ScoreTuple(t); s <= cv.theta && !r.c.emitted[t.ID] {
-			cv.page = append(cv.page, scoredTuple{t, s})
-		}
-	}
-	sort.Slice(cv.page, func(i, j int) bool {
-		a, b := cv.page[i], cv.page[j]
-		return a.score < b.score || (a.score == b.score && a.t.ID < b.t.ID)
+	r.cover = newCertPage(theta, r.axis.Attrs(), page, r.axis.ScoreTuple, func(e scoredTuple) bool {
+		return e.score <= theta && !r.c.emitted[e.t.ID]
 	})
-	r.cover = cv
 }
 
 // dupInBatch reports whether box equals any box already in the round —

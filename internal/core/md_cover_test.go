@@ -143,7 +143,7 @@ func TestMDCoverAcrossTieGroups(t *testing.T) {
 					t.Fatalf("W=%d: a region stands resolved on emitted tuple %d", width, reg.best.ID)
 				}
 				if reg.cover != nil {
-					for _, st := range reg.cover.page {
+					for _, st := range reg.cover.entries {
 						heldEmitted = heldEmitted || cur.emitted[st.t.ID]
 					}
 				}
@@ -166,7 +166,7 @@ func assertCoversHold(t *testing.T, cur *MDCursor, all []types.Tuple, r ranking.
 			continue
 		}
 		listed := map[int]bool{}
-		for _, st := range reg.cover.page {
+		for _, st := range reg.cover.entries {
 			listed[st.t.ID] = true
 		}
 		for _, tp := range all {

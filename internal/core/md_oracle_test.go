@@ -1,7 +1,7 @@
 // The MD oracle test, the twin of oned_oracle_test.go: every MD answer — all
 // three variants, every search width, coalescing on and off, across an epoch
-// bump — equals a brute-force ranker's tuple for tuple, and the ledgers equal
-// what the upstream saw.
+// bump and across drift — equals a brute-force ranker's tuple for tuple, and
+// the ledgers equal what the upstream saw.
 
 package core
 
@@ -22,7 +22,7 @@ import (
 type mdWorld struct {
 	name    string
 	tuples  []types.Tuple
-	open    func() *hidden.DB
+	open    func(tuples []types.Tuple) *hidden.DB
 	windows []query.Query
 	rankers []ranking.Ranker
 }
@@ -31,13 +31,15 @@ func mdWorlds() []mdWorld {
 	bn := dataset.BlueNile(83, 2500)
 	dot := dataset.DOT(84, 3000)
 	// A 12 × 12 grid on the ranked attributes: every point is a tie group of
-	// about ten tuples under a page of twenty, so covers, tie groups and the
+	// about ten tuples under a page of twenty, so pages, tie groups and the
 	// page limit keep running into one another.
 	schema := testSchema(3)
 	grid := genTuples(rand.New(rand.NewSource(85)), schema, 1500, true)
 	return []mdWorld{{
 		name: "bluenile", tuples: bn.Tuples,
-		open: func() *hidden.DB { return bn.DB() },
+		open: func(ts []types.Tuple) *hidden.DB {
+			return hidden.MustDB(bn.Schema, ts, hidden.Options{K: bn.DefaultSystemK, Ranker: bn.DefaultRanker})
+		},
 		windows: []query.Query{
 			query.New().WithCat("Shape", "Round"),
 			query.New().WithRange(dataset.BNCarat, types.ClosedInterval(0.5, 2)).WithCat("Cut", "Ideal"),
@@ -50,7 +52,9 @@ func mdWorlds() []mdWorld {
 	}, {
 		// Integer minutes: duplicate-heavy on every ranked attribute.
 		name: "dot", tuples: dot.Tuples,
-		open: func() *hidden.DB { return dot.DBWith(10, dataset.DOTSystemRanker2()) },
+		open: func(ts []types.Tuple) *hidden.DB {
+			return hidden.MustDB(dot.Schema, ts, hidden.Options{K: 10, Ranker: dataset.DOTSystemRanker2()})
+		},
 		windows: []query.Query{
 			query.New().WithCat("Carrier", "AA"),
 			query.New().WithRange(dataset.DOTTaxiIn, types.ClosedInterval(3, 30)).WithCat("Origin", "SEA"),
@@ -62,9 +66,9 @@ func mdWorlds() []mdWorld {
 		},
 	}, {
 		name: "grid-ties", tuples: grid,
-		open: func() *hidden.DB {
+		open: func(ts []types.Tuple) *hidden.DB {
 			sys := hidden.RankerAdapter{R: ranking.NewSingle("sys", 0, ranking.Desc)}
-			return hidden.MustDB(schema, grid, hidden.Options{K: 20, Ranker: sys})
+			return hidden.MustDB(schema, ts, hidden.Options{K: 20, Ranker: sys})
 		},
 		windows: []query.Query{
 			query.New(),
@@ -82,6 +86,11 @@ func mdWorlds() []mdWorld {
 // (corpus, variant, width, coalescing mode), so later cursors search from the
 // history and facts earlier ones left, and bumps the epoch half way: what was
 // learned before it is a hint afterwards, and the answers may not change.
+// Last it makes TestOneDOracleAcrossDrift's move: per window and ranker, warm
+// a top-5, move the oracle's top tuple to the far end of its first ranked
+// attribute behind the engine's back, bump the epoch and ask again. History
+// still offers the old version as the best candidate; only what the upstream
+// holds now may be emitted.
 func TestMDOracle(t *testing.T) {
 	for _, w := range mdWorlds() {
 		for _, v := range []Variant{Baseline, Binary, Rerank} {
@@ -89,45 +98,75 @@ func TestMDOracle(t *testing.T) {
 				for _, coalesce := range []bool{true, false} {
 					t.Run(fmt.Sprintf("%s/%v/W=%d/coalescing=%v", w.name, v, width, coalesce), func(t *testing.T) {
 						t.Parallel()
-						db := w.open()
-						e := NewEngine(strictDB{db, t}, Options{N: len(w.tuples), SearchParallelism: width, DisableCoalescing: !coalesce})
+						corpus := deepCopyTuples(w.tuples)
+						db := w.open(corpus)
+						e := NewEngine(strictDB{db, t}, Options{N: len(corpus), SearchParallelism: width, DisableCoalescing: !coalesce})
 						var ledgers int64
+						ask := func(q query.Query, r ranking.Ranker, h int) {
+							t.Helper()
+							s := e.NewSession()
+							got, err := TopH(s.NewMDCursor(q, r, v), h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							ledgers += s.Queries()
+							full := oracleTopH(corpus, q, r, len(corpus))
+							assertSameRanking(t, r, got, full[:min(h, len(full))], full)
+							for _, tp := range got {
+								if !corpus[tp.ID].Equal(tp) {
+									t.Fatalf("%s by %s: emitted %v, the corpus holds %v", q, r.Name(), tp, corpus[tp.ID])
+								}
+							}
+						}
 						for i, h := range []int{1, 25, 5, 25} {
 							if i == 2 {
 								e.know.BumpEpoch()
 							}
 							for _, q := range w.windows {
 								for _, r := range w.rankers {
-									s := e.NewSession()
-									got, err := TopH(s.NewMDCursor(q, r, v), h)
-									if err != nil {
-										t.Fatal(err)
-									}
-									ledgers += s.Queries()
-									full := oracleTopH(w.tuples, q, r, len(w.tuples))
-									assertSameRanking(t, r, got, full[:min(h, len(full))], full)
-									for _, tp := range got {
-										if !w.tuples[tp.ID].Equal(tp) {
-											t.Fatalf("%s by %s: emitted %v, the corpus holds %v", q, r.Name(), tp, w.tuples[tp.ID])
-										}
-									}
+									ask(q, r, h)
 								}
 							}
 						}
-						if ledgers != db.QueryCount() || e.Queries() != db.QueryCount() {
-							t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", ledgers, e.Queries(), db.QueryCount())
-						}
 						complete, overflow := e.MDCertificationStats()
 						if v != Rerank && complete+overflow+e.CoverHits() != 0 {
-							t.Fatalf("%v certified (%d complete, %d overflowing) or read a cover (%d hits)", v, complete, overflow, e.CoverHits())
+							t.Fatalf("%v certified (%d complete, %d overflowing) or read a page (%d hits)", v, complete, overflow, e.CoverHits())
 						}
 						// A page of ten certifies at depth 1, the candidate's own contour.
 						if v == Rerank && (e.CoverHits() == 0 || (certDepth(db.K()) > 1 && complete == 0)) {
 							t.Fatalf("%d complete certifications, %d cover hits; the test exercised nothing", complete, e.CoverHits())
+						}
+						for _, q := range w.windows {
+							for _, r := range w.rankers {
+								ask(q, r, 5) // history now holds the window's head
+								top := oracleTopH(corpus, q, r, 1)[0]
+								a := r.Attrs()[0]
+								d := db.Schema().Domain(a)
+								to := d.Max
+								if ranking.ScoreTuple(r, withOrd(top, a, d.Min)) > ranking.ScoreTuple(r, withOrd(top, a, d.Max)) {
+									to = d.Min
+								}
+								if !db.SetOrd(top.ID, a, to) {
+									t.Fatal("SetOrd refused")
+								}
+								corpus[top.ID].Ord[a] = to
+								e.know.BumpEpoch()
+								ask(q, r, 5)
+							}
+						}
+						if ledgers != db.QueryCount() || e.Queries() != db.QueryCount() {
+							t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", ledgers, e.Queries(), db.QueryCount())
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// withOrd returns a copy of t with ordinal attribute a set to x.
+func withOrd(t types.Tuple, a int, x float64) types.Tuple {
+	t.Ord = append([]float64(nil), t.Ord...)
+	t.Ord[a] = x
+	return t
 }

@@ -15,17 +15,17 @@
 // 1D-RERANK spends a probe only on what it does not know yet. When history
 // already holds a candidate for the next tuple, one probe over (last, cand] —
 // closed at the candidate — certifies it: a complete page IS the answer (its
-// minimum, with the whole §5 tie group), and the cursor keeps the page as a
-// certified cover, so every later Get-Next and tie collection that falls
-// inside it costs nothing. Only an overflowing page, which merely improves
-// the candidate as Algorithm 1's step does, leaves halving to do.
+// minimum, with the whole §5 tie group), and the cursor keeps the page as its
+// certified page (certPage, shared with MD-RERANK), so every later Get-Next
+// and tie collection that falls inside it costs nothing. Only an overflowing
+// page, which merely improves the candidate as Algorithm 1's step does, leaves
+// halving to do.
 
 package core
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/hidden"
 	"repro/internal/ranking"
@@ -51,8 +51,11 @@ type OneDCursor struct {
 	opQueries int64 // queries spent in the current Next call
 	certified bool  // the current Next call has spent its certification probe
 
-	// cover is the last complete certification page (1D-RERANK only).
-	cover certCover
+	// cover is the last complete certification page (1D-RERANK only): every
+	// matching tuple from where its probe started up to its theta, the
+	// candidate it certified. The cursor only moves forward, so the page
+	// stays complete for every position it reaches below theta.
+	cover *certPage
 
 	// Plateau state (§5): when more than k tuples share one attribute
 	// value, they are enumerated lazily — "one at a time" — through a
@@ -84,17 +87,6 @@ func (s *Session) NewOneDCursor(q query.Query, attr int, dir ranking.Direction, 
 // axisOf returns the tuple's axis coordinate on the cursor's attribute.
 func (c *OneDCursor) axisOf(t types.Tuple) float64 {
 	return float64(c.dir) * t.Ord[c.attr]
-}
-
-// certCover is a complete answer the cursor holds for its own query over the
-// axis interval (lo, hi]: every matching tuple in it, in cursor order. It is
-// the 1D twin of mdCover, kept for the cursor's lifetime: what the
-// upstream said about the interval stays the cursor's truth whatever the
-// fact index forgets or an epoch bump marks stale. The zero value covers
-// nothing.
-type certCover struct {
-	lo, hi float64
-	tuples []types.Tuple
 }
 
 // searchFloor returns where the search for the first tuple starts: the
@@ -208,7 +200,7 @@ func (c *OneDCursor) Next() (types.Tuple, bool, error) {
 			c.exhausted = true
 			return types.Tuple{}, false, nil
 		}
-		if err := c.collectTies(t); err != nil {
+		if err := c.tieGroup(t); err != nil {
 			return types.Tuple{}, false, err
 		}
 		if c.sub != nil {
@@ -238,56 +230,43 @@ func (c *OneDCursor) Next() (types.Tuple, bool, error) {
 	}
 }
 
-// collectTies fills the pending buffer with every tuple matching q that
-// shares t's attribute value (§5 general-positioning removal): from the
-// certified cover when it spans the value, else by a point query, whose
-// answer is authoritative — t itself is left out when the upstream no longer
-// lists it there. Under Options.AssumeGeneralPositioning the point query is
-// skipped.
-func (c *OneDCursor) collectTies(t types.Tuple) error {
+// tieGroup fills the pending buffer with t's §5 tie group (collectTies):
+// every tuple matching q that shares t's attribute value, off the certified
+// page when it lists t, else from a point query, whose answer is
+// authoritative. A point query that overflows is a value plateau, enumerated
+// by a sub-cursor instead. Under Options.AssumeGeneralPositioning the point
+// query is skipped.
+func (c *OneDCursor) tieGroup(t types.Tuple) error {
 	if c.s.e.opts.AssumeGeneralPositioning {
-		c.pending = []types.Tuple{t}
+		c.pending = append(c.pending[:0], t)
 		return nil
 	}
-	if ties, ok := c.cover.at(c, c.axisOf(t)); ok {
-		c.pending = append(c.pending[:0], ties...)
-		return nil
-	}
-	v := t.Ord[c.attr]
-	point := types.ClosedInterval(v, v)
-	res, err := c.issue(types.Interval{Lo: c.axisOf(t), Hi: c.axisOf(t)})
-	if err != nil {
-		return err
-	}
-	var ties []types.Tuple
-	if !res.Overflow {
-		ties = res.Tuples
-	} else {
-		// More than k ties (a value plateau): enumerate lazily via a
-		// sub-cursor ordered by another ordinal attribute, one tuple
-		// per Get-Next, as §5 prescribes ("one at a time").
-		if sub, ok := c.plateauCursor(v); ok {
-			c.sub = sub
-			c.plateauAxis = c.axisOf(t)
-			c.pending = c.pending[:0]
-			return nil
-		}
-		// No free ordinal attribute remains: crawl the fully-pinned
-		// region, splitting on categorical attributes.
-		ties, err = c.s.crawlRegion(c.q.WithRange(c.attr, point), nil)
+	ties, ok := c.cover.ties(t, c.axisOf(t))
+	if !ok {
+		v := t.Ord[c.attr]
+		res, err := c.issue(types.Interval{Lo: c.axisOf(t), Hi: c.axisOf(t)})
 		if err != nil {
 			return err
 		}
-	}
-	seen := map[int]bool{}
-	c.pending = c.pending[:0]
-	for _, tt := range ties {
-		if tt.Ord[c.attr] == v && !seen[tt.ID] {
-			seen[tt.ID] = true
-			c.pending = append(c.pending, tt)
+		ties = res.Tuples
+		if res.Overflow {
+			// More than k ties (a value plateau): enumerate lazily via a
+			// sub-cursor ordered by another ordinal attribute, one tuple
+			// per Get-Next, as §5 prescribes ("one at a time").
+			if sub, ok := c.plateauCursor(v); ok {
+				c.sub = sub
+				c.plateauAxis = c.axisOf(t)
+				c.pending = c.pending[:0]
+				return nil
+			}
+			// No free ordinal attribute remains: crawl the fully-pinned
+			// region, splitting on categorical attributes.
+			if ties, err = c.s.crawlRegion(c.q.WithRange(c.attr, types.ClosedInterval(v, v)), nil); err != nil {
+				return err
+			}
 		}
 	}
-	sort.Slice(c.pending, func(i, j int) bool { return c.pending[i].ID < c.pending[j].ID })
+	c.pending, _ = collectTies(c.pending, t, []int{c.attr}, ties, nil)
 	return nil
 }
 
@@ -351,12 +330,12 @@ func (c *OneDCursor) nextBinary(dense bool) (types.Tuple, bool, error) {
 	// lo is the position the search starts from (exclusive): the cursor's,
 	// or further on once a complete page has shown nothing lies in between.
 	lo := c.lastAxis
-	if c.cover.lo <= lo && lo < c.cover.hi {
-		if t, ok := c.cover.after(c, lo); ok {
+	if c.cover != nil && lo < c.cover.theta {
+		if t, ok := c.cover.after(lo); ok {
 			c.s.e.coverHits.Add(1)
 			return t, true, nil
 		}
-		lo = c.cover.hi
+		lo = c.cover.theta
 	}
 	threshold := 0.0
 	if dense {
@@ -407,7 +386,7 @@ func (c *OneDCursor) nextBinary(dense bool) (types.Tuple, bool, error) {
 				// Authoritative, whatever history believed: the next tuple
 				// is the page's minimum.
 				c.s.e.certComplete.Add(1)
-				c.cover = newCertCover(c, lo, c.axisOf(cand), res.Tuples)
+				c.cover = newCertPage(c.axisOf(cand), []int{c.attr}, res.Tuples, c.axisOf, nil)
 				if found {
 					return m, true, nil
 				}
@@ -458,37 +437,6 @@ func (c *OneDCursor) nextBinary(dense bool) (types.Tuple, bool, error) {
 			searchLo, searchLoOpen = mid, false
 		}
 	}
-}
-
-// newCertCover keeps a complete page over the axis interval (lo, hi] in
-// cursor order.
-func newCertCover(c *OneDCursor, lo, hi float64, page []types.Tuple) certCover {
-	tuples := append([]types.Tuple(nil), page...)
-	sort.Slice(tuples, func(i, j int) bool { return c.better(tuples[i], tuples[j]) })
-	return certCover{lo: lo, hi: hi, tuples: tuples}
-}
-
-// after returns the cover's first tuple strictly beyond axis position lo.
-func (cv *certCover) after(c *OneDCursor, lo float64) (types.Tuple, bool) {
-	i := sort.Search(len(cv.tuples), func(i int) bool { return c.axisOf(cv.tuples[i]) > lo })
-	if i == len(cv.tuples) {
-		return types.Tuple{}, false
-	}
-	return cv.tuples[i], true
-}
-
-// at returns every tuple of the cover at axis position x, and whether the
-// cover spans x at all.
-func (cv *certCover) at(c *OneDCursor, x float64) ([]types.Tuple, bool) {
-	if !(cv.lo < x && x <= cv.hi) {
-		return nil, false
-	}
-	i := sort.Search(len(cv.tuples), func(i int) bool { return c.axisOf(cv.tuples[i]) >= x })
-	j := i
-	for j < len(cv.tuples) && c.axisOf(cv.tuples[j]) == x {
-		j++
-	}
-	return cv.tuples[i:j], true
 }
 
 // finishNarrow completes the search with baseline narrowing inside

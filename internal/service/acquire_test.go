@@ -103,17 +103,18 @@ func TestAcquireIdleWarmingAndLedgerSeparation(t *testing.T) {
 		t.Errorf("client budget charged %d, want the user's own %d", got, userSpent)
 	}
 	st := srv.Stats()
-	if st.Requests != 2 {
-		t.Errorf("request counter %d after acquisition, want 2", st.Requests)
+	us := st.Upstreams[DefaultUpstream]
+	if us.Requests != 2 {
+		t.Errorf("request counter %d after acquisition, want 2", us.Requests)
 	}
-	if st.EngineQueries != userSpent+as.ProbesIssued {
-		t.Errorf("engine queries %d, want user %d + acquirer %d", st.EngineQueries, userSpent, as.ProbesIssued)
+	if us.EngineQueries != userSpent+as.ProbesIssued {
+		t.Errorf("engine queries %d, want user %d + acquirer %d", us.EngineQueries, userSpent, as.ProbesIssued)
 	}
-	if st.Acquire == nil || !st.AcquireEnabled {
+	if us.Acquire == nil || !st.AcquireEnabled {
 		t.Fatal("/v1/stats is missing the acquire block")
 	}
-	if st.Acquire.ProbesIssued != as.ProbesIssued {
-		t.Errorf("stats acquire probes %d, want %d", st.Acquire.ProbesIssued, as.ProbesIssued)
+	if us.Acquire.ProbesIssued != as.ProbesIssued {
+		t.Errorf("stats acquire probes %d, want %d", us.Acquire.ProbesIssued, as.ProbesIssued)
 	}
 
 	// The warmed window answers both directions for free — including DESC,
@@ -147,9 +148,8 @@ func TestAcquireIdleWarmingAndLedgerSeparation(t *testing.T) {
 	mresp.Body.Close()
 	for _, series := range []string{
 		"rerank_acquire_enabled 1",
-		"rerank_acquire_probes_total",
-		"rerank_acquire_windows_total",
 		`rerank_upstream_acquire_probes_total{upstream="default"}`,
+		`rerank_upstream_acquire_windows_total{upstream="default"}`,
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("metrics output missing %q", series)
@@ -205,7 +205,7 @@ func TestAcquireYieldsToSaturation(t *testing.T) {
 
 	// User shedding is untouched by the acquirer: the next request over
 	// capacity still sheds with 429.
-	resp, err := api.Client().Post(api.URL+"/v1/rerank", "application/json",
+	resp, err := api.Client().Post(api.URL+"/v1/upstreams/default/rerank", "application/json",
 		strings.NewReader(`{"ranking":{"kind":"single","attrs":["A0"]},"h":3}`))
 	if err != nil {
 		t.Fatal(err)

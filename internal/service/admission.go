@@ -42,8 +42,8 @@ type Options struct {
 	ClientBudget int64
 	// ClientBudgetWindow is the budget window length (default 1 minute).
 	ClientBudgetWindow time.Duration
-	// StreamWriteTimeout bounds each NDJSON event write on
-	// /v1/rerank/stream (default 30s). A client that stops reading past
+	// StreamWriteTimeout bounds each NDJSON event write on the stream
+	// route (default 30s). A client that stops reading past
 	// this stalls its write, which ends the stream and releases its
 	// admission slot — stalled readers cannot pin capacity forever.
 	StreamWriteTimeout time.Duration

@@ -1,5 +1,4 @@
-// Batched reranking: POST /v1/rerank/batch and its namespace-scoped form
-// POST /v1/upstreams/{ns}/rerank/batch.
+// Batched reranking: POST /v1/upstreams/{ns}/rerank/batch.
 //
 // A batch carries N independent rerank requests in one HTTP round trip and
 // runs them concurrently against one namespace's engine. Because every
@@ -25,12 +24,9 @@ import (
 	"sync/atomic"
 )
 
-// BatchRequest is the /v1/rerank/batch request body. The whole batch runs
-// against one namespace: Upstream on the legacy route ("" = default), the
-// {ns} path wildcard on the namespace-scoped route. Per-item Upstream
-// fields are ignored.
+// BatchRequest is the batch request body. The whole batch runs against the
+// namespace the route names.
 type BatchRequest struct {
-	Upstream string          `json:"upstream,omitempty"`
 	Requests []RerankRequest `json:"requests"`
 }
 
@@ -45,7 +41,7 @@ type BatchItem struct {
 	Response *RerankResponse `json:"response,omitempty"`
 }
 
-// BatchResponse is the /v1/rerank/batch response body.
+// BatchResponse is the batch response body.
 type BatchResponse struct {
 	Items []BatchItem `json:"items"`
 	// QueriesIssued is the whole batch's upstream cost: the sum of the
@@ -60,7 +56,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	t, ok := s.resolveTenant(w, r, req.Upstream)
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -86,14 +82,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // RerankBatch runs every request of the batch concurrently against the
-// namespace req.Upstream addresses ("" = default) and returns the per-item
-// outcomes in request order. Exported for in-process callers; like Rerank
-// it bypasses the HTTP edge's admission control.
+// default namespace and returns the per-item outcomes in request order.
+// Exported for in-process callers; like Rerank it bypasses the HTTP edge's
+// admission control.
 func (s *Server) RerankBatch(req BatchRequest) *BatchResponse {
-	t, ok := s.tenantFor(req.Upstream)
+	t, ok := s.tenantFor("")
 	if !ok {
 		resp := &BatchResponse{Items: make([]BatchItem, len(req.Requests))}
-		info := errorInfo(http.StatusNotFound, ErrCodeUnknownUpstream, unknownUpstreamErr(req.Upstream))
+		info := errorInfo(http.StatusNotFound, ErrCodeUnknownUpstream, unknownUpstreamErr(""))
 		for i := range resp.Items {
 			resp.Items[i] = BatchItem{Status: http.StatusNotFound, Error: info}
 		}

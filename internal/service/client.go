@@ -8,8 +8,7 @@
 //		service.WithClientID("crawler-7"),
 //		service.WithTimeout(2*time.Minute))
 //
-// Without WithUpstream the client speaks the legacy un-namespaced routes,
-// which the server resolves to its default namespace.
+// Without WithUpstream the client addresses the DefaultUpstream namespace.
 
 package service
 
@@ -62,15 +61,15 @@ func WithClientID(id string) ClientOption {
 	return func(c *Client) { c.ClientID = id }
 }
 
-// WithUpstream pins the client to one upstream namespace: requests use the
-// /v1/upstreams/{ns}/... routes instead of the legacy un-namespaced ones.
+// WithUpstream pins the client to one upstream namespace (default
+// DefaultUpstream): requests use its /v1/upstreams/{ns}/... routes.
 func WithUpstream(namespace string) ClientOption {
 	return func(c *Client) { c.upstream = namespace }
 }
 
 // NewClientWith builds a client for the service at baseURL.
 func NewClientWith(baseURL string, opts ...ClientOption) *Client {
-	c := &Client{baseURL: baseURL}
+	c := &Client{baseURL: baseURL, upstream: DefaultUpstream}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -85,16 +84,9 @@ func NewClientWith(baseURL string, opts ...ClientOption) *Client {
 	return c
 }
 
-// Upstream returns the namespace the client is pinned to ("" = default via
-// the legacy routes).
-func (c *Client) Upstream() string { return c.upstream }
-
-// apiPath builds the request path for suffix ("/rerank", "/schema", ...),
-// namespace-scoped when the client is pinned to an upstream.
+// apiPath builds the request path for suffix ("/rerank", "/schema", ...)
+// under the client's namespace.
 func (c *Client) apiPath(suffix string) string {
-	if c.upstream == "" {
-		return "/v1" + suffix
-	}
 	return "/v1/upstreams/" + url.PathEscape(c.upstream) + suffix
 }
 
@@ -172,18 +164,25 @@ func (c *Client) post(path string, v any) (*http.Response, error) {
 	return c.do(req)
 }
 
-// getJSON fetches path and decodes a 200 answer into out.
-func (c *Client) getJSON(path string, what string, out any) error {
-	req, err := http.NewRequest(http.MethodGet, c.baseURL+path, nil)
-	if err != nil {
-		return err
+// call sends one request — a GET when in is nil, else a POST of in as JSON
+// — and decodes an answer with status want into out.
+func (c *Client) call(path, what string, in any, want int, out any) error {
+	var resp *http.Response
+	var err error
+	if in == nil {
+		var req *http.Request
+		if req, err = http.NewRequest(http.MethodGet, c.baseURL+path, nil); err != nil {
+			return err
+		}
+		resp, err = c.do(req)
+	} else {
+		resp, err = c.post(path, in)
 	}
-	resp, err := c.do(req)
 	if err != nil {
 		return fmt.Errorf("%s request: %w", what, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return fmt.Errorf("%s request: %w", what, statusError(resp))
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -192,27 +191,11 @@ func (c *Client) getJSON(path string, what string, out any) error {
 	return nil
 }
 
-// Rerank submits one reranking request (against the pinned namespace when
-// WithUpstream was used).
+// Rerank submits one reranking request to the client's namespace.
 func (c *Client) Rerank(req RerankRequest) (*RerankResponse, error) {
-	resp, err := c.post(c.apiPath("/rerank"), req)
-	if err != nil {
-		return nil, fmt.Errorf("rerank request: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("rerank request: %w", statusError(resp))
-	}
 	var out RerankResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode rerank response: %w", err)
-	}
-	if out.Epoch == 0 {
-		// Pre-redesign servers omit the body field; the header (if present)
-		// still carries the namespace's knowledge epoch.
-		if e, err := strconv.ParseInt(resp.Header.Get(KnowledgeEpochHeader), 10, 64); err == nil {
-			out.Epoch = e
-		}
+	if err := c.call(c.apiPath("/rerank"), "rerank", req, http.StatusOK, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -221,17 +204,9 @@ func (c *Client) Rerank(req RerankRequest) (*RerankResponse, error) {
 // response carries per-item outcomes in request order; an error is only
 // returned when the batch itself was rejected (bad request, 429, 503).
 func (c *Client) RerankBatch(req BatchRequest) (*BatchResponse, error) {
-	resp, err := c.post(c.apiPath("/rerank/batch"), req)
-	if err != nil {
-		return nil, fmt.Errorf("batch request: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("batch request: %w", statusError(resp))
-	}
 	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode batch response: %w", err)
+	if err := c.call(c.apiPath("/rerank/batch"), "batch", req, http.StatusOK, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -277,22 +252,21 @@ func (c *Client) RerankStream(req RerankRequest, fn func(StreamEvent) bool) (*St
 	return nil, fmt.Errorf("stream ended without a final event")
 }
 
-// Stats fetches the service-wide statistics (all namespaces, with the
-// per-upstream breakdown in Upstreams).
+// Stats fetches the service-wide statistics (the service-level counters and
+// every namespace's in Upstreams).
 func (c *Client) Stats() (*Stats, error) {
 	var out Stats
-	if err := c.getJSON("/v1/stats", "stats", &out); err != nil {
+	if err := c.call("/v1/stats", "stats", nil, http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// Schema fetches the upstream search schema of the pinned namespace (the
-// default namespace without WithUpstream). Unknown namespaces yield a
-// *StatusError with Status 404.
+// Schema fetches the upstream search schema of the client's namespace.
+// Unknown namespaces yield a *StatusError with Status 404.
 func (c *Client) Schema() (*SchemaResponse, error) {
 	var out SchemaResponse
-	if err := c.getJSON(c.apiPath("/schema"), "schema", &out); err != nil {
+	if err := c.call(c.apiPath("/schema"), "schema", nil, http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -303,7 +277,7 @@ func (c *Client) Schema() (*SchemaResponse, error) {
 // stale-region count alongside the registration fields.
 func (c *Client) Upstreams() (*UpstreamsResponse, error) {
 	var out UpstreamsResponse
-	if err := c.getJSON("/v1/upstreams", "upstreams", &out); err != nil {
+	if err := c.call("/v1/upstreams", "upstreams", nil, http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -312,7 +286,7 @@ func (c *Client) Upstreams() (*UpstreamsResponse, error) {
 // Upstream fetches one registered upstream's descriptor.
 func (c *Client) UpstreamInfo(name string) (*UpstreamInfo, error) {
 	var out UpstreamInfo
-	if err := c.getJSON("/v1/upstreams/"+url.PathEscape(name), "upstream", &out); err != nil {
+	if err := c.call("/v1/upstreams/"+url.PathEscape(name), "upstream", nil, http.StatusOK, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -321,17 +295,9 @@ func (c *Client) UpstreamInfo(name string) (*UpstreamInfo, error) {
 // Revalidate triggers an immediate sentinel pass against one namespace's
 // upstream and reports the resulting epoch state.
 func (c *Client) Revalidate(name string) (*RevalidateResponse, error) {
-	resp, err := c.post("/v1/upstreams/"+url.PathEscape(name)+"/revalidate", struct{}{})
-	if err != nil {
-		return nil, fmt.Errorf("revalidate request: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("revalidate request: %w", statusError(resp))
-	}
 	var out RevalidateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode revalidate response: %w", err)
+	if err := c.call("/v1/upstreams/"+url.PathEscape(name)+"/revalidate", "revalidate", struct{}{}, http.StatusOK, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -339,17 +305,9 @@ func (c *Client) Revalidate(name string) (*RevalidateResponse, error) {
 // RegisterUpstream registers a new upstream namespace on the server (POST
 // /v1/upstreams): the server dials cfg.URL and builds a fresh engine for it.
 func (c *Client) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
-	resp, err := c.post("/v1/upstreams", cfg)
-	if err != nil {
-		return nil, fmt.Errorf("register upstream: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return nil, fmt.Errorf("register upstream: %w", statusError(resp))
-	}
 	var out UpstreamInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode upstream info: %w", err)
+	if err := c.call("/v1/upstreams", "register upstream", cfg, http.StatusCreated, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -55,12 +55,13 @@ func TestConcurrentRerankRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 32 {
-		t.Fatalf("stats saw %d requests, want 32", st.Requests)
+	us := st.Upstreams[DefaultUpstream]
+	if us.Requests != 32 {
+		t.Fatalf("stats saw %d requests, want 32", us.Requests)
 	}
-	if st.EngineQueries != issued.Load() {
+	if us.EngineQueries != issued.Load() {
 		t.Fatalf("per-request ledgers sum to %d, engine counted %d",
-			issued.Load(), st.EngineQueries)
+			issued.Load(), us.EngineQueries)
 	}
 	if issued.Load() == 0 {
 		t.Fatal("no upstream queries issued at all")

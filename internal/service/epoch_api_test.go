@@ -39,7 +39,7 @@ func epochPipeline(t *testing.T, opts Options) (*Server, *httptest.Server, *Clie
 	}
 	api := httptest.NewServer(srv.Handler())
 	t.Cleanup(api.Close)
-	return srv, api, NewClientWith(api.URL, WithHTTPClient(api.Client())), db
+	return srv, api, NewClientWith(api.URL, WithHTTPClient(api.Client()), WithUpstream("gems")), db
 }
 
 // driftTopTuple mutates a tuple the unconstrained system answer returns, so
@@ -174,7 +174,7 @@ func TestEpochHeaderAndBody(t *testing.T) {
 		return r
 	}
 	wantEpoch := strconv.FormatInt(index.FirstEpoch+1, 10)
-	for _, path := range []string{"/v1/rerank", "/v1/rerank/stream", "/v1/upstreams/gems/rerank"} {
+	for _, path := range []string{"/v1/upstreams/gems/rerank", "/v1/upstreams/gems/rerank/stream"} {
 		r := post(path, rangeRequest(50))
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, r.StatusCode)
@@ -183,7 +183,7 @@ func TestEpochHeaderAndBody(t *testing.T) {
 			t.Fatalf("%s: %s = %q, want %q", path, KnowledgeEpochHeader, got, wantEpoch)
 		}
 	}
-	r := post("/v1/rerank/batch", BatchRequest{Requests: []RerankRequest{rangeRequest(50)}})
+	r := post("/v1/upstreams/gems/rerank/batch", BatchRequest{Requests: []RerankRequest{rangeRequest(50)}})
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d", r.StatusCode)
 	}
@@ -222,7 +222,7 @@ func TestGuardErrorMapping(t *testing.T) {
 	}
 	api := httptest.NewServer(srv.Handler())
 	t.Cleanup(api.Close)
-	client := NewClientWith(api.URL, WithHTTPClient(api.Client()))
+	client := NewClientWith(api.URL, WithHTTPClient(api.Client()), WithUpstream("flappy"))
 
 	rerankErr := func() *StatusError {
 		t.Helper()

@@ -16,197 +16,136 @@ import (
 	"repro/internal/hidden"
 )
 
+// upstreamSeries renders UpstreamStats on /metrics: each entry is the series
+// rerank_upstream_<name>{upstream="NS"}, one sample per registered namespace.
+// A service-wide total is sum without (upstream) (...).
+var upstreamSeries = []struct {
+	name, help, kind string
+	value            func(UpstreamStats) int64
+}{
+	{"requests_total", "Single rerank requests started.", "counter", func(u UpstreamStats) int64 { return u.Requests }},
+	{"batch_requests_total", "Batch requests accepted.", "counter", func(u UpstreamStats) int64 { return u.BatchRequests }},
+	{"batch_items_total", "Sub-requests inside accepted batches.", "counter", func(u UpstreamStats) int64 { return u.BatchItems }},
+	{"stream_requests_total", "Stream requests admitted.", "counter", func(u UpstreamStats) int64 { return u.StreamRequests }},
+	{"stream_tuples_total", "NDJSON tuple lines emitted by streams.", "counter", func(u UpstreamStats) int64 { return u.StreamTuples }},
+	{"engine_queries_total", "Lifetime upstream queries issued by the engine.", "counter", func(u UpstreamStats) int64 { return u.EngineQueries }},
+	{"history_tuples", "Tuples in the cross-query answer history.", "gauge", func(u UpstreamStats) int64 { return int64(u.HistoryTuples) }},
+	{"probe_cache_entries", "Probe answers (complete ones and overflow pages) held as facts over the history arena.", "gauge", func(u UpstreamStats) int64 { return int64(u.ProbeCacheEntries) }},
+	{"probe_fact_bytes", "Approximate resident bytes of the held probe facts (queries and row references).", "gauge", func(u UpstreamStats) int64 { return u.ProbeFactBytes }},
+	{"probe_contained_total", "Probes answered free from a held complete answer whose box contains them.", "counter", func(u UpstreamStats) int64 { return u.ProbeContainedHits }},
+	{"probe_partial_total", "Probes answered free by replaying the overflow page the identical probe got before.", "counter", func(u UpstreamStats) int64 { return u.ProbePartialHits }},
+	{"certified_complete_total", "1D-RERANK certification probes that came back complete and answered their Get-Next outright.", "counter", func(u UpstreamStats) int64 { return u.CertifiedComplete }},
+	{"certified_overflow_total", "1D-RERANK certification probes that overflowed and left the search to bisect.", "counter", func(u UpstreamStats) int64 { return u.CertifiedOverflow }},
+	{"md_certified_complete_total", "MD-RERANK deep certification probes that came back complete and became their region's certified page.", "counter", func(u UpstreamStats) int64 { return u.MDCertifiedComplete }},
+	{"md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed and left the search to the candidate's own contour.", "counter", func(u UpstreamStats) int64 { return u.MDCertifiedOverflow }},
+	{"cover_hits_total", "Get-Nexts, 1D and MD, answered from a cursor's certified page: next tuple and tie group, no probe.", "counter", func(u UpstreamStats) int64 { return u.CoverHits }},
+	{"md_dense_regions", "Crawled MD dense regions across attribute subsets.", "gauge", func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) }},
+	{"dense_md_buckets", "Occupied MD centroid-grid cells.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDBuckets) }},
+	{"dense_md_max_bucket", "Largest MD centroid-grid cell population.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDMaxBucket) }},
+	{"search_parallelism", "Effective speculative probe width W.", "gauge", func(u UpstreamStats) int64 { return int64(u.SearchParallelism) }},
+	{"spec_probes_issued_total", "Speculative MD probes issued.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesIssued }},
+	{"spec_probes_wasted_total", "Speculative MD probes invalidated before use.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesWasted }},
+	{"k", "Upstream interface's system-k.", "gauge", func(u UpstreamStats) int64 { return int64(u.UpstreamK) }},
+	{"admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge", func(u UpstreamStats) int64 { return int64(u.AdmissionWeight) }},
+	{"epoch", "Knowledge epoch.", "gauge", func(u UpstreamStats) int64 { return u.Epoch }},
+	{"epoch_bumps_total", "Drift-triggered knowledge epoch bumps.", "counter", func(u UpstreamStats) int64 { return u.EpochBumps }},
+	{"stale_regions", "Dense regions awaiting lazy re-validation.", "gauge", func(u UpstreamStats) int64 { return int64(u.StaleRegions) }},
+	{"stale_history_rows", "History rows learned under an older epoch.", "gauge", func(u UpstreamStats) int64 { return u.StaleHistoryRows }},
+	{"epoch_reval_promoted_total", "Stale knowledge promoted to the current epoch by a confirming probe.", "counter", func(u UpstreamStats) int64 { return u.RevalPromoted }},
+	{"epoch_reval_evicted_total", "Stale knowledge evicted after a re-validation mismatch.", "counter", func(u UpstreamStats) int64 { return u.RevalEvicted }},
+	{"sentinel_passes_total", "Completed sentinel drift-detection passes.", "counter", func(u UpstreamStats) int64 { return u.SentinelPasses }},
+	{"sentinel_bumps_total", "Sentinel passes that detected drift and bumped the epoch.", "counter", func(u UpstreamStats) int64 { return u.SentinelBumps }},
+	{"health", "Probe-guard health state (0 healthy, 1 degraded, 2 down).", "gauge", healthLevel},
+	{"probe_retry_total", "Physical retry attempts spent by the probe guard.", "counter", func(u UpstreamStats) int64 { return u.ProbeRetries }},
+	{"probe_retry_failures_total", "Logical probes that failed after exhausting their retries.", "counter", func(u UpstreamStats) int64 { return u.ProbeFailures }},
+	{"probe_hedges_total", "Hedged second attempts launched by the probe guard.", "counter", func(u UpstreamStats) int64 { return u.ProbeHedges }},
+	{"probe_hedge_wins_total", "Hedged attempts that answered first.", "counter", func(u UpstreamStats) int64 { return u.ProbeHedgeWins }},
+	{"probe_fast_fails_total", "Probes refused while the upstream was down, without touching it.", "counter", func(u UpstreamStats) int64 { return u.ProbeFastFails }},
+	{"storage_blocks", "Sealed column blocks in the history arena.", "gauge", func(u UpstreamStats) int64 { return int64(u.StorageBlocks) }},
+	{"storage_dict_entries", "Interned categorical symbols in the shared dictionary.", "gauge", func(u UpstreamStats) int64 { return int64(u.StorageDictEntries) }},
+	{"storage_resident_tuples", "Rows resident in the columnar arena.", "gauge", func(u UpstreamStats) int64 { return int64(u.StorageResidentTuples) }},
+	{"storage_approx_bytes", "Approximate resident bytes of columnar storage plus probe facts.", "gauge", func(u UpstreamStats) int64 { return u.StorageApproxBytes }},
+	{"persist_enabled", "1 when the namespace has an open segment store.", "gauge", func(u UpstreamStats) int64 { return b2i(u.PersistEnabled) }},
+	{"persist_seq", "Committed journal sequence number.", "gauge", func(u UpstreamStats) int64 { return u.PersistSeq }},
+	{"persist_checkpoints_total", "Successful checkpoint commits since start.", "counter", func(u UpstreamStats) int64 { return u.PersistCheckpoints }},
+	{"persist_compactions_total", "Journal compactions since start.", "counter", func(u UpstreamStats) int64 { return u.PersistCompactions }},
+	{"persist_journal_records", "Committed records in the live journal.", "gauge", func(u UpstreamStats) int64 { return int64(u.PersistJournalRecords) }},
+	{"persist_segment_files", "Live immutable segment files.", "gauge", func(u UpstreamStats) int64 { return int64(u.PersistSegmentFiles) }},
+	{"persist_pending_ops", "Operations recorded since the last checkpoint (at-risk knowledge).", "gauge", func(u UpstreamStats) int64 { return int64(u.PersistPendingOps) }},
+	{"persist_replayed_deltas", "Committed deltas replayed at startup.", "gauge", func(u UpstreamStats) int64 { return int64(u.PersistReplayedDeltas) }},
+	{"persist_bytes_appended_total", "Bytes durably written to journal and segments since start.", "counter", func(u UpstreamStats) int64 { return u.PersistBytesAppended }},
+	{"persist_checkpoint_failing", "1 while the most recent checkpoint attempt failed.", "gauge", func(u UpstreamStats) int64 { return b2i(u.PersistLastError != "") }},
+	{"acquire_ticks_total", "Background acquirer tick passes.", "counter", acq(func(a acquire.Stats) int64 { return a.Ticks })},
+	{"acquire_probes_total", "Upstream probes issued by background acquisition.", "counter", acq(func(a acquire.Stats) int64 { return a.ProbesIssued })},
+	{"acquire_windows_total", "Query windows fully warmed by background acquisition.", "counter", acq(func(a acquire.Stats) int64 { return a.WindowsAcquired })},
+	{"acquire_skipped_warm_total", "Candidate windows skipped because they were already warm.", "counter", acq(func(a acquire.Stats) int64 { return a.SkippedWarm })},
+	{"acquire_yields_total", "Acquirer yields to user traffic (idle/pressure gates and mid-flight aborts).", "counter", acq(func(a acquire.Stats) int64 { return a.Yields })},
+	{"acquire_admission_denied_total", "Low-priority admission refusals of the acquirer.", "counter", acq(func(a acquire.Stats) int64 { return a.AdmissionDenied })},
+	{"acquire_errors_total", "Background acquisitions that failed with a hard error.", "counter", acq(func(a acquire.Stats) int64 { return a.Errors })},
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	series := func(name, help, kind string) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 	}
 
-	counter("rerank_requests_total", "Single /v1/rerank requests started.", st.Requests)
-	counter("rerank_batch_requests_total", "/v1/rerank/batch requests accepted.", st.BatchRequests)
-	counter("rerank_batch_items_total", "Sub-requests inside accepted batches.", st.BatchItems)
-	counter("rerank_stream_requests_total", "/v1/rerank/stream requests admitted.", st.StreamRequests)
-	counter("rerank_stream_tuples_total", "NDJSON tuple lines emitted by streams.", st.StreamTuples)
-
-	fmt.Fprintf(w, "# HELP rerank_rejected_total Requests shed at admission, by cause.\n")
-	fmt.Fprintf(w, "# TYPE rerank_rejected_total counter\n")
+	series("rerank_rejected_total", "Requests shed at admission, by cause.", "counter")
 	fmt.Fprintf(w, "rerank_rejected_total{cause=\"capacity\"} %d\n", st.RejectedCapacity)
 	fmt.Fprintf(w, "rerank_rejected_total{cause=\"budget\"} %d\n", st.RejectedBudget)
 	fmt.Fprintf(w, "rerank_rejected_total{cause=\"draining\"} %d\n", st.RejectedDraining)
-
-	gauge("rerank_sessions_in_flight", "Admitted session weight currently in flight.", int64(st.SessionsInFlight))
-	gauge("rerank_sessions_limit", "Configured MaxConcurrentSessions bound (0 = unlimited).", int64(st.MaxSessions))
-	draining := int64(0)
-	if st.Draining {
-		draining = 1
-	}
-	gauge("rerank_draining", "1 once graceful drain has begun.", draining)
-
-	counter("rerank_engine_queries_total", "Lifetime upstream queries issued by the engine.", st.EngineQueries)
-	gauge("rerank_history_tuples", "Tuples in the cross-query answer history.", int64(st.HistoryTuples))
-	gauge("rerank_probe_cache_entries", "Probe answers (complete ones and overflow pages) held as facts over the history arena.", int64(st.ProbeCacheEntries))
-	gauge("rerank_probe_fact_bytes", "Approximate resident bytes of the held probe facts (queries and row references).", st.ProbeFactBytes)
-	counter("rerank_probe_contained_total", "Probes answered free from a held complete answer whose box contains them.", st.ProbeContainedHits)
-	counter("rerank_probe_partial_total", "Probes answered free by replaying the overflow page the identical probe got before.", st.ProbePartialHits)
-	counter("rerank_certified_complete_total", "1D-RERANK certification probes that came back complete and answered their Get-Next outright.", st.CertifiedComplete)
-	counter("rerank_certified_overflow_total", "1D-RERANK certification probes that overflowed and left the search to bisect.", st.CertifiedOverflow)
-	counter("rerank_md_certified_complete_total", "MD-RERANK deep certification probes that came back complete and became their region's cover.", st.MDCertifiedComplete)
-	counter("rerank_md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed and left the search to the candidate's own contour.", st.MDCertifiedOverflow)
-	counter("rerank_cover_hits_total", "Get-Nexts, 1D and MD, answered from a cursor's certified cover: next tuple and tie group, no probe.", st.CoverHits)
-	gauge("rerank_md_dense_regions", "Crawled MD dense regions across attribute subsets.", int64(st.MDDenseRegions))
-	gauge("rerank_dense_md_buckets", "Occupied MD centroid-grid cells.", int64(st.DenseMDBuckets))
-	gauge("rerank_dense_md_max_bucket", "Largest MD centroid-grid cell population.", int64(st.DenseMDMaxBucket))
-	gauge("rerank_search_parallelism", "Effective speculative probe width W.", int64(st.SearchParallelism))
-	counter("rerank_spec_probes_issued_total", "Speculative MD probes issued.", st.SpecProbesIssued)
-	counter("rerank_spec_probes_wasted_total", "Speculative MD probes invalidated before use.", st.SpecProbesWasted)
-	gauge("rerank_upstream_k", "Upstream interface's system-k.", int64(st.UpstreamK))
-
-	gauge("rerank_epoch", "Default namespace's knowledge epoch.", st.Epoch)
-	counter("rerank_epoch_bumps_total", "Drift-triggered knowledge epoch bumps across namespaces.", st.EpochBumps)
-	gauge("rerank_epoch_stale_regions", "Dense regions awaiting lazy re-validation across namespaces.", int64(st.StaleRegions))
-	counter("rerank_epoch_reval_promoted_total", "Stale knowledge promoted to the current epoch by a confirming probe.", st.RevalPromoted)
-	counter("rerank_epoch_reval_evicted_total", "Stale knowledge evicted after a re-validation mismatch.", st.RevalEvicted)
-	counter("rerank_sentinel_passes_total", "Completed sentinel drift-detection passes across namespaces.", st.SentinelPasses)
-	counter("rerank_sentinel_bumps_total", "Sentinel passes that detected drift and bumped an epoch.", st.SentinelBumps)
-	counter("rerank_probe_retry_total", "Physical retry attempts spent by the probe guards.", st.ProbeRetries)
-	counter("rerank_probe_retry_failures_total", "Logical probes that failed after exhausting their retries.", st.ProbeFailures)
-	counter("rerank_probe_hedges_total", "Hedged second attempts launched by the probe guards.", st.ProbeHedges)
-	counter("rerank_probe_fast_fails_total", "Probes refused while an upstream was down, without touching it.", st.ProbeFastFails)
-
-	gauge("rerank_storage_blocks", "Sealed column blocks in the history arena.", int64(st.StorageBlocks))
-	gauge("rerank_storage_dict_entries", "Interned categorical symbols in the shared dictionary.", int64(st.StorageDictEntries))
-	gauge("rerank_storage_resident_tuples", "Rows resident in the columnar arena.", int64(st.StorageResidentTuples))
-	gauge("rerank_storage_approx_bytes", "Approximate resident bytes of columnar storage plus probe facts.", st.StorageApproxBytes)
-
-	acqEnabled := int64(0)
-	if st.AcquireEnabled {
-		acqEnabled = 1
-	}
-	gauge("rerank_acquire_enabled", "1 when background knowledge acquisition is configured.", acqEnabled)
-	if st.Acquire != nil {
-		counter("rerank_acquire_ticks_total", "Background acquirer tick passes.", st.Acquire.Ticks)
-		counter("rerank_acquire_probes_total", "Upstream probes issued by background acquisition.", st.Acquire.ProbesIssued)
-		counter("rerank_acquire_windows_total", "Query windows fully warmed by background acquisition.", st.Acquire.WindowsAcquired)
-		counter("rerank_acquire_skipped_warm_total", "Candidate windows skipped because they were already warm.", st.Acquire.SkippedWarm)
-		counter("rerank_acquire_yields_total", "Acquirer yields to user traffic (idle/pressure gates and mid-flight aborts).", st.Acquire.Yields)
-		counter("rerank_acquire_admission_denied_total", "Low-priority admission refusals of the acquirer.", st.Acquire.AdmissionDenied)
-		counter("rerank_acquire_errors_total", "Background acquisitions that failed with a hard error.", st.Acquire.Errors)
+	for _, g := range []struct {
+		name, help string
+		v          int64
+	}{
+		{"rerank_sessions_in_flight", "Admitted session weight currently in flight.", int64(st.SessionsInFlight)},
+		{"rerank_sessions_limit", "Configured MaxConcurrentSessions bound (0 = unlimited).", int64(st.MaxSessions)},
+		{"rerank_draining", "1 once graceful drain has begun.", b2i(st.Draining)},
+		{"rerank_acquire_enabled", "1 when background knowledge acquisition is configured.", b2i(st.AcquireEnabled)},
+	} {
+		series(g.name, g.help, "gauge")
+		fmt.Fprintf(w, "%s %d\n", g.name, g.v)
 	}
 
-	enabled := int64(0)
-	if st.PersistEnabled {
-		enabled = 1
-	}
-	gauge("rerank_persist_enabled", "1 when a segment/journal data dir is open.", enabled)
-	if st.PersistEnabled {
-		gauge("rerank_persist_seq", "Committed journal sequence number.", st.PersistSeq)
-		counter("rerank_persist_checkpoints_total", "Successful checkpoint commits since start.", st.PersistCheckpoints)
-		counter("rerank_persist_compactions_total", "Journal compactions since start.", st.PersistCompactions)
-		gauge("rerank_persist_journal_records", "Committed records in the live journal.", int64(st.PersistJournalRecords))
-		gauge("rerank_persist_segment_files", "Live immutable segment files.", int64(st.PersistSegmentFiles))
-		gauge("rerank_persist_pending_ops", "Operations recorded since the last checkpoint (at-risk knowledge).", int64(st.PersistPendingOps))
-		gauge("rerank_persist_replayed_deltas", "Committed deltas replayed at startup.", int64(st.PersistReplayedDeltas))
-		counter("rerank_persist_bytes_appended_total", "Bytes durably written to journal and segments since start.", st.PersistBytesAppended)
-		failing := int64(0)
-		if st.PersistLastError != "" {
-			failing = 1
-		}
-		gauge("rerank_persist_checkpoint_failing", "1 while the most recent checkpoint attempt failed.", failing)
-	}
-
-	// Per-namespace breakdown: one labeled series per registered upstream.
-	// The unlabeled series above stay the cross-namespace totals, so
-	// single-upstream dashboards keep working unchanged.
 	names := make([]string, 0, len(st.Upstreams))
 	for name := range st.Upstreams {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	labeled := func(name, help, kind string, v func(UpstreamStats) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	for _, m := range upstreamSeries {
+		name := "rerank_upstream_" + m.name
+		series(name, m.help, m.kind)
 		for _, ns := range names {
-			fmt.Fprintf(w, "%s{upstream=%q} %d\n", name, ns, v(st.Upstreams[ns]))
+			fmt.Fprintf(w, "%s{upstream=%q} %d\n", name, ns, m.value(st.Upstreams[ns]))
 		}
 	}
-	if len(names) > 0 {
-		labeled("rerank_upstream_requests_total", "Single rerank requests started, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.Requests })
-		labeled("rerank_upstream_batch_requests_total", "Batch requests accepted, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.BatchRequests })
-		labeled("rerank_upstream_batch_items_total", "Sub-requests inside accepted batches, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.BatchItems })
-		labeled("rerank_upstream_stream_requests_total", "Stream requests admitted, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.StreamRequests })
-		labeled("rerank_upstream_stream_tuples_total", "NDJSON tuple lines emitted, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.StreamTuples })
-		labeled("rerank_upstream_engine_queries_total", "Lifetime upstream queries issued, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.EngineQueries })
-		labeled("rerank_upstream_history_tuples", "Tuples in the cross-query answer history, per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.HistoryTuples) })
-		labeled("rerank_upstream_probe_cache_entries", "Probe answers held as facts, per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.ProbeCacheEntries) })
-		labeled("rerank_upstream_probe_contained_total", "Probes answered free by containment, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.ProbeContainedHits })
-		labeled("rerank_upstream_probe_partial_total", "Probes answered free by replaying their own overflow page, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.ProbePartialHits })
-		labeled("rerank_upstream_certified_complete_total", "1D-RERANK certification probes that came back complete, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.CertifiedComplete })
-		labeled("rerank_upstream_certified_overflow_total", "1D-RERANK certification probes that overflowed, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.CertifiedOverflow })
-		labeled("rerank_upstream_md_certified_complete_total", "MD-RERANK deep certification probes that came back complete, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.MDCertifiedComplete })
-		labeled("rerank_upstream_md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.MDCertifiedOverflow })
-		labeled("rerank_upstream_cover_hits_total", "Get-Nexts answered from a cursor's certified cover, per upstream namespace.", "counter",
-			func(u UpstreamStats) int64 { return u.CoverHits })
-		labeled("rerank_upstream_md_dense_regions", "Crawled MD dense regions, per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) })
-		labeled("rerank_upstream_admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.AdmissionWeight) })
-		labeled("rerank_upstream_epoch", "Knowledge epoch, per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 { return u.Epoch })
-		labeled("rerank_upstream_stale_regions", "Dense regions awaiting lazy re-validation, per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.StaleRegions) })
-		labeled("rerank_upstream_health", "Probe-guard health state (0 healthy, 1 degraded, 2 down), per upstream namespace.", "gauge",
-			func(u UpstreamStats) int64 {
-				switch u.Health {
-				case hidden.HealthDegraded.String():
-					return 1
-				case hidden.HealthDown.String():
-					return 2
-				default:
-					return 0
-				}
-			})
-		labeled("rerank_upstream_persist_enabled", "1 when the namespace has an open segment store.", "gauge",
-			func(u UpstreamStats) int64 {
-				if u.PersistEnabled {
-					return 1
-				}
-				return 0
-			})
-		labeled("rerank_upstream_persist_pending_ops", "Operations recorded since the namespace's last checkpoint.", "gauge",
-			func(u UpstreamStats) int64 { return int64(u.PersistPendingOps) })
-		if st.Acquire != nil {
-			acq := func(f func(acquire.Stats) int64) func(UpstreamStats) int64 {
-				return func(u UpstreamStats) int64 {
-					if u.Acquire == nil {
-						return 0
-					}
-					return f(*u.Acquire)
-				}
-			}
-			labeled("rerank_upstream_acquire_probes_total", "Upstream probes issued by background acquisition, per upstream namespace.", "counter",
-				acq(func(a acquire.Stats) int64 { return a.ProbesIssued }))
-			labeled("rerank_upstream_acquire_windows_total", "Query windows fully warmed by background acquisition, per upstream namespace.", "counter",
-				acq(func(a acquire.Stats) int64 { return a.WindowsAcquired }))
-			labeled("rerank_upstream_acquire_yields_total", "Acquirer yields to user traffic, per upstream namespace.", "counter",
-				acq(func(a acquire.Stats) int64 { return a.Yields }))
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func healthLevel(u UpstreamStats) int64 {
+	switch u.Health {
+	case hidden.HealthDegraded.String():
+		return 1
+	case hidden.HealthDown.String():
+		return 2
+	default:
+		return 0
+	}
+}
+
+// acq reads an acquirer counter, 0 where acquisition is disabled.
+func acq(f func(acquire.Stats) int64) func(UpstreamStats) int64 {
+	return func(u UpstreamStats) int64 {
+		if u.Acquire == nil {
+			return 0
 		}
+		return f(*u.Acquire)
 	}
 }

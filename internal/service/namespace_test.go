@@ -1,7 +1,6 @@
 // Federation tests: namespace isolation (ledgers, probe caches, history),
 // per-namespace persistence under data-dir/<ns>/, the registry HTTP API,
-// legacy un-namespaced routes resolving to the default namespace, and the
-// unified error envelope. The isolation test runs concurrent traffic and is
+// and the unified error envelope. The isolation test runs concurrent traffic and is
 // meaningful under -race.
 
 package service
@@ -157,11 +156,6 @@ func TestNamespaceIsolation(t *testing.T) {
 		t.Fatalf("autos cold-region query cost %d (upstream saw %d), want > 0: served from another namespace's cache",
 			resp.QueriesIssued, dbB.QueryCount())
 	}
-	// And the aggregate equals the per-namespace sum.
-	st = srv.Stats()
-	if got := st.Upstreams["diamonds"].EngineQueries + st.Upstreams["autos"].EngineQueries; st.EngineQueries != got {
-		t.Fatalf("aggregate EngineQueries %d != per-namespace sum %d", st.EngineQueries, got)
-	}
 }
 
 // TestNamespaceWarmRestart pins per-namespace persistence: each namespace
@@ -189,14 +183,7 @@ func TestNamespaceWarmRestart(t *testing.T) {
 	}
 
 	srv1 := boot()
-	r1a, _, err := srv1.Rerank(withUpstream(reqA, "diamonds"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1b, _, err := srv1.Rerank(withUpstream(reqB, "autos"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1a, r1b := rerankIn(t, srv1, "diamonds", reqA), rerankIn(t, srv1, "autos", reqB)
 	if r1a.QueriesIssued == 0 || r1b.QueriesIssued == 0 {
 		t.Fatalf("precondition: cold requests cost %d/%d upstream queries", r1a.QueriesIssued, r1b.QueriesIssued)
 	}
@@ -213,14 +200,7 @@ func TestNamespaceWarmRestart(t *testing.T) {
 	dbB.ResetCounter()
 	srv2 := boot()
 	defer srv2.ClosePersistence()
-	r2a, _, err := srv2.Rerank(withUpstream(reqA, "diamonds"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2b, _, err := srv2.Rerank(withUpstream(reqB, "autos"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2a, r2b := rerankIn(t, srv2, "diamonds", reqA), rerankIn(t, srv2, "autos", reqB)
 	if r2a.QueriesIssued != 0 || dbA.QueryCount() != 0 {
 		t.Errorf("diamonds warm request charged %d (upstream saw %d), want 0", r2a.QueriesIssued, dbA.QueryCount())
 	}
@@ -237,64 +217,36 @@ func TestNamespaceWarmRestart(t *testing.T) {
 	}
 }
 
-func withUpstream(req RerankRequest, ns string) RerankRequest {
-	req.Upstream = ns
-	return req
-}
-
-// TestLegacyRoutesResolveDefaultNamespace: un-namespaced /v1/* routes keep
-// working on a federated server and land on the default (first-registered)
-// namespace only.
-func TestLegacyRoutesResolveDefaultNamespace(t *testing.T) {
-	srv, api, _, _ := federatedPipeline(t)
-	legacy := NewClientWith(api.URL, WithHTTPClient(api.Client())) // no WithUpstream
-	if _, err := legacy.Rerank(rangeRequest(50)); err != nil {
-		t.Fatal(err)
+// rerankIn runs req against namespace ns in-process.
+func rerankIn(t *testing.T, srv *Server, ns string, req RerankRequest) *RerankResponse {
+	t.Helper()
+	tt, ok := srv.tenantFor(ns)
+	if !ok {
+		t.Fatalf("no namespace %q", ns)
 	}
-	// Body "upstream" field routes a legacy request to a named namespace.
-	if _, err := legacy.Rerank(withUpstream(rangeRequest(20), "autos")); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.DefaultUpstream != "diamonds" {
-		t.Fatalf("default namespace %q, want first-registered \"diamonds\"", st.DefaultUpstream)
-	}
-	if got := st.Upstreams["diamonds"].Requests; got != 1 {
-		t.Fatalf("default namespace saw %d requests, want 1", got)
-	}
-	if got := st.Upstreams["autos"].Requests; got != 1 {
-		t.Fatalf("body-addressed namespace saw %d requests, want 1", got)
-	}
-	// Legacy /v1/schema serves the default namespace's schema.
-	sch, err := legacy.Schema()
+	resp, _, _, _, err := srv.rerank(tt, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sch.Attrs) != 2 {
-		t.Fatalf("legacy schema has %d attrs, want 2", len(sch.Attrs))
-	}
+	return resp
 }
 
-// TestSchemaUnknownNamespace404: /v1/schema and its namespace-scoped form
-// 404 with the error envelope for unknown namespaces instead of silently
-// serving the default schema.
+// TestSchemaUnknownNamespace404: the schema route 404s with the error
+// envelope for an unknown namespace instead of serving the default schema.
 func TestSchemaUnknownNamespace404(t *testing.T) {
 	_, api, _, _ := federatedPipeline(t)
-	for _, path := range []string{"/v1/upstreams/nope/schema", "/v1/schema?upstream=nope"} {
-		resp, err := api.Client().Get(api.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se := statusError(resp)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || se.Code != ErrCodeUnknownUpstream {
-			t.Fatalf("%s: status %d code %q, want 404 %q", path, resp.StatusCode, se.Code, ErrCodeUnknownUpstream)
-		}
+	resp, err := api.Client().Get(api.URL + "/v1/upstreams/nope/schema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := statusError(resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || se.Code != ErrCodeUnknownUpstream {
+		t.Fatalf("status %d code %q, want 404 %q", resp.StatusCode, se.Code, ErrCodeUnknownUpstream)
 	}
 	// The typed client surfaces the same as a *StatusError.
 	c := NewClientWith(api.URL, WithHTTPClient(api.Client()), WithUpstream("nope"))
-	_, err := c.Schema()
-	var se *StatusError
+	_, err = c.Schema()
 	if !asStatusError(err, &se) || se.Status != http.StatusNotFound || se.Code != ErrCodeUnknownUpstream {
 		t.Fatalf("client schema error = %v, want 404 unknown_upstream StatusError", err)
 	}
@@ -302,22 +254,6 @@ func TestSchemaUnknownNamespace404(t *testing.T) {
 
 func asStatusError(err error, out **StatusError) bool {
 	return errors.As(err, out)
-}
-
-// TestPathBodyNamespaceMismatch: a namespace-scoped route with a
-// conflicting body "upstream" field is a 400, not a silent pick.
-func TestPathBodyNamespaceMismatch(t *testing.T) {
-	_, api, _, _ := federatedPipeline(t)
-	body, _ := json.Marshal(withUpstream(rangeRequest(50), "autos"))
-	resp, err := api.Client().Post(api.URL+"/v1/upstreams/diamonds/rerank", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := statusError(resp)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || se.Code != ErrCodeBadRequest {
-		t.Fatalf("status %d code %q, want 400 %q", resp.StatusCode, se.Code, ErrCodeBadRequest)
-	}
 }
 
 // TestUpstreamRegistryAPI drives the full registry lifecycle over HTTP:
@@ -400,7 +336,7 @@ func TestUpstreamRegistryAPI(t *testing.T) {
 // on a plain bad request.
 func TestErrorEnvelopeShape(t *testing.T) {
 	_, api, _, _ := federatedPipeline(t)
-	resp, err := api.Client().Post(api.URL+"/v1/rerank", "application/json", strings.NewReader("{not json"))
+	resp, err := api.Client().Post(api.URL+"/v1/upstreams/diamonds/rerank", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +358,8 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-// TestMetricsPerNamespaceSeries: /metrics carries one labeled series per
-// namespace alongside the unlabeled cross-namespace totals.
+// TestMetricsPerNamespaceSeries: /metrics carries one labeled sample per
+// namespace, and no unlabeled cross-namespace total.
 func TestMetricsPerNamespaceSeries(t *testing.T) {
 	_, api, _, _ := federatedPipeline(t)
 	ca := NewClientWith(api.URL, WithHTTPClient(api.Client()), WithUpstream("diamonds"))
@@ -444,10 +380,12 @@ func TestMetricsPerNamespaceSeries(t *testing.T) {
 		`rerank_upstream_requests_total{upstream="diamonds"} 1`,
 		`rerank_upstream_requests_total{upstream="autos"} 0`,
 		`rerank_upstream_engine_queries_total{upstream="diamonds"}`,
-		"rerank_requests_total 1", // unlabeled total still present
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "\nrerank_requests_total ") {
+		t.Fatalf("metrics still carry an unlabeled request total\n%s", body)
 	}
 }

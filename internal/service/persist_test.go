@@ -74,7 +74,7 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	if resp1.QueriesIssued == 0 {
 		t.Fatal("precondition: cold request cost 0 upstream queries")
 	}
-	st1 := srv1.Stats()
+	st1 := srv1.Stats().Upstreams[DefaultUpstream]
 	if !st1.PersistEnabled {
 		t.Fatal("PersistEnabled false with an open data dir")
 	}
@@ -94,7 +94,7 @@ func TestServiceMDWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.ClosePersistence()
-	st2 := srv2.Stats()
+	st2 := srv2.Stats().Upstreams[DefaultUpstream]
 	if st2.PersistReplayedDeltas == 0 {
 		t.Fatal("restart replayed no deltas")
 	}
@@ -125,7 +125,7 @@ func TestServiceMDWarmRestart(t *testing.T) {
 }
 
 // TestMetricsExposePersistSeries checks the persist gauges surface on
-// /metrics (and stay absent without a data dir, except the enabled flag).
+// /metrics per namespace, and read 0 without a data dir.
 func TestMetricsExposePersistSeries(t *testing.T) {
 	db := clusteredDB(t)
 
@@ -137,11 +137,13 @@ func TestMetricsExposePersistSeries(t *testing.T) {
 
 	plain := NewServerWith(db, core.Options{N: 1200})
 	body := scrape(plain)
-	if !strings.Contains(body, "rerank_persist_enabled 0") {
-		t.Errorf("no-data-dir scrape missing rerank_persist_enabled 0:\n%s", body)
-	}
-	if strings.Contains(body, "rerank_persist_seq") {
-		t.Error("no-data-dir scrape exposes rerank_persist_seq")
+	for _, want := range []string{
+		`rerank_upstream_persist_enabled{upstream="default"} 0`,
+		`rerank_upstream_persist_seq{upstream="default"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("no-data-dir scrape missing %q:\n%s", want, body)
+		}
 	}
 
 	srv := NewServerWith(db, core.Options{N: 1200})
@@ -157,11 +159,11 @@ func TestMetricsExposePersistSeries(t *testing.T) {
 	}
 	body = scrape(srv)
 	for _, want := range []string{
-		"rerank_persist_enabled 1",
-		"rerank_persist_seq 1",
-		"rerank_persist_checkpoints_total 1",
-		"rerank_persist_pending_ops 0",
-		"rerank_persist_checkpoint_failing 0",
+		`rerank_upstream_persist_enabled{upstream="default"} 1`,
+		`rerank_upstream_persist_seq{upstream="default"} 1`,
+		`rerank_upstream_persist_checkpoints_total{upstream="default"} 1`,
+		`rerank_upstream_persist_pending_ops{upstream="default"} 0`,
+		`rerank_upstream_persist_checkpoint_failing{upstream="default"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

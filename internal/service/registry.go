@@ -54,7 +54,7 @@ type UpstreamConfig struct {
 type UpstreamInfo struct {
 	Name string `json:"name"`
 	URL  string `json:"url,omitempty"`
-	// Default marks the namespace un-namespaced legacy requests hit.
+	// Default marks the default namespace (the first registered).
 	Default         bool `json:"default,omitempty"`
 	AdmissionWeight int  `json:"admissionWeight"`
 	// Fingerprint is the namespace's persistence identity (schema, k,
@@ -84,7 +84,7 @@ type UpstreamInfo struct {
 
 // UpstreamsResponse is the GET /v1/upstreams body.
 type UpstreamsResponse struct {
-	// Default names the namespace un-namespaced requests resolve to.
+	// Default names the default namespace.
 	Default   string         `json:"default,omitempty"`
 	Upstreams []UpstreamInfo `json:"upstreams"`
 }
@@ -233,26 +233,23 @@ func (s *Server) DeregisterUpstream(name string) error {
 
 // upstreamInfo renders one tenant's registry descriptor.
 func (s *Server) upstreamInfo(t *tenant) UpstreamInfo {
-	eng := t.engine()
-	_, _, lastSentinel := eng.SentinelStats()
+	st := s.tenantStats(t)
 	info := UpstreamInfo{
 		Name:             t.ns.Name(),
 		URL:              t.url,
-		Default:          s.registry.Default() == t.ns,
-		AdmissionWeight:  t.ns.AdmissionWeight(),
-		Fingerprint:      eng.PersistFingerprint(),
+		Default:          st.Default,
+		AdmissionWeight:  st.AdmissionWeight,
+		Fingerprint:      t.engine().PersistFingerprint(),
 		Schema:           schemaResponse(t.db.Schema(), t.db.K()),
-		Stats:            s.tenantStats(t),
-		Epoch:            eng.Epoch(),
-		Health:           hidden.HealthHealthy.String(),
-		LastSentinelUnix: lastSentinel,
-		StaleRegions:     eng.Knowledge().StaleRegions(),
+		Stats:            st,
+		Epoch:            st.Epoch,
+		Health:           st.Health,
+		LastSentinelUnix: st.LastSentinelUnix,
+		StaleRegions:     st.StaleRegions,
 	}
 	if t.guard != nil {
-		h := t.guard.Health()
-		info.Health = h.State.String()
-		if !h.BackoffUntil.IsZero() {
-			info.BackoffUntilUnix = h.BackoffUntil.Unix()
+		if until := t.guard.Health().BackoffUntil; !until.IsZero() {
+			info.BackoffUntilUnix = until.Unix()
 		}
 	}
 	return info
@@ -275,7 +272,7 @@ func (s *Server) handleListUpstreams(w http.ResponseWriter, r *http.Request) {
 // resulting epoch state. An upstream failure maps exactly like a rerank-path
 // probe failure (down → 503, degraded → 502, rate-limited → 429).
 func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.resolveTenant(w, r, "")
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -295,7 +292,7 @@ func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetUpstream(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.resolveTenant(w, r, "")
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}

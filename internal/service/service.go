@@ -10,15 +10,11 @@
 //	POST   /v1/upstreams/{ns}/rerank{,/batch,/stream}  -> namespace-scoped reranking
 //	GET    /v1/upstreams/{ns}/stats               -> one namespace's counters
 //	GET    /v1/upstreams/{ns}/schema              -> one namespace's upstream schema
-//	GET    /v1/stats                              -> service-wide counters + per-upstream breakdown
+//	GET    /v1/stats                              -> service-level counters + per-upstream counters
 //	GET    /metrics                               -> the same counters in Prometheus text format
 //	GET    /healthz                               -> liveness (503 once draining)
 //
-// The pre-federation un-namespaced routes remain as deprecated aliases for
-// the DEFAULT namespace (the first registered upstream): POST /v1/rerank
-// {,/batch,/stream} and GET /v1/schema behave exactly as before on a
-// single-upstream server, and their bodies accept an "upstream" field to
-// address a namespace without the new paths. See docs/api.md.
+// Every request names its namespace in the path; see docs/api.md.
 //
 // Isolation model: each namespace owns its history, dense indexes, probe
 // cache, coalescer, query-cost ledger, and (with a data dir) its own
@@ -55,7 +51,7 @@ import (
 )
 
 // DefaultUpstream is the namespace name the single-upstream constructors
-// register, and the implicit target of un-namespaced requests.
+// register, and the one a Client addresses unless pinned to another.
 const DefaultUpstream = "default"
 
 // RankingSpec describes a user ranking function over the wire.
@@ -79,12 +75,8 @@ type RangeSpec struct {
 	MaxOpen bool     `json:"maxOpen,omitempty"`
 }
 
-// RerankRequest is the /v1/rerank request body.
+// RerankRequest is the rerank request body.
 type RerankRequest struct {
-	// Upstream addresses a registered namespace from the legacy
-	// un-namespaced routes ("" = the default namespace). On the
-	// namespace-scoped routes it must be empty or match the path.
-	Upstream  string            `json:"upstream,omitempty"`
 	Ranges    []RangeSpec       `json:"ranges,omitempty"`
 	Filters   map[string]string `json:"filters,omitempty"`
 	Ranking   RankingSpec       `json:"ranking"`
@@ -100,7 +92,7 @@ type TupleJSON struct {
 	Cat   map[string]string  `json:"cat,omitempty"`
 }
 
-// RerankResponse is the /v1/rerank response body.
+// RerankResponse is the rerank response body.
 type RerankResponse struct {
 	Tuples    []TupleJSON `json:"tuples"`
 	Exhausted bool        `json:"exhausted"`
@@ -117,13 +109,15 @@ type RerankResponse struct {
 	Epoch int64 `json:"epoch"`
 }
 
-// UpstreamStats is one namespace's slice of the service counters, served
-// under /v1/stats (the Upstreams map), /v1/upstreams listings, and
-// /v1/upstreams/{ns}/stats.
+// UpstreamStats is one namespace's counters, the only place an engine or
+// serving counter is declared: served under /v1/stats (the Upstreams map),
+// /v1/upstreams listings and /v1/upstreams/{ns}/stats, and rendered on
+// /metrics by upstreamSeries.
 type UpstreamStats struct {
 	// URL is the upstream's endpoint ("" for an in-process database).
 	URL string `json:"url,omitempty"`
-	// Default marks the namespace legacy un-namespaced requests hit.
+	// Default marks the default namespace: the first registered, the one
+	// Server.Rerank, Server.RerankBatch and Server.Engine serve.
 	Default bool `json:"default,omitempty"`
 	// AdmissionWeight is the per-session multiplier this namespace applies
 	// to the shared admission capacity.
@@ -168,7 +162,7 @@ type UpstreamStats struct {
 	// MDCertifiedComplete / MDCertifiedOverflow count MD-RERANK's deep
 	// certification probes (at most one per region resolution, over the
 	// contour of the D-th best known tuple) by the same outcomes. CoverHits
-	// counts the Get-Nexts, 1D and MD, answered from a certified cover a
+	// counts the Get-Nexts, 1D and MD, answered from a certified page a
 	// cursor kept: next tuple and tie group for no probe at all.
 	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
 	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
@@ -210,58 +204,10 @@ type UpstreamStats struct {
 	PersistLastError      string `json:"persistLastError,omitempty"`
 }
 
-// Stats is the /v1/stats response body: the service-wide counters, with the
-// engine-level fields summed across namespaces, plus the per-namespace
-// breakdown in Upstreams. On a single-upstream server the flat fields read
-// exactly as they did before federation.
+// Stats is the /v1/stats response body: the service-level counters, which
+// belong to no one namespace, and each namespace's own in Upstreams. A
+// service-wide total is the sum over Upstreams.
 type Stats struct {
-	EngineQueries int64 `json:"engineQueries"`
-	HistoryTuples int   `json:"historyTuples"`
-	// ProbeCacheEntries is the number of probe answers the coalescing
-	// layers currently hold as facts over the history arena (persisted
-	// across restarts by the data dir). Each answers its own probe for zero
-	// upstream cost, and a complete one every probe its box contains;
-	// ProbeContainedHits counts the latter kind of hit, ProbePartialHits
-	// replays of an overflow page for the identical probe, ProbeFactBytes
-	// approximates the facts' footprint.
-	ProbeCacheEntries  int   `json:"probeCacheEntries"`
-	ProbeContainedHits int64 `json:"probeContainedHits"`
-	ProbePartialHits   int64 `json:"probePartialHits"`
-	ProbeFactBytes     int64 `json:"probeFactBytes"`
-	// CertifiedComplete / CertifiedOverflow sum 1D-RERANK's certification
-	// probes by outcome across namespaces, MDCertified* MD-RERANK's, and
-	// CoverHits the Get-Nexts answered from a cursor's certified cover (see
-	// UpstreamStats).
-	CertifiedComplete   int64 `json:"certifiedComplete"`
-	CertifiedOverflow   int64 `json:"certifiedOverflow"`
-	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
-	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
-	CoverHits           int64 `json:"coverHits"`
-	// MDDenseRegions is the number of crawled MD dense regions across all
-	// ranked-attribute subsets — the boxes MD-RERANK answers locally for
-	// zero upstream cost (persisted across restarts by the data dir).
-	MDDenseRegions int `json:"mdDenseRegions"`
-	// DenseMDBuckets / DenseMDMaxBucket describe the MD dense indexes'
-	// centroid-grid shape: occupied grid cells and the largest cell
-	// population. MaxBucket staying small as MDDenseRegions grows is the
-	// sub-linear-lookup property holding in production.
-	DenseMDBuckets   int `json:"denseMDBuckets"`
-	DenseMDMaxBucket int `json:"denseMDMaxBucket"`
-	// SearchParallelism is the default namespace's effective speculative
-	// probe width W; SpecProbesIssued / SpecProbesWasted sum speculative
-	// probes issued and wasted across namespaces.
-	SearchParallelism int   `json:"searchParallelism"`
-	SpecProbesIssued  int64 `json:"specProbesIssued"`
-	SpecProbesWasted  int64 `json:"specProbesWasted"`
-	// Requests counts single rerank requests; BatchRequests and
-	// StreamRequests count the batch/stream endpoints (BatchItems is the
-	// total of sub-requests inside batches, StreamTuples the total NDJSON
-	// tuple lines emitted). All summed across namespaces.
-	Requests       int64 `json:"requests"`
-	BatchRequests  int64 `json:"batchRequests"`
-	BatchItems     int64 `json:"batchItems"`
-	StreamRequests int64 `json:"streamRequests"`
-	StreamTuples   int64 `json:"streamTuples"`
 	// SessionsInFlight / MaxSessions describe the shared admission gate:
 	// currently-admitted session weight and the configured bound
 	// (0 = unlimited). Rejected* count requests shed at the edge, by
@@ -273,54 +219,11 @@ type Stats struct {
 	RejectedDraining int64 `json:"rejectedDraining"`
 	// Draining is true once BeginDrain was called (shutdown in progress).
 	Draining bool `json:"draining"`
-	// UpstreamK / UpstreamRanker describe the default namespace's upstream
-	// interface.
-	UpstreamK      int    `json:"upstreamK"`
-	UpstreamRanker string `json:"upstreamRanker,omitempty"`
-	// Columnar storage gauges, summed across namespaces (see
-	// internal/colstore and docs/storage.md).
-	StorageBlocks         int   `json:"storageBlocks"`
-	StorageDictEntries    int   `json:"storageDictEntries"`
-	StorageResidentTuples int   `json:"storageResidentTuples"`
-	StorageApproxBytes    int64 `json:"storageApproxBytes"`
-	// Segment/journal persistence gauges, summed across namespaces
-	// (zero-valued unless a data dir is open; see docs/persistence.md).
-	// PersistLastError is the first failing namespace's most recent
-	// checkpoint error ("" when all healthy).
-	PersistEnabled        bool   `json:"persistEnabled"`
-	PersistSeq            int64  `json:"persistSeq,omitempty"`
-	PersistCheckpoints    int64  `json:"persistCheckpoints,omitempty"`
-	PersistCompactions    int64  `json:"persistCompactions,omitempty"`
-	PersistJournalRecords int    `json:"persistJournalRecords,omitempty"`
-	PersistSegmentFiles   int    `json:"persistSegmentFiles,omitempty"`
-	PersistPendingOps     int    `json:"persistPendingOps,omitempty"`
-	PersistReplayedDeltas int    `json:"persistReplayedDeltas,omitempty"`
-	PersistBytesAppended  int64  `json:"persistBytesAppended,omitempty"`
-	PersistLastError      string `json:"persistLastError,omitempty"`
-	// Living-upstream aggregates: epoch bumps, stale-knowledge gauges,
-	// lazy re-validation outcomes, sentinel passes and probe-guard counters
-	// summed across namespaces. Epoch is the DEFAULT namespace's knowledge
-	// epoch (epochs are per-namespace; see the Upstreams breakdown).
-	Epoch          int64 `json:"epoch"`
-	EpochBumps     int64 `json:"epochBumps"`
-	StaleRegions   int   `json:"staleRegions"`
-	RevalPromoted  int64 `json:"revalPromoted"`
-	RevalEvicted   int64 `json:"revalEvicted"`
-	SentinelPasses int64 `json:"sentinelPasses"`
-	SentinelBumps  int64 `json:"sentinelBumps"`
-	ProbeRetries   int64 `json:"probeRetries"`
-	ProbeHedges    int64 `json:"probeHedges"`
-	ProbeFailures  int64 `json:"probeFailures"`
-	ProbeFastFails int64 `json:"probeFastFails"`
-	// AcquireEnabled is true when background acquisition is configured;
-	// Acquire sums the per-namespace acquirer counters (absent when
-	// disabled).
-	AcquireEnabled bool           `json:"acquireEnabled"`
-	Acquire        *acquire.Stats `json:"acquire,omitempty"`
-	// DefaultUpstream names the namespace un-namespaced requests hit;
-	// Upstreams is the per-namespace breakdown.
+	// AcquireEnabled is true when background acquisition is configured.
+	AcquireEnabled bool `json:"acquireEnabled"`
+	// DefaultUpstream names the default namespace.
 	DefaultUpstream string                   `json:"defaultUpstream,omitempty"`
-	Upstreams       map[string]UpstreamStats `json:"upstreams,omitempty"`
+	Upstreams       map[string]UpstreamStats `json:"upstreams"`
 }
 
 // tenant is one registered namespace's serving-tier state: the namespace
@@ -427,9 +330,6 @@ func NewServerWithOptions(db hidden.Database, opts Options) *Server {
 	return s
 }
 
-// Registry exposes the server's namespace registry.
-func (s *Server) Registry() *core.Registry { return s.registry }
-
 // Engine exposes the DEFAULT namespace's engine (single-upstream tests and
 // tools; nil when no upstream is registered).
 func (s *Server) Engine() *core.Engine {
@@ -477,20 +377,10 @@ func (s *Server) tenantList() []*tenant {
 	return out
 }
 
-// resolveTenant picks the namespace a request addresses: the {ns} path
-// wildcard when present, else the body's upstream field, else the default.
-// A path/body mismatch is a 400; an unknown namespace is a 404. The error
-// envelope is already written when ok is false.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request, bodyUpstream string) (*tenant, bool) {
+// resolveTenant picks the namespace the {ns} path wildcard names; an unknown
+// one is a 404, whose error envelope is already written when ok is false.
+func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
 	name := r.PathValue("ns")
-	if name != "" && bodyUpstream != "" && name != bodyUpstream {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("path namespace %q conflicts with body upstream %q", name, bodyUpstream))
-		return nil, false
-	}
-	if name == "" {
-		name = bodyUpstream
-	}
 	t, ok := s.tenantFor(name)
 	if !ok {
 		httpError(w, http.StatusNotFound, ErrCodeUnknownUpstream, unknownUpstreamErr(name))
@@ -521,12 +411,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/upstreams/{ns}/rerank/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/upstreams/{ns}/stats", s.handleUpstreamStats)
 	mux.HandleFunc("GET /v1/upstreams/{ns}/schema", s.handleSchema)
-	// Deprecated un-namespaced aliases for the default namespace (bodies
-	// may carry an "upstream" field; /v1/schema takes ?upstream=).
-	mux.HandleFunc("POST /v1/rerank", s.handleRerank)
-	mux.HandleFunc("POST /v1/rerank/batch", s.handleBatch)
-	mux.HandleFunc("POST /v1/rerank/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/schema", s.handleSchema)
 	// Service-wide.
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -545,17 +429,10 @@ func (s *Server) Handler() http.Handler {
 
 // handleSchema republishes a namespace's upstream search schema (the same
 // wire shape hiddendb serves), so service clients and load generators can
-// build requests without a side channel to the upstream. An unknown
-// namespace — path wildcard or ?upstream= — is a 404, never silently the
-// default's schema.
+// build requests without a side channel to the upstream.
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("ns")
-	if name == "" {
-		name = r.URL.Query().Get("upstream")
-	}
-	t, ok := s.tenantFor(name)
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, ErrCodeUnknownUpstream, unknownUpstreamErr(name))
 		return
 	}
 	writeJSON(w, http.StatusOK, schemaResponse(t.db.Schema(), t.db.K()))
@@ -653,9 +530,7 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	return us
 }
 
-// Stats reports the service's current counters (also served at /v1/stats):
-// engine-level fields summed across namespaces plus the per-namespace
-// breakdown.
+// Stats reports the service's current counters (also served at /v1/stats).
 func (s *Server) Stats() Stats {
 	st := Stats{
 		SessionsInFlight: s.registry.SessionsInFlight(),
@@ -671,78 +546,7 @@ func (s *Server) Stats() Stats {
 		st.DefaultUpstream = def.Name()
 	}
 	for _, t := range s.tenantList() {
-		us := s.tenantStats(t)
-		st.Upstreams[t.ns.Name()] = us
-
-		st.EngineQueries += us.EngineQueries
-		st.HistoryTuples += us.HistoryTuples
-		st.ProbeCacheEntries += us.ProbeCacheEntries
-		st.ProbeContainedHits += us.ProbeContainedHits
-		st.ProbePartialHits += us.ProbePartialHits
-		st.CertifiedComplete += us.CertifiedComplete
-		st.CertifiedOverflow += us.CertifiedOverflow
-		st.MDCertifiedComplete += us.MDCertifiedComplete
-		st.MDCertifiedOverflow += us.MDCertifiedOverflow
-		st.CoverHits += us.CoverHits
-		st.ProbeFactBytes += us.ProbeFactBytes
-		st.MDDenseRegions += us.MDDenseRegions
-		st.DenseMDBuckets += us.DenseMDBuckets
-		if us.DenseMDMaxBucket > st.DenseMDMaxBucket {
-			st.DenseMDMaxBucket = us.DenseMDMaxBucket
-		}
-		st.SpecProbesIssued += us.SpecProbesIssued
-		st.SpecProbesWasted += us.SpecProbesWasted
-		st.Requests += us.Requests
-		st.BatchRequests += us.BatchRequests
-		st.BatchItems += us.BatchItems
-		st.StreamRequests += us.StreamRequests
-		st.StreamTuples += us.StreamTuples
-		st.EpochBumps += us.EpochBumps
-		st.StaleRegions += us.StaleRegions
-		st.RevalPromoted += us.RevalPromoted
-		st.RevalEvicted += us.RevalEvicted
-		st.SentinelPasses += us.SentinelPasses
-		st.SentinelBumps += us.SentinelBumps
-		st.ProbeRetries += us.ProbeRetries
-		st.ProbeHedges += us.ProbeHedges
-		st.ProbeFailures += us.ProbeFailures
-		st.ProbeFastFails += us.ProbeFastFails
-		st.StorageBlocks += us.StorageBlocks
-		st.StorageDictEntries += us.StorageDictEntries
-		st.StorageResidentTuples += us.StorageResidentTuples
-		st.StorageApproxBytes += us.StorageApproxBytes
-		if us.PersistEnabled {
-			st.PersistEnabled = true
-			st.PersistSeq += us.PersistSeq
-			st.PersistCheckpoints += us.PersistCheckpoints
-			st.PersistCompactions += us.PersistCompactions
-			st.PersistJournalRecords += us.PersistJournalRecords
-			st.PersistSegmentFiles += us.PersistSegmentFiles
-			st.PersistPendingOps += us.PersistPendingOps
-			st.PersistReplayedDeltas += us.PersistReplayedDeltas
-			st.PersistBytesAppended += us.PersistBytesAppended
-			if st.PersistLastError == "" {
-				st.PersistLastError = us.PersistLastError
-			}
-		}
-		if us.Acquire != nil {
-			if st.Acquire == nil {
-				st.Acquire = &acquire.Stats{}
-			}
-			st.Acquire.Ticks += us.Acquire.Ticks
-			st.Acquire.ProbesIssued += us.Acquire.ProbesIssued
-			st.Acquire.WindowsAcquired += us.Acquire.WindowsAcquired
-			st.Acquire.SkippedWarm += us.Acquire.SkippedWarm
-			st.Acquire.Yields += us.Acquire.Yields
-			st.Acquire.AdmissionDenied += us.Acquire.AdmissionDenied
-			st.Acquire.Errors += us.Acquire.Errors
-		}
-		if us.Default {
-			st.SearchParallelism = us.SearchParallelism
-			st.UpstreamK = us.UpstreamK
-			st.UpstreamRanker = us.UpstreamRanker
-			st.Epoch = us.Epoch
-		}
+		st.Upstreams[t.ns.Name()] = s.tenantStats(t)
 	}
 	return st
 }
@@ -752,7 +556,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleUpstreamStats(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.resolveTenant(w, r, "")
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -764,7 +568,7 @@ func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	t, ok := s.resolveTenant(w, r, req.Upstream)
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -816,14 +620,13 @@ func (s *Server) upstreamError(w http.ResponseWriter, t *tenant, status int, cod
 	httpError(w, status, code, err)
 }
 
-// Rerank executes one reranking request against the namespace its Upstream
-// field addresses ("" = default). It is exported so in-process callers
-// (tests, examples) can skip HTTP; it bypasses admission control and
-// budgets, which live at the HTTP edge.
+// Rerank executes one reranking request against the default namespace. It is
+// exported so in-process callers (tests, examples) can skip HTTP; it
+// bypasses admission control and budgets, which live at the HTTP edge.
 func (s *Server) Rerank(req RerankRequest) (*RerankResponse, int, error) {
-	t, ok := s.tenantFor(req.Upstream)
+	t, ok := s.tenantFor("")
 	if !ok {
-		return nil, http.StatusNotFound, unknownUpstreamErr(req.Upstream)
+		return nil, http.StatusNotFound, unknownUpstreamErr("")
 	}
 	t.requests.Add(1)
 	resp, _, status, _, err := s.rerank(t, req)
@@ -925,6 +728,9 @@ func toJSONInto(schema *types.Schema, rk ranking.Ranker, t types.Tuple, dst *Tup
 	}
 }
 
+// buildQuery compiles the request's ranges and filters. Ranges on one
+// attribute intersect, and an empty result is an error whichever range made
+// it so.
 func buildQuery(schema *types.Schema, req RerankRequest) (query.Query, error) {
 	q := query.New()
 	for _, rs := range req.Ranges {
@@ -939,10 +745,9 @@ func buildQuery(schema *types.Schema, req RerankRequest) (query.Query, error) {
 		if rs.Max != nil {
 			iv.Hi, iv.HiOpen = *rs.Max, rs.MaxOpen
 		}
-		if iv.Empty() {
+		if q = q.WithRange(idx, iv); q.Ranges[idx].Empty() {
 			return q, fmt.Errorf("empty range on %q", rs.Attr)
 		}
-		q = q.WithRange(idx, iv)
 	}
 	for name, val := range req.Filters {
 		idx := schema.Index(name)

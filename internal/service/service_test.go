@@ -93,8 +93,8 @@ func TestEndToEndRerank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 2 || st.EngineQueries != resp2.EngineQueries {
-		t.Errorf("stats mismatch: %+v vs engineQueries=%d", st, resp2.EngineQueries)
+	if us := st.Upstreams[DefaultUpstream]; us.Requests != 2 || us.EngineQueries != resp2.EngineQueries {
+		t.Errorf("stats mismatch: %+v vs engineQueries=%d", us, resp2.EngineQueries)
 	}
 }
 

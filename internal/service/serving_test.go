@@ -28,17 +28,20 @@ import (
 )
 
 // gateDB blocks every TopK until the gate is opened, tracking the observed
-// peak of concurrent upstream calls.
+// peak of concurrent upstream calls and signalling each call's arrival at
+// the gate on arrived.
 type gateDB struct {
 	hidden.Database
 	gate    chan struct{}
+	arrived chan struct{}
 	inCall  atomic.Int64
 	peak    atomic.Int64
-	blocked atomic.Int64
 }
 
 func newGateDB(db hidden.Database) *gateDB {
-	return &gateDB{Database: db, gate: make(chan struct{})}
+	// arrived holds more signals than any test lets calls reach the closed
+	// gate; signals past it are dropped, never blocking a call.
+	return &gateDB{Database: db, gate: make(chan struct{}), arrived: make(chan struct{}, 64)}
 }
 
 func (g *gateDB) TopK(q query.Query) (hidden.Result, error) {
@@ -50,9 +53,26 @@ func (g *gateDB) TopK(q query.Query) (hidden.Result, error) {
 			break
 		}
 	}
-	g.blocked.Add(1)
+	select {
+	case g.arrived <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.Database.TopK(q)
+}
+
+// awaitN receives n signals from ch, reporting false when they do not all
+// come within five seconds.
+func awaitN(ch <-chan struct{}, n int) bool {
+	timeout := time.After(5 * time.Second)
+	for ; n > 0; n-- {
+		select {
+		case <-ch:
+		case <-timeout:
+			return false
+		}
+	}
+	return true
 }
 
 // latencyDB injects a fixed delay per upstream probe and counts calls.
@@ -118,6 +138,7 @@ func TestAdmissionSaturation(t *testing.T) {
 	const total = 10
 	var ok429, ok200 atomic.Int64
 	var maxInFlight atomic.Int64
+	shed := make(chan struct{}, total)
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
 		wg.Add(1)
@@ -139,18 +160,15 @@ func TestAdmissionSaturation(t *testing.T) {
 					t.Errorf("429 without Retry-After")
 				}
 				ok429.Add(1)
+				shed <- struct{}{}
 				return
 			}
 			ok200.Add(1)
 		}(i)
 	}
-	// Wait for the bound to fill, then shed the rest and open the gate.
-	deadline := time.Now().Add(5 * time.Second)
-	for db.blocked.Load() < bound && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for ok429.Load() < total-bound && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Wait for the bound to fill and the rest to be shed, then open the gate.
+	if !awaitN(db.arrived, bound) || !awaitN(shed, total-bound) {
+		t.Error("the bound never filled, or the excess was never shed")
 	}
 	close(db.gate)
 	wg.Wait()
@@ -248,6 +266,7 @@ func TestClientBudgetConcurrentBurst(t *testing.T) {
 
 	const total = 6
 	var ok200, ok429 atomic.Int64
+	shed := make(chan struct{}, total)
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
 		wg.Add(1)
@@ -262,17 +281,14 @@ func TestClientBudgetConcurrentBurst(t *testing.T) {
 					return
 				}
 				ok429.Add(1)
+				shed <- struct{}{}
 				return
 			}
 			ok200.Add(1)
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.blocked.Load() < limit && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	for ok429.Load() < total-limit && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if !awaitN(db.arrived, limit) || !awaitN(shed, total-limit) {
+		t.Error("the budget never filled, or the excess was never shed")
 	}
 	close(db.gate)
 	wg.Wait()
@@ -479,7 +495,7 @@ func TestStreamDisconnectReleasesSlot(t *testing.T) {
 	})
 
 	body, _ := json.Marshal(mdRequest(50, 70, 10))
-	req, err := http.NewRequest(http.MethodPost, api.URL+"/v1/rerank/stream", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, api.URL+"/v1/upstreams/default/rerank/stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,9 +537,8 @@ func TestDrain(t *testing.T) {
 		_, err := client.Rerank(mdRequest(55, 60, 2))
 		done <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for db.blocked.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	if !awaitN(db.arrived, 1) {
+		t.Error("the in-flight request never reached the upstream")
 	}
 	srv.BeginDrain()
 
@@ -568,7 +583,8 @@ func TestBodyLimits(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
-	for _, path := range []string{"/v1/rerank", "/v1/rerank/batch", "/v1/rerank/stream"} {
+	const rerank = "/v1/upstreams/default/rerank"
+	for _, path := range []string{rerank, rerank + "/batch", rerank + "/stream"} {
 		if code := post(path, strings.NewReader("{not json")); code != http.StatusBadRequest {
 			t.Errorf("%s malformed body: status %d, want 400", path, code)
 		}
@@ -584,13 +600,13 @@ func TestBodyLimits(t *testing.T) {
 		`{"ranking":{"kind":"single","attrs":["Depth"]},"h":1048576}`,
 	}
 	for _, body := range cases {
-		for _, path := range []string{"/v1/rerank", "/v1/rerank/stream"} {
+		for _, path := range []string{rerank, rerank + "/stream"} {
 			if code := post(path, strings.NewReader(body)); code != http.StatusBadRequest {
 				t.Errorf("%s %s: status %d, want 400", path, body, code)
 			}
 		}
 	}
-	if code := post("/v1/rerank/batch", strings.NewReader(`{"requests":[]}`)); code != http.StatusBadRequest {
+	if code := post(rerank+"/batch", strings.NewReader(`{"requests":[]}`)); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400", code)
 	}
 }
@@ -640,65 +656,33 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type %q", ct)
 	}
 	st := srv.Stats()
+	us := st.Upstreams[DefaultUpstream]
 	text := string(raw)
 	want := []string{
-		// Batch items run through the same rerank core, so requests_total
-		// counts single + batch-item + nothing-from-stream... stream has
-		// its own counter.
-		fmt.Sprintf("rerank_batch_requests_total %d", st.BatchRequests),
-		fmt.Sprintf("rerank_stream_requests_total %d", st.StreamRequests),
-		fmt.Sprintf("rerank_stream_tuples_total %d", st.StreamTuples),
-		fmt.Sprintf("rerank_engine_queries_total %d", st.EngineQueries),
 		fmt.Sprintf("rerank_sessions_limit %d", 9),
 		"rerank_rejected_total{cause=\"capacity\"} 0",
 		"rerank_rejected_total{cause=\"budget\"} 0",
 		"rerank_draining 0",
-		fmt.Sprintf("rerank_history_tuples %d", st.HistoryTuples),
-		// An exact hit and a contained one are told apart, flat and per
-		// namespace, and the facts' footprint is a gauge of its own.
-		fmt.Sprintf("rerank_probe_cache_entries %d", st.ProbeCacheEntries),
-		fmt.Sprintf("rerank_probe_contained_total %d", st.ProbeContainedHits),
-		fmt.Sprintf("rerank_upstream_probe_contained_total{upstream=\"default\"} %d", st.Upstreams["default"].ProbeContainedHits),
-		fmt.Sprintf("rerank_probe_fact_bytes %d", st.ProbeFactBytes),
-		// So is the replay of an overflow page, and 1D certification reports
-		// its outcomes.
-		fmt.Sprintf("rerank_probe_partial_total %d", st.ProbePartialHits),
-		fmt.Sprintf("rerank_upstream_probe_partial_total{upstream=\"default\"} %d", st.Upstreams["default"].ProbePartialHits),
-		fmt.Sprintf("rerank_certified_complete_total %d", st.CertifiedComplete),
-		fmt.Sprintf("rerank_certified_overflow_total %d", st.CertifiedOverflow),
-		fmt.Sprintf("rerank_upstream_certified_complete_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedComplete),
-		fmt.Sprintf("rerank_upstream_certified_overflow_total{upstream=\"default\"} %d", st.Upstreams["default"].CertifiedOverflow),
-		// MD certification does too, and the covers both cursors keep count
-		// the Get-Nexts they answered.
-		fmt.Sprintf("rerank_md_certified_complete_total %d", st.MDCertifiedComplete),
-		fmt.Sprintf("rerank_md_certified_overflow_total %d", st.MDCertifiedOverflow),
-		fmt.Sprintf("rerank_upstream_md_certified_complete_total{upstream=\"default\"} %d", st.Upstreams["default"].MDCertifiedComplete),
-		fmt.Sprintf("rerank_upstream_md_certified_overflow_total{upstream=\"default\"} %d", st.Upstreams["default"].MDCertifiedOverflow),
-		fmt.Sprintf("rerank_cover_hits_total %d", st.CoverHits),
-		fmt.Sprintf("rerank_upstream_cover_hits_total{upstream=\"default\"} %d", st.Upstreams["default"].CoverHits),
 	}
-	if def := st.Upstreams["default"]; st.MDCertifiedComplete == 0 || st.MDCertifiedComplete != def.MDCertifiedComplete ||
-		st.MDCertifiedOverflow != def.MDCertifiedOverflow || st.CoverHits == 0 || st.CoverHits != def.CoverHits {
-		t.Errorf("MD certifications %d complete / %d overflowing (default namespace %d / %d), cover hits %d (default namespace %d)",
-			st.MDCertifiedComplete, st.MDCertifiedOverflow, def.MDCertifiedComplete, def.MDCertifiedOverflow, st.CoverHits, def.CoverHits)
+	// Every namespace counter is one labeled series off the upstreamSeries
+	// table, with the value /v1/stats reports.
+	for _, m := range upstreamSeries {
+		want = append(want, fmt.Sprintf("rerank_upstream_%s{upstream=\"default\"} %d", m.name, m.value(us)))
 	}
-	if def := st.Upstreams["default"]; st.ProbePartialHits == 0 || st.ProbePartialHits != def.ProbePartialHits ||
-		st.CertifiedComplete == 0 || st.CertifiedComplete != def.CertifiedComplete || st.CertifiedOverflow != def.CertifiedOverflow {
-		t.Errorf("partial hits %d (default namespace %d), certifications %d complete / %d overflowing (default namespace %d / %d)",
-			st.ProbePartialHits, def.ProbePartialHits, st.CertifiedComplete, st.CertifiedOverflow, def.CertifiedComplete, def.CertifiedOverflow)
-	}
-	if st.ProbeContainedHits == 0 || st.ProbeContainedHits != st.Upstreams["default"].ProbeContainedHits ||
-		st.ProbeFactBytes <= 0 || st.ProbeCacheEntries == 0 {
-		t.Errorf("probe fact stats: %d facts, %d B, %d contained hits (default namespace %d)",
-			st.ProbeCacheEntries, st.ProbeFactBytes, st.ProbeContainedHits, st.Upstreams["default"].ProbeContainedHits)
+	// An exact hit, a contained one and the replay of an overflow page are
+	// told apart; 1D and MD certification report their outcomes, and the
+	// pages both cursors keep count the Get-Nexts they answered.
+	if us.ProbeContainedHits == 0 || us.ProbeFactBytes <= 0 || us.ProbeCacheEntries == 0 || us.ProbePartialHits == 0 ||
+		us.CertifiedComplete == 0 || us.MDCertifiedComplete == 0 || us.CoverHits == 0 {
+		t.Errorf("the requests exercised too little: %+v", us)
 	}
 	for _, line := range want {
 		if !strings.Contains(text, line) {
 			t.Errorf("metrics missing %q", line)
 		}
 	}
-	if st.StreamRequests != 1 || st.StreamTuples == 0 {
-		t.Errorf("stream counters: requests=%d tuples=%d", st.StreamRequests, st.StreamTuples)
+	if us.StreamRequests != 1 || us.StreamTuples == 0 {
+		t.Errorf("stream counters: requests=%d tuples=%d", us.StreamRequests, us.StreamTuples)
 	}
 }
 
@@ -707,7 +691,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestSchemaEndpoint(t *testing.T) {
 	db := bnDB(t, 300)
 	_, api, _ := servingPipeline(t, db, Options{Core: core.Options{N: 300}})
-	resp, err := api.Client().Get(api.URL + "/v1/schema")
+	resp, err := api.Client().Get(api.URL + "/v1/upstreams/default/schema")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
-// Streaming reranking: POST /v1/rerank/stream and its namespace-scoped
-// form POST /v1/upstreams/{ns}/rerank/stream.
+// Streaming reranking: POST /v1/upstreams/{ns}/rerank/stream.
 //
 // The engine's Get-Next interface (§2.2) is incremental by construction:
 // the cursor proves each next-best tuple correct before looking for the
-// following one. The plain /v1/rerank endpoint hides that — a client waits
+// following one. The plain rerank endpoint hides that — a client waits
 // for the whole search before seeing tuple #1. This endpoint streams the
 // cursor instead: the response is NDJSON, one StreamEvent per line, flushed
 // as each tuple is produced, so the first answer reaches the client while
@@ -22,14 +21,12 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"time"
-
-	"repro/internal/hidden"
 )
 
-// StreamEvent is one NDJSON line of a /v1/rerank/stream response. Tuple
+// StreamEvent is one NDJSON line of a stream response. Tuple
 // events carry Tuple and CumQueries; the final event has Done=true and the
 // same summary fields RerankResponse reports. A mid-stream failure ends the
 // stream with a final event whose Error is set (the HTTP status is already
@@ -49,7 +46,8 @@ type StreamEvent struct {
 	// Error and Status report an in-band failure on the final event: Error
 	// is the same envelope payload a non-2xx response body carries, and
 	// Status is the HTTP status the same failure would have produced on
-	// /v1/rerank (429 for upstream rate limiting, 502 otherwise), so
+	// the rerank route (429 for upstream rate limiting, 502 or 503 when the
+	// upstream failed or its guard holds it degraded or down), so
 	// clients can classify mid-stream failures exactly like one-shot ones.
 	Error  *ErrorInfo `json:"error,omitempty"`
 	Status int        `json:"status,omitempty"`
@@ -60,7 +58,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	t, ok := s.resolveTenant(w, r, req.Upstream)
+	t, ok := s.resolveTenant(w, r)
 	if !ok {
 		return
 	}
@@ -122,15 +120,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		tp, ok, err := cur.Next()
 		if err != nil {
-			ev := StreamEvent{Done: true, CumQueries: sess.Queries()}
-			if errors.Is(err, hidden.ErrRateLimited) {
-				ev.Status = http.StatusTooManyRequests
-				ev.Error = errorInfo(ev.Status, ErrCodeUpstreamRateLimited, err)
-			} else {
-				ev.Status = http.StatusBadGateway
-				ev.Error = errorInfo(ev.Status, ErrCodeUpstreamFailed, errors.New("upstream search failed: "+err.Error()))
+			// In-band, and classified exactly as the rerank route would.
+			status, code := upstreamStatus(err)
+			if code == ErrCodeUpstreamFailed {
+				err = fmt.Errorf("upstream search failed: %w", err)
 			}
-			emit(ev)
+			emit(StreamEvent{Done: true, CumQueries: sess.Queries(), Status: status, Error: errorInfo(status, code, err)})
 			return
 		}
 		if !ok {
