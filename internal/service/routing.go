@@ -38,13 +38,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
-	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -107,274 +103,6 @@ type RerankResponse struct {
 	// Epoch is the namespace's knowledge epoch the answer was computed
 	// under (also sent as the X-Knowledge-Epoch response header).
 	Epoch int64 `json:"epoch"`
-}
-
-// UpstreamStats is one namespace's counters, the only place an engine or
-// serving counter is declared: served under /v1/stats (the Upstreams map),
-// /v1/upstreams listings and /v1/upstreams/{ns}/stats, and rendered on
-// /metrics by upstreamSeries.
-type UpstreamStats struct {
-	// URL is the upstream's endpoint ("" for an in-process database).
-	URL string `json:"url,omitempty"`
-	// Default marks the default namespace: the first registered, the one
-	// Server.Rerank, Server.RerankBatch and Server.Engine serve.
-	Default bool `json:"default,omitempty"`
-	// AdmissionWeight is the per-session multiplier this namespace applies
-	// to the shared admission capacity.
-	AdmissionWeight int `json:"admissionWeight"`
-
-	EngineQueries     int64  `json:"engineQueries"`
-	HistoryTuples     int    `json:"historyTuples"`
-	ProbeCacheEntries int    `json:"probeCacheEntries"`
-	MDDenseRegions    int    `json:"mdDenseRegions"`
-	DenseMDBuckets    int    `json:"denseMDBuckets"`
-	DenseMDMaxBucket  int    `json:"denseMDMaxBucket"`
-	SearchParallelism int    `json:"searchParallelism"`
-	SpecProbesIssued  int64  `json:"specProbesIssued"`
-	SpecProbesWasted  int64  `json:"specProbesWasted"`
-	Requests          int64  `json:"requests"`
-	BatchRequests     int64  `json:"batchRequests"`
-	BatchItems        int64  `json:"batchItems"`
-	StreamRequests    int64  `json:"streamRequests"`
-	StreamTuples      int64  `json:"streamTuples"`
-	UpstreamK         int    `json:"upstreamK"`
-	UpstreamRanker    string `json:"upstreamRanker,omitempty"`
-
-	StorageBlocks         int   `json:"storageBlocks"`
-	StorageDictEntries    int   `json:"storageDictEntries"`
-	StorageResidentTuples int   `json:"storageResidentTuples"`
-	StorageApproxBytes    int64 `json:"storageApproxBytes"`
-	// ProbeContainedHits counts probes answered free by filtering a held
-	// complete answer whose box contains them, ProbePartialHits probes
-	// answered free by replaying the overflow page the identical probe got
-	// before (exact hits on complete answers are counted by neither);
-	// ProbeFactBytes approximates what the ProbeCacheEntries held answers
-	// occupy — queries and row references; their tuples are history rows.
-	ProbeContainedHits int64 `json:"probeContainedHits"`
-	ProbePartialHits   int64 `json:"probePartialHits"`
-	ProbeFactBytes     int64 `json:"probeFactBytes"`
-	// CertifiedComplete / CertifiedOverflow count 1D-RERANK's certification
-	// probes (at most one per Get-Next, over (last, candidate]) by outcome:
-	// a complete page answered the Get-Next outright, an overflowing one
-	// only improved the candidate. Their ratio is the certification hit rate.
-	CertifiedComplete int64 `json:"certifiedComplete"`
-	CertifiedOverflow int64 `json:"certifiedOverflow"`
-	// MDCertifiedComplete / MDCertifiedOverflow count MD-RERANK's deep
-	// certification probes (at most one per region resolution, over the
-	// contour of the D-th best known tuple) by the same outcomes. CoverHits
-	// counts the Get-Nexts, 1D and MD, answered from a certified page a
-	// cursor kept: next tuple and tie group for no probe at all.
-	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
-	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
-	CoverHits           int64 `json:"coverHits"`
-
-	// Living-upstream state: the knowledge epoch, sentinel drift detection,
-	// lazy re-validation and probe-guard counters (see docs/epochs.md).
-	Epoch            int64  `json:"epoch"`
-	EpochBumps       int64  `json:"epochBumps"`
-	StaleRegions     int    `json:"staleRegions"`
-	StaleHistoryRows int64  `json:"staleHistoryRows"`
-	RevalPromoted    int64  `json:"revalPromoted"`
-	RevalEvicted     int64  `json:"revalEvicted"`
-	SentinelPasses   int64  `json:"sentinelPasses"`
-	SentinelBumps    int64  `json:"sentinelBumps"`
-	LastSentinelUnix int64  `json:"lastSentinelUnix,omitempty"`
-	Health           string `json:"health"`
-	ProbeRetries     int64  `json:"probeRetries"`
-	ProbeHedges      int64  `json:"probeHedges"`
-	ProbeHedgeWins   int64  `json:"probeHedgeWins"`
-	ProbeFailures    int64  `json:"probeFailures"`
-	ProbeFastFails   int64  `json:"probeFastFails"`
-
-	// Acquire is the namespace's background-acquirer counters (absent when
-	// acquisition is disabled).
-	Acquire *acquire.Stats `json:"acquire,omitempty"`
-
-	// Per-namespace persistence gauges (the namespace's own segment store
-	// under data-dir/<ns>/).
-	PersistEnabled        bool   `json:"persistEnabled"`
-	PersistSeq            int64  `json:"persistSeq,omitempty"`
-	PersistCheckpoints    int64  `json:"persistCheckpoints,omitempty"`
-	PersistCompactions    int64  `json:"persistCompactions,omitempty"`
-	PersistJournalRecords int    `json:"persistJournalRecords,omitempty"`
-	PersistSegmentFiles   int    `json:"persistSegmentFiles,omitempty"`
-	PersistPendingOps     int    `json:"persistPendingOps,omitempty"`
-	PersistReplayedDeltas int    `json:"persistReplayedDeltas,omitempty"`
-	PersistBytesAppended  int64  `json:"persistBytesAppended,omitempty"`
-	PersistLastError      string `json:"persistLastError,omitempty"`
-}
-
-// Stats is the /v1/stats response body: the service-level counters, which
-// belong to no one namespace, and each namespace's own in Upstreams. A
-// service-wide total is the sum over Upstreams.
-type Stats struct {
-	// SessionsInFlight / MaxSessions describe the shared admission gate:
-	// currently-admitted session weight and the configured bound
-	// (0 = unlimited). Rejected* count requests shed at the edge, by
-	// cause: capacity, per-client budget, draining shutdown.
-	SessionsInFlight int   `json:"sessionsInFlight"`
-	MaxSessions      int   `json:"maxSessions"`
-	RejectedCapacity int64 `json:"rejectedCapacity"`
-	RejectedBudget   int64 `json:"rejectedBudget"`
-	RejectedDraining int64 `json:"rejectedDraining"`
-	// Draining is true once BeginDrain was called (shutdown in progress).
-	Draining bool `json:"draining"`
-	// AcquireEnabled is true when background acquisition is configured.
-	AcquireEnabled bool `json:"acquireEnabled"`
-	// DefaultUpstream names the default namespace.
-	DefaultUpstream string                   `json:"defaultUpstream,omitempty"`
-	Upstreams       map[string]UpstreamStats `json:"upstreams"`
-}
-
-// tenant is one registered namespace's serving-tier state: the namespace
-// (isolated engine), its database handle, and the per-namespace HTTP
-// counters.
-type tenant struct {
-	ns  *core.Namespace
-	db  hidden.Database
-	url string // upstream endpoint; "" for in-process databases
-
-	requests       atomic.Int64
-	batchRequests  atomic.Int64
-	batchItems     atomic.Int64
-	streamRequests atomic.Int64
-	streamTuples   atomic.Int64
-
-	// lastUser is the unix-nano timestamp of the namespace's most recent
-	// user request execution — the acquirer's idle gate.
-	lastUser atomic.Int64
-	// acq is the namespace's background acquirer (nil unless
-	// Options.Acquire.Enabled).
-	acq *acquire.Acquirer
-	// guard is the probe guard wrapped around a remote upstream (nil for
-	// in-process databases, which always report healthy).
-	guard *hidden.Guard
-	// sent is the namespace's running sentinel loop (nil unless
-	// Options.Sentinel.Enabled).
-	sent *sentinelLoop
-}
-
-func (t *tenant) engine() *core.Engine { return t.ns.Engine() }
-
-// Server is the reranking service: a registry of upstream namespaces behind
-// one HTTP surface. Requests are handled concurrently; each namespace's
-// shared knowledge is internally synchronized and each request runs in its
-// own engine session. The only server-level lock serializes the persistence
-// lifecycle (OpenDataDir against registrations); checkpoints are safe to
-// take while requests are in flight.
-type Server struct {
-	registry *core.Registry
-	opts     Options
-
-	tmu     sync.RWMutex
-	tenants map[string]*tenant
-
-	// Admission/shedding state (see admission.go). Shared across
-	// namespaces: sessions compete for process resources no matter which
-	// upstream they probe.
-	draining         atomic.Bool
-	rejectedCapacity atomic.Int64
-	rejectedBudget   atomic.Int64
-	rejectedDraining atomic.Int64
-	budgets          *budgetLedger // nil when ClientBudget is unset
-
-	// persistMu guards dataDir/persistCfg and serializes OpenDataDir with a
-	// concurrent registration's attach. dataDir, once set by OpenDataDir,
-	// makes every namespace (including later registrations) persist under
-	// dataDir/<ns>/.
-	persistMu  sync.Mutex
-	dataDir    string
-	persistCfg PersistConfig
-}
-
-// NewFederatedServer builds a service with no upstreams registered yet; add
-// them with RegisterUpstream / RegisterUpstreamDB (the first becomes the
-// default namespace). opts.Core seeds every namespace's engine options;
-// opts.Core.MaxConcurrentSessions is the SHARED admission bound across all
-// namespaces.
-func NewFederatedServer(opts Options) *Server {
-	opts = opts.withDefaults()
-	return &Server{
-		registry: core.NewRegistry(core.RegistryOptions{
-			MaxConcurrentSessions: opts.Core.MaxConcurrentSessions,
-		}),
-		opts:    opts,
-		tenants: make(map[string]*tenant),
-		budgets: newBudgetLedger(opts.ClientBudget, opts.ClientBudgetWindow, nil),
-	}
-}
-
-// NewServer builds a single-upstream service over the given database,
-// registered as the default namespace. n is the (estimated) upstream size
-// used for dense-index thresholds.
-func NewServer(db hidden.Database, n int) *Server {
-	return NewServerWith(db, core.Options{N: n})
-}
-
-// NewServerWith builds a single-upstream service with explicit engine
-// options (opts.N is the upstream size estimate; coalescing, cache sizing
-// and the session admission bound are also set here) and default serving
-// options.
-func NewServerWith(db hidden.Database, opts core.Options) *Server {
-	return NewServerWithOptions(db, Options{Core: opts})
-}
-
-// NewServerWithOptions builds a single-upstream service with full
-// serving-tier options; db is registered as the default namespace.
-func NewServerWithOptions(db hidden.Database, opts Options) *Server {
-	s := NewFederatedServer(opts)
-	if _, err := s.RegisterUpstreamDB(UpstreamConfig{Name: DefaultUpstream}, db); err != nil {
-		// Unreachable: the name is valid and the registry is empty.
-		panic(fmt.Sprintf("service: register default upstream: %v", err))
-	}
-	return s
-}
-
-// Engine exposes the DEFAULT namespace's engine (single-upstream tests and
-// tools; nil when no upstream is registered).
-func (s *Server) Engine() *core.Engine {
-	if t, ok := s.tenantFor(""); ok {
-		return t.engine()
-	}
-	return nil
-}
-
-// SessionsInFlight reports the admitted session weight currently in flight
-// across all namespaces.
-func (s *Server) SessionsInFlight() int { return s.registry.SessionsInFlight() }
-
-// SessionCapacity returns the shared MaxConcurrentSessions bound
-// (0 = unlimited).
-func (s *Server) SessionCapacity() int { return s.registry.SessionCapacity() }
-
-// tenantFor resolves a namespace name to its tenant; the empty name
-// resolves to the default namespace.
-func (s *Server) tenantFor(name string) (*tenant, bool) {
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	if name == "" {
-		ns := s.registry.Default()
-		if ns == nil {
-			return nil, false
-		}
-		name = ns.Name()
-	}
-	t, ok := s.tenants[name]
-	return t, ok
-}
-
-// tenantList snapshots the registered tenants in namespace order.
-func (s *Server) tenantList() []*tenant {
-	nss := s.registry.List()
-	s.tmu.RLock()
-	defer s.tmu.RUnlock()
-	out := make([]*tenant, 0, len(nss))
-	for _, ns := range nss {
-		if t, ok := s.tenants[ns.Name()]; ok {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // resolveTenant picks the namespace the {ns} path wildcard names; an unknown
@@ -453,114 +181,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		return false
 	}
 	return true
-}
-
-// tenantStats snapshots one namespace's counters.
-func (s *Server) tenantStats(t *tenant) UpstreamStats {
-	eng := t.engine()
-	gs := eng.MDBucketStats()
-	specIssued, specWasted := eng.SpeculationStats()
-	us := UpstreamStats{
-		URL:               t.url,
-		Default:           s.registry.Default() == t.ns,
-		AdmissionWeight:   t.ns.AdmissionWeight(),
-		EngineQueries:     eng.Queries(),
-		HistoryTuples:     eng.History().Size(),
-		ProbeCacheEntries: eng.ProbeCacheEntries(),
-		MDDenseRegions:    eng.MDDenseRegions(),
-		DenseMDBuckets:    gs.Buckets,
-		DenseMDMaxBucket:  gs.MaxBucket,
-		SearchParallelism: eng.SearchParallelism(),
-		SpecProbesIssued:  specIssued,
-		SpecProbesWasted:  specWasted,
-		Requests:          t.requests.Load(),
-		BatchRequests:     t.batchRequests.Load(),
-		BatchItems:        t.batchItems.Load(),
-		StreamRequests:    t.streamRequests.Load(),
-		StreamTuples:      t.streamTuples.Load(),
-		UpstreamK:         t.db.K(),
-	}
-	us.Epoch = eng.Epoch()
-	us.EpochBumps = eng.Knowledge().EpochBumps()
-	us.StaleRegions = eng.Knowledge().StaleRegions()
-	us.StaleHistoryRows = eng.Knowledge().StaleHistoryRows()
-	us.RevalPromoted, us.RevalEvicted = eng.RevalidationStats()
-	us.SentinelPasses, us.SentinelBumps, us.LastSentinelUnix = eng.SentinelStats()
-	us.Health = hidden.HealthHealthy.String()
-	if t.guard != nil {
-		gh := t.guard.Health()
-		us.Health = gh.State.String()
-		us.ProbeRetries = gh.Retries
-		us.ProbeHedges = gh.Hedges
-		us.ProbeHedgeWins = gh.HedgeWins
-		us.ProbeFailures = gh.Failures
-		us.ProbeFastFails = gh.FastFails
-	}
-	ss := eng.StorageStats()
-	us.StorageBlocks = ss.Blocks
-	us.StorageDictEntries = ss.DictEntries
-	us.StorageResidentTuples = ss.Tuples
-	us.ProbeContainedHits = eng.ProbeContainedHits()
-	us.ProbePartialHits = eng.ProbePartialHits()
-	us.CertifiedComplete, us.CertifiedOverflow = eng.CertificationStats()
-	us.MDCertifiedComplete, us.MDCertifiedOverflow = eng.MDCertificationStats()
-	us.CoverHits = eng.CoverHits()
-	us.ProbeFactBytes = eng.ProbeCacheBytes()
-	us.StorageApproxBytes = ss.ApproxBytes + us.ProbeFactBytes
-	if hdb, ok := t.db.(*hidden.DB); ok {
-		us.UpstreamRanker = hdb.RankerName()
-	}
-	if t.acq != nil {
-		as := t.acq.Stats()
-		us.Acquire = &as
-	}
-	if p := eng.Persister(); p != nil {
-		ps := p.Stats()
-		us.PersistEnabled = true
-		us.PersistSeq = int64(ps.Store.Seq)
-		us.PersistCheckpoints = ps.Store.Checkpoints
-		us.PersistCompactions = ps.Store.Compactions
-		us.PersistJournalRecords = ps.Store.JournalRecords
-		us.PersistSegmentFiles = ps.Store.SegmentFiles
-		us.PersistPendingOps = ps.PendingOps
-		us.PersistReplayedDeltas = ps.Store.ReplayedDeltas
-		us.PersistBytesAppended = ps.Store.BytesAppended
-		us.PersistLastError = ps.LastError
-	}
-	return us
-}
-
-// Stats reports the service's current counters (also served at /v1/stats).
-func (s *Server) Stats() Stats {
-	st := Stats{
-		SessionsInFlight: s.registry.SessionsInFlight(),
-		MaxSessions:      s.registry.SessionCapacity(),
-		RejectedCapacity: s.rejectedCapacity.Load(),
-		RejectedBudget:   s.rejectedBudget.Load(),
-		RejectedDraining: s.rejectedDraining.Load(),
-		Draining:         s.draining.Load(),
-		AcquireEnabled:   s.opts.Acquire.Enabled,
-		Upstreams:        make(map[string]UpstreamStats),
-	}
-	if def := s.registry.Default(); def != nil {
-		st.DefaultUpstream = def.Name()
-	}
-	for _, t := range s.tenantList() {
-		st.Upstreams[t.ns.Name()] = s.tenantStats(t)
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleUpstreamStats(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.tenantStats(t))
 }
 
 func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
