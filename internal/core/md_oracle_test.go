@@ -84,13 +84,12 @@ func mdWorlds() []mdWorld {
 
 // TestMDOracle runs windows × rankers × h ∈ {1, 5, 25} through one engine per
 // (corpus, variant, width, coalescing mode), so later cursors search from the
-// history and facts earlier ones left, and bumps the epoch half way: what was
-// learned before it is a hint afterwards, and the answers may not change.
-// Last it makes TestOneDOracleAcrossDrift's move: per window and ranker, warm
-// a top-5, move the oracle's top tuple to the far end of its first ranked
-// attribute behind the engine's back, bump the epoch and ask again. History
-// still offers the old version as the best candidate; only what the upstream
-// holds now may be emitted.
+// history and facts earlier ones left. Half way it makes
+// TestOneDOracleAcrossDrift's move: per window and ranker it moves the
+// oracle's top tuple to the far end of its first ranked attribute behind the
+// engine's back, then bumps the epoch. What was learned before is a hint
+// afterwards — history still offers each old version as the best candidate —
+// and only what the upstream holds now may be emitted.
 func TestMDOracle(t *testing.T) {
 	for _, w := range mdWorlds() {
 		for _, v := range []Variant{Baseline, Binary, Rerank} {
@@ -120,6 +119,23 @@ func TestMDOracle(t *testing.T) {
 						}
 						for i, h := range []int{1, 25, 5, 25} {
 							if i == 2 {
+								// History holds every window's head: drift each
+								// window's top tuple behind the engine's back.
+								for _, q := range w.windows {
+									for _, r := range w.rankers {
+										top := oracleTopH(corpus, q, r, 1)[0]
+										a := r.Attrs()[0]
+										d := db.Schema().Domain(a)
+										to := d.Max
+										if ranking.ScoreTuple(r, withOrd(top, a, d.Min)) > ranking.ScoreTuple(r, withOrd(top, a, d.Max)) {
+											to = d.Min
+										}
+										if !db.SetOrd(top.ID, a, to) {
+											t.Fatal("SetOrd refused")
+										}
+										corpus[top.ID].Ord[a] = to
+									}
+								}
 								e.know.BumpEpoch()
 							}
 							for _, q := range w.windows {
@@ -135,24 +151,6 @@ func TestMDOracle(t *testing.T) {
 						// A page of ten certifies at depth 1, the candidate's own contour.
 						if v == Rerank && (e.CoverHits() == 0 || (certDepth(db.K()) > 1 && complete == 0)) {
 							t.Fatalf("%d complete certifications, %d cover hits; the test exercised nothing", complete, e.CoverHits())
-						}
-						for _, q := range w.windows {
-							for _, r := range w.rankers {
-								ask(q, r, 5) // history now holds the window's head
-								top := oracleTopH(corpus, q, r, 1)[0]
-								a := r.Attrs()[0]
-								d := db.Schema().Domain(a)
-								to := d.Max
-								if ranking.ScoreTuple(r, withOrd(top, a, d.Min)) > ranking.ScoreTuple(r, withOrd(top, a, d.Max)) {
-									to = d.Min
-								}
-								if !db.SetOrd(top.ID, a, to) {
-									t.Fatal("SetOrd refused")
-								}
-								corpus[top.ID].Ord[a] = to
-								e.know.BumpEpoch()
-								ask(q, r, 5)
-							}
 						}
 						if ledgers != db.QueryCount() || e.Queries() != db.QueryCount() {
 							t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", ledgers, e.Queries(), db.QueryCount())

@@ -95,15 +95,7 @@ func NewFederatedServer(opts Options) *Server {
 // registered as the default namespace. n is the (estimated) upstream size
 // used for dense-index thresholds.
 func NewServer(db hidden.Database, n int) *Server {
-	return NewServerWith(db, core.Options{N: n})
-}
-
-// NewServerWith builds a single-upstream service with explicit engine
-// options (opts.N is the upstream size estimate; coalescing, cache sizing
-// and the session admission bound are also set here) and default serving
-// options.
-func NewServerWith(db hidden.Database, opts core.Options) *Server {
-	return NewServerWithOptions(db, Options{Core: opts})
+	return NewServerWithOptions(db, Options{Core: core.Options{N: n}})
 }
 
 // NewServerWithOptions builds a single-upstream service with full

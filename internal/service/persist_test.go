@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hidden"
 	"repro/internal/types"
 )
@@ -63,7 +62,7 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := denseMDRequest()
 
-	srv1 := NewServerWith(db, core.Options{N: 1200})
+	srv1 := NewServer(db, 1200)
 	if err := srv1.OpenDataDir(dir, PersistConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	}
 
 	db.ResetCounter()
-	srv2 := NewServerWith(db, core.Options{N: 1200})
+	srv2 := NewServer(db, 1200)
 	if err := srv2.OpenDataDir(dir, PersistConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestMetricsExposePersistSeries(t *testing.T) {
 		return rec.Body.String()
 	}
 
-	plain := NewServerWith(db, core.Options{N: 1200})
+	plain := NewServer(db, 1200)
 	body := scrape(plain)
 	for _, want := range []string{
 		`rerank_upstream_persist_enabled{upstream="default"} 0`,
@@ -146,7 +145,7 @@ func TestMetricsExposePersistSeries(t *testing.T) {
 		}
 	}
 
-	srv := NewServerWith(db, core.Options{N: 1200})
+	srv := NewServer(db, 1200)
 	if err := srv.OpenDataDir(t.TempDir(), PersistConfig{}); err != nil {
 		t.Fatal(err)
 	}

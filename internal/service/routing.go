@@ -295,7 +295,9 @@ func (s *Server) run(t *tenant, q query.Query, rk ranking.Ranker, variant core.V
 		Epoch:         eng.Epoch(),
 	}
 	for _, tp := range tuples {
-		resp.Tuples = append(resp.Tuples, toJSON(t.db.Schema(), rk, tp))
+		var tj TupleJSON
+		toJSONInto(t.db.Schema(), rk, tp, &tj)
+		resp.Tuples = append(resp.Tuples, tj)
 	}
 	return resp, resp.QueriesIssued, http.StatusOK, "", nil
 }
@@ -323,12 +325,6 @@ func buildRequest(schema *types.Schema, req *RerankRequest) (query.Query, rankin
 		return query.Query{}, nil, 0, err
 	}
 	return q, rk, variant, nil
-}
-
-func toJSON(schema *types.Schema, rk ranking.Ranker, t types.Tuple) TupleJSON {
-	var out TupleJSON
-	toJSONInto(schema, rk, t, &out)
-	return out
 }
 
 // toJSONInto fills dst from t, reusing dst's Ord map across calls. The stream
