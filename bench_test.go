@@ -26,7 +26,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/hidden"
 	"repro/internal/history"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/service"
@@ -419,74 +418,6 @@ func BenchmarkMDParallel(b *testing.B) {
 				benchMDParallel(b, procs, width)
 			})
 		}
-	}
-}
-
-// benchDenseIndexes caches built MD dense indexes per region count: the
-// 10k-region build is quadratic in the absorb scan and must not re-run for
-// every benchtime refinement.
-var benchDenseIndexes = map[int]*index.DenseMD{}
-
-func benchDenseIndex(n int) *index.DenseMD {
-	if d, ok := benchDenseIndexes[n]; ok {
-		return d
-	}
-	rng := rand.New(rand.NewSource(int64(n)))
-	d := index.NewDenseMD()
-	for i := 0; i < n; i++ {
-		lo0, lo1 := rng.Float64()*99, rng.Float64()*99
-		w := 0.2 + rng.Float64()*0.6
-		d.Insert(query.Box{Dims: []types.Interval{
-			{Lo: lo0, Hi: lo0 + w}, {Lo: lo1, Hi: lo1 + w},
-		}}, nil, index.FirstEpoch)
-	}
-	benchDenseIndexes[n] = d
-	return d
-}
-
-// BenchmarkDenseLookup measures one MD dense-region lookup (hit path) at
-// growing region counts, against the pre-grid linear scan over the same
-// regions. The grid's ns/op staying flat from 100 to 10k regions — while
-// linear grows ~100x — is the sub-linear-index win the CI gate pins.
-func BenchmarkDenseLookup(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
-		d := benchDenseIndex(n)
-		regions := d.Export()
-		rng := rand.New(rand.NewSource(99))
-		// Lookup boxes: sub-boxes of recorded regions, so every lookup is
-		// a hit (the oracle's fast path).
-		probes := make([]query.Box, 256)
-		for i := range probes {
-			r := regions[rng.Intn(len(regions))]
-			pb := r.Box.Clone()
-			for j, iv := range pb.Dims {
-				w := iv.Hi - iv.Lo
-				pb.Dims[j] = types.ClosedInterval(iv.Lo+w/4, iv.Hi-w/4)
-			}
-			probes[i] = pb
-		}
-		b.Run(fmt.Sprintf("regions=%d/impl=grid", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, ok := d.Lookup(probes[i%len(probes)]); !ok {
-					b.Fatal("lookup missed a covered box")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("regions=%d/impl=linear", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pb := probes[i%len(probes)]
-				found := false
-				for _, r := range regions {
-					if r.Box.ContainsBox(pb) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					b.Fatal("linear scan missed a covered box")
-				}
-			}
-		})
 	}
 }
 

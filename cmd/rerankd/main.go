@@ -113,7 +113,7 @@ func main() {
 		hedgeAfter   = flag.Duration("hedge-after", 0, "launch a hedged second attempt for a remote probe not answered within this duration (0 = off)")
 		probeRetries = flag.Int("probe-retries", 0, "extra attempts per remote probe before it fails (0 = default 2, negative = none)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size limit in bytes")
-		streamWrite  = flag.Duration("stream-write-timeout", 30*time.Second, "per-event write deadline on /v1/rerank/stream (stalled readers are disconnected)")
+		streamWrite  = flag.Duration("stream-write-timeout", 30*time.Second, "per-event write deadline on /v1/upstreams/{ns}/rerank/stream (stalled readers are disconnected)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	)
 	flag.Parse()

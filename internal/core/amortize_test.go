@@ -53,8 +53,7 @@ func TestDenseIndexAmortization(t *testing.T) {
 	if costs[1] >= costs[0] || costs[2] >= costs[0] {
 		t.Errorf("index did not amortize: costs %v", costs)
 	}
-	t.Logf("per-query costs across users: %v (crawl ledger %d)",
-		costs, e.DenseIndex1D().CrawlCost())
+	t.Logf("per-query costs across users: %v", costs)
 }
 
 // TestDOTSpotExactness validates the full stack against the synthetic DOT

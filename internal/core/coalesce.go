@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/hidden"
 	"repro/internal/history"
-	"repro/internal/index"
 	"repro/internal/query"
 )
 
@@ -158,7 +157,7 @@ type coalescer struct {
 
 // newCoalescer builds the coalescing layer over the engine's history store.
 // epochFn supplies the current knowledge epoch (nil pins every fact to
-// index.FirstEpoch).
+// FirstEpoch).
 func newCoalescer(db hidden.Database, cacheSize int, disabled bool, hist *history.Store, epochFn func() int64) *coalescer {
 	if cacheSize == 0 {
 		cacheSize = defaultProbeCacheSize
@@ -173,7 +172,7 @@ func newCoalescer(db hidden.Database, cacheSize int, disabled bool, hist *histor
 // curEpoch returns the engine's current knowledge epoch.
 func (c *coalescer) curEpoch() int64 {
 	if c.epochFn == nil {
-		return index.FirstEpoch
+		return FirstEpoch
 	}
 	return c.epochFn()
 }

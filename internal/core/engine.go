@@ -30,15 +30,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/acquire"
 	"repro/internal/hidden"
 	"repro/internal/history"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -205,8 +202,25 @@ func (e *Engine) Knowledge() *Knowledge { return e.know }
 // History returns the engine's cross-query tuple cache.
 func (e *Engine) History() *history.Store { return e.know.hist }
 
-// DenseIndex1D exposes the 1D dense index for inspection by experiments.
-func (e *Engine) DenseIndex1D() *index.Dense1D { return e.know.dense1 }
+// DenseIndex1D exposes the crawled regions over one attribute — Algorithm 4's
+// dense index — for inspection.
+func (e *Engine) DenseIndex1D() Dense1D { return Dense1D{e.know.crawled} }
+
+// Dense1D is a read-only view of the 1D crawled regions.
+type Dense1D struct{ c *crawledFacts }
+
+// Lookup returns the crawled interval on attr covering iv, of any epoch.
+func (d Dense1D) Lookup(attr int, iv types.Interval) (types.Interval, bool) {
+	if f := d.c.lookup([]factRange{{attr, iv}}); f != nil {
+		return f.ranges[0].iv, true
+	}
+	return types.Interval{}, false
+}
+
+// Regions returns the number of crawled intervals on attr.
+func (d Dense1D) Regions(attr int) int {
+	return d.c.count(func(f *fact) bool { return len(f.ranges) == 1 && f.ranges[0].attr == attr })
+}
 
 // ProbeCacheEntries returns the number of probe answers — complete ones and
 // overflow pages — currently held as facts by the coalescing layer (0 when
@@ -276,8 +290,8 @@ func (e *Engine) RecordHeat(q query.Query) {
 // again, refreshing stale knowledge from idle capacity alongside genuinely
 // un-crawled windows.
 func (e *Engine) WindowWarm(attr int, iv types.Interval) bool {
-	reg, ok := e.know.dense1.Lookup(attr, iv)
-	return ok && reg.Epoch >= e.know.Epoch()
+	f := e.know.crawled.lookup([]factRange{{attr, iv}})
+	return f != nil && f.epoch >= e.know.Epoch()
 }
 
 // Epoch returns the namespace's current knowledge epoch.
@@ -292,15 +306,17 @@ func (e *Engine) RevalidationStats() (promoted, evicted int64) {
 	return e.know.denseRevalPromoted.Load() + cp, e.know.denseRevalEvicted.Load() + ce
 }
 
-// MDDenseRegions returns the total number of crawled MD dense regions across
-// all ranked-attribute subsets. A data dir persists these regions, so after
-// a warm restart this reports how many boxes MD-RERANK can answer locally for
-// zero upstream cost.
-func (e *Engine) MDDenseRegions() int { return e.know.MDRegions() }
+// MDDenseRegions returns the number of crawled regions over more than one
+// attribute (Algorithm 6's boxes). A data dir persists them, so after a warm
+// restart this reports how many boxes MD-RERANK can answer locally for zero
+// upstream cost.
+func (e *Engine) MDDenseRegions() int {
+	return e.know.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 })
+}
 
-// MDBucketStats aggregates the MD dense indexes' centroid-grid shape across
-// all ranked-attribute subsets.
-func (e *Engine) MDBucketStats() index.GridStats { return e.know.MDBucketStats() }
+// CrawledMaxBucket returns the population of the largest crawled-region
+// bucket: the most facts one dense lookup may walk.
+func (e *Engine) CrawledMaxBucket() int { return e.know.crawled.maxBucket() }
 
 // searchWidth returns the MD search's speculative probe width (≥ 1). A
 // configured per-op budget forces sequential search: under a binding
@@ -372,16 +388,6 @@ func (e *Engine) denseVolumeMD(attrs []int) float64 {
 		vol *= e.db.Schema().Domain(a).Width()
 	}
 	return vol * (e.sParam() / float64(e.opts.N)) / e.cParam()
-}
-
-func attrsKey(attrs []int) string {
-	s := append([]int(nil), attrs...)
-	sort.Ints(s)
-	parts := make([]string, len(s))
-	for i, a := range s {
-		parts[i] = fmt.Sprint(a)
-	}
-	return strings.Join(parts, ",")
 }
 
 // Cursor is the incremental Get-Next interface of §2.2: each call returns

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/hidden"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -56,7 +55,7 @@ func TestSentinelDetectsDrift(t *testing.T) {
 	if got := e.Queries() - before; got != wantQueries {
 		t.Fatalf("engine ledger charged %d for the pass, want %d", got, wantQueries)
 	}
-	if e.Epoch() != index.FirstEpoch {
+	if e.Epoch() != FirstEpoch {
 		t.Fatalf("baseline pass moved the epoch to %d", e.Epoch())
 	}
 
@@ -82,8 +81,8 @@ func TestSentinelDetectsDrift(t *testing.T) {
 	if !bumped {
 		t.Fatal("sentinel pass after mutation did not bump the epoch")
 	}
-	if e.Epoch() != index.FirstEpoch+1 {
-		t.Fatalf("epoch = %d, want %d", e.Epoch(), index.FirstEpoch+1)
+	if e.Epoch() != FirstEpoch+1 {
+		t.Fatalf("epoch = %d, want %d", e.Epoch(), FirstEpoch+1)
 	}
 	passes, bumps, lastUnix := e.SentinelStats()
 	if passes != 3 || bumps != 1 || lastUnix == 0 {
@@ -124,76 +123,106 @@ func TestSentinelErrorLeavesDigestsUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bumped || e.Epoch() != index.FirstEpoch {
+	if bumped || e.Epoch() != FirstEpoch {
 		t.Fatalf("recovered pass bumped=%v epoch=%d — a flaky pass faked drift", bumped, e.Epoch())
 	}
 }
 
+// TestDenseLookup1LazyRevalidation: a crawled region — an interval, or a box
+// over two attributes — answers for free at its epoch, costs exactly one
+// confirming probe once stale, and is promoted when that probe agrees or
+// evicted when the upstream drifted.
 func TestDenseLookup1LazyRevalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
-	e := NewEngine(db, Options{N: 400})
-	iv, inside := narrowWindow(t, tuples, 10)
+	for _, tc := range []struct {
+		name  string
+		attr1 bool // add a second attribute, spanning its whole domain
+	}{{"1D", false}, {"2D", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
+			e := NewEngine(db, Options{N: 400})
+			iv, inside := narrowWindow(t, tuples, 10)
+			rs := []factRange{{0, iv}}
+			if tc.attr1 {
+				rs = append(rs, factRange{1, types.ClosedInterval(0, 100)})
+			}
 
-	s := e.NewSession()
-	if err := s.crawlDense1(0, iv); err != nil {
-		t.Fatal(err)
-	}
+			s := e.NewSession()
+			if err := s.crawlBox(rs); err != nil {
+				t.Fatal(err)
+			}
 
-	// Fresh region at the current epoch: lookups are free.
-	s2 := e.NewSession()
-	if _, ok, err := s2.denseLookup1(0, iv); err != nil || !ok {
-		t.Fatalf("lookup after crawl: ok=%v err=%v", ok, err)
-	}
-	if s2.Queries() != 0 {
-		t.Fatalf("fresh-region lookup spent %d queries, want 0", s2.Queries())
-	}
+			// Fresh region at the current epoch: lookups are free.
+			s2 := e.NewSession()
+			if f, err := s2.crawledLookup(rs); err != nil || f == nil {
+				t.Fatalf("lookup after crawl: found=%v err=%v", f != nil, err)
+			}
+			if s2.Queries() != 0 {
+				t.Fatalf("fresh-region lookup spent %d queries, want 0", s2.Queries())
+			}
 
-	// Epoch bump marks the region stale; the first touch spends exactly one
-	// confirming probe and, with no actual drift, promotes it.
-	e.know.BumpEpoch()
-	if e.know.StaleRegions() != 1 {
-		t.Fatalf("StaleRegions = %d after bump, want 1", e.know.StaleRegions())
-	}
-	s3 := e.NewSession()
-	reg, ok, err := s3.denseLookup1(0, iv)
-	if err != nil || !ok {
-		t.Fatalf("stale lookup: ok=%v err=%v", ok, err)
-	}
-	if s3.Queries() != 1 {
-		t.Fatalf("stale re-validation spent %d queries, want exactly 1", s3.Queries())
-	}
-	if reg.Epoch != e.Epoch() {
-		t.Fatalf("promoted region epoch %d, want %d", reg.Epoch, e.Epoch())
-	}
-	if p := e.know.denseRevalPromoted.Load(); p != 1 {
-		t.Fatalf("denseRevalPromoted = %d, want 1", p)
-	}
-	if e.know.StaleRegions() != 0 {
-		t.Fatalf("StaleRegions = %d after promotion, want 0", e.know.StaleRegions())
-	}
+			// Epoch bump marks the region stale; the first touch spends
+			// exactly one confirming probe and, with no actual drift,
+			// promotes it. The probe also re-validates the crawl's own
+			// cached probe answer, so both surfaces count a promotion.
+			e.know.BumpEpoch()
+			if e.know.StaleRegions() != 1 {
+				t.Fatalf("StaleRegions = %d after bump, want 1", e.know.StaleRegions())
+			}
+			s3 := e.NewSession()
+			f, err := s3.crawledLookup(rs)
+			if err != nil || f == nil {
+				t.Fatalf("stale lookup: found=%v err=%v", f != nil, err)
+			}
+			if s3.Queries() != 1 {
+				t.Fatalf("stale re-validation spent %d queries, want exactly 1", s3.Queries())
+			}
+			if f.epoch != e.Epoch() {
+				t.Fatalf("promoted region epoch %d, want %d", f.epoch, e.Epoch())
+			}
+			if p := e.know.denseRevalPromoted.Load(); p != 1 {
+				t.Fatalf("denseRevalPromoted = %d, want 1", p)
+			}
+			if p, ev := e.RevalidationStats(); p != 2 || ev != 0 {
+				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 0", p, ev)
+			}
+			if e.know.StaleRegions() != 0 {
+				t.Fatalf("StaleRegions = %d after promotion, want 0", e.know.StaleRegions())
+			}
 
-	// Promoted: the next touch is free again.
-	s4 := e.NewSession()
-	if _, ok, _ := s4.denseLookup1(0, iv); !ok || s4.Queries() != 0 {
-		t.Fatalf("post-promotion lookup: ok=%v queries=%d, want true/0", ok, s4.Queries())
-	}
+			// Promoted: the next touch is free again.
+			s4 := e.NewSession()
+			if f, _ := s4.crawledLookup(rs); f == nil || s4.Queries() != 0 {
+				t.Fatalf("post-promotion lookup: found=%v queries=%d, want true/0", f != nil, s4.Queries())
+			}
 
-	// Real drift: move a region tuple's value out of the window, bump, and
-	// the confirming probe must evict the region (not promote a lie).
-	if !db.SetOrd(inside[0].ID, 0, iv.Hi+40) {
-		t.Fatal("SetOrd refused")
-	}
-	e.know.BumpEpoch()
-	s5 := e.NewSession()
-	if _, ok, err := s5.denseLookup1(0, iv); err != nil || ok {
-		t.Fatalf("lookup after drift: ok=%v err=%v, want miss (evicted)", ok, err)
-	}
-	if s5.Queries() != 1 {
-		t.Fatalf("drift detection spent %d queries, want exactly 1", s5.Queries())
-	}
-	if ev := e.know.denseRevalEvicted.Load(); ev != 1 {
-		t.Fatalf("denseRevalEvicted = %d, want 1", ev)
+			// Real drift: move a region tuple's value out of the box,
+			// bump, and the confirming probe must evict the region (not
+			// promote a lie).
+			if !db.SetOrd(inside[0].ID, 0, iv.Hi+40) {
+				t.Fatal("SetOrd refused")
+			}
+			e.know.BumpEpoch()
+			if e.know.StaleRegions() != 1 {
+				t.Fatalf("StaleRegions = %d after the second bump, want 1", e.know.StaleRegions())
+			}
+			s5 := e.NewSession()
+			if f, err := s5.crawledLookup(rs); err != nil || f != nil {
+				t.Fatalf("lookup after drift: found=%v err=%v, want miss (evicted)", f != nil, err)
+			}
+			if s5.Queries() != 1 {
+				t.Fatalf("drift detection spent %d queries, want exactly 1", s5.Queries())
+			}
+			if ev := e.know.denseRevalEvicted.Load(); ev != 1 {
+				t.Fatalf("denseRevalEvicted = %d, want 1", ev)
+			}
+			if p, ev := e.RevalidationStats(); p != 2 || ev != 2 {
+				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 2", p, ev)
+			}
+			if e.know.StaleRegions() != 0 {
+				t.Fatalf("StaleRegions = %d after eviction, want 0", e.know.StaleRegions())
+			}
+		})
 	}
 }
 
@@ -283,8 +312,8 @@ func TestWindowWarmEpochAware(t *testing.T) {
 	}
 	// One confirming probe promotes the covering region and re-warms it.
 	s2 := e.NewSession()
-	if _, ok, err := s2.denseLookup1(0, iv); err != nil || !ok {
-		t.Fatalf("re-validation: ok=%v err=%v", ok, err)
+	if f, err := s2.crawledLookup([]factRange{{0, iv}}); err != nil || f == nil {
+		t.Fatalf("re-validation: found=%v err=%v", f != nil, err)
 	}
 	if !e.WindowWarm(0, iv) {
 		t.Fatal("window not warm after promotion")
@@ -460,7 +489,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	e1 := persistedEngine(t, db, Options{N: 400})
 	iv, _ := narrowWindow(t, tuples, 10)
 	s := e1.NewSession()
-	if err := s.crawlDense1(0, iv); err != nil {
+	if err := s.crawlBox([]factRange{{0, iv}}); err != nil {
 		t.Fatal(err)
 	}
 	e1.know.BumpEpoch()
@@ -471,7 +500,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEpoch, wantStale := e1.Epoch(), e1.know.StaleRegions()
-	if wantEpoch != index.FirstEpoch+2 || wantStale == 0 {
+	if wantEpoch != FirstEpoch+2 || wantStale == 0 {
 		t.Fatalf("setup: epoch=%d stale=%d", wantEpoch, wantStale)
 	}
 
@@ -482,14 +511,14 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	if got := e2.know.StaleRegions(); got != wantStale {
 		t.Fatalf("replayed stale regions %d, want %d", got, wantStale)
 	}
-	r1, r2 := e1.know.dense1.Export(0), e2.know.dense1.Export(0)
-	if len(r1) != len(r2) || r2[0].Epoch != r1[0].Epoch {
+	r1, r2 := crawledExport(e1.know.crawled), crawledExport(e2.know.crawled)
+	if len(r1) != len(r2) || r2[0].epoch != r1[0].epoch {
 		t.Fatalf("region epochs not preserved: %v vs %v", r2, r1)
 	}
 	// The replayed stale region still demands its confirming probe.
 	s2 := e2.NewSession()
-	if _, ok, err := s2.denseLookup1(0, iv); err != nil || !ok {
-		t.Fatalf("replayed region lookup: ok=%v err=%v", ok, err)
+	if f, err := s2.crawledLookup([]factRange{{0, iv}}); err != nil || f == nil {
+		t.Fatalf("replayed region lookup: found=%v err=%v", f != nil, err)
 	}
 	if s2.Queries() != 1 {
 		t.Fatalf("replayed stale region cost %d queries to touch, want 1", s2.Queries())

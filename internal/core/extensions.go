@@ -129,11 +129,11 @@ func (c *KnownRankCursor) collectPlateau(boundary float64) ([]types.Tuple, error
 	if !res.Overflow {
 		ties = res.Tuples
 	} else {
-		// crawlRegion records every issued probe's page in history (via
+		// CrawlAll records every issued probe's page in history (via
 		// the coalesced probe path), as issueOn did for the non-overflow
 		// page. The crawl runs against the primary interface: the
 		// matching tuple *set* of a complete crawl is ranking-independent.
-		ties, err = c.s.crawlRegion(point, nil)
+		ties, err = c.s.CrawlAll(point)
 		if err != nil {
 			return nil, err
 		}

@@ -36,12 +36,27 @@
 // sub-signatures it can be contained under (or every bucket of the group,
 // when that is fewer). A bucket keeps its facts ordered by the lower bound on
 // the group's first attribute, with a running maximum of the upper bounds
-// beside it — the same binary search plus short scan index.Dense1D.Lookup
-// does, generalised to overlapping intervals: candidates are the facts that
-// start at or before the probe, walked nearest first, and the walk stops as
-// soon as nothing further left reaches the probe's upper bound. Every
-// candidate is verified in full, so hash collisions cost time, never
-// correctness.
+// beside it — a binary search plus a short scan over overlapping intervals:
+// candidates are the facts that start at or before the probe, walked nearest
+// first, and the walk stops as soon as nothing further left reaches the
+// probe's upper bound. Every candidate is verified in full, so hash
+// collisions cost time, never correctness.
+//
+// # Crawled regions
+//
+// A crawled region — Algorithm 4's interval, Algorithm 6's box — is a fact
+// too: a box over one or more ordinal attributes, the epoch it was crawled
+// under, and the arena row of every tuple of the whole database inside it
+// (the crawl drops the user's selection condition, so the region serves every
+// later query). Its rows ascend by (value on the box's first attribute, tuple
+// ID) beside their values, a history run the 1D oracle binary-searches.
+// crawledFacts holds these facts for every attribute count, 1D being m = 1,
+// in the same groups and lo-ordered buckets as the fact index (one bucket per
+// group: a crawl has no categorical predicates). Unlike the fact index it is
+// pinned and unbounded, and it exists whatever DisableCoalescing and
+// ProbeCacheSize say: a box crawled a moment ago must still be covered when
+// its crawler looks it up. A crawled fact never changes once stored; a
+// re-validation that confirms it swaps in a re-stamped copy.
 
 package core
 
@@ -54,6 +69,8 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/colstore"
+	"repro/internal/history"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -70,14 +87,16 @@ type factRange struct {
 
 type factCat struct{ name, value string }
 
-// fact is one probe answer. Everything but epoch and the LRU links is
-// immutable once the fact is admitted, so rows may be read after the index
-// lock is released; a changed answer is a new fact.
+// fact is one probe answer, or one crawled region (key, cats, group and the
+// LRU links unset). Everything but epoch and the LRU links is immutable once
+// the fact is admitted, so rows may be read after the index lock is
+// released; a changed answer is a new fact.
 type fact struct {
 	key     string      // canonical query string: the exact-match key
 	ranges  []factRange // ascending attr
 	cats    []factCat   // ascending name
-	rows    []uint32    // history arena rows, upstream rank order
+	rows    []uint32    // history arena rows, upstream rank order (run order for a crawled region)
+	vals    []float64   // a crawled region's: each row's value on its first attribute
 	epoch   int64       // knowledge epoch the answer was learned or last confirmed under
 	partial bool        // an overflow page: answers its own key only
 
@@ -192,22 +211,33 @@ func (b *factBucket) insert(f *fact) {
 	b.resetMaxHi(i)
 }
 
-func (b *factBucket) remove(f *fact) {
+// at returns f's position in the bucket, or -1 when it is not there.
+func (b *factBucket) at(f *fact) int {
 	i := sort.Search(len(b.facts), func(i int) bool { return b.facts[i].lo >= f.lo })
-	for b.facts[i] != f {
-		i++
+	for ; i < len(b.facts) && b.facts[i].lo == f.lo; i++ {
+		if b.facts[i] == f {
+			return i
+		}
 	}
-	b.facts = slices.Delete(b.facts, i, i+1)
-	b.resetMaxHi(i)
+	return -1
 }
 
-// find returns a fact of epoch ≥ cur covering q, whose range on the group's
-// first attribute is span.
-func (b *factBucket) find(q query.Query, span types.Interval, cur int64) *fact {
-	i := sort.Search(len(b.facts), func(i int) bool { return b.facts[i].lo > span.Lo })
-	for i--; i >= 0 && b.maxHi[i] >= span.Hi; i-- {
-		if f := b.facts[i]; f.epoch >= cur && f.covers(q) {
-			return f
+// remove takes f out of the bucket if it is there.
+func (b *factBucket) remove(f *fact) {
+	if i := b.at(f); i >= 0 {
+		b.facts = slices.Delete(b.facts, i, i+1)
+		b.resetMaxHi(i)
+	}
+}
+
+// find returns the first fact satisfying ok among those starting at or before
+// start on the group's first attribute, walked nearest first; the walk stops
+// once nothing further left reaches reach.
+func (b *factBucket) find(start, reach float64, ok func(*fact) bool) *fact {
+	i := sort.Search(len(b.facts), func(i int) bool { return b.facts[i].lo > start })
+	for i--; i >= 0 && b.maxHi[i] >= reach; i-- {
+		if ok(b.facts[i]) {
+			return b.facts[i]
 		}
 	}
 	return nil
@@ -406,6 +436,7 @@ func (x *factIndex) containing(q query.Query, cur int64) *fact {
 	for attr := range q.Ranges {
 		mask |= 1 << (uint(attr) & 63)
 	}
+	covers := func(f *fact) bool { return f.epoch >= cur && f.covers(q) }
 	for _, g := range x.groups {
 		if g.mask&^mask != 0 {
 			continue
@@ -426,7 +457,7 @@ func (x *factIndex) containing(q query.Query, cur int64) *fact {
 					}
 				}
 				if b := g.buckets[h]; b != nil {
-					if f := b.find(q, span, cur); f != nil {
+					if f := b.find(span.Lo, span.Hi, covers); f != nil {
 						return f
 					}
 				}
@@ -434,7 +465,7 @@ func (x *factIndex) containing(q query.Query, cur int64) *fact {
 			continue
 		}
 		for _, b := range g.buckets {
-			if f := b.find(q, span, cur); f != nil {
+			if f := b.find(span.Lo, span.Hi, covers); f != nil {
 				return f
 			}
 		}
@@ -476,4 +507,204 @@ func (x *factIndex) learn(key string, q query.Query, rows []uint32, overflow boo
 	x.admit(f, attrs)
 	out.fact, out.evicted = f, stale
 	return out
+}
+
+// crawledFacts is the set of crawled regions (see "Crawled regions" above).
+// It is safe for concurrent use: lookups take a read lock, inserts and
+// re-validations a write lock, and a stored fact is never written, so the
+// rows a lookup returns may be read after the lock is released.
+type crawledFacts struct {
+	hist   *history.Store // the store whose rows the facts cite
+	mu     sync.RWMutex
+	groups []*factGroup // one per attribute set, each with the single bucket 0
+}
+
+// bucket returns the bucket of the facts over exactly the attributes of rs,
+// creating it when create is set (nil otherwise). Callers hold c.mu.
+func (c *crawledFacts) bucket(rs []factRange, create bool) *factBucket {
+	for _, g := range c.groups {
+		if len(g.attrs) == len(rs) && sameAttrs(g.attrs, rs) {
+			return g.buckets[0]
+		}
+	}
+	if !create {
+		return nil
+	}
+	g := &factGroup{buckets: map[uint64]*factBucket{0: {}}}
+	for _, r := range rs {
+		g.attrs = append(g.attrs, r.attr)
+	}
+	c.groups = append(c.groups, g)
+	return g.buckets[0]
+}
+
+func sameAttrs(attrs []int, rs []factRange) bool {
+	for i, r := range rs {
+		if attrs[i] != r.attr {
+			return false
+		}
+	}
+	return true
+}
+
+// boxCovers reports whether the box outer contains the box inner, both over
+// the same attributes.
+func boxCovers(outer, inner []factRange) bool {
+	for i, r := range outer {
+		if !r.iv.Covers(inner[i].iv) {
+			return false
+		}
+	}
+	return true
+}
+
+// joins reports whether the union of boxes a and b, both over the same
+// attributes, is itself a box: they differ on at most one attribute and meet
+// there, or one contains the other. Two intervals meet when they overlap or
+// touch at a point one of them holds: (a,b) and (b,c) stay apart, since
+// neither was crawled at b.
+func joins(a, b []factRange) bool {
+	differ := -1
+	for i := range a {
+		if a[i].iv != b[i].iv {
+			if differ >= 0 {
+				return boxCovers(a, b) || boxCovers(b, a)
+			}
+			differ = i
+		}
+	}
+	if differ < 0 {
+		return true
+	}
+	x, y := a[differ].iv, b[differ].iv
+	return x.Hi >= y.Lo && x.Lo <= y.Hi &&
+		!(x.Hi == y.Lo && x.HiOpen && y.LoOpen) && !(y.Hi == x.Lo && y.HiOpen && x.LoOpen)
+}
+
+// hull widens a to the smallest box holding b as well.
+func hull(a, b []factRange) {
+	for i, r := range b {
+		iv := &a[i].iv
+		if r.iv.Lo < iv.Lo || (r.iv.Lo == iv.Lo && !r.iv.LoOpen) {
+			iv.Lo, iv.LoOpen = r.iv.Lo, r.iv.LoOpen
+		}
+		if r.iv.Hi > iv.Hi || (r.iv.Hi == iv.Hi && !r.iv.HiOpen) {
+			iv.Hi, iv.HiOpen = r.iv.Hi, r.iv.HiOpen
+		}
+	}
+}
+
+// lookup returns a stored fact, of any epoch, over exactly the attributes of
+// rs whose box contains rs's, or nil.
+func (c *crawledFacts) lookup(rs []factRange) *fact {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	b := c.bucket(rs, false)
+	if b == nil {
+		return nil
+	}
+	return b.find(rs[0].iv.Lo, rs[0].iv.Hi, func(f *fact) bool { return boxCovers(f.ranges, rs) })
+}
+
+// insert records the crawled box rs (ascending attribute) with rows, the
+// arena rows of every database tuple inside it, learned under epoch. A
+// stored fact over the same attributes is absorbed when their union is
+// itself a box (one contains the other, or they meet along one attribute):
+// the merged fact covers the union, keeps one row per (value, tuple ID) of
+// both, and is only as fresh as the oldest fact it absorbed — its old rows
+// were not re-read by the new crawl.
+func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// The view that orders the rows is taken under the lock, so it covers
+	// every row a fact inserted before this one cites.
+	v := c.hist.View()
+	run := dedupRun(v, colstore.NewRun(v, rs[0].attr, rows))
+	f := &fact{ranges: slices.Clone(rs), epoch: epoch}
+	b := c.bucket(rs, true)
+	for {
+		box := f.ranges
+		old := b.find(box[0].iv.Hi, box[0].iv.Lo, func(o *fact) bool { return joins(box, o.ranges) })
+		if old == nil {
+			break
+		}
+		b.remove(old)
+		hull(f.ranges, old.ranges)
+		run = dedupRun(v, colstore.MergeRuns(v, run, old.run()))
+		f.epoch = min(f.epoch, old.epoch)
+	}
+	f.vals, f.rows, f.lo, f.hi = run.Vals, run.Rows, f.ranges[0].iv.Lo, f.ranges[0].iv.Hi
+	b.insert(f)
+}
+
+// run is a crawled fact's rows as the history run they are.
+func (f *fact) run() colstore.Run { return colstore.Run{Vals: f.vals, Rows: f.rows} }
+
+// dedupRun drops every entry whose (value, tuple ID) repeats the entry before
+// it: overlapping crawls both list the tuples of the overlap, and the earlier
+// entry — MergeRuns puts its first argument's first — is kept. r is written
+// only from the first repeat on, so a run without repeats may be shared.
+func dedupRun(v colstore.View, r colstore.Run) colstore.Run {
+	w := 0
+	for i, row := range r.Rows {
+		if w > 0 && r.Vals[i] == r.Vals[w-1] && v.ID(int(row)) == v.ID(int(r.Rows[w-1])) {
+			continue
+		}
+		if w != i {
+			r.Vals[w], r.Rows[w] = r.Vals[i], row
+		}
+		w++
+	}
+	return colstore.Run{Vals: r.Vals[:w], Rows: r.Rows[:w]}
+}
+
+// promote re-stamps f at epoch (a confirming probe found it unchanged) and
+// returns the re-stamped copy, which replaces f unless f was absorbed or
+// removed meanwhile.
+func (c *crawledFacts) promote(f *fact, epoch int64) *fact {
+	nf := *f
+	nf.epoch = epoch
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.bucket(f.ranges, false)
+	if i := b.at(f); i >= 0 {
+		b.facts[i] = &nf
+	}
+	return &nf
+}
+
+// remove drops f (a confirming probe found drift): coverage of its box
+// reverts to unknown, and the next visit crawls it again.
+func (c *crawledFacts) remove(f *fact) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bucket(f.ranges, false).remove(f)
+}
+
+// count returns how many stored facts satisfy ok, calling it for every fact,
+// group by group in ascending lo order.
+func (c *crawledFacts) count(ok func(*fact) bool) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := 0
+	for _, g := range c.groups {
+		for _, f := range g.buckets[0].facts {
+			if ok(f) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// maxBucket returns the population of the largest bucket: the most facts
+// one lookup may walk.
+func (c *crawledFacts) maxBucket() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := 0
+	for _, g := range c.groups {
+		n = max(n, len(g.buckets[0].facts))
+	}
+	return n
 }

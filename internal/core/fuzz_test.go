@@ -105,15 +105,8 @@ func FuzzApplyDelta(f *testing.F) {
 				}
 			}
 		}
-		for attr := 0; attr < schema.Len(); attr++ {
-			for _, reg := range e.know.dense1.Export(attr) {
-				held(query.Box{Dims: []types.Interval{reg.Range}}, reg.Run.Rows)
-			}
-		}
-		for _, idx := range e.know.mdIndexes() {
-			for _, reg := range idx.Export() {
-				held(reg.Box, reg.Rows)
-			}
+		for _, f := range crawledExport(e.know.crawled) {
+			held(rangesBox(f.ranges), f.rows)
 		}
 	})
 }

@@ -118,7 +118,6 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/hidden"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -146,10 +145,9 @@ type MDCursor struct {
 	depth int
 
 	denseVol float64
-	denseDim []float64      // per-dimension dense-region width thresholds
-	sorted   []int          // ranked attrs sorted ascending (dense-index canonical order)
-	axisPos  []int          // per position in sorted: the axis dimension of that attr
-	denseIdx *index.DenseMD // shared MD index for this attribute subset
+	denseDim []float64 // per-dimension dense-region width thresholds
+	sorted   []int     // ranked attrs sorted ascending (crawled-region canonical order)
+	axisPos  []int     // per position in sorted: the axis dimension of that attr
 
 	width     int           // speculative width W (regions per round, probes per frontier round)
 	resolvers []*mdResolver // [0] drives sequential ops; [1..] speculative round slots
@@ -255,10 +253,6 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 	for _, a := range c.sorted {
 		c.axisPos = append(c.axisPos, pos[a])
 	}
-	// Resolve the shared index once: the map entry is created on first use
-	// and never replaced, so caching it keeps the per-box fast path off
-	// the engine-wide map mutex.
-	c.denseIdx = e.know.mdIndexFor(c.sorted)
 	// Resolver 0 reuses the axis built above; the speculative slots get
 	// their own axes (axis scratch buffers are single-goroutine).
 	c.resolvers = make([]*mdResolver, c.width)
@@ -274,7 +268,9 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 			results: make([]probeResult, c.width),
 			probeQs: make([]query.Query, c.width),
 			zbuf:    make([]float64, ax.M()),
-			rlkBuf:  query.Box{Dims: make([]types.Interval, len(c.sorted))},
+		}
+		for _, a := range c.sorted {
+			c.resolvers[i].rlk = append(c.resolvers[i].rlk, factRange{attr: a})
 		}
 	}
 	return c
@@ -548,7 +544,7 @@ func (c *MDCursor) tieAnswer(point query.Box, res hidden.Result) ([]types.Tuple,
 	if !res.Overflow {
 		return res.Tuples, nil
 	}
-	return c.s.crawlRegion(c.axis().BoxToQuery(c.q, point), nil)
+	return c.s.CrawlAll(c.axis().BoxToQuery(c.q, point))
 }
 
 // skipped reports whether t is a version no resolution may pick (skip).

@@ -4,7 +4,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/query"
@@ -152,59 +151,26 @@ func (r *mdResolver) isDense(b query.Box) bool {
 	return true
 }
 
-// denseAnswer resolves a sub-threshold box through the MD dense index,
+// denseAnswer resolves a sub-threshold box through the crawled regions,
 // crawling it generically (without Sel(q)) on a miss so the region serves
 // every future user query (Algorithm 6).
 func (r *mdResolver) denseAnswer(b query.Box, cand *candidate) error {
-	realBox := r.realBoxOf(b)
-	idx := r.c.denseIdx
-	// Epoch-aware lookup: a stale covering region is re-validated with one
-	// confirming probe before it may answer locally.
-	reg, ok, err := r.c.s.denseLookupMD(idx, r.c.sorted, realBox)
+	f, err := r.c.s.crawledFact(r.realRanges(b))
 	if err != nil {
 		return err
 	}
-	if !ok {
-		// Crawl-and-index, deduplicated: concurrent sessions hitting the
-		// same dense box crawl it once; followers read it from the index.
-		if err := r.c.s.crawlDenseMD(r.c.sorted, realBox); err != nil {
-			return err
-		}
-		reg, ok, err = r.c.s.denseLookupMD(idx, r.c.sorted, realBox)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// Coverage is monotone within an epoch: a freshly crawled box
-			// stays covered, so this indicates index corruption, never a
-			// benign miss.
-			return fmt.Errorf("core: dense region %v missing after crawl", realBox)
-		}
-	}
-	r.improve(cand, r.c.s.e.know.hist.RowTuples(reg.Rows), b)
+	r.improve(cand, r.c.s.e.know.hist.RowTuples(f.rows), b)
 	return nil
 }
 
-// realBoxOf converts an axis box to real-value space with dimensions in
-// canonical (sorted attribute) order so that rankers sharing an attribute
-// subset share index regions. The result is freshly allocated (the crawl
-// path stores it in the shared index).
-func (r *mdResolver) realBoxOf(b query.Box) query.Box {
-	rb := query.Box{Dims: make([]types.Interval, len(r.c.sorted))}
-	r.fillRealBox(b, rb)
-	return rb
-}
-
-// realBoxInto is realBoxOf into the resolver's scratch box — for index
-// lookups, which do not retain their argument.
-func (r *mdResolver) realBoxInto(b query.Box) query.Box {
-	r.fillRealBox(b, r.rlkBuf)
-	return r.rlkBuf
-}
-
-func (r *mdResolver) fillRealBox(b query.Box, dst query.Box) {
-	for i := range r.c.sorted {
+// realRanges converts an axis box to real-value ranges in ascending
+// attribute order, so that rankers sharing an attribute subset share crawled
+// regions. It fills the resolver's scratch: the crawled set copies what it
+// keeps.
+func (r *mdResolver) realRanges(b query.Box) []factRange {
+	for i := range r.rlk {
 		j := r.c.axisPos[i]
-		dst.Dims[i] = r.axis.RealInterval(j, b.Dims[j])
+		r.rlk[i].iv = r.axis.RealInterval(j, b.Dims[j])
 	}
+	return r.rlk
 }

@@ -35,8 +35,8 @@ type mdResolver struct {
 	batch    []batchItem
 	results  []probeResult
 	probeQs  []query.Query
-	zbuf     []float64 // ToAxisInto scratch for improve
-	rlkBuf   query.Box // realBoxInto scratch for dense-index lookups
+	zbuf     []float64   // ToAxisInto scratch for improve
+	rlk      []factRange // realRanges scratch for crawled-region lookups
 }
 
 // frontierBox is one unexplored box in a top-1 search's best-first frontier.
@@ -220,17 +220,17 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				continue
 			}
 			// MD-RERANK fast path: a box already covered by a crawled
-			// dense region at the current epoch is answered locally with
+			// region at the current epoch is answered locally with
 			// zero queries. A stale covering region is re-validated first
 			// (one confirming probe); if it drifted, it is evicted and the
 			// box falls through to ordinary batch probing.
 			if c.variant == Rerank && c.denseVol > 0 && b.IsFinite() && r.isDense(b) {
-				reg, ok, err := c.s.denseLookupMD(c.denseIdx, c.sorted, r.realBoxInto(b))
+				f, err := c.s.crawledLookup(r.realRanges(b))
 				if err != nil {
 					return types.Tuple{}, false, err
 				}
-				if ok {
-					r.improve(cand, c.s.e.know.hist.RowTuples(reg.Rows), b)
+				if f != nil {
+					r.improve(cand, c.s.e.know.hist.RowTuples(f.rows), b)
 					continue
 				}
 			}

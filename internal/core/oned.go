@@ -24,7 +24,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/hidden"
@@ -261,7 +260,7 @@ func (c *OneDCursor) tieGroup(t types.Tuple) error {
 			}
 			// No free ordinal attribute remains: crawl the fully-pinned
 			// region, splitting on categorical attributes.
-			if ties, err = c.s.crawlRegion(c.q.WithRange(c.attr, types.ClosedInterval(v, v)), nil); err != nil {
+			if ties, err = c.s.CrawlAll(c.q.WithRange(c.attr, types.ClosedInterval(v, v))); err != nil {
 				return err
 			}
 		}
@@ -458,8 +457,8 @@ func (c *OneDCursor) finishNarrow(searchLo float64, searchLoOpen bool, cand type
 	}
 }
 
-// oracle is Algorithm 4: answer the narrow interval (searchLo, cand.axis]
-// from the dense index, crawling it on a miss. The crawl deliberately drops
+// oracle is Algorithm 4: answer the narrow interval (searchLo, cand.axis)
+// from the crawled regions, crawling it on a miss. The crawl deliberately drops
 // the user query's selection condition so the indexed region serves every
 // future user query — which is why nextBinary sends a sub-threshold interval
 // here before it would certify: a certification probe carries the selection
@@ -470,31 +469,11 @@ func (c *OneDCursor) oracle(searchLo float64, searchLoOpen bool, cand types.Tupl
 	// which the lazy §5 tie machinery already handles.
 	axisIv := types.Interval{Lo: searchLo, LoOpen: searchLoOpen, Hi: c.axisOf(cand), HiOpen: true}
 	realIv := c.realRange(axisIv)
-	// Epoch-aware lookup: a stale covering region is re-validated with one
-	// confirming probe (promoted if unchanged, evicted if drifted) before
-	// it may answer with zero probes.
-	reg, ok, err := c.s.denseLookup1(c.attr, realIv)
+	f, err := c.s.crawledFact([]factRange{{c.attr, realIv}})
 	if err != nil {
 		return types.Tuple{}, false, err
 	}
-	if !ok {
-		// Crawl-and-index, deduplicated: concurrent sessions wanting the
-		// same region crawl it once; followers read it from the index.
-		if err := c.s.crawlDense1(c.attr, realIv); err != nil {
-			return types.Tuple{}, false, err
-		}
-		reg, ok, err = c.s.denseLookup1(c.attr, realIv)
-		if err != nil {
-			return types.Tuple{}, false, err
-		}
-		if !ok {
-			// Coverage is monotone within an epoch: a freshly crawled
-			// interval stays covered, so this indicates index corruption,
-			// never a benign miss.
-			return types.Tuple{}, false, fmt.Errorf("core: dense interval %s missing after crawl", realIv)
-		}
-	}
-	t, found := c.s.e.know.hist.ScanRun(c.q, reg.Run, realIv, c.dir == ranking.Desc)
+	t, found := c.s.e.know.hist.ScanRun(c.q, f.run(), realIv, c.dir == ranking.Desc)
 	if found && c.axisOf(t) > c.lastAxis && c.better(t, cand) {
 		return t, true, nil
 	}

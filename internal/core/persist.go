@@ -13,11 +13,11 @@
 //
 // History needs no per-insert hook: the store's append-only columnar arena
 // gives every tuple a monotone row number, so "what is new since the last
-// checkpoint" is simply the contiguous row range [histLo, Rows()). Dense
+// checkpoint" is simply the contiguous row range [histLo, Rows()). Crawled
 // region inserts and probe-fact admissions are recorded as logical
 // operations by thin wrappers on the live insert paths; replay pushes them
-// back through those same live paths, so a rebuilt engine's index structures
-// are bit-identical to the saved engine's (asserted by
+// back through those same live paths, so a rebuilt engine's crawled facts
+// and fact index are bit-identical to the saved engine's (asserted by
 // TestReopenRebuildsDenseStructures).
 //
 // Both are one kind of record: a box (the probe's structured query, the
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/hidden"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/segment"
 	"repro/internal/types"
@@ -81,7 +80,7 @@ type Persister struct {
 }
 
 // pendingOp is one recorded knowledge mutation awaiting checkpoint: a
-// coverage fact — a probe answer, or with crawled set a dense region — or,
+// coverage fact — a probe answer, or with crawled set a crawled region — or,
 // with bump set and nothing but epoch beside it, an epoch bump. The slices
 // are shared with the engine (engine-wide immutable), not copied.
 type pendingOp struct {
@@ -89,7 +88,7 @@ type pendingOp struct {
 	cats     []factCat
 	rows     []uint32
 	overflow bool  // an overflow page
-	crawled  bool  // every tuple of the box: a dense region
+	crawled  bool  // every tuple of the box: a crawled region
 	bump     bool  // an epoch bump
 	epoch    int64 // the epoch the fact was learned or confirmed under, or the new epoch of a bump
 }
@@ -200,32 +199,26 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 	return nil
 }
 
-// applyCrawled replays one crawled-region record: a single range is a 1D
-// dense region, several are a box of the MD index over their attributes.
+// applyCrawled replays one crawled-region record into the crawled facts.
 func (e *Engine) applyCrawled(op segment.ProbeOp) error {
 	if op.Overflow || len(op.Cats) > 0 || len(op.Ranges) == 0 {
 		return fmt.Errorf("core: delta crawled region with %d ranges, %d categorical predicates, overflow=%v",
 			len(op.Ranges), len(op.Cats), op.Overflow)
 	}
 	schema := e.db.Schema()
-	attrs := make([]int, len(op.Ranges))
-	box := query.Box{Dims: make([]types.Interval, len(op.Ranges))}
+	rs := make([]factRange, len(op.Ranges))
 	for i, r := range op.Ranges {
 		if r.Attr < 0 || r.Attr >= schema.Len() || schema.Attr(r.Attr).Kind != types.Ordinal ||
-			(i > 0 && r.Attr <= attrs[i-1]) {
+			(i > 0 && r.Attr <= rs[i-1].attr) {
 			return fmt.Errorf("core: delta crawled region ranges attribute %d out of order or not ordinal", r.Attr)
 		}
 		iv := rangeInterval(r)
 		if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) || math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
 			return fmt.Errorf("core: delta crawled region bound %s on attribute %d is not finite", iv, r.Attr)
 		}
-		attrs[i], box.Dims[i] = r.Attr, iv
+		rs[i] = factRange{r.Attr, iv}
 	}
-	if len(attrs) == 1 {
-		e.know.dense1.Insert(attrs[0], box.Dims[0], op.Rows, epochOrFirst(op.Epoch))
-	} else {
-		e.know.mdIndexFor(attrs).Insert(box, op.Rows, epochOrFirst(op.Epoch))
-	}
+	e.know.crawled.insert(rs, op.Rows, epochOrFirst(op.Epoch))
 	return nil
 }
 
@@ -379,7 +372,7 @@ func rangeInterval(r segment.ProbeRange) types.Interval {
 // formats without epoch fields) means the first epoch.
 func epochOrFirst(e int64) int64 {
 	if e <= 0 {
-		return index.FirstEpoch
+		return FirstEpoch
 	}
 	return e
 }

@@ -127,8 +127,8 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 		}
 		return out
 	}
-	e.know.InsertDense1(0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}, inside1(3, 5))
-	e.know.InsertDense1(0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}, inside1(5, 8))
+	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, inside1(3, 5))
+	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, inside1(5, 8))
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 12; i++ {
 		b := query.Box{Dims: []types.Interval{
@@ -142,45 +142,28 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 				in = append(in, tt)
 			}
 		}
-		e.know.InsertDenseMD([]int{0, 1}, b, in)
+		e.know.insertCrawled(boxRanges([]int{0, 1}, b), in)
 	}
 	return answers
 }
 
-// assertSameRegions checks that got's dense regions equal want's row for
-// row: the 1D region array of attribute 0 (ranges, epochs, sorted runs) and
-// the MD region array over attrs (boxes, epochs, rows, grid shape).
-func assertSameRegions(t *testing.T, got, want *Engine, attrs []int) {
+// assertSameRegions checks that got's crawled regions equal want's fact for
+// fact: boxes, epochs, rows in order, and the tuples behind the rows.
+func assertSameRegions(t *testing.T, got, want *Engine) {
 	t.Helper()
-	r1, r2 := want.know.dense1.Export(0), got.know.dense1.Export(0)
+	r1, r2 := crawledExport(want.know.crawled), crawledExport(got.know.crawled)
 	if len(r2) != len(r1) {
-		t.Fatalf("restored %d 1D regions, want %d", len(r2), len(r1))
+		t.Fatalf("restored %d crawled regions, want %d", len(r2), len(r1))
 	}
 	for i := range r1 {
-		if r2[i].Range != r1[i].Range || r2[i].Epoch != r1[i].Epoch || !slices.Equal(r2[i].Run.Rows, r1[i].Run.Rows) {
-			t.Fatalf("1D region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
-				i, r2[i].Range, r2[i].Epoch, r2[i].Run.Rows, r1[i].Range, r1[i].Epoch, r1[i].Run.Rows)
+		b1, b2 := rangesBox(r1[i].ranges), rangesBox(r2[i].ranges)
+		if !slices.Equal(r2[i].ranges, r1[i].ranges) || r2[i].epoch != r1[i].epoch || !slices.Equal(r2[i].rows, r1[i].rows) {
+			t.Fatalf("region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
+				i, b2, r2[i].epoch, r2[i].rows, b1, r1[i].epoch, r1[i].rows)
 		}
-		if tuples := got.History().RowTuples(r2[i].Run.Rows); !slices.EqualFunc(tuples, want.History().RowTuples(r1[i].Run.Rows), types.Tuple.Equal) {
-			t.Fatalf("1D region %d %v: restored rows hold %v", i, r2[i].Range, tuples)
+		if tuples := got.History().RowTuples(r2[i].rows); !slices.EqualFunc(tuples, want.History().RowTuples(r1[i].rows), types.Tuple.Equal) {
+			t.Fatalf("region %d %v: restored rows hold %v", i, b2, tuples)
 		}
-	}
-	m1, m2 := want.know.mdIndexFor(attrs), got.know.mdIndexFor(attrs)
-	e1, e2 := m1.Export(), m2.Export()
-	if len(e2) != len(e1) {
-		t.Fatalf("restored %d MD regions, want %d", len(e2), len(e1))
-	}
-	for i := range e1 {
-		if e2[i].Box.String() != e1[i].Box.String() || e2[i].Epoch != e1[i].Epoch || !slices.Equal(e2[i].Rows, e1[i].Rows) {
-			t.Fatalf("MD region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
-				i, e2[i].Box, e2[i].Epoch, e2[i].Rows, e1[i].Box, e1[i].Epoch, e1[i].Rows)
-		}
-		if tuples := got.History().RowTuples(e2[i].Rows); !slices.EqualFunc(tuples, want.History().RowTuples(e1[i].Rows), types.Tuple.Equal) {
-			t.Fatalf("MD region %d %v: restored rows hold %v", i, e2[i].Box, tuples)
-		}
-	}
-	if s1, s2 := m1.Stats(), m2.Stats(); s2 != s1 {
-		t.Fatalf("MD grid stats after restore %+v, want %+v", s2, s1)
 	}
 }
 
@@ -191,7 +174,7 @@ func assertSameKnowledge(t *testing.T, got, want *Engine) {
 	if got.History().Size() != want.History().Size() {
 		t.Fatalf("history size %d, want %d", got.History().Size(), want.History().Size())
 	}
-	assertSameRegions(t, got, want, []int{0, 1})
+	assertSameRegions(t, got, want)
 	if got.ProbeCacheEntries() != want.ProbeCacheEntries() {
 		t.Fatalf("probe cache holds %d entries, want %d", got.ProbeCacheEntries(), want.ProbeCacheEntries())
 	}
@@ -229,7 +212,7 @@ func TestPersistWarmRestartZeroRespend(t *testing.T) {
 	if n := sess.Queries() + db.QueryCount(); n != 0 {
 		t.Fatalf("committed probes re-spent %d upstream queries after restart, want 0", n)
 	}
-	if _, ok := e2.know.dense1.Lookup(0, types.Interval{Lo: 3.5, Hi: 4.5}); !ok {
+	if _, ok := e2.DenseIndex1D().Lookup(0, types.Interval{Lo: 3.5, Hi: 4.5}); !ok {
 		t.Fatal("committed 1D dense region not answerable after restart")
 	}
 }
@@ -344,7 +327,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if len(region) == 0 || e1.History().Has(region[0].ID) {
 		t.Fatalf("precondition: want a non-empty region the arena has not seen (%d tuples)", len(region))
 	}
-	e1.know.InsertDense1(0, iv, region)
+	e1.know.insertCrawled([]factRange{{0, iv}}, region)
 	for _, tt := range region {
 		if !e1.History().Has(tt.ID) {
 			t.Fatalf("region tuple %d is not in the arena after the insert", tt.ID)
@@ -380,8 +363,12 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if !resultsEqual(res2, res) {
 		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
 	}
-	reg, ok := e2.know.dense1.Lookup(0, iv)
-	got := e2.History().RowTuples(reg.Run.Rows)
+	f := e2.know.crawled.lookup([]factRange{{0, iv}})
+	ok := f != nil
+	var got []types.Tuple
+	if ok {
+		got = e2.History().RowTuples(f.rows)
+	}
 	byID := func(a, b types.Tuple) int { return a.ID - b.ID }
 	slices.SortFunc(got, byID)
 	slices.SortFunc(region, byID)
@@ -410,19 +397,19 @@ func TestReopenReplaysRegionRowsNotLatestVersions(t *testing.T) {
 	if len(region) < 2 {
 		t.Fatalf("precondition: want a region of several tuples, got %d", len(region))
 	}
-	e1.know.InsertDense1(0, iv, region)
-	e1.know.InsertDenseMD([]int{0, 1}, box, region)
+	e1.know.insertCrawled([]factRange{{0, iv}}, region)
+	e1.know.insertCrawled(boxRanges([]int{0, 1}, box), region)
 	edited := region[0].Clone()
 	edited.Ord[0] = 90
 	e1.History().Add(edited)
 
 	e2 := reopenViaStore(t, e1)
-	assertSameRegions(t, e2, e1, []int{0, 1})
-	reg, ok := e2.know.dense1.Lookup(0, iv)
-	if !ok {
+	assertSameRegions(t, e2, e1)
+	f := e2.know.crawled.lookup([]factRange{{0, iv}})
+	if f == nil {
 		t.Fatal("region not replayed")
 	}
-	for _, tt := range e2.History().RowTuples(reg.Run.Rows) {
+	for _, tt := range e2.History().RowTuples(f.rows) {
 		if !iv.Contains(tt.Ord[0]) {
 			t.Fatalf("replayed region %v holds tuple %d at %v", iv, tt.ID, tt.Ord[0])
 		}

@@ -7,7 +7,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -255,10 +254,10 @@ func TestReopenMDWarmRestart(t *testing.T) {
 }
 
 // TestReopenRebuildsDenseStructures checks that a store round-trip
-// reconstructs the sub-linear dense-index structures losslessly: the
-// restored engine's MD region set is bit-identical (boxes and tuple IDs, in
-// order), its centroid grid answers every lookup the original answers, and
-// the 1D splice-maintained region array survives unchanged.
+// reconstructs the crawled regions losslessly: the restored engine's crawled
+// set is bit-identical (boxes, epochs and rows, in order, merges included),
+// it answers every lookup the original answers, and the both-open touch of
+// two 1D intervals stays two regions.
 func TestReopenRebuildsDenseStructures(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	schema := testSchema(2)
@@ -266,9 +265,8 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 	db := hidden.MustDB(schema, tuples, hidden.Options{K: 10})
 	e := persistedEngine(t, db, Options{N: 400})
 
-	// Populate the MD index with many small regions (plus absorbing
-	// overlaps) and the 1D index with touching intervals, through the same
-	// insert paths a live engine uses.
+	// Populate many small MD boxes (plus absorbing overlaps) and touching 1D
+	// intervals, through the same insert path a live engine uses.
 	attrs := []int{0, 1}
 	boxAt := func(lo0, lo1, w float64) query.Box {
 		return query.Box{Dims: []types.Interval{
@@ -284,53 +282,24 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 				inside = append(inside, tt)
 			}
 		}
-		e.know.InsertDenseMD(attrs, b, inside)
+		e.know.insertCrawled(boxRanges(attrs, b), inside)
 		boxes = append(boxes, b)
 	}
-	e.know.InsertDense1(0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}, nil)
-	e.know.InsertDense1(0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}, nil)
+	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, nil)
+	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, nil)
 
 	e2 := reopenViaStore(t, e)
-
-	// Region arrays are reconstructed losslessly and in order.
-	idx, idx2 := e.know.mdIndexFor(attrs), e2.know.mdIndexFor(attrs)
-	got, want := idx2.Export(), idx.Export()
-	if len(got) != len(want) {
-		t.Fatalf("restored %d MD regions, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Box.String() != want[i].Box.String() {
-			t.Fatalf("region %d box %v, want %v", i, got[i].Box, want[i].Box)
-		}
-		if !slices.Equal(got[i].Rows, want[i].Rows) {
-			t.Fatalf("region %d cites rows %v, want %v", i, got[i].Rows, want[i].Rows)
-		}
-	}
-	// The centroid grid is rebuilt to an equivalent shape and answers
-	// identically, including for boxes absorbed along the way.
-	st, st2 := idx.Stats(), idx2.Stats()
-	if st2 != st {
-		t.Errorf("grid stats after restore %+v, want %+v", st2, st)
-	}
+	assertSameRegions(t, e2, e)
 	for _, b := range boxes {
-		r1, ok1 := idx.Lookup(b)
-		r2, ok2 := idx2.Lookup(b)
-		if ok1 != ok2 {
-			t.Fatalf("lookup %v: original found=%v, restored found=%v", b, ok1, ok2)
+		f1, f2 := e.know.crawled.lookup(boxRanges(attrs, b)), e2.know.crawled.lookup(boxRanges(attrs, b))
+		if (f1 == nil) != (f2 == nil) {
+			t.Fatalf("lookup %v: original found=%v, restored found=%v", b, f1 != nil, f2 != nil)
 		}
-		if ok1 && (len(r1.Rows) != len(r2.Rows)) {
-			t.Fatalf("lookup %v: original region has %d tuples, restored %d", b, len(r1.Rows), len(r2.Rows))
+		if f1 != nil && len(f1.rows) != len(f2.rows) {
+			t.Fatalf("lookup %v: original region has %d tuples, restored %d", b, len(f1.rows), len(f2.rows))
 		}
 	}
-	// 1D regions: the splice discipline kept the both-open touch at 5
-	// separate; the restored array must match exactly.
-	r1d, r1d2 := e.know.dense1.Export(0), e2.know.dense1.Export(0)
-	if len(r1d2) != len(r1d) {
-		t.Fatalf("restored %d 1D regions, want %d", len(r1d2), len(r1d))
-	}
-	for i := range r1d {
-		if r1d2[i].Range != r1d[i].Range {
-			t.Fatalf("1D region %d range %v, want %v", i, r1d2[i].Range, r1d[i].Range)
-		}
+	if n := e2.DenseIndex1D().Regions(0); n != 2 {
+		t.Fatalf("restored %d 1D regions, want the both-open touch at 5 kept as 2", n)
 	}
 }

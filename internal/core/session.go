@@ -3,7 +3,7 @@
 // A Session is the lightweight, single-request counterpart of the shared
 // Knowledge layer: it carries the upstream-cost ledger for one unit of work
 // (one service request, one experiment run, one TA cursor tree) while every
-// heavyweight structure — history, dense indexes, probe coalescing — is
+// heavyweight structure — history, crawled regions, probe coalescing — is
 // shared through the Engine. Sessions are cheap to create; make one per
 // request. Many sessions may run concurrently against one engine; the
 // cursors created from a single session are themselves sequential objects
@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/crawl"
 	"repro/internal/hidden"
-	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -188,107 +187,72 @@ func (s *Session) issueOn(db hidden.Database, q query.Query) (hidden.Result, err
 	return res, nil
 }
 
-// crawlRegion fully crawls the given generic query (already stripped of the
-// user query's selection condition) and returns every matching tuple. Every
-// sub-query probe routes through the engine's coalescing layer, so
-// concurrent crawls of overlapping regions dedup at probe granularity and
-// repeat crawls replay cached complete answers for free. Only probes that
-// actually reached the upstream are charged — once, to the leader — against
-// the engine, this session, and the provided ledger; the issuing probe
+// CrawlAll retrieves every tuple matching q (deduplicated and sorted by ID)
+// by completely crawling it — the engine-integrated counterpart of
+// crawl.Crawler.All. Every sub-query probe routes through the engine's
+// coalescing layer, so concurrent crawls of overlapping regions dedup at
+// probe granularity and repeat crawls replay cached complete answers for
+// free. Only probes that actually reached the upstream are charged — once,
+// to the leader — against the engine and this session; the issuing probe
 // records its page in the shared history.
-func (s *Session) crawlRegion(q query.Query, ledger func(int64)) ([]types.Tuple, error) {
+func (s *Session) CrawlAll(q query.Query) ([]types.Tuple, error) {
 	c := crawl.New(s.e.db, crawl.Options{Probe: s.coalescedProbe})
 	tuples, err := c.All(q)
 	issued := c.Issued()
 	s.e.know.queries.Add(issued)
 	s.queries.Add(issued)
-	if ledger != nil {
-		ledger(issued)
-	}
 	return tuples, err
 }
 
-// CrawlAll retrieves every tuple matching q (deduplicated and sorted by ID)
-// by completely crawling it through the engine's coalescing layer — the
-// engine-integrated counterpart of crawl.Crawler.All. Upstream cost is
-// charged to this session's ledger; probes answered by the probe cache or an
-// identical in-flight call are free.
-func (s *Session) CrawlAll(q query.Query) ([]types.Tuple, error) {
-	return s.crawlRegion(q, nil)
-}
-
-// denseLookup1 resolves iv against the 1D dense index with lazy epoch
-// re-validation: a covering region at the current epoch is returned as-is
-// (zero probes); a stale one gets exactly one confirming probe over its
-// full range — an unchanged answer promotes the region to the current
-// epoch, a drifted one evicts it (and the lookup retries, in case an
-// older overlapping region also covers iv). A miss means the caller must
-// crawl.
-func (s *Session) denseLookup1(attr int, iv types.Interval) (index.Interval1D, bool, error) {
-	for {
-		reg, ok := s.e.know.dense1.Lookup(attr, iv)
-		if !ok {
-			return index.Interval1D{}, false, nil
-		}
-		cur := s.e.know.Epoch()
-		if reg.Epoch >= cur {
-			return reg, true, nil
-		}
-		confirm, err := s.issue(query.New().WithRange(attr, reg.Range))
-		if err != nil {
-			return index.Interval1D{}, false, err
-		}
-		if s.confirmsRegion(reg.Run.Rows, confirm) {
-			s.e.know.dense1.Promote(attr, reg.Range, cur)
-			s.e.know.denseRevalPromoted.Add(1)
-			reg.Epoch = cur
-			return reg, true, nil
-		}
-		s.e.know.dense1.Remove(attr, reg.Range)
-		s.e.know.denseRevalEvicted.Add(1)
+// rangesQuery is the generic query over the box rs: no selection condition
+// of any user.
+func rangesQuery(rs []factRange) query.Query {
+	q := query.New()
+	for _, r := range rs {
+		q.AddRange(r.attr, r.iv)
 	}
+	return q
 }
 
-// denseLookupMD is denseLookup1 for an MD dense index: lookup realBox,
-// re-validating a stale covering region with one confirming probe over the
-// region's full box.
-func (s *Session) denseLookupMD(idx *index.DenseMD, sorted []int, realBox query.Box) (index.Region, bool, error) {
+// crawledLookup resolves the box rs (ascending attribute) against the
+// crawled regions with lazy epoch re-validation: a covering fact at the
+// current epoch is returned as-is (zero probes); a stale one gets exactly
+// one confirming probe over its whole box — an unchanged answer promotes it
+// to the current epoch, a drifted one removes it (and the lookup retries, in
+// case an older overlapping fact also covers rs). nil means the caller must
+// crawl.
+func (s *Session) crawledLookup(rs []factRange) (*fact, error) {
+	k := s.e.know
 	for {
-		reg, ok := idx.Lookup(realBox)
-		if !ok {
-			return index.Region{}, false, nil
+		f := k.crawled.lookup(rs)
+		if f == nil {
+			return nil, nil
 		}
-		cur := s.e.know.Epoch()
-		if reg.Epoch >= cur {
-			return reg, true, nil
+		cur := k.Epoch()
+		if f.epoch >= cur {
+			return f, nil
 		}
-		generic := query.New()
-		for i, attr := range sorted {
-			generic = generic.WithRange(attr, reg.Box.Dims[i])
-		}
-		confirm, err := s.issue(generic)
+		confirm, err := s.issue(rangesQuery(f.ranges))
 		if err != nil {
-			return index.Region{}, false, err
+			return nil, err
 		}
-		if s.confirmsRegion(reg.Rows, confirm) {
-			idx.Promote(reg.Box, cur)
-			s.e.know.denseRevalPromoted.Add(1)
-			reg.Epoch = cur
-			return reg, true, nil
+		if s.confirmsRegion(f.rows, confirm) {
+			k.denseRevalPromoted.Add(1)
+			return k.crawled.promote(f, cur), nil
 		}
-		idx.Remove(reg.Box)
-		s.e.know.denseRevalEvicted.Add(1)
+		k.crawled.remove(f)
+		k.denseRevalEvicted.Add(1)
 	}
 }
 
 // confirmsRegion decides whether a confirming probe's answer is consistent
-// with a stored dense region — the rule a stale fact is re-validated by (same
-// rows: the knowledge survived the drift), for rows that are a set rather
-// than a page. The arena gives a tuple whose values changed a new row, so
-// citing the same rows is saying the same thing. A complete answer must cite
-// exactly the region's rows (the region claims every corpus tuple in range).
-// An overflowing answer is partial; every row it cites must then be one of
-// the region's, which is the strongest check one probe can buy.
+// with a stored crawled region — the rule a stale fact is re-validated by
+// (same rows: the knowledge survived the drift), for rows that are a set
+// rather than a page. The arena gives a tuple whose values changed a new
+// row, so citing the same rows is saying the same thing. A complete answer
+// must cite exactly the region's rows (the region claims every corpus tuple
+// in range). An overflowing answer is partial; every row it cites must then
+// be one of the region's, which is the strongest check one probe can buy.
 func (s *Session) confirmsRegion(stored []uint32, res hidden.Result) bool {
 	if len(res.Tuples) > len(stored) || (!res.Overflow && len(res.Tuples) != len(stored)) {
 		return false
@@ -303,61 +267,51 @@ func (s *Session) confirmsRegion(stored []uint32, res hidden.Result) bool {
 	return true
 }
 
-// crawlDense1 crawls the 1D dense region (attr, iv) and inserts it into the
-// shared index, deduplicating concurrent crawls of the same region: one
-// session leads, the rest wait and read the inserted region for free.
-func (s *Session) crawlDense1(attr int, iv types.Interval) error {
-	key := fmt.Sprintf("1d:%d:%s", attr, iv)
-	_, _, err := s.e.crawls.Do(key, func() (hidden.Result, error) {
+// crawlBox crawls the box rs without any user's selection condition, so the
+// region serves every future user query, and records it as a crawled fact.
+// Concurrent crawls of the same box are deduplicated: one session leads, the
+// rest wait and read the inserted fact for free.
+func (s *Session) crawlBox(rs []factRange) error {
+	generic := rangesQuery(rs)
+	_, _, err := s.e.crawls.Do(generic.String(), func() (hidden.Result, error) {
 		// Re-check under the flight: a leader that finished between our
 		// caller's lookup miss and this Do would otherwise be re-crawled
 		// in full (coverage is monotone, so a hit here is authoritative).
-		// The epoch-aware lookup re-validates a stale covering region
+		// The epoch-aware lookup re-validates a stale covering fact
 		// instead of skipping the crawl on its word alone.
-		if _, ok, err := s.denseLookup1(attr, iv); err != nil {
+		if f, err := s.crawledLookup(rs); err != nil || f != nil {
 			return hidden.Result{}, err
-		} else if ok {
-			return hidden.Result{}, nil
 		}
-		generic := query.New().WithRange(attr, iv)
-		tuples, err := s.crawlRegion(generic, s.e.know.dense1.AddCrawlCost)
+		tuples, err := s.CrawlAll(generic)
 		if err != nil {
 			return hidden.Result{}, err
 		}
-		s.e.know.InsertDense1(attr, iv, tuples)
+		s.e.know.insertCrawled(rs, tuples)
 		return hidden.Result{}, nil
 	})
 	return err
 }
 
-// crawlDenseMD crawls the MD dense region realBox (dimensions in canonical
-// sorted-attribute order) and inserts it into the shared index for the given
-// attribute subset, with the same one-leader dedup as crawlDense1.
-func (s *Session) crawlDenseMD(sorted []int, realBox query.Box) error {
-	idx := s.e.know.mdIndexFor(sorted)
-	key := fmt.Sprintf("md:%s:%s", attrsKey(sorted), realBox)
-	_, _, err := s.e.crawls.Do(key, func() (hidden.Result, error) {
-		if _, ok, err := s.denseLookupMD(idx, sorted, realBox); err != nil {
-			return hidden.Result{}, err
-		} else if ok {
-			return hidden.Result{}, nil // crawled by a leader that just finished
-		}
-		generic := query.New()
-		for i, attr := range sorted {
-			generic = generic.WithRange(attr, realBox.Dims[i])
-		}
-		tuples, err := s.crawlRegion(generic, idx.AddCrawlCost)
-		if err != nil {
-			return hidden.Result{}, err
-		}
-		s.e.know.InsertDenseMD(sorted, realBox, tuples)
-		return hidden.Result{}, nil
-	})
-	return err
+// crawledFact is the dense-region oracle of Algorithms 4 and 6: the crawled
+// fact covering rs, crawling the box on a miss.
+func (s *Session) crawledFact(rs []factRange) (*fact, error) {
+	f, err := s.crawledLookup(rs)
+	if err != nil || f != nil {
+		return f, err
+	}
+	if err := s.crawlBox(rs); err != nil {
+		return nil, err
+	}
+	if f, err = s.crawledLookup(rs); err == nil && f == nil {
+		// Coverage is monotone within an epoch: a freshly crawled box
+		// stays covered, so this indicates corruption, never a benign miss.
+		err = fmt.Errorf("core: crawled region %s missing after crawl", rangesQuery(rs))
+	}
+	return f, err
 }
 
 // WarmWindow proactively acquires one 1D query window: it crawls the whole
-// window into the shared dense index and history (so any ranking over it is
+// window into the shared crawled regions and history (so any ranking over it is
 // answered from local knowledge), then replays 1D-RERANK cursors in both
 // directions to depth tuples each, which caches the exact probe stream a
 // user query over the same window would issue. With the window's contents
@@ -376,11 +330,11 @@ func (s *Session) WarmWindow(attr int, iv types.Interval, depth int) error {
 	if iv.Empty() || iv.Unbounded() {
 		return fmt.Errorf("core: warm-window interval %s must be bounded and non-empty", iv)
 	}
-	// Full crawl first: dense-region coverage is the restart-surviving
+	// Full crawl first: crawled coverage is the restart-surviving
 	// "already warm" marker, and a complete history makes the cursor
 	// replays below converge immediately to their fixed-point probe
 	// streams.
-	if err := s.crawlDense1(attr, iv); err != nil {
+	if err := s.crawlBox([]factRange{{attr, iv}}); err != nil {
 		return err
 	}
 	q := query.New().WithRange(attr, iv)

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hidden"
-	"repro/internal/index"
 	"repro/internal/query"
 )
 
@@ -69,8 +68,8 @@ func TestUpstreamsAPIRichShape(t *testing.T) {
 	if u.Name != "gems" || !u.Default {
 		t.Fatalf("descriptor name/default = %q/%v", u.Name, u.Default)
 	}
-	if u.Epoch != index.FirstEpoch {
-		t.Fatalf("fresh namespace epoch = %d, want %d", u.Epoch, index.FirstEpoch)
+	if u.Epoch != core.FirstEpoch {
+		t.Fatalf("fresh namespace epoch = %d, want %d", u.Epoch, core.FirstEpoch)
 	}
 	if u.Health != "healthy" {
 		t.Fatalf("in-process namespace health = %q, want healthy", u.Health)
@@ -85,7 +84,7 @@ func TestUpstreamsAPIRichShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Name != "gems" || info.Epoch != index.FirstEpoch || info.Health != "healthy" {
+	if info.Name != "gems" || info.Epoch != core.FirstEpoch || info.Health != "healthy" {
 		t.Fatalf("detail descriptor = %+v", info)
 	}
 }
@@ -104,8 +103,8 @@ func TestRevalidateEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantQ := int64(db.Schema().NumOrdinal() + 1)
-	if rv.Bumped || rv.Epoch != index.FirstEpoch || rv.Queries != wantQ {
-		t.Fatalf("baseline revalidate = %+v, want bumped=false epoch=%d queries=%d", rv, index.FirstEpoch, wantQ)
+	if rv.Bumped || rv.Epoch != core.FirstEpoch || rv.Queries != wantQ {
+		t.Fatalf("baseline revalidate = %+v, want bumped=false epoch=%d queries=%d", rv, core.FirstEpoch, wantQ)
 	}
 
 	// Drift, then the operator's "check now" button must bump the epoch and
@@ -115,8 +114,8 @@ func TestRevalidateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rv.Bumped || rv.Epoch != index.FirstEpoch+1 {
-		t.Fatalf("post-drift revalidate = %+v, want bumped at epoch %d", rv, index.FirstEpoch+1)
+	if !rv.Bumped || rv.Epoch != core.FirstEpoch+1 {
+		t.Fatalf("post-drift revalidate = %+v, want bumped at epoch %d", rv, core.FirstEpoch+1)
 	}
 	if rv.StaleRegions == 0 {
 		t.Fatal("epoch bump left no stale regions despite warm knowledge")
@@ -151,8 +150,8 @@ func TestEpochHeaderAndBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Epoch != index.FirstEpoch {
-		t.Fatalf("rerank body epoch = %d, want %d", resp.Epoch, index.FirstEpoch)
+	if resp.Epoch != core.FirstEpoch {
+		t.Fatalf("rerank body epoch = %d, want %d", resp.Epoch, core.FirstEpoch)
 	}
 
 	if _, err := client.Revalidate("gems"); err != nil {
@@ -173,7 +172,7 @@ func TestEpochHeaderAndBody(t *testing.T) {
 		t.Cleanup(func() { r.Body.Close() })
 		return r
 	}
-	wantEpoch := strconv.FormatInt(index.FirstEpoch+1, 10)
+	wantEpoch := strconv.FormatInt(core.FirstEpoch+1, 10)
 	for _, path := range []string{"/v1/upstreams/gems/rerank", "/v1/upstreams/gems/rerank/stream"} {
 		r := post(path, rangeRequest(50))
 		if r.StatusCode != http.StatusOK {
@@ -196,8 +195,8 @@ func TestEpochHeaderAndBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Epoch != index.FirstEpoch+1 {
-		t.Fatalf("client epoch after bump = %d, want %d", resp.Epoch, index.FirstEpoch+1)
+	if resp.Epoch != core.FirstEpoch+1 {
+		t.Fatalf("client epoch after bump = %d, want %d", resp.Epoch, core.FirstEpoch+1)
 	}
 }
 
@@ -386,7 +385,7 @@ func TestSentinelLoopBumpsWithinOneInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Epoch > index.FirstEpoch {
+		if info.Epoch > core.FirstEpoch {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -249,6 +250,49 @@ func TestSchemaUnknownNamespace404(t *testing.T) {
 	_, err = c.Schema()
 	if !asStatusError(err, &se) || se.Status != http.StatusNotFound || se.Code != ErrCodeUnknownUpstream {
 		t.Fatalf("client schema error = %v, want 404 unknown_upstream StatusError", err)
+	}
+}
+
+// TestUpstreamStatsRoute: GET /v1/upstreams/{ns}/stats serves the same
+// snapshot /v1/stats lists under upstreams[ns] — on a quiet server nothing
+// moves between the two reads — and 404s with the error envelope for an
+// unknown namespace.
+func TestUpstreamStatsRoute(t *testing.T) {
+	srv, api, _, _ := federatedPipeline(t)
+	rerankIn(t, srv, "diamonds", rangeRequest(50))
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := api.Client().Get(api.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var one UpstreamStats
+	var all Stats
+	get("/v1/upstreams/diamonds/stats", &one)
+	get("/v1/stats", &all)
+	if one.EngineQueries == 0 || one.MDDenseRegions == 0 {
+		t.Fatalf("route stats %+v: want the request's queries and crawled box", one)
+	}
+	if want := all.Upstreams["diamonds"]; !reflect.DeepEqual(one, want) {
+		t.Fatalf("GET /v1/upstreams/diamonds/stats = %+v\nwant /v1/stats upstreams[diamonds] = %+v", one, want)
+	}
+
+	resp, err := api.Client().Get(api.URL + "/v1/upstreams/nope/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := statusError(resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || se.Code != ErrCodeUnknownUpstream {
+		t.Fatalf("status %d code %q, want 404 %q", resp.StatusCode, se.Code, ErrCodeUnknownUpstream)
 	}
 }
 

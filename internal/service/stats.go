@@ -34,8 +34,7 @@ type UpstreamStats struct {
 	HistoryTuples     int    `json:"historyTuples"`
 	ProbeCacheEntries int    `json:"probeCacheEntries"`
 	MDDenseRegions    int    `json:"mdDenseRegions"`
-	DenseMDBuckets    int    `json:"denseMDBuckets"`
-	DenseMDMaxBucket  int    `json:"denseMDMaxBucket"`
+	DenseMDMaxBucket  int    `json:"denseMDMaxBucket"` // largest crawled-region bucket, 1D or MD
 	SearchParallelism int    `json:"searchParallelism"`
 	SpecProbesIssued  int64  `json:"specProbesIssued"`
 	SpecProbesWasted  int64  `json:"specProbesWasted"`
@@ -136,7 +135,6 @@ type Stats struct {
 // tenantStats snapshots one namespace's counters.
 func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	eng := t.engine()
-	gs := eng.MDBucketStats()
 	specIssued, specWasted := eng.SpeculationStats()
 	us := UpstreamStats{
 		URL:               t.url,
@@ -146,8 +144,7 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 		HistoryTuples:     eng.History().Size(),
 		ProbeCacheEntries: eng.ProbeCacheEntries(),
 		MDDenseRegions:    eng.MDDenseRegions(),
-		DenseMDBuckets:    gs.Buckets,
-		DenseMDMaxBucket:  gs.MaxBucket,
+		DenseMDMaxBucket:  eng.CrawledMaxBucket(),
 		SearchParallelism: eng.SearchParallelism(),
 		SpecProbesIssued:  specIssued,
 		SpecProbesWasted:  specWasted,
@@ -264,9 +261,8 @@ var upstreamSeries = []struct {
 	{"md_certified_complete_total", "MD-RERANK deep certification probes that came back complete and became their region's certified page.", "counter", func(u UpstreamStats) int64 { return u.MDCertifiedComplete }},
 	{"md_certified_overflow_total", "MD-RERANK deep certification probes that overflowed and left the search to the candidate's own contour.", "counter", func(u UpstreamStats) int64 { return u.MDCertifiedOverflow }},
 	{"cover_hits_total", "Get-Nexts, 1D and MD, answered from a cursor's certified page: next tuple and tie group, no probe.", "counter", func(u UpstreamStats) int64 { return u.CoverHits }},
-	{"md_dense_regions", "Crawled MD dense regions across attribute subsets.", "gauge", func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) }},
-	{"dense_md_buckets", "Occupied MD centroid-grid cells.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDBuckets) }},
-	{"dense_md_max_bucket", "Largest MD centroid-grid cell population.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDMaxBucket) }},
+	{"md_dense_regions", "Crawled regions over more than one attribute.", "gauge", func(u UpstreamStats) int64 { return int64(u.MDDenseRegions) }},
+	{"dense_md_max_bucket", "Largest crawled-region bucket: the most regions one lookup may walk.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDMaxBucket) }},
 	{"search_parallelism", "Effective speculative probe width W.", "gauge", func(u UpstreamStats) int64 { return int64(u.SearchParallelism) }},
 	{"spec_probes_issued_total", "Speculative MD probes issued.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesIssued }},
 	{"spec_probes_wasted_total", "Speculative MD probes invalidated before use.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesWasted }},
@@ -274,7 +270,7 @@ var upstreamSeries = []struct {
 	{"admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge", func(u UpstreamStats) int64 { return int64(u.AdmissionWeight) }},
 	{"epoch", "Knowledge epoch.", "gauge", func(u UpstreamStats) int64 { return u.Epoch }},
 	{"epoch_bumps_total", "Drift-triggered knowledge epoch bumps.", "counter", func(u UpstreamStats) int64 { return u.EpochBumps }},
-	{"stale_regions", "Dense regions awaiting lazy re-validation.", "gauge", func(u UpstreamStats) int64 { return int64(u.StaleRegions) }},
+	{"stale_regions", "Crawled regions awaiting lazy re-validation.", "gauge", func(u UpstreamStats) int64 { return int64(u.StaleRegions) }},
 	{"stale_history_rows", "History rows learned under an older epoch.", "gauge", func(u UpstreamStats) int64 { return u.StaleHistoryRows }},
 	{"epoch_reval_promoted_total", "Stale knowledge promoted to the current epoch by a confirming probe.", "counter", func(u UpstreamStats) int64 { return u.RevalPromoted }},
 	{"epoch_reval_evicted_total", "Stale knowledge evicted after a re-validation mismatch.", "counter", func(u UpstreamStats) int64 { return u.RevalEvicted }},

@@ -18,8 +18,9 @@
 // # Concurrency
 //
 // A Reranker is safe for concurrent use. Internally it is split into a
-// shared Knowledge layer — the cross-query answer history, the on-the-fly
-// dense-region indexes, and the upstream-query counter, all internally
+// shared Knowledge layer — the cross-query answer history, the crawled
+// regions of the on-the-fly dense indexes (facts over the history, like
+// probe answers), and the upstream-query counter, all internally
 // synchronized — and per-request Sessions that hold traversal state and a
 // per-request cost ledger. Create cursors from any goroutine; each
 // individual Cursor must be driven by one goroutine at a time. A probe
