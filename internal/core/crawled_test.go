@@ -283,12 +283,13 @@ var crawledCases = []struct {
 			}
 		}
 	}},
-	// Writers that add tuples and insert overlapping regions concurrently
-	// end with one region citing every row once, in run order: insert
-	// orders rows under a view taken inside its lock, which therefore
-	// covers the rows of every fact inserted before it (run under -race).
+	// Writers that add tuples and insert adjoining regions concurrently end
+	// with one region citing every row once, in run order: insert orders
+	// rows under a view taken inside its lock, which therefore covers the
+	// rows of every fact inserted before it (run under -race).
 	{"concurrent-inserts", func(t *testing.T, w crawledWorld) {
 		const writers, each = 8, 700 // crosses an arena block boundary
+		at := func(wr, j int) float64 { return float64(wr) + float64(j)/each }
 		var wg sync.WaitGroup
 		for wr := 0; wr < writers; wr++ {
 			wg.Add(1)
@@ -297,14 +298,14 @@ var crawledCases = []struct {
 				for i := 0; i < each; i += 50 {
 					var ts []types.Tuple
 					for j := i; j < i+50; j++ {
-						ts = append(ts, mk(wr*each+j, float64(wr)+float64(j)/each))
+						ts = append(ts, mk(wr*each+j, at(wr, j)))
 					}
-					w.insert(types.ClosedInterval(float64(wr), float64(wr+1)), ts)
+					w.insert(types.Interval{Lo: at(wr, i), Hi: at(wr, i+50), HiOpen: true}, ts)
 				}
 			}(wr)
 		}
 		wg.Wait()
-		f := w.lookup(types.ClosedInterval(0, writers))
+		f := w.lookup(types.Interval{Lo: 0, Hi: writers, HiOpen: true})
 		if f == nil || w.regions() != 1 || len(f.rows) != writers*each {
 			t.Fatalf("found=%v, %d regions; want one region of %d rows", f != nil, w.regions(), writers*each)
 		}

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -221,6 +222,84 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			}
 			if e.know.StaleRegions() != 0 {
 				t.Fatalf("StaleRegions = %d after eviction, want 0", e.know.StaleRegions())
+			}
+		})
+	}
+}
+
+// TestCrawlContainingStaleRegion: a crawl whose box contains a stale crawled
+// region re-read every tuple in it, so it replaces the region instead of
+// merging with it. The new fact holds only current tuple versions at the
+// current epoch, and the crawler's follow-up lookup spends nothing on it.
+func TestCrawlContainingStaleRegion(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		attr1 bool // add a second attribute, spanning its whole domain
+	}{{"1D", false}, {"2D", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
+			e := NewEngine(db, Options{N: 400})
+			iv, inside := narrowWindow(t, tuples, 10)
+			box := func(iv types.Interval) []factRange {
+				rs := []factRange{{0, iv}}
+				if tc.attr1 {
+					rs = append(rs, factRange{1, types.ClosedInterval(0, 100)})
+				}
+				return rs
+			}
+			inner, outer := box(iv), box(types.ClosedInterval(iv.Lo-3, iv.Hi+3))
+			if err := e.NewSession().crawlBox(inner); err != nil {
+				t.Fatal(err)
+			}
+
+			// Move a tuple of the inner region within it: its old version
+			// shares the tuple's ID but not its value, so only a merge
+			// that trusts the stale region would keep both.
+			moved := inside[0].Clone()
+			moved.Ord[0] = (iv.Lo + iv.Hi) / 2
+			if moved.Ord[0] == inside[0].Ord[0] {
+				moved.Ord[0] += 0.25
+			}
+			if !db.SetOrd(moved.ID, 0, moved.Ord[0]) {
+				t.Fatal("SetOrd refused")
+			}
+			e.know.BumpEpoch()
+
+			s := e.NewSession()
+			f, err := s.crawledFact(outer)
+			if err != nil || f == nil {
+				t.Fatalf("crawledFact over the containing box: found=%v err=%v", f != nil, err)
+			}
+			if f.epoch != e.Epoch() {
+				t.Fatalf("fact epoch %d, want the current %d", f.epoch, e.Epoch())
+			}
+			if n := len(crawledExport(e.know.crawled)); n != 1 {
+				t.Fatalf("%d crawled regions, want 1 (the inner one replaced)", n)
+			}
+			// The same crawl on an engine that never saw the inner region.
+			twin := NewEngine(db, Options{N: 400}).NewSession()
+			if err := twin.crawlBox(outer); err != nil {
+				t.Fatal(err)
+			}
+			if s.Queries() != twin.Queries() {
+				t.Fatalf("crawledFact spent %d queries, a fresh crawl of the box %d", s.Queries(), twin.Queries())
+			}
+
+			var current []types.Tuple
+			for _, tp := range tuples {
+				if tp.ID == moved.ID {
+					tp = moved
+				}
+				if tp.Ord[0] >= iv.Lo-3 && tp.Ord[0] <= iv.Hi+3 {
+					current = append(current, tp)
+				}
+			}
+			want, got := e.know.hist.AddRows(current), slices.Clone(f.rows)
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("fact rows %v, want the current versions' %v", got, want)
 			}
 		})
 	}

@@ -51,8 +51,8 @@
 // later query). Its rows ascend by (value on the box's first attribute, tuple
 // ID) beside their values, a history run the 1D oracle binary-searches.
 // crawledFacts holds these facts for every attribute count, 1D being m = 1,
-// in the same groups and lo-ordered buckets as the fact index (one bucket per
-// group: a crawl has no categorical predicates). Unlike the fact index it is
+// in the fact index's lo-ordered buckets, one per attribute set (a crawl has
+// no categorical predicates to sign). Unlike the fact index it is
 // pinned and unbounded, and it exists whatever DisableCoalescing and
 // ProbeCacheSize say: a box crawled a moment ago must still be covered when
 // its crawler looks it up. A crawled fact never changes once stored; a
@@ -516,7 +516,14 @@ func (x *factIndex) learn(key string, q query.Query, rows []uint32, overflow boo
 type crawledFacts struct {
 	hist   *history.Store // the store whose rows the facts cite
 	mu     sync.RWMutex
-	groups []*factGroup // one per attribute set, each with the single bucket 0
+	groups []*crawledGroup
+}
+
+// crawledGroup holds the crawled facts over exactly the attributes attrs
+// (ascending).
+type crawledGroup struct {
+	attrs []int
+	b     factBucket
 }
 
 // bucket returns the bucket of the facts over exactly the attributes of rs,
@@ -524,18 +531,18 @@ type crawledFacts struct {
 func (c *crawledFacts) bucket(rs []factRange, create bool) *factBucket {
 	for _, g := range c.groups {
 		if len(g.attrs) == len(rs) && sameAttrs(g.attrs, rs) {
-			return g.buckets[0]
+			return &g.b
 		}
 	}
 	if !create {
 		return nil
 	}
-	g := &factGroup{buckets: map[uint64]*factBucket{0: {}}}
+	g := &crawledGroup{}
 	for _, r := range rs {
 		g.attrs = append(g.attrs, r.attr)
 	}
 	c.groups = append(c.groups, g)
-	return g.buckets[0]
+	return &g.b
 }
 
 func sameAttrs(attrs []int, rs []factRange) bool {
@@ -609,10 +616,11 @@ func (c *crawledFacts) lookup(rs []factRange) *fact {
 // insert records the crawled box rs (ascending attribute) with rows, the
 // arena rows of every database tuple inside it, learned under epoch. A
 // stored fact over the same attributes is absorbed when their union is
-// itself a box (one contains the other, or they meet along one attribute):
-// the merged fact covers the union, keeps one row per (value, tuple ID) of
-// both, and is only as fresh as the oldest fact it absorbed — its old rows
-// were not re-read by the new crawl.
+// itself a box (one contains the other, or they meet along one attribute).
+// One that rs contains is simply dropped: the new crawl re-read every tuple
+// in it. Otherwise the merged fact covers the union, keeps one row per
+// (value, tuple ID) of both, and is only as fresh as the oldest fact it
+// absorbed — the rows outside rs were not re-read.
 func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -629,6 +637,9 @@ func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
 			break
 		}
 		b.remove(old)
+		if boxCovers(rs, old.ranges) {
+			continue
+		}
 		hull(f.ranges, old.ranges)
 		run = dedupRun(v, colstore.MergeRuns(v, run, old.run()))
 		f.epoch = min(f.epoch, old.epoch)
@@ -688,7 +699,7 @@ func (c *crawledFacts) count(ok func(*fact) bool) int {
 	defer c.mu.RUnlock()
 	n := 0
 	for _, g := range c.groups {
-		for _, f := range g.buckets[0].facts {
+		for _, f := range g.b.facts {
 			if ok(f) {
 				n++
 			}
@@ -704,7 +715,7 @@ func (c *crawledFacts) maxBucket() int {
 	defer c.mu.RUnlock()
 	n := 0
 	for _, g := range c.groups {
-		n = max(n, len(g.buckets[0].facts))
+		n = max(n, len(g.b.facts))
 	}
 	return n
 }
