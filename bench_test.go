@@ -449,9 +449,9 @@ func BenchmarkGetNextLatency(b *testing.B) {
 }
 
 // benchAcquirer wires an acquirer straight to an engine the way the service
-// tier does, but with the idle/pressure gates held open: the benchmark
-// drives Tick synchronously inside explicit idle gaps, so gating is the
-// scenario, not the subject.
+// tier does, but with the idle, pressure and admission gates held open: the
+// benchmark drives Tick synchronously inside explicit idle gaps, so gating
+// is the scenario, not the subject.
 func benchAcquirer(b *testing.B, e *core.Engine) *acquire.Acquirer {
 	b.Helper()
 	iv := func(w acquire.Window) types.Interval { return types.ClosedInterval(w.Lo, w.Hi) }
@@ -459,8 +459,8 @@ func benchAcquirer(b *testing.B, e *core.Engine) *acquire.Acquirer {
 		Candidates: func(max int) []acquire.Candidate { return e.Heat().Candidates(max) },
 		Warm:       func(w acquire.Window) bool { return e.WindowWarm(w.Attr, iv(w)) },
 		IdleSince:  func() time.Duration { return time.Hour },
-		Pressure:   func() bool { return e.UserPressure(time.Second) },
-		Admit:      func() (func(), bool) { return e.TryAdmitLowPriority(1) },
+		Pressure:   func() bool { return false },
+		Admit:      func() (func(), bool) { return func() {}, true },
 		Acquire: func(w acquire.Window, depth int, abort func() bool) (int64, bool, error) {
 			sess := e.NewSession()
 			sess.SetAbort(abort)
@@ -596,7 +596,8 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := service.NewServerWithOptions(db, service.Options{
-		Core: core.Options{N: 4000, MaxConcurrentSessions: 4 * runtime.GOMAXPROCS(0)},
+		Core:        core.Options{N: 4000},
+		MaxSessions: 4 * runtime.GOMAXPROCS(0),
 	})
 	api := httptest.NewServer(srv.Handler())
 	defer api.Close()

@@ -77,7 +77,7 @@ func (u *upstreamFlag) Set(v string) error {
 	if url == "" {
 		return fmt.Errorf("empty upstream URL in %q", v)
 	}
-	if err := core.ValidateNamespaceName(name); err != nil {
+	if err := service.ValidateNamespaceName(name); err != nil {
 		return err
 	}
 	for _, cfg := range *u {
@@ -128,11 +128,11 @@ func main() {
 	}
 	srv := service.NewFederatedServer(service.Options{
 		Core: core.Options{
-			N:                     hint,
-			ProbeCacheSize:        *cache,
-			SearchParallelism:     *width,
-			MaxConcurrentSessions: *maxSessions,
+			N:                 hint,
+			ProbeCacheSize:    *cache,
+			SearchParallelism: *width,
 		},
+		MaxSessions:        *maxSessions,
 		MaxBodyBytes:       *maxBody,
 		ClientBudget:       *clientBudget,
 		ClientBudgetWindow: *budgetWindow,

@@ -43,21 +43,6 @@ func NewLayout(schema *types.Schema) *Layout {
 	return l
 }
 
-// Schema returns the schema the layout was built from.
-func (l *Layout) Schema() *types.Schema { return l.schema }
-
-// NumCat returns the number of categorical symbol columns.
-func (l *Layout) NumCat() int { return len(l.catPos) }
-
-// CatCol returns the symbol column index for a categorical attribute name.
-func (l *Layout) CatCol(name string) (int, bool) {
-	c, ok := l.colOf[name]
-	return c, ok
-}
-
-// CatName returns the attribute name of symbol column col.
-func (l *Layout) CatName(col int) string { return l.catNames[col] }
-
 // block is one fixed-capacity slab of columns. Cells are written exactly
 // once (the store is append-only) and the column slices never grow, so a
 // published row can be read without locks.
@@ -125,9 +110,6 @@ func NewArena(layout *Layout, dict *Dict) *Arena {
 	a.blocks.Store(&empty)
 	return a
 }
-
-// Layout returns the arena's column layout.
-func (a *Arena) Layout() *Layout { return a.layout }
 
 // Dict returns the shared string dictionary.
 func (a *Arena) Dict() *Dict { return a.dict }
@@ -237,9 +219,6 @@ func (a *Arena) View() View {
 // Len returns the number of rows visible through the view.
 func (v View) Len() int { return v.n }
 
-// Layout returns the owning arena's layout.
-func (v View) Layout() *Layout { return v.a.layout }
-
 // Dict returns the owning arena's dictionary.
 func (v View) Dict() *Dict { return v.a.dict }
 
@@ -260,12 +239,6 @@ func (v View) ID(row int) int {
 // Ord returns the ordinal value at schema position pos of a row.
 func (v View) Ord(row, pos int) float64 {
 	return v.blocks[row>>blockShift].ord[pos][row&blockMask]
-}
-
-// CatSym returns the interned symbol in categorical column col of a row
-// (0 when the attribute was absent from the tuple).
-func (v View) CatSym(row, col int) uint32 {
-	return v.blocks[row>>blockShift].cat[col][row&blockMask]
 }
 
 func (v View) overflow(row int) (overflowRow, bool) {

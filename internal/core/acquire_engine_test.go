@@ -1,5 +1,4 @@
-// Engine-level tests for background acquisition primitives: low-priority
-// admission with a user reserve, the user-pressure signal, WarmWindow's
+// Engine-level tests for background acquisition primitives: WarmWindow's
 // ledger separation and zero-upstream replay guarantee (live and across
 // segment-store restarts), and heat-sketch persistence through checkpoints.
 
@@ -8,168 +7,13 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
 )
-
-func TestAdmitLowPriorityReserve(t *testing.T) {
-	e := admissionEngine(t, 4) // reserve = 4/4 = 1 slot
-	var rels []func()
-	for i := 0; i < 3; i++ {
-		rel, ok := e.TryAdmitLowPriority(1)
-		if !ok {
-			t.Fatalf("low-priority admit %d rejected with reserve free", i)
-		}
-		rels = append(rels, rel)
-	}
-	// The 4th slot is the user reserve: low priority must never take it.
-	if _, ok := e.TryAdmitLowPriority(1); ok {
-		t.Fatal("low-priority admit took the user reserve slot")
-	}
-	// A user request still fits in the reserve.
-	rel, ok := e.TryAdmit(1)
-	if !ok {
-		t.Fatal("user admit rejected from the reserve slot")
-	}
-	rel()
-	for _, r := range rels {
-		r()
-	}
-	// Weighted: a low-priority batch must fit entirely outside the reserve.
-	if _, ok := e.TryAdmitLowPriority(4); ok {
-		t.Fatal("weight-4 low-priority admit overlapped the reserve")
-	}
-	if rel, ok := e.TryAdmitLowPriority(3); !ok {
-		t.Fatal("weight-3 low-priority admit rejected at empty gate")
-	} else {
-		rel()
-	}
-	// An unlimited gate has no reserve to protect.
-	eu := admissionEngine(t, 0)
-	if rel, ok := eu.TryAdmitLowPriority(5); !ok {
-		t.Fatal("low-priority admit rejected on unlimited gate")
-	} else {
-		rel()
-	}
-}
-
-func TestUserPressureSignal(t *testing.T) {
-	e := admissionEngine(t, 4)
-	if e.UserPressure(time.Hour) {
-		t.Fatal("pressure reported on an idle gate")
-	}
-	// Occupying up to the reserve boundary is pressure: users are using
-	// everything the acquirer would be allowed to touch.
-	rel1, _ := e.TryAdmit(2)
-	rel2, _ := e.TryAdmit(1)
-	if !e.UserPressure(time.Hour) {
-		t.Fatal("no pressure with used == cap-reserve")
-	}
-	rel1()
-	rel2()
-
-	// A denied user admission stamps pressure for the window, even after
-	// the load that caused it drained.
-	rel, _ := e.TryAdmit(4)
-	if _, ok := e.TryAdmit(1); ok {
-		t.Fatal("admit beyond capacity succeeded")
-	}
-	rel()
-	if !e.UserPressure(time.Hour) {
-		t.Fatal("denied admission did not register as pressure")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if e.UserPressure(10 * time.Millisecond) {
-		t.Fatal("pressure persisted past the window with the gate drained")
-	}
-
-	// Only user-held weight counts toward pressure: at cap=2 (reserve 1)
-	// the acquirer's own admitted slot fills cap-reserve, and if that read
-	// as pressure every in-flight acquisition would abort itself at its
-	// first probe.
-	e2 := admissionEngine(t, 2)
-	relLow, ok := e2.TryAdmitLowPriority(1)
-	if !ok {
-		t.Fatal("low-priority admit refused on an idle cap-2 gate")
-	}
-	if e2.UserPressure(time.Hour) {
-		t.Fatal("acquirer's own admission registered as user pressure")
-	}
-	// A user arriving alongside the in-flight acquisition IS pressure.
-	relUser, ok := e2.TryAdmit(1)
-	if !ok {
-		t.Fatal("user admit refused with the reserve free")
-	}
-	if !e2.UserPressure(time.Hour) {
-		t.Fatal("no pressure with a user holding the reserve")
-	}
-	relUser()
-	relLow()
-}
-
-// TestAdmitLowPriorityConcurrent hammers the gate with mixed user and
-// low-priority traffic (run with -race): the total bound must hold, and
-// during a phase where users pin everything outside the reserve, low
-// priority must be shut out completely.
-func TestAdmitLowPriorityConcurrent(t *testing.T) {
-	const capacity = 8
-	e := admissionEngine(t, capacity)
-	var inFlight, peak atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 12; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			weight := 1 + g%2
-			low := g%3 == 0
-			for i := 0; i < 300; i++ {
-				var rel func()
-				var ok bool
-				if low {
-					rel, ok = e.TryAdmitLowPriority(weight)
-				} else {
-					rel, ok = e.TryAdmit(weight)
-				}
-				if !ok {
-					continue
-				}
-				cur := inFlight.Add(int64(weight))
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				inFlight.Add(-int64(weight))
-				rel()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if p := peak.Load(); p > capacity {
-		t.Fatalf("observed %d in-flight weight, bound is %d", p, capacity)
-	}
-	if got := e.SessionsInFlight(); got != 0 {
-		t.Fatalf("SessionsInFlight = %d after all releases, want 0", got)
-	}
-	// Users hold cap-reserve: every low-priority admit must fail.
-	rel, ok := e.TryAdmit(capacity - 1)
-	if !ok {
-		t.Fatal("user admit of cap-reserve rejected on drained gate")
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := e.TryAdmitLowPriority(1); ok {
-			t.Fatal("low-priority admit succeeded with only the reserve free")
-		}
-	}
-	rel()
-}
 
 // acquireWindow is the window the WarmWindow tests warm and then re-query.
 func acquireWindow() types.Interval { return types.ClosedInterval(20, 30) }

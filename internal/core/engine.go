@@ -117,13 +117,6 @@ type Options struct {
 	// default (16384 facts), negative disables it while keeping in-flight
 	// dedup.
 	ProbeCacheSize int
-	// MaxConcurrentSessions bounds the total weight of sessions admitted
-	// through Engine.TryAdmit at any instant (0 = unlimited). It is the
-	// serving tier's backpressure knob: the HTTP layer reserves one slot
-	// per request (N for an N-item batch) before creating sessions and
-	// sheds the excess with 429 + Retry-After. Sessions created directly
-	// via NewSession (library use, experiments) bypass the gate.
-	MaxConcurrentSessions int
 	// SearchParallelism is the speculative probe width W of the MD search:
 	// each best-first round issues up to W frontier probes concurrently
 	// through the coalescing layer, bounded by a per-session worker pool.
@@ -144,9 +137,8 @@ type Engine struct {
 	opts Options
 
 	know   *Knowledge
-	probes *coalescer     // issue-path dedup + complete-answer cache
-	crawls *flightGroup   // dense-region crawl dedup
-	adm    *admissionGate // session admission (MaxConcurrentSessions)
+	probes *coalescer   // issue-path dedup + complete-answer cache
+	crawls *flightGroup // dense-region crawl dedup
 
 	// Speculative-search accounting: probes issued beyond the first slot
 	// of an MD search round, and the subset invalidated by a threshold
@@ -184,7 +176,6 @@ func NewEngine(db hidden.Database, opts Options) *Engine {
 		know:   know,
 		probes: newCoalescer(db, opts.ProbeCacheSize, opts.DisableCoalescing, know.hist, know.Epoch),
 		crawls: newFlightGroup(),
-		adm:    newAdmissionGate(opts.MaxConcurrentSessions),
 	}
 }
 

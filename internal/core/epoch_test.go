@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -231,11 +232,15 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 // region re-read every tuple in it, so it replaces the region instead of
 // merging with it. The new fact holds only current tuple versions at the
 // current epoch, and the crawler's follow-up lookup spends nothing on it.
+// A crawl that only partly overlaps the stale region ("partial") leaves it
+// apart: joining them would stamp the stale region's drifted rows into the
+// new fact, whose follow-up re-validation would then evict it.
 func TestCrawlContainingStaleRegion(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		attr1 bool // add a second attribute, spanning its whole domain
-	}{{"1D", false}, {"2D", true}} {
+		name    string
+		attr1   bool // add a second attribute, spanning its whole domain
+		partial bool // the new box overlaps the stale one without containing it
+	}{{"1D", false, false}, {"2D", true, false}, {"1D-partial", false, true}, {"2D-partial", true, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
@@ -248,19 +253,29 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 				}
 				return rs
 			}
-			inner, outer := box(iv), box(types.ClosedInterval(iv.Lo-3, iv.Hi+3))
+			slices.SortFunc(inside, func(a, b types.Tuple) int { return cmp.Compare(a.Ord[0], b.Ord[0]) })
+			// Move the lowest tuple of the stale region to the middle of it,
+			// or, when the new box starts past it, within [iv.Lo, lo): its
+			// old version shares the tuple's ID but not its value, so only
+			// a merge that trusts the stale region would keep both.
+			moved := inside[0].Clone()
+			lo, newVal := iv.Lo-3, (iv.Lo+iv.Hi)/2
+			if tc.partial {
+				lo = (moved.Ord[0] + iv.Hi) / 2
+				newVal = (iv.Lo + moved.Ord[0]) / 2
+				if moved.Ord[0] == iv.Lo {
+					newVal = (moved.Ord[0] + lo) / 2
+				}
+			}
+			want := types.ClosedInterval(lo, iv.Hi+3)
+			inner, outer := box(iv), box(want)
 			if err := e.NewSession().crawlBox(inner); err != nil {
 				t.Fatal(err)
 			}
-
-			// Move a tuple of the inner region within it: its old version
-			// shares the tuple's ID but not its value, so only a merge
-			// that trusts the stale region would keep both.
-			moved := inside[0].Clone()
-			moved.Ord[0] = (iv.Lo + iv.Hi) / 2
-			if moved.Ord[0] == inside[0].Ord[0] {
-				moved.Ord[0] += 0.25
+			if newVal == moved.Ord[0] {
+				newVal += 0.25
 			}
+			moved.Ord[0] = newVal
 			if !db.SetOrd(moved.ID, 0, moved.Ord[0]) {
 				t.Fatal("SetOrd refused")
 			}
@@ -269,13 +284,17 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 			s := e.NewSession()
 			f, err := s.crawledFact(outer)
 			if err != nil || f == nil {
-				t.Fatalf("crawledFact over the containing box: found=%v err=%v", f != nil, err)
+				t.Fatalf("crawledFact over the new box: found=%v err=%v", f != nil, err)
 			}
 			if f.epoch != e.Epoch() {
 				t.Fatalf("fact epoch %d, want the current %d", f.epoch, e.Epoch())
 			}
-			if n := len(crawledExport(e.know.crawled)); n != 1 {
-				t.Fatalf("%d crawled regions, want 1 (the inner one replaced)", n)
+			wantRegions := 1 // the inner one replaced
+			if tc.partial {
+				wantRegions = 2 // the stale one kept apart
+			}
+			if n := len(crawledExport(e.know.crawled)); n != wantRegions {
+				t.Fatalf("%d crawled regions, want %d", n, wantRegions)
 			}
 			// The same crawl on an engine that never saw the inner region.
 			twin := NewEngine(db, Options{N: 400}).NewSession()
@@ -291,15 +310,15 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 				if tp.ID == moved.ID {
 					tp = moved
 				}
-				if tp.Ord[0] >= iv.Lo-3 && tp.Ord[0] <= iv.Hi+3 {
+				if want.Contains(tp.Ord[0]) {
 					current = append(current, tp)
 				}
 			}
-			want, got := e.know.hist.AddRows(current), slices.Clone(f.rows)
-			slices.Sort(want)
+			wantRows, got := e.know.hist.AddRows(current), slices.Clone(f.rows)
+			slices.Sort(wantRows)
 			slices.Sort(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("fact rows %v, want the current versions' %v", got, want)
+			if !slices.Equal(got, wantRows) {
+				t.Fatalf("fact rows %v, want the current versions' %v", got, wantRows)
 			}
 		})
 	}

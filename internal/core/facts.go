@@ -615,12 +615,14 @@ func (c *crawledFacts) lookup(rs []factRange) *fact {
 
 // insert records the crawled box rs (ascending attribute) with rows, the
 // arena rows of every database tuple inside it, learned under epoch. A
-// stored fact over the same attributes is absorbed when their union is
-// itself a box (one contains the other, or they meet along one attribute).
-// One that rs contains is simply dropped: the new crawl re-read every tuple
-// in it. Otherwise the merged fact covers the union, keeps one row per
-// (value, tuple ID) of both, and is only as fresh as the oldest fact it
-// absorbed — the rows outside rs were not re-read.
+// stored fact over the same attributes that the new box contains is dropped,
+// whatever its epoch: the new crawl re-read every tuple in it. One of the
+// same epoch is absorbed when their union is itself a box (they meet along
+// one attribute, or it contains the new box): the merged fact covers the
+// union and keeps one row per (value, tuple ID) of both. A fact of another
+// epoch that the new box does not contain stays apart — merging it would
+// stamp rows the crawl did not re-read with the wrong epoch, or re-validate
+// the new rows with its stale ones.
 func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -632,17 +634,18 @@ func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
 	b := c.bucket(rs, true)
 	for {
 		box := f.ranges
-		old := b.find(box[0].iv.Hi, box[0].iv.Lo, func(o *fact) bool { return joins(box, o.ranges) })
+		old := b.find(box[0].iv.Hi, box[0].iv.Lo, func(o *fact) bool {
+			return boxCovers(box, o.ranges) || (o.epoch == epoch && joins(box, o.ranges))
+		})
 		if old == nil {
 			break
 		}
 		b.remove(old)
-		if boxCovers(rs, old.ranges) {
+		if boxCovers(box, old.ranges) {
 			continue
 		}
 		hull(f.ranges, old.ranges)
 		run = dedupRun(v, colstore.MergeRuns(v, run, old.run()))
-		f.epoch = min(f.epoch, old.epoch)
 	}
 	f.vals, f.rows, f.lo, f.hi = run.Vals, run.Rows, f.ranges[0].iv.Lo, f.ranges[0].iv.Hi
 	b.insert(f)

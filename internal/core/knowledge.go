@@ -122,15 +122,9 @@ func (k *Knowledge) StaleRegions() int {
 	return k.crawled.count(func(f *fact) bool { return f.epoch < cur })
 }
 
-// History returns the cross-query tuple cache. Safe for concurrent use.
-func (k *Knowledge) History() *history.Store { return k.hist }
-
 // Queries returns the number of upstream queries issued so far (coalesced
 // probes count once).
 func (k *Knowledge) Queries() int64 { return k.queries.Load() }
-
-// Heat returns the request-window heat sketch. Safe for concurrent use.
-func (k *Knowledge) Heat() *acquire.Sketch { return k.heat }
 
 // insertCrawled records a crawled box — ranges ascending by attribute — with
 // every tuple inside it at the current epoch, and records the insert for

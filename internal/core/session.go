@@ -115,9 +115,6 @@ func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 	wg.Wait()
 }
 
-// Engine returns the engine the session runs against.
-func (s *Session) Engine() *Engine { return s.e }
-
 // Queries returns the number of upstream queries charged to this session —
 // the per-request incarnation of the paper's cost measure. Probes answered
 // by the coalescing layer or another session's in-flight call cost nothing.

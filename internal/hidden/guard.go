@@ -144,9 +144,6 @@ func NewGuard(db Database, opts GuardOptions) *Guard {
 	return &Guard{db: db, opts: opts.withDefaults()}
 }
 
-// Inner returns the wrapped database.
-func (g *Guard) Inner() Database { return g.db }
-
 // K implements Database.
 func (g *Guard) K() int { return g.db.K() }
 

@@ -160,9 +160,6 @@ func NewStore(schema *types.Schema) *Store {
 	return s
 }
 
-// Schema returns the schema the store indexes.
-func (s *Store) Schema() *types.Schema { return s.schema }
-
 // View snapshots the store's current rows for index-based scanning.
 func (s *Store) View() colstore.View { return s.arena.View() }
 

@@ -87,9 +87,6 @@ func (a *Axis) ToAxisInto(t types.Tuple, dst []float64) []float64 {
 	return dst
 }
 
-// ToValue converts one axis coordinate back to a real attribute value.
-func (a *Axis) ToValue(j int, z float64) float64 { return a.dirs[j] * z }
-
 // ScoreAxis evaluates the ranking score at an axis point.
 func (a *Axis) ScoreAxis(z []float64) float64 {
 	if a.scoreBuf == nil {

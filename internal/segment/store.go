@@ -421,16 +421,11 @@ func (s *Store) appendLineLocked(line []byte) error {
 	return nil
 }
 
-// Compact folds every committed delta into a single segment file and
+// compactLocked folds every committed delta into a single segment file and
 // rewrites the journal to one commit record. Compaction reads only
 // committed state, never the live engine, so it is safe at any time; a
 // crash mid-compaction recovers to either the old chain or the new record.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
+// Caller holds s.mu.
 func (s *Store) compactLocked() error {
 	if len(s.records) <= 1 {
 		return nil

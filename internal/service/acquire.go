@@ -5,9 +5,9 @@
 // request-heat sketch and, while the namespace is idle, crawls the hottest
 // not-yet-warm query windows through the ordinary session machinery. The
 // priority discipline is entirely borrowed from existing mechanisms:
-// admission goes through the registry's reserve-aware low-priority gate
+// admission goes through the server gate's reserve-aware low priority
 // (under load the acquirer is refused first, never the users), mid-flight
-// probes poll the registry's user-pressure signal and abort, and the cost
+// probes poll the gate's user-pressure signal and abort, and the cost
 // lands on the acquirer's own session ledger — the system ledger — so
 // client budgets and per-request cost reporting stay clean. See
 // docs/acquisition.md.
@@ -80,8 +80,8 @@ func (s *Server) startAcquirer(t *tenant) {
 		Candidates: func(max int) []acquire.Candidate { return eng.Heat().Candidates(max) },
 		Warm:       func(w acquire.Window) bool { return eng.WindowWarm(w.Attr, window(w)) },
 		IdleSince:  t.idleSince,
-		Pressure:   func() bool { return s.registry.UserPressure(a.Config().IdleAfter) },
-		Admit:      func() (func(), bool) { return s.registry.TryAdmitAcquire(t.ns, weight) },
+		Pressure:   func() bool { return s.gate.userPressure(a.Config().IdleAfter) },
+		Admit:      func() (func(), bool) { return s.gate.admitLow(weight * t.weight) },
 		Acquire: func(w acquire.Window, depth int, abort func() bool) (int64, bool, error) {
 			// A fresh session per acquisition is the system ledger: its
 			// spend shows up in the engine-wide counter and the acquirer's

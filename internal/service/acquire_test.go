@@ -25,7 +25,8 @@ import (
 // user traffic counts as idle.
 func acquireOpts(maxSessions int) Options {
 	return Options{
-		Core: core.Options{N: 1200, MaxConcurrentSessions: maxSessions},
+		Core:        core.Options{N: 1200},
+		MaxSessions: maxSessions,
 		Acquire: AcquireOptions{
 			Enabled:   true,
 			Interval:  time.Hour,

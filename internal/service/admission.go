@@ -1,14 +1,22 @@
 // Serving-tier admission: the request-shedding layer in front of the
 // engines.
 //
-// The registry's shared session gate (core.Registry.TryAdmit) bounds
-// in-flight work across all namespaces; this file adds the HTTP semantics
-// around it — 429 + Retry-After on overload, an optional per-client
-// upstream-query budget window (the paper's cost ledger turned into a QoS
-// primitive: every response already reports queriesIssued, here the same
-// number is charged against a header-keyed allowance, pooled across
-// namespaces), and the draining state a graceful shutdown uses to stop
-// admitting while in-flight requests finish.
+// One weighted session gate (admissionGate, Options.MaxSessions) bounds
+// in-flight work across all namespaces. Handlers reserve their slots BEFORE
+// creating sessions, so overload is rejected cheaply instead of queueing
+// unbounded work behind the upstream. A batch of N reserves N slots in one
+// atomic step, so it is never half-admitted. Admission never blocks: the
+// contract is "fail fast with Retry-After", which also keeps the gate
+// deadlock-free under any weights. Library callers that create sessions
+// directly (experiments, qrank) never meet the gate.
+//
+// Around the gate this file adds the HTTP semantics: 429 + Retry-After on
+// overload, an optional per-client upstream-query budget window (the
+// paper's cost ledger turned into a QoS primitive: every response already
+// reports queriesIssued, here the same number is charged against a
+// header-keyed allowance, pooled across namespaces), and the draining state
+// a graceful shutdown uses to stop admitting while in-flight requests
+// finish.
 
 package service
 
@@ -16,23 +24,25 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 )
 
-// Options configure the serving tier around the namespace registry.
+// Options configure the serving tier around the namespace table.
 type Options struct {
-	// Core seeds every namespace's engine options. Core.MaxConcurrentSessions
-	// is the SHARED session admission bound across all namespaces (scaled
-	// per-namespace by UpstreamConfig.AdmissionWeight); Core.N is the
-	// default size estimate, overridable per namespace.
+	// Core seeds every namespace's engine options; Core.N is the default
+	// size estimate, overridable per namespace.
 	Core core.Options
+	// MaxSessions bounds the session weight admitted at once across ALL
+	// namespaces (0 = unlimited). A request weighs 1 (a batch of N weighs
+	// N), scaled by its namespace's UpstreamConfig.AdmissionWeight; the
+	// excess is shed with 429 + Retry-After.
+	MaxSessions int
 	// MaxBodyBytes bounds request bodies (default 1 MiB). Oversized
 	// bodies get 413.
 	MaxBodyBytes int64
-	// MaxBatchItems bounds the per-call batch size (default 64).
-	MaxBatchItems int
 	// ClientBudget, when > 0, is the number of upstream queries each
 	// client (keyed by the X-Client-ID header; empty key is one shared
 	// anonymous bucket) may cost per ClientBudgetWindow. A client over
@@ -73,8 +83,6 @@ type SentinelOptions struct {
 // upstream at registration. The guard's backoff/health defaults apply; only
 // the knobs operators actually tune are surfaced here.
 type GuardConfig struct {
-	// Disable skips wrapping remote upstreams entirely.
-	Disable bool
 	// Retries is the number of extra attempts per logical probe
 	// (< 0 disables retrying; 0 means the guard default of 2).
 	Retries int
@@ -87,9 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
 	}
-	if o.MaxBatchItems <= 0 {
-		o.MaxBatchItems = 64
-	}
 	if o.ClientBudgetWindow <= 0 {
 		o.ClientBudgetWindow = time.Minute
 	}
@@ -100,6 +105,115 @@ func (o Options) withDefaults() Options {
 		o.Sentinel.Interval = 30 * time.Second
 	}
 	return o
+}
+
+// admissionGate is a weighted, non-blocking semaphore. The zero capacity
+// means unlimited: admission always succeeds but still counts in-flight
+// weight, so SessionsInFlight stays meaningful for metrics either way.
+//
+// The gate distinguishes two priorities. User-priority admission (admit)
+// may use the full capacity; low-priority admission (admitLow, used by the
+// background knowledge acquirer) is refused whenever admitting it would
+// leave fewer than a reserve of slots free, so background work can never
+// squeeze a user burst. Every user-priority refusal is timestamped, giving
+// the acquirer a cheap "user traffic was just shed" signal to poll between
+// probes.
+type admissionGate struct {
+	mu   sync.Mutex
+	cap  int // 0 = unlimited
+	used int
+	// lowUsed is the slice of used held at background priority. Pressure is
+	// computed on user-held weight only (used-lowUsed): the acquirer's own
+	// admitted slot must never read as "a user is waiting", or any gate
+	// whose reserve equals its capacity minus the acquisition weight would
+	// make the acquirer abort itself at its first probe.
+	lowUsed int
+
+	// lastDenied is the unix-nano time of the most recent user-priority
+	// refusal (0 = never). Written only on the shed path, read lock-free.
+	lastDenied atomic.Int64
+}
+
+func newAdmissionGate(capacity int) *admissionGate {
+	return &admissionGate{cap: max(capacity, 0)}
+}
+
+// admit reserves weight slots at user priority if they all fit,
+// atomically. A refusal stamps lastDenied: user traffic was just shed, so
+// background work must back off. The returned release is idempotent, so
+// calling it from both an error path and a deferred cleanup is safe.
+func (g *admissionGate) admit(weight int) (release func(), ok bool) {
+	return g.acquire(weight, false)
+}
+
+// admitLow reserves weight slots at background priority: it refuses
+// whenever the reservation would dip into the reserve kept free for user
+// traffic. Always admits on an unlimited gate. Idempotent release.
+func (g *admissionGate) admitLow(weight int) (release func(), ok bool) {
+	return g.acquire(weight, true)
+}
+
+func (g *admissionGate) acquire(weight int, low bool) (release func(), ok bool) {
+	weight = max(weight, 1)
+	g.mu.Lock()
+	limit := g.cap
+	if low {
+		limit -= g.reserveSlots()
+	}
+	if g.cap > 0 && g.used+weight > limit {
+		g.mu.Unlock()
+		if !low {
+			g.lastDenied.Store(time.Now().UnixNano())
+		}
+		return nil, false
+	}
+	g.used += weight
+	if low {
+		g.lowUsed += weight
+	}
+	g.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			g.mu.Lock()
+			g.used -= weight
+			if low {
+				g.lowUsed -= weight
+			}
+			g.mu.Unlock()
+		})
+	}, true
+}
+
+// reserveSlots returns the capacity withheld from low-priority admission:
+// a quarter of the gate, at least one slot. Zero with an unlimited gate
+// (capacity is not scarce, so there is nothing to reserve).
+func (g *admissionGate) reserveSlots() int {
+	if g.cap <= 0 {
+		return 0
+	}
+	return max(g.cap/4, 1)
+}
+
+// userPressure reports whether user traffic is contending for the gate:
+// either a user-priority admission was refused within the given window, or
+// user-held weight has climbed into the low-priority reserve. Only user
+// weight (used-lowUsed) counts — background admissions never pressure
+// themselves. The background acquirer polls this between probes to yield
+// mid-flight.
+func (g *admissionGate) userPressure(window time.Duration) bool {
+	if d := g.lastDenied.Load(); d != 0 && time.Now().UnixNano()-d < int64(window) {
+		return true
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cap > 0 && g.used-g.lowUsed >= g.cap-g.reserveSlots()
+}
+
+func (g *admissionGate) inFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.used
 }
 
 // ClientIDHeader keys per-client budget windows.
@@ -199,7 +313,7 @@ func (l *budgetLedger) fetch(key string, now time.Time) *budgetWindow {
 
 // admit runs the full admission pipeline for a request that will create
 // weight sessions against tenant t: drain check, per-client budget check,
-// shared capacity reservation (scaled by the namespace's admission weight).
+// shared gate reservation (scaled by the namespace's admission weight).
 // On rejection it writes the error envelope (503 draining, or 429 with
 // Retry-After) and returns ok=false. On success the caller must invoke both
 // returned functions when the request finishes: release frees the session
@@ -224,7 +338,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant, weight
 		}
 		settle = fn
 	}
-	rel, admitted := s.registry.TryAdmit(t.ns, weight)
+	rel, admitted := s.gate.admit(max(weight, 1) * t.weight)
 	if !admitted {
 		if settle != nil {
 			settle(0) // return the budget reservation
@@ -232,7 +346,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant, weight
 		s.rejectedCapacity.Add(1)
 		httpErrorRetry(w, http.StatusTooManyRequests, ErrCodeCapacity,
 			fmt.Errorf("server at capacity (%d in-flight session weight, limit %d)",
-				s.registry.SessionsInFlight(), s.registry.SessionCapacity()),
+				s.gate.inFlight(), s.gate.cap),
 			time.Second)
 		return nil, nil, false
 	}
@@ -271,6 +385,3 @@ func (s *Server) BeginDrain() {
 		t.stopSentinel()
 	}
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -24,6 +24,9 @@ import (
 	"sync/atomic"
 )
 
+// maxBatchItems bounds the items of one batch call.
+const maxBatchItems = 64
+
 // BatchRequest is the batch request body. The whole batch runs against the
 // namespace the route names.
 type BatchRequest struct {
@@ -64,9 +67,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, errors.New("empty batch"))
 		return
 	}
-	if len(req.Requests) > s.opts.MaxBatchItems {
+	if len(req.Requests) > maxBatchItems {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			fmt.Errorf("batch of %d exceeds the %d-item limit", len(req.Requests), s.opts.MaxBatchItems))
+			fmt.Errorf("batch of %d exceeds the %d-item limit", len(req.Requests), maxBatchItems))
 		return
 	}
 	release, charge, ok := s.admit(w, r, t, len(req.Requests))

@@ -5,6 +5,7 @@ package service
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,13 +14,17 @@ import (
 	"repro/internal/hidden"
 )
 
-// tenant is one registered namespace's serving-tier state: the namespace
-// (isolated engine), its database handle, and the per-namespace HTTP
-// counters.
+// tenant is one registered namespace's serving-tier state: its name, its
+// admission weight, its isolated engine, its database handle, and the
+// per-namespace HTTP counters.
 type tenant struct {
-	ns  *core.Namespace
-	db  hidden.Database
-	url string // upstream endpoint; "" for in-process databases
+	name string
+	// weight scales what one session against this namespace draws from the
+	// server's shared admission gate (at least 1).
+	weight int
+	eng    *core.Engine
+	db     hidden.Database
+	url    string // upstream endpoint; "" for in-process databases
 
 	requests       atomic.Int64
 	batchRequests  atomic.Int64
@@ -41,24 +46,25 @@ type tenant struct {
 	sent *sentinelLoop
 }
 
-func (t *tenant) engine() *core.Engine { return t.ns.Engine() }
+func (t *tenant) engine() *core.Engine { return t.eng }
 
-// Server is the reranking service: a registry of upstream namespaces behind
+// Server is the reranking service: a table of upstream namespaces behind
 // one HTTP surface. Requests are handled concurrently; each namespace's
 // shared knowledge is internally synchronized and each request runs in its
-// own engine session. The only server-level lock serializes the persistence
-// lifecycle (OpenDataDir against registrations); checkpoints are safe to
-// take while requests are in flight.
+// own engine session. tmu guards the namespace table; persistMu serializes
+// the persistence lifecycle (OpenDataDir against registrations);
+// checkpoints are safe to take while requests are in flight.
 type Server struct {
-	registry *core.Registry
-	opts     Options
+	opts Options
 
 	tmu     sync.RWMutex
 	tenants map[string]*tenant
+	defName string // the default namespace: the first registered
 
 	// Admission/shedding state (see admission.go). Shared across
 	// namespaces: sessions compete for process resources no matter which
 	// upstream they probe.
+	gate             *admissionGate
 	draining         atomic.Bool
 	rejectedCapacity atomic.Int64
 	rejectedBudget   atomic.Int64
@@ -77,16 +83,13 @@ type Server struct {
 // NewFederatedServer builds a service with no upstreams registered yet; add
 // them with RegisterUpstream / RegisterUpstreamDB (the first becomes the
 // default namespace). opts.Core seeds every namespace's engine options;
-// opts.Core.MaxConcurrentSessions is the SHARED admission bound across all
-// namespaces.
+// opts.MaxSessions is the admission bound shared by all namespaces.
 func NewFederatedServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	return &Server{
-		registry: core.NewRegistry(core.RegistryOptions{
-			MaxConcurrentSessions: opts.Core.MaxConcurrentSessions,
-		}),
 		opts:    opts,
 		tenants: make(map[string]*tenant),
+		gate:    newAdmissionGate(opts.MaxSessions),
 		budgets: newBudgetLedger(opts.ClientBudget, opts.ClientBudgetWindow, nil),
 	}
 }
@@ -103,7 +106,7 @@ func NewServer(db hidden.Database, n int) *Server {
 func NewServerWithOptions(db hidden.Database, opts Options) *Server {
 	s := NewFederatedServer(opts)
 	if _, err := s.RegisterUpstreamDB(UpstreamConfig{Name: DefaultUpstream}, db); err != nil {
-		// Unreachable: the name is valid and the registry is empty.
+		// Unreachable: the name is valid and the table is empty.
 		panic(fmt.Sprintf("service: register default upstream: %v", err))
 	}
 	return s
@@ -120,11 +123,7 @@ func (s *Server) Engine() *core.Engine {
 
 // SessionsInFlight reports the admitted session weight currently in flight
 // across all namespaces.
-func (s *Server) SessionsInFlight() int { return s.registry.SessionsInFlight() }
-
-// SessionCapacity returns the shared MaxConcurrentSessions bound
-// (0 = unlimited).
-func (s *Server) SessionCapacity() int { return s.registry.SessionCapacity() }
+func (s *Server) SessionsInFlight() int { return s.gate.inFlight() }
 
 // tenantFor resolves a namespace name to its tenant; the empty name
 // resolves to the default namespace.
@@ -132,26 +131,28 @@ func (s *Server) tenantFor(name string) (*tenant, bool) {
 	s.tmu.RLock()
 	defer s.tmu.RUnlock()
 	if name == "" {
-		ns := s.registry.Default()
-		if ns == nil {
-			return nil, false
-		}
-		name = ns.Name()
+		name = s.defName
 	}
 	t, ok := s.tenants[name]
 	return t, ok
 }
 
-// tenantList snapshots the registered tenants in namespace order.
-func (s *Server) tenantList() []*tenant {
-	nss := s.registry.List()
+// defaultName returns the default namespace's name ("" while none is
+// registered).
+func (s *Server) defaultName() string {
 	s.tmu.RLock()
 	defer s.tmu.RUnlock()
-	out := make([]*tenant, 0, len(nss))
-	for _, ns := range nss {
-		if t, ok := s.tenants[ns.Name()]; ok {
-			out = append(out, t)
-		}
+	return s.defName
+}
+
+// tenantList snapshots the registered tenants in namespace order.
+func (s *Server) tenantList() []*tenant {
+	s.tmu.RLock()
+	out := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		out = append(out, t)
 	}
+	s.tmu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

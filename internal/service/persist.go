@@ -64,7 +64,7 @@ func (s *Server) attachTenant(t *tenant) error {
 	if eng.Persister() != nil {
 		return nil
 	}
-	name := t.ns.Name()
+	name := t.name
 	logf := s.persistCfg.Logf
 	if logf != nil {
 		base := logf
@@ -98,7 +98,7 @@ func (s *Server) Checkpoint() error {
 	for _, t := range s.tenantList() {
 		if p := t.engine().Persister(); p != nil {
 			if err := p.Checkpoint(); err != nil && first == nil {
-				first = fmt.Errorf("service: checkpoint %q: %w", t.ns.Name(), err)
+				first = fmt.Errorf("service: checkpoint %q: %w", t.name, err)
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func (s *Server) ClosePersistence() error {
 	for _, t := range s.tenantList() {
 		if p := t.engine().Persister(); p != nil {
 			if err := p.Close(); err != nil && first == nil {
-				first = fmt.Errorf("service: close persistence %q: %w", t.ns.Name(), err)
+				first = fmt.Errorf("service: close persistence %q: %w", t.name, err)
 			}
 		}
 	}

@@ -63,6 +63,9 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	req := denseMDRequest()
 
 	srv1 := NewServer(db, 1200)
+	if _, enabled := srv1.PersistStats(); enabled {
+		t.Fatal("PersistStats reports a store before OpenDataDir")
+	}
 	if err := srv1.OpenDataDir(dir, PersistConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +82,9 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	}
 	if st1.PersistPendingOps == 0 {
 		t.Fatal("no pending ops recorded by a crawling request")
+	}
+	if ps, enabled := srv1.PersistStats(); !enabled || ps.PendingOps != st1.PersistPendingOps || ps.LastError != "" {
+		t.Fatalf("PersistStats = %+v, %v; want enabled with %d pending ops", ps, enabled, st1.PersistPendingOps)
 	}
 	if err := srv1.ClosePersistence(); err != nil {
 		t.Fatal(err)

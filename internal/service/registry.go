@@ -15,9 +15,12 @@
 // lazy re-validation.
 //
 // Remote upstreams registered here are wrapped in a hidden.Guard (retries,
-// optional hedging, half-open health state machine) unless Options.Guard
-// disables it; in-process databases are never wrapped and always report
-// "healthy".
+// optional hedging, half-open health state machine); in-process databases
+// are never wrapped and always report "healthy".
+//
+// Namespace names are safe path components ([a-z0-9][a-z0-9._-]*, at most
+// 64 bytes) because each namespace's data directory is data-dir/<name>/;
+// see docs/persistence.md.
 
 package service
 
@@ -25,13 +28,45 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hidden"
 	"repro/internal/segment"
 )
+
+// Namespace table errors, answered as 409/404 by the registry routes.
+var (
+	errUpstreamExists  = errors.New("service: namespace already registered")
+	errUnknownUpstream = errors.New("service: unknown namespace")
+	// The default namespace may only be removed last.
+	errDefaultUpstream = errors.New("service: cannot deregister the default namespace while others remain")
+)
+
+// MaxNamespaceNameLen bounds namespace name length.
+const MaxNamespaceNameLen = 64
+
+// ValidateNamespaceName checks that name is usable as a namespace key: a
+// non-empty lowercase identifier ([a-z0-9][a-z0-9._-]*, at most
+// MaxNamespaceNameLen bytes) that is safe to use as a single path component
+// of a data directory.
+func ValidateNamespaceName(name string) error {
+	if name == "" {
+		return errors.New("service: empty namespace name")
+	}
+	if len(name) > MaxNamespaceNameLen {
+		return fmt.Errorf("service: namespace name longer than %d bytes", MaxNamespaceNameLen)
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		ok := (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+			(i > 0 && (c == '.' || c == '_' || c == '-'))
+		if !ok {
+			return fmt.Errorf("service: invalid namespace name %q (want [a-z0-9][a-z0-9._-]*)", name)
+		}
+	}
+	return nil
+}
 
 // UpstreamConfig describes one upstream to register: the POST /v1/upstreams
 // body and the argument of the programmatic registration calls.
@@ -111,22 +146,25 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 	if cfg.Name == "" {
 		cfg.Name = DefaultUpstream
 	}
+	if err := ValidateNamespaceName(cfg.Name); err != nil {
+		return nil, err
+	}
 	engOpts := s.opts.Core
 	if cfg.N > 0 {
 		engOpts.N = cfg.N
 	}
-	s.tmu.Lock()
-	ns, err := s.registry.Register(cfg.Name, db, core.NamespaceConfig{
-		Engine:          engOpts,
-		AdmissionWeight: cfg.AdmissionWeight,
-	})
-	if err != nil {
-		s.tmu.Unlock()
-		return nil, err
-	}
-	t := &tenant{ns: ns, db: db, url: cfg.URL}
+	t := &tenant{name: cfg.Name, weight: max(cfg.AdmissionWeight, 1), db: db, url: cfg.URL}
 	if g, ok := db.(*hidden.Guard); ok {
 		t.guard = g
+	}
+	s.tmu.Lock()
+	if _, dup := s.tenants[cfg.Name]; dup {
+		s.tmu.Unlock()
+		return nil, fmt.Errorf("%w: %q", errUpstreamExists, cfg.Name)
+	}
+	t.eng = core.NewEngine(db, engOpts)
+	if len(s.tenants) == 0 {
+		s.defName = cfg.Name
 	}
 	s.tenants[cfg.Name] = t
 	s.tmu.Unlock()
@@ -138,9 +176,8 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 			// Roll the registration back: a namespace that cannot open its
 			// store must not serve with persistence silently disabled.
 			s.tmu.Lock()
-			delete(s.tenants, cfg.Name)
+			s.remove(cfg.Name)
 			s.tmu.Unlock()
-			_, _ = s.registry.Deregister(cfg.Name)
 			return nil, err
 		}
 	}
@@ -162,8 +199,7 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 
 // RegisterUpstream dials a remote hiddendb endpoint and registers it as a
 // namespace (the programmatic form of POST /v1/upstreams). The remote is
-// wrapped in a probe guard — retries, optional hedging, half-open health —
-// unless Options.Guard.Disable is set.
+// wrapped in a probe guard — retries, optional hedging, half-open health.
 func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 	if cfg.URL == "" {
 		return nil, errors.New("service: upstream url required")
@@ -172,14 +208,10 @@ func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 	if err != nil {
 		return nil, &dialError{fmt.Errorf("service: dial upstream %q: %w", cfg.URL, err)}
 	}
-	var db hidden.Database = rdb
-	if !s.opts.Guard.Disable {
-		db = hidden.NewGuard(rdb, hidden.GuardOptions{
-			Retries:    s.opts.Guard.Retries,
-			HedgeAfter: s.opts.Guard.HedgeAfter,
-		})
-	}
-	return s.RegisterUpstreamDB(cfg, db)
+	return s.RegisterUpstreamDB(cfg, hidden.NewGuard(rdb, hidden.GuardOptions{
+		Retries:    s.opts.Guard.Retries,
+		HedgeAfter: s.opts.Guard.HedgeAfter,
+	}))
 }
 
 // DeregisterUpstream removes a namespace and finalizes its persistence with
@@ -188,7 +220,7 @@ func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 //
 // Ordering is stop-then-finalize: the namespace's background loops (acquirer
 // and sentinel) are stopped — waiting for any in-flight tick to yield —
-// BEFORE the registry entry is removed and the final checkpoint runs. The
+// BEFORE the table entry is removed and the final checkpoint runs. The
 // previous deregister-first ordering raced an in-flight acquirer tick
 // against teardown: the tick could still be probing (and feeding the
 // persister) while Close() wrote the "final" checkpoint, losing its
@@ -202,9 +234,17 @@ func (s *Server) DeregisterUpstream(name string) error {
 		t.stopSentinel()
 	}
 	s.tmu.Lock()
-	ns, err := s.registry.Deregister(name)
+	var err error
+	switch {
+	case t == nil || s.tenants[name] != t:
+		err = fmt.Errorf("%w: %q", errUnknownUpstream, name)
+	case name == s.defName && len(s.tenants) > 1:
+		err = fmt.Errorf("%w: %q", errDefaultUpstream, name)
+	default:
+		s.remove(name)
+	}
+	s.tmu.Unlock()
 	if err != nil {
-		s.tmu.Unlock()
 		// The namespace stays registered (unknown names reach here too, with
 		// t == nil): restart what was stopped so a refused DELETE — e.g. of
 		// the default namespace — leaves the server exactly as it was.
@@ -218,12 +258,10 @@ func (s *Server) DeregisterUpstream(name string) error {
 		}
 		return err
 	}
-	delete(s.tenants, name)
-	s.tmu.Unlock()
 	// Final checkpoint outside the locks, against a quiesced engine:
 	// in-flight requests that resolved the tenant before removal drain on
 	// their own; their knowledge past this point is simply not persisted.
-	if p := ns.Engine().Persister(); p != nil {
+	if p := t.engine().Persister(); p != nil {
 		if err := p.Close(); err != nil {
 			return fmt.Errorf("service: finalize persistence for %q: %w", name, err)
 		}
@@ -231,11 +269,20 @@ func (s *Server) DeregisterUpstream(name string) error {
 	return nil
 }
 
+// remove drops a namespace from the table; removing the default empties
+// the default name (it goes last). Caller holds tmu.
+func (s *Server) remove(name string) {
+	delete(s.tenants, name)
+	if name == s.defName {
+		s.defName = ""
+	}
+}
+
 // upstreamInfo renders one tenant's registry descriptor.
 func (s *Server) upstreamInfo(t *tenant) UpstreamInfo {
 	st := s.tenantStats(t)
 	info := UpstreamInfo{
-		Name:             t.ns.Name(),
+		Name:             t.name,
 		URL:              t.url,
 		Default:          st.Default,
 		AdmissionWeight:  st.AdmissionWeight,
@@ -256,14 +303,10 @@ func (s *Server) upstreamInfo(t *tenant) UpstreamInfo {
 }
 
 func (s *Server) handleListUpstreams(w http.ResponseWriter, r *http.Request) {
-	resp := UpstreamsResponse{Upstreams: []UpstreamInfo{}}
-	if def := s.registry.Default(); def != nil {
-		resp.Default = def.Name()
-	}
+	resp := UpstreamsResponse{Default: s.defaultName(), Upstreams: []UpstreamInfo{}}
 	for _, t := range s.tenantList() {
 		resp.Upstreams = append(resp.Upstreams, s.upstreamInfo(t))
 	}
-	sort.Slice(resp.Upstreams, func(i, j int) bool { return resp.Upstreams[i].Name < resp.Upstreams[j].Name })
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -316,7 +359,7 @@ func (s *Server) handleRegisterUpstream(w http.ResponseWriter, r *http.Request) 
 	info, err := s.RegisterUpstream(cfg)
 	if err != nil {
 		switch {
-		case errors.Is(err, core.ErrNamespaceExists):
+		case errors.Is(err, errUpstreamExists):
 			httpError(w, http.StatusConflict, ErrCodeUpstreamExists, err)
 		case isDialError(err):
 			httpError(w, http.StatusBadGateway, ErrCodeUpstreamFailed, err)
@@ -332,9 +375,9 @@ func (s *Server) handleDeregisterUpstream(w http.ResponseWriter, r *http.Request
 	name := r.PathValue("ns")
 	if err := s.DeregisterUpstream(name); err != nil {
 		switch {
-		case errors.Is(err, core.ErrNamespaceUnknown):
+		case errors.Is(err, errUnknownUpstream):
 			httpError(w, http.StatusNotFound, ErrCodeUnknownUpstream, err)
-		case errors.Is(err, core.ErrNamespaceDefault):
+		case errors.Is(err, errDefaultUpstream):
 			httpError(w, http.StatusConflict, ErrCodeDefaultUpstream, err)
 		default:
 			httpError(w, http.StatusInternalServerError, ErrCodeUpstreamFailed, err)

@@ -1,6 +1,6 @@
 // Package service implements "query reranking as a service" over HTTP: the
 // third-party deployment the paper's title promises. A Server fronts a
-// registry of upstream namespaces — one isolated reranking engine per
+// table of upstream namespaces — one isolated reranking engine per
 // registered hidden database — and exposes the federated serving API:
 //
 //	GET    /v1/upstreams                          -> registered upstreams (name, url, fingerprint, schema, stats)
@@ -16,16 +16,21 @@
 //
 // Every request names its namespace in the path; see docs/api.md.
 //
-// Isolation model: each namespace owns its history, dense indexes, probe
-// cache, coalescer, query-cost ledger, and (with a data dir) its own
-// segment store under data-dir/<ns>/. Admission capacity is the one shared
-// resource — Core.MaxConcurrentSessions bounds in-flight sessions across
-// all namespaces through a weighted registry gate (excess requests get 429
-// + Retry-After; a batch of N weighs N, scaled by the namespace's
-// admission weight). Options.ClientBudget meters upstream queries per
-// client across namespaces, request bodies are size-capped, and BeginDrain
-// stops admission for graceful shutdown. Every non-2xx response carries
-// the {"error":{code,message,retryAfterSec}} envelope (see errors.go).
+// Isolation model: nothing learned from one upstream is valid against
+// another — history tuples, crawled regions and probe answers are all
+// statements about one corpus — so a namespace is a hard isolation unit.
+// Each owns its history, crawled regions, probe cache, coalescer,
+// query-cost ledger, and (with a data dir) its own segment store under
+// data-dir/<ns>/. Admission capacity is the one shared resource, since
+// in-flight sessions compete for the same goroutines and memory whichever
+// upstream they probe: Options.MaxSessions bounds them across all
+// namespaces through one weighted gate (excess requests get 429 +
+// Retry-After; a batch of N weighs N, scaled by the namespace's admission
+// weight, so an expensive upstream can claim more of the bound).
+// Options.ClientBudget meters upstream queries per client across
+// namespaces, request bodies are size-capped, and BeginDrain stops
+// admission for graceful shutdown. Every non-2xx response carries the
+// {"error":{code,message,retryAfterSec}} envelope (see errors.go).
 //
 // Upstream databases can be in-process (a *hidden.DB) or remote — see
 // remote.go for the adapter that speaks to any HTTP top-k search endpoint

@@ -2,9 +2,11 @@ package service
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/hidden"
@@ -170,6 +172,18 @@ func TestBadRequests(t *testing.T) {
 		if _, err := client.Rerank(req); err == nil {
 			t.Errorf("case %d: expected error, got success", i)
 		}
+	}
+
+	// A handler that never answers: WithTimeout bounds the wait.
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer stalled.Close()
+	defer close(release)
+	start := time.Now()
+	if _, err := NewClientWith(stalled.URL, WithTimeout(50*time.Millisecond)).Rerank(cases[0]); err == nil {
+		t.Error("request to a stalled handler succeeded")
+	} else if waited := time.Since(start); waited > 10*time.Second {
+		t.Errorf("request to a stalled handler returned after %s, want about the 50ms timeout", waited)
 	}
 }
 

@@ -123,7 +123,7 @@ func mdRequest(lo, hi float64, h int) RerankRequest {
 	}
 }
 
-// TestAdmissionSaturation saturates a MaxConcurrentSessions=2 server with
+// TestAdmissionSaturation saturates a MaxSessions=2 server with
 // requests stuck on a blocked upstream and asserts (a) the excess is shed
 // with 429 + Retry-After, (b) in-flight sessions never exceed the bound,
 // and (c) shed slots are not leaked: once the upstream unblocks, the
@@ -132,7 +132,8 @@ func TestAdmissionSaturation(t *testing.T) {
 	const bound = 2
 	db := newGateDB(bnDB(t, 600))
 	srv, _, client := servingPipeline(t, db, Options{
-		Core: core.Options{N: 600, MaxConcurrentSessions: bound, DisableCoalescing: true},
+		Core:        core.Options{N: 600, DisableCoalescing: true},
+		MaxSessions: bound,
 	})
 
 	const total = 10
@@ -199,7 +200,7 @@ func TestAdmissionSaturation(t *testing.T) {
 // clients are unaffected, and the window reset restores admission.
 func TestClientBudgetWindow(t *testing.T) {
 	db := bnDB(t, 600)
-	srv, _, client := servingPipeline(t, db, Options{
+	srv, api, client := servingPipeline(t, db, Options{
 		Core:               core.Options{N: 600},
 		ClientBudget:       3, // a cold request over a window this wide costs more
 		ClientBudgetWindow: time.Hour,
@@ -240,6 +241,18 @@ func TestClientBudgetWindow(t *testing.T) {
 	client.ClientID = "bob"
 	if _, err := client.Rerank(mdRequest(20, 90, 3)); err != nil {
 		t.Fatalf("other client rejected: %v", err)
+	}
+	// A client built WithClientID is charged under its own key.
+	carol := NewClientWith(api.URL, WithHTTPClient(api.Client()), WithClientID("carol"))
+	resp, err = carol.Rerank(mdRequest(5, 95, 3))
+	if err != nil {
+		t.Fatalf("WithClientID client rejected: %v", err)
+	}
+	srv.budgets.mu.Lock()
+	w, metered := srv.budgets.clients["carol"]
+	srv.budgets.mu.Unlock()
+	if !metered || w.used != resp.QueriesIssued {
+		t.Fatalf("carol's window: present=%v, want it charged %d", metered, resp.QueriesIssued)
 	}
 	// Window expiry readmits alice.
 	clock.mu.Lock()
@@ -350,6 +363,36 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("batch cost %d upstream queries, want < 2x solo cost %d (coalescing)",
 			resp.QueriesIssued, solo.QueriesIssued)
 	}
+
+	// The in-process call gives the same items as the HTTP route.
+	inproc := NewServer(db, 800).RerankBatch(BatchRequest{Requests: []RerankRequest{
+		mdRequest(55, 60, 4),
+		mdRequest(55, 60, 4),
+		{Ranking: RankingSpec{Kind: "linear", Attrs: []string{"NoSuchAttr"}, Weights: []float64{1}}},
+	}})
+	if len(inproc.Items) != len(resp.Items) {
+		t.Fatalf("in-process batch returned %d items, HTTP %d", len(inproc.Items), len(resp.Items))
+	}
+	for i, item := range inproc.Items {
+		want := resp.Items[i]
+		if item.Status != want.Status || (item.Error == nil) != (want.Error == nil) {
+			t.Fatalf("in-process item %d: status %d error %+v, HTTP %d %+v", i, item.Status, item.Error, want.Status, want.Error)
+		}
+		if item.Error != nil && item.Error.Code != want.Error.Code {
+			t.Fatalf("in-process item %d: code %q, HTTP %q", i, item.Error.Code, want.Error.Code)
+		}
+		if item.Response == nil {
+			continue
+		}
+		if len(item.Response.Tuples) != len(want.Response.Tuples) {
+			t.Fatalf("in-process item %d: %d tuples, HTTP %d", i, len(item.Response.Tuples), len(want.Response.Tuples))
+		}
+		for j, tp := range item.Response.Tuples {
+			if tp.ID != want.Response.Tuples[j].ID || tp.Score != want.Response.Tuples[j].Score {
+				t.Fatalf("in-process item %d rank %d: %+v, HTTP %+v", i, j, tp, want.Response.Tuples[j])
+			}
+		}
+	}
 }
 
 // TestBatchWeightedAdmission: a batch of N weighs N slots — it is admitted
@@ -357,7 +400,8 @@ func TestBatchEndpoint(t *testing.T) {
 func TestBatchWeightedAdmission(t *testing.T) {
 	db := bnDB(t, 400)
 	srv, _, client := servingPipeline(t, db, Options{
-		Core: core.Options{N: 400, MaxConcurrentSessions: 2},
+		Core:        core.Options{N: 400},
+		MaxSessions: 2,
 	})
 	two := BatchRequest{Requests: []RerankRequest{mdRequest(55, 60, 2), mdRequest(60, 65, 2)}}
 	if _, err := client.RerankBatch(two); err != nil {
@@ -491,7 +535,8 @@ func TestStreamInBandErrorStatus(t *testing.T) {
 func TestStreamDisconnectReleasesSlot(t *testing.T) {
 	db := &latencyDB{Database: bnDB(t, 800), delay: 2 * time.Millisecond}
 	srv, api, client := servingPipeline(t, db, Options{
-		Core: core.Options{N: 800, MaxConcurrentSessions: 1},
+		Core:        core.Options{N: 800},
+		MaxSessions: 1,
 	})
 
 	body, _ := json.Marshal(mdRequest(50, 70, 10))
@@ -615,7 +660,8 @@ func TestBodyLimits(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	db := bnDB(t, 400)
 	srv, api, client := servingPipeline(t, db, Options{
-		Core: core.Options{N: 400, MaxConcurrentSessions: 9},
+		Core:        core.Options{N: 400},
+		MaxSessions: 9,
 	})
 	if _, err := client.Rerank(mdRequest(55, 60, 2)); err != nil {
 		t.Fatal(err)

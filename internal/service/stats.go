@@ -138,8 +138,8 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 	specIssued, specWasted := eng.SpeculationStats()
 	us := UpstreamStats{
 		URL:               t.url,
-		Default:           s.registry.Default() == t.ns,
-		AdmissionWeight:   t.ns.AdmissionWeight(),
+		Default:           s.defaultName() == t.name,
+		AdmissionWeight:   t.weight,
 		EngineQueries:     eng.Queries(),
 		HistoryTuples:     eng.History().Size(),
 		ProbeCacheEntries: eng.ProbeCacheEntries(),
@@ -208,20 +208,18 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 // Stats reports the service's current counters (also served at /v1/stats).
 func (s *Server) Stats() Stats {
 	st := Stats{
-		SessionsInFlight: s.registry.SessionsInFlight(),
-		MaxSessions:      s.registry.SessionCapacity(),
+		SessionsInFlight: s.gate.inFlight(),
+		MaxSessions:      s.gate.cap,
 		RejectedCapacity: s.rejectedCapacity.Load(),
 		RejectedBudget:   s.rejectedBudget.Load(),
 		RejectedDraining: s.rejectedDraining.Load(),
 		Draining:         s.draining.Load(),
+		DefaultUpstream:  s.defaultName(),
 		AcquireEnabled:   s.opts.Acquire.Enabled,
 		Upstreams:        make(map[string]UpstreamStats),
 	}
-	if def := s.registry.Default(); def != nil {
-		st.DefaultUpstream = def.Name()
-	}
 	for _, t := range s.tenantList() {
-		st.Upstreams[t.ns.Name()] = s.tenantStats(t)
+		st.Upstreams[t.name] = s.tenantStats(t)
 	}
 	return st
 }
@@ -321,7 +319,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		v          int64
 	}{
 		{"rerank_sessions_in_flight", "Admitted session weight currently in flight.", int64(st.SessionsInFlight)},
-		{"rerank_sessions_limit", "Configured MaxConcurrentSessions bound (0 = unlimited).", int64(st.MaxSessions)},
+		{"rerank_sessions_limit", "Configured MaxSessions bound (0 = unlimited).", int64(st.MaxSessions)},
 		{"rerank_draining", "1 once graceful drain has begun.", b2i(st.Draining)},
 		{"rerank_acquire_enabled", "1 when background knowledge acquisition is configured.", b2i(st.AcquireEnabled)},
 	} {
