@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/acquire"
 	"repro/internal/core"
+	"repro/internal/crawl"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/hidden"
@@ -108,9 +109,9 @@ func ablationCost(b *testing.B, opts core.Options) float64 {
 		workload.Spec{Count: 16, NoFilter: 4, MinAttrs: 2, MaxAttrs: 3})
 	db := ds.DBWith(10, dataset.DOTSystemRanker2())
 	opts.N = 3000
-	// Paper-faithful accounting: the probe cache would otherwise absorb
+	// Paper-faithful accounting: the fact index would otherwise absorb
 	// repeated probes and distort the per-feature ablation deltas.
-	opts.DisableCoalescing = true
+	opts.ProbeCacheSize = -1
 	e := core.NewEngine(db, opts)
 	for _, it := range items {
 		cur, err := e.NewCursor(it.Q, it.R, core.Rerank)
@@ -193,25 +194,25 @@ func benchParallelRerank(b *testing.B, opts core.Options) {
 }
 
 // BenchmarkParallelRerank measures concurrent throughput and upstream cost
-// with and without the probe coalescing layer. The delta between the two
-// sub-benchmarks' upstreamQ/req is what coalescing saves when overlapping
-// users hit the service at once.
+// with and without the fact index. The delta between the two
+// sub-benchmarks' upstreamQ/req is what replaying known answers saves when
+// overlapping users hit the service at once; in-flight dedup runs in both.
 func BenchmarkParallelRerank(b *testing.B) {
 	b.Run("coalesced", func(b *testing.B) {
 		benchParallelRerank(b, core.Options{})
 	})
-	b.Run("uncoalesced", func(b *testing.B) {
-		benchParallelRerank(b, core.Options{DisableCoalescing: true})
+	b.Run("cache-off", func(b *testing.B) {
+		benchParallelRerank(b, core.Options{ProbeCacheSize: -1})
 	})
 }
 
-// benchCrawlCoalesced hammers one shared engine with concurrent complete
-// crawls of overlapping windows — the dense-region crawl traffic a
-// multi-user service generates — and reports throughput plus the paper's
-// measure, upstream queries per crawl. With coalescing, identical in-flight
-// sub-queries are issued once and complete sub-answers replay from the probe
-// LRU; without it, every crawl pays full price.
-func benchCrawlCoalesced(b *testing.B, opts core.Options) {
+// benchCrawlCoalesced runs concurrent complete crawls of overlapping windows
+// — the dense-region crawl traffic a multi-user service generates — and
+// reports throughput plus the paper's measure, upstream queries per crawl.
+// Through one shared engine (shared set), identical in-flight sub-queries are
+// issued once and complete sub-answers replay from the fact index; crawling
+// straight against the database, every crawl pays full price.
+func benchCrawlCoalesced(b *testing.B, shared bool) {
 	schema := types.MustSchema([]types.Attribute{
 		{Name: "A0", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
 		{Name: "A1", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
@@ -225,8 +226,7 @@ func benchCrawlCoalesced(b *testing.B, opts core.Options) {
 		}
 	}
 	db := hidden.MustDB(schema, tuples, hidden.Options{K: 10})
-	opts.N = 2000
-	e := core.NewEngine(db, opts)
+	e := core.NewEngine(db, core.Options{N: 2000})
 	var next, crawls atomic.Int64
 	db.ResetCounter()
 	b.ResetTimer()
@@ -235,8 +235,13 @@ func benchCrawlCoalesced(b *testing.B, opts core.Options) {
 			i := next.Add(1)
 			lo := float64((i % 8) * 4) // 8 windows, each overlapping its neighbors
 			q := query.New().WithRange(0, types.ClosedInterval(lo, lo+6))
-			sess := e.NewSession()
-			if _, err := sess.CrawlAll(q); err != nil {
+			var err error
+			if shared {
+				_, err = e.NewSession().CrawlAll(q)
+			} else {
+				_, err = crawl.New(db, crawl.Options{}).All(q)
+			}
+			if err != nil {
 				b.Error(err)
 				return
 			}
@@ -250,16 +255,16 @@ func benchCrawlCoalesced(b *testing.B, opts core.Options) {
 }
 
 // BenchmarkCrawlCoalesced measures concurrent crawl throughput and upstream
-// cost with and without the probe coalescing layer. The coalesced
-// upstreamQ/crawl collapsing toward zero is the PR-3 win the CI bench gate
-// pins: crawl probes dedup at probe granularity, not just whole-crawl
-// leadership.
+// cost through a shared engine and, as "uncoalesced", with a plain crawler
+// per crawl straight against the database. The coalesced upstreamQ/crawl
+// collapsing toward zero is the win the CI bench gate pins: crawl probes
+// dedup at probe granularity, not just whole-crawl leadership.
 func BenchmarkCrawlCoalesced(b *testing.B) {
 	b.Run("coalesced", func(b *testing.B) {
-		benchCrawlCoalesced(b, core.Options{})
+		benchCrawlCoalesced(b, true)
 	})
 	b.Run("uncoalesced", func(b *testing.B) {
-		benchCrawlCoalesced(b, core.Options{DisableCoalescing: true})
+		benchCrawlCoalesced(b, false)
 	})
 }
 
@@ -378,7 +383,7 @@ func benchMDParallel(b *testing.B, procs, width int) {
 	for i := 0; i < b.N; i++ {
 		e := core.NewEngine(db, core.Options{N: 1500, SearchParallelism: width})
 		// Overlapping windows: neighbors share half their range, the
-		// multi-user pattern the probe coalescer sees in production.
+		// multi-user pattern the probe path sees in production.
 		for r := 0; r < 4; r++ {
 			lo := float64(((i*4 + r) % 12) * 8)
 			q := query.New().WithRange(0, types.ClosedInterval(lo, lo+16))
@@ -581,7 +586,7 @@ func BenchmarkAcquire(b *testing.B) {
 // BenchmarkServiceThroughput drives the full serving stack — HTTP handler,
 // admission gate, JSON wire codecs, engine sessions — with concurrent
 // clients issuing the production mix (single 1D and MD reranks, 4-item
-// batches through the shared coalescer, NDJSON streams drained to the final
+// batches through the shared probe path, NDJSON streams drained to the final
 // event) against one in-process server. ns/op is the end-to-end price of
 // one mixed operation at GOMAXPROCS parallelism; upstreamQ/op reports the
 // paper's cost measure for the same traffic. This is the benchdiff-gated
@@ -725,7 +730,7 @@ func BenchmarkEpochRevalidate(b *testing.B) {
 		before := eng.Queries()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.Knowledge().BumpEpoch()
+			eng.BumpEpoch()
 			touchAll(b, eng)
 		}
 		b.StopTimer()

@@ -13,7 +13,7 @@ import "sync"
 
 // Dict interns categorical strings to dense uint32 symbols. Symbol 0 is
 // reserved to mean "attribute absent from the tuple's Cat map"; real symbols
-// start at 1. One Dict is shared per Knowledge, so a value like "UA" is
+// start at 1. One Dict is shared per engine, so a value like "UA" is
 // stored once no matter how many tuples carry it.
 //
 // Dict is safe for concurrent use.

@@ -1,5 +1,7 @@
-// Probe coalescing: the issue-path layer that keeps concurrent users from
-// multiplying upstream cost — the paper's sole cost measure.
+// The probe path: every probe the algorithms and crawls send over the primary
+// interface is looked up, issued and charged here (sentinel probes, which
+// must see the upstream as it is now, bypass it). It keeps concurrent users
+// from multiplying upstream cost — the paper's sole cost measure.
 //
 // Two mechanisms:
 //
@@ -14,11 +16,12 @@
 //     for the identical probe and for every probe its box contains. An
 //     overflow page is the exact answer to its own probe and nothing more:
 //     it is kept as a partial fact that replays, still flagged as
-//     overflowing, for the identical probe only.
+//     overflowing, for the identical probe only. Options.ProbeCacheSize < 0
+//     turns the index off; flights are always shared.
 //
 // A probe whose query is trivially empty (query.Query.Empty: some range holds
-// no value) is answered here as an underflow — no upstream call, no charge,
-// no fact.
+// no value) is answered as an underflow — no upstream call, no charge, no
+// fact.
 //
 // The issuing leader adds the returned page to the history arena INSIDE its
 // flight, before the fact is admitted and before followers wake: a fact can
@@ -37,12 +40,11 @@
 // replayed blindly and never answers by containment. Its first exact touch
 // issues exactly one confirming probe through the flight group: an unchanged
 // answer promotes the fact to the current epoch, a changed one replaces just
-// that fact. Options.DisableCoalescing opts out entirely for upstreams too
-// volatile even for that.
+// that fact.
 //
-// The parallel speculative MD search (md.go) leans on this layer twice
-// over: its concurrent probe rounds dedup against other sessions' in-flight
-// probes exactly like sequential ones, and the complete answers of wasted
+// The parallel speculative MD search (md.go) leans on this path twice over:
+// its concurrent probe rounds dedup against other sessions' in-flight probes
+// exactly like sequential ones, and the complete answers of wasted
 // speculative probes become facts (as do their overflow pages, for the
 // identical probe), so a mis-speculation's upstream cost is never paid a
 // second time.
@@ -52,10 +54,8 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hidden"
-	"repro/internal/history"
 	"repro/internal/query"
 )
 
@@ -128,134 +128,39 @@ func (g *flightGroup) Do(key string, fn func() (hidden.Result, error)) (res hidd
 // upstream call panicked before producing a result.
 var errFlightPanicked = fmt.Errorf("core: coalesced upstream probe aborted by panic")
 
-// coalescer wraps the engine's primary database with singleflight dedup and
-// the fact index. It is safe for concurrent use.
-type coalescer struct {
-	db       hidden.Database
-	hist     *history.Store // the one tuple store: every issued page lands here
-	flights  *flightGroup
-	facts    *factIndex // nil when the cache is off (in-flight dedup only)
-	disabled bool       // pass every probe straight through
-
-	// epochFn reports the engine's current knowledge epoch; facts learned
-	// under an older epoch are re-validated before replay.
-	epochFn func() int64
-
-	// containedHits counts probes answered from a fact whose box contains
-	// them, partialHits probes answered by replaying their own overflow page
-	// (exact hits on complete facts are counted by neither).
-	containedHits atomic.Int64
-	partialHits   atomic.Int64
-	// Lazy re-validation outcome counters (see TopK).
-	revalPromoted atomic.Int64
-	revalEvicted  atomic.Int64
-
-	// persist, when attached, records every fact admitted or confirmed so
-	// incremental checkpoints persist probe-level warmth.
-	persist atomic.Pointer[Persister]
-}
-
-// newCoalescer builds the coalescing layer over the engine's history store.
-// epochFn supplies the current knowledge epoch (nil pins every fact to
-// FirstEpoch).
-func newCoalescer(db hidden.Database, cacheSize int, disabled bool, hist *history.Store, epochFn func() int64) *coalescer {
-	if cacheSize == 0 {
-		cacheSize = defaultProbeCacheSize
-	}
-	c := &coalescer{db: db, hist: hist, flights: newFlightGroup(), disabled: disabled, epochFn: epochFn}
-	if !disabled {
-		c.facts = newFactIndex(cacheSize)
-	}
-	return c
-}
-
-// curEpoch returns the engine's current knowledge epoch.
-func (c *coalescer) curEpoch() int64 {
-	if c.epochFn == nil {
-		return FirstEpoch
-	}
-	return c.epochFn()
-}
-
-// revalStats returns how many stale facts were promoted (confirmed
-// unchanged) vs replaced/evicted (drifted) by lazy re-validation.
-func (c *coalescer) revalStats() (promoted, evicted int64) {
-	return c.revalPromoted.Load(), c.revalEvicted.Load()
-}
-
-// seed admits one committed fact at the epoch it was learned under, without
-// a persistence record — the segment-replay path. A no-op when coalescing is
-// disabled or the cache is off.
-func (c *coalescer) seed(q query.Query, rows []uint32, overflow bool, epoch int64) {
-	c.facts.learn(q.String(), q, rows, overflow, epoch)
-}
-
-// cacheSize returns the number of facts currently held.
-func (c *coalescer) cacheSize() int {
-	if c.facts == nil {
-		return 0
-	}
-	return int(c.facts.entries.Load())
-}
-
-// cacheBytes approximates the resident bytes of the held facts.
-func (c *coalescer) cacheBytes() int64 {
-	if c.facts == nil {
-		return 0
-	}
-	return c.facts.bytes.Load()
-}
-
 // serve answers q from the fact index at epoch cur — by its own key, and
 // when contained is set also by containment — assembling the result from the
 // arena's shared row forms.
-func (c *coalescer) serve(key []byte, q query.Query, cur int64, contained bool) (hidden.Result, bool) {
-	switch rows, kind := c.facts.lookup(key, q, cur, contained); kind {
+func (e *Engine) serve(key []byte, q query.Query, cur int64, contained bool) (hidden.Result, bool) {
+	switch rows, kind := e.facts.lookup(key, q, cur, contained); kind {
 	case hitExact:
-		return hidden.Result{Tuples: c.hist.RowTuples(rows)}, true
+		return hidden.Result{Tuples: e.hist.RowTuples(rows)}, true
 	case hitPartial:
-		c.partialHits.Add(1)
-		return hidden.Result{Tuples: c.hist.RowTuples(rows), Overflow: true}, true
+		e.partialHits.Add(1)
+		return hidden.Result{Tuples: e.hist.RowTuples(rows), Overflow: true}, true
 	case hitContained:
-		c.containedHits.Add(1)
-		return hidden.Result{Tuples: c.hist.RowTuplesMatching(q, rows)}, true
+		e.containedHits.Add(1)
+		return hidden.Result{Tuples: e.hist.RowTuplesMatching(q, rows)}, true
 	}
 	return hidden.Result{}, false
 }
 
-// lookup answers q from what is already known — nothing can match an empty
-// query; otherwise the identical answer, or the part of a containing complete
-// answer that matches q — without ever touching the upstream.
-func (c *coalescer) lookup(q query.Query) (hidden.Result, bool) {
-	if q.Empty() {
-		return hidden.Result{}, true
-	}
-	if c.facts == nil {
-		return hidden.Result{}, false
-	}
-	key := keyBufs.Get().(*[]byte)
-	*key = q.AppendString((*key)[:0])
-	res, ok := c.serve(*key, q, c.curEpoch(), true)
-	keyBufs.Put(key)
-	return res, ok
-}
-
-// knows reports whether lookup would answer q, and whether with a complete
-// page rather than a replayed overflow, without assembling the answer or
-// counting a hit: the questions MD-RERANK asks, on the cursor goroutine, before
-// it spends a probe on a deeper contour than its candidate's own. The fact that
-// answers is marked used as lookup would mark it — the probe that follows
-// reads it.
-func (c *coalescer) knows(q query.Query) (known, complete bool) {
+// knows reports whether the fact index would answer q, and whether with a
+// complete page rather than a replayed overflow, without assembling the
+// answer or counting a hit: the questions MD-RERANK asks, on the cursor
+// goroutine, before it spends a probe on a deeper contour than its
+// candidate's own. The fact that answers is marked used as a lookup would
+// mark it — the probe that follows reads it.
+func (e *Engine) knows(q query.Query) (known, complete bool) {
 	if q.Empty() {
 		return true, true
 	}
-	if c.facts == nil {
+	if e.facts == nil {
 		return false, false
 	}
 	key := keyBufs.Get().(*[]byte)
 	*key = q.AppendString((*key)[:0])
-	_, kind := c.facts.lookup(*key, q, c.curEpoch(), true)
+	_, kind := e.facts.lookup(*key, q, e.Epoch(), true)
 	keyBufs.Put(key)
 	return kind != hitNone, kind == hitExact || kind == hitContained
 }
@@ -264,22 +169,48 @@ func (c *coalescer) knows(q query.Query) (known, complete bool) {
 // bytes and never allocates the string.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// TopK answers q: from the fact index when it can (lookup), else from the
-// upstream (fetch). issued reports whether this call actually reached the
-// upstream (hits and coalesced followers are free and must not be charged).
-func (c *coalescer) TopK(q query.Query) (res hidden.Result, issued bool, err error) {
-	if res, ok := c.lookup(q); ok {
-		return res, false, nil
+// probe sends one query to the primary database: the session's abort check,
+// the fact-index lookup, and on a miss fetch, which issues it under its
+// flight and charges it. issued reports whether this call reached the
+// upstream (and was charged); hits and coalesced followers are free.
+func (s *Session) probe(q query.Query) (res hidden.Result, issued bool, err error) {
+	var known bool
+	if res, known, err = s.lookup(q); known || err != nil {
+		return res, false, err
 	}
-	return c.fetch(q)
+	return s.fetch(q)
 }
 
-// fetch asks the upstream for q, deduplicating identical probes in flight.
-// It consults the fact index for q's own key only (under the flight, where
-// another leader may just have filled it) and never for containment: callers
-// that dispatch several probes at once look each up first, on their own
-// goroutine, so which probes of a round are free never depends on which
-// finished first.
+// lookup is the first half of a probe: the abort check, then q answered from
+// what is already known — nothing can match an empty query; otherwise the
+// identical answer, or the part of a containing complete answer that
+// matches q — without ever touching the upstream. Callers that dispatch
+// several probes at once look every one up first, on their own goroutine, and
+// fetch only the misses.
+func (s *Session) lookup(q query.Query) (res hidden.Result, known bool, err error) {
+	if s.abort != nil && s.abort() {
+		return hidden.Result{}, false, ErrAcquireAborted
+	}
+	if q.Empty() {
+		return hidden.Result{}, true, nil
+	}
+	if s.e.facts == nil {
+		return hidden.Result{}, false, nil
+	}
+	key := keyBufs.Get().(*[]byte)
+	*key = q.AppendString((*key)[:0])
+	res, known = s.e.serve(*key, q, s.e.Epoch(), true)
+	keyBufs.Put(key)
+	return res, known, nil
+}
+
+// fetch asks the upstream for q, which lookup has missed, deduplicating
+// identical probes in flight, and charges the engine counter and this
+// session's ledger one query when this call is the one that reached the
+// upstream. It consults the fact index for q's own key only (under the
+// flight, where another leader may just have filled it) and never for
+// containment: so which probes of a concurrent round are free never depends
+// on which finished first.
 //
 // An issued probe's page is added to the history arena before anything else
 // can observe the answer. A fact under q's own key whose epoch trails the
@@ -290,24 +221,16 @@ func (c *coalescer) TopK(q query.Query) (res hidden.Result, issued bool, err err
 // a different one replaces the fact, complete or partial as the fresh answer
 // is. Either way the stale fact costs one probe on first touch, never a
 // wholesale flush.
-func (c *coalescer) fetch(q query.Query) (res hidden.Result, issued bool, err error) {
-	if q.Empty() {
-		return hidden.Result{}, false, nil
-	}
-	if c.disabled {
-		if res, err = c.db.TopK(q); err == nil {
-			c.hist.Add(res.Tuples...)
-		}
-		return res, true, err
-	}
+func (s *Session) fetch(q query.Query) (res hidden.Result, issued bool, err error) {
+	e := s.e
 	key := q.String()
-	cur := c.curEpoch()
-	res, _, err = c.flights.Do(key, func() (hidden.Result, error) {
-		if r, ok := c.serve([]byte(key), q, cur, false); ok {
+	cur := e.Epoch()
+	res, _, err = e.flights.Do(key, func() (hidden.Result, error) {
+		if r, ok := e.serve([]byte(key), q, cur, false); ok {
 			return r, nil
 		}
 		issued = true
-		fres, ferr := c.db.TopK(q)
+		fres, ferr := e.db.TopK(q)
 		if ferr != nil {
 			return fres, ferr
 		}
@@ -315,19 +238,23 @@ func (c *coalescer) fetch(q query.Query) (res hidden.Result, issued bool, err er
 		// registered: the fact cites published rows only, and a caller
 		// arriving between flight completion and the index write cannot
 		// slip through both and re-issue the probe upstream.
-		out := c.facts.learn(key, q, c.hist.AddRows(fres.Tuples), fres.Overflow, cur)
+		out := e.facts.learn(key, q, e.hist.AddRows(fres.Tuples), fres.Overflow, cur)
 		if out.promoted {
-			c.revalPromoted.Add(1)
+			e.revalPromoted.Add(1)
 		}
 		if out.evicted {
-			c.revalEvicted.Add(1)
+			e.revalEvicted.Add(1)
 		}
-		if p := c.persist.Load(); p != nil && out.fact != nil {
+		if p := e.persist.Load(); p != nil && out.fact != nil {
 			// The fact is immutable apart from its epoch, which cur pins.
 			f := out.fact
 			p.record(pendingOp{ranges: f.ranges, cats: f.cats, rows: f.rows, overflow: f.partial, epoch: cur})
 		}
 		return fres, nil
 	})
+	if err == nil && issued {
+		e.queries.Add(1)
+		s.queries.Add(1)
+	}
 	return res, issued, err
 }

@@ -1,4 +1,4 @@
-// Regression tests for the coalescer's failure semantics: a transient
+// Regression tests for the flight group's failure semantics: a transient
 // upstream failure belongs to the ONE caller whose probe actually failed.
 // Before the retry fix, flightGroup.Do handed the leader's error to every
 // coalesced follower, fanning a single injected failure out to N unrelated
@@ -106,7 +106,7 @@ func TestCoalescedTransientFailuresDoNotFanOut(t *testing.T) {
 			defer wg.Done()
 			s := e.NewSession()
 			for i := 0; i < iters; i++ {
-				_, err := s.issue(queries[(w+i)%len(queries)])
+				_, _, err := s.probe(queries[(w+i)%len(queries)])
 				if err != nil {
 					if !errors.Is(err, hidden.ErrTransient) {
 						callerErrs.Store(err.Error(), true)

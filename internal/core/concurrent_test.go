@@ -167,10 +167,9 @@ func TestConcurrentSessionsExact(t *testing.T) {
 	}
 }
 
-// TestProbeCacheAmortizesRepeats verifies the coalescing cache's half of the
+// TestProbeCacheAmortizesRepeats verifies the fact index's half of the
 // acceptance criterion deterministically: repeating an identical request on
-// a warm engine costs strictly less with the complete-answer LRU than
-// without it, and QueriesIssued semantics hold (deduped probes count once:
+// a warm engine costs strictly less with the fact index than without it, and QueriesIssued semantics hold (deduped probes count once:
 // engine counter == upstream counter in both configurations).
 func TestProbeCacheAmortizesRepeats(t *testing.T) {
 	run := func(opts Options) int64 {
@@ -194,10 +193,10 @@ func TestProbeCacheAmortizesRepeats(t *testing.T) {
 		return db.QueryCount()
 	}
 	with := run(Options{N: 500})
-	without := run(Options{N: 500, DisableCoalescing: true})
-	t.Logf("6 identical requests: %d queries with coalescing, %d without", with, without)
+	without := run(Options{N: 500, ProbeCacheSize: -1})
+	t.Logf("6 identical requests: %d queries with the fact index, %d without", with, without)
 	if with >= without {
-		t.Errorf("coalescing cache saved nothing: %d with vs %d without", with, without)
+		t.Errorf("fact index saved nothing: %d with vs %d without", with, without)
 	}
 }
 
@@ -305,7 +304,7 @@ func TestFlightGroupLeaderPanic(t *testing.T) {
 }
 
 // TestLiveCheckpointUnderLoad checkpoints while sessions are mutating the
-// knowledge layer and restarts from the store: replay must never reject a
+// engine's knowledge and restarts from the store: replay must never reject a
 // committed delta (recorded regions and probes reference only tuples the
 // store holds), and the warm engine must still answer exactly.
 func TestLiveCheckpointUnderLoad(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -32,7 +33,7 @@ func (s *gateDB) TopK(q query.Query) (hidden.Result, error) {
 // awaitFollowers returns once e's in-flight upstream probe for q has n
 // callers parked on its result.
 func awaitFollowers(e *Engine, q query.Query, n int) {
-	g := e.probes.flights
+	g := e.flights
 	for followers := 0; followers < n; runtime.Gosched() {
 		g.mu.Lock()
 		if f, ok := g.inflight[q.String()]; ok {
@@ -45,7 +46,7 @@ func awaitFollowers(e *Engine, q query.Query, n int) {
 func (s *gateDB) K() int                { return s.inner.K() }
 func (s *gateDB) Schema() *types.Schema { return s.inner.Schema() }
 
-// TestCrawlWarmRepeat: crawl probes route through the engine's coalescer, so
+// TestCrawlWarmRepeat: crawl probes route through the engine's probe path, so
 // a repeat crawl of the same region replays every cached complete sub-answer
 // for free and re-issues only the overflowing (internal-node) probes.
 func TestCrawlWarmRepeat(t *testing.T) {
@@ -95,6 +96,20 @@ func TestCrawlWarmRepeat(t *testing.T) {
 	}
 	if sess1.Queries()+sess2.Queries() != e.Queries() {
 		t.Errorf("session ledgers sum to %d, engine counted %d", sess1.Queries()+sess2.Queries(), e.Queries())
+	}
+
+	// A crawl whose upstream fails part-way is charged per probe as it goes:
+	// exactly the probes the upstream answered before the failure.
+	inner, _ := newTestDB(t, rand.New(rand.NewSource(80)), 2, 600, 5, false, nil)
+	flaky := &hidden.FlakyDB{DB: inner, FailEvery: 4}
+	ef := NewEngine(flaky, Options{N: 600})
+	sf := ef.NewSession()
+	if _, err := sf.CrawlAll(q); !errors.Is(err, hidden.ErrTransient) {
+		t.Fatalf("crawl over a failing upstream returned %v, want ErrTransient", err)
+	}
+	if n := inner.QueryCount(); n != 3 || sf.Queries() != n || ef.Queries() != n {
+		t.Errorf("failed crawl: session charged %d, engine %d, upstream answered %d; want 3 each",
+			sf.Queries(), ef.Queries(), n)
 	}
 }
 

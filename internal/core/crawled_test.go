@@ -14,6 +14,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/history"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -44,15 +45,22 @@ func rangesBox(rs []factRange) query.Box {
 	return b
 }
 
-// crawledWorld is a knowledge layer whose crawled boxes are intervals on
+// crawledWorld is an engine's arena and crawled set whose crawled boxes are intervals on
 // attribute 0, widened in 2D by attribute 1's whole domain: every case reads
 // the same in both, and the 2D one runs the m-attribute code.
 type crawledWorld struct {
-	k *Knowledge
+	k *Engine
 	m int
 }
 
-func newCrawledWorld(m int) crawledWorld { return crawledWorld{newKnowledge(testSchema(2)), m} }
+func newCrawledWorld(m int) crawledWorld { return crawledWorld{newCrawledEngine(), m} }
+
+// newCrawledEngine is an engine with only its history arena and crawled set,
+// over a 2-attribute schema.
+func newCrawledEngine() *Engine {
+	hist := history.NewStore(testSchema(2))
+	return &Engine{hist: hist, crawled: &crawledFacts{hist: hist}}
+}
 
 func mk(id int, v float64) types.Tuple {
 	return types.Tuple{ID: id, Ord: []float64{v, 50}, Cat: map[string]string{"cat": "x"}}
@@ -381,7 +389,7 @@ func FuzzCrawledCoverage(f *testing.F) {
 		}
 		m := 1 + int(data[0]%2)
 		data = data[1:]
-		k := newKnowledge(testSchema(2))
+		k := newCrawledEngine()
 		k.hist.Add(corpus...)
 		contains := func(rs []factRange, tp types.Tuple) bool {
 			for _, r := range rs {

@@ -43,17 +43,17 @@ func TestEmptyResultSets(t *testing.T) {
 
 // TestEmptyProbesStayLocal: a probe with a trivially empty range — a search
 // step intersected with a user window it lies outside of, say — is an
-// underflow the coalescing layer answers itself, on every issue path and with
-// the layer switched off: no upstream call, no charge, no fact.
+// underflow the probe path answers itself, on every issue path and with the
+// fact index switched off: no upstream call, no charge, no fact. (lookup's
+// issued is "fetch still needed".)
 func TestEmptyProbesStayLocal(t *testing.T) {
 	empty := []query.Query{
 		query.New().WithRange(0, types.Interval{Lo: 12.3, Hi: 1.96, LoOpen: true}),
 		query.New().WithRange(1, types.Interval{Lo: 5, Hi: 5, HiOpen: true}).WithCat("cat", "x"),
 	}
 	for name, opts := range map[string]Options{
-		"coalesced":    {N: 100, SearchParallelism: 4},
-		"cache off":    {N: 100, SearchParallelism: 4, ProbeCacheSize: -1},
-		"pass-through": {N: 100, SearchParallelism: 4, DisableCoalescing: true},
+		"cache on":  {N: 100, SearchParallelism: 4},
+		"cache off": {N: 100, SearchParallelism: 4, ProbeCacheSize: -1},
 	} {
 		rng := rand.New(rand.NewSource(72))
 		db, _ := newTestDB(t, rng, 2, 100, 5, false, nil)
@@ -63,7 +63,11 @@ func TestEmptyProbesStayLocal(t *testing.T) {
 		s.issueAll(empty, out) // the round's pre-lookup
 		for i, q := range empty {
 			for path, issue := range map[string]func(query.Query) (hidden.Result, bool, error){
-				"TopK": s.issueCounted, "fetch": s.fetchCounted,
+				"probe": s.probe,
+				"lookup": func(q query.Query) (hidden.Result, bool, error) {
+					res, known, err := s.lookup(q)
+					return res, !known, err
+				},
 				"issueAll": func(query.Query) (hidden.Result, bool, error) { return out[i].res, out[i].issued, out[i].err },
 			} {
 				res, issued, err := issue(q)
@@ -255,7 +259,7 @@ func TestMDUnsplitOnTieProbeFailure(t *testing.T) {
 		run := func(failAt int) []int {
 			db := &tieFailDB{DB: hidden.MustDB(schema, tuples, hidden.Options{K: 8, Ranker: sys}), attrs: r.Attrs()}
 			db.failed.Store(true)
-			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, DisableCoalescing: true})
+			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, ProbeCacheSize: -1})
 			if _, err := TopH(e.NewMDCursor(q, r, Rerank), 20); err != nil { // history to certify from
 				t.Fatal(err)
 			}

@@ -3,33 +3,35 @@
 // (§4.1), MD-BASELINE (§4.2), MD-BINARY (§4.3) and MD-RERANK (§4.4), all
 // exposed through an incremental Get-Next interface (§2.2).
 //
-// # Concurrency model: Knowledge and Sessions
+// # Concurrency model: Engine and Sessions
 //
 // An Engine is the long-lived state of one reranking service instance bound
-// to one hidden database. It is split into two layers:
+// to one hidden database: everything that amortizes across user queries —
+// the cross-query answer history (§3.1.1 "Leveraging History"), the crawled
+// regions of the on-the-fly dense indexes (§3.2.2, §4.4), the fact index of
+// probe answers, the knowledge epoch and the upstream-query counter. The
+// history arena is the only tuple store: a crawled region, like a probe fact,
+// is a box, an epoch and the arena rows inside the box. All of it is guarded
+// internally (the history store shards its sorted indexes per attribute, the
+// fact index and the crawled set carry their own mutexes, counters are
+// atomic), so arbitrarily many sessions on arbitrarily many goroutines read
+// and grow the same knowledge while checkpoints capture it live.
 //
-//   - The Knowledge layer (see knowledge.go) holds everything that amortizes
-//     across user queries — the cross-query answer history (§3.1.1
-//     "Leveraging History"), the on-the-fly dense-region indexes (§3.2.2,
-//     §4.4) and the upstream-query counter. It is guarded internally and
-//     safe for concurrent use, including live checkpointing.
-//   - A Session (see session.go) holds the per-request state: the
-//     upstream-cost ledger for one unit of work. Cursors — per-(query,
-//     ranking function) Get-Next iterators — are created from sessions and
-//     carry all traversal state themselves.
-//
-// Arbitrarily many sessions from arbitrarily many goroutines may run
-// 1D-RERANK / MD-RERANK / TA concurrently against the same engine; each
-// individual cursor is a sequential object (drive it from one goroutine at
-// a time). A probe coalescing layer (see coalesce.go) deduplicates
-// identical in-flight upstream probes and answers from complete answers it
-// already holds, so concurrent users with overlapping queries do not
-// multiply upstream cost.
+// A Session (see session.go) holds the per-request state: the upstream-cost
+// ledger for one unit of work. Cursors — per-(query, ranking function)
+// Get-Next iterators — are created from sessions and carry all traversal
+// state themselves; each is a sequential object (drive it from one goroutine
+// at a time). Every probe over the primary interface goes through one path,
+// Session.probe (see coalesce.go): the fact index answers what is already
+// known, identical in-flight upstream calls are issued once, and only a call
+// that reaches the upstream is charged, so concurrent users with overlapping
+// queries do not multiply upstream cost.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,19 +109,15 @@ type Options struct {
 	// charged per probe attempt, before coalescing, so it is stable
 	// regardless of cache state.
 	MaxQueriesPerOp int64
-	// DisableCoalescing turns off the probe coalescing layer (in-flight
-	// dedup and the fact index). Use it when the upstream corpus
-	// can change during the engine's lifetime, or for paper-faithful
-	// per-probe cost accounting in experiments.
-	DisableCoalescing bool
 	// ProbeCacheSize bounds the fact index — probe answers kept as row
 	// references, least recently used evicted first: 0 means the
-	// default (16384 facts), negative disables it while keeping in-flight
-	// dedup.
+	// default (16384 facts), negative disables it, so every probe not
+	// shared with an identical one in flight is issued (paper-faithful
+	// per-probe cost accounting in experiments).
 	ProbeCacheSize int
 	// SearchParallelism is the speculative probe width W of the MD search:
 	// each best-first round issues up to W frontier probes concurrently
-	// through the coalescing layer, bounded by a per-session worker pool.
+	// through Session.probe's path, bounded by a per-session worker pool.
 	// 0 or 1 means sequential. The emitted tuple sequence is identical for
 	// every W; speculation can spend extra upstream probes (reported by
 	// SpeculationStats), which hide upstream round-trip latency. Ignored
@@ -129,16 +127,52 @@ type Options struct {
 	SearchParallelism int
 }
 
-// Engine is one reranking service instance bound to a hidden database. The
-// engine itself is safe for concurrent use: shared state lives in the
-// internally-guarded Knowledge layer, and per-request state in Sessions.
+// FirstEpoch is the knowledge epoch everything starts in. Epochs only move
+// forward; knowledge whose epoch trails the current one is *stale* — still
+// authoritative about what the upstream looked like when it was learned, but
+// requiring one confirming probe before it may answer again (lazy
+// re-validation).
+const FirstEpoch int64 = 1
+
+// Engine is one reranking service instance bound to a hidden database. It is
+// safe for concurrent use: the shared knowledge it owns is guarded
+// internally, and per-request state lives in Sessions.
 type Engine struct {
 	db   hidden.Database
 	opts Options
 
-	know   *Knowledge
-	probes *coalescer   // issue-path dedup + complete-answer cache
-	crawls *flightGroup // dense-region crawl dedup
+	hist    *history.Store // the one tuple store: every issued page lands here
+	crawled *crawledFacts  // the dense-region oracle's crawled regions
+	facts   *factIndex     // probe answers; nil when Options.ProbeCacheSize < 0
+	flights *flightGroup   // identical in-flight probes
+	crawls  *flightGroup   // dense-region crawl dedup
+
+	queries atomic.Int64 // upstream queries issued through the engine
+
+	// epoch is the namespace's current knowledge epoch. Every crawled region,
+	// probe fact, and history watermark records the epoch it was learned
+	// under; a sentinel-detected upstream drift bumps this counter, turning
+	// everything learned earlier stale. Stale knowledge is re-validated
+	// lazily on first touch (one confirming probe), never discarded
+	// wholesale.
+	epoch atomic.Int64
+	// histStaleRows is the history row watermark at the last epoch bump:
+	// rows below it were learned under an earlier epoch. History rows are
+	// candidate hints that always get probe-confirmed before use, so the
+	// watermark is observability, not a correctness gate.
+	histStaleRows atomic.Int64
+
+	// containedHits counts probes answered from a fact whose box contains
+	// them, partialHits probes answered by replaying their own overflow page
+	// (exact hits on complete facts are counted by neither).
+	containedHits atomic.Int64
+	partialHits   atomic.Int64
+	// Lazy re-validation outcomes of probe facts (Session.fetch) and of
+	// crawled regions (Session.crawledLookup).
+	revalPromoted      atomic.Int64
+	revalEvicted       atomic.Int64
+	denseRevalPromoted atomic.Int64
+	denseRevalEvicted  atomic.Int64
 
 	// Speculative-search accounting: probes issued beyond the first slot
 	// of an MD search round, and the subset invalidated by a threshold
@@ -156,6 +190,19 @@ type Engine struct {
 	mdCertOverflow atomic.Int64
 	coverHits      atomic.Int64
 
+	// heat is the request-window heat sketch feeding the background
+	// acquirer: which exact windows users queried recently, with
+	// exponential decay. Fed by RecordHeat on the request path; persisted
+	// in checkpoints so acquisition resumes after restarts.
+	heat *acquire.Sketch
+
+	// persist, when attached, records every probe fact admitted or
+	// confirmed, every crawled-region insert and every epoch bump, so
+	// incremental checkpoints persist them. History needs no recording
+	// hook: the append-only arena's row watermark already identifies what
+	// is new.
+	persist atomic.Pointer[Persister]
+
 	// Sentinel drift detection (see sentinel.go): digests of the fixed
 	// sentinel probe set from the previous pass, compared each pass.
 	sentMu      sync.Mutex
@@ -167,35 +214,95 @@ type Engine struct {
 
 // NewEngine builds an engine over db.
 func NewEngine(db hidden.Database, opts Options) *Engine {
-	// The knowledge layer is built first: the probe layer's facts cite rows
-	// of its history arena.
-	know := newKnowledge(db.Schema())
-	return &Engine{
-		db:     db,
-		opts:   opts,
-		know:   know,
-		probes: newCoalescer(db, opts.ProbeCacheSize, opts.DisableCoalescing, know.hist, know.Epoch),
-		crawls: newFlightGroup(),
+	cacheSize := opts.ProbeCacheSize
+	if cacheSize == 0 {
+		cacheSize = defaultProbeCacheSize
 	}
+	hist := history.NewStore(db.Schema())
+	e := &Engine{
+		db:      db,
+		opts:    opts,
+		hist:    hist,
+		crawled: &crawledFacts{hist: hist},
+		facts:   newFactIndex(cacheSize),
+		flights: newFlightGroup(),
+		crawls:  newFlightGroup(),
+		heat:    acquire.NewSketch(db.Schema()),
+	}
+	e.epoch.Store(FirstEpoch)
+	return e
 }
 
 // DB returns the engine's database.
 func (e *Engine) DB() hidden.Database { return e.db }
 
 // Queries returns the number of database queries issued through the engine
-// (including dense-index crawling). Probes deduplicated by the coalescing
-// layer count once.
-func (e *Engine) Queries() int64 { return e.know.Queries() }
-
-// Knowledge returns the engine's shared, concurrency-safe knowledge layer.
-func (e *Engine) Knowledge() *Knowledge { return e.know }
+// (including dense-index crawling). Probes shared by identical in-flight
+// calls count once.
+func (e *Engine) Queries() int64 { return e.queries.Load() }
 
 // History returns the engine's cross-query tuple cache.
-func (e *Engine) History() *history.Store { return e.know.hist }
+func (e *Engine) History() *history.Store { return e.hist }
+
+// Epoch returns the namespace's current knowledge epoch.
+func (e *Engine) Epoch() int64 { return e.epoch.Load() }
+
+// EpochBumps returns how many drift-triggered bumps the epoch has seen.
+func (e *Engine) EpochBumps() int64 { return e.epoch.Load() - FirstEpoch }
+
+// BumpEpoch advances the knowledge epoch (a sentinel detected upstream
+// drift), marks the current history rows stale, records the bump for
+// persistence, and returns the new epoch.
+func (e *Engine) BumpEpoch() int64 {
+	ep := e.epoch.Add(1)
+	e.histStaleRows.Store(int64(e.hist.Rows()))
+	if p := e.persist.Load(); p != nil {
+		// A bump is durable knowledge in its own right: losing it would
+		// resurrect stale regions as current after a restart.
+		p.record(pendingOp{bump: true, epoch: ep})
+	}
+	return ep
+}
+
+// restoreEpoch moves the epoch forward to ep (journal replay).
+// Epochs never move backward; an older restore is a no-op.
+func (e *Engine) restoreEpoch(ep int64) {
+	for {
+		cur := e.epoch.Load()
+		if ep <= cur || e.epoch.CompareAndSwap(cur, ep) {
+			return
+		}
+	}
+}
+
+// StaleHistoryRows returns the history row watermark below which rows were
+// learned under an earlier epoch.
+func (e *Engine) StaleHistoryRows() int64 { return e.histStaleRows.Load() }
+
+// StaleRegions counts crawled regions whose epoch trails the current one —
+// knowledge awaiting lazy re-validation.
+func (e *Engine) StaleRegions() int {
+	cur := e.Epoch()
+	return e.crawled.count(func(f *fact) bool { return f.epoch < cur })
+}
+
+// insertCrawled records a crawled box — ranges ascending by attribute — with
+// every tuple inside it at the current epoch, and records the insert for
+// incremental persistence. The tuples are named by their arena rows (added
+// first when no probe brought them in), so a region's rows always precede its
+// journal record. Live inserts must go through here rather than the crawled
+// set directly, so no acquired knowledge is invisible to the next checkpoint.
+func (e *Engine) insertCrawled(rs []factRange, tuples []types.Tuple) {
+	rows, epoch := e.hist.AddRows(tuples), e.Epoch()
+	e.crawled.insert(rs, rows, epoch)
+	if p := e.persist.Load(); p != nil {
+		p.record(pendingOp{ranges: slices.Clone(rs), rows: rows, crawled: true, epoch: epoch})
+	}
+}
 
 // DenseIndex1D exposes the crawled regions over one attribute — Algorithm 4's
 // dense index — for inspection.
-func (e *Engine) DenseIndex1D() Dense1D { return Dense1D{e.know.crawled} }
+func (e *Engine) DenseIndex1D() Dense1D { return Dense1D{e.crawled} }
 
 // Dense1D is a read-only view of the 1D crawled regions.
 type Dense1D struct{ c *crawledFacts }
@@ -214,24 +321,33 @@ func (d Dense1D) Regions(attr int) int {
 }
 
 // ProbeCacheEntries returns the number of probe answers — complete ones and
-// overflow pages — currently held as facts by the coalescing layer (0 when
-// coalescing or the cache is disabled). Checkpoints persist them, so after a
-// warm restart this is a lower bound on the probes the engine answers for
-// zero upstream cost: a complete fact also answers every probe its box
-// contains.
-func (e *Engine) ProbeCacheEntries() int { return e.probes.cacheSize() }
+// overflow pages — currently held as facts (0 when the fact index is off).
+// Checkpoints persist them, so after a warm restart this is a lower bound on
+// the probes the engine answers for zero upstream cost: a complete fact also
+// answers every probe its box contains.
+func (e *Engine) ProbeCacheEntries() int {
+	if e.facts == nil {
+		return 0
+	}
+	return int(e.facts.entries.Load())
+}
 
 // ProbeCacheBytes approximates the resident bytes of those facts (queries,
 // row references and index slots; the tuples live in the history arena).
-func (e *Engine) ProbeCacheBytes() int64 { return e.probes.cacheBytes() }
+func (e *Engine) ProbeCacheBytes() int64 {
+	if e.facts == nil {
+		return 0
+	}
+	return e.facts.bytes.Load()
+}
 
 // ProbeContainedHits returns how many probes were answered, for zero
 // upstream queries, by filtering a fact whose box contains them.
-func (e *Engine) ProbeContainedHits() int64 { return e.probes.containedHits.Load() }
+func (e *Engine) ProbeContainedHits() int64 { return e.containedHits.Load() }
 
 // ProbePartialHits returns how many probes were answered, for zero upstream
 // queries, by replaying the overflow page the identical probe got before.
-func (e *Engine) ProbePartialHits() int64 { return e.probes.partialHits.Load() }
+func (e *Engine) ProbePartialHits() int64 { return e.partialHits.Load() }
 
 // CertificationStats returns the engine-lifetime outcomes of 1D-RERANK's
 // certification probes — at most one per Get-Next, issued over (last, cand]
@@ -255,11 +371,11 @@ func (e *Engine) MDCertificationStats() (complete, overflow int64) {
 func (e *Engine) CoverHits() int64 { return e.coverHits.Load() }
 
 // StorageStats returns the history store's columnar storage counters.
-func (e *Engine) StorageStats() history.StorageStats { return e.know.hist.StorageStats() }
+func (e *Engine) StorageStats() history.StorageStats { return e.hist.StorageStats() }
 
 // Heat returns the engine's request-window heat sketch — the demand signal
 // the background acquirer mines. Safe for concurrent use.
-func (e *Engine) Heat() *acquire.Sketch { return e.know.heat }
+func (e *Engine) Heat() *acquire.Sketch { return e.heat }
 
 // RecordHeat feeds a user query's bounded range predicates into the heat
 // sketch. Call it from the request path after validation: the cost is one
@@ -269,7 +385,7 @@ func (e *Engine) RecordHeat(q query.Query) {
 		if iv.Empty() || iv.Unbounded() {
 			continue
 		}
-		e.know.heat.Observe(attr, iv.Lo, iv.Hi)
+		e.heat.Observe(attr, iv.Lo, iv.Hi)
 	}
 }
 
@@ -281,20 +397,16 @@ func (e *Engine) RecordHeat(q query.Query) {
 // again, refreshing stale knowledge from idle capacity alongside genuinely
 // un-crawled windows.
 func (e *Engine) WindowWarm(attr int, iv types.Interval) bool {
-	f := e.know.crawled.lookup([]factRange{{attr, iv}})
-	return f != nil && f.epoch >= e.know.Epoch()
+	f := e.crawled.lookup([]factRange{{attr, iv}})
+	return f != nil && f.epoch >= e.Epoch()
 }
-
-// Epoch returns the namespace's current knowledge epoch.
-func (e *Engine) Epoch() int64 { return e.know.Epoch() }
 
 // RevalidationStats returns the engine-lifetime lazy re-validation
 // outcomes, combining dense-region and probe-cache surfaces: stale entries
 // confirmed unchanged (promoted to the current epoch) and stale entries
 // whose confirming probe showed drift (evicted).
 func (e *Engine) RevalidationStats() (promoted, evicted int64) {
-	cp, ce := e.probes.revalStats()
-	return e.know.denseRevalPromoted.Load() + cp, e.know.denseRevalEvicted.Load() + ce
+	return e.denseRevalPromoted.Load() + e.revalPromoted.Load(), e.denseRevalEvicted.Load() + e.revalEvicted.Load()
 }
 
 // MDDenseRegions returns the number of crawled regions over more than one
@@ -302,12 +414,12 @@ func (e *Engine) RevalidationStats() (promoted, evicted int64) {
 // restart this reports how many boxes MD-RERANK can answer locally for zero
 // upstream cost.
 func (e *Engine) MDDenseRegions() int {
-	return e.know.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 })
+	return e.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 })
 }
 
 // CrawledMaxBucket returns the population of the largest crawled-region
 // bucket: the most facts one dense lookup may walk.
-func (e *Engine) CrawledMaxBucket() int { return e.know.crawled.maxBucket() }
+func (e *Engine) CrawledMaxBucket() int { return e.crawled.maxBucket() }
 
 // searchWidth returns the MD search's speculative probe width (≥ 1). A
 // configured per-op budget forces sequential search: under a binding

@@ -167,9 +167,9 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			// exactly one confirming probe and, with no actual drift,
 			// promotes it. The probe also re-validates the crawl's own
 			// cached probe answer, so both surfaces count a promotion.
-			e.know.BumpEpoch()
-			if e.know.StaleRegions() != 1 {
-				t.Fatalf("StaleRegions = %d after bump, want 1", e.know.StaleRegions())
+			e.BumpEpoch()
+			if e.StaleRegions() != 1 {
+				t.Fatalf("StaleRegions = %d after bump, want 1", e.StaleRegions())
 			}
 			s3 := e.NewSession()
 			f, err := s3.crawledLookup(rs)
@@ -182,14 +182,14 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			if f.epoch != e.Epoch() {
 				t.Fatalf("promoted region epoch %d, want %d", f.epoch, e.Epoch())
 			}
-			if p := e.know.denseRevalPromoted.Load(); p != 1 {
+			if p := e.denseRevalPromoted.Load(); p != 1 {
 				t.Fatalf("denseRevalPromoted = %d, want 1", p)
 			}
 			if p, ev := e.RevalidationStats(); p != 2 || ev != 0 {
 				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 0", p, ev)
 			}
-			if e.know.StaleRegions() != 0 {
-				t.Fatalf("StaleRegions = %d after promotion, want 0", e.know.StaleRegions())
+			if e.StaleRegions() != 0 {
+				t.Fatalf("StaleRegions = %d after promotion, want 0", e.StaleRegions())
 			}
 
 			// Promoted: the next touch is free again.
@@ -204,9 +204,9 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			if !db.SetOrd(inside[0].ID, 0, iv.Hi+40) {
 				t.Fatal("SetOrd refused")
 			}
-			e.know.BumpEpoch()
-			if e.know.StaleRegions() != 1 {
-				t.Fatalf("StaleRegions = %d after the second bump, want 1", e.know.StaleRegions())
+			e.BumpEpoch()
+			if e.StaleRegions() != 1 {
+				t.Fatalf("StaleRegions = %d after the second bump, want 1", e.StaleRegions())
 			}
 			s5 := e.NewSession()
 			if f, err := s5.crawledLookup(rs); err != nil || f != nil {
@@ -215,14 +215,14 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			if s5.Queries() != 1 {
 				t.Fatalf("drift detection spent %d queries, want exactly 1", s5.Queries())
 			}
-			if ev := e.know.denseRevalEvicted.Load(); ev != 1 {
+			if ev := e.denseRevalEvicted.Load(); ev != 1 {
 				t.Fatalf("denseRevalEvicted = %d, want 1", ev)
 			}
 			if p, ev := e.RevalidationStats(); p != 2 || ev != 2 {
 				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 2", p, ev)
 			}
-			if e.know.StaleRegions() != 0 {
-				t.Fatalf("StaleRegions = %d after eviction, want 0", e.know.StaleRegions())
+			if e.StaleRegions() != 0 {
+				t.Fatalf("StaleRegions = %d after eviction, want 0", e.StaleRegions())
 			}
 		})
 	}
@@ -279,7 +279,7 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 			if !db.SetOrd(moved.ID, 0, moved.Ord[0]) {
 				t.Fatal("SetOrd refused")
 			}
-			e.know.BumpEpoch()
+			e.BumpEpoch()
 
 			s := e.NewSession()
 			f, err := s.crawledFact(outer)
@@ -293,7 +293,7 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 			if tc.partial {
 				wantRegions = 2 // the stale one kept apart
 			}
-			if n := len(crawledExport(e.know.crawled)); n != wantRegions {
+			if n := len(crawledExport(e.crawled)); n != wantRegions {
 				t.Fatalf("%d crawled regions, want %d", n, wantRegions)
 			}
 			// The same crawl on an engine that never saw the inner region.
@@ -314,7 +314,7 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 					current = append(current, tp)
 				}
 			}
-			wantRows, got := e.know.hist.AddRows(current), slices.Clone(f.rows)
+			wantRows, got := e.hist.AddRows(current), slices.Clone(f.rows)
 			slices.Sort(wantRows)
 			slices.Sort(got)
 			if !slices.Equal(got, wantRows) {
@@ -333,7 +333,7 @@ func TestProbeCacheLazyRevalidation(t *testing.T) {
 
 	cost := func() int64 {
 		s := e.NewSession()
-		if _, err := s.issue(q); err != nil {
+		if _, _, err := s.probe(q); err != nil {
 			t.Fatal(err)
 		}
 		return s.Queries()
@@ -346,7 +346,7 @@ func TestProbeCacheLazyRevalidation(t *testing.T) {
 	}
 
 	// Stale cache entry: one confirming probe, then free again.
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	if got := cost(); got != 1 {
 		t.Fatalf("stale probe re-validation cost %d, want exactly 1", got)
 	}
@@ -364,9 +364,9 @@ func TestProbeCacheLazyRevalidation(t *testing.T) {
 	if !db.SetOrd(victim.ID, 0, newVal) {
 		t.Fatal("SetOrd refused")
 	}
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	s := e.NewSession()
-	res, err := s.issue(q)
+	res, _, err := s.probe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestWindowWarmEpochAware(t *testing.T) {
 		t.Fatal("window not warm after WarmWindow")
 	}
 	// Stale knowledge is cold again — the acquirer must refresh it.
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	if e.WindowWarm(0, iv) {
 		t.Fatal("stale window still reports warm")
 	}
@@ -590,14 +590,14 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	if err := s.crawlBox([]factRange{{0, iv}}); err != nil {
 		t.Fatal(err)
 	}
-	e1.know.BumpEpoch()
-	e1.know.BumpEpoch()
+	e1.BumpEpoch()
+	e1.BumpEpoch()
 	// A post-bump probe lands at the current epoch.
 	fresh := query.New().WithRange(1, types.ClosedInterval(40, 41))
-	if _, err := e1.NewSession().issue(fresh); err != nil {
+	if _, _, err := e1.NewSession().probe(fresh); err != nil {
 		t.Fatal(err)
 	}
-	wantEpoch, wantStale := e1.Epoch(), e1.know.StaleRegions()
+	wantEpoch, wantStale := e1.Epoch(), e1.StaleRegions()
 	if wantEpoch != FirstEpoch+2 || wantStale == 0 {
 		t.Fatalf("setup: epoch=%d stale=%d", wantEpoch, wantStale)
 	}
@@ -606,10 +606,10 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	if e2.Epoch() != wantEpoch {
 		t.Fatalf("replayed epoch %d, want %d", e2.Epoch(), wantEpoch)
 	}
-	if got := e2.know.StaleRegions(); got != wantStale {
+	if got := e2.StaleRegions(); got != wantStale {
 		t.Fatalf("replayed stale regions %d, want %d", got, wantStale)
 	}
-	r1, r2 := crawledExport(e1.know.crawled), crawledExport(e2.know.crawled)
+	r1, r2 := crawledExport(e1.crawled), crawledExport(e2.crawled)
 	if len(r1) != len(r2) || r2[0].epoch != r1[0].epoch {
 		t.Fatalf("region epochs not preserved: %v vs %v", r2, r1)
 	}

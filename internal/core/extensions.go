@@ -130,7 +130,7 @@ func (c *KnownRankCursor) collectPlateau(boundary float64) ([]types.Tuple, error
 		ties = res.Tuples
 	} else {
 		// CrawlAll records every issued probe's page in history (via
-		// the coalesced probe path), as issueOn did for the non-overflow
+		// Session.probe), as issueOn did for the non-overflow
 		// page. The crawl runs against the primary interface: the
 		// matching tuple *set* of a complete crawl is ranking-independent.
 		ties, err = c.s.CrawlAll(point)

@@ -23,7 +23,7 @@
 //     as overflowing, for the identical probe and contains nothing.
 //
 // Either kind answers its own probe at any epoch — a stale one after one
-// confirming probe (see coalescer.fetch).
+// confirming probe (see Session.fetch).
 //
 // # Finding a containing fact without scanning every fact
 //
@@ -53,8 +53,7 @@
 // crawledFacts holds these facts for every attribute count, 1D being m = 1,
 // in the fact index's lo-ordered buckets, one per attribute set (a crawl has
 // no categorical predicates to sign). Unlike the fact index it is
-// pinned and unbounded, and it exists whatever DisableCoalescing and
-// ProbeCacheSize say: a box crawled a moment ago must still be covered when
+// pinned and unbounded, and it exists whatever ProbeCacheSize says: a box crawled a moment ago must still be covered when
 // its crawler looks it up. A crawled fact never changes once stored; a
 // re-validation that confirms it swaps in a re-stamped copy.
 

@@ -49,7 +49,7 @@ func benchFacts(b *testing.B, n int) (e *Engine, tuples []types.Tuple, complete,
 				cited = append(cited, rows[i])
 			}
 		}
-		e.probes.seed(q, cited, overflow, e.Epoch())
+		e.facts.learn(q.String(), q, cited, overflow, e.Epoch())
 		switch {
 		case e.ProbeCacheEntries() == held:
 		case overflow:
@@ -79,6 +79,7 @@ func BenchmarkProbeFacts(b *testing.B) {
 	var sink hidden.Result
 	for _, n := range []int{1024, 16384} {
 		e, tuples, facts, partial := benchFacts(b, n)
+		s := e.NewSession()
 		rng := rand.New(rand.NewSource(7))
 		span := func(width int) query.Query {
 			at := rng.Intn(len(tuples) - width)
@@ -95,13 +96,13 @@ func BenchmarkProbeFacts(b *testing.B) {
 			if _, ok := in.Cats["cat"]; !ok {
 				in.Cats["cat"] = "x"
 			}
-			if _, held := e.probes.facts.byKey[in.String()]; !held {
+			if _, held := e.facts.byKey[in.String()]; !held {
 				contained = append(contained, in)
 			}
 		}
 		for len(miss) < 512 {
 			q := span(12 - 4*(len(miss)%2))
-			if _, ok := e.probes.lookup(q); !ok {
+			if _, ok, _ := s.lookup(q); !ok {
 				miss = append(miss, q)
 			}
 		}
@@ -112,14 +113,14 @@ func BenchmarkProbeFacts(b *testing.B) {
 		}{{"exact-hit", exact, true}, {"partial-hit", partial, true}, {"contained-hit", contained, true}, {"miss", miss, false}} {
 			b.Run(fmt.Sprintf("%s/facts=%d", c.name, n), func(b *testing.B) {
 				for _, q := range c.qs {
-					if _, ok := e.probes.lookup(q); ok != c.hit {
+					if _, ok, _ := s.lookup(q); ok != c.hit {
 						b.Fatalf("%s: lookup hit=%v, want %v", q, ok, c.hit)
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sink, _ = e.probes.lookup(c.qs[i%len(c.qs)])
+					sink, _, _ = s.lookup(c.qs[i%len(c.qs)])
 				}
 			})
 		}
@@ -127,7 +128,7 @@ func BenchmarkProbeFacts(b *testing.B) {
 		// the probe's own key allocates its result slice, nothing per tuple
 		// and no key.
 		for name, q := range map[string]query.Query{"exact": exact[0], "partial": partial[0]} {
-			if got := testing.AllocsPerRun(200, func() { sink, _ = e.probes.lookup(q) }); got > 1 {
+			if got := testing.AllocsPerRun(200, func() { sink, _, _ = s.lookup(q) }); got > 1 {
 				b.Fatalf("%s hit at %d facts: %.0f allocs/op, want ≤ 1", name, n, got)
 			}
 		}

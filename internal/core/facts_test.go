@@ -122,7 +122,7 @@ func TestContainedAnswersAreExactAndFree(t *testing.T) {
 			t.Helper()
 			s := e.NewSession()
 			before, engineBefore := e.ProbeContainedHits(), e.Queries()
-			got, err := s.issue(q)
+			got, _, err := s.probe(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestContainedAnswersAreExactAndFree(t *testing.T) {
 func costOf(t *testing.T, e *Engine, q query.Query) int64 {
 	t.Helper()
 	s := e.NewSession()
-	if _, err := s.issue(q); err != nil {
+	if _, _, err := s.probe(q); err != nil {
 		t.Fatal(err)
 	}
 	return s.Queries()
@@ -197,11 +197,11 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	expect("contained in the fresh fact", inner(), 0)
 
 	// Promote: nothing changed upstream.
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	staleInner := inner()
 	expect("contained in a stale fact", staleInner, 1)
 	expect("stale outer, unchanged upstream", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 1 || ev != 0 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 1 || ev != 0 {
 		t.Fatalf("after an unchanged confirmation: promoted %d evicted %d, want 1/0", p, ev)
 	}
 	expect("contained in the promoted fact", inner(), 0)
@@ -212,13 +212,13 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	if !db.SetOrd(victim.ID, 1, newVal) {
 		t.Fatal("SetOrd refused")
 	}
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	expect("stale outer, tuple changed", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 1 || ev != 1 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 1 || ev != 1 {
 		t.Fatalf("after a changed confirmation: promoted %d evicted %d, want 1/1", p, ev)
 	}
 	s := e.NewSession()
-	res, err := s.issue(outer.WithCat("cat", victim.Cat["cat"]))
+	res, _, err := s.probe(outer.WithCat("cat", victim.Cat["cat"]))
 	if err != nil || s.Queries() != 0 {
 		t.Fatalf("contained in the replaced fact: cost %d err %v, want 0", s.Queries(), err)
 	}
@@ -243,17 +243,17 @@ func TestStaleFactsAndContainment(t *testing.T) {
 			moved = append(moved, tt)
 		}
 	}
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	before := e.ProbeCacheEntries()
 	expect("stale outer, box overflows now", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 1 || ev != 2 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 1 || ev != 2 {
 		t.Fatalf("after an overflowing confirmation: promoted %d evicted %d, want 1/2", p, ev)
 	}
 	if e.ProbeCacheEntries() != before {
 		t.Fatalf("%d facts held, %d before: the overflow page must replace the complete fact under its key", e.ProbeCacheEntries(), before)
 	}
 	s = e.NewSession()
-	res, err = s.issue(outer)
+	res, _, err = s.probe(outer)
 	want, _ := db.TopK(outer)
 	if err != nil || s.Queries() != 0 || !res.Overflow || !resultsEqual(res, want) {
 		t.Fatalf("outer again: cost %d err %v overflow %v, want the upstream's overflow page for 0", s.Queries(), err, res.Overflow)
@@ -264,9 +264,9 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	expect("contained in the partial fact", inner(), 1)
 
 	// Partial, promoted: nothing changed, the page still overflows.
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	expect("stale partial outer, unchanged upstream", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 2 || ev != 2 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 2 || ev != 2 {
 		t.Fatalf("after an unchanged overflowing confirmation: promoted %d evicted %d, want 2/2", p, ev)
 	}
 	expect("promoted partial outer", outer, 0)
@@ -275,9 +275,9 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	if !db.SetOrd(want.Tuples[0].ID, 1, want.Tuples[0].Ord[1]+1) {
 		t.Fatal("SetOrd refused")
 	}
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	expect("stale partial outer, tuple changed", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 2 || ev != 3 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 2 || ev != 3 {
 		t.Fatalf("after a changed overflowing confirmation: promoted %d evicted %d, want 2/3", p, ev)
 	}
 	expect("replaced partial outer", outer, 0)
@@ -286,9 +286,9 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	for _, tt := range moved {
 		db.SetOrd(tt.ID, 0, tt.Ord[0])
 	}
-	e.know.BumpEpoch()
+	e.BumpEpoch()
 	expect("stale partial outer, box complete again", outer, 1)
-	if p, ev := e.probes.revalStats(); p != 2 || ev != 4 {
+	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 2 || ev != 4 {
 		t.Fatalf("after a completing confirmation: promoted %d evicted %d, want 2/4", p, ev)
 	}
 	expect("contained in the complete fact that replaced the partial one", inner(), 0)
@@ -303,13 +303,13 @@ func TestReplayedFactsAnswerContainedProbes(t *testing.T) {
 	outers := persistProbes()
 	s1 := e1.NewSession()
 	for _, q := range outers {
-		if res, err := s1.issue(q); err != nil || res.Overflow {
+		if res, _, err := s1.probe(q); err != nil || res.Overflow {
 			t.Fatalf("precondition: %s: err %v overflow %v", q, err, res.Overflow)
 		}
 	}
 	// The fact stays in force across an epoch bump it was re-confirmed under.
-	e1.know.BumpEpoch()
-	if _, err := s1.issue(outers[0]); err != nil {
+	e1.BumpEpoch()
+	if _, _, err := s1.probe(outers[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -317,7 +317,7 @@ func TestReplayedFactsAnswerContainedProbes(t *testing.T) {
 	db.ResetCounter()
 	inner := outers[0].WithRange(0, types.ClosedInterval(10.5, 11.5))
 	s2 := e2.NewSession()
-	got, err := s2.issue(inner)
+	got, _, err := s2.probe(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +439,14 @@ func TestReopenReplaysPartialFacts(t *testing.T) {
 	s1 := e1.NewSession()
 	var pages []hidden.Result
 	for _, q := range []query.Query{wide, stale} {
-		res, err := s1.issue(q)
+		res, _, err := s1.probe(q)
 		if err != nil || !res.Overflow {
 			t.Fatalf("precondition: %s: err %v overflow %v", q, err, res.Overflow)
 		}
 		pages = append(pages, res)
 	}
-	e1.know.BumpEpoch()
-	if _, err := s1.issue(wide); err != nil { // re-confirmed under the new epoch; stale is not
+	e1.BumpEpoch()
+	if _, _, err := s1.probe(wide); err != nil { // re-confirmed under the new epoch; stale is not
 		t.Fatal(err)
 	}
 
@@ -463,7 +463,7 @@ func TestReopenReplaysPartialFacts(t *testing.T) {
 		{"probe inside the replayed page's box", wide.WithRange(0, types.ClosedInterval(10, 30)), 1},
 	} {
 		s := e2.NewSession()
-		got, err := s.issue(step.q)
+		got, _, err := s.probe(step.q)
 		if err != nil || s.Queries() != step.cost {
 			t.Fatalf("%s: cost %d err %v, want %d", step.name, s.Queries(), err, step.cost)
 		}
@@ -471,7 +471,7 @@ func TestReopenReplaysPartialFacts(t *testing.T) {
 			t.Fatalf("%s: answered %v (overflow %v), the upstream said %v", step.name, got.Tuples, got.Overflow, pages[i].Tuples)
 		}
 	}
-	if p, ev := e2.probes.revalStats(); p != 1 || ev != 0 || db.QueryCount() != 2 {
+	if p, ev := e2.revalPromoted.Load(), e2.revalEvicted.Load(); p != 1 || ev != 0 || db.QueryCount() != 2 {
 		t.Fatalf("promoted %d evicted %d, upstream saw %d; want 1/0/2", p, ev, db.QueryCount())
 	}
 }
@@ -568,12 +568,11 @@ func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 // TestFollowersSeeLeadersTuplesInHistory: the leader adds its page to the
 // history inside the flight, so a coalesced follower — released only when
 // the flight completes — finds every answered tuple already there, with or
-// without a fact index, and on the DisableCoalescing pass-through.
+// without a fact index.
 func TestFollowersSeeLeadersTuplesInHistory(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"coalesced":     {N: 400},
 		"cache off":     {N: 400, ProbeCacheSize: -1},
-		"pass-through":  {N: 400, DisableCoalescing: true},
 		"history reads": {N: 400, DisableHistory: true},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -589,7 +588,7 @@ func TestFollowersSeeLeadersTuplesInHistory(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					res, err := e.NewSession().issue(q)
+					res, _, err := e.NewSession().probe(q)
 					if err != nil {
 						t.Error(err)
 						return
@@ -601,13 +600,11 @@ func TestFollowersSeeLeadersTuplesInHistory(t *testing.T) {
 					}
 				}()
 			}
-			if !opts.DisableCoalescing {
-				// Release the leader only once everyone else is parked on it.
-				awaitFollowers(e, q, callers-1)
-			}
+			// Release the leader only once everyone else is parked on it.
+			awaitFollowers(e, q, callers-1)
 			close(db.gate)
 			wg.Wait()
-			if !opts.DisableCoalescing && inner.QueryCount() != 1 {
+			if inner.QueryCount() != 1 {
 				t.Fatalf("%d callers cost %d upstream queries, want 1", callers, inner.QueryCount())
 			}
 		})
@@ -648,7 +645,7 @@ func TestFactIndexConcurrentSessions(t *testing.T) {
 				default:
 					q = factQuery(rng, tuples, m)
 				}
-				got, err := s.issue(q)
+				got, _, err := s.probe(q)
 				if err != nil {
 					t.Error(err)
 					return

@@ -105,7 +105,7 @@ func FuzzApplyDelta(f *testing.F) {
 				}
 			}
 		}
-		for _, f := range crawledExport(e.know.crawled) {
+		for _, f := range crawledExport(e.crawled) {
 			held(rangesBox(f.ranges), f.rows)
 		}
 	})
@@ -145,8 +145,8 @@ func FuzzProbeKeyRoundTrip(f *testing.F) {
 		}
 		e1 := NewEngine(db, Options{N: 40})
 		p := &Persister{e: e1} // records and builds deltas; no store behind it
-		e1.probes.persist.Store(p)
-		if _, err := e1.NewSession().issue(q); err != nil {
+		e1.persist.Store(p)
+		if _, _, err := e1.NewSession().probe(q); err != nil {
 			t.Fatal(err)
 		}
 		data, err := json.Marshal(p.buildDelta(0, e1.History().Rows(), p.ops))
@@ -162,8 +162,8 @@ func FuzzProbeKeyRoundTrip(f *testing.F) {
 			t.Fatalf("replay of %s: %v", data, err)
 		}
 		key := string(q.AppendString(nil))
-		if len(e2.probes.facts.byKey) != 1 || e2.probes.facts.byKey[key] == nil {
-			t.Fatalf("probe %q replayed under keys %v (journal %s)", key, e2.probes.facts.byKey, data)
+		if len(e2.facts.byKey) != 1 || e2.facts.byKey[key] == nil {
+			t.Fatalf("probe %q replayed under keys %v (journal %s)", key, e2.facts.byKey, data)
 		}
 	})
 }

@@ -47,7 +47,7 @@
 //   - Within one region's top-1 search, unexplored boxes live in a
 //     best-first frontier heap. Each round pops the best W frontier boxes,
 //     tightens them against the current threshold, and issues the probes
-//     concurrently through the engine's coalescing layer. Probes
+//     concurrently through the engine's probe path. Probes
 //     beyond the first assume the earlier probes of the round will not
 //     improve the threshold; when one does, a later overflow result is
 //     invalidated — sequential execution would have probed a smaller,
@@ -79,7 +79,7 @@
 // (certPage, shared with 1D-RERANK): the next answers down to Θ, their §5 tie
 // groups, and the standing of the parts the region is split into all come off
 // the page, with no probe, no history scan and no round — also with
-// DisableCoalescing and across an epoch bump. When history supplies a
+// the fact index off and across an epoch bump. When history supplies a
 // resolution's candidate and the fact index does not already hold the
 // candidate's own contour, the resolution's first probe asks for the contour
 // of the D-th best known tuple instead (D a function of system-k only), so one

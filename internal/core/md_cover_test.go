@@ -39,7 +39,7 @@ func TestMDProbeStreamIndependentOfH(t *testing.T) {
 	for _, coalesce := range []bool{true, false} {
 		stream := func(h int) []string {
 			db := &probeLog{DB: hidden.MustDB(schema, tuples, hidden.Options{K: 30, Ranker: sys})}
-			e := NewEngine(db, Options{N: len(tuples), DisableCoalescing: !coalesce})
+			e := NewEngine(db, Options{N: len(tuples), ProbeCacheSize: probeCache(coalesce)})
 			// The same warm-up on every engine: history and facts to certify from.
 			for _, w := range []ranking.Ranker{warm, r} {
 				if _, err := TopH(e.NewMDCursor(q, w, Rerank), 6); err != nil {
@@ -205,7 +205,7 @@ func TestMDCoverAfterTiedHistory(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		for _, coalesce := range []bool{true, false} {
 			db := hidden.MustDB(schema, tuples, hidden.Options{K: 20, Ranker: sys})
-			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, DisableCoalescing: !coalesce})
+			e := NewEngine(db, Options{N: len(tuples), SearchParallelism: width, ProbeCacheSize: probeCache(coalesce)})
 			if got, err := TopH(e.NewMDCursor(pair, r, Rerank), 2); err != nil || len(got) != 2 {
 				t.Fatalf("warm-up: %v, %v", got, err)
 			}

@@ -99,7 +99,7 @@ func TestMDOracle(t *testing.T) {
 						t.Parallel()
 						corpus := deepCopyTuples(w.tuples)
 						db := w.open(corpus)
-						e := NewEngine(strictDB{db, t}, Options{N: len(corpus), SearchParallelism: width, DisableCoalescing: !coalesce})
+						e := NewEngine(strictDB{db, t}, Options{N: len(corpus), SearchParallelism: width, ProbeCacheSize: probeCache(coalesce)})
 						var ledgers int64
 						ask := func(q query.Query, r ranking.Ranker, h int) {
 							t.Helper()
@@ -136,7 +136,7 @@ func TestMDOracle(t *testing.T) {
 										corpus[top.ID].Ord[a] = to
 									}
 								}
-								e.know.BumpEpoch()
+								e.BumpEpoch()
 							}
 							for _, q := range w.windows {
 								for _, r := range w.rankers {

@@ -133,9 +133,9 @@ func TestMDParallelEquivalence(t *testing.T) {
 
 // TestMDParallelSharedSession drives several concurrent MD cursors from
 // sessions of ONE engine at width 8 while asserting the cost invariants that
-// the coalescing layer guarantees: engine counter == upstream count, and the
+// the probe path guarantees: engine counter == upstream count, and the
 // per-session ledgers partition it exactly. Run under -race this checks the
-// worker pool against the shared knowledge layer.
+// worker pool against the shared engine.
 func TestMDParallelSharedSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	schema := testSchema(2)

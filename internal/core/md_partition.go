@@ -159,7 +159,7 @@ func (r *mdResolver) denseAnswer(b query.Box, cand *candidate) error {
 	if err != nil {
 		return err
 	}
-	r.improve(cand, r.c.s.e.know.hist.RowTuples(f.rows), b)
+	r.improve(cand, r.c.s.e.hist.RowTuples(f.rows), b)
 	return nil
 }
 

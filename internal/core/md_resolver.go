@@ -94,7 +94,7 @@ func (r *mdResolver) issue(b query.Box) (hidden.Result, error) {
 		return hidden.Result{}, ErrBudget
 	}
 	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
-	res, issued, err := r.c.s.issueCounted(r.probeQs[0])
+	res, issued, err := r.c.s.probe(r.probeQs[0])
 	if issued {
 		r.charged++
 	}
@@ -230,7 +230,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 					return types.Tuple{}, false, err
 				}
 				if f != nil {
-					r.improve(cand, c.s.e.know.hist.RowTuples(f.rows), b)
+					r.improve(cand, c.s.e.hist.RowTuples(f.rows), b)
 					continue
 				}
 			}
@@ -457,7 +457,7 @@ func (r *mdResolver) known(box query.Box, theta float64) (known, complete bool) 
 		return true, false
 	}
 	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
-	return r.c.s.e.probes.knows(r.probeQs[0])
+	return r.c.s.e.knows(r.probeQs[0])
 }
 
 // keepCover makes the complete page of root probe it the region's certified

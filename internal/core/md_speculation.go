@@ -32,16 +32,18 @@ func (c *MDCursor) tiesPipelined(point query.Box, prefetch []*mdRegion) ([]types
 	r0 := c.resolvers[0]
 	r0.axis.BoxToQueryInto(c.q, point, &r0.probeQs[0])
 	c.chargeOp() // never refuses: a per-op budget forces width 1
-	res, known := c.s.e.probes.lookup(r0.probeQs[0])
+	res, known, err := c.s.lookup(r0.probeQs[0])
 	var ans []types.Tuple
-	var err error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		if err != nil {
+			return
+		}
 		if !known {
 			var issued bool
-			if res, issued, err = c.s.fetchCounted(r0.probeQs[0]); err != nil {
+			if res, issued, err = c.s.fetch(r0.probeQs[0]); err != nil {
 				return
 			}
 			if issued {
@@ -79,7 +81,7 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	// The scan reads the columnar view directly — a slot's candidate is
 	// materialized once, from the row it ended the scan on.
 	var view colstore.View
-	c.s.e.know.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
+	c.s.e.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
 		view = v
 		for i, reg := range regs {
 			c.resolvers[i+off].improveRow(&cands[i], v, row, reg.box)
@@ -185,9 +187,6 @@ func (r *mdResolver) padLadder(cand *candidate) {
 	base := r.batch[0]
 	lb := r.axis.LowerBound(base.box)
 	up := base.thrScore
-	if !base.thrHave {
-		up = r.axis.UpperBound(base.box)
-	}
 	if !(up > lb) || math.IsInf(up, 1) || math.IsInf(lb, -1) {
 		return
 	}

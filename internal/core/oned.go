@@ -121,7 +121,8 @@ func (c *OneDCursor) issue(iv types.Interval) (hidden.Result, error) {
 		return hidden.Result{}, ErrBudget
 	}
 	c.opQueries++
-	return c.s.issue(c.q.WithRange(c.attr, c.realRange(iv)))
+	res, _, err := c.s.probe(c.q.WithRange(c.attr, c.realRange(iv)))
+	return res, err
 }
 
 // minAxis returns the returned tuple with the smallest axis value strictly
@@ -150,9 +151,9 @@ func (c *OneDCursor) histNext(lo float64) (types.Tuple, bool) {
 	iv := types.Interval{Lo: lo, LoOpen: true, Hi: math.Inf(1), HiOpen: true}
 	real := c.realRange(iv)
 	if c.dir == ranking.Asc {
-		return c.s.e.know.hist.MinMatching(c.q, c.attr, real)
+		return c.s.e.hist.MinMatching(c.q, c.attr, real)
 	}
-	return c.s.e.know.hist.MaxMatching(c.q, c.attr, real)
+	return c.s.e.hist.MaxMatching(c.q, c.attr, real)
 }
 
 // Next implements Cursor.
@@ -473,7 +474,7 @@ func (c *OneDCursor) oracle(searchLo float64, searchLoOpen bool, cand types.Tupl
 	if err != nil {
 		return types.Tuple{}, false, err
 	}
-	t, found := c.s.e.know.hist.ScanRun(c.q, f.run(), realIv, c.dir == ranking.Desc)
+	t, found := c.s.e.hist.ScanRun(c.q, f.run(), realIv, c.dir == ranking.Desc)
 	if found && c.axisOf(t) > c.lastAxis && c.better(t, cand) {
 		return t, true, nil
 	}

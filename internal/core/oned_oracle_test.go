@@ -161,15 +161,24 @@ func (r *oneDRun) close(db *hidden.DB) {
 	}
 }
 
+// probeCache is the ProbeCacheSize of an oracle engine with the fact index
+// on (the default) or off — the matrices' "coalescing" dimension.
+func probeCache(on bool) int {
+	if on {
+		return 0
+	}
+	return -1
+}
+
 // TestOneDOracle runs windows × {asc, desc} × h ∈ {1, 5, 25} through one
-// engine per (corpus, coalescing mode), so later cursors search from the
+// engine per (corpus, fact index on or off), so later cursors search from the
 // history earlier ones left — the regime certification exists for.
 func TestOneDOracle(t *testing.T) {
 	for _, w := range oneDWorlds() {
 		for _, coalesce := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/coalescing=%v", w.name, coalesce), func(t *testing.T) {
 				db := w.open(w.tuples)
-				run := &oneDRun{t: t, e: NewEngine(strictDB{db, t}, Options{N: w.n, DisableCoalescing: !coalesce})}
+				run := &oneDRun{t: t, e: NewEngine(strictDB{db, t}, Options{N: w.n, ProbeCacheSize: probeCache(coalesce)})}
 				for _, h := range []int{1, 5, 25} {
 					for _, q := range w.windows {
 						for _, dir := range []ranking.Direction{ranking.Asc, ranking.Desc} {
@@ -197,7 +206,7 @@ func TestOneDOracleAcrossDrift(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/coalescing=%v", w.name, coalesce), func(t *testing.T) {
 				corpus := deepCopyTuples(w.tuples)
 				db := w.open(corpus)
-				run := &oneDRun{t: t, e: NewEngine(strictDB{db, t}, Options{N: w.n, DisableCoalescing: !coalesce})}
+				run := &oneDRun{t: t, e: NewEngine(strictDB{db, t}, Options{N: w.n, ProbeCacheSize: probeCache(coalesce)})}
 				for _, q := range w.windows {
 					iv, bounded := q.Ranges[w.attr]
 					for _, dir := range []ranking.Direction{ranking.Asc, ranking.Desc} {
@@ -222,7 +231,7 @@ func TestOneDOracleAcrossDrift(t *testing.T) {
 								t.Fatal("SetOrd refused")
 							}
 							corpus[head[0].ID].Ord[w.attr] = to
-							run.e.know.BumpEpoch()
+							run.e.BumpEpoch()
 							run.topH(corpus, q, w.attr, dir, 5)
 							run.topH(corpus, q, w.attr, dir, 25)
 						}

@@ -116,7 +116,7 @@ func (e *Engine) PersistFingerprint() segment.Fingerprint {
 // The returned Persister owns the store: Close checkpoints once more and
 // closes it. At most one Persister may be attached to an engine.
 func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*Persister, error) {
-	if e.know.persist.Load() != nil {
+	if e.persist.Load() != nil {
 		return nil, fmt.Errorf("core: persistence already attached")
 	}
 	if err := store.Replay(func(d *segment.Delta) error { return e.applyDelta(d) }); err != nil {
@@ -126,11 +126,10 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 		e:       e,
 		store:   store,
 		logf:    opts.Logf,
-		histLo:  e.know.hist.Rows(),
-		heatObs: e.know.heat.Observations(),
+		histLo:  e.hist.Rows(),
+		heatObs: e.heat.Observations(),
 	}
-	e.know.persist.Store(p)
-	e.probes.persist.Store(p)
+	e.persist.Store(p)
 	if opts.Interval > 0 {
 		p.stop = make(chan struct{})
 		p.done = make(chan struct{})
@@ -140,7 +139,7 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 }
 
 // Persister returns the attached persister, or nil.
-func (e *Engine) Persister() *Persister { return e.know.persist.Load() }
+func (e *Engine) Persister() *Persister { return e.persist.Load() }
 
 // applyDelta replays one committed delta through the engine's live insert
 // paths. Facts and regions cite arena rows, which the delta's own Hist range
@@ -152,23 +151,23 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		// Facts cite arena rows, so the replayed arena must be the
 		// recorded one row for row: same start, and no tuple deduplicated
 		// away (a row is only ever exported because Add appended it).
-		if rows := e.know.hist.Rows(); rows != d.HistLo {
+		if rows := e.hist.Rows(); rows != d.HistLo {
 			return fmt.Errorf("core: delta carries history rows from %d, arena holds %d", d.HistLo, rows)
 		}
 		batch := make([]types.Tuple, 0, len(d.Hist))
 		for _, st := range d.Hist {
 			batch = append(batch, types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat})
 		}
-		if n := e.know.hist.Add(batch...); n != len(batch) {
+		if n := e.hist.Add(batch...); n != len(batch) {
 			return fmt.Errorf("core: delta history rows [%d,%d) replayed as %d rows", d.HistLo, d.HistHi, n)
 		}
 	}
 	// Restore the epoch before region inserts so that any region this delta
 	// carries at the (now current) epoch reads as fresh, not stale.
 	if d.Epoch > 0 {
-		e.know.restoreEpoch(d.Epoch)
+		e.restoreEpoch(d.Epoch)
 	}
-	rows := uint32(e.know.hist.Rows())
+	rows := uint32(e.hist.Rows())
 	for _, op := range d.Probes {
 		for _, row := range op.Rows {
 			if row >= rows {
@@ -188,11 +187,11 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		for name, value := range op.Cats {
 			q.Cats[name] = value
 		}
-		e.probes.seed(q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
+		e.facts.learn(q.String(), q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
 	}
 	// Heat is last-wins across deltas and Import is idempotent, so replaying
 	// a committed prefix (or the same delta twice after a retry) converges.
-	e.know.heat.Import(d.Heat)
+	e.heat.Import(d.Heat)
 	// d.Queries is informational (lifetime counter at capture time) and not
 	// restored: a restarted engine's counter measures cost paid by THIS
 	// process.
@@ -218,7 +217,7 @@ func (e *Engine) applyCrawled(op segment.ProbeOp) error {
 		}
 		rs[i] = factRange{r.Attr, iv}
 	}
-	e.know.crawled.insert(rs, op.Rows, epochOrFirst(op.Epoch))
+	e.crawled.insert(rs, op.Rows, epochOrFirst(op.Epoch))
 	return nil
 }
 
@@ -246,7 +245,7 @@ func (p *Persister) Checkpoint() error {
 	// The watermark is read AFTER the queue swap: every row a captured op
 	// cites reached the arena before the op was recorded, hence is below this
 	// histHi and commits in this very delta or an earlier one.
-	histHi := p.e.know.hist.Rows()
+	histHi := p.e.hist.Rows()
 	d := p.buildDelta(histLo, histHi, ops)
 	// Heat rides the delta only when observations advanced since the last
 	// committed capture, so an idle engine stays checkpoint-quiet. The
@@ -254,9 +253,9 @@ func (p *Persister) Checkpoint() error {
 	// between are exported now and re-exported next time — harmless, since
 	// Import is idempotent — whereas the opposite order could mark them
 	// committed without capturing them.
-	obs := p.e.know.heat.Observations()
+	obs := p.e.heat.Observations()
 	if obs != heatObs {
-		d.Heat = p.e.know.heat.Export()
+		d.Heat = p.e.heat.Export()
 	}
 	if d.Empty() {
 		return nil
@@ -279,8 +278,8 @@ func (p *Persister) Checkpoint() error {
 // buildDelta assembles one checkpoint delta: the new history row range plus
 // the captured operations.
 func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Delta {
-	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: p.e.know.queries.Load()}
-	for _, t := range p.e.know.hist.ExportRows(histLo, histHi) {
+	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: p.e.queries.Load()}
+	for _, t := range p.e.hist.ExportRows(histLo, histHi) {
 		d.Hist = append(d.Hist, segment.Tuple{ID: t.ID, Ord: t.Ord, Cat: t.Cat})
 	}
 	for _, op := range ops {
@@ -331,8 +330,7 @@ func (p *Persister) Close() error {
 			<-p.done
 		}
 		err = p.Checkpoint()
-		p.e.know.persist.CompareAndSwap(p, nil)
-		p.e.probes.persist.CompareAndSwap(p, nil)
+		p.e.persist.CompareAndSwap(p, nil)
 		if cerr := p.store.Close(); err == nil {
 			err = cerr
 		}

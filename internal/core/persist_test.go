@@ -109,7 +109,7 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 	sess := e.NewSession()
 	var answers []hidden.Result
 	for i, q := range persistProbes() {
-		res, err := sess.issue(q)
+		res, _, err := sess.probe(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +127,8 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 		}
 		return out
 	}
-	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, inside1(3, 5))
-	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, inside1(5, 8))
+	e.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, inside1(3, 5))
+	e.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, inside1(5, 8))
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 12; i++ {
 		b := query.Box{Dims: []types.Interval{
@@ -142,7 +142,7 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 				in = append(in, tt)
 			}
 		}
-		e.know.insertCrawled(boxRanges([]int{0, 1}, b), in)
+		e.insertCrawled(boxRanges([]int{0, 1}, b), in)
 	}
 	return answers
 }
@@ -151,7 +151,7 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 // fact: boxes, epochs, rows in order, and the tuples behind the rows.
 func assertSameRegions(t *testing.T, got, want *Engine) {
 	t.Helper()
-	r1, r2 := crawledExport(want.know.crawled), crawledExport(got.know.crawled)
+	r1, r2 := crawledExport(want.crawled), crawledExport(got.crawled)
 	if len(r2) != len(r1) {
 		t.Fatalf("restored %d crawled regions, want %d", len(r2), len(r1))
 	}
@@ -201,7 +201,7 @@ func TestPersistWarmRestartZeroRespend(t *testing.T) {
 	assertSameKnowledge(t, e2, e1)
 	sess := e2.NewSession()
 	for i, q := range persistProbes() {
-		res, err := sess.issue(q)
+		res, _, err := sess.probe(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 			// it dies mid-write.
 			extra := query.New().WithRange(1, types.ClosedInterval(70, 71))
 			sess := e1.NewSession()
-			if _, err := sess.issue(extra); err != nil {
+			if _, _, err := sess.probe(extra); err != nil {
 				t.Fatal(err)
 			}
 			failing.Store(true)
@@ -280,7 +280,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 			}
 			sess2 := e2.NewSession()
 			for _, q := range persistProbes() {
-				if _, err := sess2.issue(q); err != nil {
+				if _, _, err := sess2.probe(q); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -288,7 +288,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 				t.Fatalf("committed knowledge re-spent %d upstream queries, want 0", n)
 			}
 			// ...and the uncommitted probe is cold (it costs again).
-			if _, err := sess2.issue(extra); err != nil {
+			if _, _, err := sess2.probe(extra); err != nil {
 				t.Fatal(err)
 			}
 			if n := sess2.Queries(); n == 0 {
@@ -298,8 +298,8 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 	}
 }
 
-// TestPersistRegionRowsPrecedeRecord: a dense region inserted through the
-// Knowledge API may hold tuples no probe ever brought in. They enter the
+// TestPersistRegionRowsPrecedeRecord: a dense region inserted through
+// Engine.insertCrawled may hold tuples no probe ever brought in. They enter the
 // history arena before the region's record is queued, so the delta that
 // carries the record also carries the rows it cites (all below HistHi) and
 // every committed delta stays self-contained — as a probe fact's always is,
@@ -310,7 +310,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	e1 := persistedEngine(t, db, Options{N: 400, DisableHistory: true})
 	q := query.New().WithRange(0, types.ClosedInterval(10, 12)).WithCat("cat", "x")
 	sess := e1.NewSession()
-	res, err := sess.issue(q)
+	res, _, err := sess.probe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if len(region) == 0 || e1.History().Has(region[0].ID) {
 		t.Fatalf("precondition: want a non-empty region the arena has not seen (%d tuples)", len(region))
 	}
-	e1.know.insertCrawled([]factRange{{0, iv}}, region)
+	e1.insertCrawled([]factRange{{0, iv}}, region)
 	for _, tt := range region {
 		if !e1.History().Has(tt.ID) {
 			t.Fatalf("region tuple %d is not in the arena after the insert", tt.ID)
@@ -353,7 +353,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	e2 := reopenViaStore(t, e1)
 	db.ResetCounter()
 	sess2 := e2.NewSession()
-	res2, err := sess2.issue(q)
+	res2, _, err := sess2.probe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if !resultsEqual(res2, res) {
 		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
 	}
-	f := e2.know.crawled.lookup([]factRange{{0, iv}})
+	f := e2.crawled.lookup([]factRange{{0, iv}})
 	ok := f != nil
 	var got []types.Tuple
 	if ok {
@@ -397,15 +397,15 @@ func TestReopenReplaysRegionRowsNotLatestVersions(t *testing.T) {
 	if len(region) < 2 {
 		t.Fatalf("precondition: want a region of several tuples, got %d", len(region))
 	}
-	e1.know.insertCrawled([]factRange{{0, iv}}, region)
-	e1.know.insertCrawled(boxRanges([]int{0, 1}, box), region)
+	e1.insertCrawled([]factRange{{0, iv}}, region)
+	e1.insertCrawled(boxRanges([]int{0, 1}, box), region)
 	edited := region[0].Clone()
 	edited.Ord[0] = 90
 	e1.History().Add(edited)
 
 	e2 := reopenViaStore(t, e1)
 	assertSameRegions(t, e2, e1)
-	f := e2.know.crawled.lookup([]factRange{{0, iv}})
+	f := e2.crawled.lookup([]factRange{{0, iv}})
 	if f == nil {
 		t.Fatal("region not replayed")
 	}
@@ -460,7 +460,7 @@ func TestPersistCheckpointDoesNotBlockServing(t *testing.T) {
 			defer wg.Done()
 			sess := e1.NewSession()
 			q := query.New().WithRange(1, types.ClosedInterval(float64(20+w), float64(20+w)+0.5))
-			if _, err := sess.issue(q); err != nil {
+			if _, _, err := sess.probe(q); err != nil {
 				t.Error(err)
 			}
 		}(w)

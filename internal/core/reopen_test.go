@@ -85,7 +85,7 @@ func TestCheckpointUnderLoadStaysWarm(t *testing.T) {
 
 	// Pin one complete probe into the cache before the storm.
 	pinned := query.New().WithRange(0, types.ClosedInterval(20, 21)).WithCat("cat", "y")
-	res, err := e.NewSession().issue(pinned)
+	res, _, err := e.NewSession().probe(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckpointUnderLoadStaysWarm(t *testing.T) {
 	}
 	db.ResetCounter()
 	sess := warm.NewSession()
-	if _, err := sess.issue(pinned); err != nil {
+	if _, _, err := sess.probe(pinned); err != nil {
 		t.Fatal(err)
 	}
 	if n := db.QueryCount(); n != 0 {
@@ -282,16 +282,16 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 				inside = append(inside, tt)
 			}
 		}
-		e.know.insertCrawled(boxRanges(attrs, b), inside)
+		e.insertCrawled(boxRanges(attrs, b), inside)
 		boxes = append(boxes, b)
 	}
-	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, nil)
-	e.know.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, nil)
+	e.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, nil)
+	e.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, nil)
 
 	e2 := reopenViaStore(t, e)
 	assertSameRegions(t, e2, e)
 	for _, b := range boxes {
-		f1, f2 := e.know.crawled.lookup(boxRanges(attrs, b)), e2.know.crawled.lookup(boxRanges(attrs, b))
+		f1, f2 := e.crawled.lookup(boxRanges(attrs, b)), e2.crawled.lookup(boxRanges(attrs, b))
 		if (f1 == nil) != (f2 == nil) {
 			t.Fatalf("lookup %v: original found=%v, restored found=%v", b, f1 != nil, f2 != nil)
 		}

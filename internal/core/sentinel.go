@@ -14,7 +14,7 @@
 //
 // The probe set is deterministic and tiny (NumOrdinal+1 queries), so a pass
 // costs O(attrs) upstream queries regardless of how much knowledge exists.
-// Sentinel probes bypass the coalescer's answer cache on purpose: a cached
+// Sentinel probes bypass the probe path's fact index on purpose: a cached
 // answer can never witness drift.
 
 package core
@@ -85,7 +85,7 @@ func (e *Engine) SentinelPass() (bumped bool, queries int64, err error) {
 			return false, queries, err
 		}
 		queries++
-		e.know.queries.Add(1)
+		e.queries.Add(1)
 		digests[q.String()] = digestResult(res)
 	}
 	e.sentMu.Lock()
@@ -99,7 +99,7 @@ func (e *Engine) SentinelPass() (bumped bool, queries int64, err error) {
 	}
 	for k, d := range digests {
 		if pd, ok := prev[k]; !ok || pd != d {
-			e.know.BumpEpoch()
+			e.BumpEpoch()
 			e.sentBumps.Add(1)
 			return true, queries, nil
 		}

@@ -1,10 +1,10 @@
 // The Session layer: per-cursor execution state.
 //
 // A Session is the lightweight, single-request counterpart of the shared
-// Knowledge layer: it carries the upstream-cost ledger for one unit of work
-// (one service request, one experiment run, one TA cursor tree) while every
-// heavyweight structure — history, crawled regions, probe coalescing — is
-// shared through the Engine. Sessions are cheap to create; make one per
+// Engine: it carries the upstream-cost ledger for one unit of work (one
+// service request, one experiment run, one TA cursor tree) while every
+// heavyweight structure — history, crawled regions, the fact index, flights —
+// is shared through the Engine. Sessions are cheap to create; make one per
 // request. Many sessions may run concurrently against one engine; the
 // cursors created from a single session are themselves sequential objects
 // (drive each cursor from one goroutine at a time).
@@ -66,42 +66,41 @@ func (e *Engine) NewSession() *Session {
 }
 
 // probeResult is one outcome slot of a concurrent probe round. issued
-// mirrors issueCounted's flag: whether this probe reached the upstream (and
-// was therefore charged), as opposed to replaying a cached or coalesced
-// answer for free.
+// mirrors probe's flag: whether this probe reached the upstream (and was
+// therefore charged), as opposed to replaying a cached or coalesced answer
+// for free.
 type probeResult struct {
 	res    hidden.Result
 	issued bool
 	err    error
-	known  bool // issueAll scratch: the fact index answered the probe
+	known  bool // issueAll scratch: lookup answered the probe
 }
 
-// issueAll issues qs concurrently through the coalescing layer, bounded by
-// the session's worker pool, writing outcome i into out[i]. Charging is per
-// probe exactly as in issue: only calls that reach the upstream are charged,
-// atomically, so the ledger total is order-independent and reproducible.
-// Callers own qs and out again once issueAll returns.
+// issueAll issues qs concurrently, bounded by the session's worker pool,
+// writing outcome i into out[i]. Charging is per probe exactly as in probe:
+// only calls that reach the upstream are charged, atomically, so the ledger
+// total is order-independent and reproducible. Callers own qs and out again
+// once issueAll returns.
 //
-// Every probe is looked up in the fact index here, on the caller's
-// goroutine, before any of the round's upstream calls is in flight, and the
-// misses then only fetch: a round's probes may be nested (the MD search's
-// tightening ladder), and were they free to answer one another by
-// containment, which of them got charged would depend on which finished
-// first.
+// Every probe is looked up here, on the caller's goroutine, before any of the
+// round's upstream calls is in flight, and the misses then only fetch: a
+// round's probes may be nested (the MD search's tightening ladder), and were
+// they free to answer one another by containment, which of them got charged
+// would depend on which finished first.
 func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 	if len(qs) == 1 || s.workers == nil {
 		for i := range qs {
-			out[i].res, out[i].issued, out[i].err = s.issueCounted(qs[i])
+			out[i].res, out[i].issued, out[i].err = s.probe(qs[i])
 		}
 		return
 	}
 	for i := range qs {
-		res, known := s.e.probes.lookup(qs[i])
-		out[i] = probeResult{res: res, known: known}
+		res, known, err := s.lookup(qs[i])
+		out[i] = probeResult{res: res, known: known, err: err}
 	}
 	var wg sync.WaitGroup
 	for i := range qs {
-		if out[i].known {
+		if out[i].known || out[i].err != nil {
 			continue
 		}
 		wg.Add(1)
@@ -109,7 +108,7 @@ func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 			defer wg.Done()
 			s.workers <- struct{}{}
 			defer func() { <-s.workers }()
-			out[i].res, out[i].issued, out[i].err = s.fetchCounted(qs[i])
+			out[i].res, out[i].issued, out[i].err = s.fetch(qs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -117,58 +116,8 @@ func (s *Session) issueAll(qs []query.Query, out []probeResult) {
 
 // Queries returns the number of upstream queries charged to this session —
 // the per-request incarnation of the paper's cost measure. Probes answered
-// by the coalescing layer or another session's in-flight call cost nothing.
+// from the fact index or by another session's in-flight call cost nothing.
 func (s *Session) Queries() int64 { return s.queries.Load() }
-
-// coalescedProbe sends one query to the primary database through the
-// coalescing layer, which adds an issued page to the shared history before
-// anyone sees the answer (see coalescer.fetch); hits and coalesced followers
-// replay tuples already there. Charging (engine counter, session ledger) is
-// the caller's responsibility — Session.issue charges per probe, while
-// crawls charge their crawler's Issued total once at the end.
-func (s *Session) coalescedProbe(q query.Query) (res hidden.Result, issued bool, err error) {
-	if s.aborted() {
-		return hidden.Result{}, false, ErrAcquireAborted
-	}
-	return s.e.probes.TopK(q)
-}
-
-// aborted polls the session's abort hook.
-func (s *Session) aborted() bool { return s.abort != nil && s.abort() }
-
-// issue sends one query to the primary database through the coalescing
-// layer, recording every returned tuple in the shared history.
-func (s *Session) issue(q query.Query) (hidden.Result, error) {
-	res, _, err := s.issueCounted(q)
-	return res, err
-}
-
-// issueCounted is issue, additionally reporting whether the probe reached
-// the upstream (and was charged) — the hook the MD search's speculation
-// accounting needs.
-func (s *Session) issueCounted(q query.Query) (hidden.Result, bool, error) {
-	return s.charge(s.coalescedProbe(q))
-}
-
-// fetchCounted is issueCounted for a probe the caller has already looked up
-// in the fact index and missed (see issueAll): it goes to the upstream
-// without consulting containment again.
-func (s *Session) fetchCounted(q query.Query) (hidden.Result, bool, error) {
-	if s.aborted() {
-		return hidden.Result{}, false, ErrAcquireAborted
-	}
-	return s.charge(s.e.probes.fetch(q))
-}
-
-// charge books one probe outcome: a probe that reached the upstream costs
-// the engine counter and this session's ledger one query.
-func (s *Session) charge(res hidden.Result, issued bool, err error) (hidden.Result, bool, error) {
-	if err == nil && issued {
-		s.e.know.queries.Add(1)
-		s.queries.Add(1)
-	}
-	return res, issued, err
-}
 
 // issueOn sends one query directly to an alternate database view (e.g. an
 // ORDER BY view, §5). Views rank differently from the primary interface, so
@@ -178,27 +127,24 @@ func (s *Session) issueOn(db hidden.Database, q query.Query) (hidden.Result, err
 	if err != nil {
 		return res, err
 	}
-	s.e.know.queries.Add(1)
+	s.e.queries.Add(1)
 	s.queries.Add(1)
-	s.e.know.hist.Add(res.Tuples...)
+	s.e.hist.Add(res.Tuples...)
 	return res, nil
 }
 
 // CrawlAll retrieves every tuple matching q (deduplicated and sorted by ID)
 // by completely crawling it — the engine-integrated counterpart of
-// crawl.Crawler.All. Every sub-query probe routes through the engine's
-// coalescing layer, so concurrent crawls of overlapping regions dedup at
-// probe granularity and repeat crawls replay cached complete answers for
-// free. Only probes that actually reached the upstream are charged — once,
-// to the leader — against the engine and this session; the issuing probe
-// records its page in the shared history.
+// crawl.Crawler.All. Every sub-query is a probe, so concurrent crawls of
+// overlapping regions dedup at probe granularity, repeat crawls replay cached
+// complete answers for free, and each probe that reaches the upstream is
+// charged — once, to the leader — against the engine and this session as it
+// is issued, also when the crawl fails part-way.
 func (s *Session) CrawlAll(q query.Query) ([]types.Tuple, error) {
-	c := crawl.New(s.e.db, crawl.Options{Probe: s.coalescedProbe})
-	tuples, err := c.All(q)
-	issued := c.Issued()
-	s.e.know.queries.Add(issued)
-	s.queries.Add(issued)
-	return tuples, err
+	return crawl.New(s.e.db, crawl.Options{Probe: func(q query.Query) (hidden.Result, error) {
+		res, _, err := s.probe(q)
+		return res, err
+	}}).All(q)
 }
 
 // rangesQuery is the generic query over the box rs: no selection condition
@@ -219,26 +165,26 @@ func rangesQuery(rs []factRange) query.Query {
 // case an older overlapping fact also covers rs). nil means the caller must
 // crawl.
 func (s *Session) crawledLookup(rs []factRange) (*fact, error) {
-	k := s.e.know
+	e := s.e
 	for {
-		f := k.crawled.lookup(rs)
+		f := e.crawled.lookup(rs)
 		if f == nil {
 			return nil, nil
 		}
-		cur := k.Epoch()
+		cur := e.Epoch()
 		if f.epoch >= cur {
 			return f, nil
 		}
-		confirm, err := s.issue(rangesQuery(f.ranges))
+		confirm, _, err := s.probe(rangesQuery(f.ranges))
 		if err != nil {
 			return nil, err
 		}
 		if s.confirmsRegion(f.rows, confirm) {
-			k.denseRevalPromoted.Add(1)
-			return k.crawled.promote(f, cur), nil
+			e.denseRevalPromoted.Add(1)
+			return e.crawled.promote(f, cur), nil
 		}
-		k.crawled.remove(f)
-		k.denseRevalEvicted.Add(1)
+		e.crawled.remove(f)
+		e.denseRevalEvicted.Add(1)
 	}
 }
 
@@ -256,7 +202,7 @@ func (s *Session) confirmsRegion(stored []uint32, res hidden.Result) bool {
 	}
 	sorted := slices.Clone(stored)
 	slices.Sort(sorted)
-	for _, row := range s.e.know.hist.AddRows(res.Tuples) {
+	for _, row := range s.e.hist.AddRows(res.Tuples) {
 		if _, ok := slices.BinarySearch(sorted, row); !ok {
 			return false
 		}
@@ -283,7 +229,7 @@ func (s *Session) crawlBox(rs []factRange) error {
 		if err != nil {
 			return hidden.Result{}, err
 		}
-		s.e.know.insertCrawled(rs, tuples)
+		s.e.insertCrawled(rs, tuples)
 		return hidden.Result{}, nil
 	})
 	return err

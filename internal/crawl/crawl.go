@@ -11,14 +11,11 @@
 // # Probe routing and cost accounting
 //
 // By default every probe goes straight to the Database. Callers that sit
-// behind a probe-coalescing layer (the engine's sessions) instead supply
-// Options.Probe, which answers each sub-query and reports whether it
-// actually reached the upstream: probes served by an in-flight duplicate or
-// a cached complete answer are free. The crawler therefore keeps two
-// counters — Queries (probes attempted, the budget measure, stable
-// regardless of cache state) and Issued (probes that reached the upstream,
-// the paper's cost measure). Both are atomic: crawlers are reachable from
-// concurrent sessions, and progress may be read while a crawl runs.
+// behind a probe path of their own (the engine's sessions) instead supply
+// Options.Probe, which answers each sub-query and charges whatever reached
+// the upstream itself. The crawler counts only Queries — probes attempted,
+// the budget measure, stable regardless of cache state. The counter is
+// atomic: progress may be read while a crawl runs.
 package crawl
 
 import (
@@ -40,59 +37,43 @@ var ErrBudget = errors.New("crawl: query budget exhausted")
 // attribute, which no conjunctive-query interface can separate.
 var ErrUnsplittable = errors.New("crawl: overflowing region is unsplittable (more than k identical tuples)")
 
-// Probe answers one sub-query on behalf of the crawler. issued reports
-// whether the probe actually reached the upstream: answers replayed from a
-// coalescing layer (an identical in-flight call or a cached complete
-// answer) are free and must not be charged as upstream cost.
-type Probe func(q query.Query) (res hidden.Result, issued bool, err error)
+// Probe answers one sub-query on behalf of the crawler.
+type Probe func(q query.Query) (hidden.Result, error)
 
 // Options configure a crawl.
 type Options struct {
-	// SplitAttrs are the ordinal attribute indexes the crawler may split
-	// on. Defaults to every ordinal attribute of the database schema.
-	SplitAttrs []int
 	// MaxQueries bounds the number of probe attempts (0 = unlimited). The
 	// budget is charged per attempt, before any coalescing, so it is
 	// stable regardless of cache state.
 	MaxQueries int64
 	// Probe, when non-nil, replaces direct Database.TopK calls — the hook
-	// through which the engine routes crawl probes into its coalescing
-	// layer so concurrent crawls of overlapping regions dedup at probe
-	// granularity. When nil, probes go straight to the database and every
-	// attempt counts as issued.
+	// through which the engine routes crawl probes into its own probe path
+	// so concurrent crawls of overlapping regions dedup at probe
+	// granularity. When nil, probes go straight to the database.
 	Probe Probe
 }
 
-// Crawler retrieves complete query answers through a top-k interface.
+// Crawler retrieves complete query answers through a top-k interface,
+// splitting on the schema's ordinal attributes.
 type Crawler struct {
 	db   hidden.Database
 	opts Options
-	// Observe, when non-nil, receives every tuple the crawler sees
-	// (including duplicates); used to feed history stores.
-	Observe func(types.Tuple)
 
 	queries atomic.Int64 // probe attempts (budget measure)
-	issued  atomic.Int64 // probes that reached the upstream (cost measure)
 }
 
 // New builds a crawler over db.
 func New(db hidden.Database, opts Options) *Crawler {
-	if len(opts.SplitAttrs) == 0 {
-		opts.SplitAttrs = append([]int(nil), db.Schema().OrdinalIndexes()...)
+	if opts.Probe == nil {
+		opts.Probe = db.TopK
 	}
 	return &Crawler{db: db, opts: opts}
 }
 
 // Queries returns the number of probes attempted so far — the number that
-// would have reached the database without a coalescing layer. Safe to read
-// while a crawl is running.
+// would have reached the database without a probe path of the caller's own.
+// Safe to read while a crawl is running.
 func (c *Crawler) Queries() int64 { return c.queries.Load() }
-
-// Issued returns the number of probes that actually reached the upstream:
-// Queries minus the probes answered for free by Options.Probe's coalescing.
-// Without Options.Probe, Issued equals Queries. Safe to read while a crawl
-// is running.
-func (c *Crawler) Issued() int64 { return c.issued.Load() }
 
 // All retrieves every tuple matching q. The result is deduplicated by ID and
 // sorted by ID for determinism.
@@ -121,25 +102,11 @@ func (c *Crawler) crawl(root query.Query, seen map[int]types.Tuple, _ int) error
 			return ErrBudget
 		}
 		c.queries.Add(1)
-		var res hidden.Result
-		var err error
-		if c.opts.Probe != nil {
-			var issued bool
-			res, issued, err = c.opts.Probe(q)
-			if issued {
-				c.issued.Add(1)
-			}
-		} else {
-			res, err = c.db.TopK(q)
-			c.issued.Add(1)
-		}
+		res, err := c.opts.Probe(q)
 		if err != nil {
 			return err
 		}
 		for _, t := range res.Tuples {
-			if c.Observe != nil {
-				c.Observe(t)
-			}
 			seen[t.ID] = t
 		}
 		if !res.Overflow {
@@ -161,7 +128,7 @@ func (c *Crawler) crawl(root query.Query, seen map[int]types.Tuple, _ int) error
 func (c *Crawler) split(q query.Query, returned []types.Tuple) ([]query.Query, error) {
 	bestAttr, bestDistinct := -1, 1
 	var bestVals []float64
-	for _, attr := range c.opts.SplitAttrs {
+	for _, attr := range c.db.Schema().OrdinalIndexes() {
 		vals := make([]float64, 0, len(returned))
 		for _, t := range returned {
 			vals = append(vals, t.Ord[attr])
@@ -201,7 +168,7 @@ func (c *Crawler) split(q query.Query, returned []types.Tuple) ([]query.Query, e
 	// No diversity among the returned page (always the case when k = 1):
 	// point-split at the returned value of some attribute whose interval
 	// is not yet a single point. All three parts strictly shrink.
-	for _, attr := range c.opts.SplitAttrs {
+	for _, attr := range c.db.Schema().OrdinalIndexes() {
 		cur, has := q.Ranges[attr]
 		if !has {
 			cur = types.FullInterval()

@@ -96,21 +96,6 @@ func TestCrawlBudget(t *testing.T) {
 	}
 }
 
-func TestCrawlObserve(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	db, _ := mkDB(t, rng, 60, 4, false)
-	c := New(db, Options{})
-	seen := 0
-	c.Observe = func(types.Tuple) { seen++ }
-	got, err := c.All(query.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen < len(got) {
-		t.Fatalf("Observe saw %d < %d tuples", seen, len(got))
-	}
-}
-
 // TestCrawlUnsplittable: >k tuples identical on every attribute cannot be
 // separated; the crawler must say so rather than loop.
 func TestCrawlUnsplittable(t *testing.T) {
@@ -176,24 +161,16 @@ func TestCrawlCostScalesWithK(t *testing.T) {
 	}
 }
 
-// TestProbeHookAccounting: Options.Probe replaces direct database calls and
-// splits the counters — every attempt charges Queries, but only probes the
-// hook reports as issued charge Issued. This is the contract the engine's
-// coalescing layer relies on to charge deduplicated crawl probes once.
+// TestProbeHookAccounting: Options.Probe replaces direct database calls, and
+// every attempt charges Queries whatever the hook did with it — the engine's
+// probe path charges what reached the upstream itself.
 func TestProbeHookAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db, all := mkDB(t, rng, 300, 5, false)
-	var attempts, issued int64
-	c := New(db, Options{Probe: func(q query.Query) (hidden.Result, bool, error) {
+	var attempts int64
+	c := New(db, Options{Probe: func(q query.Query) (hidden.Result, error) {
 		attempts++
-		res, err := db.TopK(q)
-		// A toy coalescing layer: every other probe is "free" (as if
-		// answered by a cache or an in-flight duplicate).
-		free := attempts%2 == 0
-		if !free {
-			issued++
-		}
-		return res, !free, err
+		return db.TopK(q)
 	}})
 	got, err := c.All(query.New())
 	if err != nil {
@@ -208,31 +185,19 @@ func TestProbeHookAccounting(t *testing.T) {
 	if c.Queries() != attempts {
 		t.Errorf("Queries() = %d, want %d attempts", c.Queries(), attempts)
 	}
-	if c.Issued() != issued {
-		t.Errorf("Issued() = %d, want %d", c.Issued(), issued)
-	}
-	if c.Issued() >= c.Queries() {
-		t.Errorf("Issued() = %d not below Queries() = %d despite free probes", c.Issued(), c.Queries())
-	}
 }
 
-// TestProbeHookBudget: MaxQueries bounds probe *attempts*, before any
-// coalescing — a crawl does not get a bigger budget just because its probes
-// were answered for free.
+// TestProbeHookBudget: MaxQueries bounds probe *attempts* through the hook
+// too — a crawl does not get a bigger budget because the hook may answer
+// its probes for free.
 func TestProbeHookBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	db, _ := mkDB(t, rng, 500, 2, false)
-	c := New(db, Options{MaxQueries: 5, Probe: func(q query.Query) (hidden.Result, bool, error) {
-		res, err := db.TopK(q)
-		return res, false, err // everything free
-	}})
+	c := New(db, Options{MaxQueries: 5, Probe: db.TopK})
 	if _, err := c.All(query.New()); !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 	if c.Queries() > 5 {
 		t.Fatalf("budget exceeded: %d attempts", c.Queries())
-	}
-	if c.Issued() != 0 {
-		t.Fatalf("free probes charged as issued: %d", c.Issued())
 	}
 }

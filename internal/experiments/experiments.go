@@ -127,11 +127,11 @@ func Paper() Config {
 }
 
 // paperOpts returns engine options for paper-faithful cost accounting: the
-// probe coalescing layer is disabled so every probe the algorithms issue is
-// charged, exactly as the paper counts queries. (The service keeps
-// coalescing on by default; the experiments measure the algorithms alone.)
+// fact index is off so every probe the algorithms issue is charged, exactly
+// as the paper counts queries. (The service keeps the fact index on by
+// default; the experiments measure the algorithms alone.)
 func paperOpts(n int) core.Options {
-	return core.Options{N: n, DisableCoalescing: true}
+	return core.Options{N: n, ProbeCacheSize: -1}
 }
 
 // avgCost runs fn against a fresh engine over db and returns queries/ops.

@@ -13,7 +13,8 @@ var update = flag.Bool("update", false, "rewrite the figure goldens under testda
 
 // goldenText renders a figure for testdata/: one row per x value, one column
 // per series, every cost in its shortest exact decimal form. The runs are
-// seeded and issue every probe (DisableCoalescing), so a cell is a ratio of
+// seeded and run with the fact index off (ProbeCacheSize: -1), so every
+// probe is issued and a cell is a ratio of
 // integers and any difference is a change in what the algorithms ask.
 func goldenText(f Figure) string {
 	var sb strings.Builder

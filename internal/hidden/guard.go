@@ -7,7 +7,7 @@
 // state machine (healthy → degraded → down) so a dead upstream fails fast
 // instead of stalling every session on its timeout.
 //
-// The callers above the Guard (coalescer, crawler, sentinel) treat one
+// The callers above the Guard (the engine's probe path, crawler, sentinel) treat one
 // Guard.TopK call as one logical probe and charge ledgers accordingly; how
 // many physical attempts the Guard spent on it is an operational detail
 // surfaced only through GuardHealth counters.

@@ -13,8 +13,8 @@
 // ScanMatching exposes the raw view for consumers that can score rows
 // without materializing at all.
 //
-// The arena is the engine's only tuple store. Probe answers kept by the
-// coalescing layer and the crawled regions of the dense indexes are lists of
+// The arena is the engine's only tuple store. Probe answers kept in the
+// engine's fact index and the crawled regions of the dense indexes are lists of
 // arena rows (AddRows names them, RowTuples reads them back as shared row
 // forms materialized at most once per row and never for rows nobody cites,
 // ScanRun searches a region's sorted run the way MinMatching searches a
@@ -39,7 +39,7 @@
 // attribute B. MinMatching/MaxMatching scan run and buffer cooperatively and
 // combine the two candidates.
 //
-// Whole-store scans (BestMatching, ForEachMatching, CountMatching) iterate an
+// Whole-store scans (ScanMatching, CountMatching) iterate an
 // immutable point-in-time arena view in insertion order; the iteration runs
 // lock-free, so callbacks may re-enter the store freely.
 package history
@@ -348,57 +348,12 @@ func (s *Store) ScanRun(q query.Query, run colstore.Run, iv types.Interval, desc
 	return v.Tuple(int(row)), true
 }
 
-// BestMatching returns the stored tuple matching q with the smallest score
-// (ties: smallest ID). The tuple handed to the score callback is a scratch
-// materialization valid only for the duration of that call.
-func (s *Store) BestMatching(q query.Query, score func(types.Tuple) float64) (types.Tuple, bool) {
-	v := s.arena.View()
-	m := matcherPool.Get().(*colstore.Matcher)
-	m.Reset(v, q)
-	var scratch types.Tuple
-	bestRow, found := -1, false
-	bestScore, bestID := 0.0, 0
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		v.MaterializeInto(row, &scratch)
-		sc := score(scratch)
-		if !found || sc < bestScore || (sc == bestScore && scratch.ID < bestID) {
-			bestRow, bestScore, bestID, found = row, sc, scratch.ID, true
-		}
-	}
-	matcherPool.Put(m)
-	if !found {
-		return types.Tuple{}, false
-	}
-	return v.Tuple(bestRow), true
-}
-
-// ForEachMatching calls fn for every stored tuple matching q, in insertion
-// order, until fn returns false. Iteration covers an immutable point-in-time
-// snapshot: fn may re-enter the store (including Add), and tuples added
-// during iteration are not visited. Each tuple passed to fn is freshly
-// materialized and shares no storage with the store — fn may retain it.
-func (s *Store) ForEachMatching(q query.Query, fn func(types.Tuple) bool) {
-	v := s.arena.View()
-	m := matcherPool.Get().(*colstore.Matcher)
-	m.Reset(v, q)
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		if !fn(v.Tuple(row)) {
-			break
-		}
-	}
-	matcherPool.Put(m)
-}
-
-// ScanMatching is ForEachMatching without materialization: fn receives the
-// arena view and a row number and reads attribute values straight from the
-// columns — the zero-alloc hot path for scoring scans (MD frontier seeding).
-// The same snapshot and re-entrancy rules apply.
+// ScanMatching calls fn for every stored tuple matching q, in insertion
+// order, until fn returns false. fn receives the arena view and a row number
+// and reads attribute values straight from the columns — the zero-alloc hot
+// path for scoring scans (MD frontier seeding). Iteration covers an
+// immutable point-in-time snapshot: fn may re-enter the store (including
+// Add), and tuples added during iteration are not visited.
 func (s *Store) ScanMatching(q query.Query, fn func(v colstore.View, row int) bool) {
 	v := s.arena.View()
 	m := matcherPool.Get().(*colstore.Matcher)

@@ -170,40 +170,6 @@ func TestMinMaxMatchingProperty(t *testing.T) {
 	}
 }
 
-func TestBestMatchingAndIteration(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := NewStore(schema())
-	all := tuples(rng, 80)
-	s.Add(all...)
-	q := query.New().WithCat("c", "y")
-	score := func(tp types.Tuple) float64 { return tp.Ord[0] + tp.Ord[1] }
-	got, ok := s.BestMatching(q, score)
-	want := 1e18
-	n := 0
-	for _, tp := range all {
-		if q.Matches(tp) {
-			n++
-			if sc := score(tp); sc < want {
-				want = sc
-			}
-		}
-	}
-	if n == 0 {
-		t.Skip("unlucky seed: no matches")
-	}
-	if !ok || score(got) != want {
-		t.Fatalf("BestMatching = %g, want %g", score(got), want)
-	}
-	if s.CountMatching(q) != n {
-		t.Fatalf("CountMatching = %d, want %d", s.CountMatching(q), n)
-	}
-	seen := 0
-	s.ForEachMatching(q, func(types.Tuple) bool { seen++; return seen < 3 })
-	if seen != 3 {
-		t.Fatalf("ForEachMatching early stop broken: %d", seen)
-	}
-}
-
 // TestIndexRebuildAfterAdd ensures lookups stay correct as tuples stream in
 // (the index is rebuilt lazily).
 func TestIndexRebuildAfterAdd(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -62,22 +63,6 @@ func (r *referenceStore) MaxMatching(q query.Query, attr int, iv types.Interval)
 		if !found || t.Ord[attr] > best.Ord[attr] ||
 			(t.Ord[attr] == best.Ord[attr] && t.ID > best.ID) {
 			best, found = t, true
-		}
-	}
-	return best, found
-}
-
-func (r *referenceStore) BestMatching(q query.Query, score func(types.Tuple) float64) (types.Tuple, bool) {
-	var best types.Tuple
-	bestScore := 0.0
-	found := false
-	for _, t := range r.all {
-		if !q.Matches(t) {
-			continue
-		}
-		sc := score(t)
-		if !found || sc < bestScore || (sc == bestScore && t.ID < best.ID) {
-			best, bestScore, found = t, sc, true
 		}
 	}
 	return best, found
@@ -155,7 +140,7 @@ func randomTuple(rng *rand.Rand, id int) types.Tuple {
 }
 
 // TestShardedStoreMatchesReference interleaves Add / MinMatching /
-// MaxMatching / BestMatching / CountMatching / ForEachMatching / Get calls
+// MaxMatching / CountMatching / ScanMatching / Get calls
 // against the columnar store and the brute-force row-struct reference,
 // asserting identical results throughout (including categorical predicates
 // and open/closed interval endpoints, via randomQuery/randomInterval). The
@@ -171,7 +156,7 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 		s := NewStore(schema())
 		ref := newReferenceStore()
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(8) {
+			switch rng.Intn(7) {
 			case 0, 1: // Add a batch, IDs from a small range to force dups
 				batch := make([]types.Tuple, 1+rng.Intn(5))
 				for i := range batch {
@@ -198,34 +183,24 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				}
 			case 4:
 				q := randomQuery(rng)
-				w0, w1 := rng.Float64(), rng.Float64()
-				score := func(tp types.Tuple) float64 { return w0*tp.Ord[0] + w1*tp.Ord[1] }
-				got, gok := s.BestMatching(q, score)
-				want, wok := ref.BestMatching(q, score)
-				if gok != wok || (gok && got.ID != want.ID) {
-					t.Fatalf("seed %d op %d: BestMatching(%s) = (%v,%v), reference (%v,%v)",
-						seed, op, q, got, gok, want, wok)
-				}
-			case 5:
-				q := randomQuery(rng)
 				if got, want := s.CountMatching(q), ref.CountMatching(q); got != want {
 					t.Fatalf("seed %d op %d: CountMatching(%s) = %d, reference %d", seed, op, q, got, want)
 				}
-			case 6: // ForEachMatching visits exactly the matching versions, in insertion order, fully materialized
+			case 5: // ScanMatching visits exactly the matching versions, in insertion order
 				q := randomQuery(rng)
 				want := ref.Matching(q)
 				n := 0
-				s.ForEachMatching(q, func(tp types.Tuple) bool {
-					if n >= len(want) || !tp.Equal(want[n]) {
-						t.Fatalf("seed %d op %d: ForEachMatching(%s) visit %d = %v, reference %v", seed, op, q, n, tp, want[n:])
+				s.ScanMatching(q, func(v colstore.View, row int) bool {
+					if tp := v.Tuple(row); n >= len(want) || !tp.Equal(want[n]) {
+						t.Fatalf("seed %d op %d: ScanMatching(%s) visit %d = %v, reference %v", seed, op, q, n, tp, want[n:])
 					}
 					n++
 					return true
 				})
 				if n != len(want) {
-					t.Fatalf("seed %d op %d: ForEachMatching(%s) visited %d, reference %d", seed, op, q, n, len(want))
+					t.Fatalf("seed %d op %d: ScanMatching(%s) visited %d, reference %d", seed, op, q, n, len(want))
 				}
-			case 7: // Get / Has round-trip through the columnar arena
+			case 6: // Get / Has round-trip through the columnar arena
 				id := rng.Intn(200)
 				got, gok := s.Get(id)
 				want, wok := ref.byID[id]

@@ -6,24 +6,26 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
 
-// TestForEachMatchingReentrant is the regression test for the old design's
-// self-deadlock: ForEachMatching used to hold the store's read lock for the
-// whole user callback, so a callback that called back into the store (an
+// TestScanMatchingReentrant is the regression test for the old design's
+// self-deadlock: a whole-store scan used to hold the store's read lock for
+// the whole user callback, so a callback that called back into the store (an
 // Add taking the write lock, or a read racing a blocked writer) wedged
 // forever. Iteration now runs over an immutable snapshot, so re-entry —
-// including mutation — is legal.
-func TestForEachMatchingReentrant(t *testing.T) {
+// including mutation — is legal; and a callback returning false stops it.
+func TestScanMatchingReentrant(t *testing.T) {
 	s := NewStore(schema())
 	s.Add(
 		types.Tuple{ID: 1, Ord: []float64{10, 0, 0}, Cat: map[string]string{"c": "x"}},
 		types.Tuple{ID: 2, Ord: []float64{20, 0, 0}, Cat: map[string]string{"c": "x"}},
 	)
 	visited := 0
-	s.ForEachMatching(query.New(), func(tp types.Tuple) bool {
+	s.ScanMatching(query.New(), func(v colstore.View, row int) bool {
+		tp := v.Tuple(row)
 		visited++
 		// Re-enter with reads of every flavor.
 		if n := s.CountMatching(query.New()); n < 2 {
@@ -45,6 +47,11 @@ func TestForEachMatchingReentrant(t *testing.T) {
 	}
 	if s.Size() != 4 {
 		t.Fatalf("Size = %d after re-entrant Adds, want 4", s.Size())
+	}
+	visited = 0
+	s.ScanMatching(query.New(), func(colstore.View, int) bool { visited++; return visited < 3 })
+	if visited != 3 {
+		t.Fatalf("early stop: visited %d of 4 tuples, want 3", visited)
 	}
 }
 
@@ -140,17 +147,13 @@ func TestConcurrentAddReadStress(t *testing.T) {
 					t.Errorf("CountMatching(TRUE) = %d below earlier Size %d: snapshot shrank", n, before)
 					return
 				}
-				s.ForEachMatching(q, func(tp types.Tuple) bool {
-					if !q.Matches(tp) {
-						t.Errorf("ForEachMatching yielded non-matching tuple %v", tp)
+				s.ScanMatching(q, func(v colstore.View, row int) bool {
+					if tp := v.Tuple(row); !q.Matches(tp) {
+						t.Errorf("ScanMatching yielded non-matching tuple %v", tp)
 						return false
 					}
 					return true
 				})
-				if tp, ok := s.BestMatching(q, func(tp types.Tuple) float64 { return tp.Ord[0] }); ok && !q.Matches(tp) {
-					t.Errorf("BestMatching yielded non-matching tuple %v for %s", tp, q)
-					return
-				}
 			}
 		}(r)
 	}
@@ -164,7 +167,7 @@ func TestConcurrentAddReadStress(t *testing.T) {
 	}
 	// Post-stress serial sanity: indexed lookups agree with brute force.
 	ref := newReferenceStore()
-	s.ForEachMatching(query.New(), func(tp types.Tuple) bool { ref.Add(tp); return true })
+	s.ScanMatching(query.New(), func(v colstore.View, row int) bool { ref.Add(v.Tuple(row)); return true })
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		q, attr, iv := randomQuery(rng), rng.Intn(2), randomInterval(rng)

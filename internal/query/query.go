@@ -209,15 +209,6 @@ type Box struct {
 	Dims []types.Interval
 }
 
-// FullBox returns the box covering all of the m-dimensional axis space.
-func FullBox(m int) Box {
-	b := Box{Dims: make([]types.Interval, m)}
-	for i := range b.Dims {
-		b.Dims[i] = types.FullInterval()
-	}
-	return b
-}
-
 // Clone returns a deep copy of b.
 func (b Box) Clone() Box {
 	return Box{Dims: append([]types.Interval(nil), b.Dims...)}
@@ -260,29 +251,6 @@ func (b Box) ContainsBox(o Box) bool {
 		}
 	}
 	return true
-}
-
-// Volume returns the product of dimension widths. Unbounded dimensions yield
-// +Inf; empty boxes yield 0.
-func (b Box) Volume() float64 {
-	if b.Empty() {
-		return 0
-	}
-	v := 1.0
-	for _, iv := range b.Dims {
-		v *= iv.Width()
-	}
-	return v
-}
-
-// ClampTo returns b intersected with the closed box [lo_i, hi_i] per
-// dimension, useful for restricting to attribute domains.
-func (b Box) ClampTo(lo, hi []float64) Box {
-	r := b.Clone()
-	for i := range r.Dims {
-		r.Dims[i] = r.Dims[i].Intersect(types.ClosedInterval(lo[i], hi[i]))
-	}
-	return r
 }
 
 // String renders the box as a product of intervals.

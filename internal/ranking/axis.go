@@ -106,23 +106,6 @@ func (a *Axis) LowerBound(b query.Box) float64 {
 	return a.ScoreAxis(a.bestCorner(b))
 }
 
-// UpperBound returns the largest score any tuple inside b (clamped to the
-// attribute domains) could have — the worst-corner counterpart of
-// LowerBound, used to anchor the speculative tightening ladder.
-func (a *Axis) UpperBound(b query.Box) float64 {
-	if a.cornerBuf == nil {
-		a.cornerBuf = make([]float64, a.M())
-	}
-	c := a.cornerBuf
-	for j := range c {
-		c[j] = math.Min(b.Dims[j].Hi, a.hi[j])
-		if lo := math.Max(b.Dims[j].Lo, a.lo[j]); c[j] < lo {
-			c[j] = lo
-		}
-	}
-	return a.ScoreAxis(c)
-}
-
 // ScoreTuple evaluates the ranking score of a tuple, reusing the axis's
 // scratch buffer (unlike the package-level ScoreTuple, which allocates the
 // projection per call).
@@ -203,15 +186,4 @@ func (a *Axis) QueryToBox(base query.Query) query.Box {
 		}
 	}
 	return b
-}
-
-// Dominates reports whether axis point za dominates zb: za is no worse on
-// every coordinate (and the two points may be equal).
-func Dominates(za, zb []float64) bool {
-	for j := range za {
-		if za[j] > zb[j] {
-			return false
-		}
-	}
-	return true
 }

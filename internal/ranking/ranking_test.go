@@ -152,15 +152,6 @@ func TestBoxToQueryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDominates(t *testing.T) {
-	if !Dominates([]float64{1, 2}, []float64{1, 3}) {
-		t.Error("weak dominance rejected")
-	}
-	if Dominates([]float64{1, 4}, []float64{1, 3}) {
-		t.Error("non-dominance accepted")
-	}
-}
-
 // TestContourMaxProperty: ContourMax returns the largest coordinate still
 // compatible with beating θ; any point beyond it (others at the corner)
 // must score above θ, any point at/below it at the corner scores ≤ θ.

@@ -358,16 +358,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenant, weight
 	return rel, charge, true
 }
 
-// retryAfterSeconds renders a duration as a Retry-After header value,
-// rounded up so clients never retry before the window actually resets.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprint(secs)
-}
-
 var errDraining = fmt.Errorf("server is draining for shutdown")
 
 // BeginDrain puts the server into draining mode: every subsequent request

@@ -2,7 +2,7 @@
 //
 // A batch carries N independent rerank requests in one HTTP round trip and
 // runs them concurrently against one namespace's engine. Because every
-// item's probes route through that engine's coalescing layer, overlapping
+// item's probes route through that engine's one probe path, overlapping
 // queries inside one batch (and across concurrent batches) deduplicate at
 // probe granularity: identical in-flight probes are issued once and charged
 // to the item that issued them, so a batch of near-duplicate queries costs
@@ -92,7 +92,7 @@ func (s *Server) RerankBatch(req BatchRequest) *BatchResponse {
 	t, ok := s.tenantFor("")
 	if !ok {
 		resp := &BatchResponse{Items: make([]BatchItem, len(req.Requests))}
-		info := errorInfo(http.StatusNotFound, ErrCodeUnknownUpstream, unknownUpstreamErr(""))
+		info := errorInfo(ErrCodeUnknownUpstream, unknownUpstreamErr(""))
 		for i := range resp.Items {
 			resp.Items[i] = BatchItem{Status: http.StatusNotFound, Error: info}
 		}
@@ -114,7 +114,7 @@ func (s *Server) rerankBatch(t *tenant, req BatchRequest) *BatchResponse {
 			r, cost, status, code, err := s.rerank(t, req.Requests[i])
 			issued.Add(cost)
 			if err != nil {
-				resp.Items[i] = BatchItem{Status: status, Error: errorInfo(status, code, err)}
+				resp.Items[i] = BatchItem{Status: status, Error: errorInfo(code, err)}
 				return
 			}
 			resp.Items[i] = BatchItem{Status: http.StatusOK, Response: r}

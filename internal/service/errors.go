@@ -15,6 +15,7 @@ package service
 import (
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/hidden"
@@ -64,32 +65,9 @@ type errorEnvelope struct {
 	Error *ErrorInfo `json:"error"`
 }
 
-// errorInfo builds an ErrorInfo from a failure, defaulting the code from
-// the HTTP status when the caller has nothing more specific.
-func errorInfo(status int, code string, err error) *ErrorInfo {
-	if code == "" {
-		code = codeForStatus(status)
-	}
+// errorInfo builds the ErrorInfo of a failure with its envelope code.
+func errorInfo(code string, err error) *ErrorInfo {
 	return &ErrorInfo{Code: code, Message: err.Error()}
-}
-
-// codeForStatus maps an HTTP-equivalent status to the envelope code used
-// when no more specific code applies (batch items, stream events).
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return ErrCodeBadRequest
-	case http.StatusNotFound:
-		return ErrCodeUnknownUpstream
-	case http.StatusRequestEntityTooLarge:
-		return ErrCodePayloadTooLarge
-	case http.StatusTooManyRequests:
-		return ErrCodeUpstreamRateLimited
-	case http.StatusServiceUnavailable:
-		return ErrCodeDraining
-	default:
-		return ErrCodeUpstreamFailed
-	}
 }
 
 // upstreamStatus maps an upstream probe failure to its HTTP status and
@@ -111,15 +89,15 @@ func upstreamStatus(err error) (status int, code string) {
 
 // httpError writes the standard error envelope.
 func httpError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorEnvelope{Error: errorInfo(status, code, err)})
+	writeJSON(w, status, errorEnvelope{Error: errorInfo(code, err)})
 }
 
 // httpErrorRetry writes the envelope for a shed request, advertising the
 // backoff both as the Retry-After header and in-envelope.
 func httpErrorRetry(w http.ResponseWriter, status int, code string, err error, retryAfter time.Duration) {
 	secs := ceilSeconds(retryAfter)
-	w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
-	info := errorInfo(status, code, err)
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	info := errorInfo(code, err)
 	info.RetryAfterSec = secs
 	writeJSON(w, status, errorEnvelope{Error: info})
 }

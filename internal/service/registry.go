@@ -330,7 +330,7 @@ func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
 		Epoch:        eng.Epoch(),
 		Bumped:       bumped,
 		Queries:      queries,
-		StaleRegions: eng.Knowledge().StaleRegions(),
+		StaleRegions: eng.StaleRegions(),
 	})
 }
 

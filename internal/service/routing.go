@@ -19,7 +19,7 @@
 // Isolation model: nothing learned from one upstream is valid against
 // another — history tuples, crawled regions and probe answers are all
 // statements about one corpus — so a namespace is a hard isolation unit.
-// Each owns its history, crawled regions, probe cache, coalescer,
+// Each owns its history, crawled regions, fact index, in-flight probes,
 // query-cost ledger, and (with a data dir) its own segment store under
 // data-dir/<ns>/. Admission capacity is the one shared resource, since
 // in-flight sessions compete for the same goroutines and memory whichever
@@ -99,9 +99,9 @@ type RerankResponse struct {
 	Exhausted bool        `json:"exhausted"`
 	// QueriesIssued is the number of upstream search queries this request
 	// cost — the paper's performance measure, surfaced to clients. Probes
-	// deduplicated by the engine's coalescing layer (answered by another
-	// in-flight request or a recent complete answer) cost nothing and are
-	// charged once, to the request that actually issued them.
+	// the engine deduplicates (answered by another in-flight request or a
+	// recent complete answer) cost nothing and are charged once, to the
+	// request that actually issued them.
 	QueriesIssued int64 `json:"queriesIssued"`
 	// EngineQueries is the namespace engine's lifetime upstream query count.
 	EngineQueries int64 `json:"engineQueries"`

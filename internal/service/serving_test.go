@@ -132,7 +132,7 @@ func TestAdmissionSaturation(t *testing.T) {
 	const bound = 2
 	db := newGateDB(bnDB(t, 600))
 	srv, _, client := servingPipeline(t, db, Options{
-		Core:        core.Options{N: 600, DisableCoalescing: true},
+		Core:        core.Options{N: 600, ProbeCacheSize: -1},
 		MaxSessions: bound,
 	})
 
@@ -271,7 +271,7 @@ func TestClientBudgetConcurrentBurst(t *testing.T) {
 	const limit = 2
 	db := newGateDB(bnDB(t, 600))
 	srv, _, client := servingPipeline(t, db, Options{
-		Core:               core.Options{N: 600, DisableCoalescing: true},
+		Core:               core.Options{N: 600, ProbeCacheSize: -1},
 		ClientBudget:       limit,
 		ClientBudgetWindow: time.Hour,
 	})
@@ -315,7 +315,7 @@ func TestClientBudgetConcurrentBurst(t *testing.T) {
 
 // TestBatchEndpoint checks per-item outcomes, request-order preservation,
 // and that overlapping requests inside one batch dedup probes through the
-// shared coalescer: two identical items must cost less than twice one.
+// shared engine: two identical items must cost less than twice one.
 func TestBatchEndpoint(t *testing.T) {
 	db := bnDB(t, 800)
 	// Solo cost of the request on a fresh engine, for the dedup bound.
@@ -468,11 +468,11 @@ func TestStreamMatchesRerank(t *testing.T) {
 // call count reaches its final value.
 func TestStreamFirstTupleBeforeCompletion(t *testing.T) {
 	db := &latencyDB{Database: bnDB(t, 800), delay: 2 * time.Millisecond}
-	// Baseline algorithm with history/index/coalescing disabled: every
+	// Baseline algorithm with history, index and fact index disabled: every
 	// Get-Next must reach the upstream, so a stream that buffered the
 	// whole search before emitting would show callsAtFirstTuple == total.
 	_, _, client := servingPipeline(t, db, Options{Core: core.Options{
-		N: 800, DisableHistory: true, DisableIndex: true, DisableCoalescing: true,
+		N: 800, DisableHistory: true, DisableIndex: true, ProbeCacheSize: -1,
 	}})
 	lo, hi := 5000.0, 7000.0
 	req := RerankRequest{

@@ -156,9 +156,9 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 		UpstreamK:         t.db.K(),
 	}
 	us.Epoch = eng.Epoch()
-	us.EpochBumps = eng.Knowledge().EpochBumps()
-	us.StaleRegions = eng.Knowledge().StaleRegions()
-	us.StaleHistoryRows = eng.Knowledge().StaleHistoryRows()
+	us.EpochBumps = eng.EpochBumps()
+	us.StaleRegions = eng.StaleRegions()
+	us.StaleHistoryRows = eng.StaleHistoryRows()
 	us.RevalPromoted, us.RevalEvicted = eng.RevalidationStats()
 	us.SentinelPasses, us.SentinelBumps, us.LastSentinelUnix = eng.SentinelStats()
 	us.Health = hidden.HealthHealthy.String()

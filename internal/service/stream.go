@@ -125,7 +125,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if code == ErrCodeUpstreamFailed {
 				err = fmt.Errorf("upstream search failed: %w", err)
 			}
-			emit(StreamEvent{Done: true, CumQueries: sess.Queries(), Status: status, Error: errorInfo(status, code, err)})
+			emit(StreamEvent{Done: true, CumQueries: sess.Queries(), Status: status, Error: errorInfo(code, err)})
 			return
 		}
 		if !ok {

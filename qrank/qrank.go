@@ -18,17 +18,16 @@
 // # Concurrency
 //
 // A Reranker is safe for concurrent use. Internally it is split into a
-// shared Knowledge layer — the cross-query answer history, the crawled
-// regions of the on-the-fly dense indexes (facts over the history, like
-// probe answers), and the upstream-query counter, all internally
+// shared engine — the cross-query answer history, the crawled regions of the
+// on-the-fly dense indexes (facts over the history, like probe answers), the
+// fact index of probe answers and the upstream-query counter, all internally
 // synchronized — and per-request Sessions that hold traversal state and a
 // per-request cost ledger. Create cursors from any goroutine; each
-// individual Cursor must be driven by one goroutine at a time. A probe
-// coalescing layer deduplicates identical in-flight upstream queries and
-// replays recent complete answers, so concurrent users with overlapping
-// queries do not multiply upstream cost (deduplicated probes are counted
-// once). Options.DisableCoalescing opts out for upstreams whose corpus
-// changes mid-run.
+// individual Cursor must be driven by one goroutine at a time. Identical
+// in-flight upstream queries are issued once and recent complete answers
+// replay, so concurrent users with overlapping queries do not multiply
+// upstream cost (deduplicated probes are counted once).
+// Options.ProbeCacheSize < 0 turns the replay off.
 //
 // The heavy lifting lives in internal/core (the paper's 1D-RERANK and
 // MD-RERANK algorithms with on-the-fly dense-region indexing); this package
@@ -180,8 +179,8 @@ func (r *Reranker) QueryVariant(q Query, rank Ranker, v Variant) (Cursor, error)
 func (r *Reranker) NewSession() *Session { return r.engine.NewSession() }
 
 // QueriesIssued reports the total number of upstream search queries this
-// instance has spent — the paper's sole cost measure. Probes deduplicated
-// by the coalescing layer count once.
+// instance has spent — the paper's sole cost measure. Probes shared by
+// identical in-flight calls count once.
 func (r *Reranker) QueriesIssued() int64 { return r.engine.Queries() }
 
 // OpenDataDir makes the Reranker's knowledge durable: it replays whatever a
