@@ -99,16 +99,18 @@ func BenchmarkFig15_MDSystemK(b *testing.B)          { benchFigure(b, "fig15") }
 func BenchmarkFig16_MDTopHBlueNile(b *testing.B)     { benchFigure(b, "fig16") }
 func BenchmarkFig17_MDTopHYahooAutos(b *testing.B)   { benchFigure(b, "fig17") }
 
+// ablationN is the ablation workload's database size.
+const ablationN = 3000
+
 // ablationCost measures the average top-10 MD query cost over a fixed
 // workload with the given engine options.
 func ablationCost(b *testing.B, opts core.Options) float64 {
 	b.Helper()
 	full := dataset.DOT(160205100, 6000)
-	ds := full.Sample(rand.New(rand.NewSource(4)), 3000)
+	ds := full.Sample(rand.New(rand.NewSource(4)), ablationN)
 	items := workload.MD(rand.New(rand.NewSource(5)), ds,
 		workload.Spec{Count: 16, NoFilter: 4, MinAttrs: 2, MaxAttrs: 3})
 	db := ds.DBWith(10, dataset.DOTSystemRanker2())
-	opts.N = 3000
 	// Paper-faithful accounting: the fact index would otherwise absorb
 	// repeated probes and distort the per-feature ablation deltas.
 	opts.ProbeCacheSize = -1
@@ -133,12 +135,12 @@ func BenchmarkAblation(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"full", core.Options{}},
-		{"no-history", core.Options{DisableHistory: true}},
-		{"no-dense-index", core.Options{DisableIndex: true}},
-		{"no-virtual-tuples", core.Options{DisableVirtualTuples: true}},
-		{"no-domination-probe", core.Options{DisableDominationProbe: true}},
-		{"assume-gpa", core.Options{AssumeGeneralPositioning: true}},
+		{"full", core.Options{N: ablationN}},
+		{"no-history", core.Options{N: ablationN, DisableHistory: true}},
+		{"no-dense-index", core.Options{N: 0}}, // N = 0 turns dense indexing off
+		{"no-virtual-tuples", core.Options{N: ablationN, DisableVirtualTuples: true}},
+		{"no-domination-probe", core.Options{N: ablationN, DisableDominationProbe: true}},
+		{"assume-gpa", core.Options{N: ablationN, AssumeGeneralPositioning: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -395,9 +397,9 @@ func benchMDParallel(b *testing.B, procs, width int) {
 			requests++
 		}
 		upstream += e.Queries()
-		si, sw := e.SpeculationStats()
-		specIssued += si
-		specWasted += sw
+		st := e.Stats()
+		specIssued += st.SpecProbesIssued
+		specWasted += st.SpecProbesWasted
 	}
 	b.StopTimer()
 	if requests > 0 {

@@ -39,8 +39,8 @@
 //	        -report report.json
 //
 // Against a federated rerankd, -upstream targets one namespace (its schema,
-// its routes); without it the traffic goes to the server's default
-// namespace over the legacy un-namespaced routes.
+// its /v1/upstreams/{ns}/... routes); it defaults to "default", the name
+// rerankd gives an in-process dataset.
 //
 // Exit status: 0 when every request either succeeded or was shed; 1 when
 // hard errors occurred (or the optional -min-ops floor was missed).

@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/service"
@@ -138,15 +139,11 @@ func main() {
 		ClientBudgetWindow: *budgetWindow,
 		StreamWriteTimeout: *streamWrite,
 		Acquire: service.AcquireOptions{
-			Enabled:   *acquireOn,
-			Weight:    *acquireWt,
-			Interval:  *acquireIvl,
-			IdleAfter: *acquireIdle,
+			Enabled: *acquireOn,
+			Weight:  *acquireWt,
+			Config:  acquire.Config{Interval: *acquireIvl, IdleAfter: *acquireIdle},
 		},
-		Sentinel: service.SentinelOptions{
-			Enabled:  *sentinelIvl > 0,
-			Interval: *sentinelIvl,
-		},
+		SentinelInterval: *sentinelIvl,
 		Guard: service.GuardConfig{
 			Retries:    *probeRetries,
 			HedgeAfter: *hedgeAfter,
@@ -213,12 +210,15 @@ func main() {
 		}); err != nil {
 			log.Fatalf("rerankd: %v", err)
 		}
-		ps, _ := srv.PersistStats()
-		if ps.Store.ReplayedDeltas > 0 {
-			st := srv.Stats()
+		st := srv.Stats()
+		replayed := 0
+		for _, us := range st.Upstreams {
+			replayed += us.PersistReplayedDeltas
+		}
+		if replayed > 0 {
 			us := st.Upstreams[st.DefaultUpstream]
 			log.Printf("rerankd: warm start from data dir %s (%d committed deltas replayed; default namespace: %d history tuples, %d cached probe answers, %d MD dense regions; checkpoint interval %s)",
-				*dataDir, ps.Store.ReplayedDeltas, us.HistoryTuples, us.ProbeCacheEntries, us.MDDenseRegions, *ckptInterval)
+				*dataDir, replayed, us.HistoryTuples, us.ProbeCacheEntries, us.MDDenseRegions, *ckptInterval)
 		} else {
 			log.Printf("rerankd: data dir %s opened cold (checkpoint interval %s)", *dataDir, *ckptInterval)
 		}

@@ -177,7 +177,7 @@ func TestHeatCheckpointRoundTrip(t *testing.T) {
 	if err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	records := p1.Stats().Store.JournalRecords
+	records := e1.Stats().PersistJournalRecords
 	if records == 0 {
 		t.Fatal("heat-only change produced no checkpoint record")
 	}
@@ -185,7 +185,7 @@ func TestHeatCheckpointRoundTrip(t *testing.T) {
 	if err := p1.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p1.Stats().Store.JournalRecords; got != records {
+	if got := e1.Stats().PersistJournalRecords; got != records {
 		t.Fatalf("idle checkpoint appended a record (%d -> %d)", records, got)
 	}
 

@@ -77,9 +77,9 @@ func TestEmptyProbesStayLocal(t *testing.T) {
 				}
 			}
 		}
-		if s.Queries() != 0 || e.Queries() != 0 || db.QueryCount() != 0 || e.ProbeCacheEntries() != 0 {
+		if s.Queries() != 0 || e.Queries() != 0 || db.QueryCount() != 0 || e.Stats().ProbeCacheEntries != 0 {
 			t.Fatalf("%s: session charged %d, engine %d, upstream saw %d, %d facts held; want all 0",
-				name, s.Queries(), e.Queries(), db.QueryCount(), e.ProbeCacheEntries())
+				name, s.Queries(), e.Queries(), db.QueryCount(), e.Stats().ProbeCacheEntries)
 		}
 	}
 }

@@ -26,6 +26,10 @@
 // known, identical in-flight upstream calls are issued once, and only a call
 // that reaches the upstream is charged, so concurrent users with overlapping
 // queries do not multiply upstream cost.
+//
+// Engine.Stats is the one snapshot of the engine's counters — queries,
+// probe-fact and certification outcomes, epochs, storage and persistence —
+// that a namespace's /v1/stats block and /metrics series render.
 package core
 
 import (
@@ -81,7 +85,8 @@ func (v Variant) String() string {
 type Options struct {
 	// N is the (estimated) database size used by the dense-region
 	// thresholds. Required for Rerank variants; when 0 dense indexing is
-	// disabled and Rerank degrades to Binary plus baseline finishing.
+	// off (the dense-index ablation) and Rerank degrades to Binary plus
+	// baseline finishing.
 	N int
 	// S is the dense-region population parameter; 0 means the paper's
 	// default s = k·log2(n).
@@ -96,8 +101,6 @@ type Options struct {
 	// stop consulting the history. Probed tuples are stored regardless —
 	// the arena is the only tuple store, and probe facts cite its rows.
 	DisableHistory bool
-	// DisableIndex turns off dense-region indexing (ablation).
-	DisableIndex bool
 	// DisableVirtualTuples turns off §4.3.2 virtual-tuple pruning in
 	// MD-BINARY/MD-RERANK (ablation).
 	DisableVirtualTuples bool
@@ -119,11 +122,11 @@ type Options struct {
 	// each best-first round issues up to W frontier probes concurrently
 	// through Session.probe's path, bounded by a per-session worker pool.
 	// 0 or 1 means sequential. The emitted tuple sequence is identical for
-	// every W; speculation can spend extra upstream probes (reported by
-	// SpeculationStats), which hide upstream round-trip latency. Ignored
-	// (sequential search) when MaxQueriesPerOp is set: under a binding
-	// budget, racing speculative charges would make budget exhaustion
-	// nondeterministic.
+	// every W; speculation can spend extra upstream probes (Stats'
+	// SpecProbesIssued and SpecProbesWasted), which hide upstream
+	// round-trip latency. Ignored (sequential search) when MaxQueriesPerOp
+	// is set: under a binding budget, racing speculative charges would make
+	// budget exhaustion nondeterministic.
 	SearchParallelism int
 }
 
@@ -162,33 +165,23 @@ type Engine struct {
 	// watermark is observability, not a correctness gate.
 	histStaleRows atomic.Int64
 
-	// containedHits counts probes answered from a fact whose box contains
-	// them, partialHits probes answered by replaying their own overflow page
-	// (exact hits on complete facts are counted by neither).
-	containedHits atomic.Int64
-	partialHits   atomic.Int64
-	// Lazy re-validation outcomes of probe facts (Session.fetch) and of
-	// crawled regions (Session.crawledLookup).
+	// The counters Stats reports, documented on its fields: fact hits,
+	// lazy re-validation outcomes of probe facts (Session.fetch) and of
+	// crawled regions (Session.crawledLookup), speculative MD probes, and
+	// 1D and MD certification outcomes with the cover hits.
+	containedHits      atomic.Int64
+	partialHits        atomic.Int64
 	revalPromoted      atomic.Int64
 	revalEvicted       atomic.Int64
 	denseRevalPromoted atomic.Int64
 	denseRevalEvicted  atomic.Int64
-
-	// Speculative-search accounting: probes issued beyond the first slot
-	// of an MD search round, and the subset invalidated by a threshold
-	// improvement before their result could be used.
-	specIssued atomic.Int64
-	specWasted atomic.Int64
-
-	// 1D-RERANK certification probes (oned.go) by outcome: a complete page
-	// settled the Get-Next outright, an overflowing one left halving to do.
-	certComplete atomic.Int64
-	certOverflow atomic.Int64
-	// MD-RERANK's deep certification probes (md.go) by the same outcomes,
-	// and the Get-Nexts either cursor answered from a certified cover.
-	mdCertComplete atomic.Int64
-	mdCertOverflow atomic.Int64
-	coverHits      atomic.Int64
+	specIssued         atomic.Int64
+	specWasted         atomic.Int64
+	certComplete       atomic.Int64
+	certOverflow       atomic.Int64
+	mdCertComplete     atomic.Int64
+	mdCertOverflow     atomic.Int64
+	coverHits          atomic.Int64
 
 	// heat is the request-window heat sketch feeding the background
 	// acquirer: which exact windows users queried recently, with
@@ -247,8 +240,137 @@ func (e *Engine) History() *history.Store { return e.hist }
 // Epoch returns the namespace's current knowledge epoch.
 func (e *Engine) Epoch() int64 { return e.epoch.Load() }
 
-// EpochBumps returns how many drift-triggered bumps the epoch has seen.
-func (e *Engine) EpochBumps() int64 { return e.epoch.Load() - FirstEpoch }
+// Stats is one snapshot of an engine's counters: engine, sentinel, storage
+// and persistence. service.UpstreamStats embeds it, so these JSON names are
+// the /v1/stats keys. Each field is read atomically on its own; the snapshot
+// as a whole is not one consistent cut.
+type Stats struct {
+	// EngineQueries counts the upstream queries issued (dense crawls
+	// included); probes shared by identical in-flight calls count once.
+	EngineQueries int64 `json:"engineQueries"`
+	HistoryTuples int   `json:"historyTuples"`
+	// ProbeCacheEntries counts the probe answers — complete ones and
+	// overflow pages — held as facts (0 with the fact index off).
+	// Checkpoints persist them, so after a warm restart this bounds from
+	// below the probes answered for zero upstream cost.
+	ProbeCacheEntries int `json:"probeCacheEntries"`
+	// MDDenseRegions counts crawled regions over more than one attribute
+	// (Algorithm 6's boxes); DenseMDMaxBucket is the largest crawled-region
+	// bucket, 1D or MD: the most facts one dense lookup may walk.
+	MDDenseRegions   int `json:"mdDenseRegions"`
+	DenseMDMaxBucket int `json:"denseMDMaxBucket"`
+	// SearchParallelism is the effective speculative probe width W (≥ 1;
+	// see searchWidth). SpecProbesIssued counts MD probes issued beyond the
+	// first slot of a round, SpecProbesWasted the subset whose overflow
+	// result an earlier slot's threshold improvement invalidated; their
+	// pages still land in history and the fact index, so that upstream cost
+	// is never paid twice.
+	SearchParallelism int   `json:"searchParallelism"`
+	SpecProbesIssued  int64 `json:"specProbesIssued"`
+	SpecProbesWasted  int64 `json:"specProbesWasted"`
+
+	// Storage* are the history arena's columnar counters;
+	// StorageApproxBytes adds ProbeFactBytes to the arena's bytes.
+	StorageBlocks         int   `json:"storageBlocks"`
+	StorageDictEntries    int   `json:"storageDictEntries"`
+	StorageResidentTuples int   `json:"storageResidentTuples"`
+	StorageApproxBytes    int64 `json:"storageApproxBytes"`
+	// ProbeContainedHits counts probes answered free by filtering a held
+	// complete answer whose box contains them, ProbePartialHits probes
+	// answered free by replaying the overflow page the identical probe got
+	// before (exact hits on complete answers are counted by neither);
+	// ProbeFactBytes approximates what the ProbeCacheEntries held answers
+	// occupy — queries and row references; their tuples are history rows.
+	ProbeContainedHits int64 `json:"probeContainedHits"`
+	ProbePartialHits   int64 `json:"probePartialHits"`
+	ProbeFactBytes     int64 `json:"probeFactBytes"`
+	// CertifiedComplete / CertifiedOverflow count 1D-RERANK's certification
+	// probes (at most one per Get-Next, over (last, candidate]) by outcome:
+	// a complete page answered the Get-Next outright, an overflowing one
+	// only improved the candidate. Their ratio is the certification hit rate.
+	CertifiedComplete int64 `json:"certifiedComplete"`
+	CertifiedOverflow int64 `json:"certifiedOverflow"`
+	// MDCertifiedComplete / MDCertifiedOverflow count MD-RERANK's deep
+	// certification probes (at most one per region resolution, over the
+	// contour of the D-th best known tuple) by the same outcomes. CoverHits
+	// counts the Get-Nexts, 1D and MD, answered from a certified page a
+	// cursor kept: next tuple and tie group for no probe at all.
+	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
+	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
+	CoverHits           int64 `json:"coverHits"`
+
+	// Living-upstream state (see docs/epochs.md): the knowledge epoch and
+	// its drift-triggered bumps, crawled regions and history rows learned
+	// under an earlier epoch, lazy re-validation outcomes over probe facts
+	// and crawled regions (stale knowledge confirmed, or evicted on drift),
+	// and the sentinel's completed passes, bumps and last pass (unix s).
+	Epoch            int64 `json:"epoch"`
+	EpochBumps       int64 `json:"epochBumps"`
+	StaleRegions     int   `json:"staleRegions"`
+	StaleHistoryRows int64 `json:"staleHistoryRows"`
+	RevalPromoted    int64 `json:"revalPromoted"`
+	RevalEvicted     int64 `json:"revalEvicted"`
+	SentinelPasses   int64 `json:"sentinelPasses"`
+	SentinelBumps    int64 `json:"sentinelBumps"`
+	LastSentinelUnix int64 `json:"lastSentinelUnix,omitempty"`
+
+	// Persistence gauges of the attached segment store (see persist.go);
+	// all zero when none is attached.
+	PersistEnabled        bool   `json:"persistEnabled"`
+	PersistSeq            int64  `json:"persistSeq,omitempty"`
+	PersistCheckpoints    int64  `json:"persistCheckpoints,omitempty"`
+	PersistCompactions    int64  `json:"persistCompactions,omitempty"`
+	PersistJournalRecords int    `json:"persistJournalRecords,omitempty"`
+	PersistSegmentFiles   int    `json:"persistSegmentFiles,omitempty"`
+	PersistPendingOps     int    `json:"persistPendingOps,omitempty"`
+	PersistReplayedDeltas int    `json:"persistReplayedDeltas,omitempty"`
+	PersistBytesAppended  int64  `json:"persistBytesAppended,omitempty"`
+	PersistLastError      string `json:"persistLastError,omitempty"`
+}
+
+// Stats snapshots the engine's counters. It walks the crawled set and the
+// history shards, so the request path reads Queries and Epoch instead.
+func (e *Engine) Stats() Stats {
+	ep := e.Epoch()
+	ss := e.hist.StorageStats()
+	st := Stats{
+		EngineQueries:         e.queries.Load(),
+		HistoryTuples:         e.hist.Size(),
+		MDDenseRegions:        e.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 }),
+		DenseMDMaxBucket:      e.crawled.maxBucket(),
+		SearchParallelism:     e.searchWidth(),
+		SpecProbesIssued:      e.specIssued.Load(),
+		SpecProbesWasted:      e.specWasted.Load(),
+		StorageBlocks:         ss.Blocks,
+		StorageDictEntries:    ss.DictEntries,
+		StorageResidentTuples: ss.Tuples,
+		ProbeContainedHits:    e.containedHits.Load(),
+		ProbePartialHits:      e.partialHits.Load(),
+		CertifiedComplete:     e.certComplete.Load(),
+		CertifiedOverflow:     e.certOverflow.Load(),
+		MDCertifiedComplete:   e.mdCertComplete.Load(),
+		MDCertifiedOverflow:   e.mdCertOverflow.Load(),
+		CoverHits:             e.coverHits.Load(),
+		Epoch:                 ep,
+		EpochBumps:            ep - FirstEpoch,
+		StaleRegions:          e.crawled.count(func(f *fact) bool { return f.epoch < ep }),
+		StaleHistoryRows:      e.histStaleRows.Load(),
+		RevalPromoted:         e.denseRevalPromoted.Load() + e.revalPromoted.Load(),
+		RevalEvicted:          e.denseRevalEvicted.Load() + e.revalEvicted.Load(),
+		SentinelPasses:        e.sentPasses.Load(),
+		SentinelBumps:         e.sentBumps.Load(),
+		LastSentinelUnix:      e.sentLast.Load(),
+	}
+	if e.facts != nil {
+		st.ProbeCacheEntries = int(e.facts.entries.Load())
+		st.ProbeFactBytes = e.facts.bytes.Load()
+	}
+	st.StorageApproxBytes = ss.ApproxBytes + st.ProbeFactBytes
+	if p := e.persist.Load(); p != nil {
+		p.stats(&st)
+	}
+	return st
+}
 
 // BumpEpoch advances the knowledge epoch (a sentinel detected upstream
 // drift), marks the current history rows stale, records the bump for
@@ -273,17 +395,6 @@ func (e *Engine) restoreEpoch(ep int64) {
 			return
 		}
 	}
-}
-
-// StaleHistoryRows returns the history row watermark below which rows were
-// learned under an earlier epoch.
-func (e *Engine) StaleHistoryRows() int64 { return e.histStaleRows.Load() }
-
-// StaleRegions counts crawled regions whose epoch trails the current one —
-// knowledge awaiting lazy re-validation.
-func (e *Engine) StaleRegions() int {
-	cur := e.Epoch()
-	return e.crawled.count(func(f *fact) bool { return f.epoch < cur })
 }
 
 // insertCrawled records a crawled box — ranges ascending by attribute — with
@@ -320,59 +431,6 @@ func (d Dense1D) Regions(attr int) int {
 	return d.c.count(func(f *fact) bool { return len(f.ranges) == 1 && f.ranges[0].attr == attr })
 }
 
-// ProbeCacheEntries returns the number of probe answers — complete ones and
-// overflow pages — currently held as facts (0 when the fact index is off).
-// Checkpoints persist them, so after a warm restart this is a lower bound on
-// the probes the engine answers for zero upstream cost: a complete fact also
-// answers every probe its box contains.
-func (e *Engine) ProbeCacheEntries() int {
-	if e.facts == nil {
-		return 0
-	}
-	return int(e.facts.entries.Load())
-}
-
-// ProbeCacheBytes approximates the resident bytes of those facts (queries,
-// row references and index slots; the tuples live in the history arena).
-func (e *Engine) ProbeCacheBytes() int64 {
-	if e.facts == nil {
-		return 0
-	}
-	return e.facts.bytes.Load()
-}
-
-// ProbeContainedHits returns how many probes were answered, for zero
-// upstream queries, by filtering a fact whose box contains them.
-func (e *Engine) ProbeContainedHits() int64 { return e.containedHits.Load() }
-
-// ProbePartialHits returns how many probes were answered, for zero upstream
-// queries, by replaying the overflow page the identical probe got before.
-func (e *Engine) ProbePartialHits() int64 { return e.partialHits.Load() }
-
-// CertificationStats returns the engine-lifetime outcomes of 1D-RERANK's
-// certification probes — at most one per Get-Next, issued over (last, cand]
-// when history supplied the candidate: complete pages, which answered the
-// Get-Next outright, and overflowing ones, after which the search bisected.
-func (e *Engine) CertificationStats() (complete, overflow int64) {
-	return e.certComplete.Load(), e.certOverflow.Load()
-}
-
-// MDCertificationStats is CertificationStats for MD-RERANK's deep
-// certification probes — at most one per region resolution, over the contour
-// of the D-th best known tuple: complete pages, which the cursor keeps as the
-// region's cover, and overflowing ones, after which the search went on from
-// the candidate's own contour.
-func (e *Engine) MDCertificationStats() (complete, overflow int64) {
-	return e.mdCertComplete.Load(), e.mdCertOverflow.Load()
-}
-
-// CoverHits returns how many Get-Nexts, 1D and MD, were answered from a
-// cursor's certified cover: next tuple and tie group, no probe.
-func (e *Engine) CoverHits() int64 { return e.coverHits.Load() }
-
-// StorageStats returns the history store's columnar storage counters.
-func (e *Engine) StorageStats() history.StorageStats { return e.hist.StorageStats() }
-
 // Heat returns the engine's request-window heat sketch — the demand signal
 // the background acquirer mines. Safe for concurrent use.
 func (e *Engine) Heat() *acquire.Sketch { return e.heat }
@@ -401,26 +459,6 @@ func (e *Engine) WindowWarm(attr int, iv types.Interval) bool {
 	return f != nil && f.epoch >= e.Epoch()
 }
 
-// RevalidationStats returns the engine-lifetime lazy re-validation
-// outcomes, combining dense-region and probe-cache surfaces: stale entries
-// confirmed unchanged (promoted to the current epoch) and stale entries
-// whose confirming probe showed drift (evicted).
-func (e *Engine) RevalidationStats() (promoted, evicted int64) {
-	return e.denseRevalPromoted.Load() + e.revalPromoted.Load(), e.denseRevalEvicted.Load() + e.revalEvicted.Load()
-}
-
-// MDDenseRegions returns the number of crawled regions over more than one
-// attribute (Algorithm 6's boxes). A data dir persists them, so after a warm
-// restart this reports how many boxes MD-RERANK can answer locally for zero
-// upstream cost.
-func (e *Engine) MDDenseRegions() int {
-	return e.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 })
-}
-
-// CrawledMaxBucket returns the population of the largest crawled-region
-// bucket: the most facts one dense lookup may walk.
-func (e *Engine) CrawledMaxBucket() int { return e.crawled.maxBucket() }
-
 // searchWidth returns the MD search's speculative probe width (≥ 1). A
 // configured per-op budget forces sequential search: under a binding
 // budget, concurrent speculative charges would race the mandatory probes
@@ -432,21 +470,6 @@ func (e *Engine) searchWidth() int {
 		return e.opts.SearchParallelism
 	}
 	return 1
-}
-
-// SearchParallelism returns the EFFECTIVE speculative probe width (≥ 1):
-// the configured Options.SearchParallelism, forced to 1 when a per-op
-// budget makes speculation nondeterministic (see searchWidth).
-func (e *Engine) SearchParallelism() int { return e.searchWidth() }
-
-// SpeculationStats returns the engine-lifetime count of speculative MD
-// probes issued (round slots beyond the first) and the subset wasted (their
-// overflow result was invalidated by a threshold improvement from an earlier
-// slot of the same round, so the box had to be re-probed tightened). Wasted
-// probes' pages still land in the shared history and the fact index, so their
-// upstream cost is never paid twice.
-func (e *Engine) SpeculationStats() (issued, wasted int64) {
-	return e.specIssued.Load(), e.specWasted.Load()
 }
 
 // sParam returns the dense-region population parameter s (§3.2.2), defaulting
@@ -471,9 +494,9 @@ func (e *Engine) cParam() float64 {
 }
 
 // denseWidth1D returns the 1D dense-region width threshold
-// |V(Ai)|·(s/n)/c for the given attribute, or 0 when indexing is disabled.
+// |V(Ai)|·(s/n)/c for the given attribute, or 0 when N is unset.
 func (e *Engine) denseWidth1D(attr int) float64 {
-	if e.opts.DisableIndex || e.opts.N <= 0 {
+	if e.opts.N <= 0 {
 		return 0
 	}
 	d := e.db.Schema().Domain(attr)
@@ -481,9 +504,9 @@ func (e *Engine) denseWidth1D(attr int) float64 {
 }
 
 // denseVolumeMD returns the MD dense-region volume threshold |V|·(s/n)/c
-// over the given ranked attributes, or 0 when indexing is disabled.
+// over the given ranked attributes, or 0 when N is unset.
 func (e *Engine) denseVolumeMD(attrs []int) float64 {
-	if e.opts.DisableIndex || e.opts.N <= 0 {
+	if e.opts.N <= 0 {
 		return 0
 	}
 	vol := 1.0

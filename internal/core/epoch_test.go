@@ -86,9 +86,8 @@ func TestSentinelDetectsDrift(t *testing.T) {
 	if e.Epoch() != FirstEpoch+1 {
 		t.Fatalf("epoch = %d, want %d", e.Epoch(), FirstEpoch+1)
 	}
-	passes, bumps, lastUnix := e.SentinelStats()
-	if passes != 3 || bumps != 1 || lastUnix == 0 {
-		t.Fatalf("SentinelStats = %d/%d/%d, want 3 passes, 1 bump, nonzero last", passes, bumps, lastUnix)
+	if st := e.Stats(); st.SentinelPasses != 3 || st.SentinelBumps != 1 || st.LastSentinelUnix == 0 {
+		t.Fatalf("sentinel stats = %d/%d/%d, want 3 passes, 1 bump, nonzero last", st.SentinelPasses, st.SentinelBumps, st.LastSentinelUnix)
 	}
 	// Drift already absorbed into the stored digests: a further pass with
 	// no new mutation must not bump again.
@@ -168,8 +167,8 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			// promotes it. The probe also re-validates the crawl's own
 			// cached probe answer, so both surfaces count a promotion.
 			e.BumpEpoch()
-			if e.StaleRegions() != 1 {
-				t.Fatalf("StaleRegions = %d after bump, want 1", e.StaleRegions())
+			if e.Stats().StaleRegions != 1 {
+				t.Fatalf("StaleRegions = %d after bump, want 1", e.Stats().StaleRegions)
 			}
 			s3 := e.NewSession()
 			f, err := s3.crawledLookup(rs)
@@ -185,11 +184,11 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			if p := e.denseRevalPromoted.Load(); p != 1 {
 				t.Fatalf("denseRevalPromoted = %d, want 1", p)
 			}
-			if p, ev := e.RevalidationStats(); p != 2 || ev != 0 {
-				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 0", p, ev)
+			if st := e.Stats(); st.RevalPromoted != 2 || st.RevalEvicted != 0 {
+				t.Fatalf("re-validation = %d promoted, %d evicted; want 2, 0", st.RevalPromoted, st.RevalEvicted)
 			}
-			if e.StaleRegions() != 0 {
-				t.Fatalf("StaleRegions = %d after promotion, want 0", e.StaleRegions())
+			if e.Stats().StaleRegions != 0 {
+				t.Fatalf("StaleRegions = %d after promotion, want 0", e.Stats().StaleRegions)
 			}
 
 			// Promoted: the next touch is free again.
@@ -205,8 +204,8 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 				t.Fatal("SetOrd refused")
 			}
 			e.BumpEpoch()
-			if e.StaleRegions() != 1 {
-				t.Fatalf("StaleRegions = %d after the second bump, want 1", e.StaleRegions())
+			if e.Stats().StaleRegions != 1 {
+				t.Fatalf("StaleRegions = %d after the second bump, want 1", e.Stats().StaleRegions)
 			}
 			s5 := e.NewSession()
 			if f, err := s5.crawledLookup(rs); err != nil || f != nil {
@@ -218,11 +217,11 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			if ev := e.denseRevalEvicted.Load(); ev != 1 {
 				t.Fatalf("denseRevalEvicted = %d, want 1", ev)
 			}
-			if p, ev := e.RevalidationStats(); p != 2 || ev != 2 {
-				t.Fatalf("RevalidationStats = %d promoted, %d evicted; want 2, 2", p, ev)
+			if st := e.Stats(); st.RevalPromoted != 2 || st.RevalEvicted != 2 {
+				t.Fatalf("re-validation = %d promoted, %d evicted; want 2, 2", st.RevalPromoted, st.RevalEvicted)
 			}
-			if e.StaleRegions() != 0 {
-				t.Fatalf("StaleRegions = %d after eviction, want 0", e.StaleRegions())
+			if e.Stats().StaleRegions != 0 {
+				t.Fatalf("StaleRegions = %d after eviction, want 0", e.Stats().StaleRegions)
 			}
 		})
 	}
@@ -527,8 +526,7 @@ func TestRerankCorrectAfterDrift(t *testing.T) {
 	}
 
 	runDriftMatrix(t, e, oracle, 5)
-	promoted, evicted := e.RevalidationStats()
-	if promoted+evicted == 0 {
+	if st := e.Stats(); st.RevalPromoted+st.RevalEvicted == 0 {
 		t.Fatal("post-drift matrix touched no stale knowledge — test not exercising re-validation")
 	}
 }
@@ -597,7 +595,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	if _, _, err := e1.NewSession().probe(fresh); err != nil {
 		t.Fatal(err)
 	}
-	wantEpoch, wantStale := e1.Epoch(), e1.StaleRegions()
+	wantEpoch, wantStale := e1.Epoch(), e1.Stats().StaleRegions
 	if wantEpoch != FirstEpoch+2 || wantStale == 0 {
 		t.Fatalf("setup: epoch=%d stale=%d", wantEpoch, wantStale)
 	}
@@ -606,7 +604,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	if e2.Epoch() != wantEpoch {
 		t.Fatalf("replayed epoch %d, want %d", e2.Epoch(), wantEpoch)
 	}
-	if got := e2.StaleRegions(); got != wantStale {
+	if got := e2.Stats().StaleRegions; got != wantStale {
 		t.Fatalf("replayed stale regions %d, want %d", got, wantStale)
 	}
 	r1, r2 := crawledExport(e1.crawled), crawledExport(e2.crawled)

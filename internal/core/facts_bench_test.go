@@ -29,7 +29,7 @@ func benchFacts(b *testing.B, n int) (e *Engine, tuples []types.Tuple, complete,
 	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Ord[0] < tuples[j].Ord[0] })
 	e = NewEngine(db, Options{N: len(tuples), ProbeCacheSize: n})
 	rows := e.History().AddRows(tuples)
-	for held := 0; held < n; held = e.ProbeCacheEntries() { // a duplicate key replaces its fact
+	for held := 0; held < n; held = int(e.facts.entries.Load()) { // a duplicate key replaces its fact
 		overflow := held%4 == 3
 		run := 1 + rng.Intn(k)
 		if overflow {
@@ -51,7 +51,7 @@ func benchFacts(b *testing.B, n int) (e *Engine, tuples []types.Tuple, complete,
 		}
 		e.facts.learn(q.String(), q, cited, overflow, e.Epoch())
 		switch {
-		case e.ProbeCacheEntries() == held:
+		case int(e.facts.entries.Load()) == held:
 		case overflow:
 			partial = append(partial, q)
 		default:

@@ -121,7 +121,7 @@ func TestContainedAnswersAreExactAndFree(t *testing.T) {
 		probe := func(q query.Query) {
 			t.Helper()
 			s := e.NewSession()
-			before, engineBefore := e.ProbeContainedHits(), e.Queries()
+			before, engineBefore := e.Stats().ProbeContainedHits, e.Queries()
 			got, _, err := s.probe(q)
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +131,7 @@ func TestContainedAnswersAreExactAndFree(t *testing.T) {
 				t.Fatalf("seed %d: %s answered\n %v (overflow %v), the upstream says\n %v (overflow %v)",
 					seed, q, got.Tuples, got.Overflow, want.Tuples, want.Overflow)
 			}
-			if e.ProbeContainedHits() > before {
+			if e.Stats().ProbeContainedHits > before {
 				contained++
 				if s.Queries() != 0 || e.Queries() != engineBefore {
 					t.Fatalf("seed %d: %s served by containment charged session %d, engine %d", seed, q, s.Queries(), e.Queries()-engineBefore)
@@ -244,13 +244,13 @@ func TestStaleFactsAndContainment(t *testing.T) {
 		}
 	}
 	e.BumpEpoch()
-	before := e.ProbeCacheEntries()
+	before := e.Stats().ProbeCacheEntries
 	expect("stale outer, box overflows now", outer, 1)
 	if p, ev := e.revalPromoted.Load(), e.revalEvicted.Load(); p != 1 || ev != 2 {
 		t.Fatalf("after an overflowing confirmation: promoted %d evicted %d, want 1/2", p, ev)
 	}
-	if e.ProbeCacheEntries() != before {
-		t.Fatalf("%d facts held, %d before: the overflow page must replace the complete fact under its key", e.ProbeCacheEntries(), before)
+	if e.Stats().ProbeCacheEntries != before {
+		t.Fatalf("%d facts held, %d before: the overflow page must replace the complete fact under its key", e.Stats().ProbeCacheEntries, before)
 	}
 	s = e.NewSession()
 	res, _, err = s.probe(outer)
@@ -258,8 +258,8 @@ func TestStaleFactsAndContainment(t *testing.T) {
 	if err != nil || s.Queries() != 0 || !res.Overflow || !resultsEqual(res, want) {
 		t.Fatalf("outer again: cost %d err %v overflow %v, want the upstream's overflow page for 0", s.Queries(), err, res.Overflow)
 	}
-	if e.ProbePartialHits() != 1 {
-		t.Fatalf("partial hits %d, want 1", e.ProbePartialHits())
+	if e.Stats().ProbePartialHits != 1 {
+		t.Fatalf("partial hits %d, want 1", e.Stats().ProbePartialHits)
 	}
 	expect("contained in the partial fact", inner(), 1)
 
@@ -325,9 +325,9 @@ func TestReplayedFactsAnswerContainedProbes(t *testing.T) {
 	if !resultsEqual(got, want) {
 		t.Fatalf("contained probe after replay answered %v, the upstream says %v", got.Tuples, want.Tuples)
 	}
-	if s2.Queries() != 0 || db.QueryCount() != 0 || e2.ProbeContainedHits() != 1 {
+	if s2.Queries() != 0 || db.QueryCount() != 0 || e2.Stats().ProbeContainedHits != 1 {
 		t.Fatalf("contained probe after replay: charged %d, upstream saw %d, contained hits %d; want 0/0/1",
-			s2.Queries(), db.QueryCount(), e2.ProbeContainedHits())
+			s2.Queries(), db.QueryCount(), e2.Stats().ProbeContainedHits)
 	}
 	// outers[1] was not re-confirmed: stale after replay, so it contains nothing.
 	if got := costOf(t, e2, outers[1].WithRange(1, types.ClosedInterval(40.2, 40.8))); got != 1 {
@@ -366,8 +366,8 @@ func TestReopenOldFormatStartsCold(t *testing.T) {
 
 	e2 := NewEngine(db, Options{N: 400})
 	attachStore(t, e2, p1.store.Dir(), segment.Options{})
-	if e2.History().Size() != 0 || e2.ProbeCacheEntries() != 0 || e2.DenseIndex1D().Regions(0) != 0 {
-		t.Fatalf("old-format store restored knowledge (history %d, facts %d), want a cold start", e2.History().Size(), e2.ProbeCacheEntries())
+	if e2.History().Size() != 0 || e2.Stats().ProbeCacheEntries != 0 || e2.DenseIndex1D().Regions(0) != 0 {
+		t.Fatalf("old-format store restored knowledge (history %d, facts %d), want a cold start", e2.History().Size(), e2.Stats().ProbeCacheEntries)
 	}
 	if q, _ := filepath.Glob(filepath.Join(p1.store.Dir(), "quarantine", "*")); len(q) == 0 {
 		t.Fatal("old-format journal not quarantined")
@@ -403,7 +403,7 @@ func TestPartialFactsReplayOverflowPages(t *testing.T) {
 		if err != nil || s1.Queries() == 0 {
 			t.Fatalf("%s: cold run cost %d, err %v", name, s1.Queries(), err)
 		}
-		replays := e.ProbePartialHits()
+		replays := e.Stats().ProbePartialHits
 		s2, upstream := e.NewSession(), db.QueryCount()
 		again, err := run(s2)
 		if err != nil || s2.Queries() != 0 || db.QueryCount() != upstream {
@@ -412,7 +412,7 @@ func TestPartialFactsReplayOverflowPages(t *testing.T) {
 		if !slices.EqualFunc(first, again, types.Tuple.Equal) {
 			t.Fatalf("%s: repeat answered %v, first %v", name, again, first)
 		}
-		if e.ProbePartialHits() == replays {
+		if e.Stats().ProbePartialHits == replays {
 			t.Fatalf("%s: the repeat replayed no overflow page; the test exercised nothing", name)
 		}
 	}
@@ -511,8 +511,8 @@ func TestProbeCacheLRU(t *testing.T) {
 		if got := costOf(t, e, step.q); got != step.cost {
 			t.Fatalf("%s: cost %d, want %d", step.name, got, step.cost)
 		}
-		if e.ProbeCacheEntries() != step.facts {
-			t.Fatalf("%s: %d facts held, want %d", step.name, e.ProbeCacheEntries(), step.facts)
+		if e.Stats().ProbeCacheEntries != step.facts {
+			t.Fatalf("%s: %d facts held, want %d", step.name, e.Stats().ProbeCacheEntries, step.facts)
 		}
 	}
 }
@@ -664,8 +664,8 @@ func TestFactIndexConcurrentSessions(t *testing.T) {
 	if ledgers != db.QueryCount() || e.Queries() != db.QueryCount() {
 		t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", ledgers, e.Queries(), db.QueryCount())
 	}
-	if e.ProbeContainedHits() == 0 || e.ProbeCacheEntries() > 48 {
-		t.Fatalf("contained hits %d, facts held %d of 48", e.ProbeContainedHits(), e.ProbeCacheEntries())
+	if e.Stats().ProbeContainedHits == 0 || e.Stats().ProbeCacheEntries > 48 {
+		t.Fatalf("contained hits %d, facts held %d of 48", e.Stats().ProbeContainedHits, e.Stats().ProbeCacheEntries)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestMDProbeStreamIndependentOfH(t *testing.T) {
 			if _, err := TopH(e.NewMDCursor(q, r, Rerank), h); err != nil {
 				t.Fatal(err)
 			}
-			if c, _ := e.MDCertificationStats(); c == 0 {
+			if e.Stats().MDCertifiedComplete == 0 {
 				t.Fatal("no deep certification came back complete; the test exercised nothing")
 			}
 			return db.probes[from:]
@@ -82,14 +82,14 @@ func TestMDRepeatCertifiesFromFacts(t *testing.T) {
 	full := oracleTopH(tuples, q, r, len(tuples))
 	var deep, asked [2]int64
 	for run := range deep {
-		d0, _ := e.MDCertificationStats()
+		d0 := e.Stats().MDCertifiedComplete
 		q0 := db.QueryCount()
 		got, err := TopH(e.NewMDCursor(q, r, Rerank), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameRanking(t, r, got, full[:8], full)
-		d1, _ := e.MDCertificationStats()
+		d1 := e.Stats().MDCertifiedComplete
 		deep[run], asked[run] = d1-d0, db.QueryCount()-q0
 	}
 	if deep[0] == 0 {

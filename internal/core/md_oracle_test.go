@@ -144,13 +144,14 @@ func TestMDOracle(t *testing.T) {
 								}
 							}
 						}
-						complete, overflow := e.MDCertificationStats()
-						if v != Rerank && complete+overflow+e.CoverHits() != 0 {
-							t.Fatalf("%v certified (%d complete, %d overflowing) or read a page (%d hits)", v, complete, overflow, e.CoverHits())
+						st := e.Stats()
+						complete, overflow := st.MDCertifiedComplete, st.MDCertifiedOverflow
+						if v != Rerank && complete+overflow+st.CoverHits != 0 {
+							t.Fatalf("%v certified (%d complete, %d overflowing) or read a page (%d hits)", v, complete, overflow, st.CoverHits)
 						}
 						// A page of ten certifies at depth 1, the candidate's own contour.
-						if v == Rerank && (e.CoverHits() == 0 || (certDepth(db.K()) > 1 && complete == 0)) {
-							t.Fatalf("%d complete certifications, %d cover hits; the test exercised nothing", complete, e.CoverHits())
+						if v == Rerank && (st.CoverHits == 0 || (certDepth(db.K()) > 1 && complete == 0)) {
+							t.Fatalf("%d complete certifications, %d cover hits; the test exercised nothing", complete, st.CoverHits)
 						}
 						if ledgers != db.QueryCount() || e.Queries() != db.QueryCount() {
 							t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", ledgers, e.Queries(), db.QueryCount())

@@ -171,9 +171,8 @@ func TestMDParallelSharedSession(t *testing.T) {
 	if sum != e.Queries() {
 		t.Errorf("session ledgers sum to %d, engine counted %d", sum, e.Queries())
 	}
-	issued, wasted := e.SpeculationStats()
-	if wasted > issued {
-		t.Errorf("wasted %d speculative probes but only %d were issued", wasted, issued)
+	if st := e.Stats(); st.SpecProbesWasted > st.SpecProbesIssued {
+		t.Errorf("wasted %d speculative probes but only %d were issued", st.SpecProbesWasted, st.SpecProbesIssued)
 	}
 }
 
@@ -199,8 +198,8 @@ func TestMDSpeculationWasteBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	issued, wasted := e.SpeculationStats()
-	total := e.Queries()
+	st := e.Stats()
+	issued, wasted, total := st.SpecProbesIssued, st.SpecProbesWasted, e.Queries()
 	t.Logf("upstream queries %d, speculative issued %d, wasted %d", total, issued, wasted)
 	if total == 0 {
 		t.Fatal("workload issued no upstream queries")

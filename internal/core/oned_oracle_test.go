@@ -123,16 +123,17 @@ func (r *oneDRun) topH(corpus []types.Tuple, q query.Query, attr int, dir rankin
 	var got []types.Tuple
 	for len(got) < h {
 		levels := 1 + subDepth(cur)
-		c0, o0 := r.e.CertificationStats()
+		st0 := r.e.Stats()
 		tp, ok, err := cur.Next()
 		if err != nil {
 			r.t.Fatal(err)
 		}
 		levels = max(levels, 1+subDepth(cur))
 		r.getNexts += levels
-		if c1, o1 := r.e.CertificationStats(); c1+o1-c0-o0 > levels {
+		st1 := r.e.Stats()
+		if n := st1.CertifiedComplete + st1.CertifiedOverflow - st0.CertifiedComplete - st0.CertifiedOverflow; n > levels {
 			r.t.Fatalf("%s by A%d dir %d: Get-Next %d issued %d certification probes across %d cursor levels",
-				q, attr, dir, len(got)+1, c1+o1-c0-o0, levels)
+				q, attr, dir, len(got)+1, n, levels)
 		}
 		if !ok {
 			break
@@ -156,8 +157,8 @@ func (r *oneDRun) close(db *hidden.DB) {
 	if r.ledgers != db.QueryCount() || r.e.Queries() != db.QueryCount() {
 		r.t.Fatalf("session ledgers %d, engine ledger %d, upstream saw %d", r.ledgers, r.e.Queries(), db.QueryCount())
 	}
-	if c, o := r.e.CertificationStats(); c+o > r.getNexts {
-		r.t.Fatalf("%d complete + %d overflowing certifications over %d Get-Nexts", c, o, r.getNexts)
+	if st := r.e.Stats(); st.CertifiedComplete+st.CertifiedOverflow > r.getNexts {
+		r.t.Fatalf("%d complete + %d overflowing certifications over %d Get-Nexts", st.CertifiedComplete, st.CertifiedOverflow, r.getNexts)
 	}
 }
 
@@ -187,7 +188,7 @@ func TestOneDOracle(t *testing.T) {
 					}
 				}
 				run.close(db)
-				if c, _ := run.e.CertificationStats(); c == 0 {
+				if run.e.Stats().CertifiedComplete == 0 {
 					t.Fatal("no certification came back complete; the test exercised nothing")
 				}
 			})

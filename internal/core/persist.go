@@ -35,7 +35,7 @@
 // recorded meanwhile and keeps the history watermark, so the next checkpoint
 // retries the same knowledge; the store itself rolls the journal back to its
 // last committed record. Nothing is ever dropped silently — the last error
-// is surfaced through Stats.
+// is surfaced through Engine.Stats (PersistLastError).
 package core
 
 import (
@@ -233,7 +233,7 @@ func (p *Persister) record(op pendingOp) {
 // (and recording) throughout: capture is a queue swap under a short mutex,
 // and the delta is built and written entirely off-lock. An empty capture
 // writes nothing. On append failure the captured work is re-queued and the
-// error is also surfaced via Stats.
+// error is also surfaced via Engine.Stats.
 func (p *Persister) Checkpoint() error {
 	p.mu.Lock()
 	ops := p.ops
@@ -338,28 +338,23 @@ func (p *Persister) Close() error {
 	return err
 }
 
-// PersistStats describes the persister's progress for observability.
-type PersistStats struct {
-	// Store mirrors the underlying segment store's counters.
-	Store segment.Stats
-	// PendingOps is the number of recorded operations awaiting checkpoint.
-	PendingOps int
-	// HistLo is the history row watermark: rows below it are committed.
-	HistLo int
-	// LastError is the most recent checkpoint failure ("" when healthy).
-	LastError string
-}
-
-// Stats returns the persister's current counters.
-func (p *Persister) Stats() PersistStats {
+// stats fills st's Persist* gauges.
+func (p *Persister) stats(st *Stats) {
 	p.mu.Lock()
-	st := PersistStats{PendingOps: len(p.ops), HistLo: p.histLo}
+	st.PersistPendingOps = len(p.ops)
 	if p.lastErr != nil {
-		st.LastError = p.lastErr.Error()
+		st.PersistLastError = p.lastErr.Error()
 	}
 	p.mu.Unlock()
-	st.Store = p.store.Stats()
-	return st
+	ss := p.store.Stats()
+	st.PersistEnabled = true
+	st.PersistSeq = int64(ss.Seq)
+	st.PersistCheckpoints = ss.Checkpoints
+	st.PersistCompactions = ss.Compactions
+	st.PersistJournalRecords = ss.JournalRecords
+	st.PersistSegmentFiles = ss.SegmentFiles
+	st.PersistReplayedDeltas = ss.ReplayedDeltas
+	st.PersistBytesAppended = ss.BytesAppended
 }
 
 func rangeInterval(r segment.ProbeRange) types.Interval {

@@ -78,7 +78,7 @@ func reopenViaStore(t *testing.T, e *Engine) *Engine {
 		t.Fatal(err)
 	}
 	e2 := NewEngine(e.db, e.opts)
-	if st := attachStore(t, e2, p.store.Dir(), segment.Options{}).Stats().Store; st.DroppedRecords != 0 {
+	if st := attachStore(t, e2, p.store.Dir(), segment.Options{}).store.Stats(); st.DroppedRecords != 0 {
 		t.Fatalf("clean restart rejected %d committed records: a checkpoint wrote what replay cannot apply", st.DroppedRecords)
 	}
 	return e2
@@ -175,8 +175,8 @@ func assertSameKnowledge(t *testing.T, got, want *Engine) {
 		t.Fatalf("history size %d, want %d", got.History().Size(), want.History().Size())
 	}
 	assertSameRegions(t, got, want)
-	if got.ProbeCacheEntries() != want.ProbeCacheEntries() {
-		t.Fatalf("probe cache holds %d entries, want %d", got.ProbeCacheEntries(), want.ProbeCacheEntries())
+	if got.Stats().ProbeCacheEntries != want.Stats().ProbeCacheEntries {
+		t.Fatalf("probe cache holds %d entries, want %d", got.Stats().ProbeCacheEntries, want.Stats().ProbeCacheEntries)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestPersistWarmRestartZeroRespend(t *testing.T) {
 
 	db.ResetCounter()
 	e2 := reopenViaStore(t, e1)
-	if st := p1.Stats(); st.Store.Checkpoints == 0 {
+	if st := p1.store.Stats(); st.Checkpoints == 0 {
 		t.Fatalf("no checkpoint committed: %+v", st)
 	}
 	if n := db.QueryCount(); n != 0 {
@@ -245,7 +245,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 				t.Fatal(err)
 			}
 			committedHist := e1.History().Size()
-			committedProbes := e1.ProbeCacheEntries()
+			committedProbes := e1.Stats().ProbeCacheEntries
 
 			// More knowledge arrives, then the checkpoint trying to commit
 			// it dies mid-write.
@@ -258,7 +258,7 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 			if err := p1.Checkpoint(); err == nil {
 				t.Fatal("checkpoint with injected writer failure succeeded")
 			}
-			if ps := p1.Stats(); ps.LastError == "" || ps.PendingOps == 0 {
+			if ps := e1.Stats(); ps.PersistLastError == "" || ps.PersistPendingOps == 0 {
 				t.Fatalf("failed checkpoint not re-queued: %+v", ps)
 			}
 			st1.Close() // crash: no drain, no final checkpoint
@@ -266,8 +266,8 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 			db.ResetCounter()
 			e2 := NewEngine(db, Options{N: 400})
 			p2 := attachStore(t, e2, dir, segment.Options{})
-			if st := p2.Stats(); st.Store.ReplayedDeltas != 1 || st.Store.DroppedRecords != 0 {
-				t.Fatalf("recovery replayed %+v, want exactly the 1 committed delta", st.Store)
+			if st := p2.store.Stats(); st.ReplayedDeltas != 1 || st.DroppedRecords != 0 {
+				t.Fatalf("recovery replayed %+v, want exactly the 1 committed delta", st)
 			}
 			// Everything the committed checkpoint covered is warm — and
 			// nothing past it: the recovered engine holds exactly the state
@@ -275,8 +275,8 @@ func TestPersistCrashMidCheckpointRecoversToLastCommitted(t *testing.T) {
 			if e2.History().Size() != committedHist {
 				t.Fatalf("recovered history size %d, want committed %d", e2.History().Size(), committedHist)
 			}
-			if e2.ProbeCacheEntries() != committedProbes {
-				t.Fatalf("recovered probe cache holds %d entries, want committed %d", e2.ProbeCacheEntries(), committedProbes)
+			if e2.Stats().ProbeCacheEntries != committedProbes {
+				t.Fatalf("recovered probe cache holds %d entries, want committed %d", e2.Stats().ProbeCacheEntries, committedProbes)
 			}
 			sess2 := e2.NewSession()
 			for _, q := range persistProbes() {
@@ -505,7 +505,7 @@ func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
 		if err := e.applyDelta(d); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-		if e.MDDenseRegions() != 0 || e.DenseIndex1D().Regions(0) != 0 || e.ProbeCacheEntries() != 0 {
+		if e.Stats().MDDenseRegions != 0 || e.DenseIndex1D().Regions(0) != 0 || e.Stats().ProbeCacheEntries != 0 {
 			t.Errorf("%s installed knowledge despite the error", name)
 		}
 	}

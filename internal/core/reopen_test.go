@@ -122,8 +122,8 @@ func TestCheckpointUnderLoadStaysWarm(t *testing.T) {
 	st.Close() // crash: whatever the mid-load checkpoint committed is all there is
 
 	warm := NewEngine(db, Options{N: 600})
-	if ps := attachStore(t, warm, dir, segment.Options{}).Stats(); ps.Store.DroppedRecords != 0 {
-		t.Fatalf("mid-load checkpoint does not replay: %+v", ps.Store)
+	if ps := attachStore(t, warm, dir, segment.Options{}).store.Stats(); ps.DroppedRecords != 0 {
+		t.Fatalf("mid-load checkpoint does not replay: %+v", ps)
 	}
 	db.ResetCounter()
 	sess := warm.NewSession()
@@ -159,9 +159,9 @@ func TestReopenForeignFingerprintStartsCold(t *testing.T) {
 			}
 			eF := NewEngine(foreign, Options{N: 400})
 			attachStore(t, eF, p1.store.Dir(), segment.Options{})
-			if eF.History().Size() != 0 || eF.ProbeCacheEntries() != 0 || eF.MDDenseRegions() != 0 || eF.DenseIndex1D().Regions(0) != 0 {
+			if eF.History().Size() != 0 || eF.Stats().ProbeCacheEntries != 0 || eF.Stats().MDDenseRegions != 0 || eF.DenseIndex1D().Regions(0) != 0 {
 				t.Errorf("mismatched open restored knowledge (history %d, probes %d, MD %d, 1D %d), want a cold start",
-					eF.History().Size(), eF.ProbeCacheEntries(), eF.MDDenseRegions(), eF.DenseIndex1D().Regions(0))
+					eF.History().Size(), eF.Stats().ProbeCacheEntries, eF.Stats().MDDenseRegions, eF.DenseIndex1D().Regions(0))
 			}
 		})
 	}
@@ -219,15 +219,15 @@ func TestReopenMDWarmRestart(t *testing.T) {
 	if sess1.Queries() == 0 {
 		t.Fatal("precondition: cold MD-RERANK run cost 0 queries")
 	}
-	if e1.MDDenseRegions() == 0 {
+	if e1.Stats().MDDenseRegions == 0 {
 		t.Fatal("precondition: cold run crawled no MD dense region")
 	}
 
 	// Restart, repeat the session.
 	db.ResetCounter()
 	e2 := reopenViaStore(t, e1)
-	if e2.MDDenseRegions() != e1.MDDenseRegions() {
-		t.Fatalf("restored %d MD dense regions, want %d", e2.MDDenseRegions(), e1.MDDenseRegions())
+	if e2.Stats().MDDenseRegions != e1.Stats().MDDenseRegions {
+		t.Fatalf("restored %d MD dense regions, want %d", e2.Stats().MDDenseRegions, e1.Stats().MDDenseRegions)
 	}
 	sess2 := e2.NewSession()
 	cur2, err := sess2.NewCursor(q, rk, Rerank)

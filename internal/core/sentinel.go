@@ -106,10 +106,3 @@ func (e *Engine) SentinelPass() (bumped bool, queries int64, err error) {
 	}
 	return false, queries, nil
 }
-
-// SentinelStats returns the engine-lifetime sentinel counters: completed
-// passes, drift-triggered epoch bumps, and the unix time of the last
-// completed pass (0 if none yet).
-func (e *Engine) SentinelStats() (passes, bumps, lastUnix int64) {
-	return e.sentPasses.Load(), e.sentBumps.Load(), e.sentLast.Load()
-}

@@ -160,7 +160,7 @@ func TestConcurrentStoreReadsWritesLiveCheckpoint(t *testing.T) {
 	if warm.History().Size() != e.History().Size() {
 		t.Fatalf("restored history size %d, want %d", warm.History().Size(), e.History().Size())
 	}
-	if warm.ProbeCacheEntries() != e.ProbeCacheEntries() {
-		t.Fatalf("restored %d cached probes, want %d", warm.ProbeCacheEntries(), e.ProbeCacheEntries())
+	if warm.Stats().ProbeCacheEntries != e.Stats().ProbeCacheEntries {
+		t.Fatalf("restored %d cached probes, want %d", warm.Stats().ProbeCacheEntries, e.Stats().ProbeCacheEntries)
 	}
 }

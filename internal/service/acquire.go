@@ -33,20 +33,9 @@ type AcquireOptions struct {
 	// through the low-priority gate (default 1, scaled by the namespace's
 	// admission weight like any session).
 	Weight int
-	// Interval is the acquirer's tick period (default 1s).
-	Interval time.Duration
-	// IdleAfter is how long a namespace must be free of user requests
-	// before a tick does any work (default 2·Interval).
-	IdleAfter time.Duration
-	// WindowsPerTick bounds how many windows one tick may acquire
-	// (default 2).
-	WindowsPerTick int
-	// WarmDepth is how many tuples deep each direction of a window is
-	// warmed (default 16).
-	WarmDepth int
-	// MinHeat is the decayed-heat floor below which candidate windows are
-	// not worth acquiring (default 1).
-	MinHeat float64
+	// Config is the acquirer's own tuning (tick period, idle gate, windows
+	// per tick, warm depth, heat floor; see acquire.Config for defaults).
+	acquire.Config
 }
 
 // touchUser stamps the tenant's last-user-request clock; called on every
@@ -95,13 +84,7 @@ func (s *Server) startAcquirer(t *tenant) {
 			return sess.Queries(), false, err
 		},
 	}
-	a = acquire.New(acquire.Config{
-		Interval:       ao.Interval,
-		IdleAfter:      ao.IdleAfter,
-		WindowsPerTick: ao.WindowsPerTick,
-		WarmDepth:      ao.WarmDepth,
-		MinHeat:        ao.MinHeat,
-	}, hooks)
+	a = acquire.New(ao.Config, hooks)
 	t.acq = a
 	a.Start()
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/types"
@@ -28,10 +29,8 @@ func acquireOpts(maxSessions int) Options {
 		Core:        core.Options{N: 1200},
 		MaxSessions: maxSessions,
 		Acquire: AcquireOptions{
-			Enabled:   true,
-			Interval:  time.Hour,
-			IdleAfter: time.Nanosecond,
-			WarmDepth: 12,
+			Enabled: true,
+			Config:  acquire.Config{Interval: time.Hour, IdleAfter: time.Nanosecond, WarmDepth: 12},
 		},
 	}
 }

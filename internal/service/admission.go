@@ -61,22 +61,13 @@ type Options struct {
 	// namespace (disabled by default; see acquire.go and
 	// docs/acquisition.md).
 	Acquire AcquireOptions
-	// Sentinel configures periodic drift detection per namespace (disabled
-	// by default; see sentinel.go and docs/epochs.md).
-	Sentinel SentinelOptions
+	// SentinelInterval is the period of each namespace's sentinel pass, the
+	// cheap probe set that detects upstream drift and bumps the knowledge
+	// epoch (0 = off; see sentinel.go and docs/epochs.md).
+	SentinelInterval time.Duration
 	// Guard configures the retry/hedge/health layer wrapped around REMOTE
 	// upstreams (in-process databases are never wrapped — they cannot flake).
 	Guard GuardConfig
-}
-
-// SentinelOptions configure the per-namespace sentinel scheduler: the cheap
-// periodic probe pass that detects upstream drift and bumps the knowledge
-// epoch (see internal/core/sentinel.go).
-type SentinelOptions struct {
-	// Enabled turns the per-namespace sentinel loop on.
-	Enabled bool
-	// Interval is the pass period (default 30s).
-	Interval time.Duration
 }
 
 // GuardConfig configures the hidden.Guard wrapped around every remote
@@ -100,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StreamWriteTimeout <= 0 {
 		o.StreamWriteTimeout = 30 * time.Second
-	}
-	if o.Sentinel.Interval <= 0 {
-		o.Sentinel.Interval = 30 * time.Second
 	}
 	return o
 }

@@ -534,7 +534,7 @@ func TestRegistryNamespaceIsolation(t *testing.T) {
 	if got := b.History().Size(); got != 0 {
 		t.Fatalf("namespace b's history gained %d tuples from a's traffic", got)
 	}
-	if got := b.ProbeCacheEntries(); got != 0 {
+	if got := b.Stats().ProbeCacheEntries; got != 0 {
 		t.Fatalf("namespace b's probe cache gained %d entries from a's traffic", got)
 	}
 

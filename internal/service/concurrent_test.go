@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +21,34 @@ func TestConcurrentRerankRequests(t *testing.T) {
 	var wg sync.WaitGroup
 	var issued atomic.Int64
 	errs := make(chan error, 64)
+	// A scraper reads /v1/stats and /metrics throughout, so the counter
+	// snapshot runs beside live writers.
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := client.Stats(); err != nil {
+				errs <- err
+				return
+			}
+			resp, err := client.http.Get(client.baseURL + "/metrics")
+			if err != nil {
+				errs <- err
+				return
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("GET /metrics: status %d, %v", resp.StatusCode, err)
+				return
+			}
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		g := g
 		wg.Add(1)
@@ -47,6 +77,8 @@ func TestConcurrentRerankRequests(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

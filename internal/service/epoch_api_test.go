@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/hidden"
 	"repro/internal/query"
@@ -285,11 +286,11 @@ func TestGuardErrorMapping(t *testing.T) {
 func TestDeregisterRacesBackgroundTicks(t *testing.T) {
 	srv := NewFederatedServer(Options{
 		Core: core.Options{N: 1200},
-		Acquire: AcquireOptions{
-			Enabled: true, Interval: time.Millisecond, IdleAfter: time.Nanosecond,
+		Acquire: AcquireOptions{Enabled: true, Config: acquire.Config{
+			Interval: time.Millisecond, IdleAfter: time.Nanosecond,
 			WindowsPerTick: 2, WarmDepth: 4, MinHeat: 0.1,
-		},
-		Sentinel: SentinelOptions{Enabled: true, Interval: time.Millisecond},
+		}},
+		SentinelInterval: time.Millisecond,
 	})
 	if err := srv.OpenDataDir(t.TempDir(), PersistConfig{CheckpointInterval: 2 * time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -344,8 +345,7 @@ func TestDeregisterRacesBackgroundTicks(t *testing.T) {
 	base := info.LastSentinelUnix
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		passes, _, _ := srv.tenants["keeper"].engine().SentinelStats()
-		if passes > 0 && base != 0 {
+		if srv.tenants["keeper"].engine().Stats().SentinelPasses > 0 && base != 0 {
 			break // sentinel loop demonstrably alive after the refused DELETE
 		}
 		if time.Now().After(deadline) {
@@ -360,7 +360,7 @@ func TestDeregisterRacesBackgroundTicks(t *testing.T) {
 // the upstream descriptor without any client traffic.
 func TestSentinelLoopBumpsWithinOneInterval(t *testing.T) {
 	_, _, client, db := epochPipeline(t, Options{
-		Sentinel: SentinelOptions{Enabled: true, Interval: 5 * time.Millisecond},
+		SentinelInterval: 5 * time.Millisecond,
 	})
 
 	// Wait for the baseline pass, then drift.

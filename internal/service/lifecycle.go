@@ -42,7 +42,7 @@ type tenant struct {
 	// in-process databases, which always report healthy).
 	guard *hidden.Guard
 	// sent is the namespace's running sentinel loop (nil unless
-	// Options.Sentinel.Enabled).
+	// Options.SentinelInterval > 0).
 	sent *sentinelLoop
 }
 

@@ -9,12 +9,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -283,6 +285,24 @@ func TestUpstreamStatsRoute(t *testing.T) {
 	}
 	if want := all.Upstreams["diamonds"]; !reflect.DeepEqual(one, want) {
 		t.Fatalf("GET /v1/upstreams/diamonds/stats = %+v\nwant /v1/stats upstreams[diamonds] = %+v", one, want)
+	}
+	// The wire keys of an in-process namespace without a data dir or an
+	// acquirer; a key lost or renamed in the struct shows up here.
+	var raw map[string]any
+	get("/v1/upstreams/diamonds/stats", &raw)
+	keys := slices.Sorted(maps.Keys(raw))
+	wantKeys := []string{"admissionWeight", "batchItems", "batchRequests", "certifiedComplete",
+		"certifiedOverflow", "coverHits", "default", "denseMDMaxBucket", "engineQueries", "epoch",
+		"epochBumps", "health", "historyTuples", "mdCertifiedComplete", "mdCertifiedOverflow",
+		"mdDenseRegions", "persistEnabled", "probeCacheEntries", "probeContainedHits",
+		"probeFactBytes", "probeFailures", "probeFastFails", "probeHedgeWins", "probeHedges",
+		"probePartialHits", "probeRetries", "requests", "revalEvicted", "revalPromoted",
+		"searchParallelism", "sentinelBumps", "sentinelPasses", "specProbesIssued",
+		"specProbesWasted", "staleHistoryRows", "staleRegions", "storageApproxBytes",
+		"storageBlocks", "storageDictEntries", "storageResidentTuples", "streamRequests",
+		"streamTuples", "upstreamK", "upstreamRanker"}
+	if !slices.Equal(keys, wantKeys) {
+		t.Fatalf("stats keys %q\nwant %q", keys, wantKeys)
 	}
 
 	resp, err := api.Client().Get(api.URL + "/v1/upstreams/nope/stats")

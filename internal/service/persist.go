@@ -120,32 +120,3 @@ func (s *Server) ClosePersistence() error {
 	}
 	return first
 }
-
-// PersistStats returns the persistence counters summed across namespaces
-// and whether persistence is enabled for any of them (per-namespace figures
-// are on Stats().Upstreams). LastError is the first failing namespace's.
-func (s *Server) PersistStats() (core.PersistStats, bool) {
-	var agg core.PersistStats
-	any := false
-	for _, t := range s.tenantList() {
-		p := t.engine().Persister()
-		if p == nil {
-			continue
-		}
-		any = true
-		ps := p.Stats()
-		agg.Store.Seq += ps.Store.Seq
-		agg.Store.Checkpoints += ps.Store.Checkpoints
-		agg.Store.Compactions += ps.Store.Compactions
-		agg.Store.JournalRecords += ps.Store.JournalRecords
-		agg.Store.SegmentFiles += ps.Store.SegmentFiles
-		agg.Store.ReplayedDeltas += ps.Store.ReplayedDeltas
-		agg.Store.BytesAppended += ps.Store.BytesAppended
-		agg.PendingOps += ps.PendingOps
-		agg.HistLo += ps.HistLo
-		if agg.LastError == "" {
-			agg.LastError = ps.LastError
-		}
-	}
-	return agg, any
-}

@@ -63,8 +63,8 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	req := denseMDRequest()
 
 	srv1 := NewServer(db, 1200)
-	if _, enabled := srv1.PersistStats(); enabled {
-		t.Fatal("PersistStats reports a store before OpenDataDir")
+	if srv1.Stats().Upstreams[DefaultUpstream].PersistEnabled {
+		t.Fatal("PersistEnabled true before OpenDataDir")
 	}
 	if err := srv1.OpenDataDir(dir, PersistConfig{}); err != nil {
 		t.Fatal(err)
@@ -80,11 +80,8 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	if !st1.PersistEnabled {
 		t.Fatal("PersistEnabled false with an open data dir")
 	}
-	if st1.PersistPendingOps == 0 {
-		t.Fatal("no pending ops recorded by a crawling request")
-	}
-	if ps, enabled := srv1.PersistStats(); !enabled || ps.PendingOps != st1.PersistPendingOps || ps.LastError != "" {
-		t.Fatalf("PersistStats = %+v, %v; want enabled with %d pending ops", ps, enabled, st1.PersistPendingOps)
+	if st1.PersistPendingOps == 0 || st1.PersistLastError != "" {
+		t.Fatalf("%d pending ops, last error %q: want the crawling request's ops and no error", st1.PersistPendingOps, st1.PersistLastError)
 	}
 	if err := srv1.ClosePersistence(); err != nil {
 		t.Fatal(err)

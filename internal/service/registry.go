@@ -190,7 +190,7 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 	// The sentinel also starts post-replay: its first pass baselines the
 	// upstream's current answers, so restored knowledge that predates a
 	// corpus change is caught by the second pass at the latest.
-	if s.opts.Sentinel.Enabled && !s.draining.Load() {
+	if s.opts.SentinelInterval > 0 && !s.draining.Load() {
 		s.startSentinel(t)
 	}
 	info := s.upstreamInfo(t)
@@ -252,7 +252,7 @@ func (s *Server) DeregisterUpstream(name string) error {
 			if s.opts.Acquire.Enabled {
 				s.startAcquirer(t)
 			}
-			if s.opts.Sentinel.Enabled {
+			if s.opts.SentinelInterval > 0 {
 				s.startSentinel(t)
 			}
 		}
@@ -330,7 +330,7 @@ func (s *Server) handleRevalidate(w http.ResponseWriter, r *http.Request) {
 		Epoch:        eng.Epoch(),
 		Bumped:       bumped,
 		Queries:      queries,
-		StaleRegions: eng.StaleRegions(),
+		StaleRegions: eng.Stats().StaleRegions,
 	})
 }
 

@@ -32,18 +32,17 @@ func (s *Server) startSentinel(t *tenant) {
 	loop := &sentinelLoop{stop: make(chan struct{}), done: make(chan struct{})}
 	t.sent = loop
 	eng := t.engine()
-	interval := s.opts.Sentinel.Interval
 	go func() {
 		defer close(loop.done)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(s.opts.SentinelInterval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-loop.stop:
 				return
 			case <-ticker.C:
-				// Errors are deliberately dropped here: SentinelStats and
-				// the guard's failure counters carry the evidence, and a
+				// Errors are deliberately dropped here: UpstreamStats'
+				// sentinel and guard counters carry the evidence, and a
 				// failed pass changes no digests.
 				_, _, _ = eng.SentinelPass()
 			}

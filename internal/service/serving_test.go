@@ -468,11 +468,12 @@ func TestStreamMatchesRerank(t *testing.T) {
 // call count reaches its final value.
 func TestStreamFirstTupleBeforeCompletion(t *testing.T) {
 	db := &latencyDB{Database: bnDB(t, 800), delay: 2 * time.Millisecond}
-	// Baseline algorithm with history, index and fact index disabled: every
-	// Get-Next must reach the upstream, so a stream that buffered the
-	// whole search before emitting would show callsAtFirstTuple == total.
+	// Baseline algorithm (it never reads the dense index) with history and
+	// fact index disabled: every Get-Next must reach the upstream, so a
+	// stream that buffered the whole search before emitting would show
+	// callsAtFirstTuple == total.
 	_, _, client := servingPipeline(t, db, Options{Core: core.Options{
-		N: 800, DisableHistory: true, DisableIndex: true, ProbeCacheSize: -1,
+		N: 800, DisableHistory: true, ProbeCacheSize: -1,
 	}})
 	lo, hi := 5000.0, 7000.0
 	req := RerankRequest{

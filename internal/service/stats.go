@@ -13,13 +13,15 @@ import (
 	"sort"
 
 	"repro/internal/acquire"
+	"repro/internal/core"
 	"repro/internal/hidden"
 )
 
-// UpstreamStats is one namespace's counters, the only place an engine or
-// serving counter is declared: served under /v1/stats (the Upstreams map),
-// /v1/upstreams listings and /v1/upstreams/{ns}/stats, and rendered on
-// /metrics by upstreamSeries.
+// UpstreamStats is one namespace's counters, served under /v1/stats (the
+// Upstreams map), /v1/upstreams listings and /v1/upstreams/{ns}/stats, and
+// rendered on /metrics by upstreamSeries. Its engine half is core.Stats,
+// embedded so its fields are this block's keys; the rest is the serving
+// tier's own.
 type UpstreamStats struct {
 	// URL is the upstream's endpoint ("" for an in-process database).
 	URL string `json:"url,omitempty"`
@@ -30,84 +32,28 @@ type UpstreamStats struct {
 	// to the shared admission capacity.
 	AdmissionWeight int `json:"admissionWeight"`
 
-	EngineQueries     int64  `json:"engineQueries"`
-	HistoryTuples     int    `json:"historyTuples"`
-	ProbeCacheEntries int    `json:"probeCacheEntries"`
-	MDDenseRegions    int    `json:"mdDenseRegions"`
-	DenseMDMaxBucket  int    `json:"denseMDMaxBucket"` // largest crawled-region bucket, 1D or MD
-	SearchParallelism int    `json:"searchParallelism"`
-	SpecProbesIssued  int64  `json:"specProbesIssued"`
-	SpecProbesWasted  int64  `json:"specProbesWasted"`
-	Requests          int64  `json:"requests"`
-	BatchRequests     int64  `json:"batchRequests"`
-	BatchItems        int64  `json:"batchItems"`
-	StreamRequests    int64  `json:"streamRequests"`
-	StreamTuples      int64  `json:"streamTuples"`
-	UpstreamK         int    `json:"upstreamK"`
-	UpstreamRanker    string `json:"upstreamRanker,omitempty"`
+	core.Stats
 
-	StorageBlocks         int   `json:"storageBlocks"`
-	StorageDictEntries    int   `json:"storageDictEntries"`
-	StorageResidentTuples int   `json:"storageResidentTuples"`
-	StorageApproxBytes    int64 `json:"storageApproxBytes"`
-	// ProbeContainedHits counts probes answered free by filtering a held
-	// complete answer whose box contains them, ProbePartialHits probes
-	// answered free by replaying the overflow page the identical probe got
-	// before (exact hits on complete answers are counted by neither);
-	// ProbeFactBytes approximates what the ProbeCacheEntries held answers
-	// occupy — queries and row references; their tuples are history rows.
-	ProbeContainedHits int64 `json:"probeContainedHits"`
-	ProbePartialHits   int64 `json:"probePartialHits"`
-	ProbeFactBytes     int64 `json:"probeFactBytes"`
-	// CertifiedComplete / CertifiedOverflow count 1D-RERANK's certification
-	// probes (at most one per Get-Next, over (last, candidate]) by outcome:
-	// a complete page answered the Get-Next outright, an overflowing one
-	// only improved the candidate. Their ratio is the certification hit rate.
-	CertifiedComplete int64 `json:"certifiedComplete"`
-	CertifiedOverflow int64 `json:"certifiedOverflow"`
-	// MDCertifiedComplete / MDCertifiedOverflow count MD-RERANK's deep
-	// certification probes (at most one per region resolution, over the
-	// contour of the D-th best known tuple) by the same outcomes. CoverHits
-	// counts the Get-Nexts, 1D and MD, answered from a certified page a
-	// cursor kept: next tuple and tie group for no probe at all.
-	MDCertifiedComplete int64 `json:"mdCertifiedComplete"`
-	MDCertifiedOverflow int64 `json:"mdCertifiedOverflow"`
-	CoverHits           int64 `json:"coverHits"`
+	Requests       int64  `json:"requests"`
+	BatchRequests  int64  `json:"batchRequests"`
+	BatchItems     int64  `json:"batchItems"`
+	StreamRequests int64  `json:"streamRequests"`
+	StreamTuples   int64  `json:"streamTuples"`
+	UpstreamK      int    `json:"upstreamK"`
+	UpstreamRanker string `json:"upstreamRanker,omitempty"`
 
-	// Living-upstream state: the knowledge epoch, sentinel drift detection,
-	// lazy re-validation and probe-guard counters (see docs/epochs.md).
-	Epoch            int64  `json:"epoch"`
-	EpochBumps       int64  `json:"epochBumps"`
-	StaleRegions     int    `json:"staleRegions"`
-	StaleHistoryRows int64  `json:"staleHistoryRows"`
-	RevalPromoted    int64  `json:"revalPromoted"`
-	RevalEvicted     int64  `json:"revalEvicted"`
-	SentinelPasses   int64  `json:"sentinelPasses"`
-	SentinelBumps    int64  `json:"sentinelBumps"`
-	LastSentinelUnix int64  `json:"lastSentinelUnix,omitempty"`
-	Health           string `json:"health"`
-	ProbeRetries     int64  `json:"probeRetries"`
-	ProbeHedges      int64  `json:"probeHedges"`
-	ProbeHedgeWins   int64  `json:"probeHedgeWins"`
-	ProbeFailures    int64  `json:"probeFailures"`
-	ProbeFastFails   int64  `json:"probeFastFails"`
+	// Health and the Probe* counters are the probe guard's (see
+	// docs/epochs.md); an in-process database is always healthy.
+	Health         string `json:"health"`
+	ProbeRetries   int64  `json:"probeRetries"`
+	ProbeHedges    int64  `json:"probeHedges"`
+	ProbeHedgeWins int64  `json:"probeHedgeWins"`
+	ProbeFailures  int64  `json:"probeFailures"`
+	ProbeFastFails int64  `json:"probeFastFails"`
 
 	// Acquire is the namespace's background-acquirer counters (absent when
 	// acquisition is disabled).
 	Acquire *acquire.Stats `json:"acquire,omitempty"`
-
-	// Per-namespace persistence gauges (the namespace's own segment store
-	// under data-dir/<ns>/).
-	PersistEnabled        bool   `json:"persistEnabled"`
-	PersistSeq            int64  `json:"persistSeq,omitempty"`
-	PersistCheckpoints    int64  `json:"persistCheckpoints,omitempty"`
-	PersistCompactions    int64  `json:"persistCompactions,omitempty"`
-	PersistJournalRecords int    `json:"persistJournalRecords,omitempty"`
-	PersistSegmentFiles   int    `json:"persistSegmentFiles,omitempty"`
-	PersistPendingOps     int    `json:"persistPendingOps,omitempty"`
-	PersistReplayedDeltas int    `json:"persistReplayedDeltas,omitempty"`
-	PersistBytesAppended  int64  `json:"persistBytesAppended,omitempty"`
-	PersistLastError      string `json:"persistLastError,omitempty"`
 }
 
 // Stats is the /v1/stats response body: the service-level counters, which
@@ -134,34 +80,22 @@ type Stats struct {
 
 // tenantStats snapshots one namespace's counters.
 func (s *Server) tenantStats(t *tenant) UpstreamStats {
-	eng := t.engine()
-	specIssued, specWasted := eng.SpeculationStats()
 	us := UpstreamStats{
-		URL:               t.url,
-		Default:           s.defaultName() == t.name,
-		AdmissionWeight:   t.weight,
-		EngineQueries:     eng.Queries(),
-		HistoryTuples:     eng.History().Size(),
-		ProbeCacheEntries: eng.ProbeCacheEntries(),
-		MDDenseRegions:    eng.MDDenseRegions(),
-		DenseMDMaxBucket:  eng.CrawledMaxBucket(),
-		SearchParallelism: eng.SearchParallelism(),
-		SpecProbesIssued:  specIssued,
-		SpecProbesWasted:  specWasted,
-		Requests:          t.requests.Load(),
-		BatchRequests:     t.batchRequests.Load(),
-		BatchItems:        t.batchItems.Load(),
-		StreamRequests:    t.streamRequests.Load(),
-		StreamTuples:      t.streamTuples.Load(),
-		UpstreamK:         t.db.K(),
+		URL:             t.url,
+		Default:         s.defaultName() == t.name,
+		AdmissionWeight: t.weight,
+		Stats:           t.engine().Stats(),
+		Requests:        t.requests.Load(),
+		BatchRequests:   t.batchRequests.Load(),
+		BatchItems:      t.batchItems.Load(),
+		StreamRequests:  t.streamRequests.Load(),
+		StreamTuples:    t.streamTuples.Load(),
+		UpstreamK:       t.db.K(),
+		Health:          hidden.HealthHealthy.String(),
 	}
-	us.Epoch = eng.Epoch()
-	us.EpochBumps = eng.EpochBumps()
-	us.StaleRegions = eng.StaleRegions()
-	us.StaleHistoryRows = eng.StaleHistoryRows()
-	us.RevalPromoted, us.RevalEvicted = eng.RevalidationStats()
-	us.SentinelPasses, us.SentinelBumps, us.LastSentinelUnix = eng.SentinelStats()
-	us.Health = hidden.HealthHealthy.String()
+	if hdb, ok := t.db.(*hidden.DB); ok {
+		us.UpstreamRanker = hdb.RankerName()
+	}
 	if t.guard != nil {
 		gh := t.guard.Health()
 		us.Health = gh.State.String()
@@ -171,36 +105,9 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 		us.ProbeFailures = gh.Failures
 		us.ProbeFastFails = gh.FastFails
 	}
-	ss := eng.StorageStats()
-	us.StorageBlocks = ss.Blocks
-	us.StorageDictEntries = ss.DictEntries
-	us.StorageResidentTuples = ss.Tuples
-	us.ProbeContainedHits = eng.ProbeContainedHits()
-	us.ProbePartialHits = eng.ProbePartialHits()
-	us.CertifiedComplete, us.CertifiedOverflow = eng.CertificationStats()
-	us.MDCertifiedComplete, us.MDCertifiedOverflow = eng.MDCertificationStats()
-	us.CoverHits = eng.CoverHits()
-	us.ProbeFactBytes = eng.ProbeCacheBytes()
-	us.StorageApproxBytes = ss.ApproxBytes + us.ProbeFactBytes
-	if hdb, ok := t.db.(*hidden.DB); ok {
-		us.UpstreamRanker = hdb.RankerName()
-	}
 	if t.acq != nil {
 		as := t.acq.Stats()
 		us.Acquire = &as
-	}
-	if p := eng.Persister(); p != nil {
-		ps := p.Stats()
-		us.PersistEnabled = true
-		us.PersistSeq = int64(ps.Store.Seq)
-		us.PersistCheckpoints = ps.Store.Checkpoints
-		us.PersistCompactions = ps.Store.Compactions
-		us.PersistJournalRecords = ps.Store.JournalRecords
-		us.PersistSegmentFiles = ps.Store.SegmentFiles
-		us.PersistPendingOps = ps.PendingOps
-		us.PersistReplayedDeltas = ps.Store.ReplayedDeltas
-		us.PersistBytesAppended = ps.Store.BytesAppended
-		us.PersistLastError = ps.LastError
 	}
 	return us
 }

@@ -208,7 +208,7 @@ func (r *Reranker) HistorySize() int { return r.engine.History().Size() }
 
 // StorageStats reports the columnar store's resident footprint: sealed
 // blocks, dictionary entries, row count, and approximate bytes.
-func (r *Reranker) StorageStats() StorageStats { return r.engine.StorageStats() }
+func (r *Reranker) StorageStats() StorageStats { return r.engine.History().StorageStats() }
 
 // TopH drains up to h tuples from a cursor.
 func TopH(c Cursor, h int) ([]Tuple, error) { return core.TopH(c, h) }
