@@ -242,12 +242,10 @@ func (d *tieFailDB) TopK(q query.Query) (hidden.Result, error) {
 	return d.DB.TopK(q)
 }
 
-// TestMDUnsplitOnTieProbeFailure: Next splits the winner's region before it
-// collects the winner's ties, and at W > 1 prefetches the children while the
-// tie probe is in flight. When that probe fails the split is rolled back:
-// the retry sees every region exactly once — no child left behind by the
-// prefetch round that had already resolved and re-pushed it — keeps the
-// covers the other regions hold, and emits what an unfailed run emits.
+// TestMDUnsplitOnTieProbeFailure: Next collects the winner's ties before it
+// splits the winner's region. When the tie probe fails the region goes back
+// unchanged: the retry sees every region exactly once, keeps the covers the
+// other regions hold, and emits what an unfailed run emits.
 func TestMDUnsplitOnTieProbeFailure(t *testing.T) {
 	schema := testSchema(3)
 	tuples := genTuples(rand.New(rand.NewSource(74)), schema, 1200, true)

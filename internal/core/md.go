@@ -54,6 +54,10 @@
 //     re-tightened box — and counted as waste (complete answers are never
 //     waste: a complete page over a superset box resolves the box exactly).
 //
+// The winner's tie probe runs alone, between rounds, and the winner's region
+// is split only once it succeeds, so a failed probe leaves the heap as it
+// was.
+//
 // Determinism. Every decision point runs in a fixed order on the cursor
 // goroutine: region rounds are composed and their results applied in heap
 // order, frontier rounds are composed and processed in pop order, and
@@ -61,12 +65,12 @@
 // index answers is decided there too: a round's probes can be nested, and a
 // complete answer also answers the probes its box contains, so every probe
 // of a round is looked up before any of the round's upstream calls is
-// dispatched (Session.issueAll; the tie probe in tiesPipelined).
-// Concurrent resolutions touch disjoint boxes, so their probes cannot
-// contain one another. The emitted tuple sequence is therefore identical for
-// every W (each top-1 is an exact minimum regardless of exploration order),
-// and the session ledger is exactly reproducible for a fixed W — speculation
-// changes how much is charged, never making the charge nondeterministic.
+// dispatched (Session.issueAll). Concurrent resolutions touch disjoint
+// boxes, so their probes cannot contain one another. The emitted tuple
+// sequence is therefore identical for every W (each top-1 is an exact minimum
+// regardless of exploration order), and the session ledger is exactly
+// reproducible for a fixed W — speculation changes how much is charged, never
+// making the charge nondeterministic.
 // (The one caveat: ledger reproducibility assumes the engine-wide fact index
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
@@ -117,7 +121,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/colstore"
-	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/ranking"
 	"repro/internal/types"
@@ -152,13 +155,10 @@ type MDCursor struct {
 	width     int           // speculative width W (regions per round, probes per frontier round)
 	resolvers []*mdResolver // [0] drives sequential ops; [1..] speculative round slots
 
-	// skip lists the tuple versions no resolution may pick: the one being
-	// emitted while its tie probe and a prefetch round run (it is certain to
-	// be emitted the moment the probe confirms it, so a prefetched resolution
-	// picking it would be invalidated at once), and every version a tie probe
-	// found stale (a newer version of the same tuple may still be picked).
-	// Written on the cursor goroutine between rounds. Empty but across drift,
-	// so the history scan pays one length test per row for it.
+	// skip lists the tuple versions no resolution may pick: every version a
+	// tie probe found stale (a newer version of the same tuple may still be
+	// picked). Written on the cursor goroutine between rounds. Empty but
+	// across drift, so the history scan pays one length test per row for it.
 	skip []types.Tuple
 }
 
@@ -293,15 +293,13 @@ func (c *MDCursor) chargeOp() bool {
 }
 
 // pushRegion adds a region for box to the region heap — unless the box is
-// empty or cover, the certified page it lies under, shows it spent — and
-// returns it (so Next can roll a split back on error).
-func (c *MDCursor) pushRegion(box query.Box, cover *certPage) *mdRegion {
+// empty or cover, the certified page it lies under, shows it spent.
+func (c *MDCursor) pushRegion(box query.Box, cover *certPage) {
 	c.regionSeq++
 	reg := &mdRegion{box: box, seq: c.regionSeq, cover: cover}
 	if !box.Empty() && c.settle(reg) {
 		heap.Push(&c.regions, reg)
 	}
-	return reg
 }
 
 // Next implements Cursor.
@@ -328,9 +326,8 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 		// speculative (their results persist in the heap, so early work is
 		// never thrown away).
 		for c.regions.Len() > 0 && !c.regions[0].resolved {
-			regs := c.popRound(c.width, true)
-			seeds := c.seedRound(regs, 0)
-			if err := c.runRound(regs, seeds, 0); err != nil {
+			regs := c.popRound(c.width)
+			if err := c.runRound(regs, c.seedRound(regs)); err != nil {
 				return types.Tuple{}, false, err
 			}
 		}
@@ -347,19 +344,29 @@ func (c *MDCursor) Next() (types.Tuple, bool, error) {
 	return out, true, nil
 }
 
-// emit pops the winning region, splits it at its tuple t and fills the
-// pending buffer with t's tie group. The buffer stays empty when the answer
-// over t's point proves t a stale version with nothing else there; Next then
-// searches on, and the split stands, since its two parts still partition the
-// region's box.
+// emit pops the winning region, fills the pending buffer with its tuple t's
+// tie group and splits the region at t. The buffer stays empty when the
+// answer over t's point proves t a stale version with nothing else there;
+// Next then searches on, and the split stands, since its two parts still
+// partition the region's box. When the tie probe fails, the region goes back
+// unchanged for a retry.
 func (c *MDCursor) emit() error {
-	// The winner is now certain. Split its region first (the split needs
-	// only the winning tuple), so the winner's tie point probe and a
-	// prefetch round resolving the freshly split children — the regions
-	// the NEXT call will almost surely block on — can overlap in one
-	// concurrent section instead of costing two serial round-trips.
 	reg := heap.Pop(&c.regions).(*mdRegion)
 	t := reg.best
+	var cover *certPage
+	if ties, ok := reg.cover.ties(t, reg.key); ok {
+		// The region's page lists t, so it lists t's whole tie group and
+		// what each part holds next: no tie probe.
+		c.s.e.coverHits.Add(1)
+		c.pending, _ = collectTies(c.pending, t, c.axis().Attrs(), ties, c.isEmitted)
+		cover = reg.cover
+	} else if err := c.tieGroup(t); err != nil {
+		heap.Push(&c.regions, reg)
+		return err
+	}
+	for _, tt := range c.pending {
+		c.emitted[tt.ID] = true
+	}
 	// Split the region on the first ranked attribute at t's value. The
 	// right part keeps the boundary (closed) so tuples sharing the split
 	// coordinate remain reachable; the emitted set excludes the tie
@@ -369,62 +376,12 @@ func (c *MDCursor) emit() error {
 	b1.Dims[0] = b1.Dims[0].Intersect(types.Interval{Lo: math.Inf(-1), Hi: z0, HiOpen: true})
 	b2 := reg.box.Clone()
 	b2.Dims[0] = b2.Dims[0].Intersect(types.Interval{Lo: z0, Hi: math.Inf(1), HiOpen: true})
-	if ties, ok := reg.cover.ties(t, reg.key); ok {
-		// The region's page lists t, so it lists t's whole tie group and
-		// what each part holds next: no tie probe, nothing to prefetch.
-		c.s.e.coverHits.Add(1)
-		c.pending, _ = collectTies(c.pending, t, c.axis().Attrs(), ties, c.isEmitted)
-		c.markPending()
-		c.pushRegion(b1, reg.cover)
-		c.pushRegion(b2, reg.cover)
-		return nil
-	}
-	children := []*mdRegion{c.pushRegion(b1, nil), c.pushRegion(b2, nil)}
-	if err := c.tieGroup(t); err != nil {
-		// Roll the split back so a retry sees the region exactly once.
-		c.unsplit(reg, children)
-		return err
-	}
-	c.markPending()
-	// A prefetched region resolved concurrently with the tie probe may
-	// have picked a tuple that just became emitted (a tie of t living in
-	// the right split child): its resolution is stale — settle it again
-	// under the updated emitted set.
-	c.invalidateEmitted()
+	c.pushRegion(b1, cover)
+	c.pushRegion(b2, cover)
 	return nil
 }
 
 func (c *MDCursor) isEmitted(id int) bool { return c.emitted[id] }
-
-// markPending marks the pending tie group emitted.
-func (c *MDCursor) markPending() {
-	for _, tt := range c.pending {
-		c.emitted[tt.ID] = true
-	}
-}
-
-// unsplit removes the exact child regions pushed for reg's split and
-// re-pushes reg — the error-path rollback of the early split in emit. The
-// identity filter compacts the heap array out of order, so the heap
-// invariant is re-established before pushing.
-func (c *MDCursor) unsplit(reg *mdRegion, children []*mdRegion) {
-	kept := c.regions[:0]
-	for _, r := range c.regions {
-		drop := false
-		for _, ch := range children {
-			if r == ch {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			kept = append(kept, r)
-		}
-	}
-	c.regions = kept
-	heap.Init(&c.regions)
-	heap.Push(&c.regions, reg)
-}
 
 // tieGroup fills the pending buffer with t's §5 tie group — every tuple
 // matching q that shares t's values on all ranked attributes — through
@@ -437,20 +394,15 @@ func (c *MDCursor) tieGroup(t types.Tuple) error {
 		return nil
 	}
 	point := c.tiePoint(t)
-	c.skip = append(c.skip, t)
-	var ans []types.Tuple
-	var err error
-	if prefetch := c.popRound(c.width-1, false); len(prefetch) > 0 {
-		ans, err = c.tiesPipelined(point, prefetch)
-	} else {
-		var res hidden.Result
-		if res, err = c.resolvers[0].issue(point); err == nil {
-			ans, err = c.tieAnswer(point, res)
-		}
-	}
-	c.skip = c.skip[:len(c.skip)-1]
+	res, err := c.resolvers[0].issue(point)
 	if err != nil {
 		return err
+	}
+	ans := res.Tuples
+	if res.Overflow {
+		if ans, err = c.s.CrawlAll(c.axis().BoxToQuery(c.q, point)); err != nil {
+			return err
+		}
 	}
 	var listed bool
 	c.pending, listed = collectTies(c.pending, t, c.axis().Attrs(), ans, c.isEmitted)
@@ -458,27 +410,6 @@ func (c *MDCursor) tieGroup(t types.Tuple) error {
 		c.skip = append(c.skip, t)
 	}
 	return nil
-}
-
-// invalidateEmitted settles again every resolved region whose best tuple has
-// been emitted — the next tuple of its page, or back to unresolved —
-// rebuilding the heap when any region changed.
-func (c *MDCursor) invalidateEmitted() {
-	kept, changed := c.regions[:0], false
-	for _, reg := range c.regions {
-		if reg.resolved && c.emitted[reg.best.ID] {
-			changed = true
-			if !c.settle(reg) {
-				continue
-			}
-		}
-		kept = append(kept, reg)
-	}
-	if changed {
-		clear(c.regions[len(kept):])
-		c.regions = kept
-		heap.Init(&c.regions)
-	}
 }
 
 // settle sets reg's standing from its page, reporting false when the region
@@ -508,9 +439,9 @@ func (c *MDCursor) settle(reg *mdRegion) bool {
 // deterministic heap order. Speculative slots are bounded by the best
 // already-resolved score: an unresolved region whose lower bound exceeds it
 // can never block the next emit, so resolving it would be eagerness the lazy
-// discipline exists to avoid. When mandatory is set the first slot ignores
-// the bound (the blocking loop must make progress).
-func (c *MDCursor) popRound(limit int, mandatory bool) []*mdRegion {
+// discipline exists to avoid. The first slot ignores the bound (the blocking
+// loop must make progress).
+func (c *MDCursor) popRound(limit int) []*mdRegion {
 	bound, haveBound := 0.0, false
 	for _, r := range c.regions {
 		if r.resolved && (!haveBound || r.key < bound) {
@@ -519,7 +450,7 @@ func (c *MDCursor) popRound(limit int, mandatory bool) []*mdRegion {
 	}
 	out := make([]*mdRegion, 0, limit)
 	for len(out) < limit && c.regions.Len() > 0 && !c.regions[0].resolved {
-		if haveBound && c.regions[0].key > bound && (len(out) > 0 || !mandatory) {
+		if haveBound && c.regions[0].key > bound && len(out) > 0 {
 			break
 		}
 		out = append(out, heap.Pop(&c.regions).(*mdRegion))
@@ -536,15 +467,6 @@ func (c *MDCursor) tiePoint(t types.Tuple) query.Box {
 		point.Dims[j] = types.ClosedInterval(v, v)
 	}
 	return point
-}
-
-// tieAnswer is the answer over the tie point res gives: its page, or a crawl
-// of the point when it overflowed.
-func (c *MDCursor) tieAnswer(point query.Box, res hidden.Result) ([]types.Tuple, error) {
-	if !res.Overflow {
-		return res.Tuples, nil
-	}
-	return c.s.CrawlAll(c.axis().BoxToQuery(c.q, point))
 }
 
 // skipped reports whether t is a version no resolution may pick (skip).

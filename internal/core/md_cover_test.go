@@ -102,10 +102,9 @@ func TestMDRepeatCertifiesFromFacts(t *testing.T) {
 
 // TestMDCoverAcrossTieGroups drains a corpus of ten-tuple tie groups under a
 // page of twenty, where every cover page cuts through tie groups that are
-// emitted while it is held — by its own region, or, at W > 1, by the Get-Next
-// whose tie probe a prefetched region's certification overlapped. No tuple
-// may come out twice or go missing, and no region may stand resolved on a
-// tuple already emitted.
+// emitted while it is held — by its own region or by the part it was split
+// from, at W = 1 and W = 4. No tuple may come out twice or go missing, and no
+// region may stand resolved on a tuple already emitted.
 func TestMDCoverAcrossTieGroups(t *testing.T) {
 	schema := testSchema(3)
 	tuples := genTuples(rand.New(rand.NewSource(92)), schema, 1200, true)

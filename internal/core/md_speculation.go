@@ -1,5 +1,5 @@
-// MD speculation: history seeding and concurrent region rounds, the
-// pipelined tie probe, and the tightening ladder.
+// MD speculation: history seeding and concurrent region rounds, and the
+// tightening ladder.
 
 package core
 
@@ -13,55 +13,11 @@ import (
 	"repro/internal/types"
 )
 
-// tiesPipelined runs the tie point probe while a prefetch round resolves the
-// regions of prefetch, the best unresolved ones, in the background: the tie
-// probe and the prefetch probes share one concurrent section, so the per-emit
-// tie round-trip stops serializing the search. The prefetch uses resolver
-// slots 1.., leaving slot 0 (whose axis scratch the tie path uses) to the tie
-// probe; its seeding happens before the tie goroutine launches so every probe
-// stream stays deterministic. Prefetch errors are swallowed — the affected
-// regions are re-pushed unresolved and the next call retries them against a
-// fresh per-op budget.
-func (c *MDCursor) tiesPipelined(point query.Box, prefetch []*mdRegion) ([]types.Tuple, error) {
-	seeds := c.seedRound(prefetch, 1)
-	// The tie point lies inside the right split child, so a complete page a
-	// prefetch probe brings back may contain it. Settle the tie probe against
-	// the fact index now, before the prefetch probes fly; inside the
-	// concurrent section it only fetches, or whether it was free would depend
-	// on which probe finished first.
-	r0 := c.resolvers[0]
-	r0.axis.BoxToQueryInto(c.q, point, &r0.probeQs[0])
-	c.chargeOp() // never refuses: a per-op budget forces width 1
-	res, known, err := c.s.lookup(r0.probeQs[0])
-	var ans []types.Tuple
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err != nil {
-			return
-		}
-		if !known {
-			var issued bool
-			if res, issued, err = c.s.fetch(r0.probeQs[0]); err != nil {
-				return
-			}
-			if issued {
-				r0.charged++
-			}
-		}
-		ans, err = c.tieAnswer(point, res)
-	}()
-	_ = c.runRound(prefetch, seeds, 1)
-	wg.Wait()
-	return ans, err
-}
-
 // seedRound seeds one candidate per region from the shared history, on the
 // cursor goroutine, before any of the round's probes can grow the history —
 // the ordering that keeps each resolution's probe stream deterministic.
-// Region i uses resolver i+off.
-func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
+// Region i uses resolver i.
+func (c *MDCursor) seedRound(regs []*mdRegion) []candidate {
 	cands := make([]candidate, len(regs))
 	if c.s.e.opts.DisableHistory {
 		return cands
@@ -84,7 +40,7 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	c.s.e.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
 		view = v
 		for i, reg := range regs {
-			c.resolvers[i+off].improveRow(&cands[i], v, row, reg.box)
+			c.resolvers[i].improveRow(&cands[i], v, row, reg.box)
 		}
 		return true
 	})
@@ -99,7 +55,7 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	// fact, so that a repeated request runs as its first run did, or when the
 	// candidate's own contour is not, so that the probe is spent either way.
 	for i, reg := range regs {
-		cand, r := &cands[i], c.resolvers[i+off]
+		cand, r := &cands[i], c.resolvers[i]
 		n := len(cand.deep)
 		for n > 0 && math.IsInf(cand.deep[n-1], 1) {
 			n--
@@ -117,18 +73,18 @@ func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 }
 
 // runRound resolves the round's regions concurrently (region i on resolver
-// i+off) and applies the results in slot order. Slots beyond the heap
-// minimum are speculative: the minimum's result alone might have unblocked
-// the emit, so the extra resolutions are work done early, counted into the
-// engine's speculation ledger.
-func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error {
+// i) and applies the results in slot order. Slots beyond the heap minimum
+// are speculative: the minimum's result alone might have unblocked the emit,
+// so the extra resolutions are work done early, counted into the engine's
+// speculation ledger.
+func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate) error {
 	type outcome struct {
 		best types.Tuple
 		have bool
 		err  error
 	}
 	outs := make([]outcome, len(regs))
-	if len(regs) == 1 && off == 0 {
+	if len(regs) == 1 {
 		outs[0].best, outs[0].have, outs[0].err = c.resolvers[0].top1(regs[0].box, &cands[0])
 	} else {
 		var wg sync.WaitGroup
@@ -136,9 +92,9 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error 
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r := c.resolvers[i+off]
+				r := c.resolvers[i]
 				outs[i].best, outs[i].have, outs[i].err = r.top1(regs[i].box, &cands[i])
-				if i > 0 || off > 0 {
+				if i > 0 {
 					c.s.e.specIssued.Add(r.charged)
 				}
 			}(i)
@@ -146,9 +102,7 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error 
 		wg.Wait()
 	}
 	// Apply results in slot order; on error, surface the first and re-push
-	// the regions so the cursor stays consistent for a retry. Scoring uses
-	// each slot's own axis: resolver 0's scratch may be serving the
-	// pipelined tie path concurrently.
+	// the regions so the cursor stays consistent for a retry.
 	var firstErr error
 	for i, reg := range regs {
 		if outs[i].err != nil {
@@ -164,8 +118,8 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate, off int) error 
 		}
 		if outs[i].have {
 			reg.best, reg.have, reg.resolved = outs[i].best, true, true
-			reg.key = c.resolvers[i+off].axis.ScoreTuple(outs[i].best)
-			reg.cover = c.resolvers[i+off].cover
+			reg.key = c.resolvers[i].axis.ScoreTuple(outs[i].best)
+			reg.cover = c.resolvers[i].cover
 			heap.Push(&c.regions, reg)
 		}
 	}

@@ -79,7 +79,7 @@ func (c *Crawler) Queries() int64 { return c.queries.Load() }
 // sorted by ID for determinism.
 func (c *Crawler) All(q query.Query) ([]types.Tuple, error) {
 	seen := make(map[int]types.Tuple)
-	if err := c.crawl(q, seen, 0); err != nil {
+	if err := c.crawl(q, seen); err != nil {
 		return nil, err
 	}
 	out := make([]types.Tuple, 0, len(seen))
@@ -90,7 +90,7 @@ func (c *Crawler) All(q query.Query) ([]types.Tuple, error) {
 	return out, nil
 }
 
-func (c *Crawler) crawl(root query.Query, seen map[int]types.Tuple, _ int) error {
+func (c *Crawler) crawl(root query.Query, seen map[int]types.Tuple) error {
 	work := []query.Query{root}
 	for len(work) > 0 {
 		q := work[len(work)-1]

@@ -67,10 +67,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if rr.QueriesIssued() <= 0 || rr.HistorySize() <= 0 {
 		t.Error("accounting broken")
 	}
+	if st := rr.StorageStats(); st.Tuples != rr.HistorySize() || st.ApproxBytes <= 0 {
+		t.Errorf("storage stats %+v for a history of %d tuples", st, rr.HistorySize())
+	}
 }
 
 func TestPublicVariants(t *testing.T) {
-	db, _, _ := buildDB(t, 300, 5)
+	db, tuples, _ := buildDB(t, 300, 5)
 	rr := qrank.New(db, qrank.Options{N: 300})
 	rank := qrank.MustLinear("lin", []int{0, 1}, []float64{1, 1})
 	for _, v := range []qrank.Variant{qrank.Baseline, qrank.Binary, qrank.Rerank, qrank.TAOverOneD} {
@@ -96,6 +99,69 @@ func TestPublicVariants(t *testing.T) {
 	top, err := qrank.TopH(cur, 1)
 	if err != nil || len(top) != 1 {
 		t.Fatal("single-attr query failed")
+	}
+
+	// The constructors that report errors: a linear ranker over an open
+	// range, and a ratio ranker over a schema whose denominator is positive.
+	if _, err := qrank.NewLinear("bad", []int{0, 1}, []float64{1}); err == nil {
+		t.Error("NewLinear accepted 2 attributes with 1 weight")
+	}
+	lin, err := qrank.NewLinear("p-m", []int{0, 1}, []float64{1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := qrank.OpenInterval(200, 800)
+	checkTop(t, rr, tuples, qrank.NewQuery().WithRange(0, window), lin, func(tp qrank.Tuple) bool {
+		return window.Contains(tp.Ord[0])
+	})
+	attr := func(name string, min, max float64) qrank.Attribute {
+		return qrank.Attribute{Name: name, Kind: qrank.Ordinal, Domain: qrank.Domain{Min: min, Max: max}}
+	}
+	if _, err := qrank.NewSchema([]qrank.Attribute{attr("p", 1, 10), attr("p", 1, 10)}); err == nil {
+		t.Error("NewSchema accepted a repeated attribute name")
+	}
+	schema, err := qrank.NewSchema([]qrank.Attribute{attr("price", 1, 1000), attr("carat", 0.5, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	gems := make([]qrank.Tuple, 300)
+	for i := range gems {
+		gems[i] = qrank.Tuple{ID: i, Ord: []float64{1 + rng.Float64()*999, 0.5 + rng.Float64()*4.5}}
+	}
+	gemDB, err := qrank.NewMemoryDatabase(schema, gems, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTop(t, qrank.New(gemDB, qrank.Options{N: len(gems)}), gems, qrank.NewQuery(), qrank.NewRatio("ppc", 0, 1), func(qrank.Tuple) bool { return true })
+}
+
+// checkTop compares rr's top 5 for q under rank with a brute-force ranking
+// of the tuples match admits.
+func checkTop(t *testing.T, rr *qrank.Reranker, tuples []qrank.Tuple, q qrank.Query, rank qrank.Ranker, match func(qrank.Tuple) bool) {
+	t.Helper()
+	var want []float64
+	for _, tp := range tuples {
+		if match(tp) {
+			want = append(want, qrank.Score(rank, tp))
+		}
+	}
+	sort.Float64s(want)
+	cur, err := rr.Query(q, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := qrank.TopH(cur, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 {
+		t.Fatalf("%s: got %d tuples, want 5", rank.Name(), len(got))
+	}
+	for i, tp := range got {
+		if s := qrank.Score(rank, tp); s != want[i] {
+			t.Fatalf("%s rank %d: score %g, want %g", rank.Name(), i, s, want[i])
+		}
 	}
 }
 
