@@ -102,7 +102,7 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store (crash-safe)")
 		ckptInterval = flag.Duration("checkpoint-interval", 15*time.Second, "background checkpoint period for -data-dir (0 = checkpoint only at drain)")
 		cache        = flag.Int("probe-cache", 0, "complete probe answers kept per namespace, as facts over the history (0 = default 16384, negative disables the cache)")
-		width        = flag.Int("search-parallelism", 1, "speculative probe width W of the MD search: up to W frontier probes in flight per request (1 = sequential; raise against high-latency upstreams)")
+		width        = flag.Int("search-parallelism", 1, "speculative width W of the MD search: up to W region resolutions or ladder probes in flight per request (1 = sequential; raise against high-latency upstreams)")
 		maxSessions  = flag.Int("max-sessions", 0, "max in-flight sessions across all namespaces before requests are shed with 429 (0 = unlimited; a batch of N counts N)")
 		clientBudget = flag.Int64("client-budget", 0, "upstream queries each client (X-Client-ID header) may cost per budget window (0 = unmetered)")
 		budgetWindow = flag.Duration("client-budget-window", time.Minute, "length of the per-client budget window")

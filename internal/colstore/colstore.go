@@ -219,9 +219,6 @@ func (a *Arena) View() View {
 // Len returns the number of rows visible through the view.
 func (v View) Len() int { return v.n }
 
-// Dict returns the owning arena's dictionary.
-func (v View) Dict() *Dict { return v.a.dict }
-
 // ID returns the tuple ID of a row.
 func (v View) ID(row int) int {
 	id := v.blocks[row>>blockShift].ids[row&blockMask]

@@ -118,15 +118,17 @@ type Options struct {
 	// shared with an identical one in flight is issued (paper-faithful
 	// per-probe cost accounting in experiments).
 	ProbeCacheSize int
-	// SearchParallelism is the speculative probe width W of the MD search:
-	// each best-first round issues up to W frontier probes concurrently
-	// through Session.probe's path, bounded by a per-session worker pool.
-	// 0 or 1 means sequential. The emitted tuple sequence is identical for
-	// every W; speculation can spend extra upstream probes (Stats'
-	// SpecProbesIssued and SpecProbesWasted), which hide upstream
-	// round-trip latency. Ignored (sequential search) when MaxQueriesPerOp
-	// is set: under a binding budget, racing speculative charges would make
-	// budget exhaustion nondeterministic.
+	// SearchParallelism is the speculative width W of the MD search: a
+	// region round resolves up to W partition regions concurrently, and a
+	// top-1 search caught in an improvement chain probes its frontier box
+	// beside up to W−1 tightening-ladder rungs, all through Session.probe's
+	// path and bounded by a per-session worker pool. 0 or 1 means
+	// sequential. The emitted tuple sequence is identical for every W;
+	// speculation can spend extra upstream probes (Stats' SpecProbesIssued
+	// and SpecProbesWasted), which hide upstream round-trip latency.
+	// Ignored (sequential search) when MaxQueriesPerOp is set: under a
+	// binding budget, racing speculative charges would make budget
+	// exhaustion nondeterministic.
 	SearchParallelism int
 }
 
@@ -261,10 +263,10 @@ type Stats struct {
 	DenseMDMaxBucket int `json:"denseMDMaxBucket"`
 	// SearchParallelism is the effective speculative probe width W (≥ 1;
 	// see searchWidth). SpecProbesIssued counts MD probes issued beyond the
-	// first slot of a round, SpecProbesWasted the subset whose overflow
-	// result an earlier slot's threshold improvement invalidated; their
-	// pages still land in history and the fact index, so that upstream cost
-	// is never paid twice.
+	// first slot of a round: speculative region slots and ladder rungs.
+	// SpecProbesWasted counts the rungs that overflowed and so resolved
+	// nothing; their pages still land in history and the fact index, so
+	// that upstream cost is never paid twice.
 	SearchParallelism int   `json:"searchParallelism"`
 	SpecProbesIssued  int64 `json:"specProbesIssued"`
 	SpecProbesWasted  int64 `json:"specProbesWasted"`

@@ -97,6 +97,44 @@ func TestPerOpBudget(t *testing.T) {
 	}
 }
 
+// TestMDPerOpBudgetForcesWidth1: a per-op budget makes the MD search
+// sequential whatever SearchParallelism asks for, so the budget is charged
+// one probe at a time and no probe is speculative.
+func TestMDPerOpBudgetForcesWidth1(t *testing.T) {
+	const m = 3
+	rng := rand.New(rand.NewSource(41))
+	schema := testSchema(2)
+	tuples := genTuples(rng, schema, 2000, false)
+	db := hidden.MustDB(schema, tuples, hidden.Options{K: 5, Ranker: systemRankers(2)[1]})
+	r := ranking.MustLinear("u", []int{0, 1}, []float64{1, 3})
+
+	free := NewEngine(db, Options{N: 2000})
+	if _, _, err := free.NewMDCursor(query.New(), r, Rerank).Next(); err != nil {
+		t.Fatal(err)
+	}
+	if free.Queries() <= m {
+		t.Fatalf("first Get-Next needs %d probes, want > %d for the budget to bind", free.Queries(), m)
+	}
+
+	t.Logf("unbudgeted first Get-Next: %d upstream queries", free.Queries())
+	before := db.QueryCount()
+	e := NewEngine(db, Options{N: 2000, SearchParallelism: 8, MaxQueriesPerOp: m})
+	_, _, err := e.NewMDCursor(query.New(), r, Rerank).Next()
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
+	}
+	if n := db.QueryCount() - before; n > m {
+		t.Errorf("budget leak: %d upstream queries, want ≤ %d", n, m)
+	}
+	st := e.Stats()
+	if st.SearchParallelism != 1 {
+		t.Errorf("SearchParallelism = %d under a per-op budget, want 1", st.SearchParallelism)
+	}
+	if st.SpecProbesIssued != 0 {
+		t.Errorf("SpecProbesIssued = %d under a per-op budget, want 0", st.SpecProbesIssued)
+	}
+}
+
 // TestRateLimitSurfacesMidStream: when the upstream budget runs dry during
 // incremental processing, the error must surface and prior answers remain
 // exact.
@@ -113,8 +151,6 @@ func TestRateLimitSurfacesMidStream(t *testing.T) {
 	var got []float64
 	var err error
 	for {
-		var tp struct{}
-		_ = tp
 		t2, ok, e2 := cur.Next()
 		if e2 != nil {
 			err = e2

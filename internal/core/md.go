@@ -30,29 +30,30 @@
 //
 // The paper describes the search as sequential: one probe, then the next —
 // which, against a remote upstream, serializes round-trip latency. This
-// cursor instead exposes parallelism at two levels, both speculative and
-// both bounded by the session's worker pool (Options.SearchParallelism = W):
+// cursor runs it with two speculative mechanisms, both bounded by the
+// session's worker pool (Options.SearchParallelism = W):
 //
-//   - Top-level partition regions live in a score-ordered heap. Unresolved
-//     regions are keyed by an admissible lower bound (the score of the
-//     region's best corner); resolved regions by their exact top-1 score.
-//     Regions resolve lazily, best-first: once the heap minimum is a
-//     resolved region, every unresolved lower bound is strictly worse and
-//     the minimum is the exact next answer. Each resolution round takes up
-//     to W unresolved regions off the top of the heap and resolves them
-//     concurrently — slots beyond the first are speculative (the first
+//   - Region rounds. Top-level partition regions live in a score-ordered
+//     heap. Unresolved regions are keyed by an admissible lower bound (the
+//     score of the region's best corner); resolved regions by their exact
+//     top-1 score. Regions resolve lazily, best-first: once the heap
+//     minimum is a resolved region, every unresolved lower bound is
+//     strictly worse and the minimum is the exact next answer. Each round
+//     takes up to W unresolved regions off the top of the heap and resolves
+//     them concurrently — slots beyond the first are speculative (the first
 //     resolution alone might already beat every remaining lower bound), but
 //     their results are exact and persist in the heap, so speculative
 //     resolutions are work done early, not work done wrong.
-//   - Within one region's top-1 search, unexplored boxes live in a
-//     best-first frontier heap. Each round pops the best W frontier boxes,
-//     tightens them against the current threshold, and issues the probes
-//     concurrently through the engine's probe path. Probes
-//     beyond the first assume the earlier probes of the round will not
-//     improve the threshold; when one does, a later overflow result is
-//     invalidated — sequential execution would have probed a smaller,
-//     re-tightened box — and counted as waste (complete answers are never
-//     waste: a complete page over a superset box resolves the box exactly).
+//   - The tightening ladder. Within one region's top-1 search, unexplored
+//     boxes live in a best-first frontier heap, and each frontier round
+//     probes one box: the best that survives tightening against the current
+//     threshold. When the previous round's probe improved the threshold —
+//     the chase where a sequential search pays one round-trip per
+//     improvement — the round's other W−1 slots carry copies of its box
+//     tightened against more optimistic thresholds, probed concurrently
+//     with it (padLadder). Rungs only improve the candidate, never steer
+//     the search; an overflowing rung resolves nothing and is the only
+//     wasted probe.
 //
 // The winner's tie probe runs alone, between rounds, and the winner's region
 // is split only once it succeeds, so a failed probe leaves the heap as it
@@ -60,11 +61,11 @@
 //
 // Determinism. Every decision point runs in a fixed order on the cursor
 // goroutine: region rounds are composed and their results applied in heap
-// order, frontier rounds are composed and processed in pop order, and
-// history is read for seeding only between rounds. Which probes the fact
-// index answers is decided there too: a round's probes can be nested, and a
-// complete answer also answers the probes its box contains, so every probe
-// of a round is looked up before any of the round's upstream calls is
+// order, a frontier round's box and rungs are composed and processed in slot
+// order, and history is read for seeding only between rounds. Which probes
+// the fact index answers is decided there too: a ladder's rungs are nested,
+// and a complete answer also answers the probes its box contains, so every
+// probe of a round is looked up before any of the round's upstream calls is
 // dispatched (Session.issueAll). Concurrent resolutions touch disjoint
 // boxes, so their probes cannot contain one another. The emitted tuple
 // sequence is therefore identical for every W (each top-1 is an exact minimum
@@ -152,7 +153,7 @@ type MDCursor struct {
 	sorted   []int     // ranked attrs sorted ascending (crawled-region canonical order)
 	axisPos  []int     // per position in sorted: the axis dimension of that attr
 
-	width     int           // speculative width W (regions per round, probes per frontier round)
+	width     int           // speculative width W (regions per region round, probes per ladder round)
 	resolvers []*mdResolver // [0] drives sequential ops; [1..] speculative round slots
 
 	// skip lists the tuple versions no resolution may pick: every version a

@@ -176,11 +176,12 @@ func TestMDParallelSharedSession(t *testing.T) {
 	}
 }
 
-// TestMDSpeculationWasteBound pins the acceptance bound on the
-// overlapping-window workload BenchmarkMDParallel uses: at width 8, wasted
-// speculative probes stay ≤ 25%% of all issued probes. The run is fully
-// deterministic (single session, fixed seed), so this is a hard bound, not a
-// statistical one.
+// TestMDSpeculationWasteBound pins the cost of width 8 on the
+// overlapping-window workload BenchmarkMDParallel uses: at most 168 upstream
+// queries in all, wasted speculative probes ≤ 25% of those upstream queries,
+// and no more wasted speculative probes than issued ones. The run is fully
+// deterministic (single session per window, fixed seed), so these are hard
+// bounds, not statistical ones.
 func TestMDSpeculationWasteBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	schema := testSchema(2)
@@ -204,7 +205,13 @@ func TestMDSpeculationWasteBound(t *testing.T) {
 	if total == 0 {
 		t.Fatal("workload issued no upstream queries")
 	}
+	if total > 168 {
+		t.Errorf("upstream queries %d, want ≤ 168", total)
+	}
+	if wasted > issued {
+		t.Errorf("wasted %d speculative probes but only %d were issued", wasted, issued)
+	}
 	if frac := float64(wasted) / float64(total); frac > 0.25 {
-		t.Errorf("wasted speculative probes are %.1f%% of issued probes, want ≤ 25%%", frac*100)
+		t.Errorf("wasted speculative probes are %.1f%% of upstream queries, want ≤ 25%%", frac*100)
 	}
 }

@@ -71,13 +71,14 @@ func (h *boxHeap) Pop() any {
 	return b
 }
 
-// batchItem is one box of a speculative probe round, with the threshold it
-// was tightened against at issue time. ladder marks a speculative tightening
-// rung: a copy of the round's best box tightened against an optimistically
-// improved threshold, processed improve-only (see padLadder). deep marks the
-// resolution's certification probe: the root box tightened against the contour
-// of the D-th best known tuple rather than the candidate's own, processed
-// improve-only as well when it overflows.
+// batchItem is one probe of a frontier round, with the threshold its box was
+// tightened against at issue time. Slot 0 is the round's frontier box; ladder
+// marks a speculative tightening rung in a later slot: a copy of that box
+// tightened against an optimistically improved threshold, processed
+// improve-only (see padLadder). deep marks the resolution's certification
+// probe: the root box tightened against the contour of the D-th best known
+// tuple rather than the candidate's own, processed improve-only as well when
+// it overflows.
 type batchItem struct {
 	box      query.Box
 	thrScore float64
@@ -181,11 +182,13 @@ func (r *mdResolver) pushBox(b query.Box, root bool) {
 // top1 finds the best non-emitted tuple matching q inside box, starting from
 // the pre-seeded candidate.
 //
-// The frontier is explored best-first in speculative rounds of up to W
-// boxes: round composition (pop, tighten, dense fast path), budget charging
-// and result processing all happen in deterministic frontier order on the
-// resolver's goroutine; only the upstream probes of one round run
-// concurrently.
+// The frontier is explored best-first, one box per round: each round pops
+// boxes until one survives tightening, the covered-box skip and the dense
+// fast path, and probes it. Once an improvement chain is detected, padLadder
+// fills the round's other W−1 slots with speculative tightening rungs over
+// that box; only a round's probes run concurrently, and composition, budget
+// charging and result processing all happen in slot order on the resolver's
+// goroutine.
 func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, error) {
 	c := r.c
 	r.frontier = r.frontier[:0]
@@ -196,92 +199,71 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 	r.cover = nil
 	r.pushBox(box, true)
 	for r.frontier.Len() > 0 {
-		// Compose one speculative round: the W best frontier boxes that
-		// survive tightening and the dense-index fast path.
-		r.batch = r.batch[:0]
-		for len(r.batch) < c.width && r.frontier.Len() > 0 {
-			fb := heap.Pop(&r.frontier).(frontierBox)
-			b := fb.box
-			if b.Empty() {
-				continue
-			}
-			if cand.have {
-				tb, ok := r.axis.Tighten(b, cand.score)
-				if !ok {
-					continue
-				}
-				b = tb
-			}
-			// A box inside an already-answered complete page is fully
-			// known: improve has seen every tuple in it, so probing it
-			// again (typically the confirm probe after a ladder rung
-			// collapsed the improvement chain) buys nothing.
-			if r.coveredBy(b) {
-				continue
-			}
-			// MD-RERANK fast path: a box already covered by a crawled
-			// region at the current epoch is answered locally with
-			// zero queries. A stale covering region is re-validated first
-			// (one confirming probe); if it drifted, it is evicted and the
-			// box falls through to ordinary batch probing.
-			if c.variant == Rerank && c.denseVol > 0 && b.IsFinite() && r.isDense(b) {
-				f, err := c.s.crawledLookup(r.realRanges(b))
-				if err != nil {
-					return types.Tuple{}, false, err
-				}
-				if f != nil {
-					r.improve(cand, c.s.e.hist.RowTuples(f.rows), b)
-					continue
-				}
-			}
-			it := batchItem{box: b, thrScore: cand.score, thrHave: cand.have, root: fb.root}
-			if cand.certify {
-				// The search's first probe, over the whole region: only here
-				// may the box be wider than the candidate's own contour makes
-				// it, so certify is spent whatever comes back.
-				cand.certify = false
-				theta := cand.deep[len(cand.deep)-1]
-				if db, ok := r.axis.Tighten(box, theta); ok {
-					it.box, it.thrScore, it.deep = db, theta, true
-				}
-			}
-			r.batch = append(r.batch, it)
-		}
-		if len(r.batch) == 0 {
+		fb := heap.Pop(&r.frontier).(frontierBox)
+		b := fb.box
+		if b.Empty() {
 			continue
 		}
-		if len(r.batch) < c.width && r.chain > 0 {
-			// A detected improvement chain: the previous round was a
-			// lone box whose probe improved the threshold, and this
-			// round is re-probing it — the regime where the search
-			// degenerates to one improvement per round-trip. Fill the
-			// free slots with a speculative tightening ladder over the
-			// round's best box to collapse the chase. (Gating on a
-			// detected chain keeps ordinary one-probe resolutions at
-			// one probe.)
-			r.padLadder(cand)
+		if cand.have {
+			tb, ok := r.axis.Tighten(b, cand.score)
+			if !ok {
+				continue
+			}
+			b = tb
 		}
-		// Charge the per-op budget at issue, in deterministic round order.
-		// Boxes the budget cannot cover go back to the frontier un-probed.
-		issuable := len(r.batch)
-		for i := range r.batch {
-			if !c.chargeOp() {
-				issuable = i
-				break
+		// A box inside an already-answered complete page is fully known:
+		// improve has seen every tuple in it, so probing it again
+		// (typically the confirm probe after a ladder rung collapsed the
+		// improvement chain) buys nothing.
+		if r.coveredBy(b) {
+			continue
+		}
+		// MD-RERANK fast path: a box already covered by a crawled region
+		// at the current epoch is answered locally with zero queries. A
+		// stale covering region is re-validated first (one confirming
+		// probe); if it drifted, it is evicted and the box falls through
+		// to an ordinary probe.
+		if c.variant == Rerank && c.denseVol > 0 && b.IsFinite() && r.isDense(b) {
+			f, err := c.s.crawledLookup(r.realRanges(b))
+			if err != nil {
+				return types.Tuple{}, false, err
+			}
+			if f != nil {
+				r.improve(cand, c.s.e.hist.RowTuples(f.rows), b)
+				continue
 			}
 		}
-		if issuable == 0 {
-			for i := range r.batch {
-				r.pushBox(r.batch[i].box, r.batch[i].root)
+		it := batchItem{box: b, thrScore: cand.score, thrHave: cand.have, root: fb.root}
+		if cand.certify {
+			// The search's first probe, over the whole region: only here
+			// may the box be wider than the candidate's own contour makes
+			// it, so certify is spent whatever comes back.
+			cand.certify = false
+			theta := cand.deep[len(cand.deep)-1]
+			if db, ok := r.axis.Tighten(box, theta); ok {
+				it.box, it.thrScore, it.deep = db, theta, true
 			}
+		}
+		// Charge the per-op budget at issue. A budget forces W = 1
+		// (Engine.searchWidth), so only the frontier slot can exhaust it.
+		if !c.chargeOp() {
+			r.pushBox(it.box, it.root)
 			return types.Tuple{}, false, ErrBudget
 		}
-		for i := issuable; i < len(r.batch); i++ {
-			r.pushBox(r.batch[i].box, r.batch[i].root)
+		r.batch = append(r.batch[:0], it)
+		if r.chain > 0 && c.width > 1 {
+			// A detected improvement chain: the previous round's probe
+			// improved the threshold, and this round re-probes its box —
+			// the regime where the search degenerates to one improvement
+			// per round-trip. Fill the free slots with a speculative
+			// tightening ladder over this box to collapse the chase.
+			// (Gating on a detected chain keeps ordinary one-probe
+			// resolutions at one probe.)
+			r.padLadder(cand)
+			for range r.batch[1:] {
+				c.chargeOp()
+			}
 		}
-		r.batch = r.batch[:issuable]
-		// Issue the round concurrently; slots beyond the first are
-		// speculative.
 		for i := range r.batch {
 			r.axis.BoxToQueryInto(c.q, r.batch[i].box, &r.probeQs[i])
 		}
@@ -289,23 +271,17 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 		for i := range r.batch {
 			if r.results[i].issued {
 				r.charged++
-				// Frontier slots beyond the first are speculative probes
-				// (unless this whole resolution is a speculative region
-				// slot, whose probes are all counted by resolveRound).
+				// Ladder rungs are speculative probes (unless this whole
+				// resolution is a speculative region slot, whose probes
+				// are all counted by runRound).
 				if i > 0 && !r.spec {
 					c.s.e.specIssued.Add(1)
 				}
 			}
 		}
-		// Process results strictly in round order.
-		restarted := false
-		nonLadder := 0
-		for i := range r.batch {
-			if !r.batch[i].ladder {
-				nonLadder++
-			}
-		}
-		singleImproved := false
+		// Process results strictly in slot order: the frontier slot first,
+		// then the rungs.
+		improved := false
 		for i := range r.batch {
 			it := &r.batch[i]
 			if err := r.results[i].err; err != nil {
@@ -339,22 +315,12 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				continue
 			}
 			if it.ladder {
-				// An overflowing ladder rung guessed too loose a
-				// threshold: its page still improved the candidate and
-				// fed history, but the rung resolves nothing — count it
-				// wasted (only if it actually reached the upstream:
-				// free cache replays cost nothing to waste) and let the
-				// canonical chain (the round's first slot re-pushed
-				// tightened) carry the coverage argument.
-				if r.results[i].issued {
-					c.s.e.specWasted.Add(1)
-				}
-				continue
-			}
-			if restarted {
-				// A restart discarded the whole partition; the re-pushed
-				// root covers this box, so the speculative probe was
-				// waste (its page still fed history above).
+				// An overflowing rung guessed too loose a threshold: its
+				// page still improved the candidate and fed history, but
+				// the rung resolves nothing — count it wasted (only if it
+				// actually reached the upstream: free cache replays cost
+				// nothing to waste) and let the frontier slot, re-pushed
+				// tightened, carry the coverage argument.
 				if r.results[i].issued {
 					c.s.e.specWasted.Add(1)
 				}
@@ -379,9 +345,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				// overflowing box re-tightened — a documented
 				// refinement with identical coverage and fewer
 				// repeated queries.
-				if nonLadder == 1 {
-					singleImproved = true
-				}
+				improved = true
 				if c.variant == Rerank {
 					if tb, ok := r.axis.Tighten(it.box, cand.score); ok {
 						r.pushBox(tb, it.root)
@@ -391,30 +355,6 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 					if tb, ok := r.axis.Tighten(box, cand.score); ok {
 						r.pushBox(tb, true)
 					}
-					restarted = true
-				}
-				continue
-			}
-			if cand.have && (!it.thrHave || cand.score < it.thrScore) {
-				// The threshold improved between issue and processing
-				// (an earlier result of this round): sequential
-				// execution would have probed this box re-tightened, so
-				// the stale overflow is speculative waste (when it
-				// reached the upstream — cache replays are free).
-				// Re-enqueue the box; its next probe pays only what the
-				// tightened form costs, and this probe's page already
-				// fed history. Slot 0 can only go stale through
-				// compose-time dense-hit improvements — itself a
-				// width>1 artifact — so its probe is counted into the
-				// speculative ledger here to keep wasted ≤ issued.
-				if r.results[i].issued {
-					c.s.e.specWasted.Add(1)
-					if i == 0 && !r.spec {
-						c.s.e.specIssued.Add(1)
-					}
-				}
-				if tb, ok := r.axis.Tighten(it.box, cand.score); ok {
-					r.pushBox(tb, it.root)
 				}
 				continue
 			}
@@ -426,7 +366,7 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 				r.pushBox(k, false)
 			}
 		}
-		if singleImproved {
+		if improved {
 			r.chain++
 		} else {
 			r.chain = 0

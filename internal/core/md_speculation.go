@@ -126,17 +126,17 @@ func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate) error {
 	return firstErr
 }
 
-// padLadder fills the round's free slots with a speculative tightening
-// ladder: copies of the round's best box tightened against geometrically
-// more optimistic thresholds between the box's lower bound and the
-// threshold it was composed under. The chase a sequential search runs —
+// padLadder fills slots 1…W−1 of the round with a speculative tightening
+// ladder: copies of the round's frontier box (slot 0) tightened against
+// geometrically more optimistic thresholds between the box's lower bound and
+// the threshold it was composed under. The chase a sequential search runs —
 // probe, improve, re-tighten, probe again, one upstream round-trip per
 // improvement — collapses when a deep rung comes back complete: a complete
 // page over Tighten(b, θ_j) reveals the true minimum of everything under
 // θ_j at once, a parallel exponential search down the score axis. Rungs are
 // processed improve-only (never partitioned — they overlap the canonical
 // slot), so they can accelerate the search but never steer it; an
-// overflowing rung is counted as speculative waste.
+// overflowing rung is the only speculative waste.
 func (r *mdResolver) padLadder(cand *candidate) {
 	base := r.batch[0]
 	lb := r.axis.LowerBound(base.box)

@@ -200,22 +200,3 @@ func (r *Ratio) Score(vals []float64) float64 {
 
 // Name implements Ranker.
 func (r *Ratio) Name() string { return r.name }
-
-// Negate wraps a ranker to invert its order (largest score first). Used to
-// build anti-correlated system ranking functions in experiments. The result
-// is still monotone, with every direction flipped.
-type Negate struct {
-	R Ranker
-}
-
-// Attrs implements Ranker.
-func (n Negate) Attrs() []int { return n.R.Attrs() }
-
-// Dir implements Ranker.
-func (n Negate) Dir(j int) Direction { return -n.R.Dir(j) }
-
-// Score implements Ranker.
-func (n Negate) Score(vals []float64) float64 { return -n.R.Score(vals) }
-
-// Name implements Ranker.
-func (n Negate) Name() string { return "neg(" + n.R.Name() + ")" }

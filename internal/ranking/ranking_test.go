@@ -43,7 +43,7 @@ func TestLinearValidation(t *testing.T) {
 	}
 }
 
-func TestSingleAndRatioAndNegate(t *testing.T) {
+func TestSingleAndRatio(t *testing.T) {
 	s := NewSingle("s", 1, Desc)
 	if s.Score([]float64{7}) != -7 || s.Attrs()[0] != 1 || s.Attr() != 1 {
 		t.Error("Single broken")
@@ -54,10 +54,6 @@ func TestSingleAndRatioAndNegate(t *testing.T) {
 	}
 	if r.Dir(0) != Asc || r.Dir(1) != Desc {
 		t.Error("Ratio directions wrong")
-	}
-	n := Negate{R: s}
-	if n.Score([]float64{7}) != 7 || n.Dir(0) != Asc {
-		t.Error("Negate broken")
 	}
 }
 

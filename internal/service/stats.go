@@ -170,7 +170,7 @@ var upstreamSeries = []struct {
 	{"dense_md_max_bucket", "Largest crawled-region bucket: the most regions one lookup may walk.", "gauge", func(u UpstreamStats) int64 { return int64(u.DenseMDMaxBucket) }},
 	{"search_parallelism", "Effective speculative probe width W.", "gauge", func(u UpstreamStats) int64 { return int64(u.SearchParallelism) }},
 	{"spec_probes_issued_total", "Speculative MD probes issued.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesIssued }},
-	{"spec_probes_wasted_total", "Speculative MD probes invalidated before use.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesWasted }},
+	{"spec_probes_wasted_total", "Speculative MD ladder rungs that overflowed and resolved nothing.", "counter", func(u UpstreamStats) int64 { return u.SpecProbesWasted }},
 	{"k", "Upstream interface's system-k.", "gauge", func(u UpstreamStats) int64 { return int64(u.UpstreamK) }},
 	{"admission_weight", "Per-session multiplier on the shared admission capacity.", "gauge", func(u UpstreamStats) int64 { return int64(u.AdmissionWeight) }},
 	{"epoch", "Knowledge epoch.", "gauge", func(u UpstreamStats) int64 { return u.Epoch }},
