@@ -111,7 +111,6 @@ func main() {
 		acquireIvl   = flag.Duration("acquire-interval", time.Second, "how often the background acquirer looks for idle capacity (only with -acquire)")
 		acquireIdle  = flag.Duration("acquire-idle", 0, "user-traffic quiet period before acquisition may start (0 = 2x -acquire-interval)")
 		sentinelIvl  = flag.Duration("sentinel-interval", 0, "period of the per-namespace sentinel drift check: a tiny fixed probe set whose changed answers bump the knowledge epoch (0 = off)")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "launch a hedged second attempt for a remote probe not answered within this duration (0 = off)")
 		probeRetries = flag.Int("probe-retries", 0, "extra attempts per remote probe before it fails (0 = default 2, negative = none)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size limit in bytes")
 		streamWrite  = flag.Duration("stream-write-timeout", 30*time.Second, "per-event write deadline on /v1/upstreams/{ns}/rerank/stream (stalled readers are disconnected)")
@@ -144,10 +143,7 @@ func main() {
 			Config:  acquire.Config{Interval: *acquireIvl, IdleAfter: *acquireIdle},
 		},
 		SentinelInterval: *sentinelIvl,
-		Guard: service.GuardConfig{
-			Retries:    *probeRetries,
-			HedgeAfter: *hedgeAfter,
-		},
+		ProbeRetries:     *probeRetries,
 	})
 	for _, cfg := range upstreams {
 		cfg.N = hint
@@ -199,9 +195,6 @@ func main() {
 	}
 	if *sentinelIvl > 0 {
 		log.Printf("rerankd: sentinel drift detection on (interval %s)", *sentinelIvl)
-	}
-	if *hedgeAfter > 0 {
-		log.Printf("rerankd: hedged remote probes after %s", *hedgeAfter)
 	}
 	if *dataDir != "" {
 		if err := srv.OpenDataDir(*dataDir, service.PersistConfig{

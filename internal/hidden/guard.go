@@ -1,16 +1,16 @@
-// Guard wraps a Database in the retry/hedge/backoff layer the living-
+// Guard wraps a Database in the retry/backoff/health layer the living-
 // upstreams design requires: real sources time out, flake, and fall over,
-// and the paper's cost model (one counted query per *logical* probe) must
+// and the paper's cost model (one counted query per answered probe) must
 // survive all of it. A Guard turns transient upstream failures into
-// latency — retries with per-upstream exponential backoff, an optional
-// hedged second attempt for tail latency — and tracks a half-open health
-// state machine (healthy → degraded → down) so a dead upstream fails fast
-// instead of stalling every session on its timeout.
+// latency — retries with per-upstream exponential backoff — and tracks a
+// half-open health state machine (healthy → degraded → down) so a dead
+// upstream fails fast instead of stalling every session on its timeout.
 //
-// The callers above the Guard (the engine's probe path, crawler, sentinel) treat one
-// Guard.TopK call as one logical probe and charge ledgers accordingly; how
-// many physical attempts the Guard spent on it is an operational detail
-// surfaced only through GuardHealth counters.
+// The callers above the Guard (the engine's probe path, crawler, sentinel)
+// treat one Guard.TopK call as one logical probe and charge ledgers
+// accordingly. Each try is one physical query, and a failed try was not
+// answered, so an answered logical probe is exactly one query the upstream
+// answered; the failed tries are surfaced only through GuardHealth counters.
 
 package hidden
 
@@ -59,17 +59,12 @@ func (s HealthState) String() string {
 }
 
 // GuardOptions configure a Guard. The zero value is usable: 2 retries,
-// no hedging, 100ms base backoff capped at 30s, down after 3 consecutive
-// logical failures.
+// 100ms base backoff capped at 30s, down after 3 consecutive logical
+// failures.
 type GuardOptions struct {
 	// Retries is the number of extra attempts after the first, per logical
 	// probe (< 0 disables retrying; 0 means default 2).
 	Retries int
-	// HedgeAfter launches a second identical attempt when the first has
-	// not answered within this duration, taking whichever answers first
-	// (0 disables hedging). The upstream may see two physical queries;
-	// the caller is still charged one.
-	HedgeAfter time.Duration
 	// BackoffBase is the delay before the first retry and the first down
 	// backoff window; it doubles per consecutive failure (default 100ms).
 	BackoffBase time.Duration
@@ -118,13 +113,11 @@ type GuardHealth struct {
 	Probes    int64 // logical probes attempted (excluding fast-fails)
 	Failures  int64 // logical probes that failed after all retries
 	Retries   int64 // physical retry attempts
-	Hedges    int64 // hedged second attempts launched
-	HedgeWins int64 // hedges that answered before the primary
 	FastFails int64 // probes refused while down, without touching the upstream
 }
 
-// Guard wraps db with retries, hedging, and the health state machine. Safe
-// for concurrent use.
+// Guard wraps db with retries and the health state machine. Safe for
+// concurrent use.
 type Guard struct {
 	db   Database
 	opts GuardOptions
@@ -135,8 +128,7 @@ type Guard struct {
 	backoffUntil time.Time
 	trialing     bool // a half-open trial probe is in flight
 
-	probes, failures, retries    atomic.Int64
-	hedges, hedgeWins, fastFails atomic.Int64
+	probes, failures, retries, fastFails atomic.Int64
 }
 
 // NewGuard wraps db. A nil-option call is valid; see GuardOptions.
@@ -158,15 +150,13 @@ func (g *Guard) Health() GuardHealth {
 	h.Probes = g.probes.Load()
 	h.Failures = g.failures.Load()
 	h.Retries = g.retries.Load()
-	h.Hedges = g.hedges.Load()
-	h.HedgeWins = g.hedgeWins.Load()
 	h.FastFails = g.fastFails.Load()
 	return h
 }
 
-// TopK implements Database: one logical probe, physically retried and
-// hedged as configured. ErrRateLimited passes through untouched — it is a
-// semantic answer from a healthy upstream, not a failure.
+// TopK implements Database: one logical probe, one physical query per try,
+// retried with backoff as configured. ErrRateLimited passes through
+// untouched — it is a semantic answer from a healthy upstream, not a failure.
 func (g *Guard) TopK(q query.Query) (Result, error) {
 	if err := g.admit(); err != nil {
 		return Result{}, err
@@ -178,7 +168,7 @@ func (g *Guard) TopK(q query.Query) (Result, error) {
 			g.retries.Add(1)
 			g.opts.sleep(g.backoff(attempt - 1))
 		}
-		res, err := g.attempt(q)
+		res, err := g.db.TopK(q)
 		if err == nil {
 			g.onSuccess()
 			return res, nil
@@ -197,53 +187,6 @@ func (g *Guard) TopK(q query.Query) (Result, error) {
 		return Result{}, fmt.Errorf("%w until %s: %v", ErrUpstreamDown, until.Format(time.RFC3339), lastErr)
 	}
 	return Result{}, fmt.Errorf("%w: %v", ErrUpstreamDegraded, lastErr)
-}
-
-// attempt issues one (possibly hedged) physical pass for the probe.
-func (g *Guard) attempt(q query.Query) (Result, error) {
-	if g.opts.HedgeAfter <= 0 {
-		return g.db.TopK(q)
-	}
-	// The losing leg outlives this call and keeps reading its query, while
-	// callers (core's MD resolver) refill theirs in place for the next
-	// probe: the legs share a private copy, never the caller's maps.
-	q = q.Clone()
-	type outcome struct {
-		res   Result
-		err   error
-		hedge bool
-	}
-	ch := make(chan outcome, 2)
-	go func() {
-		r, e := g.db.TopK(q)
-		ch <- outcome{res: r, err: e}
-	}()
-	timer := time.NewTimer(g.opts.HedgeAfter)
-	defer timer.Stop()
-	var first outcome
-	select {
-	case first = <-ch:
-		return first.res, first.err
-	case <-timer.C:
-		g.hedges.Add(1)
-		go func() {
-			r, e := g.db.TopK(q)
-			ch <- outcome{res: r, err: e, hedge: true}
-		}()
-		first = <-ch
-		if first.err == nil {
-			if first.hedge {
-				g.hedgeWins.Add(1)
-			}
-			return first.res, nil
-		}
-		// The faster leg failed; the slower one may still succeed.
-		second := <-ch
-		if second.err == nil && second.hedge {
-			g.hedgeWins.Add(1)
-		}
-		return second.res, second.err
-	}
 }
 
 // admit applies the half-open gate: while down and inside the backoff

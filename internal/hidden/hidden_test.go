@@ -3,6 +3,7 @@ package hidden
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -93,6 +94,15 @@ func TestSystemRankingTieBreak(t *testing.T) {
 	res, _ := db.TopK(query.New())
 	if res.Tuples[0].ID != 1 || res.Tuples[1].ID != 2 {
 		t.Fatalf("tie-break order: %v", res.Tuples)
+	}
+	// All lists the whole corpus in the same order, as copies.
+	all := db.All()
+	if len(all) != 3 || all[0].ID != 1 || all[1].ID != 2 || all[2].ID != 3 {
+		t.Fatalf("All order: %v", all)
+	}
+	all[0].Ord[0] = 9
+	if again := db.All(); again[0].Ord[0] != 1 {
+		t.Fatal("All returned the database's own tuple, not a copy")
 	}
 }
 
@@ -228,5 +238,8 @@ func TestAdversaryConsistency(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("tuple %v vanished from covering query answer %v", seen, res2.Tuples)
+	}
+	if got := adv.String(); !strings.Contains(got, "queries=2") {
+		t.Fatalf("String() = %q, want it to report the 2 queries answered", got)
 	}
 }

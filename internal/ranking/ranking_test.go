@@ -55,6 +55,9 @@ func TestSingleAndRatio(t *testing.T) {
 	if r.Dir(0) != Asc || r.Dir(1) != Desc {
 		t.Error("Ratio directions wrong")
 	}
+	if r.Name() != "r" || Asc.String() != "asc" || Desc.String() != "desc" {
+		t.Errorf("names: ratio %q, directions %q/%q", r.Name(), Asc, Desc)
+	}
 }
 
 // TestMonotonicityProperty: every shipped ranker must satisfy the §2.2

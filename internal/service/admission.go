@@ -65,21 +65,11 @@ type Options struct {
 	// cheap probe set that detects upstream drift and bumps the knowledge
 	// epoch (0 = off; see sentinel.go and docs/epochs.md).
 	SentinelInterval time.Duration
-	// Guard configures the retry/hedge/health layer wrapped around REMOTE
-	// upstreams (in-process databases are never wrapped — they cannot flake).
-	Guard GuardConfig
-}
-
-// GuardConfig configures the hidden.Guard wrapped around every remote
-// upstream at registration. The guard's backoff/health defaults apply; only
-// the knobs operators actually tune are surfaced here.
-type GuardConfig struct {
-	// Retries is the number of extra attempts per logical probe
-	// (< 0 disables retrying; 0 means the guard default of 2).
-	Retries int
-	// HedgeAfter launches a hedged second attempt when the first has not
-	// answered within this duration (0 disables hedging).
-	HedgeAfter time.Duration
+	// ProbeRetries is the number of extra attempts per logical probe of the
+	// guard wrapped around every REMOTE upstream (< 0 disables retrying; 0
+	// means the guard default of 2). In-process databases are never wrapped
+	// — they cannot flake.
+	ProbeRetries int
 }
 
 func (o Options) withDefaults() Options {

@@ -295,7 +295,7 @@ func TestUpstreamStatsRoute(t *testing.T) {
 		"certifiedOverflow", "coverHits", "default", "denseMDMaxBucket", "engineQueries", "epoch",
 		"epochBumps", "health", "historyTuples", "mdCertifiedComplete", "mdCertifiedOverflow",
 		"mdDenseRegions", "persistEnabled", "probeCacheEntries", "probeContainedHits",
-		"probeFactBytes", "probeFailures", "probeFastFails", "probeHedgeWins", "probeHedges",
+		"probeFactBytes", "probeFailures", "probeFastFails", "probeHedges",
 		"probePartialHits", "probeRetries", "requests", "revalEvicted", "revalPromoted",
 		"searchParallelism", "sentinelBumps", "sentinelPasses", "specProbesIssued",
 		"specProbesWasted", "staleHistoryRows", "staleRegions", "storageApproxBytes",

@@ -14,8 +14,8 @@
 // guard health, last sentinel pass, and the count of stale regions awaiting
 // lazy re-validation.
 //
-// Remote upstreams registered here are wrapped in a hidden.Guard (retries,
-// optional hedging, half-open health state machine); in-process databases
+// Remote upstreams registered here are wrapped in a hidden.Guard (retries
+// with backoff, half-open health state machine); in-process databases
 // are never wrapped and always report "healthy".
 //
 // Namespace names are safe path components ([a-z0-9][a-z0-9._-]*, at most
@@ -199,7 +199,7 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 
 // RegisterUpstream dials a remote hiddendb endpoint and registers it as a
 // namespace (the programmatic form of POST /v1/upstreams). The remote is
-// wrapped in a probe guard — retries, optional hedging, half-open health.
+// wrapped in a probe guard — retries with backoff, half-open health.
 func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 	if cfg.URL == "" {
 		return nil, errors.New("service: upstream url required")
@@ -208,10 +208,7 @@ func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 	if err != nil {
 		return nil, &dialError{fmt.Errorf("service: dial upstream %q: %w", cfg.URL, err)}
 	}
-	return s.RegisterUpstreamDB(cfg, hidden.NewGuard(rdb, hidden.GuardOptions{
-		Retries:    s.opts.Guard.Retries,
-		HedgeAfter: s.opts.Guard.HedgeAfter,
-	}))
+	return s.RegisterUpstreamDB(cfg, hidden.NewGuard(rdb, hidden.GuardOptions{Retries: s.opts.ProbeRetries}))
 }
 
 // DeregisterUpstream removes a namespace and finalizes its persistence with

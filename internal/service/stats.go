@@ -44,12 +44,13 @@ type UpstreamStats struct {
 
 	// Health and the Probe* counters are the probe guard's (see
 	// docs/epochs.md); an in-process database is always healthy.
-	Health         string `json:"health"`
-	ProbeRetries   int64  `json:"probeRetries"`
-	ProbeHedges    int64  `json:"probeHedges"`
-	ProbeHedgeWins int64  `json:"probeHedgeWins"`
-	ProbeFailures  int64  `json:"probeFailures"`
-	ProbeFastFails int64  `json:"probeFastFails"`
+	Health       string `json:"health"`
+	ProbeRetries int64  `json:"probeRetries"`
+	// ProbeHedges is always 0: the guard no longer hedges. It is kept until
+	// bench/perf retires its guard.hedges layer metric, which reads it.
+	ProbeHedges    int64 `json:"probeHedges"`
+	ProbeFailures  int64 `json:"probeFailures"`
+	ProbeFastFails int64 `json:"probeFastFails"`
 
 	// Acquire is the namespace's background-acquirer counters (absent when
 	// acquisition is disabled).
@@ -100,8 +101,6 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 		gh := t.guard.Health()
 		us.Health = gh.State.String()
 		us.ProbeRetries = gh.Retries
-		us.ProbeHedges = gh.Hedges
-		us.ProbeHedgeWins = gh.HedgeWins
 		us.ProbeFailures = gh.Failures
 		us.ProbeFastFails = gh.FastFails
 	}
@@ -184,8 +183,6 @@ var upstreamSeries = []struct {
 	{"health", "Probe-guard health state (0 healthy, 1 degraded, 2 down).", "gauge", healthLevel},
 	{"probe_retry_total", "Physical retry attempts spent by the probe guard.", "counter", func(u UpstreamStats) int64 { return u.ProbeRetries }},
 	{"probe_retry_failures_total", "Logical probes that failed after exhausting their retries.", "counter", func(u UpstreamStats) int64 { return u.ProbeFailures }},
-	{"probe_hedges_total", "Hedged second attempts launched by the probe guard.", "counter", func(u UpstreamStats) int64 { return u.ProbeHedges }},
-	{"probe_hedge_wins_total", "Hedged attempts that answered first.", "counter", func(u UpstreamStats) int64 { return u.ProbeHedgeWins }},
 	{"probe_fast_fails_total", "Probes refused while the upstream was down, without touching it.", "counter", func(u UpstreamStats) int64 { return u.ProbeFastFails }},
 	{"storage_blocks", "Sealed column blocks in the history arena.", "gauge", func(u UpstreamStats) int64 { return int64(u.StorageBlocks) }},
 	{"storage_dict_entries", "Interned categorical symbols in the shared dictionary.", "gauge", func(u UpstreamStats) int64 { return int64(u.StorageDictEntries) }},

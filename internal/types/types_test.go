@@ -79,6 +79,11 @@ func TestSchemaConstruction(t *testing.T) {
 	if names := s.Names(); names[1] != "c" {
 		t.Errorf("Names = %v", names)
 	}
+	for k, want := range map[Kind]string{Ordinal: "ordinal", Categorical: "categorical", Kind(9): "Kind(9)"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
 }
 
 func TestTupleClone(t *testing.T) {
