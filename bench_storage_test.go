@@ -23,7 +23,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/colstore"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/history"
@@ -205,10 +204,10 @@ func BenchmarkStorageScale(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			matched, sum = 0, 0
-			storageStore.ScanMatching(q, func(v colstore.View, row int) bool {
+			v := storageStore.View()
+			storageStore.ScanMatching(q, v, 0, func(row int) {
 				matched++
 				sum += v.Ord(row, dataset.BNCarat)
-				return true
 			})
 		}
 		b.StopTimer()

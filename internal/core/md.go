@@ -62,16 +62,17 @@
 // Determinism. Every decision point runs in a fixed order on the cursor
 // goroutine: region rounds are composed and their results applied in heap
 // order, a frontier round's box and rungs are composed and processed in slot
-// order, and history is read for seeding only between rounds. Which probes
-// the fact index answers is decided there too: a ladder's rungs are nested,
-// and a complete answer also answers the probes its box contains, so every
-// probe of a round is looked up before any of the round's upstream calls is
-// dispatched (Session.issueAll). Concurrent resolutions touch disjoint
-// boxes, so their probes cannot contain one another. The emitted tuple
-// sequence is therefore identical for every W (each top-1 is an exact minimum
-// regardless of exploration order), and the session ledger is exactly
-// reproducible for a fixed W — speculation changes how much is charged, never
-// making the charge nondeterministic.
+// order, and history is read for seeding only between rounds: the cursor's
+// seed list is extended to a view taken there, before any of the round's
+// probes can grow the history. Which probes the fact index answers is decided
+// there too: a ladder's rungs are nested, and a complete answer also answers
+// the probes its box contains, so every probe of a round is looked up before
+// any of the round's upstream calls is dispatched (Session.issueAll).
+// Concurrent resolutions touch disjoint boxes, so their probes cannot contain
+// one another. The emitted tuple sequence is therefore identical for every W
+// (each top-1 is an exact minimum regardless of exploration order), and the
+// session ledger is exactly reproducible for a fixed W — speculation changes
+// how much is charged, never making the charge nondeterministic.
 // (The one caveat: ledger reproducibility assumes the engine-wide fact index
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
@@ -128,7 +129,10 @@ import (
 )
 
 // MDCursor incrementally returns tuples matching a user query in ascending
-// order of an arbitrary monotone multi-attribute ranking function.
+// order of an arbitrary monotone multi-attribute ranking function. It seeds
+// each resolution from its own seed list of the history rows matching the
+// query (seedList), so a round matches only the rows appended since the
+// previous one.
 type MDCursor struct {
 	s       *Session
 	q       query.Query
@@ -159,8 +163,21 @@ type MDCursor struct {
 	// skip lists the tuple versions no resolution may pick: every version a
 	// tie probe found stale (a newer version of the same tuple may still be
 	// picked). Written on the cursor goroutine between rounds. Empty but
-	// across drift, so the history scan pays one length test per row for it.
+	// across drift, so seeding pays one length test for it per entry that
+	// passes the score and box tests.
 	skip []types.Tuple
+
+	// seeds is the cursor's own copy of the history it seeds from: the rows
+	// matching q and their scores, extended each round past its watermark.
+	seeds seedList
+
+	// Round scratch, reused every round and kept by nothing past it: the
+	// popped regions, their candidates, the candidates' deep lists and the
+	// resolvers' outcomes, one per slot.
+	round []*mdRegion
+	cands []candidate
+	deep  []float64
+	outs  []roundOutcome
 }
 
 // mdRegion is one top-level partition region in the region heap.
@@ -230,8 +247,14 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 		width:   e.searchWidth(),
 		depth:   1,
 	}
+	c.round = make([]*mdRegion, 0, c.width)
+	c.cands = make([]candidate, c.width)
+	c.outs = make([]roundOutcome, c.width)
 	if v == Rerank {
 		c.depth = certDepth(e.db.K())
+		if c.depth > 1 {
+			c.deep = make([]float64, c.depth*c.width)
+		}
 		c.denseVol = e.denseVolumeMD(ax.Attrs())
 		// Per-dimension dense widths: the volume test alone would
 		// classify thin full-width slabs (which tightening produces
@@ -449,13 +472,14 @@ func (c *MDCursor) popRound(limit int) []*mdRegion {
 			bound, haveBound = r.key, true
 		}
 	}
-	out := make([]*mdRegion, 0, limit)
+	out := c.round[:0]
 	for len(out) < limit && c.regions.Len() > 0 && !c.regions[0].resolved {
 		if haveBound && c.regions[0].key > bound && len(out) > 0 {
 			break
 		}
 		out = append(out, heap.Pop(&c.regions).(*mdRegion))
 	}
+	c.round = out
 	return out
 }
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/colstore"
 	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/ranking"
@@ -111,19 +110,13 @@ type candidate struct {
 	t       types.Tuple
 	score   float64
 	have    bool
-	row     int // during seedRound's scan: the history row t.ID names
+	row     int // during seedRound: the history row t.ID names
 	deep    []float64
 	certify bool
 }
 
-// noteDeep files score s among the best len(deep) seen. Nearly every row of a
-// scan is turned away by the test, which is the part that inlines.
-func (cand *candidate) noteDeep(s float64) {
-	if d := cand.deep; len(d) > 0 && s < d[len(d)-1] {
-		cand.fileDeep(s)
-	}
-}
-
+// fileDeep files score s, which beats the last of deep, among the best
+// len(deep) seen, in ascending order.
 func (cand *candidate) fileDeep(s float64) {
 	d := cand.deep
 	i := sort.SearchFloat64s(d, s)
@@ -150,26 +143,6 @@ func (r *mdResolver) improveOne(cand *candidate, t types.Tuple, box query.Box) {
 	s := r.axis.ScoreTuple(t)
 	if !cand.have || s < cand.score || (s == cand.score && t.ID < cand.t.ID) {
 		cand.t, cand.score, cand.have = t, s, true
-	}
-}
-
-// improveRow is improveOne reading straight from a columnar history row. The
-// scan that feeds it has already filtered by the cursor's query, so only the
-// emitted/skipped checks remain. An adopted row leaves its ID and row number;
-// seedRound materializes the tuple when the scan is over.
-func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box query.Box) {
-	id := v.ID(row)
-	if r.c.emitted[id] || (len(r.c.skip) > 0 && r.c.skippedRow(v, row, id)) {
-		return
-	}
-	z := r.axis.ToAxisViewInto(v, row, r.zbuf)
-	if !box.Contains(z) {
-		return
-	}
-	s := r.axis.ScoreAxis(z) // the row's own score to the bit: z holds its values times ±1
-	cand.noteDeep(s)
-	if !cand.have || s < cand.score || (s == cand.score && id < cand.t.ID) {
-		cand.t.ID, cand.row, cand.score, cand.have = id, row, s, true
 	}
 }
 

@@ -13,17 +13,33 @@ import (
 	"repro/internal/types"
 )
 
+// seedList is a cursor's copy of the history it seeds from: the arena rows
+// matching its query, in row order, each with its score, and the watermark
+// below which the arena has been matched. The arena only grows and its rows
+// never change, so the list extended to a view holds exactly the rows a full
+// scan of that view matches, in the order the scan visits them. It costs 12 B
+// per matching row and goes with the cursor.
+type seedList struct {
+	rows  []uint32
+	score []float64
+	mark  int // arena rows below mark are matched
+}
+
 // seedRound seeds one candidate per region from the shared history, on the
 // cursor goroutine, before any of the round's probes can grow the history —
 // the ordering that keeps each resolution's probe stream deterministic.
-// Region i uses resolver i.
+// Region i uses resolver i. Only the rows past the seed list's watermark are
+// matched and scored; every region then seeds from the list.
 func (c *MDCursor) seedRound(regs []*mdRegion) []candidate {
-	cands := make([]candidate, len(regs))
+	cands := c.cands[:len(regs)]
+	for i := range cands {
+		cands[i] = candidate{}
+	}
 	if c.s.e.opts.DisableHistory {
 		return cands
 	}
 	if c.depth > 1 {
-		deep := make([]float64, c.depth*len(regs))
+		deep := c.deep[:c.depth*len(regs)]
 		for i := range deep {
 			deep[i] = math.Inf(1)
 		}
@@ -31,22 +47,18 @@ func (c *MDCursor) seedRound(regs []*mdRegion) []candidate {
 			cands[i].deep = deep[i*c.depth : (i+1)*c.depth]
 		}
 	}
-	// One pass over the matching history seeds every slot: all callbacks
-	// run on the cursor goroutine, so sharing the scan preserves the
-	// deterministic seeding order while keeping the cost independent of W.
-	// The scan reads the columnar view directly — a slot's candidate is
-	// materialized once, from the row it ended the scan on.
-	var view colstore.View
-	c.s.e.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
-		view = v
-		for i, reg := range regs {
-			c.resolvers[i].improveRow(&cands[i], v, row, reg.box)
-		}
-		return true
+	r0 := c.resolvers[0] // its scratch is the cursor's between rounds
+	v := c.s.e.hist.View()
+	c.s.e.hist.ScanMatching(c.q, v, c.seeds.mark, func(row int) {
+		c.seeds.rows = append(c.seeds.rows, uint32(row))
+		// The row's own score to the bit: the axis point holds its values
+		// times ±1.
+		c.seeds.score = append(c.seeds.score, r0.axis.ScoreAxis(r0.axis.ToAxisViewInto(v, row, r0.zbuf)))
 	})
-	for i := range cands {
-		if cands[i].have {
-			cands[i].t = view.Tuple(cands[i].row)
+	c.seeds.mark = v.Len()
+	for i, reg := range regs {
+		if c.seedFrom(&cands[i], v, reg.box) {
+			cands[i].t = v.Tuple(cands[i].row)
 		}
 	}
 	// History knows deeper tuples than the candidate: the resolution asks for
@@ -72,18 +84,56 @@ func (c *MDCursor) seedRound(regs []*mdRegion) []candidate {
 	return cands
 }
 
+// seedFrom walks the seed list for the region over box: cand becomes the best
+// entry inside box that is neither emitted nor skipped, under the (score, ID)
+// rule (the first in row order among equals), and cand.deep collects the
+// scores of the best len(cand.deep) such entries. It reports whether cand was
+// found; cand.t then holds only its ID, and cand.row the row to materialize.
+//
+// The tests run cheapest first — score, box, then emitted and skip — because
+// an entry that fails any one of them changes nothing: an entry that could
+// neither enter deep nor beat the candidate is turned away on its score
+// alone, before its axis point is read or its ID looked up.
+func (c *MDCursor) seedFrom(cand *candidate, v colstore.View, box query.Box) bool {
+	r0 := c.resolvers[0]
+	rows := c.seeds.rows
+	for k, s := range c.seeds.score {
+		deeper := len(cand.deep) > 0 && s < cand.deep[len(cand.deep)-1]
+		if !deeper && cand.have && (s > cand.score || s == cand.score && v.ID(int(rows[k])) >= cand.t.ID) {
+			continue
+		}
+		row := int(rows[k])
+		if !box.Contains(r0.axis.ToAxisViewInto(v, row, r0.zbuf)) {
+			continue
+		}
+		id := v.ID(row)
+		if c.emitted[id] || (len(c.skip) > 0 && c.skippedRow(v, row, id)) {
+			continue
+		}
+		if deeper {
+			cand.fileDeep(s)
+		}
+		if !cand.have || s < cand.score || (s == cand.score && id < cand.t.ID) {
+			cand.t.ID, cand.row, cand.score, cand.have = id, row, s, true
+		}
+	}
+	return cand.have
+}
+
+// roundOutcome is one region slot's result in a region round.
+type roundOutcome struct {
+	best types.Tuple
+	have bool
+	err  error
+}
+
 // runRound resolves the round's regions concurrently (region i on resolver
 // i) and applies the results in slot order. Slots beyond the heap minimum
 // are speculative: the minimum's result alone might have unblocked the emit,
 // so the extra resolutions are work done early, counted into the engine's
 // speculation ledger.
 func (c *MDCursor) runRound(regs []*mdRegion, cands []candidate) error {
-	type outcome struct {
-		best types.Tuple
-		have bool
-		err  error
-	}
-	outs := make([]outcome, len(regs))
+	outs := c.outs[:len(regs)]
 	if len(regs) == 1 {
 		outs[0].best, outs[0].have, outs[0].err = c.resolvers[0].top1(regs[0].box, &cands[0])
 	} else {

@@ -39,9 +39,9 @@
 // attribute B. MinMatching/MaxMatching scan run and buffer cooperatively and
 // combine the two candidates.
 //
-// Whole-store scans (ScanMatching, CountMatching) iterate an
-// immutable point-in-time arena view in insertion order; the iteration runs
-// lock-free, so callbacks may re-enter the store freely.
+// Whole-store scans (ScanMatching over the caller's view, CountMatching over
+// its own) iterate an immutable point-in-time arena view in insertion order;
+// the iteration runs lock-free, so callbacks may re-enter the store freely.
 package history
 
 import (
@@ -348,22 +348,18 @@ func (s *Store) ScanRun(q query.Query, run colstore.Run, iv types.Interval, desc
 	return v.Tuple(int(row)), true
 }
 
-// ScanMatching calls fn for every stored tuple matching q, in insertion
-// order, until fn returns false. fn receives the arena view and a row number
-// and reads attribute values straight from the columns — the zero-alloc hot
-// path for scoring scans (MD frontier seeding). Iteration covers an
-// immutable point-in-time snapshot: fn may re-enter the store (including
-// Add), and tuples added during iteration are not visited.
-func (s *Store) ScanMatching(q query.Query, fn func(v colstore.View, row int) bool) {
-	v := s.arena.View()
+// ScanMatching calls fn for every row of view v from row from on that matches
+// q, in insertion order. fn reads attribute values straight from v's columns
+// — the zero-alloc hot path for scoring scans — and the caller's view bounds
+// the scan: fn may re-enter the store (including Add), and rows added during
+// iteration are not visited. Rows never change, so a caller that keeps what
+// it matched resumes at the view's Len and never rescans a row (MD seeding).
+func (s *Store) ScanMatching(q query.Query, v colstore.View, from int, fn func(row int)) {
 	m := matcherPool.Get().(*colstore.Matcher)
 	m.Reset(v, q)
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		if !fn(v, row) {
-			break
+	for row := from; row < v.Len(); row++ {
+		if m.Match(row) {
+			fn(row)
 		}
 	}
 	matcherPool.Put(m)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -190,12 +189,12 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 				q := randomQuery(rng)
 				want := ref.Matching(q)
 				n := 0
-				s.ScanMatching(q, func(v colstore.View, row int) bool {
+				v := s.View()
+				s.ScanMatching(q, v, 0, func(row int) {
 					if tp := v.Tuple(row); n >= len(want) || !tp.Equal(want[n]) {
 						t.Fatalf("seed %d op %d: ScanMatching(%s) visit %d = %v, reference %v", seed, op, q, n, tp, want[n:])
 					}
 					n++
-					return true
 				})
 				if n != len(want) {
 					t.Fatalf("seed %d op %d: ScanMatching(%s) visited %d, reference %d", seed, op, q, n, len(want))

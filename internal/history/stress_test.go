@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -16,7 +15,8 @@ import (
 // the whole user callback, so a callback that called back into the store (an
 // Add taking the write lock, or a read racing a blocked writer) wedged
 // forever. Iteration now runs over an immutable snapshot, so re-entry —
-// including mutation — is legal; and a callback returning false stops it.
+// including mutation — is legal; and a scan from a row on visits only the
+// rows after it.
 func TestScanMatchingReentrant(t *testing.T) {
 	s := NewStore(schema())
 	s.Add(
@@ -24,7 +24,8 @@ func TestScanMatchingReentrant(t *testing.T) {
 		types.Tuple{ID: 2, Ord: []float64{20, 0, 0}, Cat: map[string]string{"c": "x"}},
 	)
 	visited := 0
-	s.ScanMatching(query.New(), func(v colstore.View, row int) bool {
+	v := s.View()
+	s.ScanMatching(query.New(), v, 0, func(row int) {
 		tp := v.Tuple(row)
 		visited++
 		// Re-enter with reads of every flavor.
@@ -40,7 +41,6 @@ func TestScanMatchingReentrant(t *testing.T) {
 		// Re-enter with a write: tuples added mid-iteration must not be
 		// visited (the snapshot is immutable) and must not deadlock.
 		s.Add(types.Tuple{ID: 100 + tp.ID, Ord: []float64{5, 0, 0}, Cat: map[string]string{"c": "x"}})
-		return true
 	})
 	if visited != 2 {
 		t.Fatalf("visited %d tuples, want exactly the 2 present at iteration start", visited)
@@ -48,10 +48,10 @@ func TestScanMatchingReentrant(t *testing.T) {
 	if s.Size() != 4 {
 		t.Fatalf("Size = %d after re-entrant Adds, want 4", s.Size())
 	}
-	visited = 0
-	s.ScanMatching(query.New(), func(colstore.View, int) bool { visited++; return visited < 3 })
-	if visited != 3 {
-		t.Fatalf("early stop: visited %d of 4 tuples, want 3", visited)
+	var rows []int
+	s.ScanMatching(query.New(), s.View(), 1, func(row int) { rows = append(rows, row) })
+	if len(rows) != 3 || rows[0] != 1 || rows[2] != 3 {
+		t.Fatalf("scan from row 1 visited rows %v of 4, want [1 2 3]", rows)
 	}
 }
 
@@ -147,12 +147,11 @@ func TestConcurrentAddReadStress(t *testing.T) {
 					t.Errorf("CountMatching(TRUE) = %d below earlier Size %d: snapshot shrank", n, before)
 					return
 				}
-				s.ScanMatching(q, func(v colstore.View, row int) bool {
+				v := s.View()
+				s.ScanMatching(q, v, 0, func(row int) {
 					if tp := v.Tuple(row); !q.Matches(tp) {
 						t.Errorf("ScanMatching yielded non-matching tuple %v", tp)
-						return false
 					}
-					return true
 				})
 			}
 		}(r)
@@ -167,7 +166,8 @@ func TestConcurrentAddReadStress(t *testing.T) {
 	}
 	// Post-stress serial sanity: indexed lookups agree with brute force.
 	ref := newReferenceStore()
-	s.ScanMatching(query.New(), func(v colstore.View, row int) bool { ref.Add(v.Tuple(row)); return true })
+	v := s.View()
+	s.ScanMatching(query.New(), v, 0, func(row int) { ref.Add(v.Tuple(row)) })
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		q, attr, iv := randomQuery(rng), rng.Intn(2), randomInterval(rng)
