@@ -197,12 +197,14 @@ func main() {
 		log.Printf("rerankd: sentinel drift detection on (interval %s)", *sentinelIvl)
 	}
 	if *dataDir != "" {
+		openStart := time.Now()
 		if err := srv.OpenDataDir(*dataDir, service.PersistConfig{
 			CheckpointInterval: *ckptInterval,
 			Logf:               func(format string, args ...any) { log.Printf("rerankd: "+format, args...) },
 		}); err != nil {
 			log.Fatalf("rerankd: %v", err)
 		}
+		openMS := float64(time.Since(openStart).Microseconds()) / 1000
 		st := srv.Stats()
 		replayed := 0
 		for _, us := range st.Upstreams {
@@ -210,10 +212,10 @@ func main() {
 		}
 		if replayed > 0 {
 			us := st.Upstreams[st.DefaultUpstream]
-			log.Printf("rerankd: warm start from data dir %s (%d committed deltas replayed; default namespace: %d history tuples, %d cached probe answers, %d MD dense regions; checkpoint interval %s)",
-				*dataDir, replayed, us.HistoryTuples, us.ProbeCacheEntries, us.MDDenseRegions, *ckptInterval)
+			log.Printf("rerankd: warm start from data dir %s in %.1f ms (%d committed deltas replayed; default namespace: %d history tuples, %d cached probe answers, %d MD dense regions; checkpoint interval %s)",
+				*dataDir, openMS, replayed, us.HistoryTuples, us.ProbeCacheEntries, us.MDDenseRegions, *ckptInterval)
 		} else {
-			log.Printf("rerankd: data dir %s opened cold (checkpoint interval %s)", *dataDir, *ckptInterval)
+			log.Printf("rerankd: data dir %s opened cold in %.1f ms (checkpoint interval %s)", *dataDir, openMS, *ckptInterval)
 		}
 	}
 	httpSrv := &http.Server{

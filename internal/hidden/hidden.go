@@ -269,8 +269,9 @@ func (db *DB) TopK(q query.Query) (Result, error) {
 	byRank := db.byRank
 	db.dmu.RUnlock()
 	var res Result
+	m := q.Compile()
 	for i := range byRank {
-		if !q.Matches(byRank[i]) {
+		if !m.Matches(byRank[i]) {
 			continue
 		}
 		if len(res.Tuples) == db.k {
@@ -398,8 +399,9 @@ func NewOrderByView(db *DB, attr int, dir ranking.Direction) *OrderByView {
 func (v *OrderByView) TopK(q query.Query) (Result, error) {
 	v.db.counter.Add()
 	var res Result
+	m := q.Compile()
 	for i := range v.rank {
-		if !q.Matches(v.rank[i]) {
+		if !m.Matches(v.rank[i]) {
 			continue
 		}
 		if len(res.Tuples) == v.db.k {

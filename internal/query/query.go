@@ -106,6 +106,56 @@ func (q Query) Matches(t types.Tuple) bool {
 	return true
 }
 
+// Compiled is a query's predicates held in two slices, ranges by ascending
+// attribute and categorical predicates by name, for a caller that tests
+// many tuples against one query: Matches walks the slices instead of
+// ranging over the query's two maps for every tuple.
+type Compiled struct {
+	ranges []compiledRange
+	cats   []compiledCat
+}
+
+type compiledRange struct {
+	attr int
+	iv   types.Interval
+}
+
+type compiledCat struct{ name, want string }
+
+// Compile builds q's compiled form. It reads q once; later changes to q's
+// maps do not reach it.
+func (q Query) Compile() Compiled {
+	c := Compiled{
+		ranges: make([]compiledRange, 0, len(q.Ranges)),
+		cats:   make([]compiledCat, 0, len(q.Cats)),
+	}
+	for attr, iv := range q.Ranges {
+		c.ranges = append(c.ranges, compiledRange{attr, iv})
+	}
+	for name, want := range q.Cats {
+		c.cats = append(c.cats, compiledCat{name, want})
+	}
+	sort.Slice(c.ranges, func(i, j int) bool { return c.ranges[i].attr < c.ranges[j].attr })
+	sort.Slice(c.cats, func(i, j int) bool { return c.cats[i].name < c.cats[j].name })
+	return c
+}
+
+// Matches reports what Query.Matches reports for the compiled query: a
+// conjunction, so the order its terms are tested in changes nothing.
+func (c Compiled) Matches(t types.Tuple) bool {
+	for _, r := range c.ranges {
+		if !r.iv.Contains(t.Ord[r.attr]) {
+			return false
+		}
+	}
+	for _, p := range c.cats {
+		if t.Cat[p.name] != p.want {
+			return false
+		}
+	}
+	return true
+}
+
 // Empty reports whether the query is trivially unsatisfiable (some range is
 // empty). A false return does not guarantee matching tuples exist.
 func (q Query) Empty() bool {

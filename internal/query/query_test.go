@@ -45,6 +45,62 @@ func TestQueryMatches(t *testing.T) {
 	}
 }
 
+// TestCompiledMatchesQuery: the compiled form accepts exactly the tuples
+// Query.Matches accepts, over random queries with open and closed bounds,
+// infinite bounds, bounds on a tuple's own values, and categorical
+// predicates a tuple lacks the attribute for.
+func TestCompiledMatchesQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	vals := []float64{math.Inf(-1), -2, 0, 1, 1.5, 3, math.Inf(1)}
+	pick := func() float64 { return vals[rng.Intn(len(vals))] }
+	cats := []string{"", "x", "y"}
+	seen := map[[2]bool]int{} // (matched, query had a categorical predicate)
+	for i := 0; i < 4000; i++ {
+		q := New()
+		for attr := 0; attr < 3; attr++ {
+			if rng.Intn(2) == 0 {
+				lo, hi := pick(), pick()
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				q.Ranges[attr] = types.Interval{Lo: lo, Hi: hi, LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0}
+			}
+		}
+		for _, name := range []string{"c", "d"} {
+			if rng.Intn(3) == 0 {
+				q.Cats[name] = cats[rng.Intn(len(cats))]
+			}
+		}
+		tp := types.Tuple{Ord: []float64{pick(), pick(), pick()}}
+		if rng.Intn(4) > 0 {
+			tp.Cat = map[string]string{}
+			for _, name := range []string{"c", "d"} {
+				if rng.Intn(3) > 0 { // else the tuple has no value for name
+					tp.Cat[name] = cats[1+rng.Intn(2)]
+				}
+			}
+		}
+		want := q.Matches(tp)
+		if got := q.Compile().Matches(tp); got != want {
+			t.Fatalf("query %s, tuple %v %v: compiled match %v, Query.Matches %v", q, tp.Ord, tp.Cat, got, want)
+		}
+		seen[[2]bool{want, len(q.Cats) > 0}]++
+	}
+	for _, k := range [][2]bool{{true, false}, {true, true}, {false, false}, {false, true}} {
+		if seen[k] == 0 {
+			t.Fatalf("no case with matched=%v, categorical=%v: %v", k[0], k[1], seen)
+		}
+	}
+	// The compiled form is a copy: changing the query afterwards does not
+	// reach it.
+	q := New().WithRange(0, types.ClosedInterval(0, 1))
+	c := q.Compile()
+	q.Ranges[0] = types.ClosedInterval(5, 6)
+	if !c.Matches(types.Tuple{Ord: []float64{0.5}}) {
+		t.Fatal("compiled query changed with its source")
+	}
+}
+
 func TestQueryCloneIsolation(t *testing.T) {
 	q := New().WithRange(0, types.ClosedInterval(0, 1)).WithCat("c", "x")
 	c := q.Clone()

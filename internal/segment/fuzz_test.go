@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -28,8 +29,9 @@ var fuzzDelta = &Delta{
 // FuzzDecodeLine feeds the journal-line decoder arbitrary bytes, both raw
 // (the CRC frame must reject them without panicking) and re-framed under a
 // valid checksum (so the fuzzer reaches the JSON layer behind the frame). A
-// line that decodes must re-encode to a fixed point: recovery rewrites
-// journals from decoded records.
+// body the codec accepts, encoding/json must accept too, with an equal
+// value. A line that decodes must re-encode to a fixed point: recovery
+// rewrites journals from decoded records.
 func FuzzDecodeLine(f *testing.F) {
 	for _, rec := range []*journalRecord{
 		{Kind: "header", Format: Format, Fingerprint: &testFP},
@@ -53,6 +55,13 @@ func FuzzDecodeLine(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var ref journalRecord
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("codec accepted %q, encoding/json refuses it: %v", body, err)
+		}
+		if !sameDecoded(rec, &ref) {
+			t.Fatalf("codec decoded %q as %+v, encoding/json as %+v", body, rec, &ref)
+		}
 		line, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
@@ -68,8 +77,9 @@ func FuzzDecodeLine(f *testing.F) {
 }
 
 // FuzzDecodeSegment does the same for segment file bodies: no input panics,
-// and an accepted body carries the current format and the store's
-// fingerprint — the two gates between a foreign file and engine knowledge.
+// an accepted body decodes as encoding/json decodes it, and it carries the
+// current format and the store's fingerprint — the two gates between a
+// foreign file and engine knowledge.
 func FuzzDecodeSegment(f *testing.F) {
 	good, err := encodeSegment(testFP, []*Delta{fuzzDelta, {Queries: 1}})
 	if err != nil {
@@ -83,8 +93,39 @@ func FuzzDecodeSegment(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var ref segmentFile
+		if err := json.Unmarshal(data, &ref); err != nil {
+			t.Fatalf("codec accepted %q, encoding/json refuses it: %v", data, err)
+		}
+		if !sameDecoded(sf, &ref) {
+			t.Fatalf("codec decoded %q as %+v, encoding/json as %+v", data, sf, &ref)
+		}
 		if sf.Format != Format || !sf.Fingerprint.Matches(testFP) {
 			t.Fatalf("accepted a segment of format %d, fingerprint %+v", sf.Format, sf.Fingerprint)
+		}
+	})
+}
+
+// FuzzSegmentCodec is structure-aware: the fuzzer's bytes choose a
+// fingerprint and deltas (nil and empty slices and maps, special floats and
+// bounds, strings encoding/json escapes), and the encoder must write
+// json.Marshal's bytes for them while the decoder reads those bytes into
+// json.Unmarshal's value — for a segment file and for each delta's journal
+// record.
+func FuzzSegmentCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"))
+	f.Add(bytes.Repeat([]byte{0xff, 0x13, 0x07}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteSource{b: data}
+		fp := genFingerprint(src)
+		deltas := make([]*Delta, src.intn(3))
+		for i := range deltas {
+			deltas[i] = genDelta(src)
+		}
+		checkSegmentCodec(t, fp, deltas)
+		for _, d := range deltas {
+			checkRecordCodec(t, &journalRecord{Kind: "delta", Seq: uint64(src.intn(1 << 16)), Delta: d})
 		}
 	})
 }

@@ -9,7 +9,6 @@ package segment
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -37,17 +36,21 @@ type journalRecord struct {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeRecord frames one journal line: crc32c of the JSON payload, a
-// space, the payload, a newline.
+// space, the payload (codec.go), a newline.
 func encodeRecord(rec *journalRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
+	e := getEncoder()
+	e.buf = append(e.buf, "00000000 "...)
+	e.record(rec)
+	line, err := e.result(1)
 	if err != nil {
 		return nil, err
 	}
-	line := make([]byte, 0, len(body)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(body, crcTable))
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
+	crc := crc32.Checksum(line[9:], crcTable)
+	for i := 7; i >= 0; i-- {
+		line[i] = hexDigits[crc&0xF]
+		crc >>= 4
+	}
+	return append(line, '\n'), nil
 }
 
 // decodeLine parses one framed journal line (without its trailing newline).
@@ -64,7 +67,7 @@ func decodeLine(line []byte) (*journalRecord, error) {
 		return nil, fmt.Errorf("segment: journal line checksum mismatch (%08x != %08x)", got, want)
 	}
 	var rec journalRecord
-	if err := json.Unmarshal(body, &rec); err != nil {
+	if err := decode(body, func(d *decoder) { d.record(&rec) }); err != nil {
 		return nil, fmt.Errorf("segment: journal line decode: %w", err)
 	}
 	return &rec, nil

@@ -229,16 +229,18 @@ type segmentFile struct {
 	Deltas      []*Delta    `json:"deltas"`
 }
 
-// encodeSegment serializes a segment file body.
+// encodeSegment serializes a segment file body (codec.go).
 func encodeSegment(fp Fingerprint, deltas []*Delta) ([]byte, error) {
-	return json.Marshal(segmentFile{Format: Format, Fingerprint: fp, Deltas: deltas})
+	e := getEncoder()
+	e.segmentFile(&fp, deltas)
+	return e.result(0)
 }
 
 // decodeSegment parses and validates a segment file body against the
 // store's fingerprint.
 func decodeSegment(data []byte, fp Fingerprint) (*segmentFile, error) {
 	var sf segmentFile
-	if err := json.Unmarshal(data, &sf); err != nil {
+	if err := decode(data, func(d *decoder) { d.segmentFile(&sf) }); err != nil {
 		return nil, fmt.Errorf("segment: decode: %w", err)
 	}
 	if sf.Format != Format {

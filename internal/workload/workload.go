@@ -140,8 +140,9 @@ func Selectivity(ds *dataset.Dataset, q query.Query) float64 {
 		return 0
 	}
 	match := 0
+	m := q.Compile()
 	for _, t := range ds.Tuples {
-		if q.Matches(t) {
+		if m.Matches(t) {
 			match++
 		}
 	}
