@@ -390,3 +390,44 @@ func TestDict(t *testing.T) {
 		t.Fatalf("Len=%d Bytes=%d", d.Len(), d.Bytes())
 	}
 }
+
+// TestNewRunOrderMatchesInsert: rows that share a value and a tuple ID
+// (versions of one tuple) come oldest row first whichever way a run is
+// built — sorted whole by NewRun, one row at a time by Insert, or merged by
+// MergeRuns — so no reader sees an order among them that depends on the
+// path that built the run. (MergeRuns puts its first run's rows first among
+// equals, and its callers pass the older run first.)
+func TestNewRunOrderMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	a := newTestArena()
+	n := 300
+	for i := 0; i < n; i++ {
+		a.Append(types.Tuple{ID: rng.Intn(40), Ord: []float64{float64(rng.Intn(6)), float64(i), 0}})
+	}
+	v := a.View()
+	rows := make([]uint32, n)
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	whole := NewRun(v, 0, rows)
+	var inserted Run
+	for row := uint32(0); row < uint32(n); row++ {
+		inserted.Insert(v, v.Ord(int(row), 0), row)
+	}
+	var older, newer []uint32 // as a history shard merges: its run, then a batch of new rows
+	for _, row := range rows {
+		if row < uint32(n/2) {
+			older = append(older, row)
+		} else {
+			newer = append(newer, row)
+		}
+	}
+	merged := MergeRuns(v, NewRun(v, 0, older), NewRun(v, 0, newer))
+	if !reflect.DeepEqual(whole, inserted) {
+		t.Fatalf("NewRun and Insert order the rows differently:\n%v\n%v", whole.Rows, inserted.Rows)
+	}
+	if !reflect.DeepEqual(whole, merged) {
+		t.Fatalf("NewRun and MergeRuns order the rows differently:\n%v\n%v", whole.Rows, merged.Rows)
+	}
+}

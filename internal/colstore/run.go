@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/types"
@@ -39,29 +41,34 @@ func (r *Run) Insert(v View, val float64, row uint32) {
 	r.Vals[i], r.Rows[i] = val, row
 }
 
-// NewRun builds a sorted run over rows, keyed by schema position pos.
+// NewRun builds a sorted run over rows, keyed by schema position pos. The
+// entries sort on the total order (value, ID, row): rows that share a value
+// and an ID (versions of one tuple) come oldest first, as Insert and
+// MergeRuns leave them, so a run's order does not depend on the algorithm
+// or the path that built it.
 func NewRun(v View, pos int, rows []uint32) Run {
-	r := Run{Vals: make([]float64, len(rows)), Rows: make([]uint32, len(rows))}
-	copy(r.Rows, rows)
-	for i, row := range r.Rows {
-		r.Vals[i] = v.Ord(int(row), pos)
+	type entry struct {
+		val float64
+		row uint32
 	}
-	sort.Sort(runSorter{v: v, r: &r})
+	es := make([]entry, len(rows))
+	for i, row := range rows {
+		es[i] = entry{v.Ord(int(row), pos), row}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := cmp.Compare(a.val, b.val); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(v.ID(int(a.row)), v.ID(int(b.row))); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	r := Run{Vals: make([]float64, len(es)), Rows: make([]uint32, len(es))}
+	for i, e := range es {
+		r.Vals[i], r.Rows[i] = e.val, e.row
+	}
 	return r
-}
-
-type runSorter struct {
-	v View
-	r *Run
-}
-
-func (s runSorter) Len() int { return len(s.r.Vals) }
-func (s runSorter) Less(i, j int) bool {
-	return runLess(s.v, s.r.Vals[i], s.r.Rows[i], s.r.Vals[j], s.r.Rows[j])
-}
-func (s runSorter) Swap(i, j int) {
-	s.r.Vals[i], s.r.Vals[j] = s.r.Vals[j], s.r.Vals[i]
-	s.r.Rows[i], s.r.Rows[j] = s.r.Rows[j], s.r.Rows[i]
 }
 
 // MergeRuns linearly merges two sorted runs into a new one.

@@ -16,557 +16,328 @@
 // bytes. A map's repeated key keeps its last value, as encoding/json does:
 // the encoder writes every invalid UTF-8 key as "\ufffd", so two such keys
 // of one map arrive as a repeat. The struct tags on the persisted types stay
-// as the reference the tests compare the codec against.
+// as the reference the tests compare the codec against. The JSON primitives
+// (numbers, strings, maps, the scanner) are package jsonwire's, which the
+// serving wire shares; this file holds what only the store persists.
 
 package segment
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"strconv"
-	"sync"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"repro/internal/acquire"
+	"repro/internal/jsonwire"
 )
 
-// encoder appends the JSON form of the persisted types to buf. A value
-// encoding/json cannot encode (a non-finite float outside a Bound) sets err.
+// encoder appends the JSON form of the persisted types. A value
+// encoding/json cannot encode (a non-finite float outside a Bound) sets Err.
 // Encoders are pooled, so a checkpoint's buffer growth is paid once.
-type encoder struct {
-	buf  []byte
-	keys []string // map-key scratch, sorted per map
-	err  error
-}
+type encoder struct{ *jsonwire.Encoder }
 
-var encoders = sync.Pool{New: func() any { return new(encoder) }}
-
-func getEncoder() *encoder {
-	e := encoders.Get().(*encoder)
-	e.buf, e.err = e.buf[:0], nil
-	return e
-}
+func getEncoder() encoder { return encoder{jsonwire.Get()} }
 
 // result returns a copy of what e wrote, with room for extra more bytes,
 // and returns e to the pool.
-func (e *encoder) result(extra int) ([]byte, error) {
+func (e encoder) result(extra int) ([]byte, error) {
 	var out []byte
-	err := e.err
+	err := e.Err
 	if err == nil {
-		out = append(make([]byte, 0, len(e.buf)+extra), e.buf...)
+		out = append(make([]byte, 0, len(e.Buf)+extra), e.Buf...)
 	}
-	encoders.Put(e)
+	jsonwire.Put(e.Encoder)
 	return out, err
-}
-
-// field appends an object key, preceded by a comma unless it opens the
-// object (a value never ends in '{', so the last byte tells).
-func (e *encoder) field(name string) {
-	if e.buf[len(e.buf)-1] != '{' {
-		e.buf = append(e.buf, ',')
-	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, name...)
-	e.buf = append(e.buf, '"', ':')
-}
-
-func (e *encoder) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
-
-// float appends f as encoding/json does: ES6 number formatting, with the
-// exponent form below 1e-6 and from 1e21 on, and no zero-padded exponent.
-func (e *encoder) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		if e.err == nil {
-			e.err = fmt.Errorf("segment: unsupported value %s", strconv.FormatFloat(f, 'g', -1, 64))
-		}
-		e.buf = append(e.buf, '0')
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 becomes e-9.
-		n := len(e.buf)
-		if n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-			e.buf[n-2] = e.buf[n-1]
-			e.buf = e.buf[:n-1]
-		}
-	}
 }
 
 // bound appends a Bound as its MarshalJSON does: non-finite values as the
 // strings "+Inf", "-Inf" and "NaN".
-func (e *encoder) bound(b Bound) {
+func (e encoder) bound(b Bound) {
 	f := float64(b)
 	switch {
 	case math.IsInf(f, 1):
-		e.buf = append(e.buf, `"+Inf"`...)
+		e.Buf = append(e.Buf, `"+Inf"`...)
 	case math.IsInf(f, -1):
-		e.buf = append(e.buf, `"-Inf"`...)
+		e.Buf = append(e.Buf, `"-Inf"`...)
 	case math.IsNaN(f):
-		e.buf = append(e.buf, `"NaN"`...)
+		e.Buf = append(e.Buf, `"NaN"`...)
 	default:
-		e.float(f)
+		e.Float(f)
 	}
 }
 
-const hexDigits = "0123456789abcdef"
-
-// htmlSafe marks the ASCII bytes encoding/json writes unescaped: everything
-// from the space on except the quote, the backslash and <, >, &.
-var htmlSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = true
-	}
-	for _, c := range `"\<>&` {
-		t[c] = false
-	}
-	return t
-}()
-
-// str appends s quoted and escaped as encoding/json does: HTML characters
-// and control bytes as \u00XX (except the five short escapes), invalid UTF-8
-// as \ufffd and U+2028/U+2029 as \u202X.
-func (e *encoder) str(s string) {
-	b := append(e.buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if htmlSafe[c] {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i++
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	e.buf = append(b, '"')
-}
-
-// strMap appends a string map with its keys in sorted order; nil is null.
-func (e *encoder) strMap(m map[string]string) {
-	if m == nil {
-		e.buf = append(e.buf, "null"...)
-		return
-	}
-	keys := e.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.buf = append(e.buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.str(k)
-		e.buf = append(e.buf, ':')
-		e.str(m[k])
-	}
-	e.buf = append(e.buf, '}')
-	clear(keys)
-	e.keys = keys[:0]
-}
-
-func (e *encoder) fingerprint(f *Fingerprint) {
-	e.buf = append(e.buf, `{"schema":`...)
+func (e encoder) fingerprint(f *Fingerprint) {
+	e.Buf = append(e.Buf, `{"schema":`...)
 	if f.Schema == nil {
-		e.buf = append(e.buf, "null"...)
+		e.Buf = append(e.Buf, "null"...)
 	} else {
-		e.buf = append(e.buf, '[')
+		e.Buf = append(e.Buf, '[')
 		for i, s := range f.Schema {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
-			e.str(s)
+			e.Str(s)
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if f.UpstreamK != 0 {
-		e.field("upstreamK")
-		e.int(int64(f.UpstreamK))
+		e.Field("upstreamK")
+		e.Int(int64(f.UpstreamK))
 	}
 	if f.UpstreamRanker != "" {
-		e.field("upstreamRanker")
-		e.str(f.UpstreamRanker)
+		e.Field("upstreamRanker")
+		e.Str(f.UpstreamRanker)
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) delta(d *Delta) {
+func (e encoder) delta(d *Delta) {
 	if d == nil {
-		e.buf = append(e.buf, "null"...)
+		e.Buf = append(e.Buf, "null"...)
 		return
 	}
-	e.buf = append(e.buf, `{"histLo":`...)
-	e.int(int64(d.HistLo))
-	e.field("histHi")
-	e.int(int64(d.HistHi))
+	e.Buf = append(e.Buf, `{"histLo":`...)
+	e.Int(int64(d.HistLo))
+	e.Field("histHi")
+	e.Int(int64(d.HistHi))
 	if len(d.Hist) > 0 {
-		e.field("hist")
-		e.buf = append(e.buf, '[')
+		e.Field("hist")
+		e.Buf = append(e.Buf, '[')
 		for i := range d.Hist {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
 			e.tuple(&d.Hist[i])
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if len(d.Probes) > 0 {
-		e.field("probes")
-		e.buf = append(e.buf, '[')
+		e.Field("probes")
+		e.Buf = append(e.Buf, '[')
 		for i := range d.Probes {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
 			e.probe(&d.Probes[i])
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if d.Heat != nil {
-		e.field("heat")
+		e.Field("heat")
 		e.heat(d.Heat)
 	}
 	if d.Epoch != 0 {
-		e.field("epoch")
-		e.int(d.Epoch)
+		e.Field("epoch")
+		e.Int(d.Epoch)
 	}
-	e.field("queries")
-	e.int(d.Queries)
-	e.buf = append(e.buf, '}')
+	e.Field("queries")
+	e.Int(d.Queries)
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) tuple(t *Tuple) {
-	e.buf = append(e.buf, `{"id":`...)
-	e.int(int64(t.ID))
-	e.buf = append(e.buf, `,"ord":`...)
+func (e encoder) tuple(t *Tuple) {
+	e.Buf = append(e.Buf, `{"id":`...)
+	e.Int(int64(t.ID))
+	e.Buf = append(e.Buf, `,"ord":`...)
 	if t.Ord == nil {
-		e.buf = append(e.buf, "null"...)
+		e.Buf = append(e.Buf, "null"...)
 	} else {
-		e.buf = append(e.buf, '[')
+		e.Buf = append(e.Buf, '[')
 		for i, v := range t.Ord {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
-			e.float(v)
+			e.Float(v)
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if len(t.Cat) > 0 {
-		e.buf = append(e.buf, `,"cat":`...)
-		e.strMap(t.Cat)
+		e.Buf = append(e.Buf, `,"cat":`...)
+		e.StrMap(t.Cat)
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) probe(p *ProbeOp) {
-	e.buf = append(e.buf, '{')
+func (e encoder) probe(p *ProbeOp) {
+	e.Buf = append(e.Buf, '{')
 	if len(p.Ranges) > 0 {
-		e.field("ranges")
-		e.buf = append(e.buf, '[')
+		e.Field("ranges")
+		e.Buf = append(e.Buf, '[')
 		for i := range p.Ranges {
 			r := &p.Ranges[i]
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
-			e.buf = append(e.buf, `{"attr":`...)
-			e.int(int64(r.Attr))
-			e.buf = append(e.buf, `,"lo":`...)
+			e.Buf = append(e.Buf, `{"attr":`...)
+			e.Int(int64(r.Attr))
+			e.Buf = append(e.Buf, `,"lo":`...)
 			e.bound(r.Lo)
-			e.buf = append(e.buf, `,"hi":`...)
+			e.Buf = append(e.Buf, `,"hi":`...)
 			e.bound(r.Hi)
 			if r.LoOpen {
-				e.buf = append(e.buf, `,"loOpen":true`...)
+				e.Buf = append(e.Buf, `,"loOpen":true`...)
 			}
 			if r.HiOpen {
-				e.buf = append(e.buf, `,"hiOpen":true`...)
+				e.Buf = append(e.Buf, `,"hiOpen":true`...)
 			}
-			e.buf = append(e.buf, '}')
+			e.Buf = append(e.Buf, '}')
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if len(p.Cats) > 0 {
-		e.field("cats")
-		e.strMap(p.Cats)
+		e.Field("cats")
+		e.StrMap(p.Cats)
 	}
-	e.field("rows")
+	e.Field("rows")
 	if p.Rows == nil {
-		e.buf = append(e.buf, "null"...)
+		e.Buf = append(e.Buf, "null"...)
 	} else {
-		e.buf = append(e.buf, '[')
+		e.Buf = append(e.Buf, '[')
 		for i, r := range p.Rows {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
-			e.buf = strconv.AppendUint(e.buf, uint64(r), 10)
+			e.Uint(uint64(r))
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
 	if p.Overflow {
-		e.buf = append(e.buf, `,"overflow":true`...)
+		e.Buf = append(e.Buf, `,"overflow":true`...)
 	}
 	if p.Crawled {
-		e.buf = append(e.buf, `,"crawled":true`...)
+		e.Buf = append(e.Buf, `,"crawled":true`...)
 	}
 	if p.Epoch != 0 {
-		e.field("epoch")
-		e.int(p.Epoch)
+		e.Field("epoch")
+		e.Int(p.Epoch)
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) heat(h *acquire.HeatExport) {
-	e.buf = append(e.buf, '{')
+func (e encoder) heat(h *acquire.HeatExport) {
+	e.Buf = append(e.Buf, '{')
 	if h.HalfLifeSec != 0 {
-		e.field("halfLifeSec")
-		e.float(h.HalfLifeSec)
+		e.Field("halfLifeSec")
+		e.Float(h.HalfLifeSec)
 	}
 	if len(h.Attrs) > 0 {
-		e.field("attrs")
-		e.buf = append(e.buf, '[')
+		e.Field("attrs")
+		e.Buf = append(e.Buf, '[')
 		for i := range h.Attrs {
 			a := &h.Attrs[i]
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
-			e.buf = append(e.buf, `{"attr":`...)
-			e.int(int64(a.Attr))
-			e.buf = append(e.buf, `,"cells":`...)
+			e.Buf = append(e.Buf, `{"attr":`...)
+			e.Int(int64(a.Attr))
+			e.Buf = append(e.Buf, `,"cells":`...)
 			if a.Cells == nil {
-				e.buf = append(e.buf, "null"...)
+				e.Buf = append(e.Buf, "null"...)
 			} else {
-				e.buf = append(e.buf, '[')
+				e.Buf = append(e.Buf, '[')
 				for j := range a.Cells {
 					c := &a.Cells[j]
 					if j > 0 {
-						e.buf = append(e.buf, ',')
+						e.Buf = append(e.Buf, ',')
 					}
-					e.buf = append(e.buf, `{"cell":`...)
-					e.int(int64(c.Cell))
-					e.buf = append(e.buf, `,"heat":`...)
-					e.float(c.Heat)
-					e.buf = append(e.buf, `,"lo":`...)
-					e.float(c.Lo)
-					e.buf = append(e.buf, `,"hi":`...)
-					e.float(c.Hi)
-					e.buf = append(e.buf, `,"votes":`...)
-					e.float(c.Votes)
-					e.buf = append(e.buf, '}')
+					e.Buf = append(e.Buf, `{"cell":`...)
+					e.Int(int64(c.Cell))
+					e.Buf = append(e.Buf, `,"heat":`...)
+					e.Float(c.Heat)
+					e.Buf = append(e.Buf, `,"lo":`...)
+					e.Float(c.Lo)
+					e.Buf = append(e.Buf, `,"hi":`...)
+					e.Float(c.Hi)
+					e.Buf = append(e.Buf, `,"votes":`...)
+					e.Float(c.Votes)
+					e.Buf = append(e.Buf, '}')
 				}
-				e.buf = append(e.buf, ']')
+				e.Buf = append(e.Buf, ']')
 			}
-			e.buf = append(e.buf, '}')
+			e.Buf = append(e.Buf, '}')
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) segmentFile(fp *Fingerprint, deltas []*Delta) {
-	e.buf = append(e.buf, `{"format":`...)
-	e.int(Format)
-	e.buf = append(e.buf, `,"fingerprint":`...)
+func (e encoder) segmentFile(fp *Fingerprint, deltas []*Delta) {
+	e.Buf = append(e.Buf, `{"format":`...)
+	e.Int(Format)
+	e.Buf = append(e.Buf, `,"fingerprint":`...)
 	e.fingerprint(fp)
-	e.buf = append(e.buf, `,"deltas":`...)
+	e.Buf = append(e.Buf, `,"deltas":`...)
 	if deltas == nil {
-		e.buf = append(e.buf, "null"...)
+		e.Buf = append(e.Buf, "null"...)
 	} else {
-		e.buf = append(e.buf, '[')
+		e.Buf = append(e.Buf, '[')
 		for i, d := range deltas {
 			if i > 0 {
-				e.buf = append(e.buf, ',')
+				e.Buf = append(e.Buf, ',')
 			}
 			e.delta(d)
 		}
-		e.buf = append(e.buf, ']')
+		e.Buf = append(e.Buf, ']')
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
 
-func (e *encoder) record(r *journalRecord) {
-	e.buf = append(e.buf, `{"kind":`...)
-	e.str(r.Kind)
+func (e encoder) record(r *journalRecord) {
+	e.Buf = append(e.Buf, `{"kind":`...)
+	e.Str(r.Kind)
 	if r.Format != 0 {
-		e.field("format")
-		e.int(int64(r.Format))
+		e.Field("format")
+		e.Int(int64(r.Format))
 	}
 	if r.Fingerprint != nil {
-		e.field("fingerprint")
+		e.Field("fingerprint")
 		e.fingerprint(r.Fingerprint)
 	}
 	if r.Seq != 0 {
-		e.field("seq")
-		e.buf = strconv.AppendUint(e.buf, r.Seq, 10)
+		e.Field("seq")
+		e.Uint(r.Seq)
 	}
 	if r.Delta != nil {
-		e.field("delta")
+		e.Field("delta")
 		e.delta(r.Delta)
 	}
 	if r.File != "" {
-		e.field("file")
-		e.str(r.File)
+		e.Field("file")
+		e.Str(r.File)
 	}
 	if r.SHA256 != "" {
-		e.field("sha256")
-		e.str(r.SHA256)
+		e.Field("sha256")
+		e.Str(r.SHA256)
 	}
 	if r.Deltas != 0 {
-		e.field("deltas")
-		e.int(int64(r.Deltas))
+		e.Field("deltas")
+		e.Int(int64(r.Deltas))
 	}
-	e.buf = append(e.buf, '}')
+	e.Buf = append(e.Buf, '}')
 }
-
-// decodeError is what the decoder panics with; decode recovers it into an
-// error. Any other panic is a decoder bug and is not recovered.
-type decodeError struct {
-	off int
-	msg string
-}
-
-func (e *decodeError) Error() string { return fmt.Sprintf("offset %d: %s", e.off, e.msg) }
 
 // decoder reads the persisted types from data in one pass. Probe rows,
 // ordinal values and probe ranges are laid into shared backing arrays and
 // handed out as capacity-limited sub-slices, so a segment file costs a few
 // allocations per kind instead of one per slice; strings are interned.
 type decoder struct {
-	data   []byte
-	i      int
+	jsonwire.Decoder
 	rows   []uint32
 	ords   []float64
 	ranges []ProbeRange
 	strs   map[string]string
 	key    []byte // the member key just read, for error messages
-	unq    []byte // unescaped string scratch
 }
 
 // decode runs fn over data, which must hold exactly one value (plus
-// whitespace), and turns a decodeError panic into an error.
-func decode(data []byte, fn func(*decoder)) (err error) {
-	d := &decoder{data: data, strs: make(map[string]string)}
-	defer func() {
-		if r := recover(); r != nil {
-			de, ok := r.(*decodeError)
-			if !ok {
-				panic(r)
-			}
-			err = de
-		}
-	}()
-	fn(d)
-	if d.ws(); d.i != len(d.data) {
-		d.fail("trailing bytes after the value")
-	}
-	return nil
-}
-
-func (d *decoder) fail(msg string) { panic(&decodeError{off: d.i, msg: msg}) }
-
-// ws skips JSON whitespace.
-func (d *decoder) ws() {
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the next non-space byte, or 0 at the end of input.
-func (d *decoder) peek() byte {
-	d.ws()
-	if d.i == len(d.data) {
-		return 0
-	}
-	return d.data[d.i]
-}
-
-func (d *decoder) expect(c byte) {
-	if d.peek() != c {
-		d.fail("expected " + strconv.QuoteRune(rune(c)))
-	}
-	d.i++
-}
-
-// literal consumes the keyword lit if it comes next.
-func (d *decoder) literal(lit string) bool {
-	if d.peek() != lit[0] {
-		return false
-	}
-	if len(d.data)-d.i < len(lit) || string(d.data[d.i:d.i+len(lit)]) != lit {
-		d.fail("invalid literal")
-	}
-	d.i += len(lit)
-	return true
-}
-
-func (d *decoder) null() bool { return d.literal("null") }
-
-// more steps through an object's members or an array's elements: n is how
-// many came before, end is '}' or ']'. It reports whether another follows.
-func (d *decoder) more(end byte, n int) bool {
-	c := d.peek()
-	if c == end {
-		d.i++
-		return false
-	}
-	if n > 0 {
-		if c != ',' {
-			d.fail("expected ',' or " + strconv.QuoteRune(rune(end)))
-		}
-		d.i++
-	}
-	return true
+// whitespace), and returns the first error it meets.
+func decode(data []byte, fn func(*decoder)) error {
+	d := &decoder{strs: make(map[string]string)}
+	return d.Whole(data, func() { fn(d) })
 }
 
 // field reads the next member's key and its colon.
 func (d *decoder) field() []byte {
-	d.key = d.strBytes()
-	d.expect(':')
+	d.key = d.Key()
 	return d.key
 }
 
@@ -574,132 +345,17 @@ func (d *decoder) field() []byte {
 // being decoded, bit is this key's, and a repeated key is an error.
 func (d *decoder) once(seen *uint16, bit uint16) {
 	if *seen&bit != 0 {
-		d.fail("repeated key " + strconv.Quote(string(d.key)))
+		d.Fail("repeated key " + strconv.Quote(string(d.key)))
 	}
 	*seen |= bit
 }
 
-func (d *decoder) unknown() { d.fail("unknown key " + strconv.Quote(string(d.key))) }
-
-// strBytes reads a string. When it holds no escape it returns the input
-// bytes themselves; otherwise it unescapes into the scratch, and the result
-// is valid until the next call.
-func (d *decoder) strBytes() []byte {
-	d.expect('"')
-	start := d.i
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			return d.data[start : d.i-1]
-		case c == '\\':
-			d.unq = d.unescape(append(d.unq[:0], d.data[start:d.i]...))
-			return d.unq
-		case c < ' ':
-			d.fail("control byte in string")
-		case c < utf8.RuneSelf:
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.data[d.i:])
-			if r == utf8.RuneError && size == 1 {
-				d.fail("invalid UTF-8 in string")
-			}
-			d.i += size
-		}
-	}
-	d.fail("unterminated string")
-	return nil
-}
-
-// unescape continues a string from its first backslash, appending to b.
-func (d *decoder) unescape(b []byte) []byte {
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			return b
-		case c == '\\':
-			if d.i+1 == len(d.data) {
-				d.fail("unterminated string")
-			}
-			d.i += 2
-			switch d.data[d.i-1] {
-			case '"', '\\', '/':
-				b = append(b, d.data[d.i-1])
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := d.hex4()
-				if utf16.IsSurrogate(r) {
-					// Only a valid pair is accepted; encoding/json would
-					// turn a lone surrogate into U+FFFD, which the encoder
-					// never asks of it.
-					if d.i+2 > len(d.data) || d.data[d.i] != '\\' || d.data[d.i+1] != 'u' {
-						d.fail("lone surrogate escape")
-					}
-					d.i += 2
-					if r = utf16.DecodeRune(r, d.hex4()); r == utf8.RuneError {
-						d.fail("invalid surrogate pair")
-					}
-				}
-				b = utf8.AppendRune(b, r)
-			default:
-				d.fail("invalid escape")
-			}
-		case c < ' ':
-			d.fail("control byte in string")
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.data[d.i:])
-			if r == utf8.RuneError && size == 1 {
-				d.fail("invalid UTF-8 in string")
-			}
-			b = append(b, d.data[d.i:d.i+size]...)
-			d.i += size
-		}
-	}
-	d.fail("unterminated string")
-	return nil
-}
-
-func (d *decoder) hex4() rune {
-	if len(d.data)-d.i < 4 {
-		d.fail("short \\u escape")
-	}
-	var r rune
-	for _, c := range d.data[d.i : d.i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			d.fail("invalid \\u escape")
-		}
-		r = r<<4 | rune(c)
-	}
-	d.i += 4
-	return r
-}
+func (d *decoder) unknown() { d.Fail("unknown key " + strconv.Quote(string(d.key))) }
 
 // str reads a string value, interned: a store repeats the same category
 // names and values thousands of times.
 func (d *decoder) str() string {
-	b := d.strBytes()
+	b := d.StrBytes()
 	if s, ok := d.strs[string(b)]; ok {
 		return s
 	}
@@ -708,103 +364,13 @@ func (d *decoder) str() string {
 	return s
 }
 
-// number reads one JSON number token and returns its bytes.
-func (d *decoder) number() []byte {
-	d.ws()
-	start := d.i
-	if d.i < len(d.data) && d.data[d.i] == '-' {
-		d.i++
-	}
-	if d.i < len(d.data) && d.data[d.i] == '0' {
-		d.i++
-	} else if !d.digits() {
-		d.fail("expected a number")
-	}
-	if d.i < len(d.data) && d.data[d.i] == '.' {
-		d.i++
-		if !d.digits() {
-			d.fail("expected a digit after '.'")
-		}
-	}
-	if d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.data) && (d.data[d.i] == '+' || d.data[d.i] == '-') {
-			d.i++
-		}
-		if !d.digits() {
-			d.fail("expected a digit in the exponent")
-		}
-	}
-	return d.data[start:d.i]
-}
-
-func (d *decoder) digits() bool {
-	start := d.i
-	for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-// digitsValue converts a number token's digits to an integer no larger
-// than max. Like encoding/json, it refuses a sign, a fraction or an
-// exponent even when the value is whole.
-func (d *decoder) digitsValue(tok []byte, max uint64) uint64 {
-	var v uint64
-	for _, c := range tok {
-		if c < '0' || c > '9' {
-			d.fail("expected an integer")
-		}
-		if v > (max-uint64(c-'0'))/10 {
-			d.fail("integer out of range")
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v
-}
-
-func (d *decoder) uint(max uint64) uint64 { return d.digitsValue(d.number(), max) }
-
-// signed reads an integer in [-max-1, max].
-func (d *decoder) signed(max uint64) int64 {
-	tok := d.number()
-	if tok[0] == '-' {
-		return -int64(d.digitsValue(tok[1:], max+1))
-	}
-	return int64(d.digitsValue(tok, max))
-}
-
-func (d *decoder) int() int { return int(d.signed(math.MaxInt)) }
-
-func (d *decoder) int64() int64 { return d.signed(math.MaxInt64) }
-
-func (d *decoder) float() float64 {
-	tok := d.number()
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		d.fail("number out of range")
-	}
-	return f
-}
-
-func (d *decoder) bool() bool {
-	if d.literal("true") {
-		return true
-	}
-	if d.literal("false") {
-		return false
-	}
-	d.fail("expected a boolean")
-	return false
-}
-
 // bound reads a Bound: a number, or one of the three strings its
 // MarshalJSON writes for a non-finite value.
 func (d *decoder) bound() Bound {
-	if d.peek() != '"' {
-		return Bound(d.float())
+	if d.Peek() != '"' {
+		return Bound(d.Float())
 	}
-	switch string(d.strBytes()) {
+	switch string(d.StrBytes()) {
 	case "+Inf":
 		return Bound(math.Inf(1))
 	case "-Inf":
@@ -812,7 +378,7 @@ func (d *decoder) bound() Bound {
 	case "NaN":
 		return Bound(math.NaN())
 	}
-	d.fail("bound string is not +Inf, -Inf or NaN")
+	d.Fail("bound string is not +Inf, -Inf or NaN")
 	return 0
 }
 
@@ -833,13 +399,13 @@ func reserve[T any](buf []T, start int) ([]T, int) {
 }
 
 func (d *decoder) rowSlice() []uint32 {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	start := len(d.rows)
-	for n := 0; d.more(']', n); n++ {
-		v := uint32(d.uint(math.MaxUint32))
+	for n := 0; d.More(']', n); n++ {
+		v := uint32(d.Uint(math.MaxUint32))
 		d.rows, start = reserve(d.rows, start)
 		d.rows = append(d.rows, v)
 	}
@@ -850,13 +416,13 @@ func (d *decoder) rowSlice() []uint32 {
 }
 
 func (d *decoder) ordSlice() []float64 {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	start := len(d.ords)
-	for n := 0; d.more(']', n); n++ {
-		v := d.float()
+	for n := 0; d.More(']', n); n++ {
+		v := d.Float()
 		d.ords, start = reserve(d.ords, start)
 		d.ords = append(d.ords, v)
 	}
@@ -867,42 +433,42 @@ func (d *decoder) ordSlice() []float64 {
 }
 
 func (d *decoder) strMap() map[string]string {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('{')
+	d.Expect('{')
 	m := make(map[string]string)
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		k := d.str()
-		d.expect(':')
+		d.Expect(':')
 		m[k] = d.str()
 	}
 	return m
 }
 
 func (d *decoder) strSlice() []string {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	out := []string{}
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		out = append(out, d.str())
 	}
 	return out
 }
 
 func (d *decoder) fingerprint(f *Fingerprint) {
-	d.expect('{')
+	d.Expect('{')
 	var seen uint16
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		switch string(d.field()) {
 		case "schema":
 			d.once(&seen, 1)
 			f.Schema = d.strSlice()
 		case "upstreamK":
 			d.once(&seen, 2)
-			f.UpstreamK = d.int()
+			f.UpstreamK = d.Int()
 		case "upstreamRanker":
 			d.once(&seen, 4)
 			f.UpstreamRanker = d.str()
@@ -913,20 +479,20 @@ func (d *decoder) fingerprint(f *Fingerprint) {
 }
 
 func (d *decoder) delta() *Delta {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('{')
+	d.Expect('{')
 	dl := new(Delta)
 	var seen uint16
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		switch string(d.field()) {
 		case "histLo":
 			d.once(&seen, 1)
-			dl.HistLo = d.int()
+			dl.HistLo = d.Int()
 		case "histHi":
 			d.once(&seen, 2)
-			dl.HistHi = d.int()
+			dl.HistHi = d.Int()
 		case "hist":
 			d.once(&seen, 4)
 			dl.Hist = d.tuples()
@@ -938,10 +504,10 @@ func (d *decoder) delta() *Delta {
 			dl.Heat = d.heat()
 		case "epoch":
 			d.once(&seen, 32)
-			dl.Epoch = d.int64()
+			dl.Epoch = d.Int64()
 		case "queries":
 			d.once(&seen, 64)
-			dl.Queries = d.int64()
+			dl.Queries = d.Int64()
 		default:
 			d.unknown()
 		}
@@ -950,21 +516,21 @@ func (d *decoder) delta() *Delta {
 }
 
 func (d *decoder) tuples() []Tuple {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	out := []Tuple{}
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		out = append(out, Tuple{})
 		t := &out[len(out)-1]
-		d.expect('{')
+		d.Expect('{')
 		var seen uint16
-		for m := 0; d.more('}', m); m++ {
+		for m := 0; d.More('}', m); m++ {
 			switch string(d.field()) {
 			case "id":
 				d.once(&seen, 1)
-				t.ID = d.int()
+				t.ID = d.Int()
 			case "ord":
 				d.once(&seen, 2)
 				t.Ord = d.ordSlice()
@@ -980,17 +546,17 @@ func (d *decoder) tuples() []Tuple {
 }
 
 func (d *decoder) probes() []ProbeOp {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	out := []ProbeOp{}
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		out = append(out, ProbeOp{})
 		p := &out[len(out)-1]
-		d.expect('{')
+		d.Expect('{')
 		var seen uint16
-		for m := 0; d.more('}', m); m++ {
+		for m := 0; d.More('}', m); m++ {
 			switch string(d.field()) {
 			case "ranges":
 				d.once(&seen, 1)
@@ -1003,13 +569,13 @@ func (d *decoder) probes() []ProbeOp {
 				p.Rows = d.rowSlice()
 			case "overflow":
 				d.once(&seen, 8)
-				p.Overflow = d.bool()
+				p.Overflow = d.Bool()
 			case "crawled":
 				d.once(&seen, 16)
-				p.Crawled = d.bool()
+				p.Crawled = d.Bool()
 			case "epoch":
 				d.once(&seen, 32)
-				p.Epoch = d.int64()
+				p.Epoch = d.Int64()
 			default:
 				d.unknown()
 			}
@@ -1019,22 +585,22 @@ func (d *decoder) probes() []ProbeOp {
 }
 
 func (d *decoder) probeRanges() []ProbeRange {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	start := len(d.ranges)
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		d.ranges, start = reserve(d.ranges, start)
 		d.ranges = append(d.ranges, ProbeRange{})
 		r := &d.ranges[len(d.ranges)-1]
-		d.expect('{')
+		d.Expect('{')
 		var seen uint16
-		for m := 0; d.more('}', m); m++ {
+		for m := 0; d.More('}', m); m++ {
 			switch string(d.field()) {
 			case "attr":
 				d.once(&seen, 1)
-				r.Attr = d.int()
+				r.Attr = d.Int()
 			case "lo":
 				d.once(&seen, 2)
 				r.Lo = d.bound()
@@ -1043,10 +609,10 @@ func (d *decoder) probeRanges() []ProbeRange {
 				r.Hi = d.bound()
 			case "loOpen":
 				d.once(&seen, 8)
-				r.LoOpen = d.bool()
+				r.LoOpen = d.Bool()
 			case "hiOpen":
 				d.once(&seen, 16)
-				r.HiOpen = d.bool()
+				r.HiOpen = d.Bool()
 			default:
 				d.unknown()
 			}
@@ -1059,17 +625,17 @@ func (d *decoder) probeRanges() []ProbeRange {
 }
 
 func (d *decoder) heat() *acquire.HeatExport {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('{')
+	d.Expect('{')
 	h := new(acquire.HeatExport)
 	var seen uint16
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		switch string(d.field()) {
 		case "halfLifeSec":
 			d.once(&seen, 1)
-			h.HalfLifeSec = d.float()
+			h.HalfLifeSec = d.Float()
 		case "attrs":
 			d.once(&seen, 2)
 			h.Attrs = d.attrHeats()
@@ -1081,21 +647,21 @@ func (d *decoder) heat() *acquire.HeatExport {
 }
 
 func (d *decoder) attrHeats() []acquire.AttrHeat {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	out := []acquire.AttrHeat{}
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		out = append(out, acquire.AttrHeat{})
 		a := &out[len(out)-1]
-		d.expect('{')
+		d.Expect('{')
 		var seen uint16
-		for m := 0; d.more('}', m); m++ {
+		for m := 0; d.More('}', m); m++ {
 			switch string(d.field()) {
 			case "attr":
 				d.once(&seen, 1)
-				a.Attr = d.int()
+				a.Attr = d.Int()
 			case "cells":
 				d.once(&seen, 2)
 				a.Cells = d.cellHeats()
@@ -1108,33 +674,33 @@ func (d *decoder) attrHeats() []acquire.AttrHeat {
 }
 
 func (d *decoder) cellHeats() []acquire.CellHeat {
-	if d.null() {
+	if d.Null() {
 		return nil
 	}
-	d.expect('[')
+	d.Expect('[')
 	out := []acquire.CellHeat{}
-	for n := 0; d.more(']', n); n++ {
+	for n := 0; d.More(']', n); n++ {
 		out = append(out, acquire.CellHeat{})
 		c := &out[len(out)-1]
-		d.expect('{')
+		d.Expect('{')
 		var seen uint16
-		for m := 0; d.more('}', m); m++ {
+		for m := 0; d.More('}', m); m++ {
 			switch string(d.field()) {
 			case "cell":
 				d.once(&seen, 1)
-				c.Cell = d.int()
+				c.Cell = d.Int()
 			case "heat":
 				d.once(&seen, 2)
-				c.Heat = d.float()
+				c.Heat = d.Float()
 			case "lo":
 				d.once(&seen, 4)
-				c.Lo = d.float()
+				c.Lo = d.Float()
 			case "hi":
 				d.once(&seen, 8)
-				c.Hi = d.float()
+				c.Hi = d.Float()
 			case "votes":
 				d.once(&seen, 16)
-				c.Votes = d.float()
+				c.Votes = d.Float()
 			default:
 				d.unknown()
 			}
@@ -1144,25 +710,25 @@ func (d *decoder) cellHeats() []acquire.CellHeat {
 }
 
 func (d *decoder) segmentFile(sf *segmentFile) {
-	d.expect('{')
+	d.Expect('{')
 	var seen uint16
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		switch string(d.field()) {
 		case "format":
 			d.once(&seen, 1)
-			sf.Format = d.int()
+			sf.Format = d.Int()
 		case "fingerprint":
 			d.once(&seen, 2)
 			d.fingerprint(&sf.Fingerprint)
 		case "deltas":
 			d.once(&seen, 4)
-			if d.null() {
+			if d.Null() {
 				sf.Deltas = nil
 				continue
 			}
-			d.expect('[')
+			d.Expect('[')
 			sf.Deltas = []*Delta{}
-			for m := 0; d.more(']', m); m++ {
+			for m := 0; d.More(']', m); m++ {
 				sf.Deltas = append(sf.Deltas, d.delta())
 			}
 		default:
@@ -1172,19 +738,19 @@ func (d *decoder) segmentFile(sf *segmentFile) {
 }
 
 func (d *decoder) record(r *journalRecord) {
-	d.expect('{')
+	d.Expect('{')
 	var seen uint16
-	for n := 0; d.more('}', n); n++ {
+	for n := 0; d.More('}', n); n++ {
 		switch string(d.field()) {
 		case "kind":
 			d.once(&seen, 1)
 			r.Kind = d.str()
 		case "format":
 			d.once(&seen, 2)
-			r.Format = d.int()
+			r.Format = d.Int()
 		case "fingerprint":
 			d.once(&seen, 4)
-			if d.null() {
+			if d.Null() {
 				r.Fingerprint = nil
 				continue
 			}
@@ -1192,7 +758,7 @@ func (d *decoder) record(r *journalRecord) {
 			d.fingerprint(r.Fingerprint)
 		case "seq":
 			d.once(&seen, 8)
-			r.Seq = d.uint(math.MaxUint64)
+			r.Seq = d.Uint(math.MaxUint64)
 		case "delta":
 			d.once(&seen, 16)
 			r.Delta = d.delta()
@@ -1204,7 +770,7 @@ func (d *decoder) record(r *journalRecord) {
 			r.SHA256 = d.str()
 		case "deltas":
 			d.once(&seen, 128)
-			r.Deltas = d.int()
+			r.Deltas = d.Int()
 		default:
 			d.unknown()
 		}

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"repro/internal/jsonwire"
 )
 
 // journalRecord is one journal line. Kind selects which fields are set:
@@ -39,7 +41,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // space, the payload (codec.go), a newline.
 func encodeRecord(rec *journalRecord) ([]byte, error) {
 	e := getEncoder()
-	e.buf = append(e.buf, "00000000 "...)
+	e.Buf = append(e.Buf, "00000000 "...)
 	e.record(rec)
 	line, err := e.result(1)
 	if err != nil {
@@ -47,7 +49,7 @@ func encodeRecord(rec *journalRecord) ([]byte, error) {
 	}
 	crc := crc32.Checksum(line[9:], crcTable)
 	for i := 7; i >= 0; i-- {
-		line[i] = hexDigits[crc&0xF]
+		line[i] = jsonwire.HexDigits[crc&0xF]
 		crc >>= 4
 	}
 	return append(line, '\n'), nil

@@ -81,7 +81,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	setEpochHeader(w, t)
 	resp := s.rerankBatch(t, req)
 	charge(resp.QueriesIssued)
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, http.StatusOK, resp)
 }
 
 // RerankBatch runs every request of the batch concurrently against the

@@ -49,6 +49,8 @@ const (
 	ErrCodeUpstreamDown = "upstream_down"
 	// ErrCodeDraining: the instance is draining for shutdown (503).
 	ErrCodeDraining = "draining"
+	// ErrCodeInternal: the response could not be encoded (500).
+	ErrCodeInternal = "internal"
 )
 
 // ErrorInfo is the payload of the service's error envelope; see the file
@@ -89,7 +91,7 @@ func upstreamStatus(err error) (status int, code string) {
 
 // httpError writes the standard error envelope.
 func httpError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorEnvelope{Error: errorInfo(code, err)})
+	writeWire(w, status, errorEnvelope{Error: errorInfo(code, err)})
 }
 
 // httpErrorRetry writes the envelope for a shed request, advertising the
@@ -99,7 +101,7 @@ func httpErrorRetry(w http.ResponseWriter, status int, code string, err error, r
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	info := errorInfo(code, err)
 	info.RetryAfterSec = secs
-	writeJSON(w, status, errorEnvelope{Error: info})
+	writeWire(w, status, errorEnvelope{Error: info})
 }
 
 // ceilSeconds rounds a backoff up to whole seconds, minimum 1 — clients

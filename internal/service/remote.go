@@ -8,11 +8,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/hidden"
+	"repro/internal/jsonwire"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -58,6 +62,7 @@ type RemoteDB struct {
 	client  *http.Client
 	schema  *types.Schema
 	k       int
+	known   map[string]string // attribute names and category values, shared by decoded answers
 }
 
 // DialRemote fetches the remote schema and returns a ready database handle.
@@ -100,27 +105,21 @@ func DialRemote(baseURL string, client *http.Client) (*RemoteDB, error) {
 	if sr.K < 1 {
 		return nil, fmt.Errorf("remote reports invalid k=%d", sr.K)
 	}
-	return &RemoteDB{baseURL: baseURL, client: client, schema: schema, k: sr.K}, nil
+	known := make(map[string]string)
+	for _, a := range attrs {
+		known[a.Name] = a.Name
+		for _, v := range a.Values {
+			known[v] = v
+		}
+	}
+	return &RemoteDB{baseURL: baseURL, client: client, schema: schema, k: sr.K, known: known}, nil
 }
 
-// TopK implements hidden.Database.
+// TopK implements hidden.Database. The search request lists its ranges in
+// schema-attribute order, so one probe always has one wire form; the answer
+// is decoded in one pass straight into rows of the schema.
 func (r *RemoteDB) TopK(q query.Query) (hidden.Result, error) {
-	req := SearchRequest{Filters: q.Cats}
-	for attr, iv := range q.Ranges {
-		name := r.schema.Attr(attr).Name
-		lo, hi := iv.Lo, iv.Hi
-		rs := RangeSpec{Attr: name, MinOpen: iv.LoOpen, MaxOpen: iv.HiOpen}
-		if !isNegInf(lo) {
-			v := lo
-			rs.Min = &v
-		}
-		if !isPosInf(hi) {
-			v := hi
-			rs.Max = &v
-		}
-		req.Ranges = append(req.Ranges, rs)
-	}
-	body, err := json.Marshal(req)
+	body, err := r.searchBody(q)
 	if err != nil {
 		return hidden.Result{}, err
 	}
@@ -135,31 +134,180 @@ func (r *RemoteDB) TopK(q query.Query) (hidden.Result, error) {
 	if resp.StatusCode != http.StatusOK {
 		return hidden.Result{}, fmt.Errorf("remote search: status %s", resp.Status)
 	}
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return hidden.Result{}, fmt.Errorf("decode remote search answer: %w", err)
-	}
-	out := hidden.Result{Overflow: sr.Overflow}
-	for _, wt := range sr.Tuples {
-		t, err := r.fromWire(wt)
-		if err != nil {
-			return hidden.Result{}, err
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	defer bodyBuffers.Put(buf)
+	buf.Reset()
+	_, readErr := buf.ReadFrom(resp.Body)
+	res, err := r.decodeAnswer(buf.Bytes(), readErr != nil)
+	if err != nil {
+		if readErr != nil && errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("decode remote search answer: %w", readErr)
 		}
-		out.Tuples = append(out.Tuples, t)
+		return hidden.Result{}, err
 	}
-	return out, nil
+	return res, nil
 }
 
-func (r *RemoteDB) fromWire(wt WireTuple) (types.Tuple, error) {
-	t := types.Tuple{ID: wt.ID, Ord: make([]float64, r.schema.Len()), Cat: wt.Cat}
-	for name, v := range wt.Ord {
-		i := r.schema.Index(name)
-		if i < 0 {
-			return t, fmt.Errorf("remote tuple %d has unknown attribute %q", wt.ID, name)
-		}
-		t.Ord[i] = v
+// searchBody encodes q as a SearchRequest: the bytes json.Marshal writes
+// for it, with the ranges in schema-attribute order.
+func (r *RemoteDB) searchBody(q query.Query) ([]byte, error) {
+	attrs := make([]int, 0, len(q.Ranges))
+	for a := range q.Ranges {
+		attrs = append(attrs, a)
 	}
-	return t, nil
+	slices.Sort(attrs)
+	e := jsonwire.Get()
+	defer jsonwire.Put(e)
+	e.Buf = append(e.Buf, '{')
+	if len(attrs) > 0 {
+		e.Field("ranges")
+		e.Buf = append(e.Buf, '[')
+		for i, a := range attrs {
+			iv := q.Ranges[a]
+			if i > 0 {
+				e.Buf = append(e.Buf, ',')
+			}
+			e.Buf = append(e.Buf, `{"attr":`...)
+			e.Str(r.schema.Attr(a).Name)
+			if !isNegInf(iv.Lo) {
+				e.Buf = append(e.Buf, `,"min":`...)
+				e.Float(iv.Lo)
+			}
+			if !isPosInf(iv.Hi) {
+				e.Buf = append(e.Buf, `,"max":`...)
+				e.Float(iv.Hi)
+			}
+			if iv.LoOpen {
+				e.Buf = append(e.Buf, `,"minOpen":true`...)
+			}
+			if iv.HiOpen {
+				e.Buf = append(e.Buf, `,"maxOpen":true`...)
+			}
+			e.Buf = append(e.Buf, '}')
+		}
+		e.Buf = append(e.Buf, ']')
+	}
+	if len(q.Cats) > 0 {
+		e.Field("filters")
+		e.StrMap(q.Cats)
+	}
+	e.Buf = append(e.Buf, '}')
+	if e.Err != nil {
+		return nil, e.Err
+	}
+	return bytes.Clone(e.Buf), nil
+}
+
+var (
+	searchAnswerFields = jsonwire.NewFields("tuples", "overflow")
+	wireTupleFields    = jsonwire.NewFields("id", "ord", "cat")
+)
+
+// decodeAnswer reads a search answer into rows of r's schema in one pass:
+// the result json.Decoder would give for a SearchResponse, each WireTuple's
+// ord map laid into a row by attribute index (zeros where it names none).
+// An ord key the schema lacks fails the answer, as it did when the map was
+// converted after decoding: so a row's unknown key is remembered until the
+// row is whole, and forgotten only if a later "ord": null empties the map.
+func (r *RemoteDB) decodeAnswer(data []byte, truncated bool) (hidden.Result, error) {
+	var (
+		d     jsonwire.Decoder
+		res   hidden.Result
+		rows  []types.Tuple
+		bad   map[int]string // row -> an ord key the schema lacks
+		arena []float64
+	)
+	d.Known = r.known
+	width, chunk := r.schema.Len(), 4
+	newOrd := func() []float64 {
+		if len(arena) < width {
+			arena = make([]float64, chunk*width)
+			chunk *= 2
+		}
+		o := arena[:width:width]
+		arena = arena[width:]
+		return o
+	}
+	row := func(i int, t *types.Tuple) {
+		if d.Null() {
+			return
+		}
+		d.Expect('{')
+		for n := 0; d.More('}', n); n++ {
+			switch d.Member(wireTupleFields) {
+			case "id":
+				d.IntInto(&t.ID)
+			case "ord":
+				if d.Null() {
+					t.Ord = nil
+					delete(bad, i)
+					continue
+				}
+				d.Expect('{')
+				if t.Ord == nil {
+					t.Ord = newOrd()
+				}
+				for m := 0; d.More('}', m); m++ {
+					name := d.Key()
+					a := r.schema.Index(string(name))
+					if a < 0 {
+						if bad == nil {
+							bad = make(map[int]string)
+						}
+						bad[i] = string(name)
+					}
+					var v float64 // a map value decodes from its zero
+					d.FloatInto(&v)
+					if a >= 0 {
+						t.Ord[a] = v
+					}
+				}
+			case "cat":
+				d.StrMapInto(&t.Cat)
+			default:
+				d.Skip()
+			}
+		}
+	}
+	err := d.First(data, truncated, func() {
+		if d.Null() {
+			return
+		}
+		d.Expect('{')
+		for n := 0; d.More('}', n); n++ {
+			switch d.Member(searchAnswerFields) {
+			case "tuples":
+				if rows == nil && d.Peek() == '[' {
+					// An answer holds at most k rows. (Capacity is not
+					// observable: growing a slice copies all it held.)
+					rows = make([]types.Tuple, 0, r.k)
+				}
+				jsonwire.Slice(&d, &rows, row)
+				if len(rows) == 0 {
+					clear(bad)
+				}
+			case "overflow":
+				d.BoolInto(&res.Overflow)
+			default:
+				d.Skip()
+			}
+		}
+	})
+	if err != nil {
+		return hidden.Result{}, fmt.Errorf("decode remote search answer: %w", err)
+	}
+	for i := range rows {
+		if name, ok := bad[i]; ok {
+			return hidden.Result{}, fmt.Errorf("remote tuple %d has unknown attribute %q", rows[i].ID, name)
+		}
+		if rows[i].Ord == nil {
+			rows[i].Ord = newOrd()
+		}
+	}
+	if len(rows) > 0 {
+		res.Tuples = rows
+	}
+	return res, nil
 }
 
 // K implements hidden.Database.

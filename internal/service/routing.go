@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -171,23 +172,6 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, schemaResponse(t.db.Schema(), t.db.K()))
 }
 
-// decodeBody decodes a size-capped JSON request body. The error is already
-// written to w when ok is false (413 for oversized bodies, 400 otherwise).
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("decode request: %w", err))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 	var req RerankRequest
 	if !s.decodeBody(w, r, &req) {
@@ -219,7 +203,7 @@ func (s *Server) handleRerank(w http.ResponseWriter, r *http.Request) {
 		s.upstreamError(w, t, status, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, http.StatusOK, resp)
 }
 
 // setEpochHeader stamps the namespace's current knowledge epoch onto a
@@ -391,7 +375,21 @@ func buildRanker(schema *types.Schema, spec RankingSpec) (ranking.Ranker, error)
 	}
 	switch spec.Kind {
 	case "linear":
-		return ranking.NewLinear("user-linear", idx, spec.Weights)
+		rk, err := ranking.NewLinear("user-linear", idx, spec.Weights)
+		if err != nil {
+			return nil, err
+		}
+		// Finite weights can still overflow a score; a bound over the
+		// schema's domains keeps every score of an in-domain tuple finite.
+		bound := 0.0
+		for i, j := range idx {
+			d := schema.Domain(j)
+			bound += math.Abs(spec.Weights[i]) * max(math.Abs(d.Min), math.Abs(d.Max))
+		}
+		if math.IsInf(bound, 0) || math.IsNaN(bound) {
+			return nil, errors.New("linear weights overflow the score over the attribute domains")
+		}
+		return rk, nil
 	case "single":
 		if len(idx) != 1 {
 			return nil, errors.New(`"single" ranking takes exactly one attribute`)
@@ -432,6 +430,8 @@ func parseAlgorithm(s string, nAttrs int) (core.Variant, error) {
 	}
 }
 
+// writeJSON writes v with encoding/json, for the routes off the serving
+// path (schema, stats, registry); the serving routes use writeWire.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -20,10 +20,11 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/jsonwire"
 )
 
 // StreamEvent is one NDJSON line of a stream response. Tuple
@@ -99,19 +100,33 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// so a reused keep-alive connection is not poisoned.
 	rc := http.NewResponseController(w)
 	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
-	enc := json.NewEncoder(w)
+	e := jsonwire.Get()
+	defer jsonwire.Put(e)
+	// emit writes one event and reports whether the stream goes on. An
+	// event that cannot be encoded (a non-finite score) is replaced by a
+	// final in-band 500, since the status line is already sent.
 	emit := func(ev StreamEvent) bool {
+		e.Buf, e.Err = e.Buf[:0], nil
+		ev.appendJSON(e)
+		failed := e.Err != nil
+		if failed {
+			err := fmt.Errorf("encode event: %w", e.Err)
+			e.Buf, e.Err = e.Buf[:0], nil
+			ev = StreamEvent{Done: true, CumQueries: ev.CumQueries, Status: http.StatusInternalServerError, Error: errorInfo(ErrCodeInternal, err)}
+			ev.appendJSON(e)
+		}
+		e.Buf = append(e.Buf, '\n')
 		_ = rc.SetWriteDeadline(time.Now().Add(s.opts.StreamWriteTimeout))
-		if err := enc.Encode(ev); err != nil {
+		if _, err := w.Write(e.Buf); err != nil {
 			return false // client went away; stop the search
 		}
 		_ = rc.Flush()
-		return true
+		return !failed
 	}
 
 	ctx := r.Context()
 	emitted, exhausted := 0, false
-	var tj TupleJSON // reused across events; enc.Encode serializes before the next fill
+	var tj TupleJSON // reused across events; emit encodes it before the next fill
 	for emitted < req.H {
 		// A disconnected client is detected at tuple boundaries: the
 		// search stops, the deferred release frees the admission slot.
