@@ -55,10 +55,11 @@ func (m *Matcher) Reset(v View, q query.Query) {
 	m.cats = m.cats[:0]
 	m.extra = m.extra[:0]
 	m.never = false
-	for pos, iv := range q.Ranges {
-		m.ranges = append(m.ranges, rangePred{pos: pos, iv: iv})
+	for _, r := range q.Ranges() {
+		m.ranges = append(m.ranges, rangePred{pos: r.Attr, iv: r.Iv})
 	}
-	for name, want := range q.Cats {
+	for _, c := range q.Cats() {
+		name, want := c.Name, c.Value
 		col, inSchema := v.a.layout.colOf[name]
 		if !inSchema {
 			m.extra = append(m.extra, extraPred{name: name, want: want})

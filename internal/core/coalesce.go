@@ -238,7 +238,9 @@ func (s *Session) fetch(q query.Query) (res hidden.Result, issued bool, err erro
 		// registered: the fact cites published rows only, and a caller
 		// arriving between flight completion and the index write cannot
 		// slip through both and re-issue the probe upstream.
+		e.publish.Lock()
 		out := e.facts.learn(key, q, e.hist.AddRows(fres.Tuples), fres.Overflow, cur)
+		e.publish.Unlock()
 		if out.promoted {
 			e.revalPromoted.Add(1)
 		}
@@ -248,7 +250,7 @@ func (s *Session) fetch(q query.Query) (res hidden.Result, issued bool, err erro
 		if p := e.persist.Load(); p != nil && out.fact != nil {
 			// The fact is immutable apart from its epoch, which cur pins.
 			f := out.fact
-			p.record(pendingOp{ranges: f.ranges, cats: f.cats, rows: f.rows, overflow: f.partial, epoch: cur})
+			p.record(pendingOp{q: f.q, rows: f.rows, overflow: f.partial, epoch: cur})
 		}
 		return fres, nil
 	})

@@ -27,20 +27,20 @@ func crawledExport(c *crawledFacts) []*fact {
 	return out
 }
 
-// boxRanges is box over attrs (ascending) as crawled ranges.
-func boxRanges(attrs []int, box query.Box) []factRange {
-	rs := make([]factRange, len(attrs))
+// boxRanges is box over attrs (ascending) as a crawled box.
+func boxRanges(attrs []int, box query.Box) query.Query {
+	var q query.Query
 	for i, a := range attrs {
-		rs[i] = factRange{a, box.Dims[i]}
+		q.AddRange(a, box.Dims[i])
 	}
-	return rs
+	return q
 }
 
-// rangesBox is the box of crawled ranges.
-func rangesBox(rs []factRange) query.Box {
-	b := query.Box{Dims: make([]types.Interval, len(rs))}
-	for i, r := range rs {
-		b.Dims[i] = r.iv
+// rangesBox is the box of a crawled box's ranges.
+func rangesBox(q query.Query) query.Box {
+	b := query.Box{Dims: make([]types.Interval, len(q.Ranges()))}
+	for i, r := range q.Ranges() {
+		b.Dims[i] = r.Iv
 	}
 	return b
 }
@@ -66,10 +66,10 @@ func mk(id int, v float64) types.Tuple {
 	return types.Tuple{ID: id, Ord: []float64{v, 50}, Cat: map[string]string{"cat": "x"}}
 }
 
-func (w crawledWorld) box(iv types.Interval) []factRange {
-	rs := []factRange{{0, iv}}
+func (w crawledWorld) box(iv types.Interval) query.Query {
+	rs := query.New().WithRange(0, iv)
 	if w.m == 2 {
-		rs = append(rs, factRange{1, types.ClosedInterval(0, 100)})
+		rs = rs.WithRange(1, types.ClosedInterval(0, 100))
 	}
 	return rs
 }
@@ -283,9 +283,9 @@ var crawledCases = []struct {
 					t.Fatalf("seed=%d step=%d: %d regions, want %d", seed, step, len(got), len(ref))
 				}
 				for i := range got {
-					if got[i].ranges[0].iv != ref[i].iv || !slices.Equal(got[i].rows, ref[i].rows) {
+					if got[i].q.Ranges()[0].Iv != ref[i].iv || !slices.Equal(got[i].rows, ref[i].rows) {
 						t.Fatalf("seed=%d step=%d region %d: %v rows %v, want %v rows %v",
-							seed, step, i, got[i].ranges[0].iv, got[i].rows, ref[i].iv, ref[i].rows)
+							seed, step, i, got[i].q.Ranges()[0].Iv, got[i].rows, ref[i].iv, ref[i].rows)
 					}
 				}
 			}
@@ -326,10 +326,10 @@ var crawledCases = []struct {
 	// box stay apart; a box that extends another along one attribute joins
 	// it.
 	{"absorb-and-union", func(t *testing.T, w crawledWorld) {
-		sq := func(lo, hi float64) []factRange {
-			rs := []factRange{{0, types.ClosedInterval(lo, hi)}}
+		sq := func(lo, hi float64) query.Query {
+			rs := query.New().WithRange(0, types.ClosedInterval(lo, hi))
 			if w.m == 2 {
-				rs = append(rs, factRange{1, types.ClosedInterval(lo, hi)})
+				rs = rs.WithRange(1, types.ClosedInterval(lo, hi))
 			}
 			return rs
 		}
@@ -350,9 +350,9 @@ var crawledCases = []struct {
 			t.Fatalf("overlapping insert left %d regions, want %d", w.regions(), want)
 		}
 		if w.m == 2 {
-			ext := []factRange{{0, types.ClosedInterval(20, 40)}, {1, types.ClosedInterval(-5, 20)}}
+			ext := query.New().WithRange(0, types.ClosedInterval(20, 40)).WithRange(1, types.ClosedInterval(-5, 20))
 			w.k.crawled.insert(ext, nil, FirstEpoch)
-			if f := w.k.crawled.lookup([]factRange{{0, types.ClosedInterval(-5, 40)}, {1, types.ClosedInterval(-5, 20)}}); f == nil {
+			if f := w.k.crawled.lookup(query.New().WithRange(0, types.ClosedInterval(-5, 40)).WithRange(1, types.ClosedInterval(-5, 20))); f == nil {
 				t.Fatal("a box extending another along one attribute did not join it")
 			}
 		}
@@ -391,20 +391,20 @@ func FuzzCrawledCoverage(f *testing.F) {
 		data = data[1:]
 		k := newCrawledEngine()
 		k.hist.Add(corpus...)
-		contains := func(rs []factRange, tp types.Tuple) bool {
-			for _, r := range rs {
-				if !r.iv.Contains(tp.Ord[r.attr]) {
+		contains := func(rs query.Query, tp types.Tuple) bool {
+			for _, r := range rs.Ranges() {
+				if !r.Iv.Contains(tp.Ord[r.Attr]) {
 					return false
 				}
 			}
 			return true
 		}
-		var inserted [][]factRange
+		var inserted []query.Query
 		for len(data) >= 3*m && len(inserted) < 40 {
-			rs := make([]factRange, m)
-			for j := range rs {
+			var rs query.Query
+			for j := 0; j < m; j++ {
 				lo, w, fl := float64(data[0]%21)/2, float64(data[1]%7)/2, data[2]
-				rs[j] = factRange{j, types.Interval{Lo: lo, Hi: lo + w, LoOpen: fl&1 != 0, HiOpen: fl&2 != 0}}
+				rs.AddRange(j, types.Interval{Lo: lo, Hi: lo + w, LoOpen: fl&1 != 0, HiOpen: fl&2 != 0})
 				data = data[3:]
 			}
 			var in []types.Tuple
@@ -421,7 +421,7 @@ func FuzzCrawledCoverage(f *testing.F) {
 		for _, sf := range stored {
 			var want []uint32
 			for _, tp := range corpus {
-				if contains(sf.ranges, tp) {
+				if contains(sf.q, tp) {
 					want = append(want, uint32(tp.ID)) // the corpus went in first: row = ID
 				}
 			}
@@ -429,11 +429,11 @@ func FuzzCrawledCoverage(f *testing.F) {
 				return cmp.Or(cmp.Compare(v.Ord(int(a), 0), v.Ord(int(b), 0)), cmp.Compare(a, b))
 			})
 			if !slices.Equal(sf.rows, want) {
-				t.Fatalf("fact %v holds rows %v, want the corpus inside it %v", rangesBox(sf.ranges), sf.rows, want)
+				t.Fatalf("fact %v holds rows %v, want the corpus inside it %v", rangesBox(sf.q), sf.rows, want)
 			}
 			for i, row := range sf.rows {
 				if sf.vals[i] != v.Ord(int(row), 0) {
-					t.Fatalf("fact %v row %d carries value %v, want %v", rangesBox(sf.ranges), row, sf.vals[i], v.Ord(int(row), 0))
+					t.Fatalf("fact %v row %d carries value %v, want %v", rangesBox(sf.q), row, sf.vals[i], v.Ord(int(row), 0))
 				}
 			}
 			// Every point of the fact — probed on the quarter-unit grid,
@@ -443,7 +443,7 @@ func FuzzCrawledCoverage(f *testing.F) {
 			walk = func(j int, pt []float64) {
 				if j == m {
 					probe := types.Tuple{Ord: pt}
-					if !contains(sf.ranges, probe) {
+					if !contains(sf.q, probe) {
 						return
 					}
 					for _, rs := range inserted {
@@ -451,7 +451,7 @@ func FuzzCrawledCoverage(f *testing.F) {
 							return
 						}
 					}
-					t.Fatalf("fact %v claims %v, which no insert covered", rangesBox(sf.ranges), pt)
+					t.Fatalf("fact %v claims %v, which no insert covered", rangesBox(sf.q), pt)
 				}
 				for x := -1; x <= 54; x++ {
 					pt[j] = float64(x) / 4
@@ -462,15 +462,20 @@ func FuzzCrawledCoverage(f *testing.F) {
 		}
 		queries := slices.Clone(inserted)
 		for _, sf := range stored {
-			queries = append(queries, sf.ranges)
+			queries = append(queries, sf.q)
 		}
 		for _, q := range queries {
-			sub := slices.Clone(q) // a proper sub-box too
-			sub[0].iv.Lo, sub[0].iv.LoOpen = sub[0].iv.Lo+0.25, false
-			for _, probe := range [][]factRange{q, sub} {
+			var sub query.Query // a proper sub-box too
+			for i, r := range q.Ranges() {
+				if i == 0 {
+					r.Iv.Lo, r.Iv.LoOpen = r.Iv.Lo+0.25, false
+				}
+				sub.AddRange(r.Attr, r.Iv)
+			}
+			for _, probe := range []query.Query{q, sub} {
 				hit := k.crawled.lookup(probe)
-				want := slices.ContainsFunc(stored, func(sf *fact) bool { return boxCovers(sf.ranges, probe) })
-				if (hit != nil) != want || (hit != nil && !boxCovers(hit.ranges, probe)) {
+				want := slices.ContainsFunc(stored, func(sf *fact) bool { return boxCovers(sf.q, probe) })
+				if (hit != nil) != want || (hit != nil && !boxCovers(hit.q, probe)) {
 					t.Fatalf("lookup %v: hit=%v, a stored fact contains it: %v", rangesBox(probe), hit != nil, want)
 				}
 			}

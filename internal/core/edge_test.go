@@ -233,7 +233,7 @@ var errTieProbe = errors.New("tie probe failed")
 func (d *tieFailDB) TopK(q query.Query) (hidden.Result, error) {
 	point := true
 	for _, a := range d.attrs {
-		iv, ok := q.Ranges[a]
+		iv, ok := q.Range(a)
 		point = point && ok && iv.Lo == iv.Hi
 	}
 	if point && d.failed.CompareAndSwap(false, true) {

@@ -35,7 +35,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -151,6 +150,12 @@ type Engine struct {
 	facts   *factIndex     // probe answers; nil when Options.ProbeCacheSize < 0
 	flights *flightGroup   // identical in-flight probes
 	crawls  *flightGroup   // dense-region crawl dedup
+
+	// publish is held for writing while an issued probe's page enters the
+	// arena and its fact the index, and for reading while an MD cursor takes
+	// the arena view it seeds from: a cursor that sees a page also finds its
+	// fact, so it never spends a probe the fact would have answered.
+	publish sync.RWMutex
 
 	queries atomic.Int64 // upstream queries issued through the engine
 
@@ -338,7 +343,7 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		EngineQueries:         e.queries.Load(),
 		HistoryTuples:         e.hist.Size(),
-		MDDenseRegions:        e.crawled.count(func(f *fact) bool { return len(f.ranges) > 1 }),
+		MDDenseRegions:        e.crawled.count(func(f *fact) bool { return len(f.q.Ranges()) > 1 }),
 		DenseMDMaxBucket:      e.crawled.maxBucket(),
 		SearchParallelism:     e.searchWidth(),
 		SpecProbesIssued:      e.specIssued.Load(),
@@ -399,17 +404,17 @@ func (e *Engine) restoreEpoch(ep int64) {
 	}
 }
 
-// insertCrawled records a crawled box — ranges ascending by attribute — with
-// every tuple inside it at the current epoch, and records the insert for
+// insertCrawled records a crawled box (a query of ranges only) with every
+// tuple inside it at the current epoch, and records the insert for
 // incremental persistence. The tuples are named by their arena rows (added
 // first when no probe brought them in), so a region's rows always precede its
 // journal record. Live inserts must go through here rather than the crawled
 // set directly, so no acquired knowledge is invisible to the next checkpoint.
-func (e *Engine) insertCrawled(rs []factRange, tuples []types.Tuple) {
+func (e *Engine) insertCrawled(box query.Query, tuples []types.Tuple) {
 	rows, epoch := e.hist.AddRows(tuples), e.Epoch()
-	e.crawled.insert(rs, rows, epoch)
+	e.crawled.insert(box, rows, epoch)
 	if p := e.persist.Load(); p != nil {
-		p.record(pendingOp{ranges: slices.Clone(rs), rows: rows, crawled: true, epoch: epoch})
+		p.record(pendingOp{q: box.Clone(), rows: rows, crawled: true, epoch: epoch})
 	}
 }
 
@@ -422,15 +427,18 @@ type Dense1D struct{ c *crawledFacts }
 
 // Lookup returns the crawled interval on attr covering iv, of any epoch.
 func (d Dense1D) Lookup(attr int, iv types.Interval) (types.Interval, bool) {
-	if f := d.c.lookup([]factRange{{attr, iv}}); f != nil {
-		return f.ranges[0].iv, true
+	if f := d.c.lookup(query.New().WithRange(attr, iv)); f != nil {
+		return f.q.Ranges()[0].Iv, true
 	}
 	return types.Interval{}, false
 }
 
 // Regions returns the number of crawled intervals on attr.
 func (d Dense1D) Regions(attr int) int {
-	return d.c.count(func(f *fact) bool { return len(f.ranges) == 1 && f.ranges[0].attr == attr })
+	return d.c.count(func(f *fact) bool {
+		rs := f.q.Ranges()
+		return len(rs) == 1 && rs[0].Attr == attr
+	})
 }
 
 // Heat returns the engine's request-window heat sketch — the demand signal
@@ -441,11 +449,11 @@ func (e *Engine) Heat() *acquire.Sketch { return e.heat }
 // sketch. Call it from the request path after validation: the cost is one
 // short mutex acquisition per bounded range, no upstream work.
 func (e *Engine) RecordHeat(q query.Query) {
-	for attr, iv := range q.Ranges {
-		if iv.Empty() || iv.Unbounded() {
+	for _, r := range q.Ranges() {
+		if r.Iv.Empty() || r.Iv.Unbounded() {
 			continue
 		}
-		e.heat.Observe(attr, iv.Lo, iv.Hi)
+		e.heat.Observe(r.Attr, r.Iv.Lo, r.Iv.Hi)
 	}
 }
 
@@ -457,7 +465,7 @@ func (e *Engine) RecordHeat(q query.Query) {
 // again, refreshing stale knowledge from idle capacity alongside genuinely
 // un-crawled windows.
 func (e *Engine) WindowWarm(attr int, iv types.Interval) bool {
-	f := e.crawled.lookup([]factRange{{attr, iv}})
+	f := e.crawled.lookup(query.New().WithRange(attr, iv))
 	return f != nil && f.epoch >= e.Epoch()
 }
 

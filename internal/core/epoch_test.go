@@ -143,9 +143,9 @@ func TestDenseLookup1LazyRevalidation(t *testing.T) {
 			db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
 			e := NewEngine(db, Options{N: 400})
 			iv, inside := narrowWindow(t, tuples, 10)
-			rs := []factRange{{0, iv}}
+			rs := query.New().WithRange(0, iv)
 			if tc.attr1 {
-				rs = append(rs, factRange{1, types.ClosedInterval(0, 100)})
+				rs = rs.WithRange(1, types.ClosedInterval(0, 100))
 			}
 
 			s := e.NewSession()
@@ -245,10 +245,10 @@ func TestCrawlContainingStaleRegion(t *testing.T) {
 			db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
 			e := NewEngine(db, Options{N: 400})
 			iv, inside := narrowWindow(t, tuples, 10)
-			box := func(iv types.Interval) []factRange {
-				rs := []factRange{{0, iv}}
+			box := func(iv types.Interval) query.Query {
+				rs := query.New().WithRange(0, iv)
 				if tc.attr1 {
-					rs = append(rs, factRange{1, types.ClosedInterval(0, 100)})
+					rs = rs.WithRange(1, types.ClosedInterval(0, 100))
 				}
 				return rs
 			}
@@ -409,7 +409,7 @@ func TestWindowWarmEpochAware(t *testing.T) {
 	}
 	// One confirming probe promotes the covering region and re-warms it.
 	s2 := e.NewSession()
-	if f, err := s2.crawledLookup([]factRange{{0, iv}}); err != nil || f == nil {
+	if f, err := s2.crawledLookup(query.New().WithRange(0, iv)); err != nil || f == nil {
 		t.Fatalf("re-validation: found=%v err=%v", f != nil, err)
 	}
 	if !e.WindowWarm(0, iv) {
@@ -585,7 +585,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	e1 := persistedEngine(t, db, Options{N: 400})
 	iv, _ := narrowWindow(t, tuples, 10)
 	s := e1.NewSession()
-	if err := s.crawlBox([]factRange{{0, iv}}); err != nil {
+	if err := s.crawlBox(query.New().WithRange(0, iv)); err != nil {
 		t.Fatal(err)
 	}
 	e1.BumpEpoch()
@@ -613,7 +613,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	}
 	// The replayed stale region still demands its confirming probe.
 	s2 := e2.NewSession()
-	if f, err := s2.crawledLookup([]factRange{{0, iv}}); err != nil || f == nil {
+	if f, err := s2.crawledLookup(query.New().WithRange(0, iv)); err != nil || f == nil {
 		t.Fatalf("replayed region lookup: found=%v err=%v", f != nil, err)
 	}
 	if s2.Queries() != 1 {

@@ -79,21 +79,13 @@ import (
 // worst-case footprint is a few hundred bytes per fact.
 const defaultProbeCacheSize = 16384
 
-type factRange struct {
-	attr int
-	iv   types.Interval
-}
-
-type factCat struct{ name, value string }
-
-// fact is one probe answer, or one crawled region (key, cats, group and the
-// LRU links unset). Everything but epoch and the LRU links is immutable once
+// fact is one probe answer, or one crawled region (q of ranges only; key,
+// group and the LRU links unset). Everything but epoch and the LRU links is immutable once
 // the fact is admitted, so rows may be read after the index lock is
 // released; a changed answer is a new fact.
 type fact struct {
 	key     string      // canonical query string: the exact-match key
-	ranges  []factRange // ascending attr
-	cats    []factCat   // ascending name
+	q       query.Query // the probe, or a crawled region's box (ranges only)
 	rows    []uint32    // history arena rows, upstream rank order (run order for a crawled region)
 	vals    []float64   // a crawled region's: each row's value on its first attribute
 	epoch   int64       // knowledge epoch the answer was learned or last confirmed under
@@ -108,41 +100,27 @@ type fact struct {
 	newer, older *fact // LRU list
 }
 
-// newFact builds the structured form of q. Ranges spanning the whole real
-// line stay in the fact (the canonical key must round-trip through the
-// journal) but constrain nothing, so attrs — the fact's group signature —
-// leaves them out.
+// newFact builds the fact for q's answer, holding its own copy of q. Ranges
+// spanning the whole real line stay in the fact (the canonical key must
+// round-trip through the journal) but constrain nothing, so attrs — the
+// fact's group signature — leaves them out.
 func newFact(key string, q query.Query, rows []uint32, partial bool, epoch int64) (f *fact, attrs []int) {
-	f = &fact{key: key, rows: rows, partial: partial, epoch: epoch, lo: math.Inf(-1), hi: math.Inf(1)}
-	if len(q.Ranges) > 0 {
-		f.ranges = make([]factRange, 0, len(q.Ranges))
-		for attr, iv := range q.Ranges {
-			f.ranges = append(f.ranges, factRange{attr, iv})
+	f = &fact{key: key, q: q.Clone(), rows: rows, partial: partial, epoch: epoch, lo: math.Inf(-1), hi: math.Inf(1)}
+	for _, r := range q.Ranges() {
+		if math.IsInf(r.Iv.Lo, -1) && math.IsInf(r.Iv.Hi, 1) {
+			continue
 		}
-		sort.Slice(f.ranges, func(i, j int) bool { return f.ranges[i].attr < f.ranges[j].attr })
-		for _, r := range f.ranges {
-			if !math.IsInf(r.iv.Lo, -1) || !math.IsInf(r.iv.Hi, 1) {
-				attrs = append(attrs, r.attr)
-			}
-		}
-		if len(attrs) > 0 {
+		if len(attrs) == 0 {
 			// A NaN bound keeps the widest extent: ordering only narrows
 			// the candidates, covers decides.
-			first := q.Ranges[attrs[0]]
-			if !math.IsNaN(first.Lo) {
-				f.lo = first.Lo
+			if !math.IsNaN(r.Iv.Lo) {
+				f.lo = r.Iv.Lo
 			}
-			if !math.IsNaN(first.Hi) {
-				f.hi = first.Hi
+			if !math.IsNaN(r.Iv.Hi) {
+				f.hi = r.Iv.Hi
 			}
 		}
-	}
-	if len(q.Cats) > 0 {
-		f.cats = make([]factCat, 0, len(q.Cats))
-		for name, value := range q.Cats {
-			f.cats = append(f.cats, factCat{name, value})
-		}
-		sort.Slice(f.cats, func(i, j int) bool { return f.cats[i].name < f.cats[j].name })
+		attrs = append(attrs, r.Attr)
 	}
 	return f, attrs
 }
@@ -152,17 +130,17 @@ func newFact(key string, q query.Query, rows []uint32, partial bool, epoch int64
 // missing range is the full interval) and each of its categorical
 // predicates is one of q's.
 func (f *fact) covers(q query.Query) bool {
-	for _, r := range f.ranges {
-		iv, ok := q.Ranges[r.attr]
+	for _, r := range f.q.Ranges() {
+		iv, ok := q.Range(r.Attr)
 		if !ok {
 			iv = types.FullInterval()
 		}
-		if !r.iv.Covers(iv) {
+		if !r.Iv.Covers(iv) {
 			return false
 		}
 	}
-	for _, c := range f.cats {
-		if v, ok := q.Cats[c.name]; !ok || v != c.value {
+	for _, c := range f.q.Cats() {
+		if v, ok := q.Cat(c.Name); !ok || v != c.Value {
 			return false
 		}
 	}
@@ -176,10 +154,10 @@ const factOverhead = 64
 // size approximates the fact's resident bytes.
 func (f *fact) size() int64 {
 	n := int64(unsafe.Sizeof(*f)) + factOverhead + int64(len(f.key)) +
-		int64(len(f.ranges))*int64(unsafe.Sizeof(factRange{})) +
-		int64(len(f.cats))*int64(unsafe.Sizeof(factCat{})) + 4*int64(len(f.rows))
-	for _, c := range f.cats {
-		n += int64(len(c.name) + len(c.value))
+		int64(len(f.q.Ranges()))*int64(unsafe.Sizeof(query.Range{})) +
+		int64(len(f.q.Cats()))*int64(unsafe.Sizeof(query.Cat{})) + 4*int64(len(f.rows))
+	for _, c := range f.q.Cats() {
+		n += int64(len(c.Name) + len(c.Value))
 	}
 	return n
 }
@@ -286,8 +264,8 @@ func (x *factIndex) catHash(name, value string) uint64 {
 
 func (x *factIndex) catsHash(f *fact) uint64 {
 	var h uint64
-	for _, c := range f.cats {
-		h ^= x.catHash(c.name, c.value)
+	for _, c := range f.q.Cats() {
+		h ^= x.catHash(c.Name, c.Value)
 	}
 	return h
 }
@@ -428,12 +406,12 @@ func (x *factIndex) lookup(key []byte, q query.Query, cur int64, contained bool)
 func (x *factIndex) containing(q query.Query, cur int64) *fact {
 	var buf [8]uint64
 	hs := buf[:0]
-	for name, value := range q.Cats {
-		hs = append(hs, x.catHash(name, value))
+	for _, c := range q.Cats() {
+		hs = append(hs, x.catHash(c.Name, c.Value))
 	}
 	var mask uint64
-	for attr := range q.Ranges {
-		mask |= 1 << (uint(attr) & 63)
+	for _, r := range q.Ranges() {
+		mask |= 1 << (uint(r.Attr) & 63)
 	}
 	covers := func(f *fact) bool { return f.epoch >= cur && f.covers(q) }
 	for _, g := range x.groups {
@@ -443,7 +421,7 @@ func (x *factIndex) containing(q query.Query, cur int64) *fact {
 		span := types.FullInterval()
 		if len(g.attrs) > 0 {
 			var ok bool
-			if span, ok = q.Ranges[g.attrs[0]]; !ok {
+			if span, ok = q.Range(g.attrs[0]); !ok {
 				continue // mask bits alias above 63 attributes
 			}
 		}
@@ -525,9 +503,10 @@ type crawledGroup struct {
 	b     factBucket
 }
 
-// bucket returns the bucket of the facts over exactly the attributes of rs,
+// bucket returns the bucket of the facts over exactly the attributes of box,
 // creating it when create is set (nil otherwise). Callers hold c.mu.
-func (c *crawledFacts) bucket(rs []factRange, create bool) *factBucket {
+func (c *crawledFacts) bucket(box query.Query, create bool) *factBucket {
+	rs := box.Ranges()
 	for _, g := range c.groups {
 		if len(g.attrs) == len(rs) && sameAttrs(g.attrs, rs) {
 			return &g.b
@@ -538,15 +517,15 @@ func (c *crawledFacts) bucket(rs []factRange, create bool) *factBucket {
 	}
 	g := &crawledGroup{}
 	for _, r := range rs {
-		g.attrs = append(g.attrs, r.attr)
+		g.attrs = append(g.attrs, r.Attr)
 	}
 	c.groups = append(c.groups, g)
 	return &g.b
 }
 
-func sameAttrs(attrs []int, rs []factRange) bool {
+func sameAttrs(attrs []int, rs []query.Range) bool {
 	for i, r := range rs {
-		if attrs[i] != r.attr {
+		if attrs[i] != r.Attr {
 			return false
 		}
 	}
@@ -555,9 +534,10 @@ func sameAttrs(attrs []int, rs []factRange) bool {
 
 // boxCovers reports whether the box outer contains the box inner, both over
 // the same attributes.
-func boxCovers(outer, inner []factRange) bool {
-	for i, r := range outer {
-		if !r.iv.Covers(inner[i].iv) {
+func boxCovers(outer, inner query.Query) bool {
+	in := inner.Ranges()
+	for i, r := range outer.Ranges() {
+		if !r.Iv.Covers(in[i].Iv) {
 			return false
 		}
 	}
@@ -569,10 +549,11 @@ func boxCovers(outer, inner []factRange) bool {
 // there, or one contains the other. Two intervals meet when they overlap or
 // touch at a point one of them holds: (a,b) and (b,c) stay apart, since
 // neither was crawled at b.
-func joins(a, b []factRange) bool {
+func joins(a, b query.Query) bool {
+	ar, br := a.Ranges(), b.Ranges()
 	differ := -1
-	for i := range a {
-		if a[i].iv != b[i].iv {
+	for i := range ar {
+		if ar[i].Iv != br[i].Iv {
 			if differ >= 0 {
 				return boxCovers(a, b) || boxCovers(b, a)
 			}
@@ -582,37 +563,42 @@ func joins(a, b []factRange) bool {
 	if differ < 0 {
 		return true
 	}
-	x, y := a[differ].iv, b[differ].iv
+	x, y := ar[differ].Iv, br[differ].Iv
 	return x.Hi >= y.Lo && x.Lo <= y.Hi &&
 		!(x.Hi == y.Lo && x.HiOpen && y.LoOpen) && !(y.Hi == x.Lo && y.HiOpen && x.LoOpen)
 }
 
-// hull widens a to the smallest box holding b as well.
-func hull(a, b []factRange) {
-	for i, r := range b {
-		iv := &a[i].iv
-		if r.iv.Lo < iv.Lo || (r.iv.Lo == iv.Lo && !r.iv.LoOpen) {
-			iv.Lo, iv.LoOpen = r.iv.Lo, r.iv.LoOpen
+// hull returns the smallest box holding both a and b.
+func hull(a, b query.Query) query.Query {
+	var h query.Query
+	br := b.Ranges()
+	for i, r := range a.Ranges() {
+		iv, o := r.Iv, br[i].Iv
+		if o.Lo < iv.Lo || (o.Lo == iv.Lo && !o.LoOpen) {
+			iv.Lo, iv.LoOpen = o.Lo, o.LoOpen
 		}
-		if r.iv.Hi > iv.Hi || (r.iv.Hi == iv.Hi && !r.iv.HiOpen) {
-			iv.Hi, iv.HiOpen = r.iv.Hi, r.iv.HiOpen
+		if o.Hi > iv.Hi || (o.Hi == iv.Hi && !o.HiOpen) {
+			iv.Hi, iv.HiOpen = o.Hi, o.HiOpen
 		}
+		h.AddRange(r.Attr, iv)
 	}
+	return h
 }
 
 // lookup returns a stored fact, of any epoch, over exactly the attributes of
-// rs whose box contains rs's, or nil.
-func (c *crawledFacts) lookup(rs []factRange) *fact {
+// box whose box contains it, or nil.
+func (c *crawledFacts) lookup(box query.Query) *fact {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	b := c.bucket(rs, false)
+	b := c.bucket(box, false)
 	if b == nil {
 		return nil
 	}
-	return b.find(rs[0].iv.Lo, rs[0].iv.Hi, func(f *fact) bool { return boxCovers(f.ranges, rs) })
+	first := box.Ranges()[0].Iv
+	return b.find(first.Lo, first.Hi, func(f *fact) bool { return boxCovers(f.q, box) })
 }
 
-// insert records the crawled box rs (ascending attribute) with rows, the
+// insert records the crawled box (ranges only) with rows, the
 // arena rows of every database tuple inside it, learned under epoch. A
 // stored fact over the same attributes that the new box contains is dropped,
 // whatever its epoch: the new crawl re-read every tuple in it. One of the
@@ -622,31 +608,33 @@ func (c *crawledFacts) lookup(rs []factRange) *fact {
 // epoch that the new box does not contain stays apart — merging it would
 // stamp rows the crawl did not re-read with the wrong epoch, or re-validate
 // the new rows with its stale ones.
-func (c *crawledFacts) insert(rs []factRange, rows []uint32, epoch int64) {
+func (c *crawledFacts) insert(box query.Query, rows []uint32, epoch int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The view that orders the rows is taken under the lock, so it covers
 	// every row a fact inserted before this one cites.
 	v := c.hist.View()
-	run := dedupRun(v, colstore.NewRun(v, rs[0].attr, rows))
-	f := &fact{ranges: slices.Clone(rs), epoch: epoch}
-	b := c.bucket(rs, true)
+	run := dedupRun(v, colstore.NewRun(v, box.Ranges()[0].Attr, rows))
+	f := &fact{q: box.Clone(), epoch: epoch}
+	b := c.bucket(box, true)
 	for {
-		box := f.ranges
-		old := b.find(box[0].iv.Hi, box[0].iv.Lo, func(o *fact) bool {
-			return boxCovers(box, o.ranges) || (o.epoch == epoch && joins(box, o.ranges))
+		cur := f.q
+		first := cur.Ranges()[0].Iv
+		old := b.find(first.Hi, first.Lo, func(o *fact) bool {
+			return boxCovers(cur, o.q) || (o.epoch == epoch && joins(cur, o.q))
 		})
 		if old == nil {
 			break
 		}
 		b.remove(old)
-		if boxCovers(box, old.ranges) {
+		if boxCovers(cur, old.q) {
 			continue
 		}
-		hull(f.ranges, old.ranges)
+		f.q = hull(cur, old.q)
 		run = dedupRun(v, colstore.MergeRuns(v, run, old.run()))
 	}
-	f.vals, f.rows, f.lo, f.hi = run.Vals, run.Rows, f.ranges[0].iv.Lo, f.ranges[0].iv.Hi
+	first := f.q.Ranges()[0].Iv
+	f.vals, f.rows, f.lo, f.hi = run.Vals, run.Rows, first.Lo, first.Hi
 	b.insert(f)
 }
 
@@ -679,7 +667,7 @@ func (c *crawledFacts) promote(f *fact, epoch int64) *fact {
 	nf.epoch = epoch
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := c.bucket(f.ranges, false)
+	b := c.bucket(f.q, false)
 	if i := b.at(f); i >= 0 {
 		b.facts[i] = &nf
 	}
@@ -691,7 +679,7 @@ func (c *crawledFacts) promote(f *fact, epoch int64) *fact {
 func (c *crawledFacts) remove(f *fact) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bucket(f.ranges, false).remove(f)
+	c.bucket(f.q, false).remove(f)
 }
 
 // count returns how many stored facts satisfy ok, calling it for every fact,

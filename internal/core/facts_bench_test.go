@@ -39,9 +39,9 @@ func benchFacts(b *testing.B, n int) (e *Engine, tuples []types.Tuple, complete,
 		q := query.New().WithRange(0, types.ClosedInterval(tuples[at].Ord[0], tuples[at+run-1].Ord[0]))
 		switch held % 4 {
 		case 1:
-			q.Ranges[1] = types.ClosedInterval(0, 100)
+			q = q.WithRange(1, types.ClosedInterval(0, 100))
 		case 2:
-			q.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
+			q = q.WithCat("cat", []string{"x", "y", "z"}[rng.Intn(3)])
 		}
 		var cited []uint32
 		for i := at; i < at+run && len(cited) < k; i++ {
@@ -91,10 +91,10 @@ func BenchmarkProbeFacts(b *testing.B) {
 		}
 		for len(contained) < 512 {
 			outer := facts[rng.Intn(len(facts))]
-			iv := outer.Ranges[0]
+			iv, _ := outer.Range(0)
 			in := outer.WithRange(0, types.ClosedInterval(iv.Lo, iv.Lo+(iv.Hi-iv.Lo)*0.75))
-			if _, ok := in.Cats["cat"]; !ok {
-				in.Cats["cat"] = "x"
+			if _, ok := in.Cat("cat"); !ok {
+				in = in.WithCat("cat", "x")
 			}
 			if _, held := e.facts.byKey[in.String()]; !held {
 				contained = append(contained, in)

@@ -61,11 +61,11 @@ func factQuery(rng *rand.Rand, tuples []types.Tuple, m int) query.Query {
 	q := query.New()
 	for a := 0; a < m; a++ {
 		if rng.Intn(2) == 0 {
-			q.Ranges[a] = factInterval(rng, tuples, a)
+			q = q.WithRange(a, factInterval(rng, tuples, a))
 		}
 	}
 	if rng.Intn(3) == 0 {
-		q.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
+		q = q.WithCat("cat", []string{"x", "y", "z"}[rng.Intn(3)])
 	}
 	return q
 }
@@ -76,14 +76,12 @@ func factQuery(rng *rand.Rand, tuples []types.Tuple, m int) query.Query {
 func shrink(rng *rand.Rand, q query.Query, tuples []types.Tuple, m int) query.Query {
 	in := q.Clone()
 	for a := 0; a < m; a++ {
-		if iv, ok := in.Ranges[a]; ok {
-			in.Ranges[a] = iv.Intersect(factInterval(rng, tuples, a))
-		} else if rng.Intn(2) == 0 {
-			in.Ranges[a] = factInterval(rng, tuples, a)
+		if _, ok := in.Range(a); ok || rng.Intn(2) == 0 {
+			in.AddRange(a, factInterval(rng, tuples, a))
 		}
 	}
-	if _, ok := in.Cats["cat"]; !ok && rng.Intn(2) == 0 {
-		in.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
+	if _, ok := in.Cat("cat"); !ok && rng.Intn(2) == 0 {
+		in = in.WithCat("cat", []string{"x", "y", "z"}[rng.Intn(3)])
 	}
 	return in
 }
@@ -528,9 +526,9 @@ func TestFactCountersTrackAdmitsAndEvictions(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		q := query.New()
 		lo := float64(rng.Intn(40))
-		q.Ranges[rng.Intn(3)] = types.ClosedInterval(lo, lo+float64(rng.Intn(5)))
+		q = q.WithRange(rng.Intn(3), types.ClosedInterval(lo, lo+float64(rng.Intn(5))))
 		if rng.Intn(2) == 0 {
-			q.Cats["cat"] = []string{"x", "y", "z"}[rng.Intn(3)]
+			q = q.WithCat("cat", []string{"x", "y", "z"}[rng.Intn(3)])
 		}
 		rows := make([]uint32, rng.Intn(10))
 		for j := range rows {
@@ -696,11 +694,11 @@ func fuzzQuery(data []byte) (query.Query, []byte) {
 		if c&96 == 96 {
 			iv.Hi, iv.HiOpen = math.Inf(1), true
 		}
-		q.Ranges[attr] = iv
+		q = q.WithRange(attr, iv)
 	}
 	for _, name := range []string{"c", "d"} {
 		if c := next(); c&1 != 0 {
-			q.Cats[name] = string('x' + rune(c>>1&1))
+			q = q.WithCat(name, string('x'+rune(c>>1&1)))
 		}
 	}
 	return q, data

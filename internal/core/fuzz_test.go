@@ -106,7 +106,7 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 		}
 		for _, f := range crawledExport(e.crawled) {
-			held(rangesBox(f.ranges), f.rows)
+			held(rangesBox(f.q), f.rows)
 		}
 	})
 }
@@ -129,16 +129,16 @@ func FuzzProbeKeyRoundTrip(f *testing.F) {
 		}
 		q := query.New()
 		if shape&1 != 0 {
-			q.Ranges[0] = types.Interval{Lo: lo0, Hi: hi0, LoOpen: shape&4 != 0, HiOpen: shape&8 != 0}
+			q = q.WithRange(0, types.Interval{Lo: lo0, Hi: hi0, LoOpen: shape&4 != 0, HiOpen: shape&8 != 0})
 		}
 		if shape&2 != 0 {
-			q.Ranges[1] = types.Interval{Lo: lo1, Hi: hi1, LoOpen: shape&16 != 0, HiOpen: shape&32 != 0}
+			q = q.WithRange(1, types.Interval{Lo: lo1, Hi: hi1, LoOpen: shape&16 != 0, HiOpen: shape&32 != 0})
 		}
 		if cats&1 != 0 {
-			q.Cats[name] = value
+			q = q.WithCat(name, value)
 		}
 		if cats&2 != 0 {
-			q.Cats["cat"] = "y"
+			q = q.WithCat("cat", "y")
 		}
 		if q.Empty() {
 			return // answered locally: no fact, nothing journaled

@@ -293,9 +293,6 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 			probeQs: make([]query.Query, c.width),
 			zbuf:    make([]float64, ax.M()),
 		}
-		for _, a := range c.sorted {
-			c.resolvers[i].rlk = append(c.resolvers[i].rlk, factRange{attr: a})
-		}
 	}
 	return c
 }

@@ -163,14 +163,15 @@ func (r *mdResolver) denseAnswer(b query.Box, cand *candidate) error {
 	return nil
 }
 
-// realRanges converts an axis box to real-value ranges in ascending
-// attribute order, so that rankers sharing an attribute subset share crawled
-// regions. It fills the resolver's scratch: the crawled set copies what it
-// keeps.
-func (r *mdResolver) realRanges(b query.Box) []factRange {
-	for i := range r.rlk {
+// realRanges converts an axis box to a query of real-value ranges, which
+// holds them in ascending attribute order, so that rankers sharing an
+// attribute subset share crawled regions. It fills the resolver's scratch:
+// the crawled set copies what it keeps.
+func (r *mdResolver) realRanges(b query.Box) query.Query {
+	r.rlk.CopyFrom(query.New())
+	for i, a := range r.c.sorted {
 		j := r.c.axisPos[i]
-		r.rlk[i].iv = r.axis.RealInterval(j, b.Dims[j])
+		r.rlk.AddRange(a, r.axis.RealInterval(j, b.Dims[j]))
 	}
 	return r.rlk
 }

@@ -35,7 +35,7 @@ type mdResolver struct {
 	results  []probeResult
 	probeQs  []query.Query
 	zbuf     []float64   // ToAxisInto scratch for improve
-	rlk      []factRange // realRanges scratch for crawled-region lookups
+	rlk      query.Query // realRanges scratch for crawled-region lookups
 }
 
 // frontierBox is one unexplored box in a top-1 search's best-first frontier.

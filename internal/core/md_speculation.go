@@ -48,7 +48,9 @@ func (c *MDCursor) seedRound(regs []*mdRegion) []candidate {
 		}
 	}
 	r0 := c.resolvers[0] // its scratch is the cursor's between rounds
+	c.s.e.publish.RLock()
 	v := c.s.e.hist.View()
+	c.s.e.publish.RUnlock()
 	c.s.e.hist.ScanMatching(c.q, v, c.seeds.mark, func(row int) {
 		c.seeds.rows = append(c.seeds.rows, uint32(row))
 		// The row's own score to the bit: the axis point holds its values

@@ -98,7 +98,7 @@ func (c *OneDCursor) searchFloor() (floor float64, open bool) {
 	if c.dir == ranking.Desc {
 		floor = -d.Max
 	}
-	if iv, ok := c.q.Ranges[c.attr]; ok {
+	if iv, ok := c.q.Range(c.attr); ok {
 		if ax := c.realRange(iv); ax.Lo > floor || (ax.Lo == floor && ax.LoOpen) {
 			return ax.Lo, ax.LoOpen
 		}
@@ -280,7 +280,7 @@ func (c *OneDCursor) plateauCursor(v float64) (*OneDCursor, bool) {
 		if a == c.attr {
 			continue
 		}
-		if iv, ok := subQ.Ranges[a]; ok && iv.Lo == iv.Hi {
+		if iv, ok := subQ.Range(a); ok && iv.Lo == iv.Hi {
 			continue // already pinned by an outer plateau level
 		}
 		return c.s.NewOneDCursor(subQ, a, ranking.Asc, c.variant), true
@@ -470,7 +470,7 @@ func (c *OneDCursor) oracle(searchLo float64, searchLoOpen bool, cand types.Tupl
 	// which the lazy §5 tie machinery already handles.
 	axisIv := types.Interval{Lo: searchLo, LoOpen: searchLoOpen, Hi: c.axisOf(cand), HiOpen: true}
 	realIv := c.realRange(axisIv)
-	f, err := c.s.crawledFact([]factRange{{c.attr, realIv}})
+	f, err := c.s.crawledFact(query.New().WithRange(c.attr, realIv))
 	if err != nil {
 		return types.Tuple{}, false, err
 	}

@@ -209,7 +209,7 @@ func TestOneDOracleAcrossDrift(t *testing.T) {
 				db := w.open(corpus)
 				run := &oneDRun{t: t, e: NewEngine(strictDB{db, t}, Options{N: w.n, ProbeCacheSize: probeCache(coalesce)})}
 				for _, q := range w.windows {
-					iv, bounded := q.Ranges[w.attr]
+					iv, bounded := q.Range(w.attr)
 					for _, dir := range []ranking.Direction{ranking.Asc, ranking.Desc} {
 						rk := ranking.NewSingle("user", w.attr, dir)
 						for _, out := range []bool{false, true} {

@@ -41,6 +41,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,11 +82,10 @@ type Persister struct {
 
 // pendingOp is one recorded knowledge mutation awaiting checkpoint: a
 // coverage fact — a probe answer, or with crawled set a crawled region — or,
-// with bump set and nothing but epoch beside it, an epoch bump. The slices
-// are shared with the engine (engine-wide immutable), not copied.
+// with bump set and nothing but epoch beside it, an epoch bump. The query and
+// rows are shared with the engine (engine-wide immutable), not copied.
 type pendingOp struct {
-	ranges   []factRange // ascending attr
-	cats     []factCat
+	q        query.Query // the probe, or a crawled region's box
 	rows     []uint32
 	overflow bool  // an overflow page
 	crawled  bool  // every tuple of the box: a crawled region
@@ -180,12 +180,16 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 			}
 			continue
 		}
+		// A (corrupt) record naming one attribute twice replays its later
+		// range on that attribute alone, not the intersection.
 		q := query.New()
-		for _, r := range op.Ranges {
-			q.Ranges[r.Attr] = rangeInterval(r)
+		for i, r := range op.Ranges {
+			if !slices.ContainsFunc(op.Ranges[i+1:], func(o segment.ProbeRange) bool { return o.Attr == r.Attr }) {
+				q.AddRange(r.Attr, rangeInterval(r))
+			}
 		}
 		for name, value := range op.Cats {
-			q.Cats[name] = value
+			q = q.WithCat(name, value)
 		}
 		e.facts.learn(q.String(), q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
 	}
@@ -205,19 +209,19 @@ func (e *Engine) applyCrawled(op segment.ProbeOp) error {
 			len(op.Ranges), len(op.Cats), op.Overflow)
 	}
 	schema := e.db.Schema()
-	rs := make([]factRange, len(op.Ranges))
+	var box query.Query
 	for i, r := range op.Ranges {
 		if r.Attr < 0 || r.Attr >= schema.Len() || schema.Attr(r.Attr).Kind != types.Ordinal ||
-			(i > 0 && r.Attr <= rs[i-1].attr) {
+			(i > 0 && r.Attr <= op.Ranges[i-1].Attr) {
 			return fmt.Errorf("core: delta crawled region ranges attribute %d out of order or not ordinal", r.Attr)
 		}
 		iv := rangeInterval(r)
 		if math.IsNaN(iv.Lo) || math.IsNaN(iv.Hi) || math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
 			return fmt.Errorf("core: delta crawled region bound %s on attribute %d is not finite", iv, r.Attr)
 		}
-		rs[i] = factRange{r.Attr, iv}
+		box.AddRange(r.Attr, iv)
 	}
-	e.crawled.insert(rs, op.Rows, epochOrFirst(op.Epoch))
+	e.crawled.insert(box, op.Rows, epochOrFirst(op.Epoch))
 	return nil
 }
 
@@ -288,15 +292,15 @@ func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Del
 			continue
 		}
 		po := segment.ProbeOp{Rows: op.rows, Overflow: op.overflow, Crawled: op.crawled, Epoch: op.epoch}
-		for _, r := range op.ranges {
-			po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.attr,
-				Lo: segment.Bound(r.iv.Lo), Hi: segment.Bound(r.iv.Hi), LoOpen: r.iv.LoOpen, HiOpen: r.iv.HiOpen})
+		for _, r := range op.q.Ranges() {
+			po.Ranges = append(po.Ranges, segment.ProbeRange{Attr: r.Attr,
+				Lo: segment.Bound(r.Iv.Lo), Hi: segment.Bound(r.Iv.Hi), LoOpen: r.Iv.LoOpen, HiOpen: r.Iv.HiOpen})
 		}
-		for _, c := range op.cats {
-			if po.Cats == nil {
-				po.Cats = make(map[string]string, len(op.cats))
+		if cats := op.q.Cats(); len(cats) > 0 {
+			po.Cats = make(map[string]string, len(cats))
+			for _, c := range cats {
+				po.Cats[c.Name] = c.Value
 			}
-			po.Cats[c.name] = c.value
 		}
 		d.Probes = append(d.Probes, po)
 	}

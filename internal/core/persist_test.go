@@ -127,8 +127,8 @@ func runPersistWorkload(t *testing.T, e *Engine, tuples []types.Tuple) []hidden.
 		}
 		return out
 	}
-	e.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, inside1(3, 5))
-	e.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, inside1(5, 8))
+	e.insertCrawled(query.New().WithRange(0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}), inside1(3, 5))
+	e.insertCrawled(query.New().WithRange(0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}), inside1(5, 8))
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 12; i++ {
 		b := query.Box{Dims: []types.Interval{
@@ -156,8 +156,8 @@ func assertSameRegions(t *testing.T, got, want *Engine) {
 		t.Fatalf("restored %d crawled regions, want %d", len(r2), len(r1))
 	}
 	for i := range r1 {
-		b1, b2 := rangesBox(r1[i].ranges), rangesBox(r2[i].ranges)
-		if !slices.Equal(r2[i].ranges, r1[i].ranges) || r2[i].epoch != r1[i].epoch || !slices.Equal(r2[i].rows, r1[i].rows) {
+		b1, b2 := rangesBox(r1[i].q), rangesBox(r2[i].q)
+		if !slices.Equal(r2[i].q.Ranges(), r1[i].q.Ranges()) || r2[i].epoch != r1[i].epoch || !slices.Equal(r2[i].rows, r1[i].rows) {
 			t.Fatalf("region %d: %v epoch %d rows %v, want %v epoch %d rows %v",
 				i, b2, r2[i].epoch, r2[i].rows, b1, r1[i].epoch, r1[i].rows)
 		}
@@ -327,7 +327,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if len(region) == 0 || e1.History().Has(region[0].ID) {
 		t.Fatalf("precondition: want a non-empty region the arena has not seen (%d tuples)", len(region))
 	}
-	e1.insertCrawled([]factRange{{0, iv}}, region)
+	e1.insertCrawled(query.New().WithRange(0, iv), region)
 	for _, tt := range region {
 		if !e1.History().Has(tt.ID) {
 			t.Fatalf("region tuple %d is not in the arena after the insert", tt.ID)
@@ -363,7 +363,7 @@ func TestPersistRegionRowsPrecedeRecord(t *testing.T) {
 	if !resultsEqual(res2, res) {
 		t.Fatalf("restored answer %v, want %v", res2.Tuples, res.Tuples)
 	}
-	f := e2.crawled.lookup([]factRange{{0, iv}})
+	f := e2.crawled.lookup(query.New().WithRange(0, iv))
 	ok := f != nil
 	var got []types.Tuple
 	if ok {
@@ -397,7 +397,7 @@ func TestReopenReplaysRegionRowsNotLatestVersions(t *testing.T) {
 	if len(region) < 2 {
 		t.Fatalf("precondition: want a region of several tuples, got %d", len(region))
 	}
-	e1.insertCrawled([]factRange{{0, iv}}, region)
+	e1.insertCrawled(query.New().WithRange(0, iv), region)
 	e1.insertCrawled(boxRanges([]int{0, 1}, box), region)
 	edited := region[0].Clone()
 	edited.Ord[0] = 90
@@ -405,7 +405,7 @@ func TestReopenReplaysRegionRowsNotLatestVersions(t *testing.T) {
 
 	e2 := reopenViaStore(t, e1)
 	assertSameRegions(t, e2, e1)
-	f := e2.crawled.lookup([]factRange{{0, iv}})
+	f := e2.crawled.lookup(query.New().WithRange(0, iv))
 	if f == nil {
 		t.Fatal("region not replayed")
 	}
@@ -517,5 +517,26 @@ func TestApplyDeltaRejectsBrokenReferences(t *testing.T) {
 	}
 	if err := e.applyDelta(ok); err != nil || e.DenseIndex1D().Regions(0) != 1 {
 		t.Fatalf("self-contained delta: err=%v regions=%d, want nil/1", err, e.DenseIndex1D().Regions(0))
+	}
+}
+
+// TestApplyDeltaRepeatedAttrLaterWins: a (corrupt) probe record naming one
+// attribute twice replays as its later range on that attribute, not as the
+// two ranges' intersection: the fact sits under the key of the later range.
+func TestApplyDeltaRepeatedAttrLaterWins(t *testing.T) {
+	db, _ := persistTestWorld(t, 62)
+	e := NewEngine(db, Options{N: 400})
+	d := &segment.Delta{
+		HistHi: 1, Hist: []segment.Tuple{{ID: 4242, Ord: []float64{0.5, 0.5, 0}}},
+		Probes: []segment.ProbeOp{{Ranges: []segment.ProbeRange{
+			{Attr: 0, Lo: 0, Hi: 1}, {Attr: 1, Lo: 0, Hi: 1}, {Attr: 0, Lo: 0.25, Hi: 2},
+		}, Rows: []uint32{0}}},
+	}
+	if err := e.applyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	later := query.New().WithRange(0, types.ClosedInterval(0.25, 2)).WithRange(1, types.ClosedInterval(0, 1))
+	if n := e.Stats().ProbeCacheEntries; n != 1 || e.facts.byKey[later.String()] == nil {
+		t.Fatalf("%d facts, none under %s", n, later)
 	}
 }

@@ -285,8 +285,8 @@ func TestReopenRebuildsDenseStructures(t *testing.T) {
 		e.insertCrawled(boxRanges(attrs, b), inside)
 		boxes = append(boxes, b)
 	}
-	e.insertCrawled([]factRange{{0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}}}, nil)
-	e.insertCrawled([]factRange{{0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}}}, nil)
+	e.insertCrawled(query.New().WithRange(0, types.Interval{Lo: 3, Hi: 5, HiOpen: true}), nil)
+	e.insertCrawled(query.New().WithRange(0, types.Interval{Lo: 5, Hi: 8, LoOpen: true}), nil)
 
 	e2 := reopenViaStore(t, e)
 	assertSameRegions(t, e2, e)

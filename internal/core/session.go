@@ -147,27 +147,17 @@ func (s *Session) CrawlAll(q query.Query) ([]types.Tuple, error) {
 	}}).All(q)
 }
 
-// rangesQuery is the generic query over the box rs: no selection condition
-// of any user.
-func rangesQuery(rs []factRange) query.Query {
-	q := query.New()
-	for _, r := range rs {
-		q.AddRange(r.attr, r.iv)
-	}
-	return q
-}
-
-// crawledLookup resolves the box rs (ascending attribute) against the
+// crawledLookup resolves the box (a query of ranges only) against the
 // crawled regions with lazy epoch re-validation: a covering fact at the
 // current epoch is returned as-is (zero probes); a stale one gets exactly
 // one confirming probe over its whole box — an unchanged answer promotes it
 // to the current epoch, a drifted one removes it (and the lookup retries, in
-// case an older overlapping fact also covers rs). nil means the caller must
+// case an older overlapping fact also covers box). nil means the caller must
 // crawl.
-func (s *Session) crawledLookup(rs []factRange) (*fact, error) {
+func (s *Session) crawledLookup(box query.Query) (*fact, error) {
 	e := s.e
 	for {
-		f := e.crawled.lookup(rs)
+		f := e.crawled.lookup(box)
 		if f == nil {
 			return nil, nil
 		}
@@ -175,7 +165,7 @@ func (s *Session) crawledLookup(rs []factRange) (*fact, error) {
 		if f.epoch >= cur {
 			return f, nil
 		}
-		confirm, _, err := s.probe(rangesQuery(f.ranges))
+		confirm, _, err := s.probe(f.q)
 		if err != nil {
 			return nil, err
 		}
@@ -210,45 +200,44 @@ func (s *Session) confirmsRegion(stored []uint32, res hidden.Result) bool {
 	return true
 }
 
-// crawlBox crawls the box rs without any user's selection condition, so the
-// region serves every future user query, and records it as a crawled fact.
-// Concurrent crawls of the same box are deduplicated: one session leads, the
-// rest wait and read the inserted fact for free.
-func (s *Session) crawlBox(rs []factRange) error {
-	generic := rangesQuery(rs)
-	_, _, err := s.e.crawls.Do(generic.String(), func() (hidden.Result, error) {
+// crawlBox crawls the box (a query of ranges only: no selection condition of
+// any user), so the region serves every future user query, and records it as
+// a crawled fact. Concurrent crawls of the same box are deduplicated: one
+// session leads, the rest wait and read the inserted fact for free.
+func (s *Session) crawlBox(box query.Query) error {
+	_, _, err := s.e.crawls.Do(box.String(), func() (hidden.Result, error) {
 		// Re-check under the flight: a leader that finished between our
 		// caller's lookup miss and this Do would otherwise be re-crawled
 		// in full (coverage is monotone, so a hit here is authoritative).
 		// The epoch-aware lookup re-validates a stale covering fact
 		// instead of skipping the crawl on its word alone.
-		if f, err := s.crawledLookup(rs); err != nil || f != nil {
+		if f, err := s.crawledLookup(box); err != nil || f != nil {
 			return hidden.Result{}, err
 		}
-		tuples, err := s.CrawlAll(generic)
+		tuples, err := s.CrawlAll(box)
 		if err != nil {
 			return hidden.Result{}, err
 		}
-		s.e.insertCrawled(rs, tuples)
+		s.e.insertCrawled(box, tuples)
 		return hidden.Result{}, nil
 	})
 	return err
 }
 
 // crawledFact is the dense-region oracle of Algorithms 4 and 6: the crawled
-// fact covering rs, crawling the box on a miss.
-func (s *Session) crawledFact(rs []factRange) (*fact, error) {
-	f, err := s.crawledLookup(rs)
+// fact covering box, crawling it on a miss.
+func (s *Session) crawledFact(box query.Query) (*fact, error) {
+	f, err := s.crawledLookup(box)
 	if err != nil || f != nil {
 		return f, err
 	}
-	if err := s.crawlBox(rs); err != nil {
+	if err := s.crawlBox(box); err != nil {
 		return nil, err
 	}
-	if f, err = s.crawledLookup(rs); err == nil && f == nil {
+	if f, err = s.crawledLookup(box); err == nil && f == nil {
 		// Coverage is monotone within an epoch: a freshly crawled box
 		// stays covered, so this indicates corruption, never a benign miss.
-		err = fmt.Errorf("core: crawled region %s missing after crawl", rangesQuery(rs))
+		err = fmt.Errorf("core: crawled region %s missing after crawl", box)
 	}
 	return f, err
 }
@@ -277,10 +266,10 @@ func (s *Session) WarmWindow(attr int, iv types.Interval, depth int) error {
 	// "already warm" marker, and a complete history makes the cursor
 	// replays below converge immediately to their fixed-point probe
 	// streams.
-	if err := s.crawlBox([]factRange{{attr, iv}}); err != nil {
+	q := query.New().WithRange(attr, iv)
+	if err := s.crawlBox(q); err != nil {
 		return err
 	}
-	q := query.New().WithRange(attr, iv)
 	for _, dir := range []ranking.Direction{ranking.Asc, ranking.Desc} {
 		c := s.NewOneDCursor(q, attr, dir, Rerank)
 		for i := 0; i < depth; i++ {

@@ -155,21 +155,19 @@ func (c *Crawler) split(q query.Query, returned []types.Tuple) ([]query.Query, e
 		if v == distinctVals[0] {
 			v = distinctVals[1]
 		}
-		cur, has := q.Ranges[bestAttr]
+		cur, has := q.Range(bestAttr)
 		if !has {
 			cur = types.FullInterval()
 		}
-		loQ := q.Clone()
-		loQ.Ranges[bestAttr] = cur.Intersect(types.Interval{Lo: cur.Lo, LoOpen: cur.LoOpen, Hi: v, HiOpen: true})
-		hiQ := q.Clone()
-		hiQ.Ranges[bestAttr] = cur.Intersect(types.Interval{Lo: v, LoOpen: false, Hi: cur.Hi, HiOpen: cur.HiOpen})
+		loQ := q.WithRange(bestAttr, types.Interval{Lo: cur.Lo, LoOpen: cur.LoOpen, Hi: v, HiOpen: true})
+		hiQ := q.WithRange(bestAttr, types.Interval{Lo: v, LoOpen: false, Hi: cur.Hi, HiOpen: cur.HiOpen})
 		return []query.Query{loQ, hiQ}, nil
 	}
 	// No diversity among the returned page (always the case when k = 1):
 	// point-split at the returned value of some attribute whose interval
 	// is not yet a single point. All three parts strictly shrink.
 	for _, attr := range c.db.Schema().OrdinalIndexes() {
-		cur, has := q.Ranges[attr]
+		cur, has := q.Range(attr)
 		if !has {
 			cur = types.FullInterval()
 		}
@@ -177,12 +175,9 @@ func (c *Crawler) split(q query.Query, returned []types.Tuple) ([]query.Query, e
 			continue // already a point predicate
 		}
 		v := returned[0].Ord[attr]
-		loQ := q.Clone()
-		loQ.Ranges[attr] = cur.Intersect(types.Interval{Lo: cur.Lo, LoOpen: cur.LoOpen, Hi: v, HiOpen: true})
-		midQ := q.Clone()
-		midQ.Ranges[attr] = types.ClosedInterval(v, v)
-		hiQ := q.Clone()
-		hiQ.Ranges[attr] = cur.Intersect(types.Interval{Lo: v, LoOpen: true, Hi: cur.Hi, HiOpen: cur.HiOpen})
+		loQ := q.WithRange(attr, types.Interval{Lo: cur.Lo, LoOpen: cur.LoOpen, Hi: v, HiOpen: true})
+		midQ := q.WithRange(attr, types.ClosedInterval(v, v))
+		hiQ := q.WithRange(attr, types.Interval{Lo: v, LoOpen: true, Hi: cur.Hi, HiOpen: cur.HiOpen})
 		return []query.Query{loQ, midQ, hiQ}, nil
 	}
 	return c.splitCategorical(q, returned)
@@ -197,7 +192,7 @@ func (c *Crawler) splitCategorical(q query.Query, returned []types.Tuple) ([]que
 		if attr.Kind != types.Categorical || len(attr.Values) < 2 {
 			continue
 		}
-		if _, fixed := q.Cats[attr.Name]; fixed {
+		if _, fixed := q.Cat(attr.Name); fixed {
 			continue
 		}
 		parts := make([]query.Query, 0, len(attr.Values))

@@ -49,7 +49,7 @@ func (a *Adversary) TopK(q query.Query) (Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.counter.Add()
-	iv, ok := q.Ranges[0]
+	iv, ok := q.Range(0)
 	if !ok {
 		iv = types.OpenInterval(a.v0, a.vInf)
 	}

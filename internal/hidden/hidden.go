@@ -269,9 +269,8 @@ func (db *DB) TopK(q query.Query) (Result, error) {
 	byRank := db.byRank
 	db.dmu.RUnlock()
 	var res Result
-	m := q.Compile()
 	for i := range byRank {
-		if !m.Matches(byRank[i]) {
+		if !q.Matches(byRank[i]) {
 			continue
 		}
 		if len(res.Tuples) == db.k {
@@ -399,9 +398,8 @@ func NewOrderByView(db *DB, attr int, dir ranking.Direction) *OrderByView {
 func (v *OrderByView) TopK(q query.Query) (Result, error) {
 	v.db.counter.Add()
 	var res Result
-	m := q.Compile()
 	for i := range v.rank {
-		if !m.Matches(v.rank[i]) {
+		if !q.Matches(v.rank[i]) {
 			continue
 		}
 		if len(res.Tuples) == v.db.k {

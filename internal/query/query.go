@@ -7,7 +7,7 @@ package query
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,39 +17,93 @@ import (
 
 // Query is a conjunctive selection over a schema: at most one interval per
 // ordinal attribute (missing means unconstrained) and equality predicates on
-// categorical attributes.
+// categorical attributes. It holds its ranges sorted by attribute and its
+// categorical predicates sorted by name, so the order they were added in
+// never shows: String, Matches and every reader walk them in one canonical
+// order. The zero Query is the empty (match-all) query.
+//
+// WithRange and WithCat return a new query and leave q as it was. AddRange
+// and CopyFrom change q in place and are for its owner only: a copy made by
+// assignment shares q's storage.
 type Query struct {
-	// Ranges maps ordinal-attribute schema index -> interval constraint.
-	Ranges map[int]types.Interval
-	// Cats maps categorical attribute name -> required value.
-	Cats map[string]string
+	ranges []Range // ascending Attr, one per attribute
+	cats   []Cat   // ascending Name, one per name
 }
 
-// New returns an empty (match-all) query.
-func New() Query {
-	return Query{Ranges: map[int]types.Interval{}, Cats: map[string]string{}}
+// Range is one range predicate: ordinal attribute Attr (a schema index)
+// lies in Iv.
+type Range struct {
+	Attr int
+	Iv   types.Interval
 }
+
+// Cat is one categorical equality predicate: attribute Name equals Value.
+type Cat struct{ Name, Value string }
+
+// New returns an empty (match-all) query.
+func New() Query { return Query{} }
 
 // Clone returns a deep copy of q.
 func (q Query) Clone() Query {
-	c := Query{
-		Ranges: make(map[int]types.Interval, len(q.Ranges)),
-		Cats:   make(map[string]string, len(q.Cats)),
-	}
-	for k, v := range q.Ranges {
-		c.Ranges[k] = v
-	}
-	for k, v := range q.Cats {
-		c.Cats[k] = v
-	}
-	return c
+	return Query{ranges: slices.Clone(q.ranges), cats: slices.Clone(q.cats)}
 }
+
+// rangeAt returns the index of attr's range in q.ranges, or where it would
+// be inserted, and whether q constrains attr.
+func (q Query) rangeAt(attr int) (int, bool) {
+	i := 0
+	for i < len(q.ranges) && q.ranges[i].Attr < attr {
+		i++
+	}
+	return i, i < len(q.ranges) && q.ranges[i].Attr == attr
+}
+
+// catAt is rangeAt for the categorical predicate on name.
+func (q Query) catAt(name string) (int, bool) {
+	i := 0
+	for i < len(q.cats) && q.cats[i].Name < name {
+		i++
+	}
+	return i, i < len(q.cats) && q.cats[i].Name == name
+}
+
+// Range returns q's interval on ordinal attribute attr, and whether q
+// constrains attr.
+func (q Query) Range(attr int) (types.Interval, bool) {
+	if i, ok := q.rangeAt(attr); ok {
+		return q.ranges[i].Iv, true
+	}
+	return types.Interval{}, false
+}
+
+// Cat returns the value q requires of categorical attribute name, and
+// whether q requires one.
+func (q Query) Cat(name string) (string, bool) {
+	if i, ok := q.catAt(name); ok {
+		return q.cats[i].Value, true
+	}
+	return "", false
+}
+
+// Ranges returns q's range predicates in ascending attribute order. The
+// slice is q's own: read it, never write it.
+func (q Query) Ranges() []Range { return q.ranges[:len(q.ranges):len(q.ranges)] }
+
+// Cats returns q's categorical predicates in ascending name order. The
+// slice is q's own: read it, never write it.
+func (q Query) Cats() []Cat { return q.cats[:len(q.cats):len(q.cats)] }
 
 // WithRange returns a copy of q whose constraint on ordinal attribute attr is
 // intersected with iv.
 func (q Query) WithRange(attr int, iv types.Interval) Query {
-	c := q.Clone()
-	c.AddRange(attr, iv)
+	c := Query{cats: slices.Clone(q.cats)}
+	i, ok := q.rangeAt(attr)
+	if ok {
+		c.ranges = slices.Clone(q.ranges)
+		c.ranges[i].Iv = c.ranges[i].Iv.Intersect(iv)
+	} else {
+		c.ranges = slices.Concat(q.ranges[:i], []Range{{attr, iv}}, q.ranges[i:])
+	}
 	return c
 }
 
@@ -57,99 +111,44 @@ func (q Query) WithRange(attr int, iv types.Interval) Query {
 // allocation-free counterpart of WithRange for callers that own q (e.g. a
 // probe scratch buffer being rebuilt for every box).
 func (q *Query) AddRange(attr int, iv types.Interval) {
-	if old, ok := q.Ranges[attr]; ok {
-		iv = old.Intersect(iv)
+	i, ok := q.rangeAt(attr)
+	if ok {
+		q.ranges[i].Iv = q.ranges[i].Iv.Intersect(iv)
+		return
 	}
-	q.Ranges[attr] = iv
+	q.ranges = slices.Insert(q.ranges, i, Range{attr, iv})
 }
 
-// CopyFrom resets q to a deep copy of src, reusing q's existing maps so a
-// long-lived scratch query allocates nothing after warm-up.
+// CopyFrom resets q to a copy of src, reusing q's storage so a long-lived
+// scratch query allocates nothing after warm-up.
 func (q *Query) CopyFrom(src Query) {
-	if q.Ranges == nil {
-		q.Ranges = make(map[int]types.Interval, len(src.Ranges))
-	} else {
-		clear(q.Ranges)
-	}
-	if q.Cats == nil {
-		q.Cats = make(map[string]string, len(src.Cats))
-	} else {
-		clear(q.Cats)
-	}
-	for k, v := range src.Ranges {
-		q.Ranges[k] = v
-	}
-	for k, v := range src.Cats {
-		q.Cats[k] = v
-	}
+	q.ranges = append(q.ranges[:0], src.ranges...)
+	q.cats = append(q.cats[:0], src.cats...)
 }
 
-// WithCat returns a copy of q with an added categorical equality predicate.
+// WithCat returns a copy of q whose categorical predicate on name requires
+// value, in place of any it had.
 func (q Query) WithCat(name, value string) Query {
-	c := q.Clone()
-	c.Cats[name] = value
+	c := Query{ranges: slices.Clone(q.ranges)}
+	i, ok := q.catAt(name)
+	if ok {
+		c.cats = slices.Clone(q.cats)
+		c.cats[i].Value = value
+	} else {
+		c.cats = slices.Concat(q.cats[:i], []Cat{{name, value}}, q.cats[i:])
+	}
 	return c
 }
 
 // Matches reports whether tuple t satisfies every predicate of q.
 func (q Query) Matches(t types.Tuple) bool {
-	for attr, iv := range q.Ranges {
-		if !iv.Contains(t.Ord[attr]) {
+	for _, r := range q.ranges {
+		if !r.Iv.Contains(t.Ord[r.Attr]) {
 			return false
 		}
 	}
-	for name, want := range q.Cats {
-		if t.Cat[name] != want {
-			return false
-		}
-	}
-	return true
-}
-
-// Compiled is a query's predicates held in two slices, ranges by ascending
-// attribute and categorical predicates by name, for a caller that tests
-// many tuples against one query: Matches walks the slices instead of
-// ranging over the query's two maps for every tuple.
-type Compiled struct {
-	ranges []compiledRange
-	cats   []compiledCat
-}
-
-type compiledRange struct {
-	attr int
-	iv   types.Interval
-}
-
-type compiledCat struct{ name, want string }
-
-// Compile builds q's compiled form. It reads q once; later changes to q's
-// maps do not reach it.
-func (q Query) Compile() Compiled {
-	c := Compiled{
-		ranges: make([]compiledRange, 0, len(q.Ranges)),
-		cats:   make([]compiledCat, 0, len(q.Cats)),
-	}
-	for attr, iv := range q.Ranges {
-		c.ranges = append(c.ranges, compiledRange{attr, iv})
-	}
-	for name, want := range q.Cats {
-		c.cats = append(c.cats, compiledCat{name, want})
-	}
-	sort.Slice(c.ranges, func(i, j int) bool { return c.ranges[i].attr < c.ranges[j].attr })
-	sort.Slice(c.cats, func(i, j int) bool { return c.cats[i].name < c.cats[j].name })
-	return c
-}
-
-// Matches reports what Query.Matches reports for the compiled query: a
-// conjunction, so the order its terms are tested in changes nothing.
-func (c Compiled) Matches(t types.Tuple) bool {
-	for _, r := range c.ranges {
-		if !r.iv.Contains(t.Ord[r.attr]) {
-			return false
-		}
-	}
-	for _, p := range c.cats {
-		if t.Cat[p.name] != p.want {
+	for _, c := range q.cats {
+		if t.Cat[c.Name] != c.Value {
 			return false
 		}
 	}
@@ -159,8 +158,8 @@ func (c Compiled) Matches(t types.Tuple) bool {
 // Empty reports whether the query is trivially unsatisfiable (some range is
 // empty). A false return does not guarantee matching tuples exist.
 func (q Query) Empty() bool {
-	for _, iv := range q.Ranges {
-		if iv.Empty() {
+	for _, r := range q.ranges {
+		if r.Iv.Empty() {
 			return true
 		}
 	}
@@ -168,88 +167,62 @@ func (q Query) Empty() bool {
 }
 
 // NumPredicates returns the total number of predicates.
-func (q Query) NumPredicates() int { return len(q.Ranges) + len(q.Cats) }
+func (q Query) NumPredicates() int { return len(q.ranges) + len(q.cats) }
 
 // String renders the query as a WHERE-clause-like description. It is also
 // the canonical probe-fact and singleflight key, built on every upstream
-// probe — so it is assembled with strconv into one buffer (no fmt, no
+// probe — so it is assembled with strconv into one pooled buffer (no fmt, no
 // intermediate part strings) and its byte-level format must never change.
 func (q Query) String() string {
-	sc := keyScratch.Get().(*queryScratch)
-	sc.buf = q.appendString(sc.buf[:0], sc)
-	out := string(sc.buf)
-	keyScratch.Put(sc)
+	buf := keyBufs.Get().(*[]byte)
+	*buf = q.AppendString((*buf)[:0])
+	out := string(*buf)
+	keyBufs.Put(buf)
 	return out
 }
 
 // AppendString appends the canonical form String returns to dst — for
 // callers that only look the key up and can do so from bytes they own,
 // without allocating the string.
-func (q Query) AppendString(dst []byte) []byte {
-	sc := keyScratch.Get().(*queryScratch)
-	dst = q.appendString(dst, sc)
-	keyScratch.Put(sc)
-	return dst
-}
-
-func (q Query) appendString(b []byte, sc *queryScratch) []byte {
-	if len(q.Ranges) == 0 && len(q.Cats) == 0 {
+func (q Query) AppendString(b []byte) []byte {
+	if len(q.ranges) == 0 && len(q.cats) == 0 {
 		return append(b, "TRUE"...)
 	}
-	attrs := sc.attrs[:0]
-	for a := range q.Ranges {
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	for i, a := range attrs {
+	for i, r := range q.ranges {
 		if i > 0 {
 			b = append(b, " AND "...)
 		}
 		b = append(b, 'A')
-		b = strconv.AppendInt(b, int64(a), 10)
+		b = strconv.AppendInt(b, int64(r.Attr), 10)
 		b = append(b, " ∈ "...)
-		iv := q.Ranges[a]
-		if iv.LoOpen {
+		if r.Iv.LoOpen {
 			b = append(b, '(')
 		} else {
 			b = append(b, '[')
 		}
-		b = strconv.AppendFloat(b, iv.Lo, 'g', -1, 64)
+		b = strconv.AppendFloat(b, r.Iv.Lo, 'g', -1, 64)
 		b = append(b, ", "...)
-		b = strconv.AppendFloat(b, iv.Hi, 'g', -1, 64)
-		if iv.HiOpen {
+		b = strconv.AppendFloat(b, r.Iv.Hi, 'g', -1, 64)
+		if r.Iv.HiOpen {
 			b = append(b, ')')
 		} else {
 			b = append(b, ']')
 		}
 	}
-	names := sc.names[:0]
-	for n := range q.Cats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 || len(attrs) > 0 {
+	for i, c := range q.cats {
+		if i > 0 || len(q.ranges) > 0 {
 			b = append(b, " AND "...)
 		}
-		b = append(b, n...)
+		b = append(b, c.Name...)
 		b = append(b, " = "...)
-		b = strconv.AppendQuote(b, q.Cats[n])
+		b = strconv.AppendQuote(b, c.Value)
 	}
-	clear(names) // drop borrowed name strings before pooling
-	sc.attrs, sc.names = attrs[:0], names[:0]
 	return b
 }
 
-// queryScratch pools the buffers String needs, so building a probe key
+// keyBufs pools the buffer String renders into, so building a probe key
 // allocates only the key itself once the pool is warm.
-type queryScratch struct {
-	buf   []byte
-	attrs []int
-	names []string
-}
-
-var keyScratch = sync.Pool{New: func() any { return new(queryScratch) }}
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Box is an axis-aligned hyper-rectangle over a fixed list of ordinal
 // attributes, expressed in *axis coordinates* (see package ranking: axis

@@ -166,7 +166,7 @@ func (a *Axis) BoxToQuery(base query.Query, b query.Box) query.Query {
 }
 
 // BoxToQueryInto is BoxToQuery writing into a caller-owned scratch query,
-// reusing its maps. The per-probe fast path: the old clone-per-dimension
+// reusing its storage. The per-probe fast path: the old clone-per-dimension
 // construction allocated m+1 query copies per probe.
 func (a *Axis) BoxToQueryInto(base query.Query, b query.Box, dst *query.Query) {
 	dst.CopyFrom(base)
@@ -181,7 +181,7 @@ func (a *Axis) BoxToQueryInto(base query.Query, b query.Box, dst *query.Query) {
 func (a *Axis) QueryToBox(base query.Query) query.Box {
 	b := a.DomainBox()
 	for j, attr := range a.attrs {
-		if iv, ok := base.Ranges[attr]; ok {
+		if iv, ok := base.Range(attr); ok {
 			b.Dims[j] = b.Dims[j].Intersect(a.AxisInterval(j, iv))
 		}
 	}

@@ -130,16 +130,15 @@ func TestBoxToQueryRoundTrip(t *testing.T) {
 	s := schema2()
 	r := MustLinear("l", []int{0, 1}, []float64{1, -1})
 	ax := NewAxis(r, s)
-	base := query.New().WithCat("nope", "")
-	delete(base.Cats, "nope")
+	base := query.New()
 	b := ax.DomainBox()
 	b.Dims[0] = types.ClosedInterval(2, 7)   // a ∈ [2,7]
 	b.Dims[1] = types.ClosedInterval(-30, 0) // b ∈ [0,30] in real space
 	q := ax.BoxToQuery(base, b)
-	if iv := q.Ranges[0]; iv.Lo != 2 || iv.Hi != 7 {
+	if iv, _ := q.Range(0); iv.Lo != 2 || iv.Hi != 7 {
 		t.Errorf("range a = %v", iv)
 	}
-	if iv := q.Ranges[1]; iv.Lo != 0 || iv.Hi != 30 {
+	if iv, _ := q.Range(1); iv.Lo != 0 || iv.Hi != 30 {
 		t.Errorf("range b = %v (desc flip broken)", iv)
 	}
 	// QueryToBox must invert BoxToQuery within the domain box.

@@ -40,9 +40,9 @@ func FuzzBuildRequest(f *testing.F) {
 		if req.H < 1 || req.H > 10_000 {
 			t.Fatalf("accepted h = %d", req.H)
 		}
-		for a, iv := range q.Ranges {
-			if iv.Empty() {
-				t.Fatalf("accepted an empty range on %s: %v", ds.Schema.Attr(a).Name, iv)
+		for _, r := range q.Ranges() {
+			if r.Iv.Empty() {
+				t.Fatalf("accepted an empty range on %s: %v", ds.Schema.Attr(r.Attr).Name, r.Iv)
 			}
 		}
 		for _, a := range rk.Attrs() {

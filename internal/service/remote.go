@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"time"
 
 	"repro/internal/hidden"
@@ -149,26 +148,22 @@ func (r *RemoteDB) TopK(q query.Query) (hidden.Result, error) {
 }
 
 // searchBody encodes q as a SearchRequest: the bytes json.Marshal writes
-// for it, with the ranges in schema-attribute order.
+// for it, with the ranges in schema-attribute order and the filters by name,
+// the order q holds them in.
 func (r *RemoteDB) searchBody(q query.Query) ([]byte, error) {
-	attrs := make([]int, 0, len(q.Ranges))
-	for a := range q.Ranges {
-		attrs = append(attrs, a)
-	}
-	slices.Sort(attrs)
 	e := jsonwire.Get()
 	defer jsonwire.Put(e)
 	e.Buf = append(e.Buf, '{')
-	if len(attrs) > 0 {
+	if rs := q.Ranges(); len(rs) > 0 {
 		e.Field("ranges")
 		e.Buf = append(e.Buf, '[')
-		for i, a := range attrs {
-			iv := q.Ranges[a]
+		for i, rg := range rs {
+			iv := rg.Iv
 			if i > 0 {
 				e.Buf = append(e.Buf, ',')
 			}
 			e.Buf = append(e.Buf, `{"attr":`...)
-			e.Str(r.schema.Attr(a).Name)
+			e.Str(r.schema.Attr(rg.Attr).Name)
 			if !isNegInf(iv.Lo) {
 				e.Buf = append(e.Buf, `,"min":`...)
 				e.Float(iv.Lo)
@@ -187,9 +182,18 @@ func (r *RemoteDB) searchBody(q query.Query) ([]byte, error) {
 		}
 		e.Buf = append(e.Buf, ']')
 	}
-	if len(q.Cats) > 0 {
+	if cs := q.Cats(); len(cs) > 0 {
 		e.Field("filters")
-		e.StrMap(q.Cats)
+		e.Buf = append(e.Buf, '{')
+		for i, c := range cs {
+			if i > 0 {
+				e.Buf = append(e.Buf, ',')
+			}
+			e.Str(c.Name)
+			e.Buf = append(e.Buf, ':')
+			e.Str(c.Value)
+		}
+		e.Buf = append(e.Buf, '}')
 	}
 	e.Buf = append(e.Buf, '}')
 	if e.Err != nil {

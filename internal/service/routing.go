@@ -350,7 +350,7 @@ func buildQuery(schema *types.Schema, req RerankRequest) (query.Query, error) {
 		if rs.Max != nil {
 			iv.Hi, iv.HiOpen = *rs.Max, rs.MaxOpen
 		}
-		if q = q.WithRange(idx, iv); q.Ranges[idx].Empty() {
+		if q = q.WithRange(idx, iv); q.Empty() {
 			return q, fmt.Errorf("empty range on %q", rs.Attr)
 		}
 	}

@@ -725,9 +725,12 @@ func TestSearchRequestOneWireForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		if order == 0 {
-			ref := SearchRequest{Filters: q.Cats}
+			ref := SearchRequest{Filters: map[string]string{}}
+			for _, c := range q.Cats() {
+				ref.Filters[c.Name] = c.Value
+			}
 			for a := 0; a < s.Len(); a++ {
-				iv, ok := q.Ranges[a]
+				iv, ok := q.Range(a)
 				if !ok {
 					continue
 				}

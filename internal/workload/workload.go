@@ -140,9 +140,8 @@ func Selectivity(ds *dataset.Dataset, q query.Query) float64 {
 		return 0
 	}
 	match := 0
-	m := q.Compile()
 	for _, t := range ds.Tuples {
-		if m.Matches(t) {
+		if q.Matches(t) {
 			match++
 		}
 	}

@@ -65,6 +65,10 @@ type (
 	// Interval is a one-dimensional range with open/closed endpoints.
 	Interval = types.Interval
 	// Query is a conjunctive selection (ranges + categorical equality).
+	// Its fields are unexported: build one with NewQuery, WithRange and
+	// WithCat, and read it with Range, Cat, Ranges and Cats, which walk
+	// its predicates in one canonical order (ranges by attribute,
+	// categorical predicates by name).
 	Query = query.Query
 	// Database is the restricted top-k search interface the reranker
 	// drives. Implement it to plug in any upstream source.
