@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/hidden"
@@ -164,5 +165,41 @@ func TestMDSeedListMatchesScan(t *testing.T) {
 	if ties[0] == 0 || ties[1] == 0 || skippedNewer == 0 || deepFull == 0 {
 		t.Fatalf("coverage: %d ties across IDs, %d across versions, %d candidates a newer version of a skipped one, %d full deep lists",
 			ties[0], ties[1], skippedNewer, deepFull)
+	}
+}
+
+// TestMDSeedViewWaitsForFact: an MD cursor never seeds from a page whose
+// fact is not yet in the index. The test stops where Session.fetch stands
+// between its two writes — the page in the arena, its fact not yet learned,
+// publish held for writing — and the cursor's seedRound must not return
+// until the fact is in; it then seeds from the page and finds the fact.
+func TestMDSeedViewWaitsForFact(t *testing.T) {
+	rank := ranking.MustLinear("seed", []int{0, 1}, []float64{1, 2})
+	db := hidden.MustDB(testSchema(3), nil, hidden.Options{K: 30, Ranker: hidden.RankerAdapter{R: rank}})
+	e := NewEngine(db, Options{N: 1000, SearchParallelism: 4})
+	q := query.New().WithCat("cat", "x")
+	c := e.NewMDCursor(q, rank, Rerank)
+	c.pushRegion(c.axis().QueryToBox(c.q), nil)
+	regs := c.popRound(c.width)
+
+	key := q.String()
+	e.publish.Lock()
+	rows := e.hist.AddRows([]types.Tuple{{ID: 7, Ord: []float64{1, 2, 3}, Cat: map[string]string{"cat": "x"}}})
+	done := make(chan []candidate, 1)
+	go func() { done <- c.seedRound(regs) }()
+	select {
+	case <-done:
+		e.publish.Unlock()
+		t.Fatal("seedRound returned while a page was in the arena without its fact")
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.facts.learn(key, q, rows, false, e.Epoch())
+	e.publish.Unlock()
+	cands := <-done
+	if !cands[0].have || cands[0].t.ID != 7 {
+		t.Fatalf("candidate %+v, want the page's tuple 7", cands[0])
+	}
+	if _, hit := e.facts.lookup([]byte(key), q, e.Epoch(), false); hit == hitNone {
+		t.Fatal("the page's fact is not in the index")
 	}
 }
