@@ -15,12 +15,10 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/crawl"
 	"repro/internal/dataset"
@@ -464,136 +462,6 @@ func BenchmarkGetNextLatency(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(db.QueryCount())/float64(b.N), "upstreamQ/op")
-}
-
-// benchAcquirer wires an acquirer straight to an engine the way the service
-// tier does, but with the idle, pressure and admission gates held open: the
-// benchmark drives Tick synchronously inside explicit idle gaps, so gating
-// is the scenario, not the subject.
-func benchAcquirer(b *testing.B, e *core.Engine) *acquire.Acquirer {
-	b.Helper()
-	iv := func(w acquire.Window) types.Interval { return types.ClosedInterval(w.Lo, w.Hi) }
-	return acquire.New(acquire.Config{WindowsPerTick: 4, WarmDepth: 12}, acquire.Hooks{
-		Candidates: func(max int) []acquire.Candidate { return e.Heat().Candidates(max) },
-		Warm:       func(w acquire.Window) bool { return e.WindowWarm(w.Attr, iv(w)) },
-		IdleSince:  func() time.Duration { return time.Hour },
-		Pressure:   func() bool { return false },
-		Admit:      func() (func(), bool) { return func() {}, true },
-		Acquire: func(w acquire.Window, depth int, abort func() bool) (int64, bool, error) {
-			sess := e.NewSession()
-			sess.SetAbort(abort)
-			err := sess.WarmWindow(w.Attr, iv(w), depth)
-			return sess.Queries(), false, err
-		},
-	})
-}
-
-// benchAcquire models the cold-traffic scenario background acquisition
-// exists for: a Zipf-skewed user burst heats a handful of windows
-// (ascending order), the service goes idle, then traffic returns asking for
-// the opposite order — a probe stream no user request has cached. Each
-// iteration runs on a fresh engine against a 250µs-per-probe upstream:
-// burst, idle gap (with the acquirer ticking through it or not), then the
-// cold phase, whose per-op latency and upstream cost are the reported
-// p95-cold-ms and upstreamQ/op. With the acquirer on, the idle gap warms
-// the hot windows in both directions, so the cold phase replays from
-// knowledge instead of paying upstream round-trips.
-func benchAcquire(b *testing.B, on bool) {
-	schema := types.MustSchema([]types.Attribute{
-		{Name: "A0", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
-		{Name: "A1", Kind: types.Ordinal, Domain: types.Domain{Min: 0, Max: 100}},
-	})
-	rng := rand.New(rand.NewSource(21))
-	tuples := make([]types.Tuple, 1800)
-	for i := range tuples {
-		tuples[i] = types.Tuple{
-			ID:  i,
-			Ord: []float64{rng.Float64() * 100, rng.Float64() * 100},
-		}
-	}
-	base := hidden.MustDB(schema, tuples, hidden.Options{K: 10})
-	db := latencyDB{Database: base, delay: 250 * time.Microsecond}
-
-	// A discrete window universe over A0; popularity is Zipfian, so a few
-	// windows carry most of the traffic — the regime where warming the head
-	// of the distribution pays for the whole tail.
-	windows := make([]types.Interval, 12)
-	for i := range windows {
-		lo := float64(i * 8)
-		windows[i] = types.ClosedInterval(lo, lo+8)
-	}
-	asc := ranking.NewSingle("A0", 0, ranking.Asc)
-	desc := ranking.NewSingle("A0", 0, ranking.Desc)
-
-	var coldLats []float64
-	var coldOps, coldUpstream int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := core.NewEngine(db, core.Options{N: 1800})
-		zrng := rand.New(rand.NewSource(42))
-		zipf := rand.NewZipf(zrng, 1.3, 1, uint64(len(windows)-1))
-
-		// Burst phase: Zipf-sampled hot windows, ascending order.
-		for j := 0; j < 24; j++ {
-			q := query.New().WithRange(0, windows[zipf.Uint64()])
-			e.RecordHeat(q)
-			sess := e.NewSession()
-			cur, err := sess.NewCursor(q, asc, core.Rerank)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.TopH(cur, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-
-		// Idle gap: with acquisition on, the acquirer spends it warming the
-		// hottest windows; off, the gap is free but the knowledge stays as
-		// the burst left it.
-		if on {
-			acq := benchAcquirer(b, e)
-			for t := 0; t < 3; t++ {
-				acq.Tick()
-			}
-			if st := acq.Stats(); st.WindowsAcquired == 0 {
-				b.Fatalf("idle gap acquired nothing: %+v", st)
-			}
-		}
-
-		// Cold phase: the same Zipf populations, opposite order — probe
-		// streams no burst request cached.
-		for j := 0; j < 24; j++ {
-			q := query.New().WithRange(0, windows[zipf.Uint64()])
-			sess := e.NewSession()
-			begin := time.Now()
-			cur, err := sess.NewCursor(q, desc, core.Rerank)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.TopH(cur, 3); err != nil {
-				b.Fatal(err)
-			}
-			coldLats = append(coldLats, float64(time.Since(begin))/float64(time.Millisecond))
-			coldUpstream += sess.Queries()
-			coldOps++
-		}
-	}
-	b.StopTimer()
-	if coldOps > 0 {
-		sort.Float64s(coldLats)
-		b.ReportMetric(coldLats[int(0.95*float64(len(coldLats)-1))], "p95-cold-ms")
-		b.ReportMetric(float64(coldUpstream)/float64(coldOps), "upstreamQ/op")
-	}
-}
-
-// BenchmarkAcquire pins the proactive-acquisition win on cold traffic:
-// /on's p95-cold-ms and upstreamQ/op must collapse versus /off (the
-// acceptance floor is a ≥30% p95 reduction; in practice the cold phase
-// replays almost entirely from acquired knowledge). ns/op is gated by
-// bench/baseline/acquire.json in CI.
-func BenchmarkAcquire(b *testing.B) {
-	b.Run("off", func(b *testing.B) { benchAcquire(b, false) })
-	b.Run("on", func(b *testing.B) { benchAcquire(b, true) })
 }
 
 // BenchmarkServiceThroughput drives the full serving stack — HTTP handler,

@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/service"
@@ -106,10 +105,6 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 0, "max in-flight sessions across all namespaces before requests are shed with 429 (0 = unlimited; a batch of N counts N)")
 		clientBudget = flag.Int64("client-budget", 0, "upstream queries each client (X-Client-ID header) may cost per budget window (0 = unmetered)")
 		budgetWindow = flag.Duration("client-budget-window", time.Minute, "length of the per-client budget window")
-		acquireOn    = flag.Bool("acquire", false, "proactively acquire knowledge for hot query windows from idle capacity (background, always yields to user traffic)")
-		acquireWt    = flag.Int("acquire-weight", 1, "admission weight one background acquisition holds (only with -acquire)")
-		acquireIvl   = flag.Duration("acquire-interval", time.Second, "how often the background acquirer looks for idle capacity (only with -acquire)")
-		acquireIdle  = flag.Duration("acquire-idle", 0, "user-traffic quiet period before acquisition may start (0 = 2x -acquire-interval)")
 		sentinelIvl  = flag.Duration("sentinel-interval", 0, "period of the per-namespace sentinel drift check: a tiny fixed probe set whose changed answers bump the knowledge epoch (0 = off)")
 		probeRetries = flag.Int("probe-retries", 0, "extra attempts per remote probe before it fails (0 = default 2, negative = none)")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "request body size limit in bytes")
@@ -137,13 +132,8 @@ func main() {
 		ClientBudget:       *clientBudget,
 		ClientBudgetWindow: *budgetWindow,
 		StreamWriteTimeout: *streamWrite,
-		Acquire: service.AcquireOptions{
-			Enabled: *acquireOn,
-			Weight:  *acquireWt,
-			Config:  acquire.Config{Interval: *acquireIvl, IdleAfter: *acquireIdle},
-		},
-		SentinelInterval: *sentinelIvl,
-		ProbeRetries:     *probeRetries,
+		SentinelInterval:   *sentinelIvl,
+		ProbeRetries:       *probeRetries,
 	})
 	for _, cfg := range upstreams {
 		cfg.N = hint
@@ -189,9 +179,6 @@ func main() {
 	}
 	if *clientBudget > 0 {
 		log.Printf("rerankd: per-client budget %d upstream queries / %s", *clientBudget, *budgetWindow)
-	}
-	if *acquireOn {
-		log.Printf("rerankd: background acquisition on (interval %s, weight %d)", *acquireIvl, *acquireWt)
 	}
 	if *sentinelIvl > 0 {
 		log.Printf("rerankd: sentinel drift detection on (interval %s)", *sentinelIvl)

@@ -169,10 +169,10 @@ func (e *Engine) knows(q query.Query) (known, complete bool) {
 // bytes and never allocates the string.
 var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// probe sends one query to the primary database: the session's abort check,
-// the fact-index lookup, and on a miss fetch, which issues it under its
-// flight and charges it. issued reports whether this call reached the
-// upstream (and was charged); hits and coalesced followers are free.
+// probe sends one query to the primary database: the fact-index lookup, and
+// on a miss fetch, which issues it under its flight and charges it. issued
+// reports whether this call reached the upstream (and was charged); hits and
+// coalesced followers are free.
 func (s *Session) probe(q query.Query) (res hidden.Result, issued bool, err error) {
 	var known bool
 	if res, known, err = s.lookup(q); known || err != nil {
@@ -181,16 +181,12 @@ func (s *Session) probe(q query.Query) (res hidden.Result, issued bool, err erro
 	return s.fetch(q)
 }
 
-// lookup is the first half of a probe: the abort check, then q answered from
-// what is already known — nothing can match an empty query; otherwise the
-// identical answer, or the part of a containing complete answer that
-// matches q — without ever touching the upstream. Callers that dispatch
-// several probes at once look every one up first, on their own goroutine, and
-// fetch only the misses.
+// lookup is the first half of a probe: q answered from what is already
+// known — nothing can match an empty query; otherwise the identical answer,
+// or the part of a containing complete answer that matches q — without ever
+// touching the upstream. Callers that dispatch several probes at once look
+// every one up first, on their own goroutine, and fetch only the misses.
 func (s *Session) lookup(q query.Query) (res hidden.Result, known bool, err error) {
-	if s.abort != nil && s.abort() {
-		return hidden.Result{}, false, ErrAcquireAborted
-	}
 	if q.Empty() {
 		return hidden.Result{}, true, nil
 	}

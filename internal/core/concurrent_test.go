@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -358,4 +359,39 @@ func TestLiveCheckpointUnderLoad(t *testing.T) {
 	}
 	want := oracleTopH(all, query.New(), r, 10)
 	assertSameRanking(t, r, got, want, oracleTopH(all, query.New(), r, 1<<30))
+}
+
+// TestOneDHistViewWaitsForFact: a 1D cursor never reads a history tuple
+// whose page's fact is not yet in the index. The test stops where
+// Session.fetch stands between its two writes — the page in the arena, its
+// fact not yet learned, publish held for writing — and histNext must not
+// return until the fact is in; it then returns the page's tuple.
+func TestOneDHistViewWaitsForFact(t *testing.T) {
+	db := hidden.MustDB(testSchema(3), nil, hidden.Options{K: 30})
+	e := NewEngine(db, Options{N: 1000})
+	q := query.New().WithCat("cat", "x")
+	c := e.NewSession().NewOneDCursor(q, 0, ranking.Asc, Rerank)
+
+	key := q.String()
+	e.publish.Lock()
+	rows := e.hist.AddRows([]types.Tuple{{ID: 7, Ord: []float64{1, 2, 3}, Cat: map[string]string{"cat": "x"}}})
+	done := make(chan types.Tuple, 1)
+	go func() {
+		tp, _ := c.histNext(math.Inf(-1))
+		done <- tp
+	}()
+	select {
+	case <-done:
+		e.publish.Unlock()
+		t.Fatal("histNext returned while a page was in the arena without its fact")
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.facts.learn(key, q, rows, false, e.Epoch())
+	e.publish.Unlock()
+	if tp := <-done; tp.ID != 7 {
+		t.Fatalf("histNext returned %+v, want the page's tuple 7", tp)
+	}
+	if _, hit := e.facts.lookup([]byte(key), q, e.Epoch(), false); hit == hitNone {
+		t.Fatal("the page's fact is not in the index")
+	}
 }

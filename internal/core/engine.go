@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acquire"
 	"repro/internal/hidden"
 	"repro/internal/history"
 	"repro/internal/query"
@@ -153,8 +152,9 @@ type Engine struct {
 
 	// publish is held for writing while an issued probe's page enters the
 	// arena and its fact the index, and for reading while an MD cursor takes
-	// the arena view it seeds from: a cursor that sees a page also finds its
-	// fact, so it never spends a probe the fact would have answered.
+	// the arena view it seeds from or a 1D cursor reads history's next tuple:
+	// a cursor that sees a page also finds its fact, so it never spends a
+	// probe the fact would have answered.
 	publish sync.RWMutex
 
 	queries atomic.Int64 // upstream queries issued through the engine
@@ -190,12 +190,6 @@ type Engine struct {
 	mdCertOverflow     atomic.Int64
 	coverHits          atomic.Int64
 
-	// heat is the request-window heat sketch feeding the background
-	// acquirer: which exact windows users queried recently, with
-	// exponential decay. Fed by RecordHeat on the request path; persisted
-	// in checkpoints so acquisition resumes after restarts.
-	heat *acquire.Sketch
-
 	// persist, when attached, records every probe fact admitted or
 	// confirmed, every crawled-region insert and every epoch bump, so
 	// incremental checkpoints persist them. History needs no recording
@@ -227,7 +221,6 @@ func NewEngine(db hidden.Database, opts Options) *Engine {
 		facts:   newFactIndex(cacheSize),
 		flights: newFlightGroup(),
 		crawls:  newFlightGroup(),
-		heat:    acquire.NewSketch(db.Schema()),
 	}
 	e.epoch.Store(FirstEpoch)
 	return e
@@ -439,34 +432,6 @@ func (d Dense1D) Regions(attr int) int {
 		rs := f.q.Ranges()
 		return len(rs) == 1 && rs[0].Attr == attr
 	})
-}
-
-// Heat returns the engine's request-window heat sketch — the demand signal
-// the background acquirer mines. Safe for concurrent use.
-func (e *Engine) Heat() *acquire.Sketch { return e.heat }
-
-// RecordHeat feeds a user query's bounded range predicates into the heat
-// sketch. Call it from the request path after validation: the cost is one
-// short mutex acquisition per bounded range, no upstream work.
-func (e *Engine) RecordHeat(q query.Query) {
-	for _, r := range q.Ranges() {
-		if r.Iv.Empty() || r.Iv.Unbounded() {
-			continue
-		}
-		e.heat.Observe(r.Attr, r.Iv.Lo, r.Iv.Hi)
-	}
-}
-
-// WindowWarm reports whether the 1D window [iv] on attr is already fully
-// covered by a crawled dense region AT THE CURRENT EPOCH — acquired
-// knowledge that survives restarts, so a restarted acquirer skips instead
-// of re-crawling. A covering region learned under an earlier epoch does
-// not count as warm: the background acquirer treats such windows as cold
-// again, refreshing stale knowledge from idle capacity alongside genuinely
-// un-crawled windows.
-func (e *Engine) WindowWarm(attr int, iv types.Interval) bool {
-	f := e.crawled.lookup(query.New().WithRange(attr, iv))
-	return f != nil && f.epoch >= e.Epoch()
 }
 
 // searchWidth returns the MD search's speculative probe width (≥ 1). A

@@ -389,34 +389,6 @@ func TestProbeCacheLazyRevalidation(t *testing.T) {
 	}
 }
 
-func TestWindowWarmEpochAware(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	db, tuples := newTestDB(t, rng, 2, 400, 10, false, nil)
-	e := NewEngine(db, Options{N: 400})
-	iv, _ := narrowWindow(t, tuples, 10)
-
-	s := e.NewSession()
-	if err := s.WarmWindow(0, iv, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !e.WindowWarm(0, iv) {
-		t.Fatal("window not warm after WarmWindow")
-	}
-	// Stale knowledge is cold again — the acquirer must refresh it.
-	e.BumpEpoch()
-	if e.WindowWarm(0, iv) {
-		t.Fatal("stale window still reports warm")
-	}
-	// One confirming probe promotes the covering region and re-warms it.
-	s2 := e.NewSession()
-	if f, err := s2.crawledLookup(query.New().WithRange(0, iv)); err != nil || f == nil {
-		t.Fatalf("re-validation: found=%v err=%v", f != nil, err)
-	}
-	if !e.WindowWarm(0, iv) {
-		t.Fatal("window not warm after promotion")
-	}
-}
-
 // driftQueries is the fixed drift-matrix workload: user queries x rankers.
 func driftQueries(schema *types.Schema) []query.Query {
 	return []query.Query{

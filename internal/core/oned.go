@@ -143,13 +143,16 @@ func (c *OneDCursor) minAxis(ts []types.Tuple) (types.Tuple, bool) {
 }
 
 // histNext returns the best known (from history) tuple strictly after axis
-// position lo.
+// position lo. It reads under publish, so a page's tuple is seen only once
+// its fact is in the index.
 func (c *OneDCursor) histNext(lo float64) (types.Tuple, bool) {
 	if c.s.e.opts.DisableHistory {
 		return types.Tuple{}, false
 	}
 	iv := types.Interval{Lo: lo, LoOpen: true, Hi: math.Inf(1), HiOpen: true}
 	real := c.realRange(iv)
+	c.s.e.publish.RLock()
+	defer c.s.e.publish.RUnlock()
 	if c.dir == ranking.Asc {
 		return c.s.e.hist.MinMatching(c.q, c.attr, real)
 	}

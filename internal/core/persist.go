@@ -71,7 +71,6 @@ type Persister struct {
 
 	mu      sync.Mutex
 	histLo  int         // next history arena row not yet committed
-	heatObs int64       // heat-sketch observation count at last committed capture
 	ops     []pendingOp // facts and epoch bumps since the last capture
 	lastErr error
 
@@ -123,11 +122,10 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 		return nil, fmt.Errorf("core: segment replay: %w", err)
 	}
 	p := &Persister{
-		e:       e,
-		store:   store,
-		logf:    opts.Logf,
-		histLo:  e.hist.Rows(),
-		heatObs: e.heat.Observations(),
+		e:      e,
+		store:  store,
+		logf:   opts.Logf,
+		histLo: e.hist.Rows(),
 	}
 	e.persist.Store(p)
 	if opts.Interval > 0 {
@@ -193,9 +191,6 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		}
 		e.facts.learn(q.String(), q, op.Rows, op.Overflow, epochOrFirst(op.Epoch))
 	}
-	// Heat is last-wins across deltas and Import is idempotent, so replaying
-	// a committed prefix (or the same delta twice after a retry) converges.
-	e.heat.Import(d.Heat)
 	// d.Queries is informational (lifetime counter at capture time) and not
 	// restored: a restarted engine's counter measures cost paid by THIS
 	// process.
@@ -243,7 +238,6 @@ func (p *Persister) Checkpoint() error {
 	ops := p.ops
 	p.ops = nil
 	histLo := p.histLo
-	heatObs := p.heatObs
 	p.mu.Unlock()
 
 	// The watermark is read AFTER the queue swap: every row a captured op
@@ -251,16 +245,6 @@ func (p *Persister) Checkpoint() error {
 	// histHi and commits in this very delta or an earlier one.
 	histHi := p.e.hist.Rows()
 	d := p.buildDelta(histLo, histHi, ops)
-	// Heat rides the delta only when observations advanced since the last
-	// committed capture, so an idle engine stays checkpoint-quiet. The
-	// observation count is read BEFORE the export: observations arriving in
-	// between are exported now and re-exported next time — harmless, since
-	// Import is idempotent — whereas the opposite order could mark them
-	// committed without capturing them.
-	obs := p.e.heat.Observations()
-	if obs != heatObs {
-		d.Heat = p.e.heat.Export()
-	}
 	if d.Empty() {
 		return nil
 	}
@@ -273,7 +257,6 @@ func (p *Persister) Checkpoint() error {
 	}
 	p.mu.Lock()
 	p.histLo = histHi
-	p.heatObs = obs
 	p.lastErr = nil
 	p.mu.Unlock()
 	return nil

@@ -37,22 +37,7 @@ type Session struct {
 	// round of SearchParallelism probes at a time, and several cursors of
 	// the same session share this pool rather than multiplying it.
 	workers chan struct{}
-	// abort, when set, is polled before every upstream probe; a true
-	// return fails the probe with ErrAcquireAborted. The background
-	// acquirer uses it to yield to user traffic mid-crawl at probe
-	// granularity. Set before driving cursors; never from another
-	// goroutine.
-	abort func() bool
 }
-
-// ErrAcquireAborted is returned by probes of a session whose abort hook
-// fired — background acquisition yielding to user traffic.
-var ErrAcquireAborted = fmt.Errorf("core: acquisition aborted for user traffic")
-
-// SetAbort installs a per-probe abort check on the session (nil clears
-// it). Install before driving cursors; the hook runs on whichever
-// goroutine issues probes.
-func (s *Session) SetAbort(f func() bool) { s.abort = f }
 
 // NewSession starts a session against the engine. Sessions are cheap;
 // create one per request (or per cursor) and read its Queries ledger for
@@ -240,49 +225,6 @@ func (s *Session) crawledFact(box query.Query) (*fact, error) {
 		err = fmt.Errorf("core: crawled region %s missing after crawl", box)
 	}
 	return f, err
-}
-
-// WarmWindow proactively acquires one 1D query window: it crawls the whole
-// window into the shared crawled regions and history (so any ranking over it is
-// answered from local knowledge), then replays 1D-RERANK cursors in both
-// directions to depth tuples each, which caches the exact probe stream a
-// user query over the same window would issue. With the window's contents
-// fully in history, that stream is deterministic — a later user request for
-// the same window (either direction, h ≤ depth) replays a strict prefix of
-// it entirely from the probe cache, for zero upstream queries.
-//
-// Probes respect the session's abort hook: acquisition yields mid-crawl
-// with ErrAcquireAborted when it fires. Upstream cost lands on this
-// session's ledger (the acquirer's system ledger), never on any client's.
-func (s *Session) WarmWindow(attr int, iv types.Interval, depth int) error {
-	schema := s.e.db.Schema()
-	if attr < 0 || attr >= schema.Len() || schema.Attr(attr).Kind != types.Ordinal {
-		return fmt.Errorf("core: warm-window attribute %d is not an ordinal attribute", attr)
-	}
-	if iv.Empty() || iv.Unbounded() {
-		return fmt.Errorf("core: warm-window interval %s must be bounded and non-empty", iv)
-	}
-	// Full crawl first: crawled coverage is the restart-surviving
-	// "already warm" marker, and a complete history makes the cursor
-	// replays below converge immediately to their fixed-point probe
-	// streams.
-	q := query.New().WithRange(attr, iv)
-	if err := s.crawlBox(q); err != nil {
-		return err
-	}
-	for _, dir := range []ranking.Direction{ranking.Asc, ranking.Desc} {
-		c := s.NewOneDCursor(q, attr, dir, Rerank)
-		for i := 0; i < depth; i++ {
-			_, ok, err := c.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-		}
-	}
-	return nil
 }
 
 // NewCursor builds a cursor running the given algorithm variant for user

@@ -1,6 +1,6 @@
 // The segment codec: one hand-written encoder and decoder for every type the
 // store persists (segment file bodies and journal records, down to tuples,
-// probe records and heat). The bytes are JSON, exactly as encoding/json
+// probe records). The bytes are JSON, exactly as encoding/json
 // writes them for these types, so files written before the codec existed and
 // files written by it are the same format generation byte for byte. The
 // codec only drops the reflection: the encoder appends fields in declaration
@@ -13,12 +13,15 @@
 // decode to a reflect.DeepEqual value. Everything else is an error: unknown
 // keys, repeated struct keys, type mismatches (a fraction where an integer
 // belongs, null for a number), raw invalid UTF-8 in a string, trailing
-// bytes. A map's repeated key keeps its last value, as encoding/json does:
-// the encoder writes every invalid UTF-8 key as "\ufffd", so two such keys
-// of one map arrive as a repeat. The struct tags on the persisted types stay
-// as the reference the tests compare the codec against. The JSON primitives
-// (numbers, strings, maps, the scanner) are package jsonwire's, which the
-// serving wire shares; this file holds what only the store persists.
+// bytes. One retired key is read past, as encoding/json reads past any
+// unknown key: a delta's "heat", a request-heat capture that stores of this
+// format generation may carry. A map's repeated key keeps its last value, as
+// encoding/json does: the encoder writes every invalid UTF-8 key as
+// "\ufffd", so two such keys of one map arrive as a repeat. The struct tags
+// on the persisted types stay as the reference the tests compare the codec
+// against. The JSON primitives (numbers, strings, maps, the scanner) are
+// package jsonwire's, which the serving wire shares; this file holds what
+// only the store persists.
 
 package segment
 
@@ -26,7 +29,6 @@ import (
 	"math"
 	"strconv"
 
-	"repro/internal/acquire"
 	"repro/internal/jsonwire"
 )
 
@@ -121,10 +123,6 @@ func (e encoder) delta(d *Delta) {
 		}
 		e.Buf = append(e.Buf, ']')
 	}
-	if d.Heat != nil {
-		e.Field("heat")
-		e.heat(d.Heat)
-	}
 	if d.Epoch != 0 {
 		e.Field("epoch")
 		e.Int(d.Epoch)
@@ -209,53 +207,6 @@ func (e encoder) probe(p *ProbeOp) {
 	if p.Epoch != 0 {
 		e.Field("epoch")
 		e.Int(p.Epoch)
-	}
-	e.Buf = append(e.Buf, '}')
-}
-
-func (e encoder) heat(h *acquire.HeatExport) {
-	e.Buf = append(e.Buf, '{')
-	if h.HalfLifeSec != 0 {
-		e.Field("halfLifeSec")
-		e.Float(h.HalfLifeSec)
-	}
-	if len(h.Attrs) > 0 {
-		e.Field("attrs")
-		e.Buf = append(e.Buf, '[')
-		for i := range h.Attrs {
-			a := &h.Attrs[i]
-			if i > 0 {
-				e.Buf = append(e.Buf, ',')
-			}
-			e.Buf = append(e.Buf, `{"attr":`...)
-			e.Int(int64(a.Attr))
-			e.Buf = append(e.Buf, `,"cells":`...)
-			if a.Cells == nil {
-				e.Buf = append(e.Buf, "null"...)
-			} else {
-				e.Buf = append(e.Buf, '[')
-				for j := range a.Cells {
-					c := &a.Cells[j]
-					if j > 0 {
-						e.Buf = append(e.Buf, ',')
-					}
-					e.Buf = append(e.Buf, `{"cell":`...)
-					e.Int(int64(c.Cell))
-					e.Buf = append(e.Buf, `,"heat":`...)
-					e.Float(c.Heat)
-					e.Buf = append(e.Buf, `,"lo":`...)
-					e.Float(c.Lo)
-					e.Buf = append(e.Buf, `,"hi":`...)
-					e.Float(c.Hi)
-					e.Buf = append(e.Buf, `,"votes":`...)
-					e.Float(c.Votes)
-					e.Buf = append(e.Buf, '}')
-				}
-				e.Buf = append(e.Buf, ']')
-			}
-			e.Buf = append(e.Buf, '}')
-		}
-		e.Buf = append(e.Buf, ']')
 	}
 	e.Buf = append(e.Buf, '}')
 }
@@ -500,8 +451,9 @@ func (d *decoder) delta() *Delta {
 			d.once(&seen, 8)
 			dl.Probes = d.probes()
 		case "heat":
+			// A retired request-heat capture: checked as JSON, ignored.
 			d.once(&seen, 16)
-			dl.Heat = d.heat()
+			d.Skip()
 		case "epoch":
 			d.once(&seen, 32)
 			dl.Epoch = d.Int64()
@@ -622,91 +574,6 @@ func (d *decoder) probeRanges() []ProbeRange {
 		return []ProbeRange{}
 	}
 	return d.ranges[start:len(d.ranges):len(d.ranges)]
-}
-
-func (d *decoder) heat() *acquire.HeatExport {
-	if d.Null() {
-		return nil
-	}
-	d.Expect('{')
-	h := new(acquire.HeatExport)
-	var seen uint16
-	for n := 0; d.More('}', n); n++ {
-		switch string(d.field()) {
-		case "halfLifeSec":
-			d.once(&seen, 1)
-			h.HalfLifeSec = d.Float()
-		case "attrs":
-			d.once(&seen, 2)
-			h.Attrs = d.attrHeats()
-		default:
-			d.unknown()
-		}
-	}
-	return h
-}
-
-func (d *decoder) attrHeats() []acquire.AttrHeat {
-	if d.Null() {
-		return nil
-	}
-	d.Expect('[')
-	out := []acquire.AttrHeat{}
-	for n := 0; d.More(']', n); n++ {
-		out = append(out, acquire.AttrHeat{})
-		a := &out[len(out)-1]
-		d.Expect('{')
-		var seen uint16
-		for m := 0; d.More('}', m); m++ {
-			switch string(d.field()) {
-			case "attr":
-				d.once(&seen, 1)
-				a.Attr = d.Int()
-			case "cells":
-				d.once(&seen, 2)
-				a.Cells = d.cellHeats()
-			default:
-				d.unknown()
-			}
-		}
-	}
-	return out
-}
-
-func (d *decoder) cellHeats() []acquire.CellHeat {
-	if d.Null() {
-		return nil
-	}
-	d.Expect('[')
-	out := []acquire.CellHeat{}
-	for n := 0; d.More(']', n); n++ {
-		out = append(out, acquire.CellHeat{})
-		c := &out[len(out)-1]
-		d.Expect('{')
-		var seen uint16
-		for m := 0; d.More('}', m); m++ {
-			switch string(d.field()) {
-			case "cell":
-				d.once(&seen, 1)
-				c.Cell = d.Int()
-			case "heat":
-				d.once(&seen, 2)
-				c.Heat = d.Float()
-			case "lo":
-				d.once(&seen, 4)
-				c.Lo = d.Float()
-			case "hi":
-				d.once(&seen, 8)
-				c.Hi = d.Float()
-			case "votes":
-				d.once(&seen, 16)
-				c.Votes = d.Float()
-			default:
-				d.unknown()
-			}
-		}
-	}
-	return out
 }
 
 func (d *decoder) segmentFile(sf *segmentFile) {

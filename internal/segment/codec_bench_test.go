@@ -5,15 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/acquire"
 	"repro/internal/dataset"
 )
 
 // durableFitStore builds a compacted segment file's content shaped like the
 // store bench/perf's durable-fit workload leaves behind: 2,861 Blue Nile
 // history tuples (9 ordinal slots, 4 categorical values each), 1,045 probe
-// records citing 6,029 rows in all (33 of them crawled regions), and a heat
-// capture of about 7.7 KB, spread over 16 deltas.
+// records citing 6,029 rows in all (33 of them crawled regions), spread over
+// 16 deltas.
 func durableFitStore() (Fingerprint, []*Delta) {
 	const (
 		deltas  = 16
@@ -21,7 +20,6 @@ func durableFitStore() (Fingerprint, []*Delta) {
 		probes  = 1045
 		rows    = 6029
 		crawled = 33
-		cells   = 95
 	)
 	ds := dataset.BlueNile(160205100, tuples)
 	fp := Fingerprint{Schema: ds.Schema.Names(), UpstreamK: 30}
@@ -66,16 +64,6 @@ func durableFitStore() (Fingerprint, []*Delta) {
 		}
 		d.Probes = append(d.Probes, op)
 	}
-	heat := &acquire.HeatExport{HalfLifeSec: 600}
-	for a := 0; a < 5; a++ {
-		ah := acquire.AttrHeat{Attr: a}
-		for c := 0; c < cells/5; c++ {
-			ah.Cells = append(ah.Cells, acquire.CellHeat{Cell: c, Heat: rng.Float64() * 40,
-				Lo: rng.Float64() * 1000, Hi: 1000 + rng.Float64()*1000, Votes: float64(rng.Intn(50))})
-		}
-		heat.Attrs = append(heat.Attrs, ah)
-	}
-	out[deltas-1].Heat = heat
 	return fp, out
 }
 

@@ -14,8 +14,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/acquire"
 )
 
 // valueSource drives the delta generator: a seeded PRNG for the table
@@ -148,23 +146,6 @@ func genDelta(s valueSource) *Delta {
 				}
 			}
 			p.Overflow, p.Crawled, p.Epoch = s.intn(2) == 0, s.intn(2) == 0, pickInt(s)
-		}
-	}
-	if s.intn(2) == 0 {
-		d.Heat = &acquire.HeatExport{HalfLifeSec: pickFloat(s)}
-		if n := genLen(s, 3); n >= 0 {
-			d.Heat.Attrs = make([]acquire.AttrHeat, n)
-			for i := range d.Heat.Attrs {
-				a := &d.Heat.Attrs[i]
-				a.Attr = int(pickInt(s))
-				if m := genLen(s, 3); m >= 0 {
-					a.Cells = make([]acquire.CellHeat, m)
-					for j := range a.Cells {
-						a.Cells[j] = acquire.CellHeat{Cell: int(pickInt(s)), Heat: pickFloat(s),
-							Lo: pickFloat(s), Hi: pickFloat(s), Votes: pickFloat(s)}
-					}
-				}
-			}
 		}
 	}
 	return d
@@ -357,7 +338,7 @@ func checkRecordCodec(t testing.TB, rec *journalRecord) {
 }
 
 // codecCases are the hand-picked deltas: every nil-against-empty pairing,
-// zero epochs, heat present and absent, non-finite bounds.
+// zero epochs, non-finite bounds.
 func codecCases() map[string]*Delta {
 	return map[string]*Delta{
 		"zero":       {},
@@ -370,12 +351,6 @@ func codecCases() map[string]*Delta {
 			{Attr: 3, Lo: Bound(math.NaN()), Hi: Bound(math.Copysign(0, -1)), HiOpen: true},
 			{Attr: 4, Lo: 1e-7, Hi: 1e21},
 		}, Rows: []uint32{math.MaxUint32}}}},
-		"heat-empty": {Heat: &acquire.HeatExport{}},
-		"heat": {Heat: &acquire.HeatExport{HalfLifeSec: 300, Attrs: []acquire.AttrHeat{
-			{Attr: 1, Cells: []acquire.CellHeat{{Cell: 3, Heat: 0.75, Lo: 1e-9, Hi: 2, Votes: 4}}},
-			{Attr: 2},
-			{Attr: 4, Cells: []acquire.CellHeat{}},
-		}}},
 		"strings": {Hist: []Tuple{{ID: 7, Ord: []float64{1e-6, 9.999999e-7}, Cat: map[string]string{
 			"a<b>&c": "\x00\x1f", `q"\`: "\xff\xfe", "sep": "\u2028\u2029", "\u00e9": "\U0001F600", "\x7f": "/",
 		}}}},
@@ -393,6 +368,9 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 			checkSegmentCodec(t, testFP, []*Delta{d})
 			checkRecordCodec(t, &journalRecord{Kind: "delta", Seq: 3, Delta: d})
 		})
+	}
+	for _, name := range slices.Sorted(maps.Keys(legacyHeat)) {
+		t.Run(name, func(t *testing.T) { checkLegacyHeat(t, legacyHeat[name]) })
 	}
 	checkSegmentCodec(t, testFP, all)
 	checkSegmentCodec(t, testFP, []*Delta{nil, fuzzDelta})
@@ -422,14 +400,63 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// legacyHeat holds values of a delta's "heat" member, which stores of this
+// format generation carried while the engine persisted a request-heat sketch:
+// a real capture, its empty and null forms, and shapes the sketch never
+// wrote. The codec reads past any of them.
+var legacyHeat = map[string]string{
+	"heat":        `{"halfLifeSec":300,"attrs":[{"attr":1,"cells":[{"cell":3,"heat":0.75,"lo":1e-9,"hi":2,"votes":4}]},{"attr":2,"cells":null},{"attr":4,"cells":[]}]}`,
+	"heat-empty":  `{}`,
+	"heat-null":   `null`,
+	"heat-shapes": `[{"bogus":0},{"attrs":[{"cells":[{"heat":"1"}]}]},[],"\u00e9",true,false,-0.5e3]`,
+}
+
+// checkLegacyHeat asserts that a journal record and a segment file whose
+// delta carries heat decode as encoding/json decodes them, and equal to the
+// same delta without it.
+func checkLegacyHeat(t *testing.T, heat string) {
+	t.Helper()
+	line, err := encodeRecord(&journalRecord{Kind: "delta", Seq: 3, Delta: fuzzDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := bytes.TrimSuffix(line, []byte("\n"))[9:]
+	body := bytes.Replace(clean, []byte(`"delta":{`), []byte(`"delta":{"heat":`+heat+`,`), 1)
+	checkDecodesLikeJSON(t, body)
+	got, err := decodeRecordBody(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := decodeRecordBody(clean)
+	if !sameDecoded(got, want) {
+		t.Fatalf("codec decoded %s\nas %+v\nwant %+v", body, got, want)
+	}
+
+	seg, err := encodeSegment(testFP, []*Delta{fuzzDelta, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heated := bytes.ReplaceAll(seg, []byte(`"queries":`), []byte(`"heat":`+heat+`,"queries":`))
+	sf, err := decodeSegmentBody(heated)
+	if err != nil {
+		t.Fatalf("codec refused %s: %v", heated, err)
+	}
+	var ref segmentFile
+	if err := json.Unmarshal(heated, &ref); err != nil {
+		t.Fatal(err)
+	}
+	wantSF, _ := decodeSegmentBody(seg)
+	if !sameDecoded(sf, &ref) || !sameDecoded(sf, wantSF) {
+		t.Fatalf("codec decoded %s\nas %+v\nwant %+v", heated, sf, wantSF)
+	}
+}
+
 // A value json.Marshal cannot encode (a non-finite float outside a bound)
 // is an error from the codec too.
 func TestCodecRefusesWhatJSONCannotEncode(t *testing.T) {
 	for _, d := range []*Delta{
 		{Hist: []Tuple{{ID: 1, Ord: []float64{math.NaN()}}}},
 		{Hist: []Tuple{{ID: 1, Ord: []float64{1, math.Inf(-1)}}}},
-		{Heat: &acquire.HeatExport{HalfLifeSec: math.Inf(1)}},
-		{Heat: &acquire.HeatExport{Attrs: []acquire.AttrHeat{{Cells: []acquire.CellHeat{{Votes: math.NaN()}}}}}},
 	} {
 		if _, err := json.Marshal(d); err == nil {
 			t.Fatalf("precondition: json.Marshal encoded %+v", d)
@@ -492,7 +519,8 @@ func TestCodecRefusesMalformedBodies(t *testing.T) {
 		d(`"histLo":"1"`), d(`"histLo":null`), d(`"queries":9223372036854775808`), d(`"epoch":-9223372036854775809`),
 		d(`"hist":[{"id":1,"ord":[1,]}]`), d(`"hist":[{"id":1,"ord":[null]}]`), d(`"hist":[{"id":1,"ord":[1e400]}]`),
 		d(`"hist":[{"id":1,"cat":{"a":null}}]`), d(`"hist":[{"id":1,"cat":{"a":1}}]`), d(`"hist":[{"id":1,"cat":[]}]`),
-		d(`"hist":{}`), d(`"heat":{"attrs":[{"cells":[{"heat":"1"}]}]}`), d(`"heat":{"bogus":0}`), d(`"heat":[]`),
+		d(`"hist":{}`), d(`"heat":{"attrs":[}`), d(`"heat":{`), d(`"heat":[1,]`), d(`"heat":{"a" 1}`),
+		d(`"heat":nul`), d(`"heat":"\x"`), d(`"heat":01`), d(`"heat":null,"heat":null`), d(`"heat":{},"heat":{}`),
 		p(`"rows":[-1]`), p(`"rows":[4294967296]`), p(`"rows":[1.0]`), p(`"rows":[1e0]`), p(`"rows":{}`),
 		p(`"overflow":1`), p(`"overflow":tru`), p(`"overflow":null`), p(`"crawled":"true"`),
 		p(`"ranges":[{"lo":"inf"}]`), p(`"ranges":[{"lo":"Infinity"}]`), p(`"ranges":[{"lo":"+Inf "}]`),
@@ -512,9 +540,33 @@ func TestCodecRefusesMalformedBodies(t *testing.T) {
 	}
 }
 
+// withoutHeat returns body with every delta's legacy "heat" member cut out,
+// and how many it cut. The fixture's encoder wrote the member after "probes",
+// never first, so each starts with a comma; the value's extent is measured
+// by encoding/json.
+func withoutHeat(t *testing.T, body []byte) ([]byte, int) {
+	t.Helper()
+	marker := []byte(`,"heat":`)
+	out, n := body, 0
+	for {
+		i := bytes.Index(out, marker)
+		if i < 0 {
+			return out, n
+		}
+		dec := json.NewDecoder(bytes.NewReader(out[i+len(marker):]))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		out = slices.Concat(out[:i], out[i+len(marker)+int(dec.InputOffset()):])
+		n++
+	}
+}
+
 // TestParentStoreFilesStayIdentical: every file of a store written before
 // the codec (testdata/parent-store) decodes as encoding/json decodes it, and
-// re-encodes to the same bytes.
+// re-encodes to the same bytes, less the request-heat captures its deltas
+// carry, which the codec reads past and no longer writes.
 func TestParentStoreFilesStayIdentical(t *testing.T) {
 	dir := filepath.Join("testdata", "parent-store")
 	journal, err := os.ReadFile(filepath.Join(dir, "journal"))
@@ -522,6 +574,7 @@ func TestParentStoreFilesStayIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
+	heats := 0
 	var fp Fingerprint
 	for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
 		if len(line) == 0 {
@@ -538,8 +591,13 @@ func TestParentStoreFilesStayIdentical(t *testing.T) {
 		if !sameDecoded(rec, &ref) {
 			t.Fatalf("codec decoded %s as %+v, encoding/json as %+v", line, rec, &ref)
 		}
-		if again, err := encodeRecord(rec); err != nil || !bytes.Equal(again, line) {
-			t.Fatalf("journal line re-encodes as %s (%v), was %s", again, err, line)
+		want := line
+		if body, n := withoutHeat(t, line[9:len(line)-1]); n > 0 {
+			want = fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(body, crcTable), body)
+			heats += n
+		}
+		if again, err := encodeRecord(rec); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("journal line re-encodes as %s (%v), want %s", again, err, want)
 		}
 		kinds[rec.Kind]++
 		switch rec.Kind {
@@ -561,13 +619,18 @@ func TestParentStoreFilesStayIdentical(t *testing.T) {
 			if !sameDecoded(sf, &ref) {
 				t.Fatalf("codec decoded segment %s as %+v, encoding/json as %+v", rec.File, sf, &ref)
 			}
-			if again, err := encodeSegment(fp, sf.Deltas); err != nil || !bytes.Equal(again, body) {
+			want, n := withoutHeat(t, body)
+			heats += n
+			if again, err := encodeSegment(fp, sf.Deltas); err != nil || !bytes.Equal(again, want) {
 				t.Fatalf("segment %s does not re-encode to its own bytes (%v)", rec.File, err)
 			}
 		}
 	}
 	if kinds["header"] != 1 || kinds["delta"] < 2 || kinds["segment"] < 1 {
 		t.Fatalf("fixture journal holds %v, want a header, 2 inline deltas and a segment commit", kinds)
+	}
+	if heats < 2 {
+		t.Fatalf("fixture carries %d heat members, want one in the segment and one in the journal", heats)
 	}
 }
 

@@ -61,8 +61,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"repro/internal/acquire"
 )
 
 // Format is the segment/journal format generation this package reads and
@@ -199,11 +197,6 @@ type Delta struct {
 	HistHi int       `json:"histHi"`
 	Hist   []Tuple   `json:"hist,omitempty"`
 	Probes []ProbeOp `json:"probes,omitempty"`
-	// Heat, when present, is the engine's request-window heat sketch at
-	// capture time (acquire.HeatExport). Replay is last-wins across
-	// deltas, so only the newest capture matters; older formats without
-	// the field replay as nil and leave heat cold.
-	Heat *acquire.HeatExport `json:"heat,omitempty"`
 	// Epoch, when non-zero, is the namespace knowledge epoch at capture
 	// time, committed only by checkpoints that observed an epoch bump.
 	// Replay restores it forward-only (epochs never move backward).
@@ -214,11 +207,11 @@ type Delta struct {
 }
 
 // Empty reports whether the delta carries no knowledge at all. A delta
-// holding only a heat capture or an epoch bump counts as non-empty: both
-// are knowledge worth committing on their own (an un-persisted bump would
-// resurrect stale knowledge as current after a restart).
+// holding only an epoch bump counts as non-empty: it is knowledge worth
+// committing on its own (an un-persisted bump would resurrect stale
+// knowledge as current after a restart).
 func (d *Delta) Empty() bool {
-	return len(d.Hist) == 0 && len(d.Probes) == 0 && d.Heat == nil && d.Epoch == 0
+	return len(d.Hist) == 0 && len(d.Probes) == 0 && d.Epoch == 0
 }
 
 // segmentFile is the serialized form of one immutable segment: a batch of

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -57,10 +56,6 @@ type Options struct {
 	// this stalls its write, which ends the stream and releases its
 	// admission slot — stalled readers cannot pin capacity forever.
 	StreamWriteTimeout time.Duration
-	// Acquire configures proactive background knowledge acquisition per
-	// namespace (disabled by default; see acquire.go and
-	// docs/acquisition.md).
-	Acquire AcquireOptions
 	// SentinelInterval is the period of each namespace's sentinel pass, the
 	// cheap probe set that detects upstream drift and bumps the knowledge
 	// epoch (0 = off; see sentinel.go and docs/epochs.md).
@@ -88,104 +83,36 @@ func (o Options) withDefaults() Options {
 // admissionGate is a weighted, non-blocking semaphore. The zero capacity
 // means unlimited: admission always succeeds but still counts in-flight
 // weight, so SessionsInFlight stays meaningful for metrics either way.
-//
-// The gate distinguishes two priorities. User-priority admission (admit)
-// may use the full capacity; low-priority admission (admitLow, used by the
-// background knowledge acquirer) is refused whenever admitting it would
-// leave fewer than a reserve of slots free, so background work can never
-// squeeze a user burst. Every user-priority refusal is timestamped, giving
-// the acquirer a cheap "user traffic was just shed" signal to poll between
-// probes.
 type admissionGate struct {
 	mu   sync.Mutex
 	cap  int // 0 = unlimited
 	used int
-	// lowUsed is the slice of used held at background priority. Pressure is
-	// computed on user-held weight only (used-lowUsed): the acquirer's own
-	// admitted slot must never read as "a user is waiting", or any gate
-	// whose reserve equals its capacity minus the acquisition weight would
-	// make the acquirer abort itself at its first probe.
-	lowUsed int
-
-	// lastDenied is the unix-nano time of the most recent user-priority
-	// refusal (0 = never). Written only on the shed path, read lock-free.
-	lastDenied atomic.Int64
 }
 
 func newAdmissionGate(capacity int) *admissionGate {
 	return &admissionGate{cap: max(capacity, 0)}
 }
 
-// admit reserves weight slots at user priority if they all fit,
-// atomically. A refusal stamps lastDenied: user traffic was just shed, so
-// background work must back off. The returned release is idempotent, so
-// calling it from both an error path and a deferred cleanup is safe.
+// admit reserves weight slots if they all fit, atomically. The returned
+// release is idempotent, so calling it from both an error path and a
+// deferred cleanup is safe.
 func (g *admissionGate) admit(weight int) (release func(), ok bool) {
-	return g.acquire(weight, false)
-}
-
-// admitLow reserves weight slots at background priority: it refuses
-// whenever the reservation would dip into the reserve kept free for user
-// traffic. Always admits on an unlimited gate. Idempotent release.
-func (g *admissionGate) admitLow(weight int) (release func(), ok bool) {
-	return g.acquire(weight, true)
-}
-
-func (g *admissionGate) acquire(weight int, low bool) (release func(), ok bool) {
 	weight = max(weight, 1)
 	g.mu.Lock()
-	limit := g.cap
-	if low {
-		limit -= g.reserveSlots()
-	}
-	if g.cap > 0 && g.used+weight > limit {
+	if g.cap > 0 && g.used+weight > g.cap {
 		g.mu.Unlock()
-		if !low {
-			g.lastDenied.Store(time.Now().UnixNano())
-		}
 		return nil, false
 	}
 	g.used += weight
-	if low {
-		g.lowUsed += weight
-	}
 	g.mu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			g.mu.Lock()
 			g.used -= weight
-			if low {
-				g.lowUsed -= weight
-			}
 			g.mu.Unlock()
 		})
 	}, true
-}
-
-// reserveSlots returns the capacity withheld from low-priority admission:
-// a quarter of the gate, at least one slot. Zero with an unlimited gate
-// (capacity is not scarce, so there is nothing to reserve).
-func (g *admissionGate) reserveSlots() int {
-	if g.cap <= 0 {
-		return 0
-	}
-	return max(g.cap/4, 1)
-}
-
-// userPressure reports whether user traffic is contending for the gate:
-// either a user-priority admission was refused within the given window, or
-// user-held weight has climbed into the low-priority reserve. Only user
-// weight (used-lowUsed) counts — background admissions never pressure
-// themselves. The background acquirer polls this between probes to yield
-// mid-flight.
-func (g *admissionGate) userPressure(window time.Duration) bool {
-	if d := g.lastDenied.Load(); d != 0 && time.Now().UnixNano()-d < int64(window) {
-		return true
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cap > 0 && g.used-g.lowUsed >= g.cap-g.reserveSlots()
 }
 
 func (g *admissionGate) inFlight() int {
@@ -340,16 +267,13 @@ var errDraining = fmt.Errorf("server is draining for shutdown")
 
 // BeginDrain puts the server into draining mode: every subsequent request
 // (including /healthz, so load balancers deregister the instance) is
-// rejected with 503 while in-flight requests run to completion. Background
-// acquirers are stopped FIRST — speculative acquisition must not race the
-// final checkpoints or prolong shutdown — and BeginDrain returns only once
-// any in-flight acquisition has yielded. Callers typically pair it with
-// http.Server.Shutdown and a final ClosePersistence — see cmd/rerankd. Draining is
-// not reversible.
+// rejected with 503 while in-flight requests run to completion. Sentinels
+// are stopped first, so no drift pass races the final checkpoints or
+// prolongs shutdown. Callers typically pair it with http.Server.Shutdown and
+// a final ClosePersistence — see cmd/rerankd. Draining is not reversible.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
 	for _, t := range s.tenantList() {
-		t.stopAcquirer()
 		t.stopSentinel()
 	}
 }

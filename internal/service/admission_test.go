@@ -1,6 +1,5 @@
-// Admission gate and namespace table tests: the weighted two-priority gate
-// (bound, weights, idempotent release, the low-priority reserve, the
-// user-pressure signal, all under concurrency), and the server's namespace
+// Admission gate and namespace table tests: the weighted gate (bound,
+// weights, idempotent release, under concurrency), and the server's namespace
 // table (naming, the default namespace, rollback of a registration whose
 // store cannot open, shared weighted admission, engine isolation).
 
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hidden"
@@ -153,159 +151,6 @@ func TestAdmitConcurrentBound(t *testing.T) {
 	if got := g.inFlight(); got != 0 {
 		t.Fatalf("inFlight = %d after all releases, want 0", got)
 	}
-}
-
-func TestAdmitLowPriorityReserve(t *testing.T) {
-	g := newAdmissionGate(4) // reserve = 4/4 = 1 slot
-	var rels []func()
-	for i := 0; i < 3; i++ {
-		rel, ok := g.admitLow(1)
-		if !ok {
-			t.Fatalf("low-priority admit %d rejected with reserve free", i)
-		}
-		rels = append(rels, rel)
-	}
-	// The 4th slot is the user reserve: low priority must never take it.
-	if _, ok := g.admitLow(1); ok {
-		t.Fatal("low-priority admit took the user reserve slot")
-	}
-	// A user request still fits in the reserve.
-	rel, ok := g.admit(1)
-	if !ok {
-		t.Fatal("user admit rejected from the reserve slot")
-	}
-	rel()
-	for _, r := range rels {
-		r()
-	}
-	// Weighted: a low-priority batch must fit entirely outside the reserve.
-	if _, ok := g.admitLow(4); ok {
-		t.Fatal("weight-4 low-priority admit overlapped the reserve")
-	}
-	if rel, ok := g.admitLow(3); !ok {
-		t.Fatal("weight-3 low-priority admit rejected at empty gate")
-	} else {
-		rel()
-		rel()
-	}
-	if got := g.inFlight(); got != 0 {
-		t.Fatalf("inFlight = %d after low-priority releases, want 0", got)
-	}
-	// An unlimited gate has no reserve to protect.
-	if rel, ok := newAdmissionGate(0).admitLow(5); !ok {
-		t.Fatal("low-priority admit rejected on unlimited gate")
-	} else {
-		rel()
-	}
-}
-
-func TestUserPressureSignal(t *testing.T) {
-	g := newAdmissionGate(4)
-	if g.userPressure(time.Hour) {
-		t.Fatal("pressure reported on an idle gate")
-	}
-	// Occupying up to the reserve boundary is pressure: users are using
-	// everything the acquirer would be allowed to touch.
-	rel1, _ := g.admit(2)
-	rel2, _ := g.admit(1)
-	if !g.userPressure(time.Hour) {
-		t.Fatal("no pressure with used == cap-reserve")
-	}
-	rel1()
-	rel2()
-
-	// A denied user admission stamps pressure for the window, even after
-	// the load that caused it drained.
-	rel, _ := g.admit(4)
-	if _, ok := g.admit(1); ok {
-		t.Fatal("admit beyond capacity succeeded")
-	}
-	rel()
-	if !g.userPressure(time.Hour) {
-		t.Fatal("denied admission did not register as pressure")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if g.userPressure(10 * time.Millisecond) {
-		t.Fatal("pressure persisted past the window with the gate drained")
-	}
-
-	// Only user-held weight counts toward pressure: at cap=2 (reserve 1)
-	// the acquirer's own admitted slot fills cap-reserve, and if that read
-	// as pressure every in-flight acquisition would abort itself at its
-	// first probe.
-	g2 := newAdmissionGate(2)
-	relLow, ok := g2.admitLow(1)
-	if !ok {
-		t.Fatal("low-priority admit refused on an idle cap-2 gate")
-	}
-	if g2.userPressure(time.Hour) {
-		t.Fatal("acquirer's own admission registered as user pressure")
-	}
-	// A user arriving alongside the in-flight acquisition IS pressure.
-	relUser, ok := g2.admit(1)
-	if !ok {
-		t.Fatal("user admit refused with the reserve free")
-	}
-	if !g2.userPressure(time.Hour) {
-		t.Fatal("no pressure with a user holding the reserve")
-	}
-	relUser()
-	relLow()
-}
-
-// TestAdmitLowPriorityConcurrent hammers the gate with mixed user and
-// low-priority traffic (run with -race): the total bound must hold, and
-// during a phase where users pin everything outside the reserve, low
-// priority must be shut out completely.
-func TestAdmitLowPriorityConcurrent(t *testing.T) {
-	const capacity = 8
-	g := newAdmissionGate(capacity)
-	var inFlight, peak atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			weight := 1 + w%2
-			admit := g.admit
-			if w%3 == 0 {
-				admit = g.admitLow
-			}
-			for i := 0; i < 300; i++ {
-				rel, ok := admit(weight)
-				if !ok {
-					continue
-				}
-				cur := inFlight.Add(int64(weight))
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				inFlight.Add(-int64(weight))
-				rel()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if p := peak.Load(); p > capacity {
-		t.Fatalf("observed %d in-flight weight, bound is %d", p, capacity)
-	}
-	if got := g.inFlight(); got != 0 {
-		t.Fatalf("inFlight = %d after all releases, want 0", got)
-	}
-	// Users hold cap-reserve: every low-priority admit must fail.
-	rel, ok := g.admit(capacity - 1)
-	if !ok {
-		t.Fatal("user admit of cap-reserve rejected on drained gate")
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := g.admitLow(1); ok {
-			t.Fatal("low-priority admit succeeded with only the reserve free")
-		}
-	}
-	rel()
 }
 
 // tableDB is a small one-attribute upstream; seed varies its values.

@@ -18,14 +18,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/hidden"
 	"repro/internal/query"
 )
 
 // epochPipeline builds a one-namespace federated server over an in-process
-// clustered database, with sentinel/acquire loops off unless opts says
+// clustered database, with the sentinel loop off unless opts says
 // otherwise.
 func epochPipeline(t *testing.T, opts Options) (*Server, *httptest.Server, *Client, *hidden.DB) {
 	t.Helper()
@@ -279,17 +278,12 @@ func TestGuardErrorMapping(t *testing.T) {
 }
 
 // TestDeregisterRacesBackgroundTicks is the regression test for the DELETE
-// teardown race: with aggressive acquirer and sentinel ticks and persistence
-// enabled, deregistration must stop the loops (waiting for any in-flight
-// tick) BEFORE finalizing the store — repeatedly, without error. Run with
-// -race.
+// teardown race: with millisecond sentinel and checkpoint loops,
+// deregistration must stop the sentinel (waiting for any in-flight pass)
+// BEFORE finalizing the store — repeatedly, without error. Run with -race.
 func TestDeregisterRacesBackgroundTicks(t *testing.T) {
 	srv := NewFederatedServer(Options{
-		Core: core.Options{N: 1200},
-		Acquire: AcquireOptions{Enabled: true, Config: acquire.Config{
-			Interval: time.Millisecond, IdleAfter: time.Nanosecond,
-			WindowsPerTick: 2, WarmDepth: 4, MinHeat: 0.1,
-		}},
+		Core:             core.Options{N: 1200},
 		SentinelInterval: time.Millisecond,
 	})
 	if err := srv.OpenDataDir(t.TempDir(), PersistConfig{CheckpointInterval: 2 * time.Millisecond}); err != nil {
@@ -307,8 +301,8 @@ func TestDeregisterRacesBackgroundTicks(t *testing.T) {
 		if _, err := srv.RegisterUpstreamDB(UpstreamConfig{Name: name}, clusterDBAt(t, int64(round), 20)); err != nil {
 			t.Fatal(err)
 		}
-		// Heat the namespace so acquirer ticks have real work, then let the
-		// ms-interval loops run into the teardown.
+		// Serve a request so the checkpoint loop has knowledge to write, then
+		// let the ms-interval loops run into the teardown.
 		vc := NewClientWith(api.URL, WithHTTPClient(api.Client()), WithUpstream(name))
 		if _, err := vc.Rerank(rangeRequest(20)); err != nil {
 			t.Fatal(err)

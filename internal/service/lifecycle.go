@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/hidden"
 )
@@ -32,12 +31,6 @@ type tenant struct {
 	streamRequests atomic.Int64
 	streamTuples   atomic.Int64
 
-	// lastUser is the unix-nano timestamp of the namespace's most recent
-	// user request execution — the acquirer's idle gate.
-	lastUser atomic.Int64
-	// acq is the namespace's background acquirer (nil unless
-	// Options.Acquire.Enabled).
-	acq *acquire.Acquirer
 	// guard is the probe guard wrapped around a remote upstream (nil for
 	// in-process databases, which always report healthy).
 	guard *hidden.Guard

@@ -286,8 +286,8 @@ func TestUpstreamStatsRoute(t *testing.T) {
 	if want := all.Upstreams["diamonds"]; !reflect.DeepEqual(one, want) {
 		t.Fatalf("GET /v1/upstreams/diamonds/stats = %+v\nwant /v1/stats upstreams[diamonds] = %+v", one, want)
 	}
-	// The wire keys of an in-process namespace without a data dir or an
-	// acquirer; a key lost or renamed in the struct shows up here.
+	// The wire keys of an in-process namespace without a data dir; a key
+	// lost or renamed in the struct shows up here.
 	var raw map[string]any
 	get("/v1/upstreams/diamonds/stats", &raw)
 	keys := slices.Sorted(maps.Keys(raw))

@@ -181,15 +181,10 @@ func (s *Server) RegisterUpstreamDB(cfg UpstreamConfig, db hidden.Database) (*Up
 			return nil, err
 		}
 	}
-	// The acquirer starts after any persistence replay so a restored heat
-	// sketch immediately seeds its candidate ranking. Nothing to start on a
-	// draining server: BeginDrain has already stopped acquisition for good.
-	if s.opts.Acquire.Enabled && !s.draining.Load() {
-		s.startAcquirer(t)
-	}
-	// The sentinel also starts post-replay: its first pass baselines the
+	// The sentinel starts post-replay: its first pass baselines the
 	// upstream's current answers, so restored knowledge that predates a
-	// corpus change is caught by the second pass at the latest.
+	// corpus change is caught by the second pass at the latest. Nothing to
+	// start on a draining server: BeginDrain has already stopped it for good.
 	if s.opts.SentinelInterval > 0 && !s.draining.Load() {
 		s.startSentinel(t)
 	}
@@ -215,19 +210,15 @@ func (s *Server) RegisterUpstream(cfg UpstreamConfig) (*UpstreamInfo, error) {
 // a last checkpoint. The default namespace can only be removed once it is
 // the last one left.
 //
-// Ordering is stop-then-finalize: the namespace's background loops (acquirer
-// and sentinel) are stopped — waiting for any in-flight tick to yield —
-// BEFORE the table entry is removed and the final checkpoint runs. The
-// previous deregister-first ordering raced an in-flight acquirer tick
-// against teardown: the tick could still be probing (and feeding the
-// persister) while Close() wrote the "final" checkpoint, losing its
-// knowledge or tripping over the closed store.
+// Ordering is stop-then-finalize: the namespace's sentinel is stopped —
+// waiting for any in-flight pass to finish — BEFORE the table entry is
+// removed and the final checkpoint runs, so no pass is still probing (and
+// feeding the persister) while Close() writes the final checkpoint.
 func (s *Server) DeregisterUpstream(name string) error {
 	s.tmu.RLock()
 	t := s.tenants[name]
 	s.tmu.RUnlock()
 	if t != nil {
-		t.stopAcquirer()
 		t.stopSentinel()
 	}
 	s.tmu.Lock()
@@ -245,13 +236,8 @@ func (s *Server) DeregisterUpstream(name string) error {
 		// The namespace stays registered (unknown names reach here too, with
 		// t == nil): restart what was stopped so a refused DELETE — e.g. of
 		// the default namespace — leaves the server exactly as it was.
-		if t != nil && !s.draining.Load() {
-			if s.opts.Acquire.Enabled {
-				s.startAcquirer(t)
-			}
-			if s.opts.SentinelInterval > 0 {
-				s.startSentinel(t)
-			}
+		if t != nil && !s.draining.Load() && s.opts.SentinelInterval > 0 {
+			s.startSentinel(t)
 		}
 		return err
 	}

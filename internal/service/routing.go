@@ -259,11 +259,6 @@ func (s *Server) run(t *tenant, q query.Query, rk ranking.Ranker, variant core.V
 	// (exact under concurrency, unlike a before/after diff of the engine
 	// counter, which would absorb other requests' probes).
 	eng := t.engine()
-	// Every executed user request stamps the acquirer's idle clock and
-	// feeds the heat sketch — both are single atomic-order operations, so
-	// the request path pays nothing measurable.
-	t.touchUser()
-	eng.RecordHeat(q)
 	sess := eng.NewSession()
 	cur, err := sess.NewCursor(q, rk, variant)
 	if err != nil {

@@ -1,9 +1,9 @@
 // The serving-tier sentinel scheduler: one background loop per namespace
 // that periodically runs the engine's SentinelPass (a fixed, tiny probe set
 // against the upstream) so corpus drift bumps the knowledge epoch without
-// any operator action. The loop mirrors the acquirer's lifecycle: started at
-// registration, stopped by deregistration and BeginDrain, and restartable
-// (a new loop object per start).
+// any operator action. The loop is started at registration, stopped by
+// deregistration and BeginDrain, and restartable (a new loop object per
+// start).
 //
 // A pass that fails — upstream degraded, down, or rate-limited — is simply
 // skipped: the engine leaves its digests untouched (a flaky pass must not

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"sort"
 
-	"repro/internal/acquire"
 	"repro/internal/core"
 	"repro/internal/hidden"
 )
@@ -51,10 +50,6 @@ type UpstreamStats struct {
 	ProbeHedges    int64 `json:"probeHedges"`
 	ProbeFailures  int64 `json:"probeFailures"`
 	ProbeFastFails int64 `json:"probeFastFails"`
-
-	// Acquire is the namespace's background-acquirer counters (absent when
-	// acquisition is disabled).
-	Acquire *acquire.Stats `json:"acquire,omitempty"`
 }
 
 // Stats is the /v1/stats response body: the service-level counters, which
@@ -72,8 +67,6 @@ type Stats struct {
 	RejectedDraining int64 `json:"rejectedDraining"`
 	// Draining is true once BeginDrain was called (shutdown in progress).
 	Draining bool `json:"draining"`
-	// AcquireEnabled is true when background acquisition is configured.
-	AcquireEnabled bool `json:"acquireEnabled"`
 	// DefaultUpstream names the default namespace.
 	DefaultUpstream string                   `json:"defaultUpstream,omitempty"`
 	Upstreams       map[string]UpstreamStats `json:"upstreams"`
@@ -104,10 +97,6 @@ func (s *Server) tenantStats(t *tenant) UpstreamStats {
 		us.ProbeFailures = gh.Failures
 		us.ProbeFastFails = gh.FastFails
 	}
-	if t.acq != nil {
-		as := t.acq.Stats()
-		us.Acquire = &as
-	}
 	return us
 }
 
@@ -121,7 +110,6 @@ func (s *Server) Stats() Stats {
 		RejectedDraining: s.rejectedDraining.Load(),
 		Draining:         s.draining.Load(),
 		DefaultUpstream:  s.defaultName(),
-		AcquireEnabled:   s.opts.Acquire.Enabled,
 		Upstreams:        make(map[string]UpstreamStats),
 	}
 	for _, t := range s.tenantList() {
@@ -198,13 +186,6 @@ var upstreamSeries = []struct {
 	{"persist_replayed_deltas", "Committed deltas replayed at startup.", "gauge", func(u UpstreamStats) int64 { return int64(u.PersistReplayedDeltas) }},
 	{"persist_bytes_appended_total", "Bytes durably written to journal and segments since start.", "counter", func(u UpstreamStats) int64 { return u.PersistBytesAppended }},
 	{"persist_checkpoint_failing", "1 while the most recent checkpoint attempt failed.", "gauge", func(u UpstreamStats) int64 { return b2i(u.PersistLastError != "") }},
-	{"acquire_ticks_total", "Background acquirer tick passes.", "counter", acq(func(a acquire.Stats) int64 { return a.Ticks })},
-	{"acquire_probes_total", "Upstream probes issued by background acquisition.", "counter", acq(func(a acquire.Stats) int64 { return a.ProbesIssued })},
-	{"acquire_windows_total", "Query windows fully warmed by background acquisition.", "counter", acq(func(a acquire.Stats) int64 { return a.WindowsAcquired })},
-	{"acquire_skipped_warm_total", "Candidate windows skipped because they were already warm.", "counter", acq(func(a acquire.Stats) int64 { return a.SkippedWarm })},
-	{"acquire_yields_total", "Acquirer yields to user traffic (idle/pressure gates and mid-flight aborts).", "counter", acq(func(a acquire.Stats) int64 { return a.Yields })},
-	{"acquire_admission_denied_total", "Low-priority admission refusals of the acquirer.", "counter", acq(func(a acquire.Stats) int64 { return a.AdmissionDenied })},
-	{"acquire_errors_total", "Background acquisitions that failed with a hard error.", "counter", acq(func(a acquire.Stats) int64 { return a.Errors })},
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -225,7 +206,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"rerank_sessions_in_flight", "Admitted session weight currently in flight.", int64(st.SessionsInFlight)},
 		{"rerank_sessions_limit", "Configured MaxSessions bound (0 = unlimited).", int64(st.MaxSessions)},
 		{"rerank_draining", "1 once graceful drain has begun.", b2i(st.Draining)},
-		{"rerank_acquire_enabled", "1 when background knowledge acquisition is configured.", b2i(st.AcquireEnabled)},
 	} {
 		series(g.name, g.help, "gauge")
 		fmt.Fprintf(w, "%s %d\n", g.name, g.v)
@@ -260,15 +240,5 @@ func healthLevel(u UpstreamStats) int64 {
 		return 2
 	default:
 		return 0
-	}
-}
-
-// acq reads an acquirer counter, 0 where acquisition is disabled.
-func acq(f func(acquire.Stats) int64) func(UpstreamStats) int64 {
-	return func(u UpstreamStats) int64 {
-		if u.Acquire == nil {
-			return 0
-		}
-		return f(*u.Acquire)
 	}
 }

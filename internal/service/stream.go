@@ -77,10 +77,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	t.streamRequests.Add(1)
 	eng := t.engine()
-	// Streams count as user traffic for the acquirer's idle gate and feed
-	// the heat sketch like one-shot requests.
-	t.touchUser()
-	eng.RecordHeat(q)
 	sess := eng.NewSession()
 	defer func() { charge(sess.Queries()) }()
 	cur, err := sess.NewCursor(q, rk, variant)
